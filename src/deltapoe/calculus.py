@@ -106,7 +106,7 @@ class DerivationNode:
     by further rules.  ``alternatives`` holds explored but unchosen sibling
     applications sharing this conclusion.  ``env_provisional`` notes that
     the environment is a placeholder pending an earlier stage's solution;
-    it is recomputed whenever the tree is rethreaded.
+    it is resolved, and the premise rethreaded, once that stage commits.
     """
 
     conclusion: m.Problem
@@ -129,18 +129,32 @@ def open_node(problem: m.Problem) -> DerivationNode:
 
 
 def get_node(root: DerivationNode, path: NodePath) -> DerivationNode:
-    node = root
+    return _spine(root, path)[-1]
+
+
+def _spine(root: DerivationNode, path: NodePath) -> list[DerivationNode]:
+    """The nodes along ``path``, from ``root`` to the one it names."""
+    spine = [root]
     for seg in path:
+        node = spine[-1]
         if isinstance(seg, int):
             if seg >= len(node.premises):
                 raise BadPath(f"no premise {seg} at {path_str(path)}", path)
-            node = node.premises[seg]
+            spine.append(node.premises[seg])
         else:
             index = seg[1] - 1
             if index < 0 or index >= len(node.alternatives):
                 raise BadPath(f"no alternative {seg[1]} at {path_str(path)}", path)
-            node = node.alternatives[index]
-    return node
+            spine.append(node.alternatives[index])
+    return spine
+
+
+def _copy(node: DerivationNode, **fields) -> DerivationNode:
+    """``replace(node, **fields)`` without the trip through ``__init__``;
+    nodes hold no derived state, so copying the field dict is enough."""
+    new = object.__new__(DerivationNode)
+    new.__dict__.update(node.__dict__, **fields)
+    return new
 
 
 def set_node(root: DerivationNode, path: NodePath, new: DerivationNode) -> DerivationNode:
@@ -228,6 +242,16 @@ def _refine_pair(change: m.ChangeExpr):
     ):
         return change.first, change.second
     return None
+
+
+def _first_stage(node: DerivationNode) -> m.ChangeExpr | None:
+    """The solution a Sequence's second stage is threaded through: its
+    first stage's, once committed and fully determined.  None while the
+    second stage's environment is provisional."""
+    if node.env_provisional or not node.premises:
+        return None
+    first = committed(node.premises[0])
+    return first if first is not None and m.is_unknown_free(first) else None
 
 
 def _expected(node: DerivationNode, mdl: Model) -> tuple[list[_PremiseSpec], dict]:
@@ -330,21 +354,18 @@ def _expected(node: DerivationNode, mdl: Model) -> tuple[list[_PremiseSpec], dic
             )
         first = same(change_=change.first, need_=need.left)
         # thread the second stage through the first stage's solution once known
-        spec2_env, spec2_prov = env, True
-        if not prov and node.premises:
-            first_commit = committed(node.premises[0])
-            if first_commit is not None and m.is_unknown_free(first_commit):
-                try:
-                    spec2_env = m.apply_change(env, first_commit)
-                except (m.ChangeError, m.ModelError) as err:
-                    raise SideConditionViolated(
-                        f"stage one's solution does not apply: {err}",
-                        cause_kind=getattr(err, "kind", "ModelError"),
-                    )
-                spec2_prov = False
+        spec2_env, first_commit = env, _first_stage(node)
+        if first_commit is not None:
+            try:
+                spec2_env = m.apply_change(env, first_commit)
+            except (m.ChangeError, m.ModelError) as err:
+                raise SideConditionViolated(
+                    f"stage one's solution does not apply: {err}",
+                    cause_kind=getattr(err, "kind", "ModelError"),
+                )
         second = _PremiseSpec(
             m.Problem(spec2_env, change.second, validator, need.right),
-            provisional=spec2_prov or prov,
+            provisional=first_commit is None,
         )
         return [first, second], {"intermediate_env": env_str(spec2_env)}
 
@@ -489,9 +510,13 @@ def apply(rule: RuleId, node: DerivationNode, args: dict, mdl: Model) -> Derivat
 
 
 def rethread(node: DerivationNode, mdl: Model) -> DerivationNode:
-    """Recompute premise conclusions top-down, grafting existing subtrees
-    onto them.  Resolves provisional environments once earlier stages have
-    committed their solutions."""
+    """Recompute premise conclusions top-down over the whole subtree,
+    grafting existing subtrees onto them.  Resolves provisional
+    environments once earlier stages have committed their solutions.
+
+    :func:`build` calls it only on a second stage whose environment has
+    just been resolved, and otherwise rebuilds just the path each
+    statement names (see :func:`_graft`)."""
     alts = tuple(rethread(a, mdl) for a in node.alternatives)
     if node.rule is None:
         return replace(node, alternatives=alts) if alts != node.alternatives else node
@@ -525,23 +550,83 @@ def rethread(node: DerivationNode, mdl: Model) -> DerivationNode:
 
 # --- building trees from scripts ----------------------------------------------------
 
+def _awaits_first_stage(node: DerivationNode, seg) -> bool:
+    """Whether ``seg`` leads into the first stage of a Sequence whose
+    second stage still waits for it."""
+    return seg == 0 and node.rule is RuleId.SEQUENCE and node.premises[1].env_provisional
+
+
+def _graft(spine: list[DerivationNode], path: NodePath, new: DerivationNode, mdl: Model) -> DerivationNode:
+    """``rethread(set_node(spine[0], path, new))``, rebuilding only the
+    ``spine`` of nodes along ``path``, for a root that is already
+    rethreaded and the ``new`` node a statement made from the one at
+    ``path``.
+
+    A premise's conclusion depends only on its parent's conclusion, rule
+    and arguments, and, in a Sequence, on the first stage's committed
+    solution.  A statement changes none of these for the nodes on its
+    path, so they keep their conclusions and evidence, and every subtree
+    off the path is reused as it is.  What a statement can change is the
+    commitment of a first stage it lies in: when that resolves the second
+    stage's provisional environment, the second stage is rethreaded in
+    full.
+    """
+    target = new
+    for depth in reversed(range(len(path))):
+        node, seg = spine[depth], path[depth]
+        if not isinstance(seg, int):
+            alts = list(node.alternatives)
+            alts[seg[1] - 1] = new
+            new = _copy(node, alternatives=tuple(alts))
+            continue
+        premises = list(node.premises)
+        premises[seg] = new
+        new = _copy(node, premises=tuple(premises))
+        if _awaits_first_stage(node, seg) and _first_stage(new) is not None:
+            try:
+                specs, evidence = _expected(new, mdl)
+                second = _copy(premises[1], conclusion=specs[1].problem, env_provisional=False)
+                new = _copy(new, premises=(premises[0], rethread(second, mdl)), evidence=evidence)
+            except RuleError:
+                _check_enclosing(spine[:depth], path, target, mdl)
+                raise
+    return new
+
+
+def _check_enclosing(spine: list[DerivationNode], path: NodePath, new: DerivationNode, mdl: Model) -> None:
+    """Raise the error of the outermost Sequence in ``spine`` whose first
+    stage, with ``new`` set at ``path``, has just committed to a solution
+    that does not apply: rethread checks a Sequence before any node in
+    its first stage, so that error comes before one found below."""
+    for depth, node in enumerate(spine):
+        if _awaits_first_stage(node, path[depth]):
+            first = set_node(node.premises[0], path[depth + 1:], new)
+            _expected(_copy(node, premises=(first, node.premises[1])), mdl)
+
+
 def build(script: DerivationScript, mdl: Model, problems: dict) -> DerivationNode:
-    """Execute a derivation script statement by statement."""
+    """Execute a derivation script statement by statement.
+
+    Each statement's rule application, alternative or discharge is made at
+    the node its path names and grafted back in by :func:`_graft`, which
+    rebuilds that path and nothing else unless the statement commits a
+    first stage.  The tree equals the one rethreading the whole derivation
+    after every statement would give, and so does the first error.
+    """
     if script.problem_name not in problems:
         raise RuleError(f"derivation {script.name!r} names unknown problem {script.problem_name!r}")
     root = open_node(problems[script.problem_name])
     for index, stmt in enumerate(script.statements):
         try:
-            target = get_node(root, stmt.path)
+            spine = _spine(root, stmt.path)
         except BadPath as err:
             raise err.at(stmt.path)
         if isinstance(stmt, ApplyStatement):
-            updated = _run_apply(stmt, target, mdl, index)
+            updated = _run_apply(stmt, spine[-1], mdl, index)
         else:
-            updated = _run_discharge(stmt, target, index)
-        root = set_node(root, stmt.path, updated)
+            updated = _run_discharge(stmt, spine[-1], index)
         try:
-            root = rethread(root, mdl)
+            root = _graft(spine, stmt.path, updated, mdl)
         except RuleError as err:
             if not err.path:
                 err.at(stmt.path)
@@ -874,9 +959,6 @@ class ImplementationPlan:
 
     def step_ids(self) -> tuple[str, ...]:
         return tuple(e.step.id for e in self.entries)
-
-    def stage_count(self) -> int:
-        return max((e.stage for e in self.entries), default=0) + 1 if self.entries else 0
 
 
 def extract_plan(root: DerivationNode) -> ImplementationPlan:

@@ -51,6 +51,10 @@ def _read_config(path: str | None) -> dict:
     return out
 
 
+def _not_utf8(path: str, err: UnicodeDecodeError) -> str:
+    return f"{path}: not valid UTF-8: byte 0x{err.object[err.start]:02x} at offset {err.start}"
+
+
 class Workspace:
     """Files parsed in order against one growing model."""
 
@@ -58,7 +62,6 @@ class Workspace:
         self.model = dsl.EMPTY_MODEL
         self.problems: dict[str, m.Problem] = {}
         self.files: list[tuple[str, dsl.ParsedFile]] = []
-        self.sources: list[dsl.SourceFile] = []
 
     def load(self, path: str):
         text = Path(path).read_text(encoding="utf-8")
@@ -71,7 +74,6 @@ class Workspace:
             )
         self.problems.update(parsed.problems)
         self.files.append((path, parsed))
-        self.sources.append(dsl.SourceFile(path, text, parsed.kind))
         return parsed
 
 
@@ -86,6 +88,9 @@ def _load_workspace(paths: list[str]) -> tuple[Workspace | None, int]:
         except dsl.DslError as errs:
             for diag in errs.diagnostics:
                 _err(f"{path}:{diag}")
+            return None, INVALID
+        except UnicodeDecodeError as err:
+            _err(_not_utf8(path, err))
             return None, INVALID
     return workspace, OK
 
@@ -346,6 +351,9 @@ def cmd_workflow(args) -> int:
     except macro.BadLog as err:
         _err(f"{log_path}: {err}")
         return INVALID
+    except UnicodeDecodeError as err:
+        _err(_not_utf8(log_path, err))
+        return INVALID
 
     if args.subcommand == "status":
         try:
@@ -421,6 +429,9 @@ def cmd_export(args) -> int:
     if source.suffix == ".json":
         try:
             doc = json.loads(source.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as err:
+            _err(_not_utf8(args.input, err))
+            return INVALID
         except json.JSONDecodeError as err:
             _err(f"{args.input}: {err}")
             return INVALID

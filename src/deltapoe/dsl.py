@@ -52,13 +52,6 @@ class DslError(Exception):
 
 
 @dataclass(frozen=True)
-class SourceFile:
-    path: str
-    content: str
-    kind: str  # model | problem | derivation
-
-
-@dataclass(frozen=True)
 class Token:
     kind: str  # ident | int | string | symbol | eof
     value: str

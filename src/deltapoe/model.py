@@ -12,8 +12,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-IDENTIFIER_HINT = "identifiers are dot-qualified words like api.call or OldAPI'"
-
 
 class ModelError(ValueError):
     """A value violates a structural invariant at construction time."""

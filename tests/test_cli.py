@@ -47,6 +47,15 @@ def test_check_syntax_error_is_invalid(tmp_path, capsys):
     assert "error" in err
 
 
+def test_check_non_utf8_file_is_invalid(tmp_path, capsys):
+    bad = tmp_path / "bad.poed"
+    bad.write_bytes(GOLDEN.read_bytes() + b"# \xff\n")
+    code, out, err = run(capsys, "check", bad)
+    assert code == 2
+    assert out == ""
+    assert err == f"{bad}: not valid UTF-8: byte 0xff at offset {len(GOLDEN.read_bytes()) + 2}\n"
+
+
 @pytest.mark.parametrize("path", MUTATIONS, ids=lambda p: p.stem)
 def test_every_mutation_rejected(path, capsys):
     code, _, err = run(capsys, "check", path)
@@ -229,6 +238,15 @@ def test_workflow_drift_reports_stale(tmp_path, capsys):
     assert "stale" in out
 
 
+def test_workflow_non_utf8_log_is_invalid(tmp_path, capsys):
+    log = tmp_path / "wf.jsonl"
+    log.write_bytes(b"\xff\n")
+    code, out, err = run(capsys, "workflow", log, "status")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{log}: not valid UTF-8")
+
+
 def test_export_derivation_graph(tmp_path, capsys):
     out_path = tmp_path / "graph.dot"
     code, out, _ = run(capsys, "export", GOLDEN, "--graph", out_path)
@@ -254,6 +272,15 @@ def test_export_impact_graph_colors(tmp_path, capsys):
 def test_export_write_failure_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "export", GOLDEN, "--graph", tmp_path / "nodir" / "x.dot")
     assert code == 3
+
+
+def test_export_non_utf8_report_is_invalid(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_bytes(b'{"changed": "\xff"}')
+    code, _, err = run(capsys, "export", report, "--graph", tmp_path / "impact.dot")
+    assert code == 2
+    assert err.startswith(f"{report}: not valid UTF-8")
+    assert not (tmp_path / "impact.dot").exists()
 
 
 def test_outputs_are_deterministic(tmp_path, capsys):
