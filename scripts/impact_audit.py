@@ -2,6 +2,11 @@
 """Audit the propagation engine against a brute-force closure oracle on
 randomized environments, and time it.
 
+For every case it checks that the behavioural set equals the closure, and
+that each reported path is a real chain of observations and causal links
+from a seed phenomenon that is as short as any such chain can be.  Exits 1
+on any disagreement.
+
     python3 scripts/impact_audit.py [cases] [seed]
 """
 
@@ -57,6 +62,49 @@ def closure_oracle(env, seeds, structural, buffers):
     return {d.name for d in env if d.name not in structural and d.observed & affected}
 
 
+def edge_domains(env, buffers):
+    """(cause, effect) -> domains whose observed cause is linked to effect"""
+    edges = {}
+    for dom in env:
+        if dom.name not in buffers:
+            for link in dom.links:
+                if link.cause in dom.observed:
+                    edges.setdefault((link.cause, link.effect), set()).add(dom.name)
+    return edges
+
+
+def distances(seeds, edges):
+    """Fewest causal links from a seed to each affected phenomenon."""
+    dist = dict.fromkeys(seeds, 0)
+    frontier, level = set(seeds), 0
+    while frontier:
+        level += 1
+        frontier = {q for p, q in edges if p in frontier and q not in dist}
+        dist.update(dict.fromkeys(frontier, level))
+    return dist
+
+
+def path_problem(env, report, buffers):
+    """None if every path is a real chain and as short as BFS allows."""
+    edges = edge_domains(env, buffers)
+    dist = distances(report.seed_phenomena, edges)
+    observed = {dom.name: dom.observed for dom in env}
+    paths = report.paths
+    order = [(len(p), p[-1]) for p in paths]
+    if sorted(p[-1] for p in paths) != sorted(report.behavioural) or order != sorted(order):
+        return "paths are not one per reached domain, by length then name"
+    for path in paths:
+        phens, vias = path[0:-1:2], path[1:-1:2]
+        if phens[0] not in report.seed_phenomena or phens[-1] not in observed[path[-1]]:
+            return f"path {path} does not run from a seed to an observer"
+        if any(via not in edges.get(step, ()) for via, step in zip(vias, zip(phens, phens[1:]))):
+            return f"path {path} follows a link that does not exist"
+        shortest = min(dist[p] for p in observed[path[-1]] if p in dist)
+        if len(path) != 2 * shortest + 2:
+            return f"path {path} is longer than {2 * shortest + 2}"
+    return None
+
+
 def main() -> int:
     cases = int(sys.argv[1]) if len(sys.argv) > 1 else 1000
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 0
@@ -81,6 +129,9 @@ def main() -> int:
         if report.behavioural != expected:
             disagreements += 1
             print(f"disagreement on seed={seed}: {report} vs {sorted(expected)}")
+        elif problem := path_problem(env, report, buffers):
+            disagreements += 1
+            print(f"disagreement on seed={seed}: {problem}")
     elapsed = time.perf_counter() - started
     print(
         f"{cases} cases, {disagreements} disagreements, "

@@ -3,7 +3,9 @@
 Commands: check, plan, impact, lint, workflow, export.  Data goes to
 standard output, diagnostics to standard error.  Exit codes: 0 for
 success (solved, pass), 1 for incomplete or fail-with-report, 2 for
-invalid input or parse errors, 3 for usage errors.  No command mutates
+invalid input or parse errors, 3 for usage errors, and 70 for an internal
+error: an unexpected exception, reported on one line as ``internal: ...``
+so that no crash reads as a verdict.  No command mutates
 model or derivation files; only workflow logs are appended.
 """
 
@@ -19,6 +21,7 @@ from . import calculus, dsl, export, impact, macro, printer
 from . import model as m
 
 OK, INCOMPLETE, INVALID, USAGE = 0, 1, 2, 3
+INTERNAL = 70  # EX_SOFTWARE of sysexits.h; outside the verdict codes
 
 
 def _err(message: str):
@@ -192,7 +195,7 @@ def cmd_plan(args) -> int:
                 for kind, a, b in sorted(plan.constraints)
             ],
         }
-        print(export.to_json(doc), end="")
+        export.to_json(doc, sys.stdout)
         return OK
     current = None
     for entry in plan.entries:
@@ -238,21 +241,20 @@ def cmd_impact(args) -> int:
     except impact.ImpactError as err:
         _err(str(err))
         return INVALID
-    doc = export.impact_doc(report, env)
     if args.format == "structured":
-        print(export.to_json(doc), end="")
+        export.to_json(export.impact_doc(report, env), sys.stdout)
     else:
         print(f"edit: {report.edit}")
         print("structural: " + (", ".join(sorted(report.structural)) or "-"))
         print("behavioural: " + (", ".join(sorted(report.behavioural)) or "-"))
         print("buffers: " + (", ".join(sorted(report.buffers)) or "-"))
-        if report.paths:
+        if report.hits:
             print("paths:")
-            for path in report.paths:
-                print("  " + impact.path_text(path))
+            for name in report.hits:
+                print("  " + impact.path_text(report.path_to(name)))
     if permitted is None:
         return OK
-    bound = impact.bound_check(env, edit, permitted, buffers)
+    bound = impact.bound_check(env, edit, permitted, buffers, report)
     if bound.passed:
         print("bound: pass")
         return OK
@@ -562,7 +564,12 @@ def main(argv=None) -> int:
     for key, value in defaults.items():
         if hasattr(args, key) and getattr(args, key) in (None, "text"):
             setattr(args, key, value)
-    return COMMANDS[args.command](args)
+    try:
+        return COMMANDS[args.command](args)
+    except Exception as err:  # last resort: a crash must not exit with a verdict code
+        detail = " ".join(str(err).split())
+        _err(f"internal: {type(err).__name__}" + (f": {detail}" if detail else ""))
+        return INTERNAL
 
 
 if __name__ == "__main__":

@@ -437,19 +437,23 @@ class _Parser:
 
     # needs and change expressions
 
-    def need_expr(self) -> m.Need:
-        left = self.need_seq()
-        if self.at("symbol", "||"):
+    def chain(self, operand, symbol: str, node):
+        """``operand (symbol operand)*``, grouped to the right, built
+        without recursion so a long chain cannot exhaust the stack."""
+        items = [operand()]
+        while self.at("symbol", symbol):
             self.advance()
-            return m.NeedPar(left, self.need_expr())
-        return left
+            items.append(operand())
+        out = items.pop()
+        while items:
+            out = node(items.pop(), out)
+        return out
+
+    def need_expr(self) -> m.Need:
+        return self.chain(self.need_seq, "||", m.NeedPar)
 
     def need_seq(self) -> m.Need:
-        left = self.need_atom()
-        if self.at("symbol", ";"):
-            self.advance()
-            return m.NeedSeq(left, self.need_seq())
-        return left
+        return self.chain(self.need_atom, ";", m.NeedSeq)
 
     def need_atom(self) -> m.Need:
         if self.at("symbol", "("):
@@ -464,18 +468,10 @@ class _Parser:
             self.fail(f"undeclared need {tok.value!r}", tok)
 
     def change_expr(self) -> m.ChangeExpr:
-        left = self.change_seq()
-        if self.at("symbol", "||"):
-            self.advance()
-            return m.ChangePar(left, self.change_expr())
-        return left
+        return self.chain(self.change_seq, "||", m.ChangePar)
 
     def change_seq(self) -> m.ChangeExpr:
-        left = self.change_atom()
-        if self.at("symbol", ";"):
-            self.advance()
-            return m.ChangeSeq(left, self.change_seq())
-        return left
+        return self.chain(self.change_atom, ";", m.ChangeSeq)
 
     def resolve_domain(self, tok: Token) -> m.Domain:
         try:

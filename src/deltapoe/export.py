@@ -9,6 +9,8 @@ are deterministic: equal inputs yield byte-identical output.
 from __future__ import annotations
 
 import json
+from itertools import islice
+from typing import TextIO
 
 from . import model as m
 from .artifacts import Justification, PlanStep, ValidationRecord
@@ -16,6 +18,9 @@ from .calculus import DerivationNode
 from .dsl import Model
 from .impact import ImpactReport
 from .printer import change_str, problem_str
+
+
+_JSON_BATCH = 4096  # encoder chunks per write when streaming JSON
 
 
 def _justification_doc(j: Justification) -> dict:
@@ -88,8 +93,19 @@ def derivation_doc(node: DerivationNode) -> dict:
     return doc
 
 
-def to_json(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def to_json(doc, out: TextIO | None = None) -> str | None:
+    """``doc`` as indented JSON text with a final newline.
+
+    Given a stream ``out``, writes that text to it in batches of encoder
+    chunks instead, so the whole text is never held at once; the bytes are
+    the same."""
+    if out is None:
+        return json.dumps(doc, indent=2) + "\n"
+    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    while batch := list(islice(chunks, _JSON_BATCH)):
+        out.write("".join(batch))
+    out.write("\n")
+    return None
 
 
 def _dot_escape(text: str) -> str:
@@ -132,14 +148,17 @@ def model_dot(mdl: Model, name: str = "model") -> str:
     shared phenomenon, plus each domain's own causal links."""
     lines = [f'digraph "{_dot_escape(name)}" {{', "  node [shape=box];"]
     env = mdl.environment
+    observers: dict[str, list[str]] = {}  # phenomenon -> observers, in env order
     for dom in env:
         lines.append(f'  "{_dot_escape(dom.name)}";')
+        for phen in dom.observed:
+            observers.setdefault(phen, []).append(dom.name)
     for dom in env:
         for phen in sorted(dom.controlled):
-            for other in env:
-                if other.name != dom.name and phen in other.observed:
+            for other in observers.get(phen, ()):
+                if other != dom.name:
                     lines.append(
-                        f'  "{_dot_escape(dom.name)}" -> "{_dot_escape(other.name)}"'
+                        f'  "{_dot_escape(dom.name)}" -> "{_dot_escape(other)}"'
                         f' [label="{_dot_escape(phen)}"];'
                     )
         for link in sorted(dom.links):

@@ -9,6 +9,11 @@ reported, but their outgoing links are not followed.
 
 Classification is by reachability over observed phenomena and causal
 links only; no occurrence-level behaviour is modelled.
+
+Propagation is one breadth-first search, linear in the phenomena,
+domains and links of the environment.  The report keeps the search's
+parent map rather than one path per reached domain; a path is rendered
+from it, in time linear in its length, only when it is read.
 """
 
 from __future__ import annotations
@@ -69,19 +74,42 @@ def path_text(path: Path) -> str:
 
 @dataclass(frozen=True)
 class ImpactReport:
+    """The reach of an edit.
+
+    Paths are not stored.  ``parent`` maps each affected phenomenon to the
+    cause and the domain whose link reached it (``None`` for a seed), and
+    ``hits`` maps each behaviourally impacted domain to the affected
+    phenomenon it observes on a shortest path, in report order: by path
+    length, then by name.  ``paths`` and ``path_to`` render paths from
+    these when they are read.
+    """
+
     edit: str
     structural: frozenset[str]
     behavioural: frozenset[str]
     buffers: frozenset[str]  # declared buffers that were actually reached
     declared_buffers: frozenset[str]
     seed_phenomena: frozenset[str]
-    paths: tuple[Path, ...]  # one shortest path per reached domain, discovery order
+    parent: dict[str, tuple[str, str] | None]
+    hits: dict[str, str]
+
+    @property
+    def paths(self) -> tuple[Path, ...]:
+        """One shortest path per reached domain, in report order."""
+        return tuple(self._path(domain, phen) for domain, phen in self.hits.items())
 
     def path_to(self, domain: str) -> Path | None:
-        for path in self.paths:
-            if path[-1] == domain:
-                return path
-        return None
+        phen = self.hits.get(domain)
+        return None if phen is None else self._path(domain, phen)
+
+    def _path(self, domain: str, phen: str) -> Path:
+        out = [domain, phen]
+        step = self.parent[phen]
+        while step is not None:
+            cause, via = step
+            out += (via, cause)
+            step = self.parent[cause]
+        return tuple(reversed(out))
 
 
 @dataclass(frozen=True)
@@ -133,8 +161,9 @@ def propagate(
     phenomenon is behaviourally impacted.  Deterministic: paths are
     discovered breadth-first, ties broken by name.
     """
+    names = set(env.names())
     for name in buffers:
-        if name not in env:
+        if name not in names:
             raise UnknownDomain(name)
     structural, seeds = _seed(env, edit)
 
@@ -148,36 +177,31 @@ def propagate(
                 edges.setdefault(link.cause, []).append((link.effect, dom.name))
 
     parent: dict[str, tuple[str, str] | None] = {}
+    depth: dict[str, int] = {}
     queue: deque[str] = deque()
     for phen in sorted(seeds):
         parent[phen] = None
+        depth[phen] = 0
         queue.append(phen)
     while queue:
         phen = queue.popleft()
         for effect, via in edges.get(phen, ()):
             if effect not in parent:
                 parent[effect] = (phen, via)
+                depth[effect] = depth[phen] + 1
                 queue.append(effect)
-    affected = set(parent)
 
-    def chain(phen: str) -> Path:
-        out: list[str] = [phen]
-        at = phen
-        while parent[at] is not None:
-            cause, via = parent[at]
-            out.extend([via, cause])
-            at = cause
-        return tuple(reversed(out))
-
-    reached: list[tuple[int, str, Path]] = []
+    # a path through phenomenon p has 2 * depth[p] + 2 entries, so the
+    # shortest hit, ties broken by name, is the least (depth, name)
+    reached: list[tuple[int, str, str]] = []
     for dom in env:
         if dom.name in structural:
             continue
-        hits = sorted(dom.observed & affected, key=lambda p: (len(chain(p)), p))
+        hits = [p for p in dom.observed if p in depth]
         if hits:
-            path = chain(hits[0]) + (dom.name,)
-            reached.append((len(path), dom.name, path))
-    reached.sort(key=lambda item: (item[0], item[1]))
+            hit_depth, hit = min((depth[p], p) for p in hits)
+            reached.append((hit_depth, dom.name, hit))
+    reached.sort()
 
     behavioural = frozenset(name for _, name, _ in reached)
     return ImpactReport(
@@ -187,7 +211,8 @@ def propagate(
         buffers=behavioural & buffers,
         declared_buffers=frozenset(buffers),
         seed_phenomena=seeds,
-        paths=tuple(path for _, _, path in reached),
+        parent=parent,
+        hits={name: hit for _, name, hit in reached},
     )
 
 
@@ -196,15 +221,22 @@ def bound_check(
     edit: EditSpec,
     permitted: frozenset[str],
     buffers: frozenset[str] = frozenset(),
+    report: ImpactReport | None = None,
 ) -> BoundReport:
-    """Pass iff every impacted domain is permitted to change."""
-    report = propagate(env, edit, buffers)
+    """Pass iff every impacted domain is permitted to change.
+
+    ``report``, when given, is ``propagate(env, edit, buffers)`` already
+    computed; it is not computed again.  Violations are ordered by path
+    length, then name; a structural domain's path is its name alone.
+    """
+    if report is None:
+        report = propagate(env, edit, buffers)
     impacted = report.structural | report.behavioural
-    violations = []
-    for name in sorted(impacted - permitted):
-        path = report.path_to(name) or (name,)
-        violations.append((name, path))
-    violations.sort(key=lambda v: (len(v[1]), v[0]))
+    # structural domains sort first (length 1); hits are already in order
+    violations = [(name, (name,)) for name in sorted(report.structural - permitted)]
+    violations += [
+        (name, report.path_to(name)) for name in report.hits if name not in permitted
+    ]
     return BoundReport(not violations, impacted, tuple(violations))
 
 

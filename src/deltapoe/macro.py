@@ -397,27 +397,6 @@ def fold(events: list[Event]) -> dict[str, Workflow]:
     return workflows
 
 
-def verify_gates(events: list[Event]) -> None:
-    """Assert the validation gates over every prefix of a log: CPS3 and
-    beyond require a live problem-view validation, CPS5 and beyond a live
-    solution validation."""
-    workflows: dict[str, Workflow] = {}
-    for event in events:
-        _apply_event(workflows, event)
-        for wf in workflows.values():
-            if wf.state in (CpsState.CPS3, CpsState.CPS4, CpsState.CPS5, CpsState.DONE):
-                assert wf.effective(ValidationTarget.PROBLEM_VIEW) is not None, (
-                    f"{wf.id} in {wf.state.value} without problem-view validation"
-                )
-            if wf.state in (CpsState.CPS5, CpsState.DONE):
-                assert wf.effective(ValidationTarget.SOLUTION_PLAN) is not None, (
-                    f"{wf.id} in {wf.state.value} without solution validation"
-                )
-            for v in wf.validations:
-                if v.status is ValidationStatus.GRANTED:
-                    assert v.stakeholder == wf.owner
-
-
 # --- appending --------------------------------------------------------------------
 
 def next_sequence(events: list[Event]) -> int:

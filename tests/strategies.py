@@ -1,5 +1,7 @@
 """Shared hypothesis strategies for randomized environments and expressions."""
 
+import random
+
 from hypothesis import strategies as st
 
 from deltapoe import model
@@ -190,3 +192,21 @@ def problems(draw, mdl):
     validator = draw(st.sampled_from([s.name for s in mdl.stakeholders]))
     need = model.normalize_need(draw(needs(atoms=list(mdl.needs))))
     return model.Problem(env, change, validator, need)
+
+
+def layered_org_text(layers, width, fan_in, seed=0):
+    """Model text of a layered organisation: every domain below the top
+    observes ``fan_in`` phenomena of the layer above and links each of them
+    to the one phenomenon it controls."""
+    rng = random.Random(seed)
+    lines = ["model {"]
+    lines += [f"  phenomenon o{k}_{w} : event" for k in range(layers) for w in range(width)]
+    for k in range(layers):
+        for w in range(width):
+            seen = [] if k == 0 else [f"o{k - 1}_{a}" for a in sorted(rng.sample(range(width), fan_in))]
+            clauses = [f"observes {', '.join(seen)}"] if seen else []
+            clauses.append(f"controls o{k}_{w}")
+            clauses += [f"causes {p} -> o{k}_{w}" for p in seen]
+            lines.append(f"  domain O{k}_{w} {{ " + "  ".join(clauses) + " }")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -15,6 +15,7 @@ from deltapoe.artifacts import ValidationTarget
 from deltapoe.calculus import RuleError, SideConditionViolated, TrustMissing
 
 from .conftest import FIXTURES
+from .oracles import verify_gates
 
 SEED = 20240601
 
@@ -428,7 +429,7 @@ def test_criterion_8_workflow_gate_integrity():
     rng = random.Random(SEED)
     for _ in range(500):
         events = random_walk(rng, 20)
-        macro.verify_gates(events)
+        verify_gates(events)
 
     injected_failures = 0
     for _ in range(500):

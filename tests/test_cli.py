@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from deltapoe import cli
+from deltapoe import cli, dsl, export, impact
 
 from .conftest import FIXTURES
+from .strategies import layered_org_text
 
 
 def run(capsys, *argv):
@@ -141,6 +142,38 @@ def test_impact_devenv_bound_pass(capsys):
     )
     assert code == 0
     assert "bound: pass" in out
+
+
+@pytest.mark.parametrize("edit", ["C causes y -> c", "!C"])
+def test_impact_structured_is_the_report_document(capsys, edit):
+    code, out, _ = run(capsys, "impact", CHAIN, "--edit", edit, "--format", "structured")
+    mdl = dsl.parse_model(CHAIN.read_text())
+    report = impact.propagate(mdl.environment, impact.parse_edit(edit, mdl))
+    assert code == 0
+    assert out == json.dumps(export.impact_doc(report, mdl.environment), indent=2) + "\n"
+
+
+def test_impact_structured_large_report_is_the_report_document(tmp_path, capsys):
+    org = tmp_path / "org.poed"
+    org.write_text(layered_org_text(30, 10, 3, seed=2))
+    code, out, _ = run(capsys, "impact", org, "--edit", "!O0_4", "--format", "structured",
+                       "--buffers", "O3_1,O3_2")
+    mdl = dsl.parse_model(org.read_text())
+    report = impact.propagate(mdl.environment, impact.parse_edit("!O0_4", mdl),
+                              frozenset({"O3_1", "O3_2"}))
+    assert code == 0
+    assert out == json.dumps(export.impact_doc(report, mdl.environment), indent=2) + "\n"
+
+
+def test_impact_permitted_output_extends_plain_output(tmp_path, capsys):
+    org = tmp_path / "org.poed"
+    org.write_text(layered_org_text(12, 6, 2, seed=3))
+    for path, edit, permitted in ((CHAIN, "C causes y -> c", "C"), (org, "!O0_1", "O0_1,O5_2")):
+        _, plain, _ = run(capsys, "impact", path, "--edit", edit)
+        code, bounded, _ = run(capsys, "impact", path, "--edit", edit, "--permitted", permitted)
+        assert code == 1
+        assert bounded.startswith(plain)
+        assert bounded[len(plain):].startswith("bound: fail\n")
 
 
 def test_lint_golden_clean(capsys):
@@ -308,3 +341,31 @@ def test_config_file_defaults(tmp_path, capsys):
     code, out, _ = run(capsys, "--config", config, "plan", GOLDEN)
     assert code == 0
     json.loads(out)
+
+
+def test_long_change_chains_parse(tmp_path, capsys):
+    steps = 1200
+    source = tmp_path / "long.poed"
+    source.write_text(
+        "model {\n  phenomenon y : event\n  domain C { controls y }\n"
+        "  stakeholder G : problem-owner\n  need N \"a need\"\n}\n"
+        + "".join(
+            f"problem {name} {{\n  env [C]\n  change {op.join(['skip'] * steps)}\n"
+            "  validator G\n  need N\n}\n"
+            for name, op in (("seq", " ; "), ("par", " || "))
+        )
+    )
+    code, out, err = run(capsys, "check", source)
+    assert code == 0, err
+    assert "problem seq ok" in out and "problem par ok" in out
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    def crash(args):
+        raise RecursionError("maximum recursion depth exceeded\nwhile calling")
+
+    monkeypatch.setitem(cli.COMMANDS, "check", crash)
+    code, out, err = run(capsys, "check", GOLDEN)
+    assert code == cli.INTERNAL == 70
+    assert out == ""
+    assert err == "internal: RecursionError: maximum recursion depth exceeded while calling\n"

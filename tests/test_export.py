@@ -1,9 +1,14 @@
+import io
 import json
 
-from deltapoe import calculus, dsl, export, impact
+import pytest
+
+from deltapoe import calculus, dsl, export, impact, model
 from deltapoe.impact import NewLink
 
 from .conftest import FIXTURES
+from .oracles import model_dot_scan
+from .strategies import layered_org_text
 
 
 def golden_root():
@@ -62,3 +67,31 @@ def test_impact_doc_round_trips_to_dot():
     assert '"D" [fillcolor="lightblue", peripheries=2];' in text
     assert '"C" [fillcolor="lightcoral"];' in text
     assert '"E" [fillcolor="white"];' in text
+
+
+@pytest.mark.parametrize(
+    "path", sorted(FIXTURES.rglob("*.poed")), ids=lambda p: str(p.relative_to(FIXTURES))
+)
+def test_model_dot_matches_scan_on_fixtures(path):
+    mdl = dsl.parse_file(path.read_text(), str(path)).model
+    assert export.model_dot(mdl, path.stem) == model_dot_scan(mdl, path.stem)
+
+
+def test_model_dot_matches_scan_on_layered_model():
+    mdl = dsl.parse_model(layered_org_text(10, 12, 3, seed=7))
+    text = export.model_dot(mdl)
+    assert text == model_dot_scan(mdl)
+    edges = [line for line in text.splitlines() if "[label=" in line and "dashed" not in line]
+    assert len(edges) == 9 * 12 * 3
+
+
+def test_to_json_stream_writes_the_same_text():
+    mdl = dsl.parse_model(layered_org_text(30, 10, 3, seed=1))
+    report = impact.propagate(mdl.environment, model.Cancel("O0_0"))
+    doc = export.impact_doc(report, mdl.environment)
+    out = io.StringIO()
+    assert export.to_json(doc, out) is None
+    text = out.getvalue()
+    assert text == export.to_json(doc) == json.dumps(doc, indent=2) + "\n"
+    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    assert sum(1 for _ in chunks) > 2 * export._JSON_BATCH  # spans several batches

@@ -6,7 +6,8 @@ from deltapoe import dsl, impact, model
 from deltapoe.impact import NewLink, UnknownDomain, UnknownPhenomenon, bound_check, propagate
 
 from .conftest import FIXTURES
-from .strategies import environments
+from .oracles import bound_check_stored_paths, propagate_stored_paths
+from .strategies import environments, layered_org_text
 
 
 def oracle_behavioural(env, seeds, structural, buffers):
@@ -195,3 +196,76 @@ def test_report_is_deterministic(chain_model):
     first = propagate(env, NewLink("C", "y", "c"))
     second = propagate(env, NewLink("C", "y", "c"))
     assert first == second
+
+
+# --- differential agreement with the stored-paths propagation -------------------------
+
+@st.composite
+def differential_cases(draw):
+    env = draw(environments(max_domains=10, max_links=30))
+    names = list(env.names())
+    target = env.domain(draw(st.sampled_from(names)))
+    universe = sorted(model.phenomena_universe(env))
+    kind = draw(st.sampled_from(["cancel", "link", "refine", "add"]))
+    if kind == "link" and len(universe) >= 2:
+        cause, effect = draw(st.lists(st.sampled_from(universe), min_size=2, max_size=2, unique=True))
+        edit = NewLink(target.name, cause, effect)
+    elif kind == "refine":
+        kept = draw(st.sets(st.sampled_from(sorted(target.controlled)))) if target.controlled else set()
+        edit = model.Refine(target.name, (model.Domain("heir", controlled=frozenset(kept)),), ())
+    elif kind == "add":
+        controlled = draw(st.sets(st.sampled_from(universe), max_size=3))
+        edit = model.Add(model.Domain("newcomer", controlled=frozenset(controlled)))
+    else:
+        edit = model.Cancel(target.name)
+    buffers = frozenset(draw(st.sets(st.sampled_from(names))))
+    permitted = frozenset(draw(st.sets(st.sampled_from(names + ["heir", "newcomer"]))))
+    return env, edit, buffers, permitted
+
+
+def assert_same_report(env, edit, buffers, permitted):
+    new = propagate(env, edit, buffers)
+    old = propagate_stored_paths(env, edit, buffers)
+    for field in ("edit", "structural", "behavioural", "buffers", "declared_buffers", "seed_phenomena"):
+        assert getattr(new, field) == getattr(old, field), field
+    assert new.paths == old.paths
+    for name in set(env.names()) | new.structural | {"Ghost"}:
+        assert new.path_to(name) == old.path_to(name), name
+    assert bound_check(env, edit, permitted, buffers, new) == bound_check_stored_paths(
+        env, edit, permitted, buffers
+    )
+    assert bound_check(env, edit, permitted, buffers) == bound_check(env, edit, permitted, buffers, new)
+
+
+@given(differential_cases())
+@settings(max_examples=200, deadline=None)
+def test_paths_and_violations_match_stored_paths_propagation(case):
+    assert_same_report(*case)
+
+
+def test_layered_org_matches_stored_paths_propagation():
+    # many domains at equal depth, each with several hits: exercises the
+    # (depth, name) tie-breaks at a size hypothesis does not reach
+    env = dsl.parse_model(layered_org_text(12, 8, 3, seed=5)).environment
+    names = list(env.names())
+    assert_same_report(env, model.Cancel("O0_3"), frozenset(), frozenset({"O0_3"}))
+    assert_same_report(env, model.Cancel("O0_3"), frozenset(names[8:16]), frozenset(names[40:]))
+
+
+def test_long_chain_path_is_rendered_on_demand():
+    n = 20_000
+    domains = [model.Domain("D0", controlled=frozenset({"p0"}))] + [
+        model.Domain(
+            f"D{i}",
+            observed=frozenset({f"p{i - 1}"}),
+            controlled=frozenset({f"p{i}"}),
+            links=frozenset({model.CausalLink(f"p{i - 1}", f"p{i}", f"D{i}")}),
+        )
+        for i in range(1, n)
+    ]
+    report = propagate(model.Environment(tuple(domains)), model.Cancel("D0"))
+    assert len(report.behavioural) == n - 1
+    assert list(report.hits)[-1] == f"D{n - 1}"
+    path = report.path_to(f"D{n - 1}")
+    assert len(path) == 2 * (n - 1)
+    assert path[:4] == ("p0", "D1", "p1", "D2") and path[-2:] == (f"p{n - 2}", f"D{n - 1}")

@@ -18,8 +18,9 @@ from deltapoe.macro import (
     fold,
     parse_log,
     render_log,
-    verify_gates,
 )
+
+from .oracles import verify_gates
 
 REFS = ProblemRefs(
     "[OldAPI] (+) ?F |= G : UpdateAPI",
