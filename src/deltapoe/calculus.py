@@ -107,6 +107,8 @@ class DerivationNode:
     applications sharing this conclusion.  ``env_provisional`` notes that
     the environment is a placeholder pending an earlier stage's solution;
     it is resolved, and the premise rethreaded, once that stage commits.
+    Nothing derived is stored: :func:`evidence` renders what a rule
+    application establishes from the node when it is asked for.
     """
 
     conclusion: m.Problem
@@ -115,7 +117,6 @@ class DerivationNode:
     args: dict = field(default_factory=dict)
     justification: Justification = EMPTY_JUSTIFICATION
     plan: tuple[PlanStep, ...] = ()
-    evidence: dict = field(default_factory=dict)
     validations: tuple[ValidationRecord, ...] = ()
     greenfield: bool = False
     discharged: bool = False
@@ -254,8 +255,8 @@ def _first_stage(node: DerivationNode) -> m.ChangeExpr | None:
     return first if first is not None and m.is_unknown_free(first) else None
 
 
-def _expected(node: DerivationNode, mdl: Model) -> tuple[list[_PremiseSpec], dict]:
-    """Recompute the premises and evidence a rule application must have.
+def _expected(node: DerivationNode, mdl: Model) -> list[_PremiseSpec]:
+    """Recompute the premises a rule application must have.
 
     Raises RuleError when the rule's side conditions do not hold for the
     node's conclusion and arguments.
@@ -294,7 +295,7 @@ def _expected(node: DerivationNode, mdl: Model) -> tuple[list[_PremiseSpec], dic
             raise RuleError(f"validator {validator!r} is not a declared stakeholder")
         if delegate not in owner.trusts:
             raise TrustMissing(f"no trust edge {validator} -> {delegate}")
-        return [same(validator_=delegate)], {"trust": f"{validator}->{delegate}"}
+        return [same(validator_=delegate)]
 
     if rule is RuleId.KNOWN_SOLUTION:
         solution = args.get("solution", change)
@@ -303,25 +304,25 @@ def _expected(node: DerivationNode, mdl: Model) -> tuple[list[_PremiseSpec], dic
             raise SideConditionViolated(
                 f"known solution still contains placeholders: {missing}"
             )
-        return [], {"solution": change_str(solution)}
+        return []
 
     if rule is RuleId.ENV_REFINE:
         new_env = args.get("env")
         if not isinstance(new_env, m.Environment):
             raise RuleError("EnvRefine needs an 'env' argument")
-        return [same(env_=new_env, provisional=False)], {}
+        return [same(env_=new_env, provisional=False)]
 
     if rule is RuleId.NEED_REFINE:
         new_need = args.get("need")
         if new_need is None:
             raise RuleError("NeedRefine needs a 'need' argument")
-        return [same(need_=new_need)], {}
+        return [same(need_=new_need)]
 
     if rule is RuleId.SOLN_REFINE:
         new_change = args.get("change")
         if new_change is None:
             raise RuleError("SolnRefine needs a 'change' argument")
-        return [same(change_=new_change)], {}
+        return [same(change_=new_change)]
 
     if rule is RuleId.SOLUTION_REFLECT:
         if not isinstance(change, m.Unknown):
@@ -341,7 +342,7 @@ def _expected(node: DerivationNode, mdl: Model) -> tuple[list[_PremiseSpec], dic
             )
         counter = [0]
         mirrored = _mirror_need_shape(need, change.placeholder, counter)
-        return [same(change_=mirrored)], {"shape": top}
+        return [same(change_=mirrored)]
 
     if rule is RuleId.SEQUENCE:
         if not isinstance(change, m.ChangeSeq):
@@ -367,7 +368,7 @@ def _expected(node: DerivationNode, mdl: Model) -> tuple[list[_PremiseSpec], dic
             m.Problem(spec2_env, change.second, validator, need.right),
             provisional=first_commit is None,
         )
-        return [first, second], {"intermediate_env": env_str(spec2_env)}
+        return [first, second]
 
     if rule is RuleId.PARALLEL:
         if not isinstance(need, m.NeedPar):
@@ -408,13 +409,10 @@ def _expected(node: DerivationNode, mdl: Model) -> tuple[list[_PremiseSpec], dic
             raise SideConditionViolated(
                 f"Parallel expects a parallel or unsolved change, found {change_str(change)}"
             )
-        return (
-            [
-                _PremiseSpec(m.Problem(env1, c1, validator, need.left), provisional=prov),
-                _PremiseSpec(m.Problem(env2, c2, validator, need.right), provisional=prov),
-            ],
-            {"shared": sorted(shared), "left": sorted(left_set), "right": sorted(right_set)},
-        )
+        return [
+            _PremiseSpec(m.Problem(env1, c1, validator, need.left), provisional=prov),
+            _PremiseSpec(m.Problem(env2, c2, validator, need.right), provisional=prov),
+        ]
 
     if rule in (RuleId.DOMAIN_ADD, RuleId.DOMAIN_REMOVE, RuleId.DOMAIN_REFINE):
         wanted = {
@@ -428,15 +426,12 @@ def _expected(node: DerivationNode, mdl: Model) -> tuple[list[_PremiseSpec], dic
                 f"found {change_str(change)}"
             )
         if prov:
-            return [same(change_=m.Nil(), greenfield=True)], {}
+            return [same(change_=m.Nil(), greenfield=True)]
         try:
             new_env = m.apply_change(env, change)
         except (m.ChangeError, m.ModelError) as err:
             raise SideConditionViolated(str(err), cause_kind=getattr(err, "kind", "ModelError"))
-        return (
-            [same(env_=new_env, change_=m.Nil(), greenfield=True)],
-            {"installed_env": env_str(new_env)},
-        )
+        return [same(env_=new_env, change_=m.Nil(), greenfield=True)]
 
     if rule is RuleId.SEQ_DOMAIN_REFINE_EQUIV:
         direction = args.get("direction")
@@ -476,12 +471,33 @@ def _expected(node: DerivationNode, mdl: Model) -> tuple[list[_PremiseSpec], dic
                 "rewrite is not a semantic no-op here: "
                 f"{env_str(before)} vs {env_str(after)}"
             )
-        return (
-            [same(change_=rewritten)],
-            {"before": change_str(change), "after": change_str(rewritten)},
-        )
+        return [same(change_=rewritten)]
 
     raise RuleError(f"unknown rule {rule!r}")
+
+
+def evidence(node: DerivationNode) -> dict:
+    """What a rule application establishes, rendered from the node: its
+    rule, arguments, conclusion and premise conclusions.  Nothing here is
+    checked; :func:`check` recomputes every premise instead."""
+    problem, args, rule = node.conclusion, node.args, node.rule
+    if rule is RuleId.DELEGATION:
+        return {"trust": f"{problem.validator}->{args['delegate']}"}
+    if rule is RuleId.KNOWN_SOLUTION:
+        return {"solution": change_str(args.get("solution", problem.change))}
+    if rule is RuleId.SOLUTION_REFLECT:
+        return {"shape": "seq" if isinstance(problem.need, m.NeedSeq) else "par"}
+    if rule is RuleId.SEQUENCE:
+        return {"intermediate_env": env_str(node.premises[1].conclusion.env)}
+    if rule is RuleId.PARALLEL:
+        return {"shared": [], "left": sorted(set(args["left"])), "right": sorted(set(args["right"]))}
+    if rule in (RuleId.DOMAIN_ADD, RuleId.DOMAIN_REMOVE, RuleId.DOMAIN_REFINE):
+        if node.env_provisional:
+            return {}
+        return {"installed_env": env_str(node.premises[0].conclusion.env)}
+    if rule is RuleId.SEQ_DOMAIN_REFINE_EQUIV:
+        return {"before": change_str(problem.change), "after": change_str(node.premises[0].conclusion.change)}
+    return {}
 
 
 # --- applying rules -------------------------------------------------------------
@@ -489,15 +505,15 @@ def _expected(node: DerivationNode, mdl: Model) -> tuple[list[_PremiseSpec], dic
 def apply(rule: RuleId, node: DerivationNode, args: dict, mdl: Model) -> DerivationNode:
     """Apply a rule at an open leaf, creating its premise leaves.
 
-    The conclusion is left untouched; side conditions are verified and the
-    computed evidence stored (as a cache; checking recomputes it).
+    The conclusion is left untouched; side conditions are verified and
+    the premises the rule creates become open leaves.
     """
     if node.rule is not None:
         raise NotOpen(f"rule already applied here: {node.rule.value}")
     if node.greenfield:
         raise NotOpen("greenfield obligations are discharged, not derived")
     candidate = replace(node, rule=rule, args=dict(args))
-    specs, evidence = _expected(candidate, mdl)
+    specs = _expected(candidate, mdl)
     if len(specs) != RULE_ARITY[rule]:
         raise ArityMismatch(f"{rule.value} must create {RULE_ARITY[rule]} premises")
     premises = tuple(
@@ -506,7 +522,7 @@ def apply(rule: RuleId, node: DerivationNode, args: dict, mdl: Model) -> Derivat
         )
         for s in specs
     )
-    return replace(candidate, premises=premises, evidence=evidence)
+    return replace(candidate, premises=premises)
 
 
 def rethread(node: DerivationNode, mdl: Model) -> DerivationNode:
@@ -520,7 +536,7 @@ def rethread(node: DerivationNode, mdl: Model) -> DerivationNode:
     alts = tuple(rethread(a, mdl) for a in node.alternatives)
     if node.rule is None:
         return replace(node, alternatives=alts) if alts != node.alternatives else node
-    specs, evidence = _expected(node, mdl)
+    specs = _expected(node, mdl)
     premises = []
     for child, spec in zip(node.premises, specs):
         child = replace(
@@ -531,20 +547,16 @@ def rethread(node: DerivationNode, mdl: Model) -> DerivationNode:
         )
         premises.append(rethread(child, mdl))
     # threading may now be determined where it was not before
-    out = replace(node, premises=tuple(premises), evidence=evidence, alternatives=alts)
+    out = replace(node, premises=tuple(premises), alternatives=alts)
     if out.rule is RuleId.SEQUENCE and out.premises[1].env_provisional:
-        specs2, evidence2 = _expected(out, mdl)
+        specs2 = _expected(out, mdl)
         if not specs2[1].provisional:
             second = replace(
                 out.premises[1],
                 conclusion=specs2[1].problem,
                 env_provisional=False,
             )
-            out = replace(
-                out,
-                premises=(out.premises[0], rethread(second, mdl)),
-                evidence=evidence2,
-            )
+            out = replace(out, premises=(out.premises[0], rethread(second, mdl)))
     return out
 
 
@@ -565,7 +577,7 @@ def _graft(spine: list[DerivationNode], path: NodePath, new: DerivationNode, mdl
     A premise's conclusion depends only on its parent's conclusion, rule
     and arguments, and, in a Sequence, on the first stage's committed
     solution.  A statement changes none of these for the nodes on its
-    path, so they keep their conclusions and evidence, and every subtree
+    path, so they keep their conclusions, and every subtree
     off the path is reused as it is.  What a statement can change is the
     commitment of a first stage it lies in: when that resolves the second
     stage's provisional environment, the second stage is rethreaded in
@@ -584,9 +596,9 @@ def _graft(spine: list[DerivationNode], path: NodePath, new: DerivationNode, mdl
         new = _copy(node, premises=tuple(premises))
         if _awaits_first_stage(node, seg) and _first_stage(new) is not None:
             try:
-                specs, evidence = _expected(new, mdl)
+                specs = _expected(new, mdl)
                 second = _copy(premises[1], conclusion=specs[1].problem, env_provisional=False)
-                new = _copy(new, premises=(premises[0], rethread(second, mdl)), evidence=evidence)
+                new = _copy(new, premises=(premises[0], rethread(second, mdl)))
             except RuleError:
                 _check_enclosing(spine[:depth], path, target, mdl)
                 raise
@@ -887,7 +899,7 @@ def check(root: DerivationNode, mdl: Model) -> Verdict:
                  f"needs {RULE_ARITY[node.rule]}")
             return
         try:
-            specs, _ = _expected(node, mdl)
+            specs = _expected(node, mdl)
         except RuleError as err:
             note(path, err.cause_kind or err.kind, str(err))
             return
@@ -1108,5 +1120,4 @@ def seq_refine_equiv(
         rule=RuleId.SEQ_DOMAIN_REFINE_EQUIV,
         args={"direction": direction, "retained": retained, "added": added},
     )
-    specs, _ = _expected(probe, Model())
-    return specs[0].problem.change
+    return _expected(probe, Model())[0].problem.change

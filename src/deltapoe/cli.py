@@ -296,22 +296,10 @@ def cmd_lint(args) -> int:
 
 # --- workflow ----------------------------------------------------------------------
 
-def _load_log(path: str) -> list[macro.Event]:
-    if not Path(path).exists():
-        return []
-    return macro.parse_log(Path(path).read_text(encoding="utf-8"))
-
-
-def _append_events(path: str, events: list[macro.Event]):
-    import fcntl
-
-    with open(path, "a", encoding="utf-8") as handle:
-        fcntl.flock(handle, fcntl.LOCK_EX)
-        try:
-            for event in events:
-                handle.write(event.to_line() + "\n")
-        finally:
-            fcntl.flock(handle, fcntl.LOCK_UN)
+def _append_events(handle, events: list[macro.Event]):
+    handle.write("".join(event.to_line() + "\n" for event in events))
+    handle.flush()
+    os.fsync(handle.fileno())
 
 
 def _workflow_problem_refs(args) -> macro.ProblemRefs:
@@ -347,16 +335,36 @@ def _print_status(events: list[macro.Event]) -> None:
 
 
 def cmd_workflow(args) -> int:
-    log_path = args.log
-    try:
-        events = _load_log(log_path)
-    except macro.BadLog as err:
-        _err(f"{log_path}: {err}")
-        return INVALID
-    except UnicodeDecodeError as err:
-        _err(_not_utf8(log_path, err))
-        return INVALID
+    """Run a workflow subcommand with the log locked from the read to the
+    append: shared for ``status``, exclusive (creating the log) otherwise,
+    so concurrent writers append one after another, each to the log the
+    one before it left."""
+    import fcntl
 
+    reading = args.subcommand == "status"
+    if reading and not Path(args.log).exists():
+        return _run_workflow(args, [], None)
+    try:
+        handle = open(args.log, "r" if reading else "a+", encoding="utf-8")
+    except OSError as err:
+        _err(f"{args.log}: cannot open: {err.strerror}")
+        return USAGE
+    with handle:
+        fcntl.flock(handle, fcntl.LOCK_SH if reading else fcntl.LOCK_EX)
+        handle.seek(0)
+        try:
+            events = macro.parse_log(handle.read())
+        except macro.BadLog as err:
+            _err(f"{args.log}: {err}")
+            return INVALID
+        except UnicodeDecodeError as err:
+            _err(_not_utf8(args.log, err))
+            return INVALID
+        return _run_workflow(args, events, handle)
+
+
+def _run_workflow(args, events: list[macro.Event], handle) -> int:
+    log_path = args.log
     if args.subcommand == "status":
         try:
             _print_status(events)
@@ -382,7 +390,7 @@ def cmd_workflow(args) -> int:
                 payload = {"solution": args.solution or "", "refs": sorted(_names_flag(args.refs))}
             event, wf = macro.advance(events + new_events, args.workflow, args.event, payload)
             new_events.append(event)
-            _append_events(log_path, new_events)
+            _append_events(handle, new_events)
             print(f"workflow {wf.id}: {wf.state.value}")
             return OK
         if args.subcommand == "delegate":
@@ -396,13 +404,13 @@ def cmd_workflow(args) -> int:
             event, child = macro.delegate(
                 events, args.workflow, args.to, args.child, refs, stakeholders
             )
-            _append_events(log_path, [event])
+            _append_events(handle, [event])
             print(f"workflow {child.id}: {child.state.value} (owner {child.owner}, delegate {child.delegate})")
             return OK
         if args.subcommand == "drift":
             touched = _names_flag(args.touch)
             event, report = macro.drift(events, touched, args.description, args.origin)
-            _append_events(log_path, [event])
+            _append_events(handle, [event])
             if report.empty:
                 print("drift: nothing invalidated")
             else:

@@ -33,6 +33,10 @@ ROLE_WORDS = {r.value: r for r in m.Role}
 
 PHENOMENON_KINDS = {k.value: k for k in m.PhenomenonKind}
 
+# Deepest parenthesis nesting a change or need may use; deeper input is a
+# parse error, not a stack overflow in the parser or the checker.
+MAX_NESTING = 100
+
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
@@ -241,6 +245,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.model = model
+        self.depth = 0  # parentheses open around the expression being parsed
 
     # token plumbing
 
@@ -449,6 +454,17 @@ class _Parser:
             out = node(items.pop(), out)
         return out
 
+    def group(self, expr):
+        """``( expr )``, refusing nesting deeper than MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"parentheses nested deeper than {MAX_NESTING}")
+        self.advance()
+        self.depth += 1
+        inner = expr()
+        self.depth -= 1
+        self.expect("symbol", ")")
+        return inner
+
     def need_expr(self) -> m.Need:
         return self.chain(self.need_seq, "||", m.NeedPar)
 
@@ -457,10 +473,7 @@ class _Parser:
 
     def need_atom(self) -> m.Need:
         if self.at("symbol", "("):
-            self.advance()
-            inner = self.need_expr()
-            self.expect("symbol", ")")
-            return inner
+            return self.group(self.need_expr)
         tok = self.ident("need name")
         try:
             return self.model.need(tok.value)
@@ -481,10 +494,7 @@ class _Parser:
 
     def change_atom(self) -> m.ChangeExpr:
         if self.at("symbol", "("):
-            self.advance()
-            inner = self.change_expr()
-            self.expect("symbol", ")")
-            return inner
+            return self.group(self.change_expr)
         if self.at("symbol", "?"):
             self.advance()
             return m.Unknown(self.ident("placeholder name").value)

@@ -2,8 +2,10 @@
 
 Documents are JSON with a stable field layout (conclusion, rule,
 premises, evidence, plan, plus justification and validation details);
-graphs are DOT text, one node per derivation step or per domain.  Both
-are deterministic: equal inputs yield byte-identical output.
+a derivation document renders each node's evidence as it is built, since
+nodes store none.  Graphs are DOT text, one node per derivation step or
+per domain.  Both are deterministic: equal inputs yield byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import TextIO
 
 from . import model as m
 from .artifacts import Justification, PlanStep, ValidationRecord
-from .calculus import DerivationNode
+from .calculus import DerivationNode, evidence
 from .dsl import Model
 from .impact import ImpactReport
 from .printer import change_str, problem_str
@@ -76,7 +78,7 @@ def derivation_doc(node: DerivationNode) -> dict:
         "conclusion": problem_str(node.conclusion),
         "rule": node.rule.value if node.rule else ("discharged" if node.discharged else "open"),
         "premises": [derivation_doc(p) for p in node.premises],
-        "evidence": dict(sorted(node.evidence.items())),
+        "evidence": dict(sorted(evidence(node).items())),
         "plan": [_step_doc(s) for s in node.plan],
     }
     justification = _justification_doc(node.justification)

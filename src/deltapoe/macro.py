@@ -383,17 +383,20 @@ def _apply_drift(workflows: dict[str, Workflow], event: Event) -> StalenessRepor
     return StalenessReport(event.sequence, touched, tuple(stale), tuple(regressions))
 
 
+def _apply_next(workflows: dict[str, Workflow], event: Event, last: int) -> None:
+    """Apply ``event`` after the one numbered ``last``."""
+    if event.sequence <= last:
+        raise BadLog(f"sequence {event.sequence} does not increase (after {last})")
+    _apply_event(workflows, event)
+
+
 def fold(events: list[Event]) -> dict[str, Workflow]:
     """Replay a log into workflow states, validating every event."""
     workflows: dict[str, Workflow] = {}
     last = 0
     for event in events:
-        if event.sequence <= last:
-            raise BadLog(
-                f"sequence {event.sequence} does not increase (after {last})"
-            )
+        _apply_next(workflows, event, last)
         last = event.sequence
-        _apply_event(workflows, event)
     return workflows
 
 
@@ -403,8 +406,12 @@ def next_sequence(events: list[Event]) -> int:
     return events[-1].sequence + 1 if events else 1
 
 
-def _validated_append(events: list[Event], event: Event):
-    return fold(events + [event])
+def _validated_append(events: list[Event], event: Event, workflows=None):
+    """The workflow states after ``event`` is appended to ``events``;
+    ``workflows`` is the fold of ``events`` when the caller has it."""
+    workflows = fold(events) if workflows is None else workflows
+    _apply_next(workflows, event, events[-1].sequence if events else 0)
+    return workflows
 
 
 def create_workflow(
@@ -456,8 +463,7 @@ def delegate(
         raise TrustMissing(f"no trust edge {delegating} -> {to}")
     payload = {"to": to, "child": child_id, "problem": problem.to_payload()}
     event = Event(next_sequence(events), workflow_id, "delegate", payload)
-    state = _validated_append(events, event)
-    return event, state[child_id]
+    return event, _validated_append(events, event, workflows)[child_id]
 
 
 def _trusts_of(stakeholders, name: str) -> frozenset[str]:

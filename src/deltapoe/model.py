@@ -243,16 +243,17 @@ def need_atoms(need: Need) -> frozenset[str]:
     return need_atoms(need.left) | need_atoms(need.right)
 
 
-def _flatten_seq(need: Need) -> list[Need]:
-    if isinstance(need, NeedSeq):
-        return _flatten_seq(need.left) + _flatten_seq(need.right)
-    return [need]
-
-
-def _flatten_par(need: Need) -> list[Need]:
-    if isinstance(need, NeedPar):
-        return _flatten_par(need.left) + _flatten_par(need.right)
-    return [need]
+def _flatten(need: Need, node: type) -> list[Need]:
+    """The operands of a chain of ``node`` compositions, left to right,
+    found without recursion so a long chain cannot exhaust the stack."""
+    parts, stack = [], [need]
+    while stack:
+        part = stack.pop()
+        if isinstance(part, node):
+            stack += (part.right, part.left)
+        else:
+            parts.append(part)
+    return parts
 
 
 def _need_key(need: Need) -> str:
@@ -260,8 +261,8 @@ def _need_key(need: Need) -> str:
     if isinstance(need, AtomicNeed):
         return need.name
     if isinstance(need, NeedSeq):
-        return "(" + " ; ".join(_need_key(p) for p in _flatten_seq(need)) + ")"
-    return "(" + " || ".join(_need_key(p) for p in _flatten_par(need)) + ")"
+        return "(" + " ; ".join(_need_key(p) for p in _flatten(need, NeedSeq)) + ")"
+    return "(" + " || ".join(_need_key(p) for p in _flatten(need, NeedPar)) + ")"
 
 
 def _rebuild(parts: list[Need], ctor) -> Need:
@@ -278,9 +279,9 @@ def normalize_need(need: Need) -> Need:
     if isinstance(need, AtomicNeed):
         return need
     if isinstance(need, NeedSeq):
-        parts = [normalize_need(p) for p in _flatten_seq(need)]
+        parts = [normalize_need(p) for p in _flatten(need, NeedSeq)]
         return _rebuild(parts, NeedSeq)
-    parts = [normalize_need(p) for p in _flatten_par(need)]
+    parts = [normalize_need(p) for p in _flatten(need, NeedPar)]
     parts.sort(key=_need_key)
     return _rebuild(parts, NeedPar)
 
@@ -440,55 +441,43 @@ _ADDED = 10**9
 
 
 class _Entries:
-    def __init__(self, pairs: list[tuple[_Key, Domain]], counter: int = 0):
-        self.pairs = pairs
+    """The domains of an environment under change, by name, each with its
+    sort key; ``touched`` names every domain the change has affected."""
+
+    def __init__(self, domains: dict[str, tuple[_Key, Domain]], counter: int = 0):
+        self.domains = domains
         self.counter = counter
         self.touched: set[str] = set()
 
-    @classmethod
-    def from_env(cls, env: Environment) -> "_Entries":
-        return cls([(((i, ""),), d) for i, d in enumerate(env.domains)])
-
-    def names(self) -> set[str]:
-        return {d.name for _, d in self.pairs}
-
-    def find(self, name: str) -> int | None:
-        for i, (_, d) in enumerate(self.pairs):
-            if d.name == name:
-                return i
-        return None
-
     def to_env(self) -> Environment:
-        ordered = sorted(self.pairs, key=lambda kv: kv[0])
-        return Environment(tuple(d for _, d in ordered))
+        return _sorted_env(self.domains.values())
+
+
+def _sorted_env(pairs) -> Environment:
+    return Environment(tuple(d for _, d in sorted(pairs, key=lambda kv: kv[0])))
 
 
 def _prune_composites(entries: _Entries, removed: str) -> None:
     """Drop a cancelled member from composite structures; a composite with a
     single remaining member dissolves into it."""
-    for i, (key, dom) in enumerate(list(entries.pairs)):
+    for name, (key, dom) in entries.domains.items():
         if dom.structure is not None and removed in dom.structure:
             remaining = tuple(n for n in dom.structure if n != removed)
-            entries.touched.add(dom.name)
+            entries.touched.add(name)
             if len(remaining) <= 1:
-                entries.pairs.pop(i)
+                del entries.domains[name]
             else:
-                entries.pairs[i] = (key, Domain(dom.name, dom.description, structure=remaining))
+                entries.domains[name] = (key, Domain(name, dom.description, structure=remaining))
             return
 
 
-def _remove_composite(entries: _Entries, index: int) -> None:
-    """Remove a composite and, recursively, the members it lists."""
-    key, dom = entries.pairs.pop(index)
-    entries.touched.add(dom.name)
+def _remove(entries: _Entries, name: str) -> None:
+    """Remove a domain and, if it is a composite, the members it lists."""
+    _, dom = entries.domains.pop(name)
+    entries.touched.add(name)
     for member in dom.structure or ():
-        j = entries.find(member)
-        if j is not None:
-            if entries.pairs[j][1].is_composite:
-                _remove_composite(entries, j)
-            else:
-                entries.touched.add(member)
-                entries.pairs.pop(j)
+        if member in entries.domains:
+            _remove(entries, member)
 
 
 def _apply_atoms(entries: _Entries, change: ChangeExpr) -> None:
@@ -497,47 +486,37 @@ def _apply_atoms(entries: _Entries, change: ChangeExpr) -> None:
     if isinstance(change, Unknown):
         raise UnknownChange(change.placeholder)
     if isinstance(change, Add):
-        if change.domain.name in entries.names():
+        if change.domain.name in entries.domains:
             raise AddExisting(change.domain.name)
         entries.counter += 1
         entries.touched.add(change.domain.name)
-        entries.pairs.append((((_ADDED + entries.counter, ""),), change.domain))
+        entries.domains[change.domain.name] = (((_ADDED + entries.counter, ""),), change.domain)
         return
     if isinstance(change, Cancel):
-        index = entries.find(change.domain_name)
-        if index is None:
+        if change.domain_name not in entries.domains:
             raise CancelMissing(change.domain_name)
-        if entries.pairs[index][1].is_composite:
-            _remove_composite(entries, index)
-        else:
-            entries.touched.add(change.domain_name)
-            entries.pairs.pop(index)
+        _remove(entries, change.domain_name)
         _prune_composites(entries, change.domain_name)
         return
     if isinstance(change, Refine):
-        index = entries.find(change.target)
-        if index is None:
+        if change.target not in entries.domains:
             raise RefineMissing(change.target)
-        key, old = entries.pairs[index]
+        key, old = entries.domains[change.target]
+        _remove(entries, change.target)
         members = change.retained + change.added
-        if old.is_composite:
-            _remove_composite(entries, index)
-        else:
-            entries.pairs.pop(index)
-        existing = entries.names()
         for member in members:
-            if member.name in existing:
+            if member.name in entries.domains:
                 raise AddExisting(member.name)
-        entries.touched.add(change.target)
-        composite = Domain(
-            change.target,
-            old.description,
-            structure=tuple(d.name for d in members),
-        )
-        entries.pairs.insert(index, (key, composite))
-        for offset, member in enumerate(members, start=1):
-            entries.touched.add(member.name)
-            entries.pairs.append((key + ((offset, ""),), member))
+        composite = Domain(change.target, old.description, structure=tuple(d.name for d in members))
+        installed = [(key, composite)]
+        installed += [(key + ((offset, ""),), d) for offset, d in enumerate(members, start=1)]
+        if len({d.name for _, d in installed}) < len(installed):
+            # a repeated member, or one named like the target: refused here
+            # with the error the environment holding both would raise
+            _sorted_env([*entries.domains.values(), *installed])
+        for pair in installed:
+            entries.touched.add(pair[1].name)
+            entries.domains[pair[1].name] = pair
         return
     if isinstance(change, ChangeSeq):
         _apply_atoms(entries, change.first)
@@ -552,15 +531,15 @@ def _apply_atoms(entries: _Entries, change: ChangeExpr) -> None:
 def _rekey_additions(entries: _Entries) -> None:
     # Fresh additions in parallel branches have no order between them;
     # give them name-derived keys so the merge is commutative.
-    for i, (key, dom) in enumerate(entries.pairs):
+    for name, (key, dom) in entries.domains.items():
         if key[0][0] >= _ADDED:
-            entries.pairs[i] = ((((_ADDED, dom.name),) + key[1:]), dom)
+            entries.domains[name] = ((((_ADDED, name),) + key[1:]), dom)
 
 
 def _apply_par(entries: _Entries, change: ChangePar) -> None:
-    base_pairs = list(entries.pairs)
-    left = _Entries(list(base_pairs), entries.counter)
-    right = _Entries(list(base_pairs), entries.counter)
+    base = entries.domains
+    left = _Entries(dict(base), entries.counter)
+    right = _Entries(dict(base), entries.counter)
     _apply_atoms(left, change.left)
     _apply_atoms(right, change.right)
     shared = left.touched & right.touched
@@ -568,16 +547,15 @@ def _apply_par(entries: _Entries, change: ChangePar) -> None:
         raise ParConflict(frozenset(shared))
     _rekey_additions(left)
     _rekey_additions(right)
-    base_names = {d.name for _, d in base_pairs}
     merged: dict[str, tuple[_Key, Domain]] = {}
     for side, other in ((left, right), (right, left)):
-        for key, dom in side.pairs:
-            if dom.name in base_names and dom.name not in side.touched:
+        for name, pair in side.domains.items():
+            if name in base and name not in side.touched:
                 # untouched by this side; defer to the side that touched it
-                if dom.name in other.touched:
+                if name in other.touched:
                     continue
-            merged[dom.name] = (key, dom)
-    entries.pairs = list(merged.values())
+            merged[name] = pair
+    entries.domains = merged
     entries.counter = max(left.counter, right.counter)
     entries.touched |= left.touched | right.touched
 
@@ -595,7 +573,7 @@ def apply_change(env: Environment, change: ChangeExpr) -> Environment:
     change has been applied is an error unless some surviving domain
     controls it again (the change must re-home what it orphans).
     """
-    entries = _Entries.from_env(env)
+    entries = _Entries({d.name: (((i, ""),), d) for i, d in enumerate(env.domains)})
     _apply_atoms(entries, change)
     result = entries.to_env()
     orphans = (

@@ -4,10 +4,13 @@ compare the library against.  None of this is used by the library."""
 from collections import deque
 from dataclasses import dataclass
 
-from deltapoe.artifacts import ValidationStatus, ValidationTarget
+from deltapoe import model as m
+from deltapoe.artifacts import RuleId, ValidationStatus, ValidationTarget
+from deltapoe.calculus import _first_stage, evidence
 from deltapoe.export import _dot_escape
 from deltapoe.impact import BoundReport, UnknownDomain, _seed, edit_str
 from deltapoe.macro import CpsState, _apply_event
+from deltapoe.printer import change_str, env_str
 
 
 # --- workflow gates -------------------------------------------------------------------
@@ -151,3 +154,201 @@ def model_dot_scan(mdl, name="model") -> str:
             )
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# --- apply_change over a list of entries searched by name -----------------------------
+
+_ADDED = 10**9
+
+
+class ListEntries:
+    """The working set ``apply_change`` kept as a list of (key, domain)
+    pairs, found by a linear search.  A repeated name stays in the list
+    until the final environment rejects it."""
+
+    def __init__(self, pairs, counter=0):
+        self.pairs = pairs
+        self.counter = counter
+        self.touched = set()
+
+    def names(self):
+        return {d.name for _, d in self.pairs}
+
+    def find(self, name):
+        for i, (_, d) in enumerate(self.pairs):
+            if d.name == name:
+                return i
+        return None
+
+    def to_env(self):
+        ordered = sorted(self.pairs, key=lambda kv: kv[0])
+        return m.Environment(tuple(d for _, d in ordered))
+
+
+def _list_prune_composites(entries, removed):
+    for i, (key, dom) in enumerate(list(entries.pairs)):
+        if dom.structure is not None and removed in dom.structure:
+            remaining = tuple(n for n in dom.structure if n != removed)
+            entries.touched.add(dom.name)
+            if len(remaining) <= 1:
+                entries.pairs.pop(i)
+            else:
+                entries.pairs[i] = (key, m.Domain(dom.name, dom.description, structure=remaining))
+            return
+
+
+def _list_remove_composite(entries, index):
+    key, dom = entries.pairs.pop(index)
+    entries.touched.add(dom.name)
+    for member in dom.structure or ():
+        j = entries.find(member)
+        if j is not None:
+            if entries.pairs[j][1].is_composite:
+                _list_remove_composite(entries, j)
+            else:
+                entries.touched.add(member)
+                entries.pairs.pop(j)
+
+
+def _list_apply_atoms(entries, change):
+    if isinstance(change, m.Nil):
+        return
+    if isinstance(change, m.Unknown):
+        raise m.UnknownChange(change.placeholder)
+    if isinstance(change, m.Add):
+        if change.domain.name in entries.names():
+            raise m.AddExisting(change.domain.name)
+        entries.counter += 1
+        entries.touched.add(change.domain.name)
+        entries.pairs.append((((_ADDED + entries.counter, ""),), change.domain))
+        return
+    if isinstance(change, m.Cancel):
+        index = entries.find(change.domain_name)
+        if index is None:
+            raise m.CancelMissing(change.domain_name)
+        if entries.pairs[index][1].is_composite:
+            _list_remove_composite(entries, index)
+        else:
+            entries.touched.add(change.domain_name)
+            entries.pairs.pop(index)
+        _list_prune_composites(entries, change.domain_name)
+        return
+    if isinstance(change, m.Refine):
+        index = entries.find(change.target)
+        if index is None:
+            raise m.RefineMissing(change.target)
+        key, old = entries.pairs[index]
+        members = change.retained + change.added
+        if old.is_composite:
+            _list_remove_composite(entries, index)
+        else:
+            entries.pairs.pop(index)
+        existing = entries.names()
+        for member in members:
+            if member.name in existing:
+                raise m.AddExisting(member.name)
+        entries.touched.add(change.target)
+        composite = m.Domain(change.target, old.description, structure=tuple(d.name for d in members))
+        entries.pairs.insert(index, (key, composite))
+        for offset, member in enumerate(members, start=1):
+            entries.touched.add(member.name)
+            entries.pairs.append((key + ((offset, ""),), member))
+        return
+    if isinstance(change, m.ChangeSeq):
+        _list_apply_atoms(entries, change.first)
+        _list_apply_atoms(entries, change.second)
+        return
+    if isinstance(change, m.ChangePar):
+        _list_apply_par(entries, change)
+        return
+    raise TypeError(f"unsupported change expression: {change!r}")
+
+
+def _list_rekey_additions(entries):
+    for i, (key, dom) in enumerate(entries.pairs):
+        if key[0][0] >= _ADDED:
+            entries.pairs[i] = ((((_ADDED, dom.name),) + key[1:]), dom)
+
+
+def _list_apply_par(entries, change):
+    base_pairs = list(entries.pairs)
+    left = ListEntries(list(base_pairs), entries.counter)
+    right = ListEntries(list(base_pairs), entries.counter)
+    _list_apply_atoms(left, change.left)
+    _list_apply_atoms(right, change.right)
+    shared = left.touched & right.touched
+    if shared:
+        raise m.ParConflict(frozenset(shared))
+    _list_rekey_additions(left)
+    _list_rekey_additions(right)
+    base_names = {d.name for _, d in base_pairs}
+    merged = {}
+    for side, other in ((left, right), (right, left)):
+        for key, dom in side.pairs:
+            if dom.name in base_names and dom.name not in side.touched:
+                if dom.name in other.touched:
+                    continue
+            merged[dom.name] = (key, dom)
+    entries.pairs = list(merged.values())
+    entries.counter = max(left.counter, right.counter)
+    entries.touched |= left.touched | right.touched
+
+
+def apply_change_list(env, change):
+    """``model.apply_change`` over ``ListEntries``: the reference for the
+    name-keyed working set."""
+    entries = ListEntries([(((i, ""),), d) for i, d in enumerate(env.domains)])
+    _list_apply_atoms(entries, change)
+    result = entries.to_env()
+    orphans = (m.controlled_phenomena(env) - m.controlled_phenomena(result)) & m.observed_phenomena(result)
+    if orphans:
+        raise m.DanglingControl(frozenset(orphans))
+    return result
+
+
+# --- evidence computed beside the premises ---------------------------------------------
+
+def eager_evidence(node):
+    """The evidence each rule application stored when it was made,
+    recomputed from the node's conclusion and arguments the way the
+    premises are (the Sequence's intermediate and the installed
+    environment through ``apply_change``), not read off the premises."""
+    problem, args, rule = node.conclusion, node.args, node.rule
+    env, change = problem.env, problem.change
+    if rule is RuleId.DELEGATION:
+        return {"trust": f"{problem.validator}->{args['delegate']}"}
+    if rule is RuleId.KNOWN_SOLUTION:
+        return {"solution": change_str(args.get("solution", change))}
+    if rule is RuleId.SOLUTION_REFLECT:
+        return {"shape": "seq" if isinstance(problem.need, m.NeedSeq) else "par"}
+    if rule is RuleId.SEQUENCE:
+        first = _first_stage(node)
+        return {"intermediate_env": env_str(env if first is None else m.apply_change(env, first))}
+    if rule is RuleId.PARALLEL:
+        left, right = set(args["left"]), set(args["right"])
+        shared = m.shared_phenomena(
+            m.Environment(tuple(d for d in env if d.name in left)),
+            m.Environment(tuple(d for d in env if d.name in right)),
+        )
+        return {"shared": sorted(shared), "left": sorted(left), "right": sorted(right)}
+    if rule in (RuleId.DOMAIN_ADD, RuleId.DOMAIN_REMOVE, RuleId.DOMAIN_REFINE):
+        if node.env_provisional:
+            return {}
+        return {"installed_env": env_str(m.apply_change(env, change))}
+    if rule is RuleId.SEQ_DOMAIN_REFINE_EQUIV:
+        if args["direction"] == "fuse":
+            rewritten = change.second
+        else:
+            retained, added = tuple(args["retained"]), tuple(args["added"])
+            rewritten = m.ChangeSeq(m.Refine(change.target, retained, added), change)
+        return {"before": change_str(change), "after": change_str(rewritten)}
+    return {}
+
+
+def assert_evidence_as_eager(node) -> None:
+    """Assert ``evidence`` equals ``eager_evidence`` at every rule
+    application of a tree, alternatives included."""
+    if node.rule is not None:
+        assert evidence(node) == eager_evidence(node), node.rule
+    for child in node.premises + node.alternatives:
+        assert_evidence_as_eager(child)

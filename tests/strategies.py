@@ -210,3 +210,67 @@ def layered_org_text(layers, width, fan_in, seed=0):
             lines.append(f"  domain O{k}_{w} {{ " + "  ".join(clauses) + " }")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+@st.composite
+def edit_cases(draw):
+    """An environment, possibly holding nested composites, and a change over it:
+    additions, cancellations (of members and of missing domains too),
+    refinements (nested, of composites, with repeated members or a member
+    named like the target), sequenced and parallel, with the odd
+    placeholder.  Installed domains may take over or observe phenomena of
+    the environment, so orphaned control and control clashes occur."""
+    env = draw(environments(max_domains=5, max_links=4, max_phenomena=6))
+    phens = sorted(model.phenomena_universe(env)) or ["p0"]
+    fresh = ["f0", "f1", "f2", "f3"]
+
+    def domain(name):
+        controlled = draw(st.sets(st.sampled_from(phens), max_size=1))
+        observed = draw(st.sets(st.sampled_from(phens), max_size=2)) - controlled
+        return model.Domain(name, controlled=frozenset(controlled), observed=frozenset(observed))
+
+    def refine(names):
+        target = draw(st.sampled_from(names + ["ghost"]))
+        pool = fresh + names + [target]
+        members = draw(st.lists(st.sampled_from(pool), max_size=3))
+        split = draw(st.integers(min_value=0, max_value=len(members)))
+        return model.Refine(
+            target,
+            tuple(domain(n) for n in members[:split]),
+            tuple(domain(n) for n in members[split:]),
+        )
+
+    if draw(st.booleans()):
+        # a composite, and maybe a composite among its members
+        target = draw(st.sampled_from(list(env.names())))
+        for level in range(draw(st.integers(min_value=1, max_value=2))):
+            members = [domain(f"g{level}{k}") for k in range(draw(st.integers(1, 2)))]
+            try:
+                env = model.apply_change(env, model.Refine(target, tuple(members[:1]), tuple(members[1:])))
+            except (model.ChangeError, model.ModelError):
+                break
+            target = members[0].name
+    names = list(env.names())
+
+    def atom():
+        kind = draw(st.sampled_from(["add", "cancel", "cancel", "refine", "refine", "nil", "unknown"]))
+        if kind == "add":
+            return model.Add(domain(draw(st.sampled_from(fresh + names))))
+        if kind == "cancel":
+            return model.Cancel(draw(st.sampled_from(names + fresh[:1] + ["ghost"])))
+        if kind == "refine":
+            return refine(names + fresh[:2])
+        if kind == "nil":
+            return model.Nil()
+        return model.Unknown("F")
+
+    def build(k):
+        if k == 1:
+            return atom()
+        split = draw(st.integers(min_value=1, max_value=k - 1))
+        left, right = build(split), build(k - split)
+        if draw(st.booleans()):
+            return model.ChangeSeq(left, right)
+        return model.ChangePar(left, right)
+
+    return env, build(draw(st.integers(min_value=1, max_value=6)))

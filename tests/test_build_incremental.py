@@ -2,7 +2,9 @@
 derivation after every statement.
 
 ``build`` refreshes only the path a statement names; these tests require
-the same tree, or the same first error, as the full rethread gives.
+the same tree, or the same first error, as the full rethread gives, and
+evidence rendered from the built tree equal to the evidence computed
+beside its premises.
 """
 
 import itertools
@@ -33,6 +35,7 @@ from deltapoe.dsl import (
 )
 
 from .conftest import FIXTURES
+from .oracles import assert_evidence_as_eager
 
 
 def rethread_every_statement(script, mdl, problems):
@@ -68,7 +71,10 @@ def outcome(make, script, mdl, problems):
 
 def assert_same_build(script, mdl, problems):
     expected = outcome(rethread_every_statement, script, mdl, problems)
-    assert outcome(build, script, mdl, problems) == expected
+    got = outcome(build, script, mdl, problems)
+    assert got == expected
+    if not isinstance(got, tuple):
+        assert_evidence_as_eager(got)
 
 
 FIXTURE_DERIVATIONS = [

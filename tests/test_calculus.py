@@ -18,6 +18,7 @@ from deltapoe.calculus import (
     check,
     committed,
     discharge_environments,
+    evidence,
     extract_plan,
     get_node,
     lint,
@@ -101,21 +102,6 @@ def test_golden_plan_is_topological(golden):
     for kind, later, earlier in plan.constraints:
         if kind == "after":
             assert position[earlier] < position[later]
-
-
-def test_golden_evidence_is_cache_not_authority(golden):
-    parsed, root = golden
-    stripped = _strip_evidence(root)
-    assert check(stripped, parsed.model).kind == "Solved"
-
-
-def _strip_evidence(node):
-    return replace(
-        node,
-        evidence={},
-        premises=tuple(_strip_evidence(p) for p in node.premises),
-        alternatives=tuple(_strip_evidence(a) for a in node.alternatives),
-    )
 
 
 def test_golden_threading_mutation_detected(golden):
@@ -270,7 +256,7 @@ def test_delegation_requires_trust(small):
 def test_delegation_records_trust_edge(small):
     mdl, problem = small
     node = apply(RuleId.DELEGATION, open_node(problem), {"delegate": "D"}, mdl)
-    assert node.evidence == {"trust": "G->D"}
+    assert evidence(node) == {"trust": "G->D"}
     assert node.premises[0].conclusion.validator == "D"
 
 
@@ -303,7 +289,7 @@ def test_solution_reflect_mirrors_need_shape(small):
     node = apply(RuleId.SOLUTION_REFLECT, open_node(shaped), {"shape": "seq"}, mdl)
     premise_change = node.premises[0].conclusion.change
     assert premise_change == model.ChangeSeq(model.Unknown("F1"), model.Unknown("F2"))
-    assert node.evidence == {"shape": "seq"}
+    assert evidence(node) == {"shape": "seq"}
 
 
 def test_solution_reflect_rejects_atomic_need(small):
@@ -703,4 +689,66 @@ def test_parallel_accepts_iff_contexts_share_nothing(env, data):
         assert err.shared == shared and shared
         return
     assert shared == frozenset()
-    assert node.evidence["shared"] == []
+    assert evidence(node)["shared"] == []
+
+
+# --- evidence rendered on demand against the evidence computed with the premises ------
+# (every fixture, mutation and generated tree is compared in test_build_incremental)
+
+from .oracles import eager_evidence  # noqa: E402
+
+
+def test_evidence_of_rules_no_fixture_reaches():
+    a = model.Domain("A", controlled=frozenset({"a"}))
+    b = model.Domain("B", observed=frozenset({"x"}))
+    c = model.Domain("C")
+    env = model.Environment((a, b))
+    need = model.NeedPar(model.AtomicNeed("L"), model.AtomicNeed("R"))
+    mdl = dsl.Model(environment=env)
+
+    split = apply(RuleId.PARALLEL, open_node(model.Problem(env, model.Unknown("F"), "G", need)),
+                  {"left": ("B", "A", "B"), "right": ()}, mdl)
+    assert evidence(split) == {"shared": [], "left": ["A", "B"], "right": []}
+
+    narrowed = apply(RuleId.ENV_REFINE, open_node(model.Problem(env, model.Unknown("F"), "G", need)),
+                     {"env": model.Environment((a,))}, mdl)
+    assert evidence(narrowed) == {}
+
+    d = model.Domain("D", controlled=frozenset({"a"}))
+    two = model.ChangeSeq(model.Refine("A", (c,), (d,)), model.Refine("A", (d,), ()))
+    fused = apply(RuleId.SEQ_DOMAIN_REFINE_EQUIV, open_node(model.Problem(env, two, "G", need)),
+                  {"direction": "fuse"}, mdl)
+    split_up = apply(RuleId.SEQ_DOMAIN_REFINE_EQUIV, open_node(model.Problem(env, two.second, "G", need)),
+                     {"direction": "split", "retained": (c,), "added": (d,)}, mdl)
+    for node in (split, narrowed, fused, split_up):
+        assert evidence(node) == eager_evidence(node)
+    assert evidence(fused)["after"] == printer.change_str(two.second)
+
+
+# --- a refinement that installs one name twice ------------------------------------------
+
+DUPLICATE_REFINE = """
+model {
+  phenomenon x : event
+  domain X { controls x }
+  domain A { observes x }
+  stakeholder G : problem-owner
+  need N "a need"
+}
+problem p { env [X] change ?F validator G need N }
+derivation d {
+  problem p
+  apply SolnRefine at root with { change: %s }
+  apply DomainRefine at root.0
+}
+"""
+
+
+@pytest.mark.parametrize("change,name", [("X ~> d[A](A)", "A"), ("X ~> d[X]()", "X")])
+def test_refine_installing_a_name_twice_violates_side_condition(change, name):
+    parsed = dsl.parse_file(DUPLICATE_REFINE % change)
+    with pytest.raises(SideConditionViolated) as err:
+        build(parsed.derivations[0], parsed.model, parsed.problems)
+    assert err.value.cause_kind == "ModelError"
+    assert str(err.value) == f"duplicate domain name {name!r} in environment"
+    assert err.value.path == (0,)

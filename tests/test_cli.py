@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from deltapoe import cli, dsl, export, impact
+from deltapoe import cli, dsl, export, impact, macro
 
 from .conftest import FIXTURES
 from .strategies import layered_org_text
@@ -280,6 +284,38 @@ def test_workflow_non_utf8_log_is_invalid(tmp_path, capsys):
     assert err.startswith(f"{log}: not valid UTF-8")
 
 
+def test_concurrent_drifts_append_one_after_another(tmp_path, capsys):
+    """Eight processes drift one log at once: each reads, validates and
+    appends under one lock, so no two events share a sequence number."""
+    log = tmp_path / "wf.jsonl"
+    payload = {"touched": ["X"], "description": "", "origin": "environment"}
+    log.write_text(macro.render_log([macro.Event(k, macro.ORG, "drift", payload) for k in range(1, 2001)]))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "deltapoe.cli", "workflow", str(log), "drift", "--touch", f"D{k}"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for k in range(8)
+    ]
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    events = macro.parse_log(log.read_text())
+    assert [e.sequence for e in events] == list(range(1, 2009))
+    assert sorted(e.payload["touched"][0] for e in events[2000:]) == [f"D{k}" for k in range(8)]
+    code, _, err = run(capsys, "workflow", log, "status")
+    assert code == 0, err
+
+
+def test_workflow_log_in_missing_directory_is_usage_error(tmp_path, capsys):
+    log = tmp_path / "no" / "wf.jsonl"
+    code, out, err = run(capsys, "workflow", log, "drift", "--touch", "X")
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"{log}: cannot open:")
+
+
 def test_export_derivation_graph(tmp_path, capsys):
     out_path = tmp_path / "graph.dot"
     code, out, _ = run(capsys, "export", GOLDEN, "--graph", out_path)
@@ -343,21 +379,71 @@ def test_config_file_defaults(tmp_path, capsys):
     json.loads(out)
 
 
+DEEP_MODEL = (
+    "model {\n  phenomenon y : event\n  domain C { controls y }\n"
+    "  stakeholder G : problem-owner\n  need N \"a need\"\n}\n"
+)
+
+
+def deep_problem(name, change="skip", need="N"):
+    return f"problem {name} {{\n  env [C]\n  change {change}\n  validator G\n  need {need}\n}}\n"
+
+
+def nested(depth, atom):
+    """``atom`` inside ``depth`` parentheses, alternating ``||`` and ``;``."""
+    text = atom
+    for k in range(depth):
+        text = f"({atom} {';' if k % 2 else '||'} {text})"
+    return text
+
+
 def test_long_change_chains_parse(tmp_path, capsys):
     steps = 1200
     source = tmp_path / "long.poed"
     source.write_text(
-        "model {\n  phenomenon y : event\n  domain C { controls y }\n"
-        "  stakeholder G : problem-owner\n  need N \"a need\"\n}\n"
+        DEEP_MODEL
         + "".join(
-            f"problem {name} {{\n  env [C]\n  change {op.join(['skip'] * steps)}\n"
-            "  validator G\n  need N\n}\n"
+            deep_problem(name, change=op.join(["skip"] * steps))
+            + deep_problem(f"need_{name}", need=op.join(["N"] * steps))
             for name, op in (("seq", " ; "), ("par", " || "))
         )
     )
     code, out, err = run(capsys, "check", source)
     assert code == 0, err
-    assert "problem seq ok" in out and "problem par ok" in out
+    for name in ("seq", "par", "need_seq", "need_par"):
+        assert f"problem {name} ok" in out
+
+
+@pytest.mark.parametrize("where", ["change", "need"])
+@pytest.mark.parametrize("shape", ["parens", "alternating"])
+def test_nesting_beyond_the_limit_is_a_parse_error(tmp_path, capsys, where, shape):
+    atom = "skip" if where == "change" else "N"
+    text = "(" * 300 + atom + ")" * 300 if shape == "parens" else nested(300, atom)
+    source = tmp_path / "deep.poed"
+    source.write_text(DEEP_MODEL + deep_problem("p", **{where: text}))
+    code, out, err = run(capsys, "check", source)
+    assert code == 2
+    assert out == ""
+    line, prefix = (9, "  change ") if where == "change" else (11, "  need ")
+    refused = [i for i, ch in enumerate(text) if ch == "("][dsl.MAX_NESTING]
+    assert err == (
+        f"{source}:{line}:{len(prefix) + refused + 1}: error: "
+        f"parentheses nested deeper than {dsl.MAX_NESTING}\n"
+    )
+
+
+def test_nesting_at_the_limit_checks(tmp_path, capsys):
+    depth = dsl.MAX_NESTING
+    source = tmp_path / "deep.poed"
+    source.write_text(
+        DEEP_MODEL
+        + deep_problem("parens", change="(" * depth + "skip" + ")" * depth,
+                       need="(" * depth + "N" + ")" * depth)
+        + deep_problem("alternating", change=nested(depth, "skip"), need=nested(depth, "N"))
+    )
+    code, out, err = run(capsys, "check", source)
+    assert code == 0, err
+    assert "problem parens ok" in out and "problem alternating ok" in out
 
 
 def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):

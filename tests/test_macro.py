@@ -275,6 +275,35 @@ def test_sequence_must_increase(created):
         fold(bad)
 
 
+def test_appending_folds_the_log_once(created, monkeypatch):
+    events = granted_to_cps3(created)
+    calls = []
+
+    def counting_fold(log):
+        calls.append(len(log))
+        return fold(log)
+
+    monkeypatch.setattr(macro, "fold", counting_fold)
+    event, child = delegate(events, "w1", "Impl", "w1/1", REFS, TRUSTS)
+    assert calls == [len(events)] and child.owner == "D"
+    events = events + [event]
+    calls.clear()
+    event, wf = advance(events, "w1", "submit-solution", {"solution": "!OldAPI", "refs": []})
+    assert calls == [len(events)] and wf.state is CpsState.CPS4
+    events = events + [event]
+    calls.clear()
+    event, report = drift(events, frozenset({"OldAPI"}))
+    assert calls == [len(events)] and report.regressions == (("w1", "CPS4", "CPS2"),)
+
+
+def test_appending_keeps_the_sequence_check(created):
+    """The event a caller appends is checked against the log's last
+    sequence number, as a fold of the whole log would."""
+    events = granted_to_cps3(created)
+    with pytest.raises(macro.BadLog):
+        macro._validated_append(events, Event(1, "w1", "submit-solution", {}))
+
+
 # --- randomized gate integrity -----------------------------------------------------------
 
 LEGAL_MOVES = {

@@ -31,7 +31,8 @@ from deltapoe.model import (
     shared_phenomena,
 )
 
-from .strategies import environments, needs
+from .oracles import apply_change_list
+from .strategies import edit_cases, environments, needs
 
 
 def named(*names):
@@ -350,6 +351,73 @@ def test_wellformedness_preserved_or_error(env, data):
         return
     # reconstructing from parts re-runs every invariant
     assert Environment(out.domains) == out
+
+
+# --- the name-keyed working set against the list it replaced ----------------------
+
+def outcome(apply, env, change):
+    """The environment, or the error as (type, message)."""
+    try:
+        return apply(env, change)
+    except (model.ChangeError, model.ModelError) as err:
+        return type(err), str(err)
+
+
+def installs_a_name_twice(change) -> bool:
+    if isinstance(change, Refine):
+        names = [change.target] + [d.name for d in change.retained + change.added]
+        return len(set(names)) < len(names)
+    if isinstance(change, ChangeSeq):
+        return installs_a_name_twice(change.first) or installs_a_name_twice(change.second)
+    if isinstance(change, ChangePar):
+        return installs_a_name_twice(change.left) or installs_a_name_twice(change.right)
+    return False
+
+
+@given(edit_cases())
+@settings(max_examples=400, deadline=None)
+def test_apply_change_matches_list_oracle(case):
+    env, change = case
+    got = outcome(apply_change, env, change)
+    expected = outcome(apply_change_list, env, change)
+    if got != expected and installs_a_name_twice(change):
+        # The list kept both domains of a name a refinement installs twice
+        # until the final environment rejected them, so a later step's
+        # error came first (or a later cancel or parallel merge hid the
+        # duplicate).  The refinement itself is now refused.
+        assert got[0] is model.ModelError
+        return
+    assert got == expected
+
+
+def test_cancel_removes_nested_composites():
+    env = apply_change(named("X", "Y"), Refine("X", (Domain("A"),), (Domain("B"),)))
+    env = apply_change(env, Refine("A", (Domain("C"),), (Domain("D"),)))
+    assert env.names() == ("X", "A", "C", "D", "B", "Y")
+    for change in (Cancel("X"), Refine("X", (Domain("E"),), ())):
+        assert apply_change(env, change) == apply_change_list(env, change)
+    assert apply_change(env, Cancel("X")) == named("Y")
+
+
+@pytest.mark.parametrize("env,change,name", [
+    (named("X"), Refine("X", (Domain("A", controlled=frozenset({"a"})),) * 2, ()), "A"),
+    (named("Y", "X"), Refine("X", (Domain("X"),), (Domain("B"),)), "X"),
+], ids=["repeated-member", "member-named-like-target"])
+def test_refine_installing_a_name_twice_is_a_duplicate(env, change, name):
+    assert outcome(apply_change, env, change) == outcome(apply_change_list, env, change)
+    with pytest.raises(model.ModelError) as err:
+        apply_change(env, change)
+    assert str(err.value) == f"duplicate domain name {name!r} in environment"
+
+
+def test_refine_with_repeated_member_is_refused_where_it_happens():
+    """The list accepted these: the cancel removed one of the two A's and
+    dissolved X; the parallel merge kept one A under X's structure (A, A)."""
+    env, twice = named("X"), Refine("X", (Domain("A"),), (Domain("A"),))
+    for change in (ChangeSeq(twice, Cancel("A")), ChangePar(twice, Nil())):
+        assert isinstance(apply_change_list(env, change), Environment)
+        with pytest.raises(model.ModelError, match="duplicate domain name 'A'"):
+            apply_change(env, change)
 
 
 # --- need normalization -----------------------------------------------------------
