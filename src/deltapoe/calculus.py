@@ -528,7 +528,10 @@ def apply(rule: RuleId, node: DerivationNode, args: dict, mdl: Model) -> Derivat
 def rethread(node: DerivationNode, mdl: Model) -> DerivationNode:
     """Recompute premise conclusions top-down over the whole subtree,
     grafting existing subtrees onto them.  Resolves provisional
-    environments once earlier stages have committed their solutions.
+    environments once earlier stages have committed their solutions.  One
+    pass does it: rethreading recomputes environments, which
+    :func:`committed` does not read, so a first stage commits the same
+    solution after it is rethreaded as before.
 
     :func:`build` calls it only on a second stage whose environment has
     just been resolved, and otherwise rebuilds just the path each
@@ -546,18 +549,7 @@ def rethread(node: DerivationNode, mdl: Model) -> DerivationNode:
             env_provisional=spec.provisional,
         )
         premises.append(rethread(child, mdl))
-    # threading may now be determined where it was not before
-    out = replace(node, premises=tuple(premises), alternatives=alts)
-    if out.rule is RuleId.SEQUENCE and out.premises[1].env_provisional:
-        specs2 = _expected(out, mdl)
-        if not specs2[1].provisional:
-            second = replace(
-                out.premises[1],
-                conclusion=specs2[1].problem,
-                env_provisional=False,
-            )
-            out = replace(out, premises=(out.premises[0], rethread(second, mdl)))
-    return out
+    return replace(node, premises=tuple(premises), alternatives=alts)
 
 
 # --- building trees from scripts ----------------------------------------------------

@@ -353,7 +353,7 @@ def cmd_workflow(args) -> int:
         fcntl.flock(handle, fcntl.LOCK_SH if reading else fcntl.LOCK_EX)
         handle.seek(0)
         try:
-            events = macro.parse_log(handle.read())
+            events = _read_log(handle, appending=not reading)
         except macro.BadLog as err:
             _err(f"{args.log}: {err}")
             return INVALID
@@ -361,6 +361,18 @@ def cmd_workflow(args) -> int:
             _err(_not_utf8(args.log, err))
             return INVALID
         return _run_workflow(args, events, handle)
+
+
+def _read_log(handle, appending: bool) -> list[macro.Event]:
+    """The events of an open log.  A log whose last line has no final
+    newline is refused for an append, which would run onto that line.
+    The log's text is dropped on return, before the command runs."""
+    text = handle.read()
+    events = macro.parse_log(text)
+    if appending and text and not text.endswith("\n"):
+        raise macro.BadLog(f"line {len(text.splitlines())}: no final newline; "
+                           "the last write may be torn, so nothing is appended")
+    return events
 
 
 def _run_workflow(args, events: list[macro.Event], handle) -> int:

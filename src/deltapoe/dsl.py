@@ -12,19 +12,18 @@ domain, ``!X`` cancels one, ``X ~> d[A](B)`` refines, ``;`` sequences,
 the identity change.  A problem can also be written in sequent form:
 ``[X] (+) ?F |= G : N``.  Comments run from ``#`` to end of line.
 
-The parser is a plain recursive descent over a hand-rolled token stream;
-it is reentrant and keeps no global state.
+The parser is a plain recursive descent over the tokens of one compiled
+pattern; it is reentrant and keeps no global state.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import model as m
 from .artifacts import Deadline, Justification, PlanStep, RiskItem, RuleId
-
-IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-IDENT_CONT = IDENT_START | set("0123456789'")
 
 SYMBOLS = ("(+)", "||", "~>", "->", "|=", "{", "}", "[", "]", "(", ")",
            ":", ";", ",", "?", "+", "!", "-", ".", "@", "=")
@@ -55,84 +54,59 @@ class DslError(Exception):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | int | string | symbol | eof
     value: str
     line: int
     column: int
 
 
+# One alternative per token kind.  No two kinds start with the same
+# character, except that a string wins over the lone quote that opens an
+# unterminated one, so the order is free elsewhere: frequent kinds come
+# first.  Symbols are listed longest first, so "(+)" wins over "(".
+_TOKEN = re.compile("|".join((
+    r"(?P<blank>[ \t]+)",
+    r"(?P<newline>\n)",
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_']*(?:\.[A-Za-z_][A-Za-z0-9_']*)*)",
+    "(?P<symbol>" + "|".join(map(re.escape, SYMBOLS)) + ")",
+    r"(?P<comment>#[^\n]*)",
+    r"(?P<int>[0-9]+)",
+    r'(?P<string>"(?:[^"\\\n]|\\[^\n])*")',
+    r'(?P<unterminated>")',
+)))
+
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPED = {"n": "\n", "t": "\t"}
+
+
+def _unescape(escape: re.Match) -> str:
+    return _ESCAPED.get(escape[1], escape[1])
+
+
 def tokenize(src: str) -> list[Token]:
     src = src.replace("\r\n", "\n").replace("\r", "\n")
+    match = _TOKEN.match
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    pos, line, line_start, end = 0, 1, 0, len(src)
+    while pos < end:
+        found = match(src, pos)
+        if found is None:
+            raise DslError([ParseDiagnostic(line, pos - line_start + 1, f"unexpected character {src[pos]!r}")])
+        kind, start, pos = found.lastgroup, pos, found.end()
+        if kind == "blank" or kind == "comment":
             continue
-        if ch in " \t":
-            i += 1
-            col += 1
+        if kind == "newline":
+            line, line_start = line + 1, pos
             continue
-        if ch == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch in IDENT_START:
-            j = i + 1
-            while j < n and src[j] in IDENT_CONT:
-                j += 1
-            # dot-qualified names: merge "." only when an identifier follows
-            while j + 1 < n and src[j] == "." and src[j + 1] in IDENT_START:
-                j += 1
-                while j < n and src[j] in IDENT_CONT:
-                    j += 1
-            tokens.append(Token("ident", src[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            tokens.append(Token("int", src[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            out = []
-            while j < n and src[j] != '"':
-                if src[j] == "\\" and j + 1 < n:
-                    esc = src[j + 1]
-                    out.append({"n": "\n", "t": "\t"}.get(esc, esc))
-                    j += 2
-                elif src[j] == "\n":
-                    raise DslError([ParseDiagnostic(start_line, start_col, "unterminated string")])
-                else:
-                    out.append(src[j])
-                    j += 1
-            if j >= n:
-                raise DslError([ParseDiagnostic(start_line, start_col, "unterminated string")])
-            tokens.append(Token("string", "".join(out), start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        for sym in SYMBOLS:
-            if src.startswith(sym, i):
-                tokens.append(Token("symbol", sym, start_line, start_col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise DslError([ParseDiagnostic(line, col, f"unexpected character {ch!r}")])
-    tokens.append(Token("eof", "", line, col))
+        column = start - line_start + 1
+        if kind == "unterminated":
+            raise DslError([ParseDiagnostic(line, column, "unterminated string")])
+        text = found.group()
+        if kind == "string":
+            text = _ESCAPE.sub(_unescape, text[1:-1])
+        tokens.append(Token(kind, text, line, column))
+    tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens
 
 
@@ -147,9 +121,6 @@ class Model:
     environment: m.Environment = m.Environment()
     stakeholders: tuple[m.Stakeholder, ...] = ()
     needs: tuple[m.AtomicNeed, ...] = ()
-
-    def phenomenon_names(self) -> frozenset[str]:
-        return frozenset(p.name for p in self.phenomena)
 
     def stakeholder(self, name: str) -> m.Stakeholder:
         for s in self.stakeholders:

@@ -63,18 +63,6 @@ class CpsState(str, enum.Enum):
     DONE = "Done"
 
 
-EVENT_KINDS = (
-    "create",
-    "submit-view",
-    "request-validation",
-    "record-validation",
-    "submit-solution",
-    "begin-implementation",
-    "complete",
-    "delegate",
-    "drift",
-)
-
 ORG = "*"  # workflow field of org-level (drift) events
 
 
@@ -124,9 +112,6 @@ class ProblemRefs:
     domains: frozenset[str]
     phenomena: frozenset[str]
     needs: frozenset[str]
-
-    def touched_by(self, touched: frozenset[str]) -> bool:
-        return bool((self.domains | self.phenomena | self.needs) & touched)
 
     def to_payload(self) -> dict:
         return {

@@ -233,17 +233,16 @@ Need = AtomicNeed | NeedSeq | NeedPar
 def need_name_hint(need: Need) -> str:
     if isinstance(need, AtomicNeed):
         return need.name
-    op = ";" if isinstance(need, NeedSeq) else "||"
-    return f"{need_name_hint(need.left)} {op} {need_name_hint(need.right)}"
+    node = type(need)
+    op = " ; " if node is NeedSeq else " || "
+    return op.join(need_name_hint(part) for part in _flatten(need, node))
 
 
 def need_atoms(need: Need) -> frozenset[str]:
-    if isinstance(need, AtomicNeed):
-        return frozenset({need.name})
-    return need_atoms(need.left) | need_atoms(need.right)
+    return frozenset(atom.name for atom in _flatten(need, (NeedSeq, NeedPar)))
 
 
-def _flatten(need: Need, node: type) -> list[Need]:
+def _flatten(need: Need, node: type | tuple[type, ...]) -> list[Need]:
     """The operands of a chain of ``node`` compositions, left to right,
     found without recursion so a long chain cannot exhaust the stack."""
     parts, stack = [], [need]

@@ -66,13 +66,14 @@ def _need_level(need: m.Need) -> int:
 
 
 def _need_str(need: m.Need, require: int = _PAR) -> str:
+    """``need`` in surface syntax; it is normalised, so every chain nests
+    to the right and is printed from its flattened operands."""
     level = _need_level(need)
     if isinstance(need, m.AtomicNeed):
         text = need.name
-    elif isinstance(need, m.NeedSeq):
-        text = f"{_need_str(need.left, _SEQ + 1)} ; {_need_str(need.right, _SEQ)}"
     else:
-        text = f"{_need_str(need.left, _PAR + 1)} || {_need_str(need.right, _PAR)}"
+        op = " ; " if level == _SEQ else " || "
+        text = op.join(_need_str(part, level + 1) for part in m._flatten(need, type(need)))
     if level < require:
         return f"({text})"
     return text

@@ -7,10 +7,123 @@ from dataclasses import dataclass
 from deltapoe import model as m
 from deltapoe.artifacts import RuleId, ValidationStatus, ValidationTarget
 from deltapoe.calculus import _first_stage, evidence
+from deltapoe.dsl import SYMBOLS, DslError, ParseDiagnostic, Token
 from deltapoe.export import _dot_escape
 from deltapoe.impact import BoundReport, UnknownDomain, _seed, edit_str
 from deltapoe.macro import CpsState, _apply_event
-from deltapoe.printer import change_str, env_str
+from deltapoe.printer import _PAR, _SEQ, _need_level, change_str, env_str
+
+
+# --- the character-by-character lexer ---------------------------------------------------
+
+IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+IDENT_CONT = IDENT_START | set("0123456789'")
+
+
+def tokenize_scan(src: str) -> list[Token]:
+    """The scanner ``dsl.tokenize`` replaced.  It differs in three ways:
+    it reads any character ``str.isdigit`` accepts as a digit, it lets a
+    backslash escape a newline inside a string, and it does not advance
+    the column over a comment."""
+    src = src.replace("\r\n", "\n").replace("\r", "\n")
+    tokens: list[Token] = []
+    i, line, col = 0, 1, 1
+    n = len(src)
+    while i < n:
+        ch = src[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and src[i] != "\n":
+                i += 1
+            continue
+        start_line, start_col = line, col
+        if ch in IDENT_START:
+            j = i + 1
+            while j < n and src[j] in IDENT_CONT:
+                j += 1
+            # dot-qualified names: merge "." only when an identifier follows
+            while j + 1 < n and src[j] == "." and src[j + 1] in IDENT_START:
+                j += 1
+                while j < n and src[j] in IDENT_CONT:
+                    j += 1
+            tokens.append(Token("ident", src[i:j], start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and src[j].isdigit():
+                j += 1
+            tokens.append(Token("int", src[i:j], start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch == '"':
+            j = i + 1
+            out = []
+            while j < n and src[j] != '"':
+                if src[j] == "\\" and j + 1 < n:
+                    esc = src[j + 1]
+                    out.append({"n": "\n", "t": "\t"}.get(esc, esc))
+                    j += 2
+                elif src[j] == "\n":
+                    raise DslError([ParseDiagnostic(start_line, start_col, "unterminated string")])
+                else:
+                    out.append(src[j])
+                    j += 1
+            if j >= n:
+                raise DslError([ParseDiagnostic(start_line, start_col, "unterminated string")])
+            tokens.append(Token("string", "".join(out), start_line, start_col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+        for sym in SYMBOLS:
+            if src.startswith(sym, i):
+                tokens.append(Token("symbol", sym, start_line, start_col))
+                i += len(sym)
+                col += len(sym)
+                break
+        else:
+            raise DslError([ParseDiagnostic(line, col, f"unexpected character {ch!r}")])
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+# --- need walkers that recurse once per chain step -------------------------------------
+
+def need_name_hint_recursive(need) -> str:
+    if isinstance(need, m.AtomicNeed):
+        return need.name
+    op = ";" if isinstance(need, m.NeedSeq) else "||"
+    return f"{need_name_hint_recursive(need.left)} {op} {need_name_hint_recursive(need.right)}"
+
+
+def need_atoms_recursive(need) -> frozenset[str]:
+    if isinstance(need, m.AtomicNeed):
+        return frozenset({need.name})
+    return need_atoms_recursive(need.left) | need_atoms_recursive(need.right)
+
+
+def need_str_recursive(need, require: int = _PAR) -> str:
+    """The surface form of any need, normalised or not."""
+    level = _need_level(need)
+    if isinstance(need, m.AtomicNeed):
+        text = need.name
+    elif isinstance(need, m.NeedSeq):
+        text = f"{need_str_recursive(need.left, _SEQ + 1)} ; {need_str_recursive(need.right, _SEQ)}"
+    else:
+        text = f"{need_str_recursive(need.left, _PAR + 1)} || {need_str_recursive(need.right, _PAR)}"
+    if level < require:
+        return f"({text})"
+    return text
 
 
 # --- workflow gates -------------------------------------------------------------------

@@ -21,6 +21,7 @@ from deltapoe.calculus import (
     _run_apply,
     _run_discharge,
     build,
+    committed,
     get_node,
     open_node,
     rethread,
@@ -38,20 +39,25 @@ from .conftest import FIXTURES
 from .oracles import assert_evidence_as_eager
 
 
+def set_statement(root, index, stmt, mdl):
+    """``root`` with the node statement ``index`` makes set at its path."""
+    try:
+        target = get_node(root, stmt.path)
+    except BadPath as err:
+        raise err.at(stmt.path)
+    if isinstance(stmt, ApplyStatement):
+        updated = _run_apply(stmt, target, mdl, index)
+    else:
+        updated = _run_discharge(stmt, target, index)
+    return set_node(root, stmt.path, updated)
+
+
 def rethread_every_statement(script, mdl, problems):
     """The reference: make each statement's node, set it into the tree and
     rethread the whole tree."""
     root = open_node(problems[script.problem_name])
     for index, stmt in enumerate(script.statements):
-        try:
-            target = get_node(root, stmt.path)
-        except BadPath as err:
-            raise err.at(stmt.path)
-        if isinstance(stmt, ApplyStatement):
-            updated = _run_apply(stmt, target, mdl, index)
-        else:
-            updated = _run_discharge(stmt, target, index)
-        root = set_node(root, stmt.path, updated)
+        root = set_statement(root, index, stmt, mdl)
         try:
             root = rethread(root, mdl)
         except RuleError as err:
@@ -202,3 +208,30 @@ def staged_scripts(draw):
 def test_generated_staged_scripts_build_as_full_rethread(generated):
     script, problems = generated
     assert_same_build(script, Model(), problems)
+
+
+def commitments(root):
+    """What every node of the tree commits to, in one fixed walk order."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        out.append(committed(node))
+        stack += node.premises + node.alternatives
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(staged_scripts())
+def test_rethread_keeps_what_every_node_commits(generated):
+    """Rethreading recomputes environments only, so one top-down pass
+    resolves every second stage its first stage's solution determines."""
+    script, problems = generated
+    root = open_node(problems[script.problem_name])
+    for index, stmt in enumerate(script.statements):
+        try:
+            root = set_statement(root, index, stmt, Model())
+            rethreaded = rethread(root, Model())
+        except RuleError:
+            return
+        assert commitments(rethreaded) == commitments(root)
+        root = rethreaded

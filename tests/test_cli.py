@@ -61,6 +61,14 @@ def test_check_non_utf8_file_is_invalid(tmp_path, capsys):
     assert err == f"{bad}: not valid UTF-8: byte 0xff at offset {len(GOLDEN.read_bytes()) + 2}\n"
 
 
+def test_check_non_ascii_digit_in_a_path_is_invalid(tmp_path, capsys):
+    bad = tmp_path / "bad.poed"
+    bad.write_text(GOLDEN.read_text().replace("apply NeedRefine at root.0 ", "apply NeedRefine at root.² "))
+    code, out, err = run(capsys, "check", bad)
+    assert (code, out) == (2, "")
+    assert err == f"{bad}:38:28: error: unexpected character '²'\n"
+
+
 @pytest.mark.parametrize("path", MUTATIONS, ids=lambda p: p.stem)
 def test_every_mutation_rejected(path, capsys):
     code, _, err = run(capsys, "check", path)
@@ -308,6 +316,28 @@ def test_concurrent_drifts_append_one_after_another(tmp_path, capsys):
     assert code == 0, err
 
 
+@pytest.mark.parametrize("argv", [
+    ["advance", "--event", "request-validation"],
+    ["delegate", "--to", "D", "--child", "c1"],
+    ["drift", "--touch", "OldAPI"],
+])
+def test_appends_refuse_a_log_without_a_final_newline(tmp_path, capsys, argv):
+    log = tmp_path / "wf.jsonl"
+    code, _, err = run(capsys, "workflow", log, "advance", "--workflow", "root",
+                       "--event", "submit-view", "--owner", "G", "--delegate", "D",
+                       "--model", DEVENV, "--problem", "upgrade")
+    assert code == 0, err
+    torn = log.read_bytes()[:-1]
+    log.write_bytes(torn)
+    code, out, err = run(capsys, "workflow", log, "status")
+    assert code == 0, err
+    code, out, err = run(capsys, "workflow", log, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"{log}: line 2: no final newline; "
+                   "the last write may be torn, so nothing is appended\n")
+    assert log.read_bytes() == torn
+
+
 def test_workflow_log_in_missing_directory_is_usage_error(tmp_path, capsys):
     log = tmp_path / "no" / "wf.jsonl"
     code, out, err = run(capsys, "workflow", log, "drift", "--touch", "X")
@@ -412,6 +442,11 @@ def test_long_change_chains_parse(tmp_path, capsys):
     assert code == 0, err
     for name in ("seq", "par", "need_seq", "need_par"):
         assert f"problem {name} ok" in out
+    for name in ("need_seq", "need_par"):
+        code, out, err = run(capsys, "workflow", tmp_path / f"{name}.jsonl", "advance",
+                             "--workflow", "root", "--event", "submit-view", "--owner", "G",
+                             "--delegate", "D", "--model", source, "--problem", name)
+        assert (code, out) == (0, "workflow root: CPS2\n"), err
 
 
 @pytest.mark.parametrize("where", ["change", "need"])

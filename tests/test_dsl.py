@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deltapoe import dsl, model
 from deltapoe import printer
@@ -13,6 +14,7 @@ from deltapoe.model import (
 )
 
 from . import strategies as gen
+from .oracles import tokenize_scan
 
 DEPARTMENTS = """
 model {
@@ -198,3 +200,104 @@ def test_every_fixture_round_trips(fixture, fixtures_dir):
     assert dsl.parse_model(printer.pretty(parsed.model)) == parsed.model
     for problem in parsed.problems.values():
         assert dsl.parse_problem(printer.pretty(problem), parsed.model) == problem
+
+
+# --- the lexer against the character-by-character scanner it replaced ---------------
+
+def lexed(tokenize, src):
+    """The token list, or the text of the lexer's error."""
+    try:
+        return tokenize(src)
+    except dsl.DslError as err:
+        return str(err)
+
+
+def error_offset(src, error):
+    """The offset in ``src`` (newlines normalized) an error points at."""
+    line, column = map(int, error.split(":", 2)[:2])
+    return sum(len(text) + 1 for text in src.split("\n")[:line - 1]) + column - 1
+
+
+def escapes_a_newline(src, quote):
+    """Whether the string opened at ``quote`` holds a backslash-escaped
+    newline, read the way the old scanner reads it."""
+    j = quote + 1
+    while j < len(src) and src[j] not in '"\n':
+        if src[j] == "\\" and j + 1 < len(src):
+            if src[j + 1] == "\n":
+                return True
+            j += 1
+        j += 1
+    return False
+
+
+def documented_difference(src, new, old):
+    """The documented class that explains ``new != old``, or None."""
+    src = src.replace("\r\n", "\n").replace("\r", "\n")
+    if isinstance(new, str):
+        offset = error_offset(src, new)
+        if lexed(dsl.tokenize, src[:offset]) != lexed(tokenize_scan, src[:offset]):
+            return None
+        char = src[offset]
+        if new.endswith(f"unexpected character {char!r}") and char.isdigit() and not char.isascii():
+            return "non-ASCII digit"
+        if new.endswith("unterminated string") and char == '"' and escapes_a_newline(src, offset):
+            return "escaped newline"
+        return None
+    last_line = src.rsplit("\n", 1)[-1]
+    if (
+        isinstance(old, list)
+        and new[:-1] == old[:-1]
+        and new[-1].line == old[-1].line
+        and new[-1].column == len(last_line) + 1
+        and last_line[old[-1].column - 1] == "#"
+    ):
+        return "column after a trailing comment"
+    return None
+
+
+LEXER_PIECES = (
+    list("aZ_'09²٣\"\\#\t\r\n\f é.")
+    + list(dsl.SYMBOLS)
+    + ["root", "a.b", "need", "\\n", "\\\n"]
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(st.sampled_from(LEXER_PIECES), max_size=30).map("".join))
+@example('root.² "a\\\nb" # note')
+def test_lexer_matches_the_scanner_outside_documented_differences(src):
+    new, old = lexed(dsl.tokenize, src), lexed(tokenize_scan, src)
+    assert new == old or documented_difference(src, new, old) is not None
+
+
+@pytest.mark.parametrize("digit", ["²", "٣", "٠"])
+def test_non_ascii_digit_is_an_unexpected_character(digit):
+    src = f"apply Sequence at root.0.{digit}"
+    assert tokenize_scan(src)[-2] == dsl.Token("int", digit, 1, 26)
+    with pytest.raises(dsl.DslError) as err:
+        dsl.tokenize(src)
+    assert str(err.value) == f"1:26: error: unexpected character {digit!r}"
+    assert documented_difference(src, lexed(dsl.tokenize, src), lexed(tokenize_scan, src))
+
+
+def test_escaped_newline_leaves_a_string_unterminated():
+    src = 'model {\n  need N "a\\\nb"\n  need M "c"\n}'
+    assert tokenize_scan(src)[4:6] == [
+        dsl.Token("string", "a\nb", 2, 10),
+        dsl.Token("ident", "need", 3, 3),  # on line 4
+    ]
+    with pytest.raises(dsl.DslError) as err:
+        dsl.tokenize(src)
+    assert str(err.value) == "2:10: error: unterminated string"
+    assert dsl.tokenize(src.replace("\\\n", "\\n"))[4] == dsl.Token("string", "a\nb", 2, 10)
+
+
+def test_string_escapes():
+    assert dsl.tokenize(r'"a\"b\\c\nd\te\q"')[0].value == 'a"b\\c\nd\teq'
+
+
+def test_eof_after_a_trailing_comment_is_past_the_comment():
+    src = "skip\nskip  # note"
+    assert dsl.tokenize(src)[-1] == dsl.Token("eof", "", 2, 13)
+    assert tokenize_scan(src)[-1] == dsl.Token("eof", "", 2, 7)

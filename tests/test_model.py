@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from deltapoe import model
+from deltapoe import model, printer
 from deltapoe.model import (
     Add,
     AddExisting,
@@ -31,7 +31,12 @@ from deltapoe.model import (
     shared_phenomena,
 )
 
-from .oracles import apply_change_list
+from .oracles import (
+    apply_change_list,
+    need_atoms_recursive,
+    need_name_hint_recursive,
+    need_str_recursive,
+)
 from .strategies import edit_cases, environments, needs
 
 
@@ -446,3 +451,21 @@ def test_normalize_idempotent(need):
 @given(needs(), needs())
 def test_normalize_par_commutative_everywhere(n1, n2):
     assert normalize_need(NeedPar(n1, n2)) == normalize_need(NeedPar(n2, n1))
+
+
+@given(needs(max_leaves=8))
+def test_need_walkers_match_the_recursive_ones(need):
+    assert model.need_atoms(need) == need_atoms_recursive(need)
+    assert model.need_name_hint(need) == need_name_hint_recursive(need)
+    assert printer.need_str(need) == need_str_recursive(normalize_need(need))
+
+
+@pytest.mark.parametrize("node,op", [(NeedSeq, " ; "), (NeedPar, " || ")])
+def test_need_walkers_take_long_chains(node, op):
+    names = [f"N{k:04}" for k in range(1200)]
+    need = AtomicNeed(names[-1])
+    for name in reversed(names[:-1]):
+        need = node(AtomicNeed(name), need)
+    assert model.need_atoms(need) == frozenset(names)
+    assert model.need_name_hint(need) == op.join(names)
+    assert printer.need_str(need) == op.join(names)
