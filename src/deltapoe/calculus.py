@@ -972,7 +972,8 @@ def extract_plan(root: DerivationNode) -> ImplementationPlan:
     (design work may overlap; delivery may not).  The result is a
     deterministic topological order, ties broken by stage then step id.
     """
-    if committed(root) is None or not m.is_unknown_free(committed(root)):
+    solution = committed(root)
+    if solution is None or not m.is_unknown_free(solution):
         raise UnsolvedTree("cannot extract a plan from an unsolved derivation")
 
     entries: list[PlanEntry] = []

@@ -7,6 +7,10 @@ invalid input or parse errors, 3 for usage errors, and 70 for an internal
 error: an unexpected exception, reported on one line as ``internal: ...``
 so that no crash reads as a verdict.  No command mutates
 model or derivation files; only workflow logs are appended.
+
+Each command imports only the modules it uses, so that a process loads
+no more than its command needs: ``impact`` and ``workflow`` never load
+the calculus.
 """
 
 from __future__ import annotations
@@ -16,9 +20,13 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import calculus, dsl, export, impact, macro, printer
-from . import model as m
+from . import dsl, printer
+
+if TYPE_CHECKING:
+    from . import macro
+    from . import model as m
 
 OK, INCOMPLETE, INVALID, USAGE = 0, 1, 2, 3
 INTERNAL = 70  # EX_SOFTWARE of sysexits.h; outside the verdict codes
@@ -99,6 +107,8 @@ def _load_workspace(paths: list[str]) -> tuple[Workspace | None, int]:
 
 
 def _build_derivation(workspace: Workspace, script: dsl.DerivationScript, path: str):
+    from . import calculus
+
     try:
         return calculus.build(script, workspace.model, workspace.problems), None
     except calculus.RuleError as err:
@@ -110,6 +120,8 @@ def _build_derivation(workspace: Workspace, script: dsl.DerivationScript, path: 
 # --- check ------------------------------------------------------------------------
 
 def cmd_check(args) -> int:
+    from . import calculus
+
     workspace, status = _load_workspace(args.files)
     if workspace is None:
         return status
@@ -161,6 +173,8 @@ def _pick_derivation(workspace: Workspace, name: str | None):
 
 
 def cmd_plan(args) -> int:
+    from . import calculus, export
+
     workspace, status = _load_workspace(args.files)
     if workspace is None:
         return status
@@ -224,6 +238,8 @@ def _names_flag(values) -> frozenset[str]:
 
 
 def cmd_impact(args) -> int:
+    from . import export, impact
+
     workspace, status = _load_workspace(args.files)
     if workspace is None:
         return status
@@ -267,6 +283,8 @@ def cmd_impact(args) -> int:
 # --- lint -------------------------------------------------------------------------
 
 def cmd_lint(args) -> int:
+    from . import calculus
+
     workspace, status = _load_workspace(args.files)
     if workspace is None:
         return status
@@ -303,6 +321,8 @@ def _append_events(handle, events: list[macro.Event]):
 
 
 def _workflow_problem_refs(args) -> macro.ProblemRefs:
+    from . import macro
+
     if args.model and args.problem:
         workspace, status = _load_workspace([args.model])
         if workspace is None:
@@ -315,6 +335,8 @@ def _workflow_problem_refs(args) -> macro.ProblemRefs:
 
 
 def _print_status(events: list[macro.Event]) -> None:
+    from . import macro
+
     workflows = macro.fold(events)
     if not workflows:
         print("no workflows")
@@ -340,6 +362,8 @@ def cmd_workflow(args) -> int:
     so concurrent writers append one after another, each to the log the
     one before it left."""
     import fcntl
+
+    from . import macro
 
     reading = args.subcommand == "status"
     if reading and not Path(args.log).exists():
@@ -367,6 +391,8 @@ def _read_log(handle, appending: bool) -> list[macro.Event]:
     """The events of an open log.  A log whose last line has no final
     newline is refused for an append, which would run onto that line.
     The log's text is dropped on return, before the command runs."""
+    from . import macro
+
     text = handle.read()
     events = macro.parse_log(text)
     if appending and text and not text.endswith("\n"):
@@ -376,6 +402,8 @@ def _read_log(handle, appending: bool) -> list[macro.Event]:
 
 
 def _run_workflow(args, events: list[macro.Event], handle) -> int:
+    from . import macro
+
     log_path = args.log
     if args.subcommand == "status":
         try:
@@ -444,6 +472,8 @@ def _run_workflow(args, events: list[macro.Event], handle) -> int:
 # --- export -----------------------------------------------------------------------
 
 def cmd_export(args) -> int:
+    from . import export
+
     source = Path(args.input)
     if not source.is_file():
         _err(f"{args.input}: no such file")

@@ -12,14 +12,17 @@ domain, ``!X`` cancels one, ``X ~> d[A](B)`` refines, ``;`` sequences,
 the identity change.  A problem can also be written in sequent form:
 ``[X] (+) ?F |= G : N``.  Comments run from ``#`` to end of line.
 
-The parser is a plain recursive descent over the tokens of one compiled
-pattern; it is reentrant and keeps no global state.
+The lexer is one compiled pattern; each match takes the blanks before a
+token, newline or comment along with it, so blanks cost no match of
+their own.  The parser is a plain recursive descent that reads the
+tokens by index; it is reentrant and keeps no global state.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 from . import model as m
@@ -61,20 +64,23 @@ class Token(NamedTuple):
     column: int
 
 
-# One alternative per token kind.  No two kinds start with the same
-# character, except that a string wins over the lone quote that opens an
-# unterminated one, so the order is free elsewhere: frequent kinds come
+# One alternative per token kind, after the blanks before it, so that each
+# match yields one token, newline or comment.  No two kinds start with the
+# same character, except that a string wins over the lone quote that opens
+# an unterminated one, so the order is free elsewhere: frequent kinds come
 # first.  Symbols are listed longest first, so "(+)" wins over "(".
-_TOKEN = re.compile("|".join((
-    r"(?P<blank>[ \t]+)",
-    r"(?P<newline>\n)",
+# ``bad``, last, takes any other character but a blank, so a match fails
+# only on the blanks that end the input, where the scan stops.
+_TOKEN = re.compile(r"[ \t]*(?:" + "|".join((
     r"(?P<ident>[A-Za-z_][A-Za-z0-9_']*(?:\.[A-Za-z_][A-Za-z0-9_']*)*)",
     "(?P<symbol>" + "|".join(map(re.escape, SYMBOLS)) + ")",
-    r"(?P<comment>#[^\n]*)",
+    r"(?P<newline>\n)",
     r"(?P<int>[0-9]+)",
+    r"(?P<comment>#[^\n]*)",
     r'(?P<string>"(?:[^"\\\n]|\\[^\n])*")',
     r'(?P<unterminated>")',
-)))
+    r"(?P<bad>[^ \t])",
+)) + ")")
 
 _ESCAPE = re.compile(r"\\(.)")
 _ESCAPED = {"n": "\n", "t": "\t"}
@@ -86,27 +92,26 @@ def _unescape(escape: re.Match) -> str:
 
 def tokenize(src: str) -> list[Token]:
     src = src.replace("\r\n", "\n").replace("\r", "\n")
-    match = _TOKEN.match
+    new = tuple.__new__  # skips the Python-level Token.__new__
     tokens: list[Token] = []
-    pos, line, line_start, end = 0, 1, 0, len(src)
-    while pos < end:
-        found = match(src, pos)
-        if found is None:
-            raise DslError([ParseDiagnostic(line, pos - line_start + 1, f"unexpected character {src[pos]!r}")])
-        kind, start, pos = found.lastgroup, pos, found.end()
-        if kind == "blank" or kind == "comment":
-            continue
-        if kind == "newline":
-            line, line_start = line + 1, pos
-            continue
-        column = start - line_start + 1
-        if kind == "unterminated":
-            raise DslError([ParseDiagnostic(line, column, "unterminated string")])
-        text = found.group()
-        if kind == "string":
-            text = _ESCAPE.sub(_unescape, text[1:-1])
-        tokens.append(Token(kind, text, line, column))
-    tokens.append(Token("eof", "", line, end - line_start + 1))
+    append = tokens.append
+    line, line_start = 1, 0
+    for found in _TOKEN.finditer(src):
+        kind = found.lastgroup
+        if kind == "ident" or kind == "symbol" or kind == "int":
+            text = found[kind]
+            append(new(Token, (kind, text, line, found.end() - len(text) - line_start + 1)))
+        elif kind == "newline":
+            line, line_start = line + 1, found.end()
+        elif kind != "comment":
+            column = found.start(kind) - line_start + 1
+            if kind == "string":
+                append(new(Token, (kind, _ESCAPE.sub(_unescape, found[kind][1:-1]), line, column)))
+            elif kind == "unterminated":
+                raise DslError([ParseDiagnostic(line, column, "unterminated string")])
+            else:
+                raise DslError([ParseDiagnostic(line, column, f"unexpected character {found[kind]!r}")])
+    append(Token("eof", "", line, len(src) - line_start + 1))
     return tokens
 
 
@@ -123,16 +128,18 @@ class Model:
     needs: tuple[m.AtomicNeed, ...] = ()
 
     def stakeholder(self, name: str) -> m.Stakeholder:
-        for s in self.stakeholders:
-            if s.name == name:
-                return s
-        raise KeyError(name)
+        return self._stakeholders[name]
 
     def need(self, name: str) -> m.AtomicNeed:
-        for n in self.needs:
-            if n.name == name:
-                return n
-        raise KeyError(name)
+        return self._needs[name]
+
+    @cached_property
+    def _stakeholders(self) -> dict[str, m.Stakeholder]:
+        return {s.name: s for s in self.stakeholders}
+
+    @cached_property
+    def _needs(self) -> dict[str, m.AtomicNeed]:
+        return {n.name: n for n in self.needs}
 
     def domain(self, name: str) -> m.Domain:
         return self.environment.domain(name)
@@ -220,9 +227,6 @@ class _Parser:
 
     # token plumbing
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
         if tok.kind != "eof":
@@ -230,40 +234,49 @@ class _Parser:
         return tok
 
     def at(self, kind: str, value: str | None = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (value is None or tok.value == value)
 
     def at_word(self, word: str) -> bool:
-        return self.at("ident", word)
+        tok = self.tokens[self.pos]
+        return tok.value == word and tok.kind == "ident"
 
     def fail(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
+        tok = tok or self.tokens[self.pos]
         raise DslError([ParseDiagnostic(tok.line, tok.column, message)])
 
     def expect(self, kind: str, value: str | None = None) -> Token:
-        if not self.at(kind, value):
+        tok = self.tokens[self.pos]
+        if tok.kind != kind or (value is not None and tok.value != value):
             want = value if value is not None else kind
-            got = self.peek().value or self.peek().kind
-            self.fail(f"expected {want!r}, found {got!r}")
-        return self.advance()
+            self.fail(f"expected {want!r}, found {tok.value or tok.kind!r}")
+        if kind != "eof":
+            self.pos += 1
+        return tok
 
     def expect_word(self, word: str) -> Token:
         return self.expect("ident", word)
 
     def ident(self, what="identifier") -> Token:
-        if not self.at("ident"):
-            self.fail(f"expected {what}, found {self.peek().value or self.peek().kind!r}")
-        return self.advance()
+        tok = self.tokens[self.pos]
+        if tok.kind != "ident":
+            self.fail(f"expected {what}, found {tok.value or tok.kind!r}")
+        self.pos += 1
+        return tok
 
     # name lists
 
     def name_list(self) -> list[Token]:
-        names = []
-        if self.at("ident"):
-            names.append(self.advance())
-            while self.at("symbol", ","):
-                self.advance()
-                names.append(self.ident("name"))
+        tokens, pos = self.tokens, self.pos
+        if tokens[pos].kind != "ident":
+            return []
+        names = [tokens[pos]]
+        pos += 1
+        while tokens[pos].value == "," and tokens[pos].kind == "symbol":
+            self.pos = pos + 1
+            names.append(self.ident("name"))
+            pos += 2
+        self.pos = pos
         return names
 
     def bracketed_names(self) -> list[Token]:
@@ -286,9 +299,12 @@ class _Parser:
         sk_names = {s.name for s in stakeholders}
         need_names = {n.name for n in needs}
         trust_refs: list[tuple[Token, str]] = []
-        while not self.at("symbol", "}"):
-            if self.at_word("phenomenon"):
-                self.advance()
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            word = tok.value if tok.kind == "ident" else None
+            if word == "phenomenon":
+                self.pos += 1
                 name = self.ident("phenomenon name")
                 self.expect("symbol", ":")
                 kind = self.ident("phenomenon kind")
@@ -302,15 +318,15 @@ class _Parser:
                     self.fail(f"duplicate phenomenon name {name.value!r}", name)
                 phen_names.add(name.value)
                 phenomena.append(m.Phenomenon(name.value, PHENOMENON_KINDS[kind.value]))
-            elif self.at_word("domain"):
-                self.advance()
+            elif word == "domain":
+                self.pos += 1
                 name = self.ident("domain name")
                 if name.value in dom_names:
                     self.fail(f"duplicate domain name {name.value!r}", name)
                 dom_names.add(name.value)
                 domains.append(self.domain_body(name, phen_names))
-            elif self.at_word("stakeholder"):
-                self.advance()
+            elif word == "stakeholder":
+                self.pos += 1
                 name = self.ident("stakeholder name")
                 if name.value in sk_names:
                     self.fail(f"duplicate stakeholder name {name.value!r}", name)
@@ -326,14 +342,16 @@ class _Parser:
                         trusts.append(tok.value)
                     self.expect("symbol", "}")
                 stakeholders.append(m.Stakeholder(name.value, role, frozenset(trusts)))
-            elif self.at_word("need"):
-                self.advance()
+            elif word == "need":
+                self.pos += 1
                 name = self.ident("need name")
                 if name.value in need_names:
                     self.fail(f"duplicate need name {name.value!r}", name)
                 need_names.add(name.value)
                 desc = self.expect("string")
                 needs.append(m.AtomicNeed(name.value, desc.value))
+            elif tok.value == "}" and tok.kind == "symbol":
+                break
             else:
                 self.fail(
                     "expected 'phenomenon', 'domain', 'stakeholder', 'need' or '}'"
@@ -354,19 +372,18 @@ class _Parser:
         controlled: list[str] = []
         links: list[m.CausalLink] = []
         description = ""
-        while not self.at("symbol", "}"):
-            if self.at_word("observes"):
-                self.advance()
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            word = tok.value if tok.kind == "ident" else None
+            if word == "observes" or word == "controls":
+                self.pos += 1
+                names = observed if word == "observes" else controlled
                 for tok in self.name_list():
                     self.check_phenomenon(tok, phen_names)
-                    observed.append(tok.value)
-            elif self.at_word("controls"):
-                self.advance()
-                for tok in self.name_list():
-                    self.check_phenomenon(tok, phen_names)
-                    controlled.append(tok.value)
-            elif self.at_word("causes"):
-                self.advance()
+                    names.append(tok.value)
+            elif word == "causes":
+                self.pos += 1
                 cause = self.ident("phenomenon name")
                 self.check_phenomenon(cause, phen_names)
                 self.expect("symbol", "->")
@@ -376,9 +393,11 @@ class _Parser:
                     links.append(m.CausalLink(cause.value, effect.value, name.value))
                 except m.ModelError as err:
                     self.fail(str(err), cause)
-            elif self.at_word("description"):
-                self.advance()
+            elif word == "description":
+                self.pos += 1
                 description = self.expect("string").value
+            elif tok.value == "}" and tok.kind == "symbol":
+                break
             else:
                 self.fail("expected 'observes', 'controls', 'causes', 'description' or '}'")
         self.expect("symbol", "}")

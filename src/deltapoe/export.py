@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import json
 from itertools import islice
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 from . import model as m
 from .artifacts import Justification, PlanStep, ValidationRecord
-from .calculus import DerivationNode, evidence
 from .dsl import Model
 from .impact import ImpactReport
 from .printer import change_str, problem_str
+
+if TYPE_CHECKING:  # the calculus is imported where it is used, see derivation_doc
+    from .calculus import DerivationNode
 
 
 _JSON_BATCH = 4096  # encoder chunks per write when streaming JSON
@@ -74,6 +76,8 @@ def _validation_doc(v: ValidationRecord) -> dict:
 
 def derivation_doc(node: DerivationNode) -> dict:
     """Structured-tree document for a derivation node."""
+    from .calculus import evidence
+
     doc = {
         "conclusion": problem_str(node.conclusion),
         "rule": node.rule.value if node.rule else ("discharged" if node.discharged else "open"),

@@ -332,42 +332,43 @@ ChangeExpr = Unknown | Add | Cancel | Refine | ChangeSeq | ChangePar | Nil
 ChangeAtom = Add | Cancel | Refine
 
 
+def _change_atoms(change: ChangeExpr) -> list[ChangeExpr]:
+    """The operands of a change's ``;`` and ``||`` compositions, left to
+    right, found without recursion so a long chain cannot exhaust the
+    stack."""
+    parts, stack = [], [change]
+    while stack:
+        part = stack.pop()
+        if isinstance(part, ChangeSeq):
+            stack += (part.second, part.first)
+        elif isinstance(part, ChangePar):
+            stack += (part.right, part.left)
+        else:
+            parts.append(part)
+    return parts
+
+
 def is_unknown_free(change: ChangeExpr) -> bool:
-    if isinstance(change, Unknown):
-        return False
-    if isinstance(change, ChangeSeq):
-        return is_unknown_free(change.first) and is_unknown_free(change.second)
-    if isinstance(change, ChangePar):
-        return is_unknown_free(change.left) and is_unknown_free(change.right)
-    return True
+    return not any(isinstance(atom, Unknown) for atom in _change_atoms(change))
 
 
 def placeholders(change: ChangeExpr) -> frozenset[str]:
-    if isinstance(change, Unknown):
-        return frozenset({change.placeholder})
-    if isinstance(change, ChangeSeq):
-        return placeholders(change.first) | placeholders(change.second)
-    if isinstance(change, ChangePar):
-        return placeholders(change.left) | placeholders(change.right)
-    return frozenset()
+    return frozenset(atom.placeholder for atom in _change_atoms(change) if isinstance(atom, Unknown))
 
 
 def referenced_domains(change: ChangeExpr) -> frozenset[str]:
     """All domain names a change expression mentions."""
-    if isinstance(change, Add):
-        return frozenset({change.domain.name})
-    if isinstance(change, Cancel):
-        return frozenset({change.domain_name})
-    if isinstance(change, Refine):
-        parts = {change.target}
-        parts.update(d.name for d in change.retained)
-        parts.update(d.name for d in change.added)
-        return frozenset(parts)
-    if isinstance(change, ChangeSeq):
-        return referenced_domains(change.first) | referenced_domains(change.second)
-    if isinstance(change, ChangePar):
-        return referenced_domains(change.left) | referenced_domains(change.right)
-    return frozenset()
+    names = set()
+    for atom in _change_atoms(change):
+        if isinstance(atom, Add):
+            names.add(atom.domain.name)
+        elif isinstance(atom, Cancel):
+            names.add(atom.domain_name)
+        elif isinstance(atom, Refine):
+            names.add(atom.target)
+            names.update(d.name for d in atom.retained)
+            names.update(d.name for d in atom.added)
+    return frozenset(names)
 
 
 # --- stakeholders, problems, the organisation -------------------------------

@@ -33,6 +33,10 @@ def _change_level(change: m.ChangeExpr) -> int:
 
 
 def change_str(change: m.ChangeExpr, require: int = _PAR) -> str:
+    """``change`` in surface syntax.  A chain that nests to the right under
+    one operator is walked without recursion, so a long chain cannot
+    exhaust the stack.  Changes are not normalised: an operand nested to
+    the left keeps its parentheses."""
     level = _change_level(change)
     if isinstance(change, m.Unknown):
         text = f"?{change.placeholder}"
@@ -46,10 +50,13 @@ def change_str(change: m.ChangeExpr, require: int = _PAR) -> str:
         retained = ", ".join(d.name for d in change.retained)
         added = ", ".join(d.name for d in change.added)
         text = f"{change.target} ~> d[{retained}]({added})"
-    elif isinstance(change, m.ChangeSeq):
-        text = f"{change_str(change.first, _SEQ + 1)} ; {change_str(change.second, _SEQ)}"
-    elif isinstance(change, m.ChangePar):
-        text = f"{change_str(change.left, _PAR + 1)} || {change_str(change.right, _PAR)}"
+    elif level != _ATOM:
+        node, parts = type(change), []
+        while isinstance(change, node):
+            head, change = (change.first, change.second) if level == _SEQ else (change.left, change.right)
+            parts.append(change_str(head, level + 1))
+        parts.append(change_str(change, level))
+        text = (" ; " if level == _SEQ else " || ").join(parts)
     else:
         raise TypeError(f"not a change expression: {change!r}")
     if level < require:

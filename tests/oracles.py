@@ -7,11 +7,22 @@ from dataclasses import dataclass
 from deltapoe import model as m
 from deltapoe.artifacts import RuleId, ValidationStatus, ValidationTarget
 from deltapoe.calculus import _first_stage, evidence
-from deltapoe.dsl import SYMBOLS, DslError, ParseDiagnostic, Token
+from deltapoe.dsl import (
+    EMPTY_MODEL,
+    PHENOMENON_KINDS,
+    SYMBOLS,
+    DslError,
+    Model,
+    ParsedFile,
+    ParseDiagnostic,
+    Token,
+    _Parser,
+    tokenize,
+)
 from deltapoe.export import _dot_escape
 from deltapoe.impact import BoundReport, UnknownDomain, _seed, edit_str
 from deltapoe.macro import CpsState, _apply_event
-from deltapoe.printer import _PAR, _SEQ, _need_level, change_str, env_str
+from deltapoe.printer import _PAR, _SEQ, _change_level, _need_level, change_str, env_str
 
 
 # --- the character-by-character lexer ---------------------------------------------------
@@ -97,6 +108,168 @@ def tokenize_scan(src: str) -> list[Token]:
     return tokens
 
 
+# --- the parser before it indexed its tokens directly -----------------------------------
+
+class PeekParser(_Parser):
+    """``dsl._Parser`` with the token checks, name lists and model
+    declaration loops it had before they indexed its tokens directly:
+    every token goes through ``peek``, ``at`` and ``advance``."""
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def at(self, kind: str, value: str | None = None) -> bool:
+        tok = self.peek()
+        return tok.kind == kind and (value is None or tok.value == value)
+
+    def at_word(self, word: str) -> bool:
+        return self.at("ident", word)
+
+    def expect(self, kind: str, value: str | None = None) -> Token:
+        if not self.at(kind, value):
+            want = value if value is not None else kind
+            got = self.peek().value or self.peek().kind
+            self.fail(f"expected {want!r}, found {got!r}")
+        return self.advance()
+
+    def ident(self, what="identifier") -> Token:
+        if not self.at("ident"):
+            self.fail(f"expected {what}, found {self.peek().value or self.peek().kind!r}")
+        return self.advance()
+
+    def name_list(self) -> list[Token]:
+        names = []
+        if self.at("ident"):
+            names.append(self.advance())
+            while self.at("symbol", ","):
+                self.advance()
+                names.append(self.ident("name"))
+        return names
+
+    def parse_model_block(self, base: Model) -> Model:
+        self.expect_word("model")
+        self.expect("symbol", "{")
+        phenomena = list(base.phenomena)
+        domains = list(base.environment.domains)
+        stakeholders = list(base.stakeholders)
+        needs = list(base.needs)
+        phen_names = {p.name for p in phenomena}
+        dom_names = {d.name for d in domains}
+        sk_names = {s.name for s in stakeholders}
+        need_names = {n.name for n in needs}
+        trust_refs: list[tuple[Token, str]] = []
+        while not self.at("symbol", "}"):
+            if self.at_word("phenomenon"):
+                self.advance()
+                name = self.ident("phenomenon name")
+                self.expect("symbol", ":")
+                kind = self.ident("phenomenon kind")
+                if kind.value not in PHENOMENON_KINDS:
+                    self.fail(
+                        f"unknown phenomenon kind {kind.value!r}; one of "
+                        + ", ".join(sorted(PHENOMENON_KINDS)),
+                        kind,
+                    )
+                if name.value in phen_names:
+                    self.fail(f"duplicate phenomenon name {name.value!r}", name)
+                phen_names.add(name.value)
+                phenomena.append(m.Phenomenon(name.value, PHENOMENON_KINDS[kind.value]))
+            elif self.at_word("domain"):
+                self.advance()
+                name = self.ident("domain name")
+                if name.value in dom_names:
+                    self.fail(f"duplicate domain name {name.value!r}", name)
+                dom_names.add(name.value)
+                domains.append(self.domain_body(name, phen_names))
+            elif self.at_word("stakeholder"):
+                self.advance()
+                name = self.ident("stakeholder name")
+                if name.value in sk_names:
+                    self.fail(f"duplicate stakeholder name {name.value!r}", name)
+                sk_names.add(name.value)
+                self.expect("symbol", ":")
+                role = self.role()
+                trusts: list[str] = []
+                if self.at("symbol", "{"):
+                    self.advance()
+                    self.expect_word("trusts")
+                    for tok in self.name_list():
+                        trust_refs.append((tok, name.value))
+                        trusts.append(tok.value)
+                    self.expect("symbol", "}")
+                stakeholders.append(m.Stakeholder(name.value, role, frozenset(trusts)))
+            elif self.at_word("need"):
+                self.advance()
+                name = self.ident("need name")
+                if name.value in need_names:
+                    self.fail(f"duplicate need name {name.value!r}", name)
+                need_names.add(name.value)
+                desc = self.expect("string")
+                needs.append(m.AtomicNeed(name.value, desc.value))
+            else:
+                self.fail(
+                    "expected 'phenomenon', 'domain', 'stakeholder', 'need' or '}'"
+                )
+        self.expect("symbol", "}")
+        for tok, owner in trust_refs:
+            if tok.value not in sk_names:
+                self.fail(f"stakeholder {owner!r} trusts undeclared {tok.value!r}", tok)
+        try:
+            env = m.Environment(tuple(domains))
+        except m.ModelError as err:
+            self.fail(str(err))
+        return Model(tuple(phenomena), env, tuple(stakeholders), tuple(needs))
+
+    def domain_body(self, name: Token, phen_names: set) -> m.Domain:
+        self.expect("symbol", "{")
+        observed: list[str] = []
+        controlled: list[str] = []
+        links: list[m.CausalLink] = []
+        description = ""
+        while not self.at("symbol", "}"):
+            if self.at_word("observes"):
+                self.advance()
+                for tok in self.name_list():
+                    self.check_phenomenon(tok, phen_names)
+                    observed.append(tok.value)
+            elif self.at_word("controls"):
+                self.advance()
+                for tok in self.name_list():
+                    self.check_phenomenon(tok, phen_names)
+                    controlled.append(tok.value)
+            elif self.at_word("causes"):
+                self.advance()
+                cause = self.ident("phenomenon name")
+                self.check_phenomenon(cause, phen_names)
+                self.expect("symbol", "->")
+                effect = self.ident("phenomenon name")
+                self.check_phenomenon(effect, phen_names)
+                try:
+                    links.append(m.CausalLink(cause.value, effect.value, name.value))
+                except m.ModelError as err:
+                    self.fail(str(err), cause)
+            elif self.at_word("description"):
+                self.advance()
+                description = self.expect("string").value
+            else:
+                self.fail("expected 'observes', 'controls', 'causes', 'description' or '}'")
+        self.expect("symbol", "}")
+        try:
+            return m.Domain(
+                name.value,
+                description,
+                frozenset(observed),
+                frozenset(controlled),
+                frozenset(links),
+            )
+        except m.ModelError as err:
+            self.fail(str(err), name)
+
+
+def parse_file_by_peek(src: str) -> ParsedFile:
+    return PeekParser(tokenize(src), EMPTY_MODEL).parse_file(EMPTY_MODEL)
+
+
 # --- need walkers that recurse once per chain step -------------------------------------
 
 def need_name_hint_recursive(need) -> str:
@@ -125,6 +298,57 @@ def need_str_recursive(need, require: int = _PAR) -> str:
         return f"({text})"
     return text
 
+
+# --- change walkers that recurse once per chain step -----------------------------------
+
+def change_str_recursive(change, require: int = _PAR) -> str:
+    level = _change_level(change)
+    if isinstance(change, m.ChangeSeq):
+        text = f"{change_str_recursive(change.first, _SEQ + 1)} ; {change_str_recursive(change.second, _SEQ)}"
+    elif isinstance(change, m.ChangePar):
+        text = f"{change_str_recursive(change.left, _PAR + 1)} || {change_str_recursive(change.right, _PAR)}"
+    else:
+        return change_str(change)
+    if level < require:
+        return f"({text})"
+    return text
+
+
+def is_unknown_free_recursive(change) -> bool:
+    if isinstance(change, m.Unknown):
+        return False
+    if isinstance(change, m.ChangeSeq):
+        return is_unknown_free_recursive(change.first) and is_unknown_free_recursive(change.second)
+    if isinstance(change, m.ChangePar):
+        return is_unknown_free_recursive(change.left) and is_unknown_free_recursive(change.right)
+    return True
+
+
+def placeholders_recursive(change) -> frozenset[str]:
+    if isinstance(change, m.Unknown):
+        return frozenset({change.placeholder})
+    if isinstance(change, m.ChangeSeq):
+        return placeholders_recursive(change.first) | placeholders_recursive(change.second)
+    if isinstance(change, m.ChangePar):
+        return placeholders_recursive(change.left) | placeholders_recursive(change.right)
+    return frozenset()
+
+
+def referenced_domains_recursive(change) -> frozenset[str]:
+    if isinstance(change, m.Add):
+        return frozenset({change.domain.name})
+    if isinstance(change, m.Cancel):
+        return frozenset({change.domain_name})
+    if isinstance(change, m.Refine):
+        parts = {change.target}
+        parts.update(d.name for d in change.retained)
+        parts.update(d.name for d in change.added)
+        return frozenset(parts)
+    if isinstance(change, m.ChangeSeq):
+        return referenced_domains_recursive(change.first) | referenced_domains_recursive(change.second)
+    if isinstance(change, m.ChangePar):
+        return referenced_domains_recursive(change.left) | referenced_domains_recursive(change.right)
+    return frozenset()
 
 # --- workflow gates -------------------------------------------------------------------
 

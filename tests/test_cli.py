@@ -316,6 +316,32 @@ def test_concurrent_drifts_append_one_after_another(tmp_path, capsys):
     assert code == 0, err
 
 
+LOADED_MODULES = """
+import sys
+from deltapoe import cli
+code = cli.main(sys.argv[1:])
+print(" ".join(sorted(name for name in sys.modules if name.startswith("deltapoe."))))
+sys.exit(code)
+"""
+
+
+def test_impact_and_workflow_do_not_load_the_calculus(tmp_path):
+    """Each command imports what it uses: neither ``impact`` (in every
+    format) nor the workflow commands load the calculus."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    log = tmp_path / "wf.jsonl"
+    for expected, argv in (
+        (1, ["impact", CHAIN, "--edit", "C causes y -> c", "--permitted", "C", "--format", "structured"]),
+        (0, ["workflow", log, "advance", "--event", "submit-view", "--owner", "G", "--delegate", "D"]),
+        (0, ["workflow", log, "status"]),
+    ):
+        proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *map(str, argv)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == expected, proc.stderr
+        loaded = proc.stdout.splitlines()[-1].split()
+        assert "deltapoe.dsl" in loaded and "deltapoe.calculus" not in loaded, argv
+
+
 @pytest.mark.parametrize("argv", [
     ["advance", "--event", "request-validation"],
     ["delegate", "--to", "D", "--child", "c1"],
@@ -442,7 +468,7 @@ def test_long_change_chains_parse(tmp_path, capsys):
     assert code == 0, err
     for name in ("seq", "par", "need_seq", "need_par"):
         assert f"problem {name} ok" in out
-    for name in ("need_seq", "need_par"):
+    for name in ("seq", "par", "need_seq", "need_par"):
         code, out, err = run(capsys, "workflow", tmp_path / f"{name}.jsonl", "advance",
                              "--workflow", "root", "--event", "submit-view", "--owner", "G",
                              "--delegate", "D", "--model", source, "--problem", name)

@@ -14,7 +14,7 @@ from deltapoe.model import (
 )
 
 from . import strategies as gen
-from .oracles import tokenize_scan
+from .oracles import parse_file_by_peek, tokenize_scan
 
 DEPARTMENTS = """
 model {
@@ -259,13 +259,14 @@ def documented_difference(src, new, old):
 LEXER_PIECES = (
     list("aZ_'09²٣\"\\#\t\r\n\f é.")
     + list(dsl.SYMBOLS)
-    + ["root", "a.b", "need", "\\n", "\\\n"]
+    + ["root", "a.b", "need", "\\n", "\\\n", "  \n", "\t\n", " \t ", "\n \n"]
 )
 
 
 @settings(max_examples=2000, deadline=None)
 @given(st.lists(st.sampled_from(LEXER_PIECES), max_size=30).map("".join))
 @example('root.² "a\\\nb" # note')
+@example("need \t\n  \n\t\nskip \t")
 def test_lexer_matches_the_scanner_outside_documented_differences(src):
     new, old = lexed(dsl.tokenize, src), lexed(tokenize_scan, src)
     assert new == old or documented_difference(src, new, old) is not None
@@ -301,3 +302,107 @@ def test_eof_after_a_trailing_comment_is_past_the_comment():
     src = "skip\nskip  # note"
     assert dsl.tokenize(src)[-1] == dsl.Token("eof", "", 2, 13)
     assert tokenize_scan(src)[-1] == dsl.Token("eof", "", 2, 7)
+
+
+# --- the parser against the one that read every token through peek ---------------
+
+KEYWORDS = {"phenomenon", "domain", "stakeholder", "need", "observes", "controls",
+            "causes", "description", "trusts"}
+LIST_STARTS = {",", "[", "observes", "controls", "trusts"}
+
+
+def _declared(tokens, keyword):
+    return [tokens[k + 1].value for k, tok in enumerate(tokens) if tok.value == keyword and tok.kind == "ident"]
+
+
+def _undeclared_phenomenon(tokens, i):
+    tok = tokens[i]
+    if tok.value in _declared(tokens, "phenomenon") and tokens[i - 1].value != "phenomenon":
+        return tok.value + "_undeclared"
+
+
+def _duplicate_domain(tokens, i):
+    first = _declared(tokens, "domain")[:1]
+    if tokens[i - 1].value == "domain" and [tokens[i].value] != first:
+        return first[0]
+
+
+def _trailing_comma(tokens, i):
+    tok = tokens[i]
+    if tok.kind == "ident" and tokens[i - 1].value in LIST_STARTS and tokens[i + 1].value != ",":
+        return tok.value + ","
+
+
+# mutation -> the text that replaces token i, or None where it does not apply
+MUTATIONS = {
+    "undeclared phenomenon": _undeclared_phenomenon,
+    "missing comma": lambda tokens, i: "" if tokens[i].value == "," else None,
+    "trailing comma": _trailing_comma,
+    "duplicate domain": _duplicate_domain,
+    "misspelt keyword": lambda tokens, i: tokens[i].value[:-1] if tokens[i].value in KEYWORDS else None,
+    "missing }": lambda tokens, i: "" if tokens[i].value == "}" else None,
+    "string for a name": lambda tokens, i: f'"{tokens[i].value}"' if tokens[i].kind == "ident" else None,
+    "string for a symbol": lambda tokens, i: f'"{tokens[i].value}"' if tokens[i].kind == "symbol" else None,
+}
+
+
+def mutate(src, mutation, pick):
+    """``src`` with one mutation at the ``pick``-th place (modulo their
+    number) where it applies, or ``src`` when it applies nowhere."""
+    tokens = dsl.tokenize(src)
+    places = [(i, text) for i in range(1, len(tokens) - 1)
+              if tokens[i].kind != "string" and (text := MUTATIONS[mutation](tokens, i)) is not None]
+    if not places:
+        return src
+    i, text = places[pick % len(places)]
+    line_starts = [0] + [k + 1 for k, char in enumerate(src) if char == "\n"]
+    start = line_starts[tokens[i].line - 1] + tokens[i].column - 1
+    return src[:start] + text + src[start + len(tokens[i].value):]
+
+
+def parsed(parse, src):
+    """The parsed file, or the text of the parser's error."""
+    try:
+        return parse(src)
+    except dsl.DslError as err:
+        return str(err)
+
+
+def model_file(mdl, problem):
+    return printer.model_str(mdl) + f"problem p {{ {printer.problem_str(problem)} }}\n"
+
+
+MUTABLE = """model {
+  phenomenon a : event
+  phenomenon b : state
+  domain X { controls a  observes b }
+  domain Y { controls b  observes a  causes a -> b }
+  stakeholder G : problem-owner { trusts D, G }
+  stakeholder D : problem-solving-delegate
+  need N "a need"
+}
+problem p { [X, Y] (+) ?F |= G : N }
+"""
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    gen.models().flatmap(lambda mdl: gen.problems(mdl).map(lambda p: model_file(mdl, p))),
+    st.sampled_from([None, *MUTATIONS]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_parser_matches_the_peek_parser(src, mutation, pick):
+    if mutation:
+        src = mutate(src, mutation, pick)
+    assert parsed(dsl.parse_file, src) == parsed(parse_file_by_peek, src)
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_each_mutation_is_a_parse_error_both_parsers_report_alike(mutation):
+    """At every place the mutation applies to in a small file."""
+    assert isinstance(parsed(dsl.parse_file, MUTABLE), dsl.ParsedFile)
+    for pick in range(len(dsl.tokenize(MUTABLE))):
+        src = mutate(MUTABLE, mutation, pick)
+        error = parsed(dsl.parse_file, src)
+        assert isinstance(error, str), src
+        assert error == parsed(parse_file_by_peek, src)

@@ -33,11 +33,15 @@ from deltapoe.model import (
 
 from .oracles import (
     apply_change_list,
+    change_str_recursive,
+    is_unknown_free_recursive,
     need_atoms_recursive,
     need_name_hint_recursive,
     need_str_recursive,
+    placeholders_recursive,
+    referenced_domains_recursive,
 )
-from .strategies import edit_cases, environments, needs
+from .strategies import changes, edit_cases, environments, models, needs
 
 
 def named(*names):
@@ -469,3 +473,26 @@ def test_need_walkers_take_long_chains(node, op):
     assert model.need_atoms(need) == frozenset(names)
     assert model.need_name_hint(need) == op.join(names)
     assert printer.need_str(need) == op.join(names)
+
+
+@given(models().flatmap(lambda mdl: changes(mdl, max_leaves=8)))
+def test_change_walkers_match_the_recursive_ones(change):
+    """Over ``;``/``||`` changes nested to the left and to the right."""
+    assert printer.change_str(change) == change_str_recursive(change)
+    assert model.referenced_domains(change) == referenced_domains_recursive(change)
+    assert model.is_unknown_free(change) == is_unknown_free_recursive(change)
+    assert model.placeholders(change) == placeholders_recursive(change)
+
+
+@pytest.mark.parametrize("node,op", [(ChangeSeq, " ; "), (ChangePar, " || ")])
+def test_change_walkers_take_long_chains(node, op):
+    names = [f"D{k:04}" for k in range(1200)]
+    change = Cancel(names[-1])
+    for name in reversed(names[:-1]):
+        change = node(Cancel(name), change)
+    assert printer.change_str(change) == op.join(f"!{name}" for name in names)
+    assert model.referenced_domains(change) == frozenset(names)
+    assert model.is_unknown_free(change)
+    assert model.placeholders(node(change, Unknown("F"))) == {"F"}
+    # changes are not normalised: a chain nested to the left keeps its parentheses
+    assert printer.change_str(node(node(Nil(), Nil()), Nil())) == f"(skip{op}skip){op}skip"
