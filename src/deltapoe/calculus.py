@@ -158,22 +158,23 @@ def _copy(node: DerivationNode, **fields) -> DerivationNode:
     return new
 
 
-def set_node(root: DerivationNode, path: NodePath, new: DerivationNode) -> DerivationNode:
-    if not path:
-        return new
-    seg = path[0]
+def _with_child(node: DerivationNode, seg, child: DerivationNode) -> DerivationNode:
+    """``node`` with ``child`` in place of the premise or alternative that
+    the path segment ``seg`` names."""
     if isinstance(seg, int):
-        if seg >= len(root.premises):
-            raise BadPath(f"no premise {seg}", path)
-        premises = list(root.premises)
-        premises[seg] = set_node(premises[seg], path[1:], new)
-        return replace(root, premises=tuple(premises))
-    index = seg[1] - 1
-    if index < 0 or index >= len(root.alternatives):
-        raise BadPath(f"no alternative {seg[1]}", path)
-    alts = list(root.alternatives)
-    alts[index] = set_node(alts[index], path[1:], new)
-    return replace(root, alternatives=tuple(alts))
+        return _copy(node, premises=node.premises[:seg] + (child,) + node.premises[seg + 1:])
+    alts = list(node.alternatives)
+    alts[seg[1] - 1] = child
+    return _copy(node, alternatives=tuple(alts))
+
+
+def set_node(root: DerivationNode, path: NodePath, new: DerivationNode) -> DerivationNode:
+    """``root`` with ``new`` in place of the node at ``path``, copying the
+    nodes along the path; raises :class:`BadPath` if it names no node."""
+    spine = _spine(root, path)
+    for node, seg in zip(reversed(spine[:-1]), reversed(path)):
+        new = _with_child(node, seg, new)
+    return new
 
 
 # --- committed solutions ----------------------------------------------------------
@@ -216,13 +217,6 @@ def solution_of(root: DerivationNode) -> m.ChangeExpr:
 
 # --- premise computation ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _PremiseSpec:
-    problem: m.Problem
-    greenfield: bool = False
-    provisional: bool = False
-
-
 def _mirror_need_shape(need: m.Need, base: str, counter: list) -> m.ChangeExpr:
     if isinstance(need, m.AtomicNeed):
         counter[0] += 1
@@ -255,8 +249,10 @@ def _first_stage(node: DerivationNode) -> m.ChangeExpr | None:
     return first if first is not None and m.is_unknown_free(first) else None
 
 
-def _expected(node: DerivationNode, mdl: Model) -> list[_PremiseSpec]:
-    """Recompute the premises a rule application must have.
+def _expected(node: DerivationNode, mdl: Model) -> list[DerivationNode]:
+    """The premises a rule application must have, as open leaves, which
+    :func:`apply` installs, :func:`rethread` copies onto the existing
+    premises and :func:`check` compares them with.
 
     Raises RuleError when the rule's side conditions do not hold for the
     node's conclusion and arguments.
@@ -274,7 +270,7 @@ def _expected(node: DerivationNode, mdl: Model) -> list[_PremiseSpec]:
 
     def same(change_=None, need_=None, env_=None, validator_=None, greenfield=False,
              provisional=None):
-        return _PremiseSpec(
+        return DerivationNode(
             m.Problem(
                 env if env_ is None else env_,
                 change if change_ is None else change_,
@@ -282,7 +278,7 @@ def _expected(node: DerivationNode, mdl: Model) -> list[_PremiseSpec]:
                 need if need_ is None else need_,
             ),
             greenfield=greenfield,
-            provisional=prov if provisional is None else provisional,
+            env_provisional=prov if provisional is None else provisional,
         )
 
     if rule is RuleId.DELEGATION:
@@ -355,19 +351,17 @@ def _expected(node: DerivationNode, mdl: Model) -> list[_PremiseSpec]:
             )
         first = same(change_=change.first, need_=need.left)
         # thread the second stage through the first stage's solution once known
-        spec2_env, first_commit = env, _first_stage(node)
+        env2, first_commit = env, _first_stage(node)
         if first_commit is not None:
             try:
-                spec2_env = m.apply_change(env, first_commit)
+                env2 = m.apply_change(env, first_commit)
             except (m.ChangeError, m.ModelError) as err:
                 raise SideConditionViolated(
                     f"stage one's solution does not apply: {err}",
                     cause_kind=getattr(err, "kind", "ModelError"),
                 )
-        second = _PremiseSpec(
-            m.Problem(spec2_env, change.second, validator, need.right),
-            provisional=first_commit is None,
-        )
+        second = same(env_=env2, change_=change.second, need_=need.right,
+                      provisional=first_commit is None)
         return [first, second]
 
     if rule is RuleId.PARALLEL:
@@ -410,8 +404,8 @@ def _expected(node: DerivationNode, mdl: Model) -> list[_PremiseSpec]:
                 f"Parallel expects a parallel or unsolved change, found {change_str(change)}"
             )
         return [
-            _PremiseSpec(m.Problem(env1, c1, validator, need.left), provisional=prov),
-            _PremiseSpec(m.Problem(env2, c2, validator, need.right), provisional=prov),
+            same(env_=env1, change_=c1, need_=need.left),
+            same(env_=env2, change_=c2, need_=need.right),
         ]
 
     if rule in (RuleId.DOMAIN_ADD, RuleId.DOMAIN_REMOVE, RuleId.DOMAIN_REFINE):
@@ -506,50 +500,44 @@ def apply(rule: RuleId, node: DerivationNode, args: dict, mdl: Model) -> Derivat
     """Apply a rule at an open leaf, creating its premise leaves.
 
     The conclusion is left untouched; side conditions are verified and
-    the premises the rule creates become open leaves.
+    the open leaves :func:`_expected` computes become the premises.
     """
     if node.rule is not None:
         raise NotOpen(f"rule already applied here: {node.rule.value}")
     if node.greenfield:
         raise NotOpen("greenfield obligations are discharged, not derived")
-    candidate = replace(node, rule=rule, args=dict(args))
-    specs = _expected(candidate, mdl)
-    if len(specs) != RULE_ARITY[rule]:
+    candidate = _copy(node, rule=rule, args=dict(args))
+    premises = tuple(_expected(candidate, mdl))
+    if len(premises) != RULE_ARITY[rule]:
         raise ArityMismatch(f"{rule.value} must create {RULE_ARITY[rule]} premises")
-    premises = tuple(
-        DerivationNode(
-            conclusion=s.problem, greenfield=s.greenfield, env_provisional=s.provisional
-        )
-        for s in specs
-    )
-    return replace(candidate, premises=premises)
+    return _copy(candidate, premises=premises)
 
 
 def rethread(node: DerivationNode, mdl: Model) -> DerivationNode:
-    """Recompute premise conclusions top-down over the whole subtree,
-    grafting existing subtrees onto them.  Resolves provisional
-    environments once earlier stages have committed their solutions.  One
-    pass does it: rethreading recomputes environments, which
-    :func:`committed` does not read, so a first stage commits the same
-    solution after it is rethreaded as before.
+    """Recompute premise conclusions top-down over the whole subtree:
+    each premise takes the conclusion, greenfield marking and provisional
+    environment of its leaf from :func:`_expected`, and each alternative
+    its node's conclusion and provisional environment, before it is
+    rethreaded in turn.  One pass resolves provisional environments once
+    earlier stages have committed their solutions: rethreading recomputes
+    environments, which :func:`committed` does not read, so a first stage
+    commits the same solution after it is rethreaded as before.
 
     :func:`build` calls it only on a second stage whose environment has
     just been resolved, and otherwise rebuilds just the path each
     statement names (see :func:`_graft`)."""
-    alts = tuple(rethread(a, mdl) for a in node.alternatives)
+    alts = tuple(
+        rethread(_copy(alt, conclusion=node.conclusion, env_provisional=node.env_provisional), mdl)
+        for alt in node.alternatives
+    )
     if node.rule is None:
-        return replace(node, alternatives=alts) if alts != node.alternatives else node
-    specs = _expected(node, mdl)
-    premises = []
-    for child, spec in zip(node.premises, specs):
-        child = replace(
-            child,
-            conclusion=spec.problem,
-            greenfield=spec.greenfield,
-            env_provisional=spec.provisional,
-        )
-        premises.append(rethread(child, mdl))
-    return replace(node, premises=tuple(premises), alternatives=alts)
+        return _copy(node, alternatives=alts) if alts else node
+    premises = tuple(
+        rethread(_copy(child, conclusion=leaf.conclusion, greenfield=leaf.greenfield,
+                       env_provisional=leaf.env_provisional), mdl)
+        for child, leaf in zip(node.premises, _expected(node, mdl))
+    )
+    return _copy(node, premises=premises, alternatives=alts)
 
 
 # --- building trees from scripts ----------------------------------------------------
@@ -562,9 +550,9 @@ def _awaits_first_stage(node: DerivationNode, seg) -> bool:
 
 def _graft(spine: list[DerivationNode], path: NodePath, new: DerivationNode, mdl: Model) -> DerivationNode:
     """``rethread(set_node(spine[0], path, new))``, rebuilding only the
-    ``spine`` of nodes along ``path``, for a root that is already
-    rethreaded and the ``new`` node a statement made from the one at
-    ``path``.
+    ``spine`` of nodes along ``path`` with :func:`_with_child`, for a root
+    that is already rethreaded and the ``new`` node a statement made from
+    the one at ``path``.
 
     A premise's conclusion depends only on its parent's conclusion, rule
     and arguments, and, in a Sequence, on the first stage's committed
@@ -572,25 +560,19 @@ def _graft(spine: list[DerivationNode], path: NodePath, new: DerivationNode, mdl
     path, so they keep their conclusions, and every subtree
     off the path is reused as it is.  What a statement can change is the
     commitment of a first stage it lies in: when that resolves the second
-    stage's provisional environment, the second stage is rethreaded in
-    full.
+    stage's provisional environment, the second stage takes the leaf
+    :func:`_expected` now computes for it and is rethreaded in full.
     """
     target = new
     for depth in reversed(range(len(path))):
         node, seg = spine[depth], path[depth]
-        if not isinstance(seg, int):
-            alts = list(node.alternatives)
-            alts[seg[1] - 1] = new
-            new = _copy(node, alternatives=tuple(alts))
-            continue
-        premises = list(node.premises)
-        premises[seg] = new
-        new = _copy(node, premises=tuple(premises))
+        new = _with_child(node, seg, new)
         if _awaits_first_stage(node, seg) and _first_stage(new) is not None:
             try:
-                specs = _expected(new, mdl)
-                second = _copy(premises[1], conclusion=specs[1].problem, env_provisional=False)
-                new = _copy(new, premises=(premises[0], rethread(second, mdl)))
+                leaf = _expected(new, mdl)[1]
+                second = _copy(new.premises[1], conclusion=leaf.conclusion,
+                               greenfield=leaf.greenfield, env_provisional=leaf.env_provisional)
+                new = _with_child(new, 1, rethread(second, mdl))
             except RuleError:
                 _check_enclosing(spine[:depth], path, target, mdl)
                 raise
@@ -605,7 +587,7 @@ def _check_enclosing(spine: list[DerivationNode], path: NodePath, new: Derivatio
     for depth, node in enumerate(spine):
         if _awaits_first_stage(node, path[depth]):
             first = set_node(node.premises[0], path[depth + 1:], new)
-            _expected(_copy(node, premises=(first, node.premises[1])), mdl)
+            _expected(_with_child(node, 0, first), mdl)
 
 
 def build(script: DerivationScript, mdl: Model, problems: dict) -> DerivationNode:
@@ -615,7 +597,8 @@ def build(script: DerivationScript, mdl: Model, problems: dict) -> DerivationNod
     the node its path names and grafted back in by :func:`_graft`, which
     rebuilds that path and nothing else unless the statement commits a
     first stage.  The tree equals the one rethreading the whole derivation
-    after every statement would give, and so does the first error.
+    after every statement would give, and so does the first error, which
+    names the statement's path.
     """
     if script.problem_name not in problems:
         raise RuleError(f"derivation {script.name!r} names unknown problem {script.problem_name!r}")
@@ -623,18 +606,13 @@ def build(script: DerivationScript, mdl: Model, problems: dict) -> DerivationNod
     for index, stmt in enumerate(script.statements):
         try:
             spine = _spine(root, stmt.path)
-        except BadPath as err:
-            raise err.at(stmt.path)
-        if isinstance(stmt, ApplyStatement):
-            updated = _run_apply(stmt, spine[-1], mdl, index)
-        else:
-            updated = _run_discharge(stmt, spine[-1], index)
-        try:
+            if isinstance(stmt, ApplyStatement):
+                updated = _run_apply(stmt, spine[-1], mdl, index)
+            else:
+                updated = _run_discharge(stmt, spine[-1], index)
             root = _graft(spine, stmt.path, updated, mdl)
         except RuleError as err:
-            if not err.path:
-                err.at(stmt.path)
-            raise
+            raise err.at(stmt.path)
     return root
 
 
@@ -651,7 +629,7 @@ def _attach_marks(node: DerivationNode, stmt, index: int, target: ValidationTarg
                 sequence=index,
             )
         )
-    return replace(
+    return _copy(
         node,
         justification=stmt.justification or node.justification,
         plan=node.plan + getattr(stmt, "plan", ()),
@@ -660,22 +638,16 @@ def _attach_marks(node: DerivationNode, stmt, index: int, target: ValidationTarg
 
 
 def _run_apply(stmt: ApplyStatement, target: DerivationNode, mdl: Model, index: int) -> DerivationNode:
-    if stmt.marker == "alternative":
-        base = open_node(target.conclusion)
-        base = replace(base, greenfield=target.greenfield, env_provisional=target.env_provisional)
-        try:
-            applied = apply(stmt.rule, base, stmt.args, mdl)
-        except RuleError as err:
-            raise err.at(stmt.path)
-        applied = replace(applied, marker="alternative")
-        applied = _attach_marks(applied, stmt, index, ValidationTarget.SOLUTION_PLAN)
-        return replace(target, alternatives=target.alternatives + (applied,))
+    alternative = stmt.marker == "alternative"
+    base = (DerivationNode(target.conclusion, greenfield=target.greenfield,
+                           env_provisional=target.env_provisional) if alternative else target)
     try:
-        applied = apply(stmt.rule, target, stmt.args, mdl)
+        applied = apply(stmt.rule, base, stmt.args, mdl)
     except RuleError as err:
         raise err.at(stmt.path)
-    applied = replace(applied, marker=stmt.marker)
-    return _attach_marks(applied, stmt, index, ValidationTarget.SOLUTION_PLAN)
+    applied = _copy(applied, marker=stmt.marker)
+    applied = _attach_marks(applied, stmt, index, ValidationTarget.SOLUTION_PLAN)
+    return _copy(target, alternatives=target.alternatives + (applied,)) if alternative else applied
 
 
 def _run_discharge(stmt: DischargeStatement, target: DerivationNode, index: int) -> DerivationNode:
@@ -685,7 +657,7 @@ def _run_discharge(stmt: DischargeStatement, target: DerivationNode, index: int)
         )
     if target.discharged:
         raise NotOpen("obligation already discharged", stmt.path)
-    updated = replace(target, discharged=True)
+    updated = _copy(target, discharged=True)
     return _attach_marks(updated, stmt, index, ValidationTarget.GREENFIELD_DISCHARGE)
 
 
@@ -769,13 +741,28 @@ def lint(root: DerivationNode) -> list[CheckDiagnostic]:
                             f"step {step.id!r} references unknown step {ref!r}",
                         )
                     )
-        if node.rule is RuleId.SEQUENCE:
-            first = {s.id for s in _subtree_steps(node.premises[0])}
+        if node.rule in (RuleId.SEQUENCE, RuleId.PARALLEL):
+            first_steps = _subtree_steps(node.premises[0])
             second_steps = _subtree_steps(node.premises[1])
+            first = {s.id for s in first_steps}
             second = {s.id for s in second_steps}
-            if first and second:
+            crossing = [
+                (s.id, ref)
+                for s in (*node.plan, *first_steps, *second_steps)
+                for ref in s.parallel_ok
+                if (s.id in first and ref in second) or (s.id in second and ref in first)
+            ]
+            if node.rule is RuleId.PARALLEL:
+                if first and second and not crossing:
+                    diagnostics.append(
+                        CheckDiagnostic(
+                            where, "MissingConstraint",
+                            "parallel branches must mark cross-branch steps parallel_ok",
+                        )
+                    )
+            else:
                 ordered = any(ref in first for s in second_steps for ref in s.after)
-                if not ordered:
+                if first and second and not ordered:
                     diagnostics.append(
                         CheckDiagnostic(
                             where, "MissingConstraint",
@@ -783,12 +770,6 @@ def lint(root: DerivationNode) -> list[CheckDiagnostic]:
                             "from the second stage onto the first",
                         )
                     )
-                crossing = [
-                    (s.id, ref)
-                    for s in _subtree_steps(node)
-                    for ref in s.parallel_ok
-                    if (s.id in first and ref in second) or (s.id in second and ref in first)
-                ]
                 if crossing:
                     a, b = crossing[0]
                     diagnostics.append(
@@ -796,22 +777,6 @@ def lint(root: DerivationNode) -> list[CheckDiagnostic]:
                             where, "ConflictingConstraint",
                             f"steps {a!r} and {b!r} are in different stages and cannot "
                             "be marked parallel_ok",
-                        )
-                    )
-        if node.rule is RuleId.PARALLEL:
-            first = {s.id for s in _subtree_steps(node.premises[0])}
-            second = {s.id for s in _subtree_steps(node.premises[1])}
-            if first and second:
-                marked = any(
-                    (s.id in first and ref in second) or (s.id in second and ref in first)
-                    for s in _subtree_steps(node)
-                    for ref in s.parallel_ok
-                )
-                if not marked:
-                    diagnostics.append(
-                        CheckDiagnostic(
-                            where, "MissingConstraint",
-                            "parallel branches must mark cross-branch steps parallel_ok",
                         )
                     )
         for i, child in enumerate(node.premises):
@@ -891,26 +856,26 @@ def check(root: DerivationNode, mdl: Model) -> Verdict:
                  f"needs {RULE_ARITY[node.rule]}")
             return
         try:
-            specs = _expected(node, mdl)
+            leaves = _expected(node, mdl)
         except RuleError as err:
             note(path, err.cause_kind or err.kind, str(err))
             return
-        for i, (child, spec) in enumerate(zip(node.premises, specs)):
-            if spec.provisional or child.env_provisional:
+        for i, (child, leaf) in enumerate(zip(node.premises, leaves)):
+            expected = leaf.conclusion
+            if leaf.env_provisional or child.env_provisional:
                 # environment pending an earlier stage; compare the rest
-                stored = replace(child.conclusion, env=spec.problem.env)
-                if stored != spec.problem:
+                if replace(child.conclusion, env=expected.env) != expected:
                     note(path + (i,), "PremiseMismatch",
                          "stored premise disagrees with the rule application")
-            elif child.conclusion != spec.problem:
-                if child.conclusion.env != spec.problem.env:
+            elif child.conclusion != expected:
+                if child.conclusion.env != expected.env:
                     note(path + (i,), "ThreadingMismatch",
                          "environment threading mismatch: expected "
-                         f"{env_str(spec.problem.env)}, stored {env_str(child.conclusion.env)}")
+                         f"{env_str(expected.env)}, stored {env_str(child.conclusion.env)}")
                 else:
                     note(path + (i,), "PremiseMismatch",
                          "stored premise disagrees with the rule application")
-            if child.greenfield != spec.greenfield:
+            if child.greenfield != leaf.greenfield:
                 note(path + (i,), "PremiseMismatch",
                      "greenfield marking disagrees with the rule")
         if node.rule is RuleId.KNOWN_SOLUTION:
@@ -1113,4 +1078,4 @@ def seq_refine_equiv(
         rule=RuleId.SEQ_DOMAIN_REFINE_EQUIV,
         args={"direction": direction, "retained": retained, "added": added},
     )
-    return _expected(probe, Model())[0].problem.change
+    return _expected(probe, Model())[0].conclusion.change

@@ -360,21 +360,28 @@ def cmd_workflow(args) -> int:
     """Run a workflow subcommand with the log locked from the read to the
     append: shared for ``status``, exclusive (creating the log) otherwise,
     so concurrent writers append one after another, each to the log the
-    one before it left."""
+    one before it left.  A call that creates the log and appends nothing
+    removes it again, under the lock; a call that finds the log it opened
+    removed that way opens the log again."""
     import fcntl
 
     from . import macro
 
     reading = args.subcommand == "status"
-    if reading and not Path(args.log).exists():
-        return _run_workflow(args, [], None)
-    try:
-        handle = open(args.log, "r" if reading else "a+", encoding="utf-8")
-    except OSError as err:
-        _err(f"{args.log}: cannot open: {err.strerror}")
-        return USAGE
-    with handle:
+    while True:
+        created = not Path(args.log).exists()
+        if reading and created:
+            return _run_workflow(args, [], None)
+        try:
+            handle = open(args.log, "r" if reading else "a+", encoding="utf-8")
+        except OSError as err:
+            _err(f"{args.log}: cannot open: {err.strerror}")
+            return USAGE
         fcntl.flock(handle, fcntl.LOCK_SH if reading else fcntl.LOCK_EX)
+        if os.fstat(handle.fileno()).st_nlink:
+            break
+        handle.close()
+    with handle:
         handle.seek(0)
         try:
             events = _read_log(handle, appending=not reading)
@@ -384,7 +391,11 @@ def cmd_workflow(args) -> int:
         except UnicodeDecodeError as err:
             _err(_not_utf8(args.log, err))
             return INVALID
-        return _run_workflow(args, events, handle)
+        try:
+            return _run_workflow(args, events, handle)
+        finally:
+            if created and not os.fstat(handle.fileno()).st_size:
+                os.unlink(args.log)
 
 
 def _read_log(handle, appending: bool) -> list[macro.Event]:

@@ -481,6 +481,10 @@ def _remove(entries: _Entries, name: str) -> None:
 
 
 def _apply_atoms(entries: _Entries, change: ChangeExpr) -> None:
+    while isinstance(change, ChangeSeq):
+        # a ``;`` chain nests to the right: walk its spine in a loop
+        _apply_atoms(entries, change.first)
+        change = change.second
     if isinstance(change, Nil):
         return
     if isinstance(change, Unknown):
@@ -518,10 +522,6 @@ def _apply_atoms(entries: _Entries, change: ChangeExpr) -> None:
             entries.touched.add(pair[1].name)
             entries.domains[pair[1].name] = pair
         return
-    if isinstance(change, ChangeSeq):
-        _apply_atoms(entries, change.first)
-        _apply_atoms(entries, change.second)
-        return
     if isinstance(change, ChangePar):
         _apply_par(entries, change)
         return
@@ -537,27 +537,40 @@ def _rekey_additions(entries: _Entries) -> None:
 
 
 def _apply_par(entries: _Entries, change: ChangePar) -> None:
+    """Apply each operand of a right-nested ``||`` chain to its own copy of
+    the working set, in order, then merge the copies right to left: the
+    errors, conflicts, keys and counter of the nested binary merges."""
+    operands = []
+    while isinstance(change, ChangePar):
+        operands.append(change.left)
+        change = change.right
+    operands.append(change)
     base = entries.domains
-    left = _Entries(dict(base), entries.counter)
-    right = _Entries(dict(base), entries.counter)
-    _apply_atoms(left, change.left)
-    _apply_atoms(right, change.right)
-    shared = left.touched & right.touched
-    if shared:
-        raise ParConflict(frozenset(shared))
-    _rekey_additions(left)
-    _rekey_additions(right)
-    merged: dict[str, tuple[_Key, Domain]] = {}
-    for side, other in ((left, right), (right, left)):
-        for name, pair in side.domains.items():
-            if name in base and name not in side.touched:
-                # untouched by this side; defer to the side that touched it
-                if name in other.touched:
-                    continue
-            merged[name] = pair
-    entries.domains = merged
-    entries.counter = max(left.counter, right.counter)
-    entries.touched |= left.touched | right.touched
+    sides = []
+    for operand in operands:
+        sides.append(_Entries(dict(base), entries.counter))
+        _apply_atoms(sides[-1], operand)
+    right = sides.pop()
+    while sides:
+        left = sides.pop()
+        shared = left.touched & right.touched
+        if shared:
+            raise ParConflict(frozenset(shared))
+        _rekey_additions(left)
+        _rekey_additions(right)
+        merged: dict[str, tuple[_Key, Domain]] = {}
+        for side, other in ((left, right), (right, left)):
+            for name, pair in side.domains.items():
+                if name in base and name not in side.touched:
+                    # untouched by this side; defer to the side that touched it
+                    if name in other.touched:
+                        continue
+                merged[name] = pair
+        right.domains = merged
+        right.counter = max(left.counter, right.counter)
+        right.touched |= left.touched
+    entries.domains, entries.counter = right.domains, right.counter
+    entries.touched |= right.touched
 
 
 def apply_change(env: Environment, change: ChangeExpr) -> Environment:

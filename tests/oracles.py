@@ -643,6 +643,41 @@ def apply_change_list(env, change):
     return result
 
 
+# --- apply_change recursing once per chain step ---------------------------------------
+
+def apply_atoms_recursive(entries, change):
+    """``model._apply_atoms`` as it was before it looped over chain spines:
+    one call per ``;`` node, and each ``||`` node a binary merge of its
+    operands.  Atoms go to ``model._apply_atoms``."""
+    if isinstance(change, m.ChangeSeq):
+        apply_atoms_recursive(entries, change.first)
+        apply_atoms_recursive(entries, change.second)
+        return
+    if not isinstance(change, m.ChangePar):
+        m._apply_atoms(entries, change)
+        return
+    base = entries.domains
+    left = m._Entries(dict(base), entries.counter)
+    right = m._Entries(dict(base), entries.counter)
+    apply_atoms_recursive(left, change.left)
+    apply_atoms_recursive(right, change.right)
+    shared = left.touched & right.touched
+    if shared:
+        raise m.ParConflict(frozenset(shared))
+    m._rekey_additions(left)
+    m._rekey_additions(right)
+    merged = {}
+    for side, other in ((left, right), (right, left)):
+        for name, pair in side.domains.items():
+            if name in base and name not in side.touched:
+                if name in other.touched:
+                    continue
+            merged[name] = pair
+    entries.domains = merged
+    entries.counter = max(left.counter, right.counter)
+    entries.touched |= left.touched | right.touched
+
+
 # --- evidence computed beside the premises ---------------------------------------------
 
 def eager_evidence(node):

@@ -13,14 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltapoe import dsl, model
+from deltapoe import cli, dsl, model
 from deltapoe.artifacts import RuleId
 from deltapoe.calculus import (
     BadPath,
     RuleError,
+    SideConditionViolated,
     _run_apply,
     _run_discharge,
     build,
+    check,
     committed,
     get_node,
     open_node,
@@ -75,12 +77,24 @@ def outcome(make, script, mdl, problems):
         return type(err), err.cause_kind, str(err), err.path
 
 
+def assert_alternatives_share_conclusions(root):
+    """Each alternative has its node's conclusion and provisional
+    environment, so it resolves when its node does."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        for alt in node.alternatives:
+            assert (alt.conclusion, alt.env_provisional) == (node.conclusion, node.env_provisional)
+        stack += node.premises + node.alternatives
+
+
 def assert_same_build(script, mdl, problems):
     expected = outcome(rethread_every_statement, script, mdl, problems)
     got = outcome(build, script, mdl, problems)
     assert got == expected
     if not isinstance(got, tuple):
         assert_evidence_as_eager(got)
+        assert_alternatives_share_conclusions(got)
 
 
 FIXTURE_DERIVATIONS = [
@@ -99,6 +113,81 @@ def test_fixture_derivations_build_as_full_rethread(path, which):
     assert_same_build(parsed.derivations[which], parsed.model, parsed.problems)
 
 
+WAITING_ALTERNATIVE = """
+model {
+  domain Box { }
+  domain Lid { }
+  stakeholder G : problem-owner
+  need Sorted "sorted"
+  need Tidied "tidied"
+}
+
+problem p {
+  [Box] (+) ?F |= G : Sorted ; Tidied
+}
+
+derivation d {
+  problem p
+  apply SolutionReflect at root with { shape: seq }
+  justify { rule "one solution component per stage" }
+  apply Sequence at root.0
+  justify { rule "sort, then tidy" dependency "tidying needs the lid" timeline "one after the other" }
+"""
+
+STAGE_ONE = """  apply KnownSolution at root.0.0 with { solution: +Lid }
+  justify { rule "a lid sorts the box" }
+  validated by G granted
+"""
+
+STAGE_TWO = """  apply KnownSolution at root.0.1 with { solution: skip } chosen
+  justify { rule "nothing left to tidy" }
+  validated by G granted
+  apply KnownSolution at root.0.1 with { solution: skip } alternative
+  justify { rule "the same, explored" }
+  validated by G granted
+"""
+
+
+@pytest.mark.parametrize("stages", [(STAGE_TWO, STAGE_ONE), (STAGE_ONE, STAGE_TWO)],
+                         ids=["stage-one-last", "stage-one-first"])
+def test_alternative_explored_in_a_waiting_stage_resolves_with_its_node(tmp_path, capsys, stages):
+    """An alternative explored while its stage still waits on stage one
+    takes the stage's environment once stage one commits."""
+    text = WAITING_ALTERNATIVE + "".join(stages) + "}\n"
+    parsed = dsl.parse_file(text, "alt.poed")
+    assert_same_build(parsed.derivations[0], parsed.model, parsed.problems)
+    root = build(parsed.derivations[0], parsed.model, parsed.problems)
+    assert check(root, parsed.model).kind == "Solved"
+    source = tmp_path / "alt.poed"
+    source.write_text(text)
+    assert cli.main(["check", str(source)]) == 0
+    assert f"{source}: derivation d: Solved\n" in capsys.readouterr().out
+
+
+def test_first_stage_error_of_the_outermost_sequence_comes_first():
+    """One statement commits the first stages of two nested Sequences.  The
+    inner second stage's DomainRemove no longer applies, and neither does
+    the outer first stage's solution: rethreading the whole tree meets the
+    outer Sequence first, so ``build`` must raise its error too."""
+    env = model.Environment((model.Domain("X"),))
+    need = model.NeedSeq(model.NeedSeq(model.AtomicNeed("A"), model.AtomicNeed("B")), model.AtomicNeed("C"))
+    problems = {"p": model.Problem(env, model.Unknown("F"), "G", need)}
+    statements = (
+        ApplyStatement(RuleId.SOLUTION_REFLECT, (), {"shape": "seq"}),
+        ApplyStatement(RuleId.SEQUENCE, (0,), {}),
+        ApplyStatement(RuleId.SEQUENCE, (0, 0), {}),
+        ApplyStatement(RuleId.SOLN_REFINE, (0, 0, 1), {"change": model.Cancel("X")}),
+        ApplyStatement(RuleId.DOMAIN_REMOVE, (0, 0, 1, 0), {}),
+        ApplyStatement(RuleId.KNOWN_SOLUTION, (0, 0, 0), {"solution": model.Cancel("X")}),
+    )
+    script = DerivationScript("nested", "p", statements)
+    expected = outcome(rethread_every_statement, script, Model(), problems)
+    assert outcome(build, script, Model(), problems) == expected
+    kind, cause, message, path = expected
+    assert (kind, cause, path) == (SideConditionViolated, "CancelMissing", (0, 0, 0))
+    assert message.startswith("stage one's solution does not apply: ")
+
+
 # --- generated staged derivations ------------------------------------------------
 
 def _domain(index):
@@ -113,8 +202,9 @@ def staged_scripts(draw):
     """A SolutionReflect over a random tree of sequenced stages, each a
     SolnRefine and a DomainAdd, DomainRemove or DomainRefine closed by a
     discharge.  One stage may split its environment with Parallel, one may
-    carry an alternative application, and one, the last or an earlier one,
-    may cancel a missing domain.  The statements come in a random order
+    carry an alternative application (a SolnRefine with a DomainAdd below
+    it, or a KnownSolution), and one, the last or an earlier one, may
+    cancel a missing domain.  The statements come in a random order
     that keeps every statement after the one creating its node, so later
     stages are often built while their environment is still provisional."""
     stages = draw(st.integers(min_value=2, max_value=5))
@@ -123,6 +213,7 @@ def staged_scripts(draw):
     fresh = itertools.count(initial)
     parallel = draw(st.sampled_from([None, *range(stages)]))
     alternative = draw(st.sampled_from([None, *range(stages)]))
+    alternate = draw(st.sampled_from(["refine", "known"]))
     ghost = draw(st.sampled_from([None, *range(stages)]))
 
     def shape(leaves):
@@ -149,11 +240,14 @@ def staged_scripts(draw):
 
     def stage(path, rule, change, after, alternate):
         refined = add(ApplyStatement(RuleId.SOLN_REFINE, path, {"change": change}), after)
-        if alternate:
+        if alternate == "refine":
             other = model.Add(_domain(next(fresh)))
             alt = add(ApplyStatement(RuleId.SOLN_REFINE, path, {"change": other},
                                      marker="alternative"), refined)
             add(ApplyStatement(RuleId.DOMAIN_ADD, path + (("alt", 1), 0), {}), alt)
+        elif alternate == "known":
+            add(ApplyStatement(RuleId.KNOWN_SOLUTION, path, {"solution": change},
+                               marker="alternative"), refined)
         applied = add(ApplyStatement(rule, path + (0,), {}), refined)
         add(DischargeStatement(path + (0, 0), validations=GRANTED), applied)
 
@@ -175,8 +269,8 @@ def staged_scripts(draw):
             split = add(ApplyStatement(RuleId.PARALLEL, path,
                                        {"left": tuple(left), "right": tuple(right)}), after)
             (r1, c1), (r2, c2) = atom(left), atom([n for n in alone if n not in left])
-            stage(path + (0,), r1, c1, split, False)
-            stage(path + (1,), r2, c2, split, False)
+            stage(path + (0,), r1, c1, split, None)
+            stage(path + (1,), r2, c2, split, None)
             env = model.apply_change(env, model.ChangePar(c1, c2))
             need = model.NeedPar(model.AtomicNeed(f"N{leaf}a"), model.AtomicNeed(f"N{leaf}b"))
             return need, leaf + 1
@@ -185,7 +279,7 @@ def staged_scripts(draw):
             rule, change = RuleId.DOMAIN_REMOVE, model.Cancel("Ghost")
         else:
             env = model.apply_change(env, change)
-        stage(path, rule, change, after, leaf == alternative)
+        stage(path, rule, change, after, alternate if leaf == alternative else None)
         return model.AtomicNeed(f"N{leaf}"), leaf + 1
 
     problem_env = env

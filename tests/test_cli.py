@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -372,6 +373,54 @@ def test_workflow_log_in_missing_directory_is_usage_error(tmp_path, capsys):
     assert err.startswith(f"{log}: cannot open:")
 
 
+REFUSED_ON_A_NEW_LOG = [
+    ["advance", "--workflow", "root", "--event", "submit-view", "--owner", "G",
+     "--delegate", "D", "--model", CHAIN, "--problem", "nope"],
+    ["delegate", "--to", "D", "--child", "c1"],
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED_ON_A_NEW_LOG, ids=["advance", "delegate"])
+def test_refused_call_leaves_no_new_log(tmp_path, capsys, argv):
+    log = tmp_path / "new.jsonl"
+    code, out, err = run(capsys, "workflow", log, *argv)
+    assert (code, out) == (2, ""), err
+    assert not log.exists()
+    log.touch()
+    code, out, err = run(capsys, "workflow", log, *argv)
+    assert (code, out) == (2, ""), err
+    assert log.read_bytes() == b""
+
+
+def test_concurrent_calls_on_a_new_log_keep_every_accepted_event(tmp_path):
+    """A refused call creates the log and holds its lock while it parses a
+    large model; the calls that open the log meanwhile, accepted and
+    refused, find it removed once they hold the lock and open it again, so
+    the log at the path keeps every accepted event."""
+    org = tmp_path / "org.poed"
+    org.write_text(layered_org_text(30, 120, 3))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+    def start(log, argv):
+        return subprocess.Popen([sys.executable, "-m", "deltapoe.cli", "workflow", str(log), *map(str, argv)],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+    for round_ in range(4):
+        log = tmp_path / f"wf{round_}.jsonl"
+        creator = start(log, ["advance", "--workflow", "root", "--event", "submit-view", "--owner", "G",
+                              "--delegate", "D", "--model", org, "--problem", "nope"])
+        while not log.exists() and creator.poll() is None:
+            time.sleep(0.001)
+        drifts = [start(log, ["drift", "--touch", f"D{k}"]) for k in range(3)]
+        refused = [creator, start(log, REFUSED_ON_A_NEW_LOG[1])]
+        for proc in drifts + refused:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == (0 if proc in drifts else 2), err
+        events = macro.parse_log(log.read_text())
+        assert [e.sequence for e in events] == [1, 2, 3]
+        assert sorted(e.payload["touched"][0] for e in events) == ["D0", "D1", "D2"]
+
+
 def test_export_derivation_graph(tmp_path, capsys):
     out_path = tmp_path / "graph.dot"
     code, out, _ = run(capsys, "export", GOLDEN, "--graph", out_path)
@@ -464,10 +513,19 @@ def test_long_change_chains_parse(tmp_path, capsys):
             for name, op in (("seq", " ; "), ("par", " || "))
         )
     )
+    with source.open("a") as text:
+        for name, op in (("seq", " ; "), ("par", " || ")):
+            text.write(f"derivation known_{name} {{\n  problem {name}\n"
+                       f"  apply KnownSolution at root with {{ solution: {op.join(['skip'] * steps)} }}\n"
+                       "  justify { rule \"known\" }\n  validated by G granted\n}\n")
     code, out, err = run(capsys, "check", source)
     assert code == 0, err
     for name in ("seq", "par", "need_seq", "need_par"):
         assert f"problem {name} ok" in out
+    for name in ("seq", "par"):
+        assert f"derivation known_{name}: Solved" in out
+        code, _, err = run(capsys, "plan", source, "--derivation", f"known_{name}")
+        assert code == 0, err
     for name in ("seq", "par", "need_seq", "need_par"):
         code, out, err = run(capsys, "workflow", tmp_path / f"{name}.jsonl", "advance",
                              "--workflow", "root", "--event", "submit-view", "--owner", "G",

@@ -32,6 +32,7 @@ from deltapoe.model import (
 )
 
 from .oracles import (
+    apply_atoms_recursive,
     apply_change_list,
     change_str_recursive,
     is_unknown_free_recursive,
@@ -397,6 +398,74 @@ def test_apply_change_matches_list_oracle(case):
         assert got[0] is model.ModelError
         return
     assert got == expected
+
+
+def walk_outcome(walk, env, change):
+    """The working set after ``walk`` applies ``change`` to ``env``, with
+    its keys, counter and touched names, or the error it raised."""
+    entries = model._Entries({d.name: (((i, ""),), d) for i, d in enumerate(env.domains)})
+    try:
+        walk(entries, change)
+    except (model.ChangeError, model.ModelError) as err:
+        return type(err), str(err), getattr(err, "shared", None)
+    return list(entries.domains.items()), entries.counter, entries.touched
+
+
+@given(edit_cases())
+@settings(max_examples=400, deadline=None)
+def test_apply_walk_matches_the_recursive_one(case):
+    env, change = case
+    assert walk_outcome(model._apply_atoms, env, change) == walk_outcome(apply_atoms_recursive, env, change)
+
+
+@st.composite
+def long_mixed_chains(draw):
+    """A 50- to 250-step chain of additions, cancellations, refinements and
+    skips over three domains, each step joined by ``;`` or ``||``, nested
+    to the left or to the right; parallel steps often touch one domain."""
+    env = named("X", "Y", "Z")
+    steps = draw(st.integers(min_value=50, max_value=250))
+    fresh = iter(range(steps))
+
+    def atom():
+        kind = draw(st.sampled_from(["add", "add", "nil", "cancel", "refine"]))
+        if kind == "add":
+            return Add(Domain(f"f{next(fresh)}"))
+        if kind == "nil":
+            return Nil()
+        target = draw(st.sampled_from(["X", "Y", "Z"]))
+        if kind == "cancel":
+            return Cancel(target)
+        return Refine(target, (Domain(f"f{next(fresh)}"),), ())
+
+    atoms = [atom() for _ in range(steps)]
+    ops = draw(st.lists(st.sampled_from([ChangeSeq, ChangePar]), min_size=steps - 1, max_size=steps - 1))
+    if draw(st.booleans()):
+        change = atoms[0]
+        for op, right in zip(ops, atoms[1:]):
+            change = op(change, right)
+    else:
+        change = atoms[-1]
+        for op, left in zip(reversed(ops), reversed(atoms[:-1])):
+            change = op(left, change)
+    return env, change
+
+
+@given(long_mixed_chains())
+@settings(max_examples=100, deadline=None)
+def test_apply_walk_matches_the_recursive_one_on_long_chains(case):
+    env, change = case
+    assert walk_outcome(model._apply_atoms, env, change) == walk_outcome(apply_atoms_recursive, env, change)
+
+
+@pytest.mark.parametrize("node", [ChangeSeq, ChangePar])
+def test_apply_change_takes_long_chains(node):
+    env = named("X")
+    change = Nil()
+    for k in range(1200):
+        change = node(Add(Domain(f"f{k:04}")) if k % 3 else Nil(), change)
+    applied = apply_change(env, change)
+    assert applied.names()[0] == "X" and len(applied.names()) == 801
 
 
 def test_cancel_removes_nested_composites():
