@@ -6,8 +6,10 @@ from __future__ import annotations
 import datetime
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .model import ChangeExpr
+if TYPE_CHECKING:
+    from .model import ChangeExpr
 
 
 class RuleId(str, enum.Enum):

@@ -217,15 +217,25 @@ def solution_of(root: DerivationNode) -> m.ChangeExpr:
 
 # --- premise computation ------------------------------------------------------------
 
-def _mirror_need_shape(need: m.Need, base: str, counter: list) -> m.ChangeExpr:
-    if isinstance(need, m.AtomicNeed):
-        counter[0] += 1
-        return m.Unknown(f"{base}{counter[0]}")
-    left = _mirror_need_shape(need.left, base, counter)
-    right = _mirror_need_shape(need.right, base, counter)
-    if isinstance(need, m.NeedSeq):
-        return m.ChangeSeq(left, right)
-    return m.ChangePar(left, right)
+def _mirror_need_shape(need: m.Need, base: str) -> m.ChangeExpr:
+    """The change of ``need``'s shape whose k-th atomic need from the left
+    becomes the placeholder ``?{base}{k}``.  The walk keeps its own stack
+    of needs still to mirror and of combinators whose two operands are
+    built, so a need of any length mirrors."""
+    built: list[m.ChangeExpr] = []
+    todo: list = [need]
+    count = 0
+    while todo:
+        item = todo.pop()
+        if isinstance(item, m.AtomicNeed):
+            count += 1
+            built.append(m.Unknown(f"{base}{count}"))
+        elif isinstance(item, type):
+            right = built.pop()
+            built.append(item(built.pop(), right))
+        else:
+            todo += (m.ChangeSeq if isinstance(item, m.NeedSeq) else m.ChangePar, item.right, item.left)
+    return built[0]
 
 
 def _refine_pair(change: m.ChangeExpr):
@@ -336,9 +346,7 @@ def _expected(node: DerivationNode, mdl: Model) -> list[DerivationNode]:
             raise SideConditionViolated(
                 f"need composes by {top!r}, not {shape!r}"
             )
-        counter = [0]
-        mirrored = _mirror_need_shape(need, change.placeholder, counter)
-        return [same(change_=mirrored)]
+        return [same(change_=_mirror_need_shape(need, change.placeholder))]
 
     if rule is RuleId.SEQUENCE:
         if not isinstance(change, m.ChangeSeq):

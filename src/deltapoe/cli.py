@@ -10,7 +10,8 @@ model or derivation files; only workflow logs are appended.
 
 Each command imports only the modules it uses, so that a process loads
 no more than its command needs: ``impact`` and ``workflow`` never load
-the calculus.
+the calculus, and ``workflow`` loads the ``.poed`` front end (lexer,
+parser, model, printer) only for ``--model``.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import dsl, printer
-
 if TYPE_CHECKING:
-    from . import macro
+    from . import dsl, macro
     from . import model as m
 
 OK, INCOMPLETE, INVALID, USAGE = 0, 1, 2, 3
@@ -70,11 +69,15 @@ class Workspace:
     """Files parsed in order against one growing model."""
 
     def __init__(self):
+        from . import dsl
+
         self.model = dsl.EMPTY_MODEL
         self.problems: dict[str, m.Problem] = {}
         self.files: list[tuple[str, dsl.ParsedFile]] = []
 
     def load(self, path: str):
+        from . import dsl
+
         text = Path(path).read_text(encoding="utf-8")
         parsed = dsl.parse_file(text, path, base=self.model)
         self.model = parsed.model
@@ -89,6 +92,8 @@ class Workspace:
 
 
 def _load_workspace(paths: list[str]) -> tuple[Workspace | None, int]:
+    from . import dsl
+
     workspace = Workspace()
     for path in paths:
         if not Path(path).is_file():
@@ -107,7 +112,7 @@ def _load_workspace(paths: list[str]) -> tuple[Workspace | None, int]:
 
 
 def _build_derivation(workspace: Workspace, script: dsl.DerivationScript, path: str):
-    from . import calculus
+    from . import calculus, dsl
 
     try:
         return calculus.build(script, workspace.model, workspace.problems), None
@@ -120,7 +125,7 @@ def _build_derivation(workspace: Workspace, script: dsl.DerivationScript, path: 
 # --- check ------------------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    from . import calculus
+    from . import calculus, dsl, printer
 
     workspace, status = _load_workspace(args.files)
     if workspace is None:
@@ -173,7 +178,7 @@ def _pick_derivation(workspace: Workspace, name: str | None):
 
 
 def cmd_plan(args) -> int:
-    from . import calculus, export
+    from . import calculus, export, printer
 
     workspace, status = _load_workspace(args.files)
     if workspace is None:
@@ -238,7 +243,7 @@ def _names_flag(values) -> frozenset[str]:
 
 
 def cmd_impact(args) -> int:
-    from . import export, impact
+    from . import dsl, export, impact
 
     workspace, status = _load_workspace(args.files)
     if workspace is None:
@@ -324,6 +329,8 @@ def _workflow_problem_refs(args) -> macro.ProblemRefs:
     from . import macro
 
     if args.model and args.problem:
+        from . import printer
+
         workspace, status = _load_workspace([args.model])
         if workspace is None:
             raise ValueError("cannot parse the model file")
@@ -446,7 +453,7 @@ def _run_workflow(args, events: list[macro.Event], handle) -> int:
             return OK
         if args.subcommand == "delegate":
             refs = _workflow_problem_refs(args)
-            stakeholders = dsl.EMPTY_MODEL
+            stakeholders = {}
             if args.model:
                 workspace, status = _load_workspace([args.model])
                 if workspace is None:

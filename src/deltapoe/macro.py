@@ -13,11 +13,15 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import model as m
 from .artifacts import ValidationRecord, ValidationStatus, ValidationTarget
-from .dsl import Model
+
+if TYPE_CHECKING:
+    from . import model as m
+    from .dsl import Model
 
 
 class MacroError(Exception):
@@ -66,8 +70,7 @@ class CpsState(str, enum.Enum):
 ORG = "*"  # workflow field of org-level (drift) events
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     sequence: int
     workflow: str
     kind: str
@@ -89,16 +92,27 @@ def render_log(events: list[Event]) -> str:
     return "".join(e.to_line() + "\n" for e in events)
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def parse_log(text: str) -> list[Event]:
+    """The events of a log's text; blank lines are skipped.  A line that
+    is one JSON value with no blanks around it, as ``to_line`` writes it,
+    is decoded in place; any other line goes through ``json.loads``, whose
+    error a ``BadLog`` names with the line's number."""
     events = []
+    append, new = events.append, tuple.__new__
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
         try:
-            raw = json.loads(line)
-            events.append(
-                Event(raw["sequence"], raw["workflow"], raw["event"], raw["payload"])
-            )
+            try:
+                raw, end = _raw_decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(line):
+                if not line.strip():
+                    continue
+                raw = json.loads(line)
+            append(new(Event, (raw["sequence"], raw["workflow"], raw["event"], raw["payload"])))
         except (json.JSONDecodeError, KeyError, TypeError) as err:
             raise BadLog(f"line {lineno}: {err}")
     return events
@@ -132,6 +146,8 @@ class ProblemRefs:
 
 
 def problem_refs(problem: m.Problem, text: str = "") -> ProblemRefs:
+    from . import model as m
+
     return ProblemRefs(
         text,
         frozenset(problem.env.names()) | m.referenced_domains(problem.change),
@@ -158,23 +174,20 @@ class Workflow:
     implementation_mode: str | None = None
 
     def pending(self) -> ValidationRecord | None:
-        for record in self.validations:
-            if record.status is ValidationStatus.PENDING:
-                return record
+        """The pending validation, if any.  It can only be the last
+        record: only ``request-validation`` appends one, and it is refused
+        while a validation is pending."""
+        if self.validations and self.validations[-1].status is ValidationStatus.PENDING:
+            return self.validations[-1]
         return None
 
     def effective(self, target: ValidationTarget) -> ValidationRecord | None:
-        """Latest granted, non-stale validation for a target."""
-        best = None
-        for record in self.validations:
+        """Latest granted, non-stale validation for a target, found by
+        scanning the records from the last."""
+        for record in reversed(self.validations):
             if record.target is target and record.status is ValidationStatus.GRANTED:
-                best = record
-        return best
-
-    def _replace_record(self, record: ValidationRecord, **changes):
-        self.validations = tuple(
-            replace(v, **changes) if v.id == record.id else v for v in self.validations
-        )
+                return record
+        return None
 
 
 @dataclass(frozen=True)
@@ -265,10 +278,9 @@ def _apply_event(workflows: dict[str, Workflow], event: Event) -> StalenessRepor
                         kind,
                         f"sub-delegation {child_id!r} has no validated solution yet",
                     )
-        wf._replace_record(
-            pending,
-            status=ValidationStatus.GRANTED if granted else ValidationStatus.REJECTED,
-            sequence=event.sequence,
+        wf.validations = wf.validations[:-1] + (
+            _with_status(pending, ValidationStatus.GRANTED if granted else ValidationStatus.REJECTED,
+                         event.sequence),
         )
         if wf.state is CpsState.CPS2:
             wf.state = CpsState.CPS3 if granted else CpsState.CPS1
@@ -331,36 +343,56 @@ def _apply_event(workflows: dict[str, Workflow], event: Event) -> StalenessRepor
     raise IllegalTransition(wf.state.value, kind, "unknown event kind")
 
 
-def _refs_for(wf: Workflow, target: ValidationTarget) -> frozenset[str]:
-    refs = wf.problem.domains | wf.problem.phenomena | wf.problem.needs
-    if target is ValidationTarget.SOLUTION_PLAN:
-        refs |= wf.solution_refs
-    return refs
+def _with_status(record: ValidationRecord, status: ValidationStatus, sequence: int):
+    return ValidationRecord(record.id, record.stakeholder, record.target, record.subject, status, sequence)
 
 
 def _apply_drift(workflows: dict[str, Workflow], event: Event) -> StalenessReport:
+    """Stale every granted validation recorded before the drift whose
+    references meet the touched names, then regress each workflow that
+    lost a gate.  A problem-view record refers to the problem's domains,
+    phenomena and needs; a solution record also to the solution's refs.
+    ``touched`` is tested once per workflow against each name set.
+
+    Only a workflow in CPS3 to CPS5 can regress.  Its check stays even
+    when the drift staled none of its records: the gate invariant
+    (``tests/oracles.py::verify_gates``: CPS3 and later hold a live
+    problem-view validation, CPS5 a live solution validation) does not
+    hold in every log.  A solution validation still pending when a drift
+    regresses its workflow to CPS2 can be granted there, which moves the
+    workflow to CPS3 with no live problem view; the next drift, whatever
+    it touches, regresses it.
+    """
     touched = frozenset(event.payload.get("touched", ()))
     if not touched:
         raise IllegalTransition("-", "drift", "a drift event must touch something")
     stale: list[tuple[str, str, str]] = []
     regressions: list[tuple[str, str, str]] = []
+    sequence = event.sequence
     for wf in workflows.values():
-        for record in wf.validations:
-            if (
-                record.status is ValidationStatus.GRANTED
-                and record.sequence < event.sequence
-                and _refs_for(wf, record.target) & touched
-            ):
-                wf._replace_record(record, status=ValidationStatus.STALE)
-                stale.append((wf.id, record.id, record.target.value))
-        if wf.state is CpsState.DONE:
-            continue
+        problem = wf.problem
+        problem_hit = not (
+            touched.isdisjoint(problem.domains)
+            and touched.isdisjoint(problem.phenomena)
+            and touched.isdisjoint(problem.needs)
+        )
+        if problem_hit or not touched.isdisjoint(wf.solution_refs):
+            records = list(wf.validations)
+            for index, record in enumerate(records):
+                if (
+                    record.status is ValidationStatus.GRANTED
+                    and record.sequence < sequence
+                    and (problem_hit or record.target is ValidationTarget.SOLUTION_PLAN)
+                ):
+                    records[index] = _with_status(record, ValidationStatus.STALE, record.sequence)
+                    stale.append((wf.id, record.id, record.target.value))
+            wf.validations = tuple(records)
         before = wf.state
-        view_ok = wf.effective(ValidationTarget.PROBLEM_VIEW) is not None
-        solution_ok = wf.effective(ValidationTarget.SOLUTION_PLAN) is not None
-        if wf.state in (CpsState.CPS3, CpsState.CPS4, CpsState.CPS5) and not view_ok:
+        if before not in (CpsState.CPS3, CpsState.CPS4, CpsState.CPS5):
+            continue
+        if wf.effective(ValidationTarget.PROBLEM_VIEW) is None:
             wf.state = CpsState.CPS2
-        elif wf.state is CpsState.CPS5 and not solution_ok:
+        elif before is CpsState.CPS5 and wf.effective(ValidationTarget.SOLUTION_PLAN) is None:
             wf.state = CpsState.CPS4
         if wf.state is not before:
             wf.implementation_mode = None
@@ -452,12 +484,12 @@ def delegate(
 
 
 def _trusts_of(stakeholders, name: str) -> frozenset[str]:
-    if isinstance(stakeholders, Model):
-        try:
-            return stakeholders.stakeholder(name).trusts
-        except KeyError:
-            return frozenset()
-    return frozenset(stakeholders.get(name, ()))
+    if isinstance(stakeholders, Mapping):
+        return frozenset(stakeholders.get(name, ()))
+    try:
+        return stakeholders.stakeholder(name).trusts
+    except KeyError:
+        return frozenset()
 
 
 def drift(

@@ -2,10 +2,10 @@
 compare the library against.  None of this is used by the library."""
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from deltapoe import model as m
-from deltapoe.artifacts import RuleId, ValidationStatus, ValidationTarget
+from deltapoe.artifacts import RuleId, ValidationRecord, ValidationStatus, ValidationTarget
 from deltapoe.calculus import _first_stage, evidence
 from deltapoe.dsl import (
     EMPTY_MODEL,
@@ -21,7 +21,18 @@ from deltapoe.dsl import (
 )
 from deltapoe.export import _dot_escape
 from deltapoe.impact import BoundReport, UnknownDomain, _seed, edit_str
-from deltapoe.macro import CpsState, _apply_event
+from deltapoe.macro import (
+    _GATE_TARGET,
+    BadLog,
+    CpsState,
+    IllegalTransition,
+    ProblemRefs,
+    StalenessReport,
+    UnknownWorkflow,
+    Workflow,
+    WrongStakeholder,
+    _apply_event,
+)
 from deltapoe.printer import _PAR, _SEQ, _change_level, _need_level, change_str, env_str
 
 
@@ -314,6 +325,18 @@ def change_str_recursive(change, require: int = _PAR) -> str:
     return text
 
 
+def mirror_need_shape_recursive(need, base: str, counter: list | None = None):
+    counter = [0] if counter is None else counter
+    if isinstance(need, m.AtomicNeed):
+        counter[0] += 1
+        return m.Unknown(f"{base}{counter[0]}")
+    left = mirror_need_shape_recursive(need.left, base, counter)
+    right = mirror_need_shape_recursive(need.right, base, counter)
+    if isinstance(need, m.NeedSeq):
+        return m.ChangeSeq(left, right)
+    return m.ChangePar(left, right)
+
+
 def is_unknown_free_recursive(change) -> bool:
     if isinstance(change, m.Unknown):
         return False
@@ -371,6 +394,220 @@ def verify_gates(events) -> None:
             for v in wf.validations:
                 if v.status is ValidationStatus.GRANTED:
                     assert v.stakeholder == wf.owner
+
+
+# --- the workflow fold as it was before the gate lookups went O(1) ---------------------
+#
+# ``pending`` scans every record, ``effective`` keeps the last match of a forward
+# scan, a record is replaced by id with ``dataclasses.replace``, and drift builds
+# each record's reference set by union and checks every workflow for regression.
+
+def _pending_scan(wf):
+    for record in wf.validations:
+        if record.status is ValidationStatus.PENDING:
+            return record
+    return None
+
+
+def _effective_scan(wf, target):
+    best = None
+    for record in wf.validations:
+        if record.target is target and record.status is ValidationStatus.GRANTED:
+            best = record
+    return best
+
+
+def _replace_record_by_id(wf, record, **changes):
+    wf.validations = tuple(
+        replace(v, **changes) if v.id == record.id else v for v in wf.validations
+    )
+
+
+def _apply_event_reference(workflows, event):
+    kind, payload = event.kind, event.payload
+    if kind == "drift":
+        return _apply_drift_reference(workflows, event)
+    if kind == "create":
+        if event.workflow in workflows:
+            raise IllegalTransition("-", kind, f"workflow {event.workflow!r} already exists")
+        workflows[event.workflow] = Workflow(
+            id=event.workflow,
+            owner=payload["owner"],
+            delegate=payload["delegate"],
+            problem=ProblemRefs.from_payload(payload.get("problem", {})),
+            derivation=payload.get("derivation"),
+            parent=payload.get("parent"),
+        )
+        return None
+    if event.workflow not in workflows:
+        raise UnknownWorkflow(event.workflow)
+    wf = workflows[event.workflow]
+
+    if kind == "submit-view":
+        if wf.state is not CpsState.CPS1:
+            raise IllegalTransition(wf.state.value, kind)
+        wf.state = CpsState.CPS2
+        return None
+
+    if kind == "request-validation":
+        if wf.state not in _GATE_TARGET:
+            raise IllegalTransition(wf.state.value, kind)
+        if _pending_scan(wf) is not None:
+            raise IllegalTransition(wf.state.value, kind, "a validation is already pending")
+        wf.validations += (
+            ValidationRecord(
+                id=f"v{event.sequence}",
+                stakeholder=wf.owner,
+                target=_GATE_TARGET[wf.state],
+                subject=wf.id,
+                status=ValidationStatus.PENDING,
+                sequence=event.sequence,
+            ),
+        )
+        return None
+
+    if kind == "record-validation":
+        if wf.state not in _GATE_TARGET:
+            raise IllegalTransition(wf.state.value, kind)
+        pending = _pending_scan(wf)
+        if pending is None:
+            raise IllegalTransition(wf.state.value, kind, "no validation is pending")
+        by = payload.get("by")
+        if by != wf.owner:
+            raise WrongStakeholder(
+                f"only the owner {wf.owner!r} may validate workflow {wf.id!r}, not {by!r}"
+            )
+        status = payload.get("status")
+        if status not in ("granted", "rejected"):
+            raise IllegalTransition(wf.state.value, kind, "status must be granted or rejected")
+        granted = status == "granted"
+        if granted and wf.state is CpsState.CPS4:
+            for child_id in wf.children:
+                child = workflows[child_id]
+                solution = _effective_scan(child, ValidationTarget.SOLUTION_PLAN)
+                if child.state not in (CpsState.CPS5, CpsState.DONE) or solution is None:
+                    raise IllegalTransition(
+                        wf.state.value,
+                        kind,
+                        f"sub-delegation {child_id!r} has no validated solution yet",
+                    )
+        _replace_record_by_id(
+            wf,
+            pending,
+            status=ValidationStatus.GRANTED if granted else ValidationStatus.REJECTED,
+            sequence=event.sequence,
+        )
+        if wf.state is CpsState.CPS2:
+            wf.state = CpsState.CPS3 if granted else CpsState.CPS1
+        else:
+            wf.state = CpsState.CPS5 if granted else CpsState.CPS3
+            wf.implementation_mode = None
+        return None
+
+    if kind == "submit-solution":
+        if wf.state is not CpsState.CPS3:
+            raise IllegalTransition(wf.state.value, kind)
+        wf.solution_text = payload.get("solution", "")
+        wf.solution_refs = frozenset(payload.get("refs", ()))
+        wf.state = CpsState.CPS4
+        return None
+
+    if kind == "begin-implementation":
+        if wf.state is not CpsState.CPS5:
+            raise IllegalTransition(wf.state.value, kind)
+        if wf.implementation_mode is not None:
+            raise IllegalTransition(wf.state.value, kind, "implementation already begun")
+        mode = payload.get("mode")
+        if mode not in ("self", "delegate"):
+            raise IllegalTransition(wf.state.value, kind, "mode must be self or delegate")
+        wf.implementation_mode = mode
+        return None
+
+    if kind == "delegate":
+        if wf.state not in (CpsState.CPS3, CpsState.CPS5):
+            raise IllegalTransition(wf.state.value, kind)
+        child_id = payload["child"]
+        if child_id in workflows:
+            raise IllegalTransition(wf.state.value, kind, f"workflow {child_id!r} already exists")
+        delegating = wf.delegate if wf.state is CpsState.CPS3 else wf.owner
+        workflows[child_id] = Workflow(
+            id=child_id,
+            owner=delegating,
+            delegate=payload["to"],
+            problem=ProblemRefs.from_payload(payload.get("problem", {})),
+            parent=wf.id,
+        )
+        wf.children += (child_id,)
+        return None
+
+    if kind == "complete":
+        if wf.state is not CpsState.CPS5:
+            raise IllegalTransition(wf.state.value, kind)
+        if wf.implementation_mode is None:
+            raise IllegalTransition(
+                wf.state.value, kind, "choose self- or delegated implementation first"
+            )
+        for child_id in wf.children:
+            if workflows[child_id].state is not CpsState.DONE:
+                raise IllegalTransition(
+                    wf.state.value, kind, f"sub-delegation {child_id!r} is not done"
+                )
+        wf.state = CpsState.DONE
+        return None
+
+    raise IllegalTransition(wf.state.value, kind, "unknown event kind")
+
+
+def _refs_for(wf, target):
+    refs = wf.problem.domains | wf.problem.phenomena | wf.problem.needs
+    if target is ValidationTarget.SOLUTION_PLAN:
+        refs |= wf.solution_refs
+    return refs
+
+
+def _apply_drift_reference(workflows, event):
+    touched = frozenset(event.payload.get("touched", ()))
+    if not touched:
+        raise IllegalTransition("-", "drift", "a drift event must touch something")
+    stale = []
+    regressions = []
+    for wf in workflows.values():
+        for record in wf.validations:
+            if (
+                record.status is ValidationStatus.GRANTED
+                and record.sequence < event.sequence
+                and _refs_for(wf, record.target) & touched
+            ):
+                _replace_record_by_id(wf, record, status=ValidationStatus.STALE)
+                stale.append((wf.id, record.id, record.target.value))
+        if wf.state is CpsState.DONE:
+            continue
+        before = wf.state
+        view_ok = _effective_scan(wf, ValidationTarget.PROBLEM_VIEW) is not None
+        solution_ok = _effective_scan(wf, ValidationTarget.SOLUTION_PLAN) is not None
+        if wf.state in (CpsState.CPS3, CpsState.CPS4, CpsState.CPS5) and not view_ok:
+            wf.state = CpsState.CPS2
+        elif wf.state is CpsState.CPS5 and not solution_ok:
+            wf.state = CpsState.CPS4
+        if wf.state is not before:
+            wf.implementation_mode = None
+            regressions.append((wf.id, before.value, wf.state.value))
+    return StalenessReport(event.sequence, touched, tuple(stale), tuple(regressions))
+
+
+def fold_reference(events):
+    """Replay a log as the library's ``fold`` does, with the scans above;
+    returns the workflows and the report of every drift event."""
+    workflows, reports = {}, []
+    last = 0
+    for event in events:
+        if event.sequence <= last:
+            raise BadLog(f"sequence {event.sequence} does not increase (after {last})")
+        report = _apply_event_reference(workflows, event)
+        if report is not None:
+            reports.append(report)
+        last = event.sequence
+    return workflows, reports
 
 
 # --- impact propagation with every path stored ---------------------------------------

@@ -13,6 +13,7 @@ from deltapoe.calculus import (
     SideConditionViolated,
     TrustMissing,
     UnsolvedTree,
+    _mirror_need_shape,
     apply,
     build,
     check,
@@ -752,3 +753,24 @@ def test_refine_installing_a_name_twice_violates_side_condition(change, name):
     assert err.value.cause_kind == "ModelError"
     assert str(err.value) == f"duplicate domain name {name!r} in environment"
     assert err.value.path == (0,)
+
+
+from .oracles import mirror_need_shape_recursive  # noqa: E402
+from .strategies import needs  # noqa: E402
+
+
+@given(needs(max_leaves=10))
+def test_mirror_walk_matches_the_recursive_one(need):
+    assert _mirror_need_shape(need, "F") == mirror_need_shape_recursive(need, "F")
+
+
+def test_mirror_walk_handles_a_long_need():
+    steps = 1200
+    need = model.AtomicNeed("N")
+    for _ in range(steps - 1):
+        need = model.NeedSeq(model.AtomicNeed("N"), need)
+    change = _mirror_need_shape(need, "F")
+    for k in range(1, steps):
+        assert change.first == model.Unknown(f"F{k}")
+        change = change.second
+    assert change == model.Unknown(f"F{steps}")

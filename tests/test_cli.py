@@ -331,16 +331,71 @@ def test_impact_and_workflow_do_not_load_the_calculus(tmp_path):
     format) nor the workflow commands load the calculus."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     log = tmp_path / "wf.jsonl"
-    for expected, argv in (
-        (1, ["impact", CHAIN, "--edit", "C causes y -> c", "--permitted", "C", "--format", "structured"]),
-        (0, ["workflow", log, "advance", "--event", "submit-view", "--owner", "G", "--delegate", "D"]),
-        (0, ["workflow", log, "status"]),
+    for expected, argv, front_end in (
+        (1, ["impact", CHAIN, "--edit", "C causes y -> c", "--permitted", "C", "--format", "structured"], True),
+        (0, ["workflow", log, "advance", "--event", "submit-view", "--owner", "G", "--delegate", "D"], False),
+        (0, ["workflow", log, "status"], False),
     ):
-        proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *map(str, argv)],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == expected, proc.stderr
-        loaded = proc.stdout.splitlines()[-1].split()
-        assert "deltapoe.dsl" in loaded and "deltapoe.calculus" not in loaded, argv
+        loaded = loaded_modules(env, expected, argv)
+        assert ("deltapoe.dsl" in loaded) is front_end and "deltapoe.calculus" not in loaded, argv
+
+
+def loaded_modules(env, expected: int, argv) -> list[str]:
+    """The deltapoe modules a process running ``cli.main(argv)`` loads."""
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == expected, proc.stderr
+    loaded = proc.stdout.splitlines()[-1].split()
+    assert "deltapoe.cli" in loaded
+    return loaded
+
+
+def test_workflow_commands_load_no_poed_code(tmp_path):
+    """``workflow status``, ``advance``, ``drift`` and ``delegate``
+    without ``--model``, and a call with no arguments, load neither the
+    ``.poed`` front end nor any command module they do not use."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    log = tmp_path / "wf.jsonl"
+    for expected, argv in (
+        (0, ["workflow", log, "advance", "--event", "submit-view", "--owner", "G", "--delegate", "D",
+             "--problem", "text only"]),
+        (0, ["workflow", log, "advance", "--event", "request-validation"]),
+        (0, ["workflow", log, "drift", "--touch", "X"]),
+        (0, ["workflow", log, "status"]),
+        (2, ["workflow", log, "delegate", "--to", "Impl", "--child", "c1"]),
+        (3, []),
+    ):
+        loaded = loaded_modules(env, expected, argv)
+        unused = {f"deltapoe.{name}" for name in ("dsl", "model", "printer", "calculus", "impact", "export")}
+        assert unused.isdisjoint(loaded), (argv, loaded)
+
+
+CREATED = ('{"sequence": 1, "workflow": "w1", "event": "create", '
+           '"payload": {"owner": "G", "delegate": "D"}}\n')
+SUBMITTED = '{"sequence": 2, "workflow": "w1", "event": "submit-view", "payload": {}}'
+
+
+@pytest.mark.parametrize("text, message", [
+    (CREATED + "\n  \n" + SUBMITTED[:-1] + "\n",
+     "line 4: Expecting ',' delimiter: line 1 column 72 (char 71)"),
+    (CREATED + '[2, "w1", "submit-view", {}]\n', "line 2: list indices must be integers or slices, not str"),
+    (CREATED + "\n" + SUBMITTED.replace(', "payload": {}', "") + "\n", "line 3: 'payload'"),
+    (CREATED + "null\n", "line 2: 'NoneType' object is not subscriptable"),
+    (CREATED + SUBMITTED + " x\n", "line 2: Extra data: line 1 column 74 (char 73)"),
+    ("\ufeff" + CREATED, "line 1: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+], ids=["bad-json", "array", "no-payload", "null", "trailing-data", "bom"])
+def test_bad_log_lines_are_named(tmp_path, capsys, text, message):
+    log = tmp_path / "wf.jsonl"
+    log.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "workflow", log, "status")
+    assert (code, out, err) == (2, "", f"{log}: {message}\n")
+
+
+def test_blank_lines_and_blanks_around_a_line_are_read(tmp_path, capsys):
+    log = tmp_path / "wf.jsonl"
+    log.write_text("\n" + CREATED + "\n\t\n " + SUBMITTED + "  \n\n", encoding="utf-8")
+    code, out, err = run(capsys, "workflow", log, "status")
+    assert (code, out, err) == (0, "workflow w1: CPS2  (owner G, delegate D)\n", "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -531,6 +586,17 @@ def test_long_change_chains_parse(tmp_path, capsys):
                              "--workflow", "root", "--event", "submit-view", "--owner", "G",
                              "--delegate", "D", "--model", source, "--problem", name)
         assert (code, out) == (0, "workflow root: CPS2\n"), err
+
+
+def test_solution_reflect_on_a_long_need_lints(tmp_path, capsys):
+    source = tmp_path / "reflect.poed"
+    source.write_text(
+        DEEP_MODEL + deep_problem("p", change="?F", need=" ; ".join(["N"] * 1200))
+        + "derivation reflect {\n  problem p\n  apply SolutionReflect at root with { shape: seq }\n"
+        "  justify { rule \"one change per need\" }\n}\n"
+    )
+    code, out, err = run(capsys, "lint", source)
+    assert (code, out, err) == (0, "lint: clean\n", "")
 
 
 @pytest.mark.parametrize("where", ["change", "need"])

@@ -20,7 +20,7 @@ from deltapoe.macro import (
     render_log,
 )
 
-from .oracles import verify_gates
+from .oracles import fold_reference, verify_gates
 
 REFS = ProblemRefs(
     "[OldAPI] (+) ?F |= G : UpdateAPI",
@@ -256,6 +256,25 @@ def test_stale_records_are_kept(created):
     assert all(v.status is ValidationStatus.STALE for v in workflows["w1"].validations)
 
 
+def test_drift_checks_workflows_it_stales_nothing_of(created):
+    """A solution validation still pending when a drift regresses its
+    workflow to CPS2 can be granted there, which reaches CPS3 without a
+    live problem view; the next drift regresses the workflow although it
+    touches none of its names."""
+    events = log_with(
+        ("w1", "submit-solution", {"solution": "!OldAPI", "refs": ["OldAPI'"]}),
+        ("w1", "request-validation", {}),
+        start=granted_to_cps3(created),
+    )
+    event, report = drift(events, frozenset({"OldAPI"}))
+    assert report.regressions == (("w1", "CPS4", "CPS2"),)
+    events = log_with(("w1", "record-validation", {"by": "G", "status": "granted"}),
+                      start=events + [event])
+    assert state_of(events) is CpsState.CPS3
+    _, report = drift(events, frozenset({"Unrelated"}))
+    assert report.stale == () and report.regressions == (("w1", "CPS3", "CPS2"),)
+
+
 # --- log round trip and determinism -----------------------------------------------------
 
 def test_log_round_trips(created):
@@ -382,3 +401,95 @@ def test_random_illegal_event_always_fails(data):
     }.get(kind, {})
     with pytest.raises(macro.MacroError):
         advance(events, "w1", kind, payload)
+
+
+# --- the fold against the reference fold ----------------------------------------------
+
+NAMES = ("P0", "P1", "P2", "S0", "S1", "U0")  # problem, solution and unrelated names
+ALL_KINDS = ("submit-view", "request-validation", "record-validation", "submit-solution",
+             "begin-implementation", "complete", "delegate", "no-such-event")
+
+
+def problem_payload(draw):
+    names = draw(st.lists(st.sampled_from(NAMES[:3]), max_size=2, unique=True))
+    return {"text": "", "domains": names[:1], "phenomena": names[1:], "needs": names[2:]}
+
+
+def draw_event(draw, workflows, sequence):
+    """An event that the fold may accept or refuse, mostly one of the
+    legal moves of some workflow."""
+    people = ("G", "D", "Impl")
+    roll = draw(st.sampled_from(range(16)))
+    if roll == 0 or not workflows:
+        wid = draw(st.sampled_from([f"w{len(workflows)}", "w0"]))
+        payload = {"owner": draw(st.sampled_from(people)), "delegate": draw(st.sampled_from(people)),
+                   "problem": problem_payload(draw)}
+        return Event(sequence, wid, "create", payload)
+    if roll == 1:
+        touched = draw(st.lists(st.sampled_from(NAMES), max_size=2, unique=True))
+        return Event(sequence, macro.ORG, "drift", {"touched": touched, "description": "",
+                                                    "origin": "environment"})
+    wf = workflows[draw(st.sampled_from(sorted(workflows)))]
+    kind = draw(st.sampled_from(ALL_KINDS)) if roll == 2 else None
+    if kind is None:
+        moves = legal_moves(wf)
+        if wf.state in (CpsState.CPS3, CpsState.CPS5):
+            moves.append(("delegate", {}))
+        if not moves:
+            return Event(sequence, wf.id, "complete", {})
+        kind = draw(st.sampled_from([m[0] for m in moves]))
+    payload = {}
+    if kind == "record-validation":
+        payload = {"by": draw(st.sampled_from((wf.owner, wf.owner, "Nobody"))),
+                   "status": draw(st.sampled_from(("granted", "granted", "rejected", "maybe")))}
+    elif kind == "submit-solution":
+        refs = draw(st.lists(st.sampled_from(NAMES[3:5]), max_size=2, unique=True))
+        payload = {"solution": f"solution {sequence}", "refs": refs}
+    elif kind == "begin-implementation":
+        payload = {"mode": draw(st.sampled_from(("self", "delegate", "other")))}
+    elif kind == "delegate":
+        child = draw(st.sampled_from([f"w{len(workflows)}", wf.id]))
+        payload = {"to": draw(st.sampled_from(people)), "child": child, "problem": problem_payload(draw)}
+    return Event(sequence, wf.id, kind, payload)
+
+
+def fold_with_reports(events):
+    """The library's fold, and the report of every drift event, from the
+    same event function the fold uses."""
+    folded = fold(events)
+    workflows, reports = {}, []
+    for event in events:
+        report = macro._apply_event(workflows, event)
+        if report is not None:
+            reports.append(report)
+    assert workflows == folded
+    return workflows, reports
+
+
+def outcome(fold_fn, events):
+    try:
+        return fold_fn(events)
+    except macro.MacroError as err:
+        return type(err), str(err)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_fold_matches_the_reference_fold(data):
+    """Logs of several workflows, with delegations, rejections, solutions
+    resubmitted with new refs, DONE workflows and drifts on problem-only,
+    solution-only and unrelated names: the fold gives the reference fold's
+    workflows, records and staleness reports, and refuses each illegal
+    event with the reference's exception and message."""
+    events: list[Event] = []
+    workflows: dict = {}
+    for _ in range(data.draw(st.integers(min_value=1, max_value=60))):
+        sequence = macro.next_sequence(events)
+        if data.draw(st.sampled_from([False] * 30 + [True])):
+            sequence = data.draw(st.integers(min_value=0, max_value=sequence - 1))
+        event = draw_event(data.draw, workflows, sequence)
+        expected = outcome(fold_reference, events + [event])
+        assert outcome(fold_with_reports, events + [event]) == expected
+        if isinstance(expected[0], dict):  # accepted, not (exception type, message)
+            events.append(event)
+            workflows = expected[0]
