@@ -938,6 +938,35 @@ class ImplementationPlan:
         return tuple(e.step.id for e in self.entries)
 
 
+def _plan_fragments(root: DerivationNode) -> tuple[list[PlanEntry], set[tuple[str, str, str]]]:
+    """Every plan step of the tree as an entry, in depth-first pre-order,
+    and the constraints its steps declare and its Sequence nodes impose:
+    each step of a second stage comes after each step of its first."""
+    entries: list[PlanEntry] = []
+    constraints: set[tuple[str, str, str]] = set()
+    stack: list[tuple[DerivationNode, int, NodePath]] = [(root, 0, ())]
+    while stack:
+        node, stage, path = stack.pop()
+        for step in node.plan:
+            entries.append(PlanEntry(step, stage, path_str(path)))
+            for ref in step.after:
+                constraints.add(("after", step.id, ref))
+            for ref in step.parallel_ok:
+                constraints.add(("parallel_ok", step.id, ref))
+        if node.rule is RuleId.SEQUENCE:
+            first, second = node.premises[0], node.premises[1]
+            first_steps = [s.id for s in _subtree_steps(first)]
+            for later in _subtree_steps(second):
+                for earlier in first_steps:
+                    constraints.add(("after", later.id, earlier))
+            stack.append((second, stage + 1, path + (1,)))
+            stack.append((first, stage, path + (0,)))
+        else:
+            for i in range(len(node.premises) - 1, -1, -1):
+                stack.append((node.premises[i], stage, path + (i,)))
+    return entries, constraints
+
+
 def extract_plan(root: DerivationNode) -> ImplementationPlan:
     """Collect plan fragments depth-first and order them.
 
@@ -949,29 +978,7 @@ def extract_plan(root: DerivationNode) -> ImplementationPlan:
     if solution is None or not m.is_unknown_free(solution):
         raise UnsolvedTree("cannot extract a plan from an unsolved derivation")
 
-    entries: list[PlanEntry] = []
-    constraints: set[tuple[str, str, str]] = set()
-
-    def walk(node: DerivationNode, stage: int, path: NodePath):
-        for step in node.plan:
-            entries.append(PlanEntry(step, stage, path_str(path)))
-            for ref in step.after:
-                constraints.add(("after", step.id, ref))
-            for ref in step.parallel_ok:
-                constraints.add(("parallel_ok", step.id, ref))
-        if node.rule is RuleId.SEQUENCE:
-            first_steps = [s.id for s in _subtree_steps(node.premises[0])]
-            second_steps = [s.id for s in _subtree_steps(node.premises[1])]
-            for later in second_steps:
-                for earlier in first_steps:
-                    constraints.add(("after", later, earlier))
-            walk(node.premises[0], stage, path + (0,))
-            walk(node.premises[1], stage + 1, path + (1,))
-            return
-        for i, child in enumerate(node.premises):
-            walk(child, stage, path + (i,))
-
-    walk(root, 0, ())
+    entries, constraints = _plan_fragments(root)
     by_id = {e.step.id: e for e in entries}
     unknown = [c for c in constraints if c[1] not in by_id or c[2] not in by_id]
     if unknown:

@@ -17,6 +17,7 @@ parser, model, printer) only for ``--model``.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -619,6 +620,23 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # One process runs one command, and what the command builds (tokens,
+    # model, log events, workflows) holds no reference cycles and lives until
+    # the command ends, so cyclic collections during it free nothing and only
+    # cost time. The few cycles a command does leave (argparse's parsers, the
+    # cells of recursive tree walkers) are freed when the caller's collector
+    # runs again. Pause the collector for the command and restore the
+    # caller's state after it, whatever the exit.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)

@@ -354,14 +354,11 @@ def _apply_drift(workflows: dict[str, Workflow], event: Event) -> StalenessRepor
     phenomena and needs; a solution record also to the solution's refs.
     ``touched`` is tested once per workflow against each name set.
 
-    Only a workflow in CPS3 to CPS5 can regress.  Its check stays even
-    when the drift staled none of its records: the gate invariant
-    (``tests/oracles.py::verify_gates``: CPS3 and later hold a live
-    problem-view validation, CPS5 a live solution validation) does not
-    hold in every log.  A solution validation still pending when a drift
-    regresses its workflow to CPS2 can be granted there, which moves the
-    workflow to CPS3 with no live problem view; the next drift, whatever
-    it touches, regresses it.
+    Only a workflow in CPS3 to CPS5 can regress.  A workflow regressed to
+    CPS2 also loses its pending validation, which can only be a solution
+    request made at CPS4: it goes stale, so that the owner must request a
+    new problem-view validation and CPS3 is reached only through a live
+    one (the gate invariant of ``tests/oracles.py::verify_gates``).
     """
     touched = frozenset(event.payload.get("touched", ()))
     if not touched:
@@ -397,6 +394,12 @@ def _apply_drift(workflows: dict[str, Workflow], event: Event) -> StalenessRepor
         if wf.state is not before:
             wf.implementation_mode = None
             regressions.append((wf.id, before.value, wf.state.value))
+            pending = wf.pending()
+            if wf.state is CpsState.CPS2 and pending is not None:
+                wf.validations = wf.validations[:-1] + (
+                    _with_status(pending, ValidationStatus.STALE, pending.sequence),
+                )
+                stale.append((wf.id, pending.id, pending.target.value))
     return StalenessReport(event.sequence, touched, tuple(stale), tuple(regressions))
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 from deltapoe import model as m
 from deltapoe.artifacts import RuleId, ValidationRecord, ValidationStatus, ValidationTarget
-from deltapoe.calculus import _first_stage, evidence
+from deltapoe.calculus import PlanEntry, _first_stage, _subtree_steps, evidence
 from deltapoe.dsl import (
     EMPTY_MODEL,
     PHENOMENON_KINDS,
@@ -17,6 +17,7 @@ from deltapoe.dsl import (
     ParseDiagnostic,
     Token,
     _Parser,
+    path_str,
     tokenize,
 )
 from deltapoe.export import _dot_escape
@@ -592,6 +593,10 @@ def _apply_drift_reference(workflows, event):
         if wf.state is not before:
             wf.implementation_mode = None
             regressions.append((wf.id, before.value, wf.state.value))
+            pending = _pending_scan(wf)
+            if wf.state is CpsState.CPS2 and pending is not None:
+                _replace_record_by_id(wf, pending, status=ValidationStatus.STALE)
+                stale.append((wf.id, pending.id, pending.target.value))
     return StalenessReport(event.sequence, touched, tuple(stale), tuple(regressions))
 
 
@@ -961,3 +966,33 @@ def assert_evidence_as_eager(node) -> None:
         assert evidence(node) == eager_evidence(node), node.rule
     for child in node.premises + node.alternatives:
         assert_evidence_as_eager(child)
+
+
+# --- plan fragments collected by recursion --------------------------------------------
+
+def plan_fragments_recursive(root):
+    """The plan entries and constraints of a tree, as ``extract_plan``
+    collected them with one recursive call per tree level."""
+    entries, constraints = [], set()
+
+    def walk(node, stage, path):
+        for step in node.plan:
+            entries.append(PlanEntry(step, stage, path_str(path)))
+            for ref in step.after:
+                constraints.add(("after", step.id, ref))
+            for ref in step.parallel_ok:
+                constraints.add(("parallel_ok", step.id, ref))
+        if node.rule is RuleId.SEQUENCE:
+            first_steps = [s.id for s in _subtree_steps(node.premises[0])]
+            second_steps = [s.id for s in _subtree_steps(node.premises[1])]
+            for later in second_steps:
+                for earlier in first_steps:
+                    constraints.add(("after", later, earlier))
+            walk(node.premises[0], stage, path + (0,))
+            walk(node.premises[1], stage + 1, path + (1,))
+            return
+        for i, child in enumerate(node.premises):
+            walk(child, stage, path + (i,))
+
+    walk(root, 0, ())
+    return entries, constraints

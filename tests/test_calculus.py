@@ -774,3 +774,49 @@ def test_mirror_walk_handles_a_long_need():
         assert change.first == model.Unknown(f"F{k}")
         change = change.second
     assert change == model.Unknown(f"F{steps}")
+
+
+# --- plan fragments collected with an explicit stack -------------------------------------
+
+from deltapoe.artifacts import PlanStep  # noqa: E402
+from deltapoe.calculus import DerivationNode, _plan_fragments  # noqa: E402
+
+from .oracles import plan_fragments_recursive  # noqa: E402
+
+PLAN_PROBLEM = model.Problem(model.Environment(()), model.Unknown("F"), "G", model.AtomicNeed("N"))
+STEP_IDS = ("s0", "s1", "s2", "s3", "s4")
+
+
+@st.composite
+def plan_trees(draw, depth=4):
+    """Trees of Sequence, Parallel, one-premise and leaf nodes whose plan
+    steps share ids and refer to each other; the walk reads no more."""
+    rule = draw(st.sampled_from([None, RuleId.SEQUENCE, RuleId.PARALLEL, RuleId.SOLN_REFINE]
+                                if depth else [None]))
+    arity = {None: 0, RuleId.SOLN_REFINE: 1}.get(rule, 2)
+    premises = tuple(draw(plan_trees(depth - 1)) for _ in range(arity))
+    refs = st.lists(st.sampled_from(STEP_IDS), max_size=2).map(tuple)
+    steps = draw(st.lists(st.builds(PlanStep, st.sampled_from(STEP_IDS), st.just("act"),
+                                    st.just(model.Unknown("F")), refs, refs), max_size=2))
+    return DerivationNode(PLAN_PROBLEM, rule, premises, plan=tuple(steps))
+
+
+@given(plan_trees())
+@settings(deadline=None)
+def test_plan_walk_matches_the_recursive_one(root):
+    entries, constraints = _plan_fragments(root)
+    expected_entries, expected_constraints = plan_fragments_recursive(root)
+    assert entries == expected_entries
+    assert constraints == expected_constraints
+
+
+def test_plan_walk_handles_a_deep_tree():
+    depth = 3000
+    step = PlanStep("s", "act", model.Unknown("F"))
+    root = DerivationNode(PLAN_PROBLEM, plan=(step,))
+    for _ in range(depth):
+        root = DerivationNode(PLAN_PROBLEM, RuleId.SOLN_REFINE, (root,))
+    entries, constraints = _plan_fragments(root)
+    assert [(e.step, e.stage) for e in entries] == [(step, 0)]
+    assert entries[0].node == dsl.path_str((0,) * depth)
+    assert constraints == set()

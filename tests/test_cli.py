@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -640,3 +641,88 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     assert code == cli.INTERNAL == 70
     assert out == ""
     assert err == "internal: RecursionError: maximum recursion depth exceeded while calling\n"
+
+
+# --- the collector pause ---------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", str(GOLDEN)], 0),
+    (["check", "--no-such-option"], cli.USAGE),
+    (["check", "no/such/file.poed"], cli.USAGE),
+    (["check", "crash"], cli.INTERNAL),
+])
+def test_main_pauses_the_collector_and_restores_it_on_each_exit(argv, code, monkeypatch, capsys):
+    seen = []
+    check = cli.COMMANDS["check"]
+
+    def recording_check(args):
+        seen.append(gc.isenabled())
+        if args.files == ["crash"]:
+            raise RuntimeError("boom")
+        return check(args)
+
+    monkeypatch.setitem(cli.COMMANDS, "check", recording_check)
+    assert gc.isenabled()
+    assert cli.main(argv) == code
+    assert gc.isenabled()
+    assert not any(seen)
+
+
+def test_main_leaves_a_paused_collector_paused(capsys):
+    gc.disable()
+    try:
+        assert cli.main(["check", str(GOLDEN)]) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def workflow_log_text(count):
+    """A log of ``count`` workflows past their problem-view gate, then one
+    drift that regresses every other one."""
+    events, sequence = [], 0
+    for index in range(count):
+        refs = macro.ProblemRefs(
+            f"[D{index}] (+) ?F |= G : N{index}",
+            frozenset({f"D{index}"}), frozenset({f"d{index}.p"}), frozenset({f"N{index}"}),
+        )
+        for kind, payload in (
+            ("create", {"owner": "G", "delegate": "D", "problem": refs.to_payload()}),
+            ("submit-view", {}),
+            ("request-validation", {}),
+            ("record-validation", {"by": "G", "status": "granted"}),
+        ):
+            sequence += 1
+            events.append(macro.Event(sequence, f"w{index}", kind, payload))
+    touched = sorted(f"D{index}" for index in range(0, count, 2))
+    events.append(macro.Event(sequence + 1, macro.ORG, "drift",
+                              {"touched": touched, "description": "", "origin": "environment"}))
+    return macro.render_log(events)
+
+
+def unreachable_after(argv):
+    """How many objects in reference cycles one in-process command leaves."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main(argv) == 0
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("command", ["impact", "workflow"])
+def test_commands_build_no_cycles_that_grow_with_the_input(command, tmp_path, capsys):
+    """The reason the collector may pause: whatever cycles ``impact`` and
+    ``workflow status`` leave (argparse's own) do not grow with the input."""
+    def argv(size):
+        path = tmp_path / f"{command}{size}"
+        if command == "impact":
+            path.write_text(layered_org_text(size, 2 * size, 3, seed=1))
+            return ["impact", str(path), "--edit", "!O0_0"]
+        path.write_text(workflow_log_text(10 * size))
+        return ["workflow", str(path), "status"]
+
+    small, large = argv(4), argv(16)
+    unreachable_after(small)  # first use: imports and caches
+    assert unreachable_after(small) == unreachable_after(large)

@@ -214,7 +214,7 @@ def differential_cases(draw):
         kept = draw(st.sets(st.sampled_from(sorted(target.controlled)))) if target.controlled else set()
         edit = model.Refine(target.name, (model.Domain("heir", controlled=frozenset(kept)),), ())
     elif kind == "add":
-        controlled = draw(st.sets(st.sampled_from(universe), max_size=3))
+        controlled = draw(st.sets(st.sampled_from(universe), max_size=3)) if universe else set()
         edit = model.Add(model.Domain("newcomer", controlled=frozenset(controlled)))
     else:
         edit = model.Cancel(target.name)

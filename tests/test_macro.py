@@ -257,22 +257,31 @@ def test_stale_records_are_kept(created):
 
 
 def test_drift_checks_workflows_it_stales_nothing_of(created):
-    """A solution validation still pending when a drift regresses its
-    workflow to CPS2 can be granted there, which reaches CPS3 without a
-    live problem view; the next drift regresses the workflow although it
-    touches none of its names."""
+    """A drift that regresses a workflow from CPS4 to CPS2 stales its
+    pending solution request, so that request can no longer be granted
+    there: the owner must request a new problem-view validation."""
     events = log_with(
         ("w1", "submit-solution", {"solution": "!OldAPI", "refs": ["OldAPI'"]}),
         ("w1", "request-validation", {}),
         start=granted_to_cps3(created),
     )
+    pending = fold(events)["w1"].pending()
     event, report = drift(events, frozenset({"OldAPI"}))
     assert report.regressions == (("w1", "CPS4", "CPS2"),)
-    events = log_with(("w1", "record-validation", {"by": "G", "status": "granted"}),
-                      start=events + [event])
-    assert state_of(events) is CpsState.CPS3
-    _, report = drift(events, frozenset({"Unrelated"}))
-    assert report.stale == () and report.regressions == (("w1", "CPS3", "CPS2"),)
+    assert ("w1", pending.id, "solution+plan") in report.stale
+    events = events + [event]
+    assert fold(events)["w1"].pending() is None
+    with pytest.raises(IllegalTransition, match="no validation is pending"):
+        advance(events, "w1", "record-validation", {"by": "G", "status": "granted"})
+    events = log_with(
+        ("w1", "request-validation", {}),
+        ("w1", "record-validation", {"by": "G", "status": "granted"}),
+        start=events,
+    )
+    wf = fold(events)["w1"]
+    assert wf.state is CpsState.CPS3
+    assert wf.effective(ValidationTarget.PROBLEM_VIEW) is not None
+    verify_gates(events)
 
 
 # --- log round trip and determinism -----------------------------------------------------
@@ -343,6 +352,13 @@ LEGAL_MOVES = {
 }
 
 
+DRIFT_MOVES = [
+    ("drift", frozenset({"OldAPI"})),
+    ("drift", frozenset({"OldAPI'"})),
+    ("drift", frozenset({"Unrelated"})),
+]
+
+
 def legal_moves(wf):
     moves = [m for m in LEGAL_MOVES[wf.state]]
     if wf.state in (CpsState.CPS2, CpsState.CPS4):
@@ -361,14 +377,21 @@ def legal_moves(wf):
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_random_legal_walks_keep_gates(data):
+    """Legal moves interleaved with drifts on the problem's names, the
+    solution's refs or names the workflow does not use.  A walk ends when
+    the workflow is done: a later drift stales its records but does not
+    reopen a finished delegation."""
     events = [create_workflow([], "w1", "G", "D", REFS)]
     for _ in range(data.draw(st.integers(min_value=0, max_value=25))):
         wf = fold(events)["w1"]
         moves = legal_moves(wf)
         if not moves:
             break
-        kind, payload = data.draw(st.sampled_from(moves))
-        event, _ = advance(events, "w1", kind, payload)
+        kind, payload = data.draw(st.sampled_from(moves + DRIFT_MOVES))
+        if kind == "drift":
+            event, _ = drift(events, payload)
+        else:
+            event, _ = advance(events, "w1", kind, payload)
         events.append(event)
     verify_gates(events)
 
