@@ -70,6 +70,18 @@ class Justification:
 
 EMPTY_JUSTIFICATION = Justification()
 
+# The keyword of each text field in a ``justify`` block, in document order.
+JUSTIFICATION_FIELDS = {
+    "rule": "rule_rationale",
+    "coordination": "coordination_rationale",
+    "integration": "integration_argument",
+    "dependency": "dependency_argument",
+    "feedback": "feedback_cadence",
+    "timeline": "timeline_rationale",
+    "criteria": "validation_criteria",
+    "resources": "resource_rationale",
+}
+
 
 @dataclass(frozen=True)
 class Deadline:

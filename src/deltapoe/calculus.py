@@ -49,12 +49,14 @@ from .printer import change_str, env_str, need_str
 class RuleError(Exception):
     """A rule application that cannot be made."""
 
-    kind = "RuleError"
-
     def __init__(self, message: str, path: NodePath = (), cause_kind: str | None = None):
         super().__init__(message)
         self.path = path
         self.cause_kind = cause_kind
+
+    @property
+    def kind(self) -> str:
+        return type(self).__name__
 
     def at(self, path: NodePath) -> "RuleError":
         self.path = path
@@ -62,27 +64,21 @@ class RuleError(Exception):
 
 
 class SideConditionViolated(RuleError):
-    kind = "SideConditionViolated"
-
     def __init__(self, message, path=(), cause_kind=None, shared=frozenset()):
         super().__init__(message, path, cause_kind)
         self.shared = shared
 
 
 class TrustMissing(RuleError):
-    kind = "TrustMissing"
-
-
-class ArityMismatch(RuleError):
-    kind = "ArityMismatch"
+    """A delegation to a party the validator does not trust."""
 
 
 class NotOpen(RuleError):
-    kind = "NotOpen"
+    """A rule or discharge at a node that is not open to it."""
 
 
 class BadPath(RuleError):
-    kind = "BadPath"
+    """A node path that names no node of the tree."""
 
 
 class UnsolvedTree(Exception):
@@ -262,7 +258,8 @@ def _first_stage(node: DerivationNode) -> m.ChangeExpr | None:
 def _expected(node: DerivationNode, mdl: Model) -> list[DerivationNode]:
     """The premises a rule application must have, as open leaves, which
     :func:`apply` installs, :func:`rethread` copies onto the existing
-    premises and :func:`check` compares them with.
+    premises and :func:`check` compares them with: always
+    ``RULE_ARITY[node.rule]`` of them.
 
     Raises RuleError when the rule's side conditions do not hold for the
     node's conclusion and arguments.
@@ -366,7 +363,7 @@ def _expected(node: DerivationNode, mdl: Model) -> list[DerivationNode]:
             except (m.ChangeError, m.ModelError) as err:
                 raise SideConditionViolated(
                     f"stage one's solution does not apply: {err}",
-                    cause_kind=getattr(err, "kind", "ModelError"),
+                    cause_kind=type(err).__name__,
                 )
         second = same(env_=env2, change_=change.second, need_=need.right,
                       provisional=first_commit is None)
@@ -432,7 +429,7 @@ def _expected(node: DerivationNode, mdl: Model) -> list[DerivationNode]:
         try:
             new_env = m.apply_change(env, change)
         except (m.ChangeError, m.ModelError) as err:
-            raise SideConditionViolated(str(err), cause_kind=getattr(err, "kind", "ModelError"))
+            raise SideConditionViolated(str(err), cause_kind=type(err).__name__)
         return [same(env_=new_env, change_=m.Nil(), greenfield=True)]
 
     if rule is RuleId.SEQ_DOMAIN_REFINE_EQUIV:
@@ -467,7 +464,7 @@ def _expected(node: DerivationNode, mdl: Model) -> list[DerivationNode]:
             before = m.apply_change(env, change)
             after = m.apply_change(env, rewritten)
         except (m.ChangeError, m.ModelError) as err:
-            raise SideConditionViolated(str(err), cause_kind=getattr(err, "kind", "ModelError"))
+            raise SideConditionViolated(str(err), cause_kind=type(err).__name__)
         if before != after:
             raise SideConditionViolated(
                 "rewrite is not a semantic no-op here: "
@@ -515,10 +512,7 @@ def apply(rule: RuleId, node: DerivationNode, args: dict, mdl: Model) -> Derivat
     if node.greenfield:
         raise NotOpen("greenfield obligations are discharged, not derived")
     candidate = _copy(node, rule=rule, args=dict(args))
-    premises = tuple(_expected(candidate, mdl))
-    if len(premises) != RULE_ARITY[rule]:
-        raise ArityMismatch(f"{rule.value} must create {RULE_ARITY[rule]} premises")
-    return _copy(candidate, premises=premises)
+    return _copy(candidate, premises=tuple(_expected(candidate, mdl)))
 
 
 def rethread(node: DerivationNode, mdl: Model) -> DerivationNode:
@@ -809,15 +803,6 @@ class Verdict:
         return self.kind == "Solved"
 
 
-def _granted_by(node: DerivationNode, stakeholder: str, target: ValidationTarget) -> bool:
-    return any(
-        v.status is ValidationStatus.GRANTED
-        and v.stakeholder == stakeholder
-        and v.target is target
-        for v in node.validations
-    )
-
-
 def check(root: DerivationNode, mdl: Model) -> Verdict:
     """Replay a derivation bottom-up against the model.
 
@@ -893,7 +878,7 @@ def check(root: DerivationNode, mdl: Model) -> Verdict:
                 try:
                     m.apply_change(node.conclusion.env, solution)
                 except (m.ChangeError, m.ModelError) as err:
-                    note(path, getattr(err, "kind", "ModelError"), str(err))
+                    note(path, type(err).__name__, str(err))
         for i, child in enumerate(node.premises):
             walk(child, path + (i,), in_alternative)
 
@@ -905,7 +890,7 @@ def check(root: DerivationNode, mdl: Model) -> Verdict:
             note(path, "WrongValidator",
                  f"validation granted by {wrong[0].stakeholder!r}; "
                  f"only {validator!r} may validate this problem")
-        if not _granted_by(node, validator, target):
+        if not any(v.stakeholder == validator and v.target is target for v in granted):
             what = ("greenfield discharge" if target is ValidationTarget.GREENFIELD_DISCHARGE
                     else "solution")
             note(path, "MissingValidation",

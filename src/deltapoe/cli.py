@@ -238,7 +238,7 @@ def cmd_plan(args) -> int:
 
 def _names_flag(values) -> frozenset[str]:
     out = set()
-    for chunk in values or ():
+    for chunk in values:
         out.update(part.strip() for part in chunk.split(",") if part.strip())
     return frozenset(out)
 
@@ -276,7 +276,7 @@ def cmd_impact(args) -> int:
                 print("  " + impact.path_text(report.path_to(name)))
     if permitted is None:
         return OK
-    bound = impact.bound_check(env, edit, permitted, buffers, report)
+    bound = impact.bound_check(report, permitted)
     if bound.passed:
         print("bound: pass")
         return OK
@@ -321,18 +321,21 @@ def cmd_lint(args) -> int:
 # --- workflow ----------------------------------------------------------------------
 
 def _append_events(handle, events: list[macro.Event]):
-    handle.write("".join(event.to_line() + "\n" for event in events))
+    from . import macro
+
+    handle.write(macro.render_log(events))
     handle.flush()
     os.fsync(handle.fileno())
 
 
-def _workflow_problem_refs(args) -> macro.ProblemRefs:
+def _workflow_problem_refs(args, workspace: Workspace | None) -> macro.ProblemRefs:
+    """The names ``--problem`` mentions, from ``workspace``, the loaded
+    ``--model``; without a model, the problem's name alone."""
     from . import macro
 
     if args.model and args.problem:
         from . import printer
 
-        workspace, status = _load_workspace([args.model])
         if workspace is None:
             raise ValueError("cannot parse the model file")
         if args.problem not in workspace.problems:
@@ -436,7 +439,8 @@ def _run_workflow(args, events: list[macro.Event], handle) -> int:
         if args.subcommand == "advance":
             new_events = []
             if not events and args.owner and args.delegate:
-                refs = _workflow_problem_refs(args)
+                workspace = _load_workspace([args.model])[0] if args.model and args.problem else None
+                refs = _workflow_problem_refs(args, workspace)
                 new_events.append(
                     macro.create_workflow(events, args.workflow, args.owner, args.delegate, refs)
                 )
@@ -453,15 +457,12 @@ def _run_workflow(args, events: list[macro.Event], handle) -> int:
             print(f"workflow {wf.id}: {wf.state.value}")
             return OK
         if args.subcommand == "delegate":
-            refs = _workflow_problem_refs(args)
-            stakeholders = {}
-            if args.model:
-                workspace, status = _load_workspace([args.model])
-                if workspace is None:
-                    return status
-                stakeholders = workspace.model
+            workspace, status = _load_workspace([args.model]) if args.model else (None, OK)
+            refs = _workflow_problem_refs(args, workspace)
+            if args.model and workspace is None:
+                return status
             event, child = macro.delegate(
-                events, args.workflow, args.to, args.child, refs, stakeholders
+                events, args.workflow, args.to, args.child, refs, workspace.model if workspace else {}
             )
             _append_events(handle, [event])
             print(f"workflow {child.id}: {child.state.value} (owner {child.owner}, delegate {child.delegate})")
@@ -506,7 +507,11 @@ def cmd_export(args) -> int:
         except json.JSONDecodeError as err:
             _err(f"{args.input}: {err}")
             return INVALID
-        text = export.impact_dot(doc, source.stem)
+        try:
+            text = export.impact_dot(doc, source.stem)
+        except ValueError as err:
+            _err(f"{args.input}: {err}")
+            return INVALID
     else:
         workspace, status = _load_workspace([args.input])
         if workspace is None:
@@ -556,8 +561,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_imp = sub.add_parser("impact", help="propagate a change edit over the model")
     p_imp.add_argument("files", nargs="+")
     p_imp.add_argument("--edit", required=True, help="'!X', '+X', 'X ~> d[A](B)' or 'X causes y -> c'")
-    p_imp.add_argument("--permitted", action="append", help="domains permitted to change")
-    p_imp.add_argument("--buffers", action="append", help="declared change buffers")
+    p_imp.add_argument("--permitted", action="append", default=[], help="domains permitted to change")
+    p_imp.add_argument("--buffers", action="append", default=[], help="declared change buffers")
     p_imp.add_argument("--format", choices=("text", "structured"), default="text")
 
     p_lint = sub.add_parser("lint", help="check justification profiles and plan fragments")
@@ -586,7 +591,7 @@ def make_parser() -> argparse.ArgumentParser:
     w_adv.add_argument("--status", choices=("granted", "rejected"))
     w_adv.add_argument("--mode", choices=("self", "delegate"))
     w_adv.add_argument("--solution")
-    w_adv.add_argument("--refs", action="append")
+    w_adv.add_argument("--refs", action="append", default=[])
     w_adv.add_argument("--owner")
     w_adv.add_argument("--delegate")
     w_adv.add_argument("--model")
@@ -648,8 +653,10 @@ def _run(argv) -> int:
         _err(f"--config: {err}")
         return USAGE
     for key, value in defaults.items():
-        if hasattr(args, key) and getattr(args, key) in (None, "text"):
-            setattr(args, key, value)
+        # a value fills an option not given on the command line, as one
+        # ``--key value`` would; a list option starts out as []
+        if hasattr(args, key) and getattr(args, key) in (None, "text", []):
+            setattr(args, key, [value] if getattr(args, key) == [] else value)
     try:
         return COMMANDS[args.command](args)
     except Exception as err:  # last resort: a crash must not exit with a verdict code

@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import model as m
-from .artifacts import Deadline, Justification, PlanStep, RiskItem, RuleId
+from .artifacts import JUSTIFICATION_FIELDS, Deadline, Justification, PlanStep, RiskItem, RuleId
 
 SYMBOLS = ("(+)", "||", "~>", "->", "|=", "{", "}", "[", "]", "(", ")",
            ":", ";", ",", "?", "+", "!", "-", ".", "@", "=")
@@ -45,10 +45,9 @@ class ParseDiagnostic:
     line: int
     column: int
     message: str
-    severity: str = "error"
 
     def __str__(self):
-        return f"{self.line}:{self.column}: {self.severity}: {self.message}"
+        return f"{self.line}:{self.column}: error: {self.message}"
 
 
 class DslError(Exception):
@@ -676,16 +675,6 @@ class _Parser:
     def justify_block(self) -> Justification:
         self.expect_word("justify")
         self.expect("symbol", "{")
-        fields = {
-            "rule": "rule_rationale",
-            "coordination": "coordination_rationale",
-            "integration": "integration_argument",
-            "dependency": "dependency_argument",
-            "feedback": "feedback_cadence",
-            "timeline": "timeline_rationale",
-            "criteria": "validation_criteria",
-            "resources": "resource_rationale",
-        }
         values: dict = {}
         risks: list[RiskItem] = []
         while not self.at("symbol", "}"):
@@ -695,14 +684,15 @@ class _Parser:
                 self.expect_word("mitigation")
                 mitigation = self.expect("string").value
                 risks.append(RiskItem(risk, mitigation))
-            elif key.value in fields:
-                if fields[key.value] in values:
+            elif key.value in JUSTIFICATION_FIELDS:
+                field = JUSTIFICATION_FIELDS[key.value]
+                if field in values:
                     self.fail(f"duplicate field {key.value!r}", key)
-                values[fields[key.value]] = self.expect("string").value
+                values[field] = self.expect("string").value
             else:
                 self.fail(
                     f"unknown justification field {key.value!r}; one of "
-                    + ", ".join(sorted(fields) + ["risk"]),
+                    + ", ".join(sorted(JUSTIFICATION_FIELDS) + ["risk"]),
                     key,
                 )
         self.expect("symbol", "}")
@@ -712,7 +702,7 @@ class _Parser:
         self.expect_word("plan")
         self.expect("symbol", "{")
         steps: list[PlanStep] = []
-        seen = {s.id for s in steps}
+        seen: set[str] = set()
         while not self.at("symbol", "}"):
             self.expect_word("step")
             step_id = self.ident("step id")

@@ -15,7 +15,7 @@ from itertools import islice
 from typing import TYPE_CHECKING, TextIO
 
 from . import model as m
-from .artifacts import Justification, PlanStep, ValidationRecord
+from .artifacts import JUSTIFICATION_FIELDS, Justification, PlanStep, ValidationRecord
 from .dsl import Model
 from .impact import ImpactReport
 from .printer import change_str, problem_str
@@ -29,17 +29,8 @@ _JSON_BATCH = 4096  # encoder chunks per write when streaming JSON
 
 def _justification_doc(j: Justification) -> dict:
     out = {}
-    for key, value in (
-        ("rule", j.rule_rationale),
-        ("coordination", j.coordination_rationale),
-        ("integration", j.integration_argument),
-        ("dependency", j.dependency_argument),
-        ("feedback", j.feedback_cadence),
-        ("timeline", j.timeline_rationale),
-        ("criteria", j.validation_criteria),
-        ("resources", j.resource_rationale),
-    ):
-        if value:
+    for key, attr in JUSTIFICATION_FIELDS.items():
+        if value := getattr(j, attr):
             out[key] = value
     if j.risk_register:
         out["risks"] = [
@@ -99,19 +90,13 @@ def derivation_doc(node: DerivationNode) -> dict:
     return doc
 
 
-def to_json(doc, out: TextIO | None = None) -> str | None:
-    """``doc`` as indented JSON text with a final newline.
-
-    Given a stream ``out``, writes that text to it in batches of encoder
-    chunks instead, so the whole text is never held at once; the bytes are
-    the same."""
-    if out is None:
-        return json.dumps(doc, indent=2) + "\n"
+def to_json(doc, out: TextIO) -> None:
+    """Write ``doc`` to ``out`` as indented JSON text with a final newline,
+    in batches of encoder chunks, so the whole text is never held at once."""
     chunks = json.JSONEncoder(indent=2).iterencode(doc)
     while batch := list(islice(chunks, _JSON_BATCH)):
         out.write("".join(batch))
     out.write("\n")
-    return None
 
 
 def _dot_escape(text: str) -> str:
@@ -189,8 +174,21 @@ def impact_doc(report: ImpactReport, env: m.Environment) -> dict:
     }
 
 
+def _is_names(value) -> bool:
+    return type(value) is list and all(type(item) is str for item in value)
+
+
 def impact_dot(doc: dict, name: str = "impact") -> str:
-    """Domains colored by impact class; path hops as edges, buffers marked."""
+    """Domains colored by impact class; path hops as edges, buffers marked.
+    Raises ValueError if a field it reads is not as ``impact_doc`` writes it."""
+    if type(doc) is not dict:
+        raise ValueError("not an impact report: not a JSON object")
+    for key in ("structural", "behavioural", "buffers", "domains"):
+        if not _is_names(doc.get(key, [])):
+            raise ValueError(f"not an impact report: {key!r} is not a list of names")
+    paths = doc.get("paths", [])
+    if type(paths) is not list or not all(map(_is_names, paths)):
+        raise ValueError("not an impact report: 'paths' is not a list of paths")
     structural = set(doc.get("structural", ()))
     behavioural = set(doc.get("behavioural", ()))
     buffers = set(doc.get("buffers", ()))
@@ -207,8 +205,7 @@ def impact_dot(doc: dict, name: str = "impact") -> str:
         lines.append(f'  "{_dot_escape(dom)}" [fillcolor="{color}"{extra}];')
     seed = sorted(structural)[0] if structural else None
     seen = set()
-    for path in doc.get("paths", ()):
-        hops = list(path)
+    for hops in paths:
         # a path alternates phenomena and the domains they reach:
         # p0, D1, p1, D2, ..., Dk; the seed phenomenon leaves the edit's domain
         previous = seed

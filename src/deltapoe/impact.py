@@ -26,20 +26,16 @@ from .printer import change_str
 
 
 class ImpactError(Exception):
-    kind = "ImpactError"
+    """An edit that cannot be propagated over the environment."""
 
 
 class UnknownDomain(ImpactError):
-    kind = "UnknownDomain"
-
     def __init__(self, name: str):
         super().__init__(f"no domain named {name!r} in the environment")
         self.name = name
 
 
 class UnknownPhenomenon(ImpactError):
-    kind = "UnknownPhenomenon"
-
     def __init__(self, name: str):
         super().__init__(f"no phenomenon named {name!r} in the environment")
         self.name = name
@@ -115,7 +111,6 @@ class ImpactReport:
 @dataclass(frozen=True)
 class BoundReport:
     passed: bool
-    impacted: frozenset[str]
     violations: tuple[tuple[str, Path], ...]
 
 
@@ -216,28 +211,17 @@ def propagate(
     )
 
 
-def bound_check(
-    env: m.Environment,
-    edit: EditSpec,
-    permitted: frozenset[str],
-    buffers: frozenset[str] = frozenset(),
-    report: ImpactReport | None = None,
-) -> BoundReport:
-    """Pass iff every impacted domain is permitted to change.
-
-    ``report``, when given, is ``propagate(env, edit, buffers)`` already
-    computed; it is not computed again.  Violations are ordered by path
-    length, then name; a structural domain's path is its name alone.
+def bound_check(report: ImpactReport, permitted: frozenset[str]) -> BoundReport:
+    """Pass iff every domain the ``report`` finds impacted is permitted to
+    change.  Violations are ordered by path length, then name; a
+    structural domain's path is its name alone.
     """
-    if report is None:
-        report = propagate(env, edit, buffers)
-    impacted = report.structural | report.behavioural
     # structural domains sort first (length 1); hits are already in order
     violations = [(name, (name,)) for name in sorted(report.structural - permitted)]
     violations += [
         (name, report.path_to(name)) for name in report.hits if name not in permitted
     ]
-    return BoundReport(not violations, impacted, tuple(violations))
+    return BoundReport(not violations, tuple(violations))
 
 
 def parse_edit(text: str, mdl: dsl.Model) -> EditSpec:
@@ -246,13 +230,13 @@ def parse_edit(text: str, mdl: dsl.Model) -> EditSpec:
     Accepts a change atom (``+X``, ``!X``, ``X ~> d[A](B)``) or a new
     causal link (``X causes y -> c``)."""
     tokens = dsl.tokenize(text)
+    parser = dsl._Parser(tokens, mdl)
     if (
         len(tokens) >= 2
         and tokens[0].kind == "ident"
         and tokens[1].kind == "ident"
         and tokens[1].value == "causes"
     ):
-        parser = dsl._Parser(tokens, mdl)
         owner = parser.ident("domain name")
         parser.expect_word("causes")
         cause = parser.ident("phenomenon name")
@@ -260,7 +244,8 @@ def parse_edit(text: str, mdl: dsl.Model) -> EditSpec:
         effect = parser.ident("phenomenon name")
         parser.expect("eof")
         return NewLink(owner.value, cause.value, effect.value)
-    change = dsl.parse_change(text, mdl)
+    change = parser.change_expr()
+    parser.expect("eof")
     if not isinstance(change, (m.Add, m.Cancel, m.Refine)):
         raise dsl.DslError(
             [dsl.ParseDiagnostic(1, 1, "an impact edit is a single change atom or a new link")]

@@ -25,12 +25,10 @@ if TYPE_CHECKING:
 
 
 class MacroError(Exception):
-    kind = "MacroError"
+    """A workflow event that cannot be appended or replayed."""
 
 
 class IllegalTransition(MacroError):
-    kind = "IllegalTransition"
-
     def __init__(self, state, event, detail=""):
         extra = f" ({detail})" if detail else ""
         super().__init__(f"event {event!r} is not legal in state {state}{extra}")
@@ -39,23 +37,21 @@ class IllegalTransition(MacroError):
 
 
 class WrongStakeholder(MacroError):
-    kind = "WrongStakeholder"
+    """A validation recorded by a party other than the owner."""
 
 
 class TrustMissing(MacroError):
-    kind = "TrustMissing"
+    """A delegation to a party the delegating one does not trust."""
 
 
 class UnknownWorkflow(MacroError):
-    kind = "UnknownWorkflow"
-
     def __init__(self, workflow_id):
         super().__init__(f"no workflow {workflow_id!r} in this log")
         self.workflow_id = workflow_id
 
 
 class BadLog(MacroError):
-    kind = "BadLog"
+    """A log line or logged event that is not a well-formed event."""
 
 
 class CpsState(str, enum.Enum):
@@ -95,11 +91,16 @@ def render_log(events: list[Event]) -> str:
 _raw_decode = json.JSONDecoder().raw_decode
 
 
+_FIELDS = (("sequence", int, "an integer"), ("workflow", str, "a string"),
+           ("event", str, "a string"), ("payload", dict, "an object"))
+
+
 def parse_log(text: str) -> list[Event]:
     """The events of a log's text; blank lines are skipped.  A line that
     is one JSON value with no blanks around it, as ``to_line`` writes it,
     is decoded in place; any other line goes through ``json.loads``, whose
-    error a ``BadLog`` names with the line's number."""
+    error a ``BadLog`` names with the line's number, as it names a field
+    of the wrong type."""
     events = []
     append, new = events.append, tuple.__new__
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -112,9 +113,14 @@ def parse_log(text: str) -> list[Event]:
                 if not line.strip():
                     continue
                 raw = json.loads(line)
-            append(new(Event, (raw["sequence"], raw["workflow"], raw["event"], raw["payload"])))
+            fields = raw["sequence"], raw["workflow"], raw["event"], raw["payload"]
         except (json.JSONDecodeError, KeyError, TypeError) as err:
             raise BadLog(f"line {lineno}: {err}")
+        if (type(fields[0]) is not int or type(fields[1]) is not str
+                or type(fields[2]) is not str or type(fields[3]) is not dict):
+            key, _, what = next(f for f, value in zip(_FIELDS, fields) if type(value) is not f[1])
+            raise BadLog(f"line {lineno}: field {key!r} is not {what}")
+        append(new(Event, fields))
     return events
 
 
@@ -137,12 +143,12 @@ class ProblemRefs:
 
     @classmethod
     def from_payload(cls, raw: dict) -> "ProblemRefs":
-        return cls(
-            raw.get("text", ""),
-            frozenset(raw.get("domains", ())),
-            frozenset(raw.get("phenomena", ())),
-            frozenset(raw.get("needs", ())),
-        )
+        if type(raw) is not dict:
+            raise BadLog("payload field 'problem' is not an object")
+        text = raw.get("text", "")
+        if type(text) is not str:
+            raise BadLog("payload field 'text' is not a string")
+        return cls(text, _names(raw, "domains"), _names(raw, "phenomena"), _names(raw, "needs"))
 
 
 def problem_refs(problem: m.Problem, text: str = "") -> ProblemRefs:
@@ -165,9 +171,7 @@ class Workflow:
     delegate: str
     problem: ProblemRefs
     state: CpsState = CpsState.CPS1
-    derivation: str | None = None
     children: tuple[str, ...] = ()
-    parent: str | None = None
     validations: tuple[ValidationRecord, ...] = ()
     solution_refs: frozenset[str] = frozenset()
     solution_text: str = ""
@@ -219,11 +223,9 @@ def _apply_event(workflows: dict[str, Workflow], event: Event) -> StalenessRepor
             raise IllegalTransition("-", kind, f"workflow {event.workflow!r} already exists")
         workflows[event.workflow] = Workflow(
             id=event.workflow,
-            owner=payload["owner"],
-            delegate=payload["delegate"],
+            owner=_text(payload, "owner"),
+            delegate=_text(payload, "delegate"),
             problem=ProblemRefs.from_payload(payload.get("problem", {})),
-            derivation=payload.get("derivation"),
-            parent=payload.get("parent"),
         )
         return None
     if event.workflow not in workflows:
@@ -292,8 +294,8 @@ def _apply_event(workflows: dict[str, Workflow], event: Event) -> StalenessRepor
     if kind == "submit-solution":
         if wf.state is not CpsState.CPS3:
             raise IllegalTransition(wf.state.value, kind)
-        wf.solution_text = payload.get("solution", "")
-        wf.solution_refs = frozenset(payload.get("refs", ()))
+        wf.solution_text = _text(payload, "solution", "")
+        wf.solution_refs = _names(payload, "refs")
         wf.state = CpsState.CPS4
         return None
 
@@ -311,16 +313,15 @@ def _apply_event(workflows: dict[str, Workflow], event: Event) -> StalenessRepor
     if kind == "delegate":
         if wf.state not in (CpsState.CPS3, CpsState.CPS5):
             raise IllegalTransition(wf.state.value, kind)
-        child_id = payload["child"]
+        child_id = _text(payload, "child")
         if child_id in workflows:
             raise IllegalTransition(wf.state.value, kind, f"workflow {child_id!r} already exists")
         delegating = wf.delegate if wf.state is CpsState.CPS3 else wf.owner
         workflows[child_id] = Workflow(
             id=child_id,
             owner=delegating,
-            delegate=payload["to"],
+            delegate=_text(payload, "to"),
             problem=ProblemRefs.from_payload(payload.get("problem", {})),
-            parent=wf.id,
         )
         wf.children += (child_id,)
         return None
@@ -343,6 +344,28 @@ def _apply_event(workflows: dict[str, Workflow], event: Event) -> StalenessRepor
     raise IllegalTransition(wf.state.value, kind, "unknown event kind")
 
 
+def _text(payload: dict, key: str, default: str | None = None) -> str:
+    """The string at ``key`` of a logged event's payload, or ``default``
+    if the key is absent."""
+    value = payload.get(key, default)
+    if type(value) is not str:
+        raise BadLog(f"payload field {key!r} is " + ("not a string" if key in payload else "missing"))
+    return value
+
+
+def _names(raw: dict, key: str) -> frozenset[str]:
+    """The names listed at ``key`` of a logged event's payload, or of a
+    part of it; none if the key is absent."""
+    value = raw.get(key, [])
+    try:
+        if type(value) is list:
+            "".join(value)  # refuses, faster than a loop, any item but a string
+            return frozenset(value)
+    except TypeError:
+        pass
+    raise BadLog(f"payload field {key!r} is not a list of names")
+
+
 def _with_status(record: ValidationRecord, status: ValidationStatus, sequence: int):
     return ValidationRecord(record.id, record.stakeholder, record.target, record.subject, status, sequence)
 
@@ -360,7 +383,7 @@ def _apply_drift(workflows: dict[str, Workflow], event: Event) -> StalenessRepor
     new problem-view validation and CPS3 is reached only through a live
     one (the gate invariant of ``tests/oracles.py::verify_gates``).
     """
-    touched = frozenset(event.payload.get("touched", ()))
+    touched = _names(event.payload, "touched")
     if not touched:
         raise IllegalTransition("-", "drift", "a drift event must touch something")
     stale: list[tuple[str, str, str]] = []
@@ -407,7 +430,10 @@ def _apply_next(workflows: dict[str, Workflow], event: Event, last: int) -> None
     """Apply ``event`` after the one numbered ``last``."""
     if event.sequence <= last:
         raise BadLog(f"sequence {event.sequence} does not increase (after {last})")
-    _apply_event(workflows, event)
+    try:
+        _apply_event(workflows, event)
+    except BadLog as err:  # a payload field at fault
+        raise BadLog(f"event {event.sequence}: {err}") from None
 
 
 def fold(events: list[Event]) -> dict[str, Workflow]:
@@ -440,11 +466,8 @@ def create_workflow(
     owner: str,
     delegate: str,
     problem: ProblemRefs,
-    derivation: str | None = None,
 ) -> Event:
     payload = {"owner": owner, "delegate": delegate, "problem": problem.to_payload()}
-    if derivation:
-        payload["derivation"] = derivation
     event = Event(next_sequence(events), workflow_id, "create", payload)
     _validated_append(events, event)
     return event

@@ -20,36 +20,26 @@ class ModelError(ValueError):
 class ChangeError(Exception):
     """Base class for change-application failures."""
 
-    kind = "ChangeError"
-
 
 class AddExisting(ChangeError):
-    kind = "AddExisting"
-
     def __init__(self, name: str):
         super().__init__(f"cannot add domain {name!r}: a domain of that name already exists")
         self.name = name
 
 
 class CancelMissing(ChangeError):
-    kind = "CancelMissing"
-
     def __init__(self, name: str):
         super().__init__(f"cannot cancel domain {name!r}: no such domain in the environment")
         self.name = name
 
 
 class RefineMissing(ChangeError):
-    kind = "RefineMissing"
-
     def __init__(self, name: str):
         super().__init__(f"cannot refine domain {name!r}: no such domain in the environment")
         self.name = name
 
 
 class DanglingControl(ChangeError):
-    kind = "DanglingControl"
-
     def __init__(self, orphans: frozenset[str]):
         listed = ", ".join(sorted(orphans))
         super().__init__(
@@ -60,8 +50,6 @@ class DanglingControl(ChangeError):
 
 
 class ParConflict(ChangeError):
-    kind = "ParConflict"
-
     def __init__(self, shared: frozenset[str]):
         listed = ", ".join(sorted(shared))
         super().__init__(f"parallel change branches touch common domains: {listed}")
@@ -69,16 +57,12 @@ class ParConflict(ChangeError):
 
 
 class UnknownChange(ChangeError):
-    kind = "UnknownChange"
-
     def __init__(self, placeholder: str):
         super().__init__(f"change still contains the unsolved placeholder ?{placeholder}")
         self.placeholder = placeholder
 
 
 class NeedNotCurrent(ChangeError):
-    kind = "NeedNotCurrent"
-
     def __init__(self, need: "Need"):
         super().__init__(f"need {need_name_hint(need)!r} is not among the organisation's current problems")
         self.need = need

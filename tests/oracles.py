@@ -436,8 +436,6 @@ def _apply_event_reference(workflows, event):
             owner=payload["owner"],
             delegate=payload["delegate"],
             problem=ProblemRefs.from_payload(payload.get("problem", {})),
-            derivation=payload.get("derivation"),
-            parent=payload.get("parent"),
         )
         return None
     if event.workflow not in workflows:
@@ -536,7 +534,6 @@ def _apply_event_reference(workflows, event):
             owner=delegating,
             delegate=payload["to"],
             problem=ProblemRefs.from_payload(payload.get("problem", {})),
-            parent=wf.id,
         )
         wf.children += (child_id,)
         return None
@@ -705,7 +702,7 @@ def bound_check_stored_paths(env, edit, permitted, buffers=frozenset()) -> Bound
         path = report.path_to(name) or (name,)
         violations.append((name, path))
     violations.sort(key=lambda v: (len(v[1]), v[0]))
-    return BoundReport(not violations, impacted, tuple(violations))
+    return BoundReport(not violations, tuple(violations))
 
 
 # --- model graph ----------------------------------------------------------------------

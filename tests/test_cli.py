@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from deltapoe import cli, dsl, export, impact, macro
+from deltapoe import cli, dsl, export, impact, macro, model
 
 from .conftest import FIXTURES
 from .strategies import layered_org_text
@@ -392,6 +392,34 @@ def test_bad_log_lines_are_named(tmp_path, capsys, text, message):
     assert (code, out, err) == (2, "", f"{log}: {message}\n")
 
 
+def event_line(sequence=1, workflow="w1", event="create", payload=None):
+    payload = {"owner": "G", "delegate": "D"} if payload is None else payload
+    return json.dumps({"sequence": sequence, "workflow": workflow, "event": event,
+                       "payload": payload}) + "\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (event_line(payload=5), "line 1: field 'payload' is not an object"),
+    (event_line(payload={"delegate": "D"}), "event 1: payload field 'owner' is missing"),
+    (event_line(sequence="1"), "line 1: field 'sequence' is not an integer"),
+    (event_line(workflow=["w"]), "line 1: field 'workflow' is not a string"),
+    (event_line(payload={"owner": "G", "delegate": "D", "problem": 3}),
+     "event 1: payload field 'problem' is not an object"),
+    (CREATED + event_line(2, macro.ORG, "drift", {"touched": 7}),
+     "event 2: payload field 'touched' is not a list of names"),
+    (CREATED + event_line(2, event="submit-view", payload={})
+     + event_line(3, event="request-validation", payload={})
+     + event_line(4, event="record-validation", payload={"by": "G", "status": "granted"})
+     + event_line(5, event="submit-solution", payload={"solution": 5}),
+     "event 5: payload field 'solution' is not a string"),
+], ids=["payload", "no-owner", "sequence", "workflow", "problem", "touched", "solution"])
+def test_malformed_events_are_named(tmp_path, capsys, text, message):
+    log = tmp_path / "wf.jsonl"
+    log.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "workflow", log, "status")
+    assert (code, out, err) == (2, "", f"{log}: {message}\n")
+
+
 def test_blank_lines_and_blanks_around_a_line_are_read(tmp_path, capsys):
     log = tmp_path / "wf.jsonl"
     log.write_text("\n" + CREATED + "\n\t\n " + SUBMITTED + "  \n\n", encoding="utf-8")
@@ -513,6 +541,20 @@ def test_export_non_utf8_report_is_invalid(tmp_path, capsys):
     assert not (tmp_path / "impact.dot").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "not a JSON object"),
+    ('{"structural": 5}', "'structural' is not a list of names"),
+    ('{"domains": ["A", ["B"]]}', "'domains' is not a list of names"),
+    ('{"paths": [["c", "D"], "E"]}', "'paths' is not a list of paths"),
+], ids=["array", "structural", "domains", "paths"])
+def test_export_of_json_that_is_no_impact_report_is_invalid(tmp_path, capsys, text, message):
+    report = tmp_path / "report.json"
+    report.write_text(text)
+    code, out, err = run(capsys, "export", report, "--graph", tmp_path / "impact.dot")
+    assert (code, out, err) == (2, "", f"{report}: not an impact report: {message}\n")
+    assert not (tmp_path / "impact.dot").exists()
+
+
 def test_outputs_are_deterministic(tmp_path, capsys):
     first = run(capsys, "check", GOLDEN, DOCS)
     second = run(capsys, "check", GOLDEN, DOCS)
@@ -538,6 +580,69 @@ def test_config_file_defaults(tmp_path, capsys):
     code, out, _ = run(capsys, "--config", config, "plan", GOLDEN)
     assert code == 0
     json.loads(out)
+
+
+LINE_MODEL = (
+    "model {\n  phenomenon a : event\n  phenomenon b : event\n  domain Src { controls a }\n"
+    "  domain Mid { observes a controls b causes a -> b }\n  domain End { observes b }\n}\n"
+)
+
+
+@pytest.mark.parametrize("key, value, argv", [
+    ("permitted", "Src,Mid,End", ["impact", "line.poed", "--edit", "!Src"]),
+    ("buffers", "Mid", ["impact", "line.poed", "--edit", "!Src"]),
+    ("refs", "OldAPI", ["workflow", "wf.jsonl", "advance", "--event", "submit-solution"]),
+])
+def test_config_list_value_reads_like_one_flag(tmp_path, capsys, monkeypatch, key, value, argv):
+    """A ``key=value`` line gives what one ``--key value`` gives: output,
+    exit code and the log, where a solution is submitted at CPS3."""
+    results = []
+    for form in ("flag", "config"):
+        (tmp_path / form).mkdir()
+        monkeypatch.chdir(tmp_path / form)
+        Path("line.poed").write_text(LINE_MODEL)
+        Path("deltapoe.conf").write_text(f"{key}={value}\n")
+        for advance in (["--event", "submit-view", "--owner", "G", "--delegate", "D"],
+                        ["--event", "request-validation"],
+                        ["--event", "record-validation", "--by", "G", "--status", "granted"]):
+            run(capsys, "workflow", "wf.jsonl", "advance", "--workflow", "root", *advance)
+        if form == "flag":
+            result = run(capsys, *argv, f"--{key}", value)
+        else:
+            result = run(capsys, "--config", "deltapoe.conf", *argv)
+        results.append(result + (Path("wf.jsonl").read_text(),))
+    assert results[0] == results[1]
+    assert results[0][0] == 0, results[0]
+
+
+def test_parse_edit_tokenizes_the_edit_once(monkeypatch):
+    calls = []
+    tokenize = dsl.tokenize
+    monkeypatch.setattr(dsl, "tokenize", lambda text: calls.append(text) or tokenize(text))
+    mdl = dsl.parse_model(CHAIN.read_text())
+    calls.clear()
+    assert impact.parse_edit("!C", mdl) == model.Cancel("C")
+    assert calls == ["!C"]
+
+
+def test_delegate_loads_the_model_once(tmp_path, capsys, monkeypatch):
+    log = tmp_path / "wf.jsonl"
+    for argv in (["--workflow", "root", "--event", "submit-view", "--owner", "G", "--delegate", "D"],
+                 ["--event", "request-validation"],
+                 ["--event", "record-validation", "--by", "G", "--status", "granted"],
+                 ["--event", "submit-solution"],
+                 ["--event", "request-validation"],
+                 ["--event", "record-validation", "--by", "G", "--status", "granted"]):
+        code, _, err = run(capsys, "workflow", log, "advance", *argv)
+        assert code == 0, err
+    parsed = []
+    parse_file = dsl.parse_file
+    monkeypatch.setattr(dsl, "parse_file", lambda *a, **k: parsed.append(a[1]) or parse_file(*a, **k))
+    code, out, err = run(capsys, "workflow", log, "delegate", "--to", "D", "--child", "c1",
+                         "--model", DEVENV, "--problem", "upgrade")
+    assert (code, out, err) == (0, "workflow c1: CPS1 (owner G, delegate D)\n", "")
+    assert parsed == [str(DEVENV)]
+    assert '"domains": ["Docs", "OldAPI"]' in log.read_text().splitlines()[-1]
 
 
 DEEP_MODEL = (

@@ -93,13 +93,13 @@ def test_refine_seeds_only_unrehomed_phenomena():
 
 
 def test_bound_check_devenv_pass(devenv):
-    report = bound_check(devenv, model.Cancel("OldAPI"), frozenset({"OldAPI", "Docs"}))
+    report = bound_check(propagate(devenv, model.Cancel("OldAPI")), frozenset({"OldAPI", "Docs"}))
     assert report.passed
 
 
 def test_bound_check_chain_violations(chain_model):
     env = chain_model.environment
-    report = bound_check(env, NewLink("C", "y", "c"), frozenset({"C"}))
+    report = bound_check(propagate(env, NewLink("C", "y", "c")), frozenset({"C"}))
     assert not report.passed
     assert [v[0] for v in report.violations] == ["D", "E"]
     assert report.violations[0][1] == ("c", "D")
@@ -108,7 +108,7 @@ def test_bound_check_chain_violations(chain_model):
 
 def test_bound_check_superset_always_passes(chain_model):
     env = chain_model.environment
-    report = bound_check(env, NewLink("C", "y", "c"), frozenset(env.names()))
+    report = bound_check(propagate(env, NewLink("C", "y", "c")), frozenset(env.names()))
     assert report.passed
 
 
@@ -231,10 +231,7 @@ def assert_same_report(env, edit, buffers, permitted):
     assert new.paths == old.paths
     for name in set(env.names()) | new.structural | {"Ghost"}:
         assert new.path_to(name) == old.path_to(name), name
-    assert bound_check(env, edit, permitted, buffers, new) == bound_check_stored_paths(
-        env, edit, permitted, buffers
-    )
-    assert bound_check(env, edit, permitted, buffers) == bound_check(env, edit, permitted, buffers, new)
+    assert bound_check(new, permitted) == bound_check_stored_paths(env, edit, permitted, buffers)
 
 
 @given(differential_cases())
