@@ -20,7 +20,6 @@ validation from the problem's validator.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
 
 from . import model as m
 from .artifacts import (
@@ -28,6 +27,7 @@ from .artifacts import (
     Justification,
     PlanStep,
     RULE_ARITY,
+    Record,
     RuleId,
     ValidationRecord,
     ValidationStatus,
@@ -93,8 +93,7 @@ class CycleDetected(Exception):
 
 # --- derivation nodes ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class DerivationNode:
+class DerivationNode(Record):
     """One step of a derivation.
 
     ``rule`` is ``None`` for an open leaf.  ``greenfield`` marks a design
@@ -107,18 +106,37 @@ class DerivationNode:
     application establishes from the node when it is asked for.
     """
 
-    conclusion: m.Problem
-    rule: RuleId | None = None
-    premises: tuple["DerivationNode", ...] = ()
-    args: dict = field(default_factory=dict)
-    justification: Justification = EMPTY_JUSTIFICATION
-    plan: tuple[PlanStep, ...] = ()
-    validations: tuple[ValidationRecord, ...] = ()
-    greenfield: bool = False
-    discharged: bool = False
-    env_provisional: bool = False
-    marker: str | None = None
-    alternatives: tuple["DerivationNode", ...] = ()
+    __slots__ = ("conclusion", "rule", "premises", "args", "justification", "plan",
+                 "validations", "greenfield", "discharged", "env_provisional", "marker",
+                 "alternatives")
+
+    def __init__(
+        self,
+        conclusion: m.Problem,
+        rule: RuleId | None = None,
+        premises: tuple[DerivationNode, ...] = (),
+        args: dict | None = None,  # a fresh dict when not given
+        justification: Justification = EMPTY_JUSTIFICATION,
+        plan: tuple[PlanStep, ...] = (),
+        validations: tuple[ValidationRecord, ...] = (),
+        greenfield: bool = False,
+        discharged: bool = False,
+        env_provisional: bool = False,
+        marker: str | None = None,
+        alternatives: tuple[DerivationNode, ...] = (),
+    ):
+        self.conclusion = conclusion
+        self.rule = rule
+        self.premises = premises
+        self.args = {} if args is None else args
+        self.justification = justification
+        self.plan = plan
+        self.validations = validations
+        self.greenfield = greenfield
+        self.discharged = discharged
+        self.env_provisional = env_provisional
+        self.marker = marker
+        self.alternatives = alternatives
 
 
 def open_node(problem: m.Problem) -> DerivationNode:
@@ -146,12 +164,15 @@ def _spine(root: DerivationNode, path: NodePath) -> list[DerivationNode]:
     return spine
 
 
+_FIELD_INDEX = {name: i for i, name in enumerate(DerivationNode.__slots__)}
+
+
 def _copy(node: DerivationNode, **fields) -> DerivationNode:
-    """``replace(node, **fields)`` without the trip through ``__init__``;
-    nodes hold no derived state, so copying the field dict is enough."""
-    new = object.__new__(DerivationNode)
-    new.__dict__.update(node.__dict__, **fields)
-    return new
+    """A copy of ``node`` with ``fields`` in place of its own."""
+    values = list(DerivationNode._values(node))
+    for name, value in fields.items():
+        values[_FIELD_INDEX[name]] = value
+    return DerivationNode(*values)
 
 
 def _with_child(node: DerivationNode, seg, child: DerivationNode) -> DerivationNode:
@@ -672,11 +693,13 @@ _REQUIRED_J: dict[RuleId, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class CheckDiagnostic:
-    path: str
-    kind: str
-    message: str
+class CheckDiagnostic(Record):
+    __slots__ = ("path", "kind", "message")
+
+    def __init__(self, path: str, kind: str, message: str):
+        self.path = path
+        self.kind = kind
+        self.message = message
 
     def __str__(self):
         return f"{self.path}: {self.kind}: {self.message}"
@@ -792,11 +815,14 @@ def lint(root: DerivationNode) -> list[CheckDiagnostic]:
 
 # --- checking --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str  # Solved | Incomplete | Invalid
-    diagnostics: tuple[CheckDiagnostic, ...] = ()
-    open_items: tuple[str, ...] = ()
+class Verdict(Record):
+    __slots__ = ("kind", "diagnostics", "open_items")
+
+    def __init__(self, kind: str, diagnostics: tuple[CheckDiagnostic, ...] = (),
+                 open_items: tuple[str, ...] = ()):
+        self.kind = kind  # Solved | Incomplete | Invalid
+        self.diagnostics = diagnostics
+        self.open_items = open_items
 
     @property
     def solved(self) -> bool:
@@ -857,7 +883,8 @@ def check(root: DerivationNode, mdl: Model) -> Verdict:
             expected = leaf.conclusion
             if leaf.env_provisional or child.env_provisional:
                 # environment pending an earlier stage; compare the rest
-                if replace(child.conclusion, env=expected.env) != expected:
+                stored = child.conclusion
+                if m.Problem(expected.env, stored.change, stored.validator, stored.need) != expected:
                     note(path + (i,), "PremiseMismatch",
                          "stored premise disagrees with the rule application")
             elif child.conclusion != expected:
@@ -907,17 +934,21 @@ def check(root: DerivationNode, mdl: Model) -> Verdict:
 
 # --- plan extraction ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlanEntry:
-    step: PlanStep
-    stage: int
-    node: str
+class PlanEntry(Record):
+    __slots__ = ("step", "stage", "node")
+
+    def __init__(self, step: PlanStep, stage: int, node: str):
+        self.step = step
+        self.stage = stage
+        self.node = node
 
 
-@dataclass(frozen=True)
-class ImplementationPlan:
-    entries: tuple[PlanEntry, ...]
-    constraints: frozenset  # ("after" | "parallel_ok", step, other)
+class ImplementationPlan(Record):
+    __slots__ = ("entries", "constraints")
+
+    def __init__(self, entries: tuple[PlanEntry, ...], constraints: frozenset):
+        self.entries = entries
+        self.constraints = constraints  # ("after" | "parallel_ok", step, other)
 
     def step_ids(self) -> tuple[str, ...]:
         return tuple(e.step.id for e in self.entries)
@@ -998,14 +1029,18 @@ def extract_plan(root: DerivationNode) -> ImplementationPlan:
 
 # --- tangles -----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TanglePair:
-    first: int
-    second: int
-    domains: frozenset[str]
-    placeholders: frozenset[str]
-    validators: frozenset[str]
-    phenomena: frozenset[str]
+class TanglePair(Record):
+    __slots__ = ("first", "second", "domains", "placeholders", "validators", "phenomena")
+
+    def __init__(self, first: int, second: int, domains: frozenset[str],
+                 placeholders: frozenset[str], validators: frozenset[str],
+                 phenomena: frozenset[str]):
+        self.first = first
+        self.second = second
+        self.domains = domains
+        self.placeholders = placeholders
+        self.validators = validators
+        self.phenomena = phenomena
 
     @property
     def tangled(self) -> bool:

@@ -507,6 +507,9 @@ def cmd_export(args) -> int:
         except json.JSONDecodeError as err:
             _err(f"{args.input}: {err}")
             return INVALID
+        except RecursionError:  # the decoder recurses once per nesting level
+            _err(f"{args.input}: JSON nested too deeply")
+            return INVALID
         try:
             text = export.impact_dot(doc, source.stem)
         except ValueError as err:
@@ -641,7 +644,20 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def _given_options(argv) -> set[str]:
+    """The destinations that ``argv`` sets itself rather than by default."""
+    parser = make_parser()
+    parsers = [parser]
+    while parsers:
+        for action in parsers.pop()._actions:
+            action.default = argparse.SUPPRESS
+            if isinstance(action.choices, dict):  # the parsers of subcommands
+                parsers.extend(action.choices.values())
+    return set(vars(parser.parse_args(argv)))
+
+
 def _run(argv) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
@@ -652,11 +668,17 @@ def _run(argv) -> int:
     except (OSError, ValueError) as err:
         _err(f"--config: {err}")
         return USAGE
-    for key, value in defaults.items():
-        # a value fills an option not given on the command line, as one
-        # ``--key value`` would; a list option starts out as []
-        if hasattr(args, key) and getattr(args, key) in (None, "text", []):
-            setattr(args, key, [value] if getattr(args, key) == [] else value)
+    if defaults:
+        # a value fills each option of the command that the command line
+        # does not give, as one ``--key value`` would, choices and all
+        given = _given_options(argv)
+        extra = [f"--{key}={value}" for key, value in defaults.items()
+                 if hasattr(args, key) and key not in given]
+        if extra:
+            try:
+                args = make_parser().parse_args([*argv, *extra])
+            except SystemExit as exit_:
+                return USAGE if exit_.code not in (0, None) else 0
     try:
         return COMMANDS[args.command](args)
     except Exception as err:  # last resort: a crash must not exit with a verdict code

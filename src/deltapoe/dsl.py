@@ -21,12 +21,12 @@ tokens by index; it is reentrant and keeps no global state.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import NamedTuple
 
 from . import model as m
-from .artifacts import JUSTIFICATION_FIELDS, Deadline, Justification, PlanStep, RiskItem, RuleId
+from .artifacts import (
+    JUSTIFICATION_FIELDS, Deadline, Justification, PlanStep, Record, RiskItem, RuleId,
+)
 
 SYMBOLS = ("(+)", "||", "~>", "->", "|=", "{", "}", "[", "]", "(", ")",
            ":", ";", ",", "?", "+", "!", "-", ".", "@", "=")
@@ -40,11 +40,13 @@ PHENOMENON_KINDS = {k.value: k for k in m.PhenomenonKind}
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
-    line: int
-    column: int
-    message: str
+class ParseDiagnostic(Record):
+    __slots__ = ("line", "column", "message")
+
+    def __init__(self, line: int, column: int, message: str):
+        self.line = line
+        self.column = column
+        self.message = message
 
     def __str__(self):
         return f"{self.line}:{self.column}: error: {self.message}"
@@ -116,29 +118,32 @@ def tokenize(src: str) -> list[Token]:
 
 # --- model aggregate ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Model:
+class Model(Record):
     """Everything a model block declares: the phenomenon vocabulary, the
-    domain library, stakeholders and named needs."""
+    domain library, stakeholders and named needs, the last two also
+    indexed by name."""
 
-    phenomena: tuple[m.Phenomenon, ...] = ()
-    environment: m.Environment = m.Environment()
-    stakeholders: tuple[m.Stakeholder, ...] = ()
-    needs: tuple[m.AtomicNeed, ...] = ()
+    __slots__ = ("phenomena", "environment", "stakeholders", "needs", "_stakeholders", "_needs")
+
+    def __init__(
+        self,
+        phenomena: tuple[m.Phenomenon, ...] = (),
+        environment: m.Environment = m.Environment(),
+        stakeholders: tuple[m.Stakeholder, ...] = (),
+        needs: tuple[m.AtomicNeed, ...] = (),
+    ):
+        self.phenomena = phenomena
+        self.environment = environment
+        self.stakeholders = stakeholders
+        self.needs = needs
+        self._stakeholders = {s.name: s for s in stakeholders}
+        self._needs = {n.name: n for n in needs}
 
     def stakeholder(self, name: str) -> m.Stakeholder:
         return self._stakeholders[name]
 
     def need(self, name: str) -> m.AtomicNeed:
         return self._needs[name]
-
-    @cached_property
-    def _stakeholders(self) -> dict[str, m.Stakeholder]:
-        return {s.name: s for s in self.stakeholders}
-
-    @cached_property
-    def _needs(self) -> dict[str, m.AtomicNeed]:
-        return {n.name: n for n in self.needs}
 
     def domain(self, name: str) -> m.Domain:
         return self.environment.domain(name)
@@ -153,50 +158,85 @@ PathSeg = int | tuple[str, int]
 NodePath = tuple[PathSeg, ...]
 
 
-@dataclass(frozen=True)
-class ValidationMark:
-    stakeholder: str
-    granted: bool
+class ValidationMark(Record):
+    __slots__ = ("stakeholder", "granted")
+
+    def __init__(self, stakeholder: str, granted: bool):
+        self.stakeholder = stakeholder
+        self.granted = granted
 
 
-@dataclass(frozen=True)
-class ApplyStatement:
-    rule: RuleId
-    path: NodePath
-    args: dict
-    marker: str | None = None  # None | "alternative" | "chosen"
-    justification: Justification | None = None
-    plan: tuple[PlanStep, ...] = ()
-    validations: tuple[ValidationMark, ...] = ()
-    line: int = 0
-    column: int = 0
+class ApplyStatement(Record):
+    __slots__ = ("rule", "path", "args", "marker", "justification", "plan", "validations",
+                 "line", "column")
+
+    def __init__(
+        self,
+        rule: RuleId,
+        path: NodePath,
+        args: dict,
+        marker: str | None = None,  # None | "alternative" | "chosen"
+        justification: Justification | None = None,
+        plan: tuple[PlanStep, ...] = (),
+        validations: tuple[ValidationMark, ...] = (),
+        line: int = 0,
+        column: int = 0,
+    ):
+        self.rule = rule
+        self.path = path
+        self.args = args
+        self.marker = marker
+        self.justification = justification
+        self.plan = plan
+        self.validations = validations
+        self.line = line
+        self.column = column
 
 
-@dataclass(frozen=True)
-class DischargeStatement:
-    path: NodePath
-    justification: Justification | None = None
-    validations: tuple[ValidationMark, ...] = ()
-    line: int = 0
-    column: int = 0
+class DischargeStatement(Record):
+    __slots__ = ("path", "justification", "validations", "line", "column")
+
+    def __init__(
+        self,
+        path: NodePath,
+        justification: Justification | None = None,
+        validations: tuple[ValidationMark, ...] = (),
+        line: int = 0,
+        column: int = 0,
+    ):
+        self.path = path
+        self.justification = justification
+        self.validations = validations
+        self.line = line
+        self.column = column
 
 
 Statement = ApplyStatement | DischargeStatement
 
 
-@dataclass(frozen=True)
-class DerivationScript:
-    name: str
-    problem_name: str
-    statements: tuple[Statement, ...]
+class DerivationScript(Record):
+    __slots__ = ("name", "problem_name", "statements")
+
+    def __init__(self, name: str, problem_name: str, statements: tuple[Statement, ...]):
+        self.name = name
+        self.problem_name = problem_name
+        self.statements = statements
 
 
-@dataclass(frozen=True)
-class ParsedFile:
-    kind: str
-    model: Model
-    problems: dict
-    derivations: tuple[DerivationScript, ...]
+class ParsedFile(Record):
+    __slots__ = ("kind", "model", "problems", "derivations")
+
+    def __init__(self, kind: str, model: Model, problems: dict,
+                 derivations: tuple[DerivationScript, ...]):
+        self.kind = kind
+        self.model = model
+        self.problems = problems
+        self.derivations = derivations
+
+
+def _amended(stmt: Statement, **fields) -> Statement:
+    """A copy of ``stmt`` with ``fields`` in place of its own."""
+    return type(stmt)(**dict(zip(stmt._names, stmt._values(stmt)), **fields))
 
 
 def path_str(path: NodePath) -> str:
@@ -583,13 +623,13 @@ class _Parser:
         if justification is not None:
             if last.justification is not None:
                 self.fail("statement already has a justify block")
-            statements[-1] = replace(last, justification=justification)
+            statements[-1] = _amended(last, justification=justification)
         if plan is not None:
             if isinstance(last, DischargeStatement):
                 self.fail("discharge statements carry no plan")
-            statements[-1] = replace(last, plan=last.plan + plan)
+            statements[-1] = _amended(last, plan=last.plan + plan)
         if validation is not None:
-            statements[-1] = replace(last, validations=last.validations + (validation,))
+            statements[-1] = _amended(last, validations=last.validations + (validation,))
 
     def apply_statement(self) -> ApplyStatement:
         kw = self.expect_word("apply")

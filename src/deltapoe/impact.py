@@ -19,9 +19,9 @@ from it, in time linear in its length, only when it is read.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from . import dsl, model as m
+from .artifacts import Record
 from .printer import change_str
 
 
@@ -41,13 +41,15 @@ class UnknownPhenomenon(ImpactError):
         self.name = name
 
 
-@dataclass(frozen=True)
-class NewLink:
+class NewLink(Record):
     """A description-level edit: the domain gains a causal link."""
 
-    domain: str
-    cause: str
-    effect: str
+    __slots__ = ("domain", "cause", "effect")
+
+    def __init__(self, domain: str, cause: str, effect: str):
+        self.domain = domain
+        self.cause = cause
+        self.effect = effect
 
 
 EditSpec = m.Add | m.Cancel | m.Refine | NewLink
@@ -68,8 +70,7 @@ def path_text(path: Path) -> str:
     return " -> ".join(path)
 
 
-@dataclass(frozen=True)
-class ImpactReport:
+class ImpactReport(Record):
     """The reach of an edit.
 
     Paths are not stored.  ``parent`` maps each affected phenomenon to the
@@ -77,17 +78,32 @@ class ImpactReport:
     ``hits`` maps each behaviourally impacted domain to the affected
     phenomenon it observes on a shortest path, in report order: by path
     length, then by name.  ``paths`` and ``path_to`` render paths from
-    these when they are read.
+    these when they are read.  ``buffers`` holds the declared buffers
+    that were actually reached.
     """
 
-    edit: str
-    structural: frozenset[str]
-    behavioural: frozenset[str]
-    buffers: frozenset[str]  # declared buffers that were actually reached
-    declared_buffers: frozenset[str]
-    seed_phenomena: frozenset[str]
-    parent: dict[str, tuple[str, str] | None]
-    hits: dict[str, str]
+    __slots__ = ("edit", "structural", "behavioural", "buffers", "declared_buffers",
+                 "seed_phenomena", "parent", "hits")
+
+    def __init__(
+        self,
+        edit: str,
+        structural: frozenset[str],
+        behavioural: frozenset[str],
+        buffers: frozenset[str],
+        declared_buffers: frozenset[str],
+        seed_phenomena: frozenset[str],
+        parent: dict[str, tuple[str, str] | None],
+        hits: dict[str, str],
+    ):
+        self.edit = edit
+        self.structural = structural
+        self.behavioural = behavioural
+        self.buffers = buffers
+        self.declared_buffers = declared_buffers
+        self.seed_phenomena = seed_phenomena
+        self.parent = parent
+        self.hits = hits
 
     @property
     def paths(self) -> tuple[Path, ...]:
@@ -108,10 +124,12 @@ class ImpactReport:
         return tuple(reversed(out))
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    passed: bool
-    violations: tuple[tuple[str, Path], ...]
+class BoundReport(Record):
+    __slots__ = ("passed", "violations")
+
+    def __init__(self, passed: bool, violations: tuple[tuple[str, Path], ...]):
+        self.passed = passed
+        self.violations = violations
 
 
 def _seed(env: m.Environment, edit: EditSpec) -> tuple[frozenset[str], frozenset[str]]:

@@ -14,10 +14,9 @@ from __future__ import annotations
 import enum
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .artifacts import ValidationRecord, ValidationStatus, ValidationTarget
+from .artifacts import Record, ValidationRecord, ValidationStatus, ValidationTarget
 
 if TYPE_CHECKING:
     from . import model as m
@@ -116,6 +115,8 @@ def parse_log(text: str) -> list[Event]:
             fields = raw["sequence"], raw["workflow"], raw["event"], raw["payload"]
         except (json.JSONDecodeError, KeyError, TypeError) as err:
             raise BadLog(f"line {lineno}: {err}")
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise BadLog(f"line {lineno}: JSON nested too deeply") from None
         if (type(fields[0]) is not int or type(fields[1]) is not str
                 or type(fields[2]) is not str or type(fields[3]) is not dict):
             key, _, what = next(f for f, value in zip(_FIELDS, fields) if type(value) is not f[1])
@@ -124,14 +125,17 @@ def parse_log(text: str) -> list[Event]:
     return events
 
 
-@dataclass(frozen=True)
-class ProblemRefs:
+class ProblemRefs(Record):
     """The names a problem mentions, used to key staleness on drift."""
 
-    text: str
-    domains: frozenset[str]
-    phenomena: frozenset[str]
-    needs: frozenset[str]
+    __slots__ = ("text", "domains", "phenomena", "needs")
+
+    def __init__(self, text: str, domains: frozenset[str], phenomena: frozenset[str],
+                 needs: frozenset[str]):
+        self.text = text
+        self.domains = domains
+        self.phenomena = phenomena
+        self.needs = needs
 
     def to_payload(self) -> dict:
         return {
@@ -162,20 +166,37 @@ def problem_refs(problem: m.Problem, text: str = "") -> ProblemRefs:
     )
 
 
-@dataclass
-class Workflow:
-    """Folded state of one delegation."""
+class Workflow(Record):
+    """Folded state of one delegation.  The fold updates it in place, so
+    unlike other records it is mutable and unhashable."""
 
-    id: str
-    owner: str
-    delegate: str
-    problem: ProblemRefs
-    state: CpsState = CpsState.CPS1
-    children: tuple[str, ...] = ()
-    validations: tuple[ValidationRecord, ...] = ()
-    solution_refs: frozenset[str] = frozenset()
-    solution_text: str = ""
-    implementation_mode: str | None = None
+    __slots__ = ("id", "owner", "delegate", "problem", "state", "children", "validations",
+                 "solution_refs", "solution_text", "implementation_mode")
+    __hash__ = None
+
+    def __init__(
+        self,
+        id: str,
+        owner: str,
+        delegate: str,
+        problem: ProblemRefs,
+        state: CpsState = CpsState.CPS1,
+        children: tuple[str, ...] = (),
+        validations: tuple[ValidationRecord, ...] = (),
+        solution_refs: frozenset[str] = frozenset(),
+        solution_text: str = "",
+        implementation_mode: str | None = None,
+    ):
+        self.id = id
+        self.owner = owner
+        self.delegate = delegate
+        self.problem = problem
+        self.state = state
+        self.children = children
+        self.validations = validations
+        self.solution_refs = solution_refs
+        self.solution_text = solution_text
+        self.implementation_mode = implementation_mode
 
     def pending(self) -> ValidationRecord | None:
         """The pending validation, if any.  It can only be the last
@@ -194,12 +215,16 @@ class Workflow:
         return None
 
 
-@dataclass(frozen=True)
-class StalenessReport:
-    sequence: int
-    touched: frozenset[str]
-    stale: tuple[tuple[str, str, str], ...]  # (workflow, record id, target)
-    regressions: tuple[tuple[str, str, str], ...]  # (workflow, from, to)
+class StalenessReport(Record):
+    __slots__ = ("sequence", "touched", "stale", "regressions")
+
+    def __init__(self, sequence: int, touched: frozenset[str],
+                 stale: tuple[tuple[str, str, str], ...],
+                 regressions: tuple[tuple[str, str, str], ...]):
+        self.sequence = sequence
+        self.touched = touched
+        self.stale = stale  # (workflow, record id, target)
+        self.regressions = regressions  # (workflow, from, to)
 
     @property
     def empty(self) -> bool:

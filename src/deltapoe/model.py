@@ -3,14 +3,16 @@
 Everything downstream (parser, calculus, impact analysis, workflows) is
 built on the values defined here: phenomena, domains, environments,
 needs, change expressions, stakeholders, problems and the organisation
-pair.  All values are immutable after construction; the operations are
-pure functions, so sharing across threads is safe.
+pair.  All values are immutable after construction (see
+:class:`~deltapoe.artifacts.Record`); the operations are pure functions,
+so sharing across threads is safe.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+
+from .artifacts import Record
 
 
 class ModelError(ValueError):
@@ -77,33 +79,53 @@ class PhenomenonKind(str, enum.Enum):
     TRUTH = "truth"
 
 
-@dataclass(frozen=True)
-class Phenomenon:
+class Phenomenon(Record):
     """An observable element of the world, identified by a qualified name."""
 
-    name: str
-    kind: PhenomenonKind
+    __slots__ = ("name", "kind")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, kind: PhenomenonKind):
+        if not name:
             raise ModelError("phenomenon name must be non-empty")
+        self.name = name
+        self.kind = kind
 
 
-@dataclass(frozen=True, order=True)
-class CausalLink:
-    """A causal edge cause -> effect asserted by the owning domain."""
+class CausalLink(Record):
+    """A causal edge cause -> effect asserted by the owning domain.
+    Links order by (cause, effect, owner)."""
 
-    cause: str
-    effect: str
-    owner: str
+    __slots__ = ("cause", "effect", "owner")
 
-    def __post_init__(self):
-        if self.cause == self.effect:
-            raise ModelError(f"causal link of {self.owner!r} relates {self.cause!r} to itself")
+    def __init__(self, cause: str, effect: str, owner: str):
+        if cause == effect:
+            raise ModelError(f"causal link of {owner!r} relates {cause!r} to itself")
+        self.cause = cause
+        self.effect = effect
+        self.owner = owner
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) < self._values(other)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) <= self._values(other)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) > self._values(other)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) >= self._values(other)
+        return NotImplemented
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(Record):
     """A named collection of phenomena with observed and controlled sets.
 
     ``structure`` is present only on composite domains produced by a
@@ -111,33 +133,42 @@ class Domain:
     refined original.  Composites carry no phenomena of their own.
     """
 
-    name: str
-    description: str = ""
-    observed: frozenset[str] = frozenset()
-    controlled: frozenset[str] = frozenset()
-    links: frozenset[CausalLink] = frozenset()
-    structure: tuple[str, ...] | None = None
+    __slots__ = ("name", "description", "observed", "controlled", "links", "structure")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(
+        self,
+        name: str,
+        description: str = "",
+        observed: frozenset[str] = frozenset(),
+        controlled: frozenset[str] = frozenset(),
+        links: frozenset[CausalLink] = frozenset(),
+        structure: tuple[str, ...] | None = None,
+    ):
+        if not name:
             raise ModelError("domain name must be non-empty")
-        clash = self.observed & self.controlled
+        clash = observed & controlled
         if clash:
             raise ModelError(
-                f"domain {self.name!r} both observes and controls: {', '.join(sorted(clash))}"
+                f"domain {name!r} both observes and controls: {', '.join(sorted(clash))}"
             )
-        universe = self.observed | self.controlled
-        for link in self.links:
-            if link.owner != self.name:
-                raise ModelError(f"domain {self.name!r} holds a link owned by {link.owner!r}")
+        universe = observed | controlled
+        for link in links:
+            if link.owner != name:
+                raise ModelError(f"domain {name!r} holds a link owned by {link.owner!r}")
             for endpoint in (link.cause, link.effect):
                 if endpoint not in universe:
                     raise ModelError(
-                        f"domain {self.name!r} asserts a link over {endpoint!r}, "
+                        f"domain {name!r} asserts a link over {endpoint!r}, "
                         "which it neither observes nor controls"
                     )
-        if self.structure is not None and (self.observed or self.controlled):
-            raise ModelError(f"composite domain {self.name!r} may not carry phenomena itself")
+        if structure is not None and (observed or controlled):
+            raise ModelError(f"composite domain {name!r} may not carry phenomena itself")
+        self.name = name
+        self.description = description
+        self.observed = observed
+        self.controlled = controlled
+        self.links = links
+        self.structure = structure
 
     @property
     def is_composite(self) -> bool:
@@ -147,17 +178,16 @@ class Domain:
         return self.observed | self.controlled
 
 
-@dataclass(frozen=True)
-class Environment:
-    """An ordered collection of uniquely named domains."""
+class Environment(Record):
+    """An ordered collection of uniquely named domains, indexed by name."""
 
-    domains: tuple[Domain, ...] = ()
+    __slots__ = ("domains", "_by_name")
 
-    def __post_init__(self):
+    def __init__(self, domains: tuple[Domain, ...] = ()):
+        by_name = {d.name: d for d in domains}
         seen: set[str] = set()
         controllers: dict[str, str] = {}
-        names = {d.name for d in self.domains}
-        for dom in self.domains:
+        for dom in domains:
             if dom.name in seen:
                 raise ModelError(f"duplicate domain name {dom.name!r} in environment")
             seen.add(dom.name)
@@ -170,22 +200,21 @@ class Environment:
                 controllers[phen] = dom.name
             if dom.structure is not None:
                 for member in dom.structure:
-                    if member not in names:
+                    if member not in by_name:
                         raise ModelError(
                             f"composite {dom.name!r} lists missing member {member!r}"
                         )
+        self.domains = domains
+        self._by_name = by_name
 
     def __iter__(self):
         return iter(self.domains)
 
     def __contains__(self, name: str) -> bool:
-        return any(d.name == name for d in self.domains)
+        return name in self._by_name
 
     def domain(self, name: str) -> Domain:
-        for dom in self.domains:
-            if dom.name == name:
-                return dom
-        raise KeyError(name)
+        return self._by_name[name]
 
     def names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.domains)
@@ -193,22 +222,28 @@ class Environment:
 
 # --- needs ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AtomicNeed:
-    name: str
-    description: str = ""
+class AtomicNeed(Record):
+    __slots__ = ("name", "description")
+
+    def __init__(self, name: str, description: str = ""):
+        self.name = name
+        self.description = description
 
 
-@dataclass(frozen=True)
-class NeedSeq:
-    left: "Need"
-    right: "Need"
+class NeedSeq(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Need, right: Need):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class NeedPar:
-    left: "Need"
-    right: "Need"
+class NeedPar(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Need, right: Need):
+        self.left = left
+        self.right = right
 
 
 Need = AtomicNeed | NeedSeq | NeedPar
@@ -271,45 +306,58 @@ def normalize_need(need: Need) -> Need:
 
 # --- change expressions -----------------------------------------------------
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(Record):
     """Placeholder for a change still to be found."""
 
-    placeholder: str
+    __slots__ = ("placeholder",)
+
+    def __init__(self, placeholder: str):
+        self.placeholder = placeholder
 
 
-@dataclass(frozen=True)
-class Add:
-    domain: Domain
+class Add(Record):
+    __slots__ = ("domain",)
+
+    def __init__(self, domain: Domain):
+        self.domain = domain
 
 
-@dataclass(frozen=True)
-class Cancel:
-    domain_name: str
+class Cancel(Record):
+    __slots__ = ("domain_name",)
+
+    def __init__(self, domain_name: str):
+        self.domain_name = domain_name
 
 
-@dataclass(frozen=True)
-class Refine:
-    target: str
-    retained: tuple[Domain, ...]
-    added: tuple[Domain, ...]
+class Refine(Record):
+    __slots__ = ("target", "retained", "added")
+
+    def __init__(self, target: str, retained: tuple[Domain, ...], added: tuple[Domain, ...]):
+        self.target = target
+        self.retained = retained
+        self.added = added
 
 
-@dataclass(frozen=True)
-class ChangeSeq:
-    first: "ChangeExpr"
-    second: "ChangeExpr"
+class ChangeSeq(Record):
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: ChangeExpr, second: ChangeExpr):
+        self.first = first
+        self.second = second
 
 
-@dataclass(frozen=True)
-class ChangePar:
-    left: "ChangeExpr"
-    right: "ChangeExpr"
+class ChangePar(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: ChangeExpr, right: ChangeExpr):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class Nil:
+class Nil(Record):
     """The identity change; applying it leaves the environment untouched."""
+
+    __slots__ = ()
 
 
 ChangeExpr = Unknown | Add | Cancel | Refine | ChangeSeq | ChangePar | Nil
@@ -363,28 +411,34 @@ class Role(str, enum.Enum):
     IMPLEMENTATION_DELEGATE = "implementation-delegate"
 
 
-@dataclass(frozen=True)
-class Stakeholder:
-    name: str
-    role: Role
-    trusts: frozenset[str] = frozenset()
+class Stakeholder(Record):
+    __slots__ = ("name", "role", "trusts")
+
+    def __init__(self, name: str, role: Role, trusts: frozenset[str] = frozenset()):
+        self.name = name
+        self.role = role
+        self.trusts = trusts
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(Record):
     """A change problem: find changes so the updated environment meets the
     need to the validator's satisfaction."""
 
-    env: Environment
-    change: ChangeExpr
-    validator: str
-    need: Need
+    __slots__ = ("env", "change", "validator", "need")
+
+    def __init__(self, env: Environment, change: ChangeExpr, validator: str, need: Need):
+        self.env = env
+        self.change = change
+        self.validator = validator
+        self.need = need
 
 
-@dataclass(frozen=True)
-class Organisation:
-    state: Environment
-    current_problems: frozenset[Need] = frozenset()
+class Organisation(Record):
+    __slots__ = ("state", "current_problems")
+
+    def __init__(self, state: Environment, current_problems: frozenset[Need] = frozenset()):
+        self.state = state
+        self.current_problems = current_problems
 
 
 # --- operations ---------------------------------------------------------------

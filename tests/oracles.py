@@ -2,7 +2,7 @@
 compare the library against.  None of this is used by the library."""
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from deltapoe import model as m
 from deltapoe.artifacts import RuleId, ValidationRecord, ValidationStatus, ValidationTarget
@@ -379,11 +379,19 @@ def referenced_domains_recursive(change) -> frozenset[str]:
 def verify_gates(events) -> None:
     """Assert the validation gates over every prefix of a log: CPS3 and
     beyond require a live problem-view validation, CPS5 and beyond a live
-    solution validation."""
+    solution validation.  DONE is checked at the event that enters it
+    only: a drift stales a finished workflow's records but, by design,
+    does not reopen it."""
     workflows = {}
     for event in events:
+        done = {wf.id for wf in workflows.values() if wf.state is CpsState.DONE}
         _apply_event(workflows, event)
         for wf in workflows.values():
+            for v in wf.validations:
+                if v.status is ValidationStatus.GRANTED:
+                    assert v.stakeholder == wf.owner
+            if wf.id in done:
+                continue
             if wf.state in (CpsState.CPS3, CpsState.CPS4, CpsState.CPS5, CpsState.DONE):
                 assert wf.effective(ValidationTarget.PROBLEM_VIEW) is not None, (
                     f"{wf.id} in {wf.state.value} without problem-view validation"
@@ -392,15 +400,12 @@ def verify_gates(events) -> None:
                 assert wf.effective(ValidationTarget.SOLUTION_PLAN) is not None, (
                     f"{wf.id} in {wf.state.value} without solution validation"
                 )
-            for v in wf.validations:
-                if v.status is ValidationStatus.GRANTED:
-                    assert v.stakeholder == wf.owner
 
 
 # --- the workflow fold as it was before the gate lookups went O(1) ---------------------
 #
 # ``pending`` scans every record, ``effective`` keeps the last match of a forward
-# scan, a record is replaced by id with ``dataclasses.replace``, and drift builds
+# scan, a record is replaced by id with a copy built field by field, and drift builds
 # each record's reference set by union and checks every workflow for regression.
 
 def _pending_scan(wf):
@@ -418,9 +423,12 @@ def _effective_scan(wf, target):
     return best
 
 
-def _replace_record_by_id(wf, record, **changes):
+def _replace_record_by_id(wf, record, status, sequence=None):
     wf.validations = tuple(
-        replace(v, **changes) if v.id == record.id else v for v in wf.validations
+        ValidationRecord(v.id, v.stakeholder, v.target, v.subject, status,
+                         v.sequence if sequence is None else sequence)
+        if v.id == record.id else v
+        for v in wf.validations
     )
 
 

@@ -1,13 +1,12 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltapoe import dsl, model, printer
-from deltapoe.artifacts import RuleId
+from deltapoe.artifacts import Justification, RuleId
 from deltapoe.calculus import (
     CycleDetected,
+    DerivationNode,
     NotOpen,
     RuleError,
     SideConditionViolated,
@@ -109,11 +108,13 @@ def test_golden_threading_mutation_detected(golden):
     parsed, root = golden
     seq_path = (0, 0, 0)
     seq_node = get_node(root, seq_path)
-    stale = replace(
-        seq_node.premises[1],
-        conclusion=replace(
-            seq_node.premises[1].conclusion, env=root.conclusion.env
-        ),
+    second = seq_node.premises[1]
+    problem = second.conclusion
+    stale = DerivationNode(
+        model.Problem(root.conclusion.env, problem.change, problem.validator, problem.need),
+        second.rule, second.premises, second.args, second.justification, second.plan,
+        second.validations, second.greenfield, second.discharged, second.env_provisional,
+        second.marker, second.alternatives,
     )
     mutated = set_node(root, seq_path + (1,), stale)
     verdict = check(mutated, parsed.model)
@@ -249,7 +250,7 @@ def test_apply_is_rejected_on_non_open_node(small):
 
 def test_delegation_requires_trust(small):
     mdl, problem = small
-    flipped = replace(problem, validator="D")  # D trusts nobody
+    flipped = model.Problem(problem.env, problem.change, "D", problem.need)  # D trusts nobody
     with pytest.raises(TrustMissing):
         apply(RuleId.DELEGATION, open_node(flipped), {"delegate": "G"}, mdl)
 
@@ -275,7 +276,9 @@ def test_known_solution_without_validation_fails_check(small):
         {"solution": model.Add(mdl.domain("Lid"))},
         mdl,
     )
-    node = replace(node, justification=replace(node.justification, rule_rationale="known"))
+    assert node.justification == Justification() and not node.plan and not node.validations
+    node = DerivationNode(node.conclusion, node.rule, node.premises, node.args,
+                          Justification(rule_rationale="known"))
     verdict = check(node, mdl)
     assert verdict.kind == "Invalid"
     assert any(d.kind == "MissingValidation" for d in verdict.diagnostics)
@@ -283,9 +286,9 @@ def test_known_solution_without_validation_fails_check(small):
 
 def test_solution_reflect_mirrors_need_shape(small):
     mdl, problem = small
-    shaped = replace(
-        problem,
-        need=model.NeedSeq(mdl.need("Sorted"), mdl.need("Tidied")),
+    shaped = model.Problem(
+        problem.env, problem.change, problem.validator,
+        model.NeedSeq(mdl.need("Sorted"), mdl.need("Tidied")),
     )
     node = apply(RuleId.SOLUTION_REFLECT, open_node(shaped), {"shape": "seq"}, mdl)
     premise_change = node.premises[0].conclusion.change
@@ -456,7 +459,11 @@ def test_apply_rejected_on_greenfield_obligation(golden):
     leaf = get_node(root, (0, 0, 0, 0, 0, 0))
     assert leaf.greenfield
     with pytest.raises(NotOpen):
-        apply(RuleId.KNOWN_SOLUTION, replace(leaf, discharged=False), {}, parsed.model)
+        reopened = DerivationNode(leaf.conclusion, leaf.rule, leaf.premises, leaf.args,
+                                  leaf.justification, leaf.plan, leaf.validations,
+                                  leaf.greenfield, False, leaf.env_provisional, leaf.marker,
+                                  leaf.alternatives)
+        apply(RuleId.KNOWN_SOLUTION, reopened, {}, parsed.model)
 
 
 # --- tangles ------------------------------------------------------------------------------
@@ -779,7 +786,7 @@ def test_mirror_walk_handles_a_long_need():
 # --- plan fragments collected with an explicit stack -------------------------------------
 
 from deltapoe.artifacts import PlanStep  # noqa: E402
-from deltapoe.calculus import DerivationNode, _plan_fragments  # noqa: E402
+from deltapoe.calculus import _plan_fragments  # noqa: E402
 
 from .oracles import plan_fragments_recursive  # noqa: E402
 

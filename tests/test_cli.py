@@ -420,6 +420,26 @@ def test_malformed_events_are_named(tmp_path, capsys, text, message):
     assert (code, out, err) == (2, "", f"{log}: {message}\n")
 
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("line", [DEEP_JSON, " " + DEEP_JSON], ids=["in-place", "blank-before"])
+@pytest.mark.parametrize("argv", [
+    ["status"],
+    ["advance", "--workflow", "w1", "--event", "submit-view"],
+    ["drift", "--touch", "OldAPI"],
+])
+def test_deeply_nested_log_line_is_invalid(tmp_path, capsys, line, argv):
+    """JSON nested deeper than the decoder can recurse is a bad line, and
+    a refused append leaves the log's bytes as they were."""
+    log = tmp_path / "wf.jsonl"
+    log.write_text(CREATED + line + "\n", encoding="utf-8")
+    before = log.read_bytes()
+    code, out, err = run(capsys, "workflow", log, *argv)
+    assert (code, out, err) == (2, "", f"{log}: line 2: JSON nested too deeply\n")
+    assert log.read_bytes() == before
+
+
 def test_blank_lines_and_blanks_around_a_line_are_read(tmp_path, capsys):
     log = tmp_path / "wf.jsonl"
     log.write_text("\n" + CREATED + "\n\t\n " + SUBMITTED + "  \n\n", encoding="utf-8")
@@ -555,6 +575,14 @@ def test_export_of_json_that_is_no_impact_report_is_invalid(tmp_path, capsys, te
     assert not (tmp_path / "impact.dot").exists()
 
 
+def test_export_of_deeply_nested_json_is_invalid(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(DEEP_JSON)
+    code, out, err = run(capsys, "export", report, "--graph", tmp_path / "impact.dot")
+    assert (code, out, err) == (2, "", f"{report}: JSON nested too deeply\n")
+    assert not (tmp_path / "impact.dot").exists()
+
+
 def test_outputs_are_deterministic(tmp_path, capsys):
     first = run(capsys, "check", GOLDEN, DOCS)
     second = run(capsys, "check", GOLDEN, DOCS)
@@ -588,31 +616,71 @@ LINE_MODEL = (
 )
 
 
-@pytest.mark.parametrize("key, value, argv", [
-    ("permitted", "Src,Mid,End", ["impact", "line.poed", "--edit", "!Src"]),
-    ("buffers", "Mid", ["impact", "line.poed", "--edit", "!Src"]),
-    ("refs", "OldAPI", ["workflow", "wf.jsonl", "advance", "--event", "submit-solution"]),
-])
-def test_config_list_value_reads_like_one_flag(tmp_path, capsys, monkeypatch, key, value, argv):
-    """A ``key=value`` line gives what one ``--key value`` gives: output,
-    exit code and the log, where a solution is submitted at CPS3."""
+CREATE_ROOT = ["--event", "submit-view", "--owner", "G", "--delegate", "D"]
+
+
+def _flag_and_config_forms(tmp_path, capsys, monkeypatch, key, value, argv):
+    """What ``argv`` with ``--key value`` gives, and what it gives with a
+    ``key=value`` config line instead: exit code, output and the log.
+    Unless ``argv`` creates the workflow itself, it runs on a log whose
+    ``root`` workflow has reached CPS3."""
     results = []
     for form in ("flag", "config"):
         (tmp_path / form).mkdir()
         monkeypatch.chdir(tmp_path / form)
         Path("line.poed").write_text(LINE_MODEL)
         Path("deltapoe.conf").write_text(f"{key}={value}\n")
-        for advance in (["--event", "submit-view", "--owner", "G", "--delegate", "D"],
-                        ["--event", "request-validation"],
-                        ["--event", "record-validation", "--by", "G", "--status", "granted"]):
-            run(capsys, "workflow", "wf.jsonl", "advance", "--workflow", "root", *advance)
+        if "--owner" not in argv:
+            for advance in (CREATE_ROOT,
+                            ["--event", "request-validation"],
+                            ["--event", "record-validation", "--by", "G", "--status", "granted"]):
+                run(capsys, "workflow", "wf.jsonl", "advance", "--workflow", "root", *advance)
         if form == "flag":
             result = run(capsys, *argv, f"--{key}", value)
         else:
             result = run(capsys, "--config", "deltapoe.conf", *argv)
-        results.append(result + (Path("wf.jsonl").read_text(),))
-    assert results[0] == results[1]
-    assert results[0][0] == 0, results[0]
+        log = Path("wf.jsonl")
+        results.append(result + (log.read_text() if log.exists() else None,))
+    return results
+
+
+@pytest.mark.parametrize("key, value, argv", [
+    ("permitted", "Src,Mid,End", ["impact", "line.poed", "--edit", "!Src"]),
+    ("buffers", "Mid", ["impact", "line.poed", "--edit", "!Src"]),
+    ("refs", "OldAPI", ["workflow", "wf.jsonl", "advance", "--event", "submit-solution"]),
+    ("workflow", "w2", ["workflow", "wf.jsonl", "advance", *CREATE_ROOT]),
+    ("description", "Src moved", ["workflow", "wf.jsonl", "drift", "--touch", "Src"]),
+    ("origin", "need", ["workflow", "wf.jsonl", "drift", "--touch", "Src"]),
+])
+def test_config_list_value_reads_like_one_flag(tmp_path, capsys, monkeypatch, key, value, argv):
+    """A ``key=value`` line gives what one ``--key value`` gives, for a
+    list option and for one whose default is neither None nor empty."""
+    flag, config = _flag_and_config_forms(tmp_path, capsys, monkeypatch, key, value, argv)
+    assert flag == config
+    assert flag[0] == 0, flag
+
+
+def test_config_value_is_checked_like_the_flag(tmp_path, capsys, monkeypatch):
+    """A config value outside an option's choices is a usage error, the
+    one the flag gives, and the log is left as it was."""
+    argv = ["workflow", "wf.jsonl", "drift", "--touch", "Src"]
+    flag, config = _flag_and_config_forms(tmp_path, capsys, monkeypatch, "origin", "bogus", argv)
+    assert flag == config
+    assert flag[0] == 3 and "invalid choice: 'bogus'" in flag[2]
+
+
+def test_config_value_does_not_override_the_command_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("deltapoe.conf").write_text("workflow=w2\ndescription=from config\n")
+    code, _, _ = run(capsys, "--config", "deltapoe.conf", "workflow", "wf.jsonl", "advance",
+                     "--workflow", "root", *CREATE_ROOT)
+    assert code == 0
+    code, _, _ = run(capsys, "--config", "deltapoe.conf", "workflow", "wf.jsonl", "drift",
+                     "--touch", "Src", "--description", "")
+    assert code == 0
+    events = [json.loads(line) for line in Path("wf.jsonl").read_text().splitlines()]
+    assert [e["workflow"] for e in events[:2]] == ["root", "root"]
+    assert events[-1]["payload"]["description"] == ""
 
 
 def test_parse_edit_tokenizes_the_edit_once(monkeypatch):

@@ -378,16 +378,13 @@ def legal_moves(wf):
 @settings(max_examples=120, deadline=None)
 def test_random_legal_walks_keep_gates(data):
     """Legal moves interleaved with drifts on the problem's names, the
-    solution's refs or names the workflow does not use.  A walk ends when
-    the workflow is done: a later drift stales its records but does not
-    reopen a finished delegation."""
+    solution's refs or names the workflow does not use.  Once the
+    workflow is done only drifts are drawn: they stale its records but do
+    not reopen a finished delegation."""
     events = [create_workflow([], "w1", "G", "D", REFS)]
     for _ in range(data.draw(st.integers(min_value=0, max_value=25))):
         wf = fold(events)["w1"]
-        moves = legal_moves(wf)
-        if not moves:
-            break
-        kind, payload = data.draw(st.sampled_from(moves + DRIFT_MOVES))
+        kind, payload = data.draw(st.sampled_from(legal_moves(wf) + DRIFT_MOVES))
         if kind == "drift":
             event, _ = drift(events, payload)
         else:
