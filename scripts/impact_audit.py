@@ -2,14 +2,17 @@
 """Audit the propagation engine against a brute-force closure oracle on
 randomized environments, and time it.
 
-For every case it checks that the behavioural set equals the closure, and
+For every case it checks that the behavioural set equals the closure,
 that each reported path is a real chain of observations and causal links
-from a seed phenomenon that is as short as any such chain can be.  Exits 1
-on any disagreement.
+from a seed phenomenon that is as short as any such chain can be, and
+that the structured report ``export.to_json`` writes is the text of
+``json.dumps(doc, indent=2)``.  Exits 1 on any disagreement.
 
     python3 scripts/impact_audit.py [cases] [seed]
 """
 
+import io
+import json
 import pathlib
 import random
 import sys
@@ -17,7 +20,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from deltapoe import impact, model  # noqa: E402
+from deltapoe import export, impact, model  # noqa: E402
 
 
 def random_environment(rng, max_domains=10, max_links=30):
@@ -105,6 +108,13 @@ def path_problem(env, report, buffers):
     return None
 
 
+def structured_problem(env, report) -> bool:
+    doc = export.impact_doc(report, env)
+    out = io.StringIO()
+    export.to_json(doc, out)
+    return out.getvalue() != json.dumps(doc, indent=2) + "\n"
+
+
 def main() -> int:
     cases = int(sys.argv[1]) if len(sys.argv) > 1 else 1000
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 0
@@ -132,6 +142,10 @@ def main() -> int:
         elif problem := path_problem(env, report, buffers):
             disagreements += 1
             print(f"disagreement on seed={seed}: {problem}")
+        elif structured_problem(env, report):
+            disagreements += 1
+            print(f"disagreement on seed={seed}: structured report of {report.edit!r} "
+                  "is not the stdlib's JSON text")
     elapsed = time.perf_counter() - started
     print(
         f"{cases} cases, {disagreements} disagreements, "

@@ -263,27 +263,24 @@ def cmd_impact(args) -> int:
     except impact.ImpactError as err:
         _err(str(err))
         return INVALID
+    bound = None if permitted is None else impact.bound_check(report, permitted)
     if args.format == "structured":
-        export.to_json(export.impact_doc(report, env), sys.stdout)
+        export.to_json(export.impact_doc(report, env, bound), sys.stdout)
     else:
         print(f"edit: {report.edit}")
         print("structural: " + (", ".join(sorted(report.structural)) or "-"))
         print("behavioural: " + (", ".join(sorted(report.behavioural)) or "-"))
         print("buffers: " + (", ".join(sorted(report.buffers)) or "-"))
+        write = sys.stdout.write  # one call per line; print makes two
         if report.hits:
             print("paths:")
-            for name in report.hits:
-                print("  " + impact.path_text(report.path_to(name)))
-    if permitted is None:
-        return OK
-    bound = impact.bound_check(report, permitted)
-    if bound.passed:
-        print("bound: pass")
-        return OK
-    print("bound: fail")
-    for name, path in bound.violations:
-        print(f"  {name}: {impact.path_text(path)}")
-    return INCOMPLETE
+            for _, path in report.walk():
+                write("  " + impact.path_text(path) + "\n")
+        if bound is not None:
+            print("bound: pass" if bound.passed else "bound: fail")
+            for name, path in bound.violations:
+                write(f"  {name}: {impact.path_text(path)}\n")
+    return OK if bound is None or bound.passed else INCOMPLETE
 
 
 # --- lint -------------------------------------------------------------------------
@@ -644,15 +641,21 @@ def main(argv=None) -> int:
             gc.enable()
 
 
-def _given_options(argv) -> set[str]:
-    """The destinations that ``argv`` sets itself rather than by default."""
-    parser = make_parser()
+def _actions(parser: argparse.ArgumentParser):
+    """The actions of ``parser`` and of all its subcommands' parsers."""
     parsers = [parser]
     while parsers:
         for action in parsers.pop()._actions:
-            action.default = argparse.SUPPRESS
+            yield action
             if isinstance(action.choices, dict):  # the parsers of subcommands
                 parsers.extend(action.choices.values())
+
+
+def _given_options(argv) -> set[str]:
+    """The destinations that ``argv`` sets itself rather than by default."""
+    parser = make_parser()
+    for action in _actions(parser):
+        action.default = argparse.SUPPRESS
     return set(vars(parser.parse_args(argv)))
 
 
@@ -669,6 +672,14 @@ def _run(argv) -> int:
         _err(f"--config: {err}")
         return USAGE
     if defaults:
+        # a key must name an option of some command, so that a misspelt one
+        # is not dropped without a word; one config serves every command
+        options = {action.dest for action in _actions(parser)
+                   if action.option_strings and action.dest != "help"}
+        for key in defaults:
+            if key not in options:
+                _err(f"--config: unknown option {key!r}")
+                return USAGE
         # a value fills each option of the command that the command line
         # does not give, as one ``--key value`` would, choices and all
         given = _given_options(argv)

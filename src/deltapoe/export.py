@@ -11,20 +11,16 @@ output.
 from __future__ import annotations
 
 import json
-from itertools import islice
 from typing import TYPE_CHECKING, TextIO
 
 from . import model as m
 from .artifacts import JUSTIFICATION_FIELDS, Justification, PlanStep, ValidationRecord
 from .dsl import Model
-from .impact import ImpactReport
 from .printer import change_str, problem_str
 
-if TYPE_CHECKING:  # the calculus is imported where it is used, see derivation_doc
+if TYPE_CHECKING:  # names for annotations; the calculus is imported in derivation_doc
     from .calculus import DerivationNode
-
-
-_JSON_BATCH = 4096  # encoder chunks per write when streaming JSON
+    from .impact import BoundReport, ImpactReport
 
 
 def _justification_doc(j: Justification) -> dict:
@@ -90,13 +86,59 @@ def derivation_doc(node: DerivationNode) -> dict:
     return doc
 
 
+_json_str = json.encoder.encode_basestring_ascii
+_json_scalar = json.JSONEncoder().encode
+
+
 def to_json(doc, out: TextIO) -> None:
-    """Write ``doc`` to ``out`` as indented JSON text with a final newline,
-    in batches of encoder chunks, so the whole text is never held at once."""
-    chunks = json.JSONEncoder(indent=2).iterencode(doc)
-    while batch := list(islice(chunks, _JSON_BATCH)):
-        out.write("".join(batch))
+    """Write ``doc`` to ``out`` as the text of ``json.dumps(doc, indent=2)``
+    with a final newline.
+
+    The text is written as it is made, one container opening, member or
+    list of strings at a time, so the whole text is never held at once.
+    A list or tuple of strings is written as one join of the stdlib's
+    ASCII string escaper (in C where the interpreter has it); other
+    scalars go to the stdlib encoder.  A key that is not a string raises
+    ``TypeError``, as does a value the stdlib cannot encode; a container
+    that holds itself raises ``RecursionError``.
+    """
+    _write_json(doc, out.write, "\n")
     out.write("\n")
+
+
+def _write_json(value, write, pad: str) -> None:
+    """Write one value; ``pad`` is the newline and indent of its line."""
+    if isinstance(value, str):
+        write(_json_str(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        inner = pad + "  "
+        try:
+            text = ("," + inner).join(map(_json_str, value))
+        except TypeError:  # not all strings
+            sep = "[" + inner
+            for item in value:
+                write(sep)
+                _write_json(item, write, inner)
+                sep = "," + inner
+            write(pad + "]")
+        else:
+            write("[" + inner + text + pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            write(sep + _json_str(key) + ": ")  # TypeError if key is not a str
+            _write_json(item, write, inner)
+            sep = "," + inner
+        write(pad + "}")
+    else:
+        write(_json_scalar(value))
 
 
 def _dot_escape(text: str) -> str:
@@ -161,17 +203,24 @@ def model_dot(mdl: Model, name: str = "model") -> str:
     return "\n".join(lines) + "\n"
 
 
-def impact_doc(report: ImpactReport, env: m.Environment) -> dict:
-    return {
+def impact_doc(report: ImpactReport, env: m.Environment, bound: BoundReport | None = None) -> dict:
+    """The structured impact report; with ``bound``, its bound check last."""
+    doc = {
         "edit": report.edit,
         "structural": sorted(report.structural),
         "behavioural": sorted(report.behavioural),
         "buffers": sorted(report.buffers),
         "declared_buffers": sorted(report.declared_buffers),
         "seed_phenomena": sorted(report.seed_phenomena),
-        "paths": [list(p) for p in report.paths],
+        "paths": [list(path) for _, path in report.walk()],
         "domains": list(env.names()),
     }
+    if bound is not None:
+        doc["bound"] = {
+            "passed": bound.passed,
+            "violations": [{"domain": name, "path": list(path)} for name, path in bound.violations],
+        }
+    return doc
 
 
 def _is_names(value) -> bool:

@@ -12,13 +12,16 @@ links only; no occurrence-level behaviour is modelled.
 
 Propagation is one breadth-first search, linear in the phenomena,
 domains and links of the environment.  The report keeps the search's
-parent map rather than one path per reached domain; a path is rendered
-from it, in time linear in its length, only when it is read.
+parent map rather than one path per reached domain; paths are rendered
+from it only when they are read.  ``ImpactReport.walk`` renders them all
+one depth at a time, each phenomenon's path its cause's path extended by
+one hop, so a full report takes time linear in its output.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 
 from . import dsl, model as m
 from .artifacts import Record
@@ -77,9 +80,10 @@ class ImpactReport(Record):
     cause and the domain whose link reached it (``None`` for a seed), and
     ``hits`` maps each behaviourally impacted domain to the affected
     phenomenon it observes on a shortest path, in report order: by path
-    length, then by name.  ``paths`` and ``path_to`` render paths from
-    these when they are read.  ``buffers`` holds the declared buffers
-    that were actually reached.
+    length, then by name.  ``walk`` and ``paths`` render every path from
+    these, extending each cause's path by one hop, one depth at a time;
+    ``path_to`` renders a single path from the parent map.  ``buffers``
+    holds the declared buffers that were actually reached.
     """
 
     __slots__ = ("edit", "structural", "behavioural", "buffers", "declared_buffers",
@@ -108,7 +112,37 @@ class ImpactReport(Record):
     @property
     def paths(self) -> tuple[Path, ...]:
         """One shortest path per reached domain, in report order."""
-        return tuple(self._path(domain, phen) for domain, phen in self.hits.items())
+        return tuple(path for _, path in self.walk())
+
+    def walk(self) -> Iterator[tuple[str, Path]]:
+        """Each reached domain and its path, in report order.
+
+        ``parent`` is in breadth-first order, so depth never decreases
+        along it, and a phenomenon's path is its cause's path, one depth
+        less, plus ``(via, phenomenon)``.  Hits are ordered by depth too:
+        those of a depth are yielded once its paths are all built, and
+        then only that depth's paths are kept as prefixes for the next.
+        """
+        hits = iter(self.hits.items())
+        hit = next(hits, None)
+        older: dict[str, Path] = {}  # the paths of the depth before ``newer``'s
+        newer: dict[str, Path] = {}
+        for phen, step in self.parent.items():
+            if step is None:
+                newer[phen] = (phen,)
+                continue
+            cause, via = step
+            if cause in newer:  # the first phenomenon one depth further
+                while hit is not None and hit[1] in newer:
+                    domain, at = hit
+                    yield domain, newer[at] + (domain,)
+                    hit = next(hits, None)
+                older, newer = newer, {}
+            newer[phen] = older[cause] + (via, phen)
+        while hit is not None:  # the deepest hits
+            domain, at = hit
+            yield domain, newer[at] + (domain,)
+            hit = next(hits, None)
 
     def path_to(self, domain: str) -> Path | None:
         phen = self.hits.get(domain)
@@ -236,9 +270,7 @@ def bound_check(report: ImpactReport, permitted: frozenset[str]) -> BoundReport:
     """
     # structural domains sort first (length 1); hits are already in order
     violations = [(name, (name,)) for name in sorted(report.structural - permitted)]
-    violations += [
-        (name, report.path_to(name)) for name in report.hits if name not in permitted
-    ]
+    violations += [(name, path) for name, path in report.walk() if name not in permitted]
     return BoundReport(not violations, tuple(violations))
 
 

@@ -402,11 +402,12 @@ def _apply_drift(workflows: dict[str, Workflow], event: Event) -> StalenessRepor
     phenomena and needs; a solution record also to the solution's refs.
     ``touched`` is tested once per workflow against each name set.
 
-    Only a workflow in CPS3 to CPS5 can regress.  A workflow regressed to
-    CPS2 also loses its pending validation, which can only be a solution
-    request made at CPS4: it goes stale, so that the owner must request a
-    new problem-view validation and CPS3 is reached only through a live
-    one (the gate invariant of ``tests/oracles.py::verify_gates``).
+    Only a touched workflow in CPS3 to CPS5 can regress: an untouched one
+    keeps its records, so the gates it passed still hold.  A workflow
+    regressed to CPS2 also loses its pending validation, which can only be
+    a solution request made at CPS4: it goes stale, so that the owner must
+    request a new problem-view validation and CPS3 is reached only through
+    a live one (the gate invariant of ``tests/oracles.py::verify_gates``).
     """
     touched = _names(event.payload, "touched")
     if not touched:
@@ -421,17 +422,18 @@ def _apply_drift(workflows: dict[str, Workflow], event: Event) -> StalenessRepor
             and touched.isdisjoint(problem.phenomena)
             and touched.isdisjoint(problem.needs)
         )
-        if problem_hit or not touched.isdisjoint(wf.solution_refs):
-            records = list(wf.validations)
-            for index, record in enumerate(records):
-                if (
-                    record.status is ValidationStatus.GRANTED
-                    and record.sequence < sequence
-                    and (problem_hit or record.target is ValidationTarget.SOLUTION_PLAN)
-                ):
-                    records[index] = _with_status(record, ValidationStatus.STALE, record.sequence)
-                    stale.append((wf.id, record.id, record.target.value))
-            wf.validations = tuple(records)
+        if not problem_hit and touched.isdisjoint(wf.solution_refs):
+            continue
+        records = list(wf.validations)
+        for index, record in enumerate(records):
+            if (
+                record.status is ValidationStatus.GRANTED
+                and record.sequence < sequence
+                and (problem_hit or record.target is ValidationTarget.SOLUTION_PLAN)
+            ):
+                records[index] = _with_status(record, ValidationStatus.STALE, record.sequence)
+                stale.append((wf.id, record.id, record.target.value))
+        wf.validations = tuple(records)
         before = wf.state
         if before not in (CpsState.CPS3, CpsState.CPS4, CpsState.CPS5):
             continue

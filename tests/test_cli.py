@@ -683,6 +683,46 @@ def test_config_value_does_not_override_the_command_line(tmp_path, capsys, monke
     assert events[-1]["payload"]["description"] == ""
 
 
+def test_config_key_of_no_option_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    """A misspelt key is refused before anything is logged; a key that
+    only another command takes is left unused."""
+    monkeypatch.chdir(tmp_path)
+    Path("typo.conf").write_text("worklfow=w2\n")
+    code, out, err = run(capsys, "--config", "typo.conf", "workflow", "wf.jsonl", "advance", *CREATE_ROOT)
+    assert (code, out, err) == (3, "", "--config: unknown option 'worklfow'\n")
+    assert not Path("wf.jsonl").exists()
+    Path("shared.conf").write_text("workflow=w2\nformat=structured\n")
+    code, out, _ = run(capsys, "--config", "shared.conf", "workflow", "wf.jsonl", "advance", *CREATE_ROOT)
+    assert (code, out) == (0, "workflow w2: CPS2\n")
+    code, out, _ = run(capsys, "--config", "shared.conf", "impact", CHAIN, "--edit", "!C")
+    assert code == 0 and json.loads(out)["edit"] == "!C"
+
+
+@pytest.mark.parametrize("permitted, passed", [("C", False), ("D", False), ("C,D,E", True)])
+def test_impact_structured_bound_is_one_json_document(tmp_path, capsys, permitted, passed):
+    code, out, _ = run(capsys, "impact", CHAIN, "--edit", "!C", "--format", "structured",
+                       "--permitted", permitted)
+    assert code == (0 if passed else 1)
+    doc = json.loads(out)
+    assert list(doc)[-2:] == ["domains", "bound"]
+    mdl = dsl.parse_model(CHAIN.read_text())
+    report = impact.propagate(mdl.environment, model.Cancel("C"))
+    bound = impact.bound_check(report, frozenset(permitted.split(",")))
+    assert doc["bound"] == {
+        "passed": passed,
+        "violations": [{"domain": name, "path": list(path)} for name, path in bound.violations],
+    }
+    assert bool(doc["bound"]["violations"]) is not passed
+    code, plain, _ = run(capsys, "impact", CHAIN, "--edit", "!C", "--format", "structured")
+    del doc["bound"]
+    assert json.loads(plain) == doc
+    report_path = tmp_path / "report.json"
+    report_path.write_text(out)
+    code, _, _ = run(capsys, "export", report_path, "--graph", tmp_path / "impact.dot")
+    assert code == 0
+    assert '"C" [fillcolor="lightcoral"]' in (tmp_path / "impact.dot").read_text()
+
+
 def test_parse_edit_tokenizes_the_edit_once(monkeypatch):
     calls = []
     tokenize = dsl.tokenize

@@ -2,6 +2,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltapoe import calculus, dsl, export, impact, model
 from deltapoe.impact import NewLink
@@ -86,12 +88,62 @@ def test_model_dot_matches_scan_on_layered_model():
     assert len(edges) == 9 * 12 * 3
 
 
+class WriteLog(io.StringIO):
+    """A text stream that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
 def test_to_json_stream_writes_the_same_text():
     mdl = dsl.parse_model(layered_org_text(30, 10, 3, seed=1))
     report = impact.propagate(mdl.environment, model.Cancel("O0_0"))
     doc = export.impact_doc(report, mdl.environment)
-    out = io.StringIO()
+    out = WriteLog()
     export.to_json(doc, out)
-    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
-    chunks = json.JSONEncoder(indent=2).iterencode(doc)
-    assert sum(1 for _ in chunks) > 2 * export._JSON_BATCH  # spans several batches
+    text = out.getvalue()
+    assert text == json.dumps(doc, indent=2) + "\n"
+    # streamed: at least one write per path, none near the whole text
+    assert len(out.sizes) > len(doc["paths"])
+    assert max(out.sizes) < len(text) // 20
+
+
+# any JSON value, with strings of any code point (control characters and
+# lone surrogates included) and tuples, which JSON writes as arrays
+json_text = st.text(st.characters(exclude_categories=()), max_size=12)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | json_text,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.lists(json_text, max_size=5) | st.dictionaries(json_text, inner, max_size=5)),
+    max_leaves=40,
+)
+
+
+@given(json_values)
+@settings(max_examples=400, deadline=None)
+def test_to_json_matches_the_stdlib_indent_encoder(value):
+    out = io.StringIO()
+    export.to_json(value, out)
+    assert out.getvalue() == json.JSONEncoder(indent=2).encode(value) + "\n"
+
+
+@pytest.mark.parametrize("doc", [{1: "a"}, {"a": [{None: 1}]}, {"a": {1.5: 1}}, {True: []}])
+def test_to_json_refuses_keys_that_are_not_strings(doc):
+    """Documents are keyed by names; the stdlib's conversion of int, float,
+    bool and None keys to strings is not copied."""
+    json.dumps(doc)
+    with pytest.raises(TypeError, match="must be a string"):
+        export.to_json(doc, io.StringIO())
+
+
+@pytest.mark.parametrize("doc", [{"a": {1, 2}}, [b"bytes"], {"a": object()}])
+def test_to_json_refuses_what_the_stdlib_refuses(doc):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        json.dumps(doc)
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        export.to_json(doc, io.StringIO())

@@ -266,3 +266,49 @@ def test_long_chain_path_is_rendered_on_demand():
     path = report.path_to(f"D{n - 1}")
     assert len(path) == 2 * (n - 1)
     assert path[:4] == ("p0", "D1", "p1", "D2") and path[-2:] == (f"p{n - 2}", f"D{n - 1}")
+
+
+# --- walk(): every path built from its cause's path -------------------------------------
+
+def assert_walk_matches(env, edit, buffers):
+    """``walk`` yields each hit once, in report order, with the path that
+    ``_path`` renders from the parent map for that hit alone, and
+    ``paths`` is the stored-paths propagation's tuple."""
+    report = propagate(env, edit, buffers)
+    walked = list(report.walk())
+    assert walked == [(name, report._path(name, phen)) for name, phen in report.hits.items()]
+    assert report.paths == tuple(path for _, path in walked)
+    assert report.paths == propagate_stored_paths(env, edit, buffers).paths
+    return walked
+
+
+@given(differential_cases())
+@settings(max_examples=200, deadline=None)
+def test_walk_matches_per_hit_paths_and_stored_paths(case):
+    env, edit, buffers, _ = case
+    assert_walk_matches(env, edit, buffers)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_walk_on_layered_orgs(seed):
+    env = dsl.parse_model(layered_org_text(10, 6, 3, seed=seed)).environment
+    names = list(env.names())
+    observed = min(env.domain("O4_0").observed)  # so the new link's effect has an observer
+    cases = [
+        (model.Cancel("O0_1"), frozenset()),
+        (model.Cancel("O0_1"), frozenset(names[12:15])),
+        (model.Cancel("O4_2"), frozenset(names[40:42])),
+        (NewLink("O5_0", "o0_0", observed), frozenset()),
+        (model.Add(model.Domain("newcomer", controlled=frozenset({"o1_3"}))), frozenset(names[30:36])),
+    ]
+    for edit, buffers in cases:
+        walked = assert_walk_matches(env, edit, buffers)
+        # the domains observing a seed are hit at depth 0, with two-entry paths
+        assert walked and len(walked[0][1]) == 2, edit
+        assert [len(path) for _, path in walked] == sorted(len(path) for _, path in walked)
+
+
+def test_walk_of_a_report_with_no_hits_is_empty():
+    lonely = propagate(model.Environment((model.Domain("A", controlled=frozenset({"a"})),)),
+                       model.Cancel("A"))
+    assert list(lonely.walk()) == [] and lonely.paths == ()
