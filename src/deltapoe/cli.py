@@ -260,6 +260,8 @@ def cmd_impact(args) -> int:
     permitted = _names_flag(args.permitted) if args.permitted else None
     try:
         report = impact.propagate(env, edit, buffers)
+        if permitted is not None:
+            impact.check_domains(env, permitted)
     except impact.ImpactError as err:
         _err(str(err))
         return INVALID

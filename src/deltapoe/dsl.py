@@ -12,16 +12,20 @@ domain, ``!X`` cancels one, ``X ~> d[A](B)`` refines, ``;`` sequences,
 the identity change.  A problem can also be written in sequent form:
 ``[X] (+) ?F |= G : N``.  Comments run from ``#`` to end of line.
 
-The lexer is one compiled pattern; each match takes the blanks before a
-token, newline or comment along with it, so blanks cost no match of
-their own.  The parser is a plain recursive descent that reads the
-tokens by index; it is reentrant and keeps no global state.
+The lexer is one ``findall`` of one compiled pattern: it returns the
+token texts, and nothing else.  A token's kind is read off its first
+character, and a string keeps its quotes until the parser consumes it,
+so a symbol test is a plain string comparison.  Where a token is,
+``line:column``, is worked out only when a diagnostic or a statement
+asks for it, by scanning the source once more.  The parser is a plain
+recursive descent that reads the texts by index; it is reentrant and
+keeps no global state.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from bisect import bisect_left
 
 from . import model as m
 from .artifacts import (
@@ -58,30 +62,34 @@ class DslError(Exception):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
-class Token(NamedTuple):
-    kind: str  # ident | int | string | symbol | eof
-    value: str
-    line: int
-    column: int
+# One alternative per token kind, then the blanks and comments after the
+# token, so that each match yields one token text.  No two kinds start
+# with the same character, except that a string wins over a quote that
+# opens none; such a quote takes the rest of the input, which no longer
+# matters once it is an error, and so no later quote on its line is read
+# to the line's end again.  Symbols are listed longest first, so "(+)"
+# wins over "(".  Any other character is a text of its own, and the empty
+# text at the end of the input is the eof token.  The gap after a token
+# matches one way only, and nothing after it can fail, so no position is
+# matched twice: lexing is linear in the input, whatever the input holds.
+_GAP = r"[ \t\n]*(?:#[^\n]*[ \t\n]*)*"
+_STRING = r'"(?:[^"\\\n]|\\[^\n])*"'
+_TOKEN = re.compile("(" + "|".join((
+    r"[A-Za-z_][A-Za-z0-9_']*(?:\.[A-Za-z_][A-Za-z0-9_']*)*",
+    "|".join(map(re.escape, SYMBOLS)),
+    r"[0-9]+",
+    _STRING,
+    r'"(?s:.*)',
+    r"(?s:.)",
+    r"\Z",
+)) + ")" + _GAP)
+_LEADING_GAP = re.compile(_GAP)
+_WHOLE_STRING = re.compile(_STRING)
+_NEWLINE = re.compile("\n")
 
-
-# One alternative per token kind, after the blanks before it, so that each
-# match yields one token, newline or comment.  No two kinds start with the
-# same character, except that a string wins over the lone quote that opens
-# an unterminated one, so the order is free elsewhere: frequent kinds come
-# first.  Symbols are listed longest first, so "(+)" wins over "(".
-# ``bad``, last, takes any other character but a blank, so a match fails
-# only on the blanks that end the input, where the scan stops.
-_TOKEN = re.compile(r"[ \t]*(?:" + "|".join((
-    r"(?P<ident>[A-Za-z_][A-Za-z0-9_']*(?:\.[A-Za-z_][A-Za-z0-9_']*)*)",
-    "(?P<symbol>" + "|".join(map(re.escape, SYMBOLS)) + ")",
-    r"(?P<newline>\n)",
-    r"(?P<int>[0-9]+)",
-    r"(?P<comment>#[^\n]*)",
-    r'(?P<string>"(?:[^"\\\n]|\\[^\n])*")',
-    r'(?P<unterminated>")',
-    r"(?P<bad>[^ \t])",
-)) + ")")
+IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+DIGITS = frozenset("0123456789")  # str.isdigit would take "²" too
+_ONE_CHAR_TOKENS = IDENT_START | DIGITS | {s for s in SYMBOLS if len(s) == 1}
 
 _ESCAPE = re.compile(r"\\(.)")
 _ESCAPED = {"n": "\n", "t": "\t"}
@@ -91,29 +99,53 @@ def _unescape(escape: re.Match) -> str:
     return _ESCAPED.get(escape[1], escape[1])
 
 
-def tokenize(src: str) -> list[Token]:
-    src = src.replace("\r\n", "\n").replace("\r", "\n")
-    new = tuple.__new__  # skips the Python-level Token.__new__
-    tokens: list[Token] = []
-    append = tokens.append
-    line, line_start = 1, 0
-    for found in _TOKEN.finditer(src):
-        kind = found.lastgroup
-        if kind == "ident" or kind == "symbol" or kind == "int":
-            text = found[kind]
-            append(new(Token, (kind, text, line, found.end() - len(text) - line_start + 1)))
-        elif kind == "newline":
-            line, line_start = line + 1, found.end()
-        elif kind != "comment":
-            column = found.start(kind) - line_start + 1
-            if kind == "string":
-                append(new(Token, (kind, _ESCAPE.sub(_unescape, found[kind][1:-1]), line, column)))
-            elif kind == "unterminated":
-                raise DslError([ParseDiagnostic(line, column, "unterminated string")])
-            else:
-                raise DslError([ParseDiagnostic(line, column, f"unexpected character {found[kind]!r}")])
-    append(Token("eof", "", line, len(src) - line_start + 1))
-    return tokens
+def token_value(text: str) -> str:
+    """A string token's contents, unescaped; any other token's text."""
+    if text[:1] != '"':
+        return text
+    return _ESCAPE.sub(_unescape, text[1:-1]) if "\\" in text else text[1:-1]
+
+
+def _shown(text: str) -> str:
+    """A token as a diagnostic names it: its value, or its kind when empty."""
+    return token_value(text) or ("string" if text else "eof")
+
+
+def _normalized(src: str) -> str:
+    return src.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def tokenize(src: str) -> list[str]:
+    """The token texts of ``src``, ending with the eof token ``""``.
+
+    Raises DslError at the first character that starts no token, or at
+    the quote of a string that does not end on its line."""
+    src = _normalized(src)
+    texts = _TOKEN.findall(src, _LEADING_GAP.match(src).end())
+    bad = {text for text in set(texts) if len(text) == 1} - _ONE_CHAR_TOKENS
+    tail = texts[-2] if len(texts) > 1 else ""
+    if tail[:1] == '"' and not _WHOLE_STRING.fullmatch(tail):
+        bad.add(tail)
+    if bad:
+        index = min(map(texts.index, bad))
+        text = texts[index]
+        message = "unterminated string" if text[0] == '"' else f"unexpected character {text!r}"
+        raise DslError([ParseDiagnostic(*_locator(src)(index), message)])
+    return texts
+
+
+def _locator(src: str):
+    """A function from a token's index to its ``(line, column)`` in the
+    normalized ``src``.  Making it scans the source once more."""
+    starts = list(map(re.Match.start, _TOKEN.finditer(src, _LEADING_GAP.match(src).end())))
+    newlines = list(map(re.Match.start, _NEWLINE.finditer(src)))
+
+    def locate(index: int) -> tuple[int, int]:
+        offset = starts[index]
+        line = bisect_left(newlines, offset)  # newlines before the token
+        return line + 1, offset - (newlines[line - 1] if line else -1)
+
+    return locate
 
 
 # --- model aggregate ----------------------------------------------------------
@@ -258,77 +290,93 @@ ARG_KEYS = {
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], model: Model):
-        self.tokens = tokens
+    def __init__(self, src: str, model: Model):
+        self.src = src
+        self.tokens = tokenize(src)
         self.pos = 0
         self.model = model
         self.depth = 0  # parentheses open around the expression being parsed
+        self._locate = None
 
     # token plumbing
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+    def position(self, index: int) -> tuple[int, int]:
+        """The ``(line, column)`` of the token at ``index``."""
+        if self._locate is None:
+            self._locate = _locator(_normalized(self.src))
+        return self._locate(index)
+
+    def fail(self, message: str, index: int | None = None):
+        line, column = self.position(self.pos if index is None else index)
+        raise DslError([ParseDiagnostic(line, column, message)])
+
+    def advance(self) -> str:
+        text = self.tokens[self.pos]
+        if text:  # eof is never passed
             self.pos += 1
-        return tok
+        return text
 
-    def at(self, kind: str, value: str | None = None) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.kind == kind and (value is None or tok.value == value)
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos] == text
 
-    def at_word(self, word: str) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.value == word and tok.kind == "ident"
-
-    def fail(self, message: str, tok: Token | None = None):
-        tok = tok or self.tokens[self.pos]
-        raise DslError([ParseDiagnostic(tok.line, tok.column, message)])
-
-    def expect(self, kind: str, value: str | None = None) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind or (value is not None and tok.value != value):
-            want = value if value is not None else kind
-            self.fail(f"expected {want!r}, found {tok.value or tok.kind!r}")
-        if kind != "eof":
-            self.pos += 1
-        return tok
-
-    def expect_word(self, word: str) -> Token:
-        return self.expect("ident", word)
-
-    def ident(self, what="identifier") -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "ident":
-            self.fail(f"expected {what}, found {tok.value or tok.kind!r}")
+    def expect(self, text: str):
+        """Consume the symbol or word ``text``."""
+        if self.tokens[self.pos] != text:
+            self.fail(f"expected {text!r}, found {_shown(self.tokens[self.pos])!r}")
         self.pos += 1
-        return tok
+
+    def expect_eof(self):
+        if self.tokens[self.pos]:
+            self.fail(f"expected 'eof', found {_shown(self.tokens[self.pos])!r}")
+
+    def ident(self, what="identifier") -> str:
+        text = self.tokens[self.pos]
+        if text[:1] not in IDENT_START:
+            self.fail(f"expected {what}, found {_shown(text)!r}")
+        self.pos += 1
+        return text
+
+    def string(self) -> str:
+        """Consume a string token; its contents, unescaped."""
+        text = self.tokens[self.pos]
+        if text[:1] != '"':
+            self.fail(f"expected 'string', found {_shown(text)!r}")
+        self.pos += 1
+        return token_value(text)
+
+    def number(self) -> str:
+        text = self.tokens[self.pos]
+        if text[:1] not in DIGITS:
+            self.fail(f"expected 'int', found {_shown(text)!r}")
+        self.pos += 1
+        return text
 
     # name lists
 
-    def name_list(self) -> list[Token]:
-        tokens, pos = self.tokens, self.pos
-        if tokens[pos].kind != "ident":
-            return []
-        names = [tokens[pos]]
-        pos += 1
-        while tokens[pos].value == "," and tokens[pos].kind == "symbol":
+    def name_list(self) -> range:
+        """``[ident ("," ident)*]``; the indexes of its names."""
+        tokens, start = self.tokens, self.pos
+        if tokens[start][:1] not in IDENT_START:
+            return range(start, start)
+        pos = start + 1
+        while tokens[pos] == ",":
             self.pos = pos + 1
-            names.append(self.ident("name"))
+            self.ident("name")
             pos += 2
         self.pos = pos
-        return names
+        return range(start, pos, 2)
 
-    def bracketed_names(self) -> list[Token]:
-        self.expect("symbol", "[")
+    def bracketed_names(self) -> range:
+        self.expect("[")
         names = self.name_list()
-        self.expect("symbol", "]")
+        self.expect("]")
         return names
 
     # model form
 
     def parse_model_block(self, base: Model) -> Model:
-        self.expect_word("model")
-        self.expect("symbol", "{")
+        self.expect("model")
+        self.expect("{")
         phenomena = list(base.phenomena)
         domains = list(base.environment.domains)
         stakeholders = list(base.stakeholders)
@@ -337,130 +385,135 @@ class _Parser:
         dom_names = {d.name for d in domains}
         sk_names = {s.name for s in stakeholders}
         need_names = {n.name for n in needs}
-        trust_refs: list[tuple[Token, str]] = []
+        trust_refs: list[tuple[int, str]] = []  # (index of the trusted name, truster)
         tokens = self.tokens
         while True:
-            tok = tokens[self.pos]
-            word = tok.value if tok.kind == "ident" else None
+            word = tokens[self.pos]
+            at = self.pos + 1  # the name a declaration declares
             if word == "phenomenon":
-                self.pos += 1
+                self.pos = at
                 name = self.ident("phenomenon name")
-                self.expect("symbol", ":")
+                self.expect(":")
                 kind = self.ident("phenomenon kind")
-                if kind.value not in PHENOMENON_KINDS:
+                if kind not in PHENOMENON_KINDS:
                     self.fail(
-                        f"unknown phenomenon kind {kind.value!r}; one of "
+                        f"unknown phenomenon kind {kind!r}; one of "
                         + ", ".join(sorted(PHENOMENON_KINDS)),
-                        kind,
+                        at + 2,
                     )
-                if name.value in phen_names:
-                    self.fail(f"duplicate phenomenon name {name.value!r}", name)
-                phen_names.add(name.value)
-                phenomena.append(m.Phenomenon(name.value, PHENOMENON_KINDS[kind.value]))
+                if name in phen_names:
+                    self.fail(f"duplicate phenomenon name {name!r}", at)
+                phen_names.add(name)
+                phenomena.append(m.Phenomenon(name, PHENOMENON_KINDS[kind]))
             elif word == "domain":
-                self.pos += 1
+                self.pos = at
                 name = self.ident("domain name")
-                if name.value in dom_names:
-                    self.fail(f"duplicate domain name {name.value!r}", name)
-                dom_names.add(name.value)
-                domains.append(self.domain_body(name, phen_names))
+                if name in dom_names:
+                    self.fail(f"duplicate domain name {name!r}", at)
+                dom_names.add(name)
+                domains.append(self.domain_body(at, phen_names))
             elif word == "stakeholder":
-                self.pos += 1
+                self.pos = at
                 name = self.ident("stakeholder name")
-                if name.value in sk_names:
-                    self.fail(f"duplicate stakeholder name {name.value!r}", name)
-                sk_names.add(name.value)
-                self.expect("symbol", ":")
+                if name in sk_names:
+                    self.fail(f"duplicate stakeholder name {name!r}", at)
+                sk_names.add(name)
+                self.expect(":")
                 role = self.role()
                 trusts: list[str] = []
-                if self.at("symbol", "{"):
-                    self.advance()
-                    self.expect_word("trusts")
-                    for tok in self.name_list():
-                        trust_refs.append((tok, name.value))
-                        trusts.append(tok.value)
-                    self.expect("symbol", "}")
-                stakeholders.append(m.Stakeholder(name.value, role, frozenset(trusts)))
+                if self.at("{"):
+                    self.pos += 1
+                    self.expect("trusts")
+                    for i in self.name_list():
+                        trust_refs.append((i, name))
+                        trusts.append(tokens[i])
+                    self.expect("}")
+                stakeholders.append(m.Stakeholder(name, role, frozenset(trusts)))
             elif word == "need":
-                self.pos += 1
+                self.pos = at
                 name = self.ident("need name")
-                if name.value in need_names:
-                    self.fail(f"duplicate need name {name.value!r}", name)
-                need_names.add(name.value)
-                desc = self.expect("string")
-                needs.append(m.AtomicNeed(name.value, desc.value))
-            elif tok.value == "}" and tok.kind == "symbol":
+                if name in need_names:
+                    self.fail(f"duplicate need name {name!r}", at)
+                need_names.add(name)
+                needs.append(m.AtomicNeed(name, self.string()))
+            elif word == "}":
+                self.pos += 1
                 break
             else:
                 self.fail(
                     "expected 'phenomenon', 'domain', 'stakeholder', 'need' or '}'"
                 )
-        self.expect("symbol", "}")
-        for tok, owner in trust_refs:
-            if tok.value not in sk_names:
-                self.fail(f"stakeholder {owner!r} trusts undeclared {tok.value!r}", tok)
+        for i, owner in trust_refs:
+            if tokens[i] not in sk_names:
+                self.fail(f"stakeholder {owner!r} trusts undeclared {tokens[i]!r}", i)
         try:
             env = m.Environment(tuple(domains))
         except m.ModelError as err:
             self.fail(str(err))
         return Model(tuple(phenomena), env, tuple(stakeholders), tuple(needs))
 
-    def domain_body(self, name: Token, phen_names: set) -> m.Domain:
-        self.expect("symbol", "{")
+    def domain_body(self, at: int, phen_names: set) -> m.Domain:
+        """The body of the domain whose name is the token at ``at``."""
+        self.expect("{")
+        name = self.tokens[at]
         observed: list[str] = []
         controlled: list[str] = []
         links: list[m.CausalLink] = []
         description = ""
         tokens = self.tokens
         while True:
-            tok = tokens[self.pos]
-            word = tok.value if tok.kind == "ident" else None
+            word = tokens[self.pos]
             if word == "observes" or word == "controls":
                 self.pos += 1
                 names = observed if word == "observes" else controlled
-                for tok in self.name_list():
-                    self.check_phenomenon(tok, phen_names)
-                    names.append(tok.value)
+                for i in self.name_list():
+                    if tokens[i] not in phen_names:
+                        self.fail(f"undeclared phenomenon {tokens[i]!r}", i)
+                    names.append(tokens[i])
             elif word == "causes":
                 self.pos += 1
-                cause = self.ident("phenomenon name")
-                self.check_phenomenon(cause, phen_names)
-                self.expect("symbol", "->")
-                effect = self.ident("phenomenon name")
-                self.check_phenomenon(effect, phen_names)
+                at_cause = self.pos
+                cause = self.phenomenon(phen_names)
+                self.expect("->")
+                effect = self.phenomenon(phen_names)
                 try:
-                    links.append(m.CausalLink(cause.value, effect.value, name.value))
+                    links.append(m.CausalLink(cause, effect, name))
                 except m.ModelError as err:
-                    self.fail(str(err), cause)
+                    self.fail(str(err), at_cause)
             elif word == "description":
                 self.pos += 1
-                description = self.expect("string").value
-            elif tok.value == "}" and tok.kind == "symbol":
+                description = self.string()
+            elif word == "}":
                 break
             else:
                 self.fail("expected 'observes', 'controls', 'causes', 'description' or '}'")
-        self.expect("symbol", "}")
+        self.pos += 1
         try:
             return m.Domain(
-                name.value,
+                name,
                 description,
                 frozenset(observed),
                 frozenset(controlled),
                 frozenset(links),
             )
         except m.ModelError as err:
-            self.fail(str(err), name)
+            self.fail(str(err), at)
 
-    def check_phenomenon(self, tok: Token, phen_names: set):
-        if tok.value not in phen_names:
-            self.fail(f"undeclared phenomenon {tok.value!r}", tok)
+    def phenomenon(self, phen_names: set) -> str:
+        """The name of a declared phenomenon."""
+        text = self.tokens[self.pos]
+        if text not in phen_names:
+            self.ident("phenomenon name")
+            self.fail(f"undeclared phenomenon {text!r}", self.pos - 1)
+        self.pos += 1
+        return text
 
     def role(self) -> m.Role:
-        first = self.ident("stakeholder role")
-        words = [first.value]
-        while self.at("symbol", "-"):
+        first = self.pos
+        words = [self.ident("stakeholder role")]
+        while self.at("-"):
             self.advance()
-            words.append(self.ident("role word").value)
+            words.append(self.ident("role word"))
         joined = "-".join(words)
         if joined not in ROLE_WORDS:
             self.fail(
@@ -475,7 +528,7 @@ class _Parser:
         """``operand (symbol operand)*``, grouped to the right, built
         without recursion so a long chain cannot exhaust the stack."""
         items = [operand()]
-        while self.at("symbol", symbol):
+        while self.at(symbol):
             self.advance()
             items.append(operand())
         out = items.pop()
@@ -491,7 +544,7 @@ class _Parser:
         self.depth += 1
         inner = expr()
         self.depth -= 1
-        self.expect("symbol", ")")
+        self.expect(")")
         return inner
 
     def need_expr(self) -> m.Need:
@@ -501,13 +554,14 @@ class _Parser:
         return self.chain(self.need_atom, ";", m.NeedSeq)
 
     def need_atom(self) -> m.Need:
-        if self.at("symbol", "("):
+        if self.at("("):
             return self.group(self.need_expr)
-        tok = self.ident("need name")
+        at = self.pos
+        name = self.ident("need name")
         try:
-            return self.model.need(tok.value)
+            return self.model.need(name)
         except KeyError:
-            self.fail(f"undeclared need {tok.value!r}", tok)
+            self.fail(f"undeclared need {name!r}", at)
 
     def change_expr(self) -> m.ChangeExpr:
         return self.chain(self.change_seq, "||", m.ChangePar)
@@ -515,106 +569,108 @@ class _Parser:
     def change_seq(self) -> m.ChangeExpr:
         return self.chain(self.change_atom, ";", m.ChangeSeq)
 
-    def resolve_domain(self, tok: Token) -> m.Domain:
+    def resolve_domain(self, index: int) -> m.Domain:
         try:
-            return self.model.domain(tok.value)
+            return self.model.domain(self.tokens[index])
         except KeyError:
-            self.fail(f"undeclared domain {tok.value!r}", tok)
+            self.fail(f"undeclared domain {self.tokens[index]!r}", index)
 
     def change_atom(self) -> m.ChangeExpr:
-        if self.at("symbol", "("):
+        word = self.tokens[self.pos]
+        if word == "(":
             return self.group(self.change_expr)
-        if self.at("symbol", "?"):
+        if word == "?":
             self.advance()
-            return m.Unknown(self.ident("placeholder name").value)
-        if self.at("symbol", "+"):
+            return m.Unknown(self.ident("placeholder name"))
+        if word == "+":
             self.advance()
-            return m.Add(self.resolve_domain(self.ident("domain name")))
-        if self.at("symbol", "!"):
+            at = self.pos
+            self.ident("domain name")
+            return m.Add(self.resolve_domain(at))
+        if word == "!":
             self.advance()
-            return m.Cancel(self.ident("domain name").value)
-        if self.at_word("skip"):
+            return m.Cancel(self.ident("domain name"))
+        if word == "skip":
             self.advance()
             return m.Nil()
-        tok = self.ident("change expression")
-        self.expect("symbol", "~>")
-        self.expect_word("d")
-        retained = tuple(self.resolve_domain(t) for t in self.bracketed_names())
-        self.expect("symbol", "(")
+        target = self.ident("change expression")
+        self.expect("~>")
+        self.expect("d")
+        retained = tuple(map(self.resolve_domain, self.bracketed_names()))
+        self.expect("(")
         added_names = self.name_list()
-        self.expect("symbol", ")")
-        added = tuple(self.resolve_domain(t) for t in added_names)
-        return m.Refine(tok.value, retained, added)
+        self.expect(")")
+        added = tuple(map(self.resolve_domain, added_names))
+        return m.Refine(target, retained, added)
 
     # problems
 
     def parse_problem_body(self) -> m.Problem:
-        if self.at("symbol", "["):
+        if self.at("["):
             return self.sequent_body()
-        self.expect_word("env")
+        self.expect("env")
         env = self.env_ref()
-        self.expect_word("change")
+        self.expect("change")
         change = self.change_expr()
-        self.expect_word("validator")
+        self.expect("validator")
         validator = self.validator_ref()
-        self.expect_word("need")
+        self.expect("need")
         need = m.normalize_need(self.need_expr())
         return m.Problem(env, change, validator, need)
 
     def sequent_body(self) -> m.Problem:
         env = self.env_ref()
-        self.expect("symbol", "(+)")
+        self.expect("(+)")
         change = self.change_expr()
-        self.expect("symbol", "|=")
+        self.expect("|=")
         validator = self.validator_ref()
-        self.expect("symbol", ":")
+        self.expect(":")
         need = m.normalize_need(self.need_expr())
         return m.Problem(env, change, validator, need)
 
     def env_ref(self) -> m.Environment:
-        names = self.bracketed_names()
-        domains = []
-        for tok in names:
-            domains.append(self.resolve_domain(tok))
+        domains = tuple(map(self.resolve_domain, self.bracketed_names()))
         try:
-            return m.Environment(tuple(domains))
+            return m.Environment(domains)
         except m.ModelError as err:
             self.fail(str(err))
 
     def validator_ref(self) -> str:
-        tok = self.ident("stakeholder name")
+        at = self.pos
+        name = self.ident("stakeholder name")
         try:
-            self.model.stakeholder(tok.value)
+            self.model.stakeholder(name)
         except KeyError:
-            self.fail(f"undeclared stakeholder {tok.value!r}", tok)
-        return tok.value
+            self.fail(f"undeclared stakeholder {name!r}", at)
+        return name
 
     # derivations
 
     def parse_derivation_block(self) -> DerivationScript:
-        self.expect_word("derivation")
+        self.expect("derivation")
         name = self.ident("derivation name")
-        self.expect("symbol", "{")
-        self.expect_word("problem")
-        problem_name = self.ident("problem name").value
+        self.expect("{")
+        self.expect("problem")
+        problem_name = self.ident("problem name")
         statements: list[Statement] = []
-        while not self.at("symbol", "}"):
-            if self.at_word("apply"):
+        while not self.at("}"):
+            word = self.tokens[self.pos]
+            if word == "apply":
                 statements.append(self.apply_statement())
-            elif self.at_word("discharge"):
+            elif word == "discharge":
                 statements.append(self.discharge_statement())
-            elif self.at_word("justify"):
+            elif word == "justify":
                 self.attach(statements, justification=self.justify_block())
-            elif self.at_word("plan"):
+            elif word == "plan":
                 self.attach(statements, plan=self.plan_block())
-            elif self.at_word("validated"):
+            elif word == "validated":
                 self.attach(statements, validation=self.validated_clause())
             else:
                 self.fail(
                     "expected 'apply', 'discharge', 'justify', 'plan', 'validated' or '}'"
                 )
-        self.expect("symbol", "}")
-        return DerivationScript(name.value, problem_name, tuple(statements))
+        self.expect("}")
+        return DerivationScript(name, problem_name, tuple(statements))
 
     def attach(self, statements: list, justification=None, plan=None, validation=None):
         if not statements:
@@ -632,59 +688,61 @@ class _Parser:
             statements[-1] = _amended(last, validations=last.validations + (validation,))
 
     def apply_statement(self) -> ApplyStatement:
-        kw = self.expect_word("apply")
-        rule_tok = self.ident("rule name")
+        line, column = self.position(self.pos)
+        self.expect("apply")
+        at = self.pos
+        rule_name = self.ident("rule name")
         try:
-            rule = RuleId(rule_tok.value)
+            rule = RuleId(rule_name)
         except ValueError:
-            self.fail(f"unknown rule {rule_tok.value!r}", rule_tok)
-        self.expect_word("at")
+            self.fail(f"unknown rule {rule_name!r}", at)
+        self.expect("at")
         path = self.node_path()
         args: dict = {}
-        if self.at_word("with"):
+        if self.at("with"):
             self.advance()
             args = self.arg_block(rule)
         marker = None
-        if self.at_word("alternative") or self.at_word("chosen"):
-            marker = self.advance().value
-        return ApplyStatement(
-            rule, path, args, marker, line=kw.line, column=kw.column
-        )
+        if self.at("alternative") or self.at("chosen"):
+            marker = self.advance()
+        return ApplyStatement(rule, path, args, marker, line=line, column=column)
 
     def discharge_statement(self) -> DischargeStatement:
-        kw = self.expect_word("discharge")
-        self.expect_word("at")
+        line, column = self.position(self.pos)
+        self.expect("discharge")
+        self.expect("at")
         path = self.node_path()
-        return DischargeStatement(path, line=kw.line, column=kw.column)
+        return DischargeStatement(path, line=line, column=column)
 
     def node_path(self) -> NodePath:
-        self.expect_word("root")
+        self.expect("root")
         segs: list[PathSeg] = []
         while True:
-            if self.at("symbol", "."):
+            if self.at("."):
                 self.advance()
-                segs.append(int(self.expect("int").value))
-            elif self.at("symbol", "@"):
+                segs.append(int(self.number()))
+            elif self.at("@"):
                 self.advance()
-                segs.append(("alt", int(self.expect("int").value)))
+                segs.append(("alt", int(self.number())))
             else:
                 break
         return tuple(segs)
 
     def arg_block(self, rule: RuleId) -> dict:
-        self.expect("symbol", "{")
+        self.expect("{")
         args: dict = {}
-        while not self.at("symbol", "}"):
+        while not self.at("}"):
+            at = self.pos
             key = self.ident("argument name")
-            if key.value not in ARG_KEYS:
-                self.fail(f"unknown argument {key.value!r}", key)
-            if key.value in args:
-                self.fail(f"duplicate argument {key.value!r}", key)
-            self.expect("symbol", ":")
-            args[key.value] = self.arg_value(key.value)
-            if self.at("symbol", ","):
+            if key not in ARG_KEYS:
+                self.fail(f"unknown argument {key!r}", at)
+            if key in args:
+                self.fail(f"duplicate argument {key!r}", at)
+            self.expect(":")
+            args[key] = self.arg_value(key)
+            if self.at(","):
                 self.advance()
-        self.expect("symbol", "}")
+        self.expect("}")
         return args
 
     def arg_value(self, key: str):
@@ -697,60 +755,63 @@ class _Parser:
         if key == "env":
             return self.env_ref()
         if key in ("left", "right"):
-            return tuple(t.value for t in self.bracketed_names())
+            return tuple(self.tokens[i] for i in self.bracketed_names())
         if key in ("retained", "added"):
-            return tuple(self.resolve_domain(t) for t in self.bracketed_names())
+            return tuple(map(self.resolve_domain, self.bracketed_names()))
         if key == "shape":
-            tok = self.ident("shape")
-            if tok.value not in ("seq", "par"):
-                self.fail("shape must be 'seq' or 'par'", tok)
-            return tok.value
+            at = self.pos
+            shape = self.ident("shape")
+            if shape not in ("seq", "par"):
+                self.fail("shape must be 'seq' or 'par'", at)
+            return shape
         if key == "direction":
-            tok = self.ident("direction")
-            if tok.value not in ("fuse", "split"):
-                self.fail("direction must be 'fuse' or 'split'", tok)
-            return tok.value
+            at = self.pos
+            direction = self.ident("direction")
+            if direction not in ("fuse", "split"):
+                self.fail("direction must be 'fuse' or 'split'", at)
+            return direction
         raise AssertionError(key)
 
     def justify_block(self) -> Justification:
-        self.expect_word("justify")
-        self.expect("symbol", "{")
+        self.expect("justify")
+        self.expect("{")
         values: dict = {}
         risks: list[RiskItem] = []
-        while not self.at("symbol", "}"):
+        while not self.at("}"):
+            at = self.pos
             key = self.ident("justification field")
-            if key.value == "risk":
-                risk = self.expect("string").value
-                self.expect_word("mitigation")
-                mitigation = self.expect("string").value
-                risks.append(RiskItem(risk, mitigation))
-            elif key.value in JUSTIFICATION_FIELDS:
-                field = JUSTIFICATION_FIELDS[key.value]
+            if key == "risk":
+                risk = self.string()
+                self.expect("mitigation")
+                risks.append(RiskItem(risk, self.string()))
+            elif key in JUSTIFICATION_FIELDS:
+                field = JUSTIFICATION_FIELDS[key]
                 if field in values:
-                    self.fail(f"duplicate field {key.value!r}", key)
-                values[field] = self.expect("string").value
+                    self.fail(f"duplicate field {key!r}", at)
+                values[field] = self.string()
             else:
                 self.fail(
-                    f"unknown justification field {key.value!r}; one of "
+                    f"unknown justification field {key!r}; one of "
                     + ", ".join(sorted(JUSTIFICATION_FIELDS) + ["risk"]),
-                    key,
+                    at,
                 )
-        self.expect("symbol", "}")
+        self.expect("}")
         return Justification(risk_register=tuple(risks), **values)
 
     def plan_block(self) -> tuple[PlanStep, ...]:
-        self.expect_word("plan")
-        self.expect("symbol", "{")
+        self.expect("plan")
+        self.expect("{")
         steps: list[PlanStep] = []
         seen: set[str] = set()
-        while not self.at("symbol", "}"):
-            self.expect_word("step")
+        while not self.at("}"):
+            self.expect("step")
+            at = self.pos
             step_id = self.ident("step id")
-            if step_id.value in seen:
-                self.fail(f"duplicate step id {step_id.value!r}", step_id)
-            seen.add(step_id.value)
-            action = self.expect("string").value
-            self.expect_word("installs")
+            if step_id in seen:
+                self.fail(f"duplicate step id {step_id!r}", at)
+            seen.add(step_id)
+            action = self.string()
+            self.expect("installs")
             installs = self.change_atom()
             if not isinstance(installs, (m.Add, m.Cancel, m.Refine, m.Nil)):
                 self.fail("a step installs a single change atom")
@@ -758,22 +819,22 @@ class _Parser:
             parallel_ok: list[str] = []
             deadline = None
             while True:
-                if self.at_word("after"):
+                if self.at("after"):
                     self.advance()
-                    after.append(self.ident("step id").value)
-                elif self.at_word("parallel_ok"):
+                    after.append(self.ident("step id"))
+                elif self.at("parallel_ok"):
                     self.advance()
-                    parallel_ok.append(self.ident("step id").value)
-                elif self.at_word("deadline"):
-                    tok = self.advance()
+                    parallel_ok.append(self.ident("step id"))
+                elif self.at("deadline"):
                     if deadline is not None:
-                        self.fail("duplicate deadline", tok)
+                        self.fail("duplicate deadline")
+                    self.advance()
                     deadline = self.deadline_value()
                 else:
                     break
             steps.append(
                 PlanStep(
-                    step_id.value,
+                    step_id,
                     action,
                     installs,
                     tuple(after),
@@ -781,31 +842,33 @@ class _Parser:
                     deadline,
                 )
             )
-        self.expect("symbol", "}")
+        self.expect("}")
         return tuple(steps)
 
     def deadline_value(self) -> Deadline:
-        if self.at("string"):
-            return Deadline("relative", self.advance().value)
-        year = self.expect("int")
-        self.expect("symbol", "-")
-        month = self.expect("int").value
-        self.expect("symbol", "-")
-        day = self.expect("int").value
-        text = f"{year.value}-{month}-{day}"
+        if self.tokens[self.pos][:1] == '"':
+            return Deadline("relative", self.string())
+        at = self.pos
+        year = self.number()
+        self.expect("-")
+        month = self.number()
+        self.expect("-")
+        day = self.number()
+        text = f"{year}-{month}-{day}"
         try:
             return Deadline("absolute", text)
         except ValueError:
-            self.fail(f"bad date {text!r}", year)
+            self.fail(f"bad date {text!r}", at)
 
     def validated_clause(self) -> ValidationMark:
-        self.expect_word("validated")
-        self.expect_word("by")
+        self.expect("validated")
+        self.expect("by")
         stakeholder = self.validator_ref()
+        at = self.pos
         verdict = self.ident("'granted' or 'rejected'")
-        if verdict.value not in ("granted", "rejected"):
-            self.fail("expected 'granted' or 'rejected'", verdict)
-        return ValidationMark(stakeholder, verdict.value == "granted")
+        if verdict not in ("granted", "rejected"):
+            self.fail("expected 'granted' or 'rejected'", at)
+        return ValidationMark(stakeholder, verdict == "granted")
 
     # file level
 
@@ -814,23 +877,25 @@ class _Parser:
         model = base
         problems: dict = {}
         derivations: list[DerivationScript] = []
-        if self.at("eof"):
+        if not self.tokens[self.pos]:
             self.fail("expected 'model', 'problem' or 'derivation'")
-        while not self.at("eof"):
-            if self.at_word("model"):
+        while self.tokens[self.pos]:
+            word = self.tokens[self.pos]
+            if word == "model":
                 kind = kind or "model"
                 model = self.parse_model_block(model)
                 self.model = model
-            elif self.at_word("problem"):
+            elif word == "problem":
                 kind = kind or "problem"
                 self.advance()
+                at = self.pos
                 name = self.ident("problem name")
-                if name.value in problems:
-                    self.fail(f"duplicate problem name {name.value!r}", name)
-                self.expect("symbol", "{")
-                problems[name.value] = self.parse_problem_body()
-                self.expect("symbol", "}")
-            elif self.at_word("derivation"):
+                if name in problems:
+                    self.fail(f"duplicate problem name {name!r}", at)
+                self.expect("{")
+                problems[name] = self.parse_problem_body()
+                self.expect("}")
+            elif word == "derivation":
                 kind = kind or "derivation"
                 derivations.append(self.parse_derivation_block())
             else:
@@ -842,7 +907,7 @@ class _Parser:
 
 def parse_model(src: str) -> Model:
     """Parse a source containing model block(s) into the model aggregate."""
-    parser = _Parser(tokenize(src), EMPTY_MODEL)
+    parser = _Parser(src, EMPTY_MODEL)
     parsed = parser.parse_file(EMPTY_MODEL)
     if parsed.kind != "model" or parsed.problems or parsed.derivations:
         raise DslError([ParseDiagnostic(1, 1, "expected 'model'")])
@@ -854,28 +919,28 @@ def parse_problem(src: str, model: Model) -> m.Problem:
 
     Accepts either a ``problem name { ... }`` block or a bare body
     (keyword or sequent form)."""
-    parser = _Parser(tokenize(src), model)
-    if parser.at_word("problem"):
+    parser = _Parser(src, model)
+    if parser.at("problem"):
         parsed = parser.parse_file(model)
         if len(parsed.problems) != 1 or parsed.derivations:
             raise DslError([ParseDiagnostic(1, 1, "expected exactly one problem block")])
         return next(iter(parsed.problems.values()))
     problem = parser.parse_problem_body()
-    parser.expect("eof")
+    parser.expect_eof()
     return problem
 
 
 def parse_change(src: str, model: Model) -> m.ChangeExpr:
-    parser = _Parser(tokenize(src), model)
+    parser = _Parser(src, model)
     change = parser.change_expr()
-    parser.expect("eof")
+    parser.expect_eof()
     return change
 
 
 def parse_need(src: str, model: Model) -> m.Need:
-    parser = _Parser(tokenize(src), model)
+    parser = _Parser(src, model)
     need = parser.need_expr()
-    parser.expect("eof")
+    parser.expect_eof()
     return need
 
 
@@ -883,5 +948,5 @@ def parse_file(src: str, path: str = "<string>", base: Model = EMPTY_MODEL) -> P
     """Parse a full `.poed` file: any mix of model, problem and derivation
     blocks, resolved in order against ``base`` extended by the file's own
     model blocks."""
-    parser = _Parser(tokenize(src), base)
+    parser = _Parser(src, base)
     return parser.parse_file(base)

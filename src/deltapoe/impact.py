@@ -196,6 +196,14 @@ def _seed(env: m.Environment, edit: EditSpec) -> tuple[frozenset[str], frozenset
     raise TypeError(f"not an edit: {edit!r}")
 
 
+def check_domains(env: m.Environment, names: frozenset[str]) -> None:
+    """Raise UnknownDomain for the first of ``names``, in name order, that
+    ``env`` does not declare."""
+    unknown = sorted(names.difference(env.names()))
+    if unknown:
+        raise UnknownDomain(unknown[0])
+
+
 def propagate(
     env: m.Environment,
     edit: EditSpec,
@@ -208,10 +216,7 @@ def propagate(
     phenomenon is behaviourally impacted.  Deterministic: paths are
     discovered breadth-first, ties broken by name.
     """
-    names = set(env.names())
-    for name in buffers:
-        if name not in names:
-            raise UnknownDomain(name)
+    check_domains(env, buffers)
     structural, seeds = _seed(env, edit)
 
     # phenomenon-level edges through observing, non-buffer domains
@@ -279,23 +284,18 @@ def parse_edit(text: str, mdl: dsl.Model) -> EditSpec:
 
     Accepts a change atom (``+X``, ``!X``, ``X ~> d[A](B)``) or a new
     causal link (``X causes y -> c``)."""
-    tokens = dsl.tokenize(text)
-    parser = dsl._Parser(tokens, mdl)
-    if (
-        len(tokens) >= 2
-        and tokens[0].kind == "ident"
-        and tokens[1].kind == "ident"
-        and tokens[1].value == "causes"
-    ):
+    parser = dsl._Parser(text, mdl)
+    tokens = parser.tokens
+    if len(tokens) >= 2 and tokens[0][:1] in dsl.IDENT_START and tokens[1] == "causes":
         owner = parser.ident("domain name")
-        parser.expect_word("causes")
+        parser.expect("causes")
         cause = parser.ident("phenomenon name")
-        parser.expect("symbol", "->")
+        parser.expect("->")
         effect = parser.ident("phenomenon name")
-        parser.expect("eof")
-        return NewLink(owner.value, cause.value, effect.value)
+        parser.expect_eof()
+        return NewLink(owner, cause, effect)
     change = parser.change_expr()
-    parser.expect("eof")
+    parser.expect_eof()
     if not isinstance(change, (m.Add, m.Cancel, m.Refine)):
         raise dsl.DslError(
             [dsl.ParseDiagnostic(1, 1, "an impact edit is a single change atom or a new link")]

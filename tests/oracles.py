@@ -1,24 +1,44 @@
 """Test-only oracles: simple or earlier implementations that the tests
 compare the library against.  None of this is used by the library."""
 
+import re
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from deltapoe import model as m
-from deltapoe.artifacts import RuleId, ValidationRecord, ValidationStatus, ValidationTarget
+from deltapoe.artifacts import (
+    JUSTIFICATION_FIELDS,
+    Deadline,
+    Justification,
+    PlanStep,
+    RiskItem,
+    RuleId,
+    ValidationRecord,
+    ValidationStatus,
+    ValidationTarget,
+)
 from deltapoe.calculus import PlanEntry, _first_stage, _subtree_steps, evidence
 from deltapoe.dsl import (
+    ARG_KEYS,
     EMPTY_MODEL,
+    MAX_NESTING,
     PHENOMENON_KINDS,
+    ROLE_WORDS,
     SYMBOLS,
+    ApplyStatement,
+    DerivationScript,
+    DischargeStatement,
     DslError,
     Model,
+    NodePath,
     ParsedFile,
     ParseDiagnostic,
-    Token,
-    _Parser,
+    PathSeg,
+    Statement,
+    ValidationMark,
+    _amended,
     path_str,
-    tokenize,
 )
 from deltapoe.export import _dot_escape
 from deltapoe.impact import BoundReport, UnknownDomain, _seed, edit_str
@@ -37,6 +57,69 @@ from deltapoe.macro import (
 from deltapoe.printer import _PAR, _SEQ, _change_level, _need_level, change_str, env_str
 
 
+# --- the lexer that built a tuple per token ---------------------------------------------
+
+class Token(NamedTuple):
+    kind: str  # ident | int | string | symbol | eof
+    value: str
+    line: int
+    column: int
+
+
+# One alternative per token kind, after the blanks before it, so that each
+# match yields one token, newline or comment.  No two kinds start with the
+# same character, except that a string wins over the lone quote that opens
+# an unterminated one, so the order is free elsewhere: frequent kinds come
+# first.  Symbols are listed longest first, so "(+)" wins over "(".
+# ``bad``, last, takes any other character but a blank, so a match fails
+# only on the blanks that end the input, where the scan stops.
+_TOKEN = re.compile(r"[ \t]*(?:" + "|".join((
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_']*(?:\.[A-Za-z_][A-Za-z0-9_']*)*)",
+    "(?P<symbol>" + "|".join(map(re.escape, SYMBOLS)) + ")",
+    r"(?P<newline>\n)",
+    r"(?P<int>[0-9]+)",
+    r"(?P<comment>#[^\n]*)",
+    r'(?P<string>"(?:[^"\\\n]|\\[^\n])*")',
+    r'(?P<unterminated>")',
+    r"(?P<bad>[^ \t])",
+)) + ")")
+
+_ESCAPE = re.compile(r"\\(.)")
+_ESCAPED = {"n": "\n", "t": "\t"}
+
+
+def _unescape(escape: re.Match) -> str:
+    return _ESCAPED.get(escape[1], escape[1])
+
+
+def tokenize_tuples(src: str) -> list[Token]:
+    """The lexer ``dsl.tokenize`` replaced: one ``Token`` per token, with
+    its kind, value and position worked out as it is lexed.  Its time is
+    quadratic in the blanks that end the input, so keep those short."""
+    src = src.replace("\r\n", "\n").replace("\r", "\n")
+    new = tuple.__new__  # skips the Python-level Token.__new__
+    tokens: list[Token] = []
+    append = tokens.append
+    line, line_start = 1, 0
+    for found in _TOKEN.finditer(src):
+        kind = found.lastgroup
+        if kind == "ident" or kind == "symbol" or kind == "int":
+            text = found[kind]
+            append(new(Token, (kind, text, line, found.end() - len(text) - line_start + 1)))
+        elif kind == "newline":
+            line, line_start = line + 1, found.end()
+        elif kind != "comment":
+            column = found.start(kind) - line_start + 1
+            if kind == "string":
+                append(new(Token, (kind, _ESCAPE.sub(_unescape, found[kind][1:-1]), line, column)))
+            elif kind == "unterminated":
+                raise DslError([ParseDiagnostic(line, column, "unterminated string")])
+            else:
+                raise DslError([ParseDiagnostic(line, column, f"unexpected character {found[kind]!r}")])
+    append(Token("eof", "", line, len(src) - line_start + 1))
+    return tokens
+
+
 # --- the character-by-character lexer ---------------------------------------------------
 
 IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
@@ -44,7 +127,7 @@ IDENT_CONT = IDENT_START | set("0123456789'")
 
 
 def tokenize_scan(src: str) -> list[Token]:
-    """The scanner ``dsl.tokenize`` replaced.  It differs in three ways:
+    """The scanner ``tokenize_tuples`` replaced.  It differs in three ways:
     it reads any character ``str.isdigit`` accepts as a digit, it lets a
     backslash escape a newline inside a string, and it does not advance
     the column over a comment."""
@@ -122,13 +205,27 @@ def tokenize_scan(src: str) -> list[Token]:
 
 # --- the parser before it indexed its tokens directly -----------------------------------
 
-class PeekParser(_Parser):
-    """``dsl._Parser`` with the token checks, name lists and model
-    declaration loops it had before they indexed its tokens directly:
-    every token goes through ``peek``, ``at`` and ``advance``."""
+class PeekParser:
+    """The parser over ``Token`` tuples, as it was before it indexed its
+    tokens directly: every token goes through ``peek``, ``at`` and
+    ``advance``."""
+
+    def __init__(self, tokens: list[Token], model: Model):
+        self.tokens = tokens
+        self.pos = 0
+        self.model = model
+        self.depth = 0  # parentheses open around the expression being parsed
+
+    # token plumbing
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
+
+    def advance(self) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
 
     def at(self, kind: str, value: str | None = None) -> bool:
         tok = self.peek()
@@ -137,6 +234,10 @@ class PeekParser(_Parser):
     def at_word(self, word: str) -> bool:
         return self.at("ident", word)
 
+    def fail(self, message: str, tok: Token | None = None):
+        tok = tok or self.tokens[self.pos]
+        raise DslError([ParseDiagnostic(tok.line, tok.column, message)])
+
     def expect(self, kind: str, value: str | None = None) -> Token:
         if not self.at(kind, value):
             want = value if value is not None else kind
@@ -144,10 +245,15 @@ class PeekParser(_Parser):
             self.fail(f"expected {want!r}, found {got!r}")
         return self.advance()
 
+    def expect_word(self, word: str) -> Token:
+        return self.expect("ident", word)
+
     def ident(self, what="identifier") -> Token:
         if not self.at("ident"):
             self.fail(f"expected {what}, found {self.peek().value or self.peek().kind!r}")
         return self.advance()
+
+    # name lists
 
     def name_list(self) -> list[Token]:
         names = []
@@ -157,6 +263,14 @@ class PeekParser(_Parser):
                 self.advance()
                 names.append(self.ident("name"))
         return names
+
+    def bracketed_names(self) -> list[Token]:
+        self.expect("symbol", "[")
+        names = self.name_list()
+        self.expect("symbol", "]")
+        return names
+
+    # model form
 
     def parse_model_block(self, base: Model) -> Model:
         self.expect_word("model")
@@ -277,9 +391,395 @@ class PeekParser(_Parser):
         except m.ModelError as err:
             self.fail(str(err), name)
 
+    def check_phenomenon(self, tok: Token, phen_names: set):
+        if tok.value not in phen_names:
+            self.fail(f"undeclared phenomenon {tok.value!r}", tok)
+
+    def role(self) -> m.Role:
+        first = self.ident("stakeholder role")
+        words = [first.value]
+        while self.at("symbol", "-"):
+            self.advance()
+            words.append(self.ident("role word").value)
+        joined = "-".join(words)
+        if joined not in ROLE_WORDS:
+            self.fail(
+                f"unknown role {joined!r}; one of " + ", ".join(sorted(ROLE_WORDS)),
+                first,
+            )
+        return ROLE_WORDS[joined]
+
+    # needs and change expressions
+
+    def chain(self, operand, symbol: str, node):
+        """``operand (symbol operand)*``, grouped to the right, built
+        without recursion so a long chain cannot exhaust the stack."""
+        items = [operand()]
+        while self.at("symbol", symbol):
+            self.advance()
+            items.append(operand())
+        out = items.pop()
+        while items:
+            out = node(items.pop(), out)
+        return out
+
+    def group(self, expr):
+        """``( expr )``, refusing nesting deeper than MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"parentheses nested deeper than {MAX_NESTING}")
+        self.advance()
+        self.depth += 1
+        inner = expr()
+        self.depth -= 1
+        self.expect("symbol", ")")
+        return inner
+
+    def need_expr(self) -> m.Need:
+        return self.chain(self.need_seq, "||", m.NeedPar)
+
+    def need_seq(self) -> m.Need:
+        return self.chain(self.need_atom, ";", m.NeedSeq)
+
+    def need_atom(self) -> m.Need:
+        if self.at("symbol", "("):
+            return self.group(self.need_expr)
+        tok = self.ident("need name")
+        try:
+            return self.model.need(tok.value)
+        except KeyError:
+            self.fail(f"undeclared need {tok.value!r}", tok)
+
+    def change_expr(self) -> m.ChangeExpr:
+        return self.chain(self.change_seq, "||", m.ChangePar)
+
+    def change_seq(self) -> m.ChangeExpr:
+        return self.chain(self.change_atom, ";", m.ChangeSeq)
+
+    def resolve_domain(self, tok: Token) -> m.Domain:
+        try:
+            return self.model.domain(tok.value)
+        except KeyError:
+            self.fail(f"undeclared domain {tok.value!r}", tok)
+
+    def change_atom(self) -> m.ChangeExpr:
+        if self.at("symbol", "("):
+            return self.group(self.change_expr)
+        if self.at("symbol", "?"):
+            self.advance()
+            return m.Unknown(self.ident("placeholder name").value)
+        if self.at("symbol", "+"):
+            self.advance()
+            return m.Add(self.resolve_domain(self.ident("domain name")))
+        if self.at("symbol", "!"):
+            self.advance()
+            return m.Cancel(self.ident("domain name").value)
+        if self.at_word("skip"):
+            self.advance()
+            return m.Nil()
+        tok = self.ident("change expression")
+        self.expect("symbol", "~>")
+        self.expect_word("d")
+        retained = tuple(self.resolve_domain(t) for t in self.bracketed_names())
+        self.expect("symbol", "(")
+        added_names = self.name_list()
+        self.expect("symbol", ")")
+        added = tuple(self.resolve_domain(t) for t in added_names)
+        return m.Refine(tok.value, retained, added)
+
+    # problems
+
+    def parse_problem_body(self) -> m.Problem:
+        if self.at("symbol", "["):
+            return self.sequent_body()
+        self.expect_word("env")
+        env = self.env_ref()
+        self.expect_word("change")
+        change = self.change_expr()
+        self.expect_word("validator")
+        validator = self.validator_ref()
+        self.expect_word("need")
+        need = m.normalize_need(self.need_expr())
+        return m.Problem(env, change, validator, need)
+
+    def sequent_body(self) -> m.Problem:
+        env = self.env_ref()
+        self.expect("symbol", "(+)")
+        change = self.change_expr()
+        self.expect("symbol", "|=")
+        validator = self.validator_ref()
+        self.expect("symbol", ":")
+        need = m.normalize_need(self.need_expr())
+        return m.Problem(env, change, validator, need)
+
+    def env_ref(self) -> m.Environment:
+        names = self.bracketed_names()
+        domains = []
+        for tok in names:
+            domains.append(self.resolve_domain(tok))
+        try:
+            return m.Environment(tuple(domains))
+        except m.ModelError as err:
+            self.fail(str(err))
+
+    def validator_ref(self) -> str:
+        tok = self.ident("stakeholder name")
+        try:
+            self.model.stakeholder(tok.value)
+        except KeyError:
+            self.fail(f"undeclared stakeholder {tok.value!r}", tok)
+        return tok.value
+
+    # derivations
+
+    def parse_derivation_block(self) -> DerivationScript:
+        self.expect_word("derivation")
+        name = self.ident("derivation name")
+        self.expect("symbol", "{")
+        self.expect_word("problem")
+        problem_name = self.ident("problem name").value
+        statements: list[Statement] = []
+        while not self.at("symbol", "}"):
+            if self.at_word("apply"):
+                statements.append(self.apply_statement())
+            elif self.at_word("discharge"):
+                statements.append(self.discharge_statement())
+            elif self.at_word("justify"):
+                self.attach(statements, justification=self.justify_block())
+            elif self.at_word("plan"):
+                self.attach(statements, plan=self.plan_block())
+            elif self.at_word("validated"):
+                self.attach(statements, validation=self.validated_clause())
+            else:
+                self.fail(
+                    "expected 'apply', 'discharge', 'justify', 'plan', 'validated' or '}'"
+                )
+        self.expect("symbol", "}")
+        return DerivationScript(name.value, problem_name, tuple(statements))
+
+    def attach(self, statements: list, justification=None, plan=None, validation=None):
+        if not statements:
+            self.fail("clause must follow an 'apply' or 'discharge' statement")
+        last = statements[-1]
+        if justification is not None:
+            if last.justification is not None:
+                self.fail("statement already has a justify block")
+            statements[-1] = _amended(last, justification=justification)
+        if plan is not None:
+            if isinstance(last, DischargeStatement):
+                self.fail("discharge statements carry no plan")
+            statements[-1] = _amended(last, plan=last.plan + plan)
+        if validation is not None:
+            statements[-1] = _amended(last, validations=last.validations + (validation,))
+
+    def apply_statement(self) -> ApplyStatement:
+        kw = self.expect_word("apply")
+        rule_tok = self.ident("rule name")
+        try:
+            rule = RuleId(rule_tok.value)
+        except ValueError:
+            self.fail(f"unknown rule {rule_tok.value!r}", rule_tok)
+        self.expect_word("at")
+        path = self.node_path()
+        args: dict = {}
+        if self.at_word("with"):
+            self.advance()
+            args = self.arg_block(rule)
+        marker = None
+        if self.at_word("alternative") or self.at_word("chosen"):
+            marker = self.advance().value
+        return ApplyStatement(
+            rule, path, args, marker, line=kw.line, column=kw.column
+        )
+
+    def discharge_statement(self) -> DischargeStatement:
+        kw = self.expect_word("discharge")
+        self.expect_word("at")
+        path = self.node_path()
+        return DischargeStatement(path, line=kw.line, column=kw.column)
+
+    def node_path(self) -> NodePath:
+        self.expect_word("root")
+        segs: list[PathSeg] = []
+        while True:
+            if self.at("symbol", "."):
+                self.advance()
+                segs.append(int(self.expect("int").value))
+            elif self.at("symbol", "@"):
+                self.advance()
+                segs.append(("alt", int(self.expect("int").value)))
+            else:
+                break
+        return tuple(segs)
+
+    def arg_block(self, rule: RuleId) -> dict:
+        self.expect("symbol", "{")
+        args: dict = {}
+        while not self.at("symbol", "}"):
+            key = self.ident("argument name")
+            if key.value not in ARG_KEYS:
+                self.fail(f"unknown argument {key.value!r}", key)
+            if key.value in args:
+                self.fail(f"duplicate argument {key.value!r}", key)
+            self.expect("symbol", ":")
+            args[key.value] = self.arg_value(key.value)
+            if self.at("symbol", ","):
+                self.advance()
+        self.expect("symbol", "}")
+        return args
+
+    def arg_value(self, key: str):
+        if key == "delegate":
+            return self.validator_ref()
+        if key == "need":
+            return m.normalize_need(self.need_expr())
+        if key in ("change", "solution"):
+            return self.change_expr()
+        if key == "env":
+            return self.env_ref()
+        if key in ("left", "right"):
+            return tuple(t.value for t in self.bracketed_names())
+        if key in ("retained", "added"):
+            return tuple(self.resolve_domain(t) for t in self.bracketed_names())
+        if key == "shape":
+            tok = self.ident("shape")
+            if tok.value not in ("seq", "par"):
+                self.fail("shape must be 'seq' or 'par'", tok)
+            return tok.value
+        if key == "direction":
+            tok = self.ident("direction")
+            if tok.value not in ("fuse", "split"):
+                self.fail("direction must be 'fuse' or 'split'", tok)
+            return tok.value
+        raise AssertionError(key)
+
+    def justify_block(self) -> Justification:
+        self.expect_word("justify")
+        self.expect("symbol", "{")
+        values: dict = {}
+        risks: list[RiskItem] = []
+        while not self.at("symbol", "}"):
+            key = self.ident("justification field")
+            if key.value == "risk":
+                risk = self.expect("string").value
+                self.expect_word("mitigation")
+                mitigation = self.expect("string").value
+                risks.append(RiskItem(risk, mitigation))
+            elif key.value in JUSTIFICATION_FIELDS:
+                field = JUSTIFICATION_FIELDS[key.value]
+                if field in values:
+                    self.fail(f"duplicate field {key.value!r}", key)
+                values[field] = self.expect("string").value
+            else:
+                self.fail(
+                    f"unknown justification field {key.value!r}; one of "
+                    + ", ".join(sorted(JUSTIFICATION_FIELDS) + ["risk"]),
+                    key,
+                )
+        self.expect("symbol", "}")
+        return Justification(risk_register=tuple(risks), **values)
+
+    def plan_block(self) -> tuple[PlanStep, ...]:
+        self.expect_word("plan")
+        self.expect("symbol", "{")
+        steps: list[PlanStep] = []
+        seen: set[str] = set()
+        while not self.at("symbol", "}"):
+            self.expect_word("step")
+            step_id = self.ident("step id")
+            if step_id.value in seen:
+                self.fail(f"duplicate step id {step_id.value!r}", step_id)
+            seen.add(step_id.value)
+            action = self.expect("string").value
+            self.expect_word("installs")
+            installs = self.change_atom()
+            if not isinstance(installs, (m.Add, m.Cancel, m.Refine, m.Nil)):
+                self.fail("a step installs a single change atom")
+            after: list[str] = []
+            parallel_ok: list[str] = []
+            deadline = None
+            while True:
+                if self.at_word("after"):
+                    self.advance()
+                    after.append(self.ident("step id").value)
+                elif self.at_word("parallel_ok"):
+                    self.advance()
+                    parallel_ok.append(self.ident("step id").value)
+                elif self.at_word("deadline"):
+                    tok = self.advance()
+                    if deadline is not None:
+                        self.fail("duplicate deadline", tok)
+                    deadline = self.deadline_value()
+                else:
+                    break
+            steps.append(
+                PlanStep(
+                    step_id.value,
+                    action,
+                    installs,
+                    tuple(after),
+                    tuple(parallel_ok),
+                    deadline,
+                )
+            )
+        self.expect("symbol", "}")
+        return tuple(steps)
+
+    def deadline_value(self) -> Deadline:
+        if self.at("string"):
+            return Deadline("relative", self.advance().value)
+        year = self.expect("int")
+        self.expect("symbol", "-")
+        month = self.expect("int").value
+        self.expect("symbol", "-")
+        day = self.expect("int").value
+        text = f"{year.value}-{month}-{day}"
+        try:
+            return Deadline("absolute", text)
+        except ValueError:
+            self.fail(f"bad date {text!r}", year)
+
+    def validated_clause(self) -> ValidationMark:
+        self.expect_word("validated")
+        self.expect_word("by")
+        stakeholder = self.validator_ref()
+        verdict = self.ident("'granted' or 'rejected'")
+        if verdict.value not in ("granted", "rejected"):
+            self.fail("expected 'granted' or 'rejected'", verdict)
+        return ValidationMark(stakeholder, verdict.value == "granted")
+
+    # file level
+
+    def parse_file(self, base: Model) -> ParsedFile:
+        kind = None
+        model = base
+        problems: dict = {}
+        derivations: list[DerivationScript] = []
+        if self.at("eof"):
+            self.fail("expected 'model', 'problem' or 'derivation'")
+        while not self.at("eof"):
+            if self.at_word("model"):
+                kind = kind or "model"
+                model = self.parse_model_block(model)
+                self.model = model
+            elif self.at_word("problem"):
+                kind = kind or "problem"
+                self.advance()
+                name = self.ident("problem name")
+                if name.value in problems:
+                    self.fail(f"duplicate problem name {name.value!r}", name)
+                self.expect("symbol", "{")
+                problems[name.value] = self.parse_problem_body()
+                self.expect("symbol", "}")
+            elif self.at_word("derivation"):
+                kind = kind or "derivation"
+                derivations.append(self.parse_derivation_block())
+            else:
+                self.fail("expected 'model', 'problem' or 'derivation'")
+        return ParsedFile(kind, model, problems, tuple(derivations))
+
 
 def parse_file_by_peek(src: str) -> ParsedFile:
-    return PeekParser(tokenize(src), EMPTY_MODEL).parse_file(EMPTY_MODEL)
+    return PeekParser(tokenize_tuples(src), EMPTY_MODEL).parse_file(EMPTY_MODEL)
 
 
 # --- need walkers that recurse once per chain step -------------------------------------

@@ -71,6 +71,33 @@ def test_check_non_ascii_digit_in_a_path_is_invalid(tmp_path, capsys):
     assert err == f"{bad}:38:28: error: unexpected character '²'\n"
 
 
+# (tail, exit code, the diagnostic's line:col and message, or None)
+HOSTILE_TAILS = {
+    "trailing spaces": (" " * 200_000, 0, None),
+    "trailing blank lines and comments": ("  \t\n# note  \n" * 20_000 + " \t" * 50_000, 0, None),
+    "blank run before a bad character": (" " * 200_000 + "|", 2, "{line}:200001: error: unexpected character '|'"),
+    "unterminated strings": ('"\\' * 100_000, 2, "{line}:1: error: unterminated string"),
+}
+
+
+@pytest.mark.parametrize("case", HOSTILE_TAILS)
+def test_check_lexes_hostile_tails_in_linear_time(tmp_path, case):
+    """Each tail costs a lexer that retries a match at every position of a
+    blank run, or reads a line again for every quote on it, minutes."""
+    tail, exit_code, diagnostic = HOSTILE_TAILS[case]
+    path = tmp_path / "chain.poed"
+    path.write_text(CHAIN.read_text() + tail)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "deltapoe.cli", "check", str(path)],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == exit_code, proc.stderr
+    if diagnostic is None:
+        assert (proc.stdout, proc.stderr) == (f"{path}: model ok\n", "")
+    else:
+        line = CHAIN.read_text().count("\n") + 1
+        assert proc.stderr == f"{path}:{diagnostic.format(line=line)}\n"
+
+
 @pytest.mark.parametrize("path", MUTATIONS, ids=lambda p: p.stem)
 def test_every_mutation_rejected(path, capsys):
     code, _, err = run(capsys, "check", path)
@@ -148,6 +175,13 @@ def test_impact_unknown_domain_invalid(capsys):
     code, _, err = run(capsys, "impact", CHAIN, "--edit", "!Ghost")
     assert code == 2
     assert "Ghost" in err
+
+
+@pytest.mark.parametrize("flag", ["--buffers", "--permitted"])
+def test_impact_flag_naming_an_unknown_domain_is_invalid(capsys, flag):
+    code, out, err = run(capsys, "impact", CHAIN, "--edit", "!C", flag, "C,Nowhere", flag, "Elsewhere")
+    assert (code, out) == (2, "")
+    assert err == "no domain named 'Elsewhere' in the environment\n"
 
 
 def test_impact_devenv_bound_pass(capsys):

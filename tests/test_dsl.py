@@ -1,3 +1,6 @@
+import importlib
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,7 +17,7 @@ from deltapoe.model import (
 )
 
 from . import strategies as gen
-from .oracles import parse_file_by_peek, tokenize_scan
+from .oracles import Token, parse_file_by_peek, tokenize_scan, tokenize_tuples
 
 DEPARTMENTS = """
 model {
@@ -202,7 +205,7 @@ def test_every_fixture_round_trips(fixture, fixtures_dir):
         assert dsl.parse_problem(printer.pretty(problem), parsed.model) == problem
 
 
-# --- the lexer against the character-by-character scanner it replaced ---------------
+# --- the lexer against the lexers it replaced ---------------------------------------
 
 def lexed(tokenize, src):
     """The token list, or the text of the lexer's error."""
@@ -210,6 +213,26 @@ def lexed(tokenize, src):
         return tokenize(src)
     except dsl.DslError as err:
         return str(err)
+
+
+def token_kind(text):
+    """A token's kind, read off its first character as the parser reads it."""
+    first = text[:1]
+    if first in dsl.IDENT_START:
+        return "ident"
+    if first in dsl.DIGITS:
+        return "int"
+    if first == '"':
+        return "string"
+    return "symbol" if first else "eof"
+
+
+def derived_tokens(src):
+    """``dsl.tokenize``'s texts as ``Token`` tuples, with each kind, value
+    and position derived from the text on demand."""
+    parser = dsl._Parser(src, dsl.EMPTY_MODEL)
+    return [Token(token_kind(text), dsl.token_value(text), *parser.position(i))
+            for i, text in enumerate(parser.tokens)]
 
 
 def error_offset(src, error):
@@ -236,7 +259,7 @@ def documented_difference(src, new, old):
     src = src.replace("\r\n", "\n").replace("\r", "\n")
     if isinstance(new, str):
         offset = error_offset(src, new)
-        if lexed(dsl.tokenize, src[:offset]) != lexed(tokenize_scan, src[:offset]):
+        if lexed(derived_tokens, src[:offset]) != lexed(tokenize_scan, src[:offset]):
             return None
         char = src[offset]
         if new.endswith(f"unexpected character {char!r}") and char.isdigit() and not char.isascii():
@@ -268,40 +291,57 @@ LEXER_PIECES = (
 @example('root.² "a\\\nb" # note')
 @example("need \t\n  \n\t\nskip \t")
 def test_lexer_matches_the_scanner_outside_documented_differences(src):
-    new, old = lexed(dsl.tokenize, src), lexed(tokenize_scan, src)
+    new, old = lexed(derived_tokens, src), lexed(tokenize_scan, src)
     assert new == old or documented_difference(src, new, old) is not None
+
+
+# long runs exercise the pattern's gap, the quadratic spot of earlier lexers
+BLANK_RUNS = [" " * 60, "\t" * 30, "\n" * 40, " \t\n" * 20, "# note\n" * 15, "# a # b  \n  " * 8]
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(st.sampled_from(LEXER_PIECES + BLANK_RUNS), max_size=30).map("".join))
+@example('skip "a" "\\"')
+@example('skip "\\"\\"\\" ² "')
+@example('skip "a\n² "b')
+@example('skip ² "a\n|')
+@example("x" + " " * 60 + "|")
+def test_lexer_matches_the_tuple_lexer(src):
+    """Kinds, values, positions and the first error are those of the
+    lexer that built a tuple for each token."""
+    assert lexed(derived_tokens, src) == lexed(tokenize_tuples, src)
 
 
 @pytest.mark.parametrize("digit", ["²", "٣", "٠"])
 def test_non_ascii_digit_is_an_unexpected_character(digit):
     src = f"apply Sequence at root.0.{digit}"
-    assert tokenize_scan(src)[-2] == dsl.Token("int", digit, 1, 26)
+    assert tokenize_scan(src)[-2] == Token("int", digit, 1, 26)
     with pytest.raises(dsl.DslError) as err:
         dsl.tokenize(src)
     assert str(err.value) == f"1:26: error: unexpected character {digit!r}"
-    assert documented_difference(src, lexed(dsl.tokenize, src), lexed(tokenize_scan, src))
+    assert documented_difference(src, lexed(derived_tokens, src), lexed(tokenize_scan, src))
 
 
 def test_escaped_newline_leaves_a_string_unterminated():
     src = 'model {\n  need N "a\\\nb"\n  need M "c"\n}'
     assert tokenize_scan(src)[4:6] == [
-        dsl.Token("string", "a\nb", 2, 10),
-        dsl.Token("ident", "need", 3, 3),  # on line 4
+        Token("string", "a\nb", 2, 10),
+        Token("ident", "need", 3, 3),  # on line 4
     ]
     with pytest.raises(dsl.DslError) as err:
         dsl.tokenize(src)
     assert str(err.value) == "2:10: error: unterminated string"
-    assert dsl.tokenize(src.replace("\\\n", "\\n"))[4] == dsl.Token("string", "a\nb", 2, 10)
+    assert derived_tokens(src.replace("\\\n", "\\n"))[4] == Token("string", "a\nb", 2, 10)
 
 
 def test_string_escapes():
-    assert dsl.tokenize(r'"a\"b\\c\nd\te\q"')[0].value == 'a"b\\c\nd\teq'
+    assert dsl.token_value(dsl.tokenize(r'"a\"b\\c\nd\te\q"')[0]) == 'a"b\\c\nd\teq'
 
 
 def test_eof_after_a_trailing_comment_is_past_the_comment():
     src = "skip\nskip  # note"
-    assert dsl.tokenize(src)[-1] == dsl.Token("eof", "", 2, 13)
-    assert tokenize_scan(src)[-1] == dsl.Token("eof", "", 2, 7)
+    assert derived_tokens(src)[-1] == Token("eof", "", 2, 13)
+    assert tokenize_scan(src)[-1] == Token("eof", "", 2, 7)
 
 
 # --- the parser against the one that read every token through peek ---------------
@@ -349,7 +389,7 @@ MUTATIONS = {
 def mutate(src, mutation, pick):
     """``src`` with one mutation at the ``pick``-th place (modulo their
     number) where it applies, or ``src`` when it applies nowhere."""
-    tokens = dsl.tokenize(src)
+    tokens = tokenize_tuples(src)
     places = [(i, text) for i in range(1, len(tokens) - 1)
               if tokens[i].kind != "string" and (text := MUTATIONS[mutation](tokens, i)) is not None]
     if not places:
@@ -406,3 +446,21 @@ def test_each_mutation_is_a_parse_error_both_parsers_report_alike(mutation):
         error = parsed(dsl.parse_file, src)
         assert isinstance(error, str), src
         assert error == parsed(parse_file_by_peek, src)
+
+
+def staged_sources(monkeypatch, tmp_path):
+    """The bench's staged derivation and its broken copy, seed 1."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+    staged = importlib.import_module("families").StagedDerivation(1, 40, tmp_path)
+    return [Path(staged.path).read_text(), Path(staged.broken_path).read_text()]
+
+
+def test_statement_positions_match_the_peek_parser(fixtures_dir, monkeypatch, tmp_path):
+    sources = [path.read_text() for path in sorted(fixtures_dir.glob("*.poed"))]
+    sources += staged_sources(monkeypatch, tmp_path)
+    for src in sources:
+        new, old = dsl.parse_file(src), parse_file_by_peek(src)
+        assert new == old
+        assert [(s.line, s.column) for d in new.derivations for s in d.statements] \
+            == [(s.line, s.column) for d in old.derivations for s in d.statements]
+    assert sum(len(d.statements) for d in dsl.parse_file(sources[-1]).derivations) > 100
