@@ -11,6 +11,10 @@ validation gates.  Solved trees yield an implementation plan
 (:func:`extract_plan`) and a fully determined change expression
 (:func:`solution_of`).
 
+The passes that only read a tree (:func:`lint`, plan extraction,
+:func:`discharge_environments`, the DOT export) share one stack-based
+walk, :func:`preorder`, so they take a tree of any depth.
+
 Premises created by the three bridging rules (domain addition, removal,
 refinement) are design obligations for a separate greenfield process;
 they are not derived further here, only discharged against a granted
@@ -20,6 +24,7 @@ validation from the problem's validator.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator
 
 from . import model as m
 from .artifacts import (
@@ -192,6 +197,41 @@ def set_node(root: DerivationNode, path: NodePath, new: DerivationNode) -> Deriv
     for node, seg in zip(reversed(spine[:-1]), reversed(path)):
         new = _with_child(node, seg, new)
     return new
+
+
+# --- walking a tree -----------------------------------------------------------------
+
+def preorder(root: DerivationNode) -> Iterator[tuple[DerivationNode, NodePath, bool]]:
+    """Each node of the tree with its path and whether it lies in an
+    alternative, in pre-order with a node's premises before its
+    alternatives.  The walk keeps its own stack, so it takes a tree of
+    any depth; a node object that sits at two places is visited twice."""
+    stack = [(root, (), False)]
+    while stack:
+        visit = stack.pop()
+        yield visit
+        node, path, in_alternative = visit
+        for k in range(len(node.alternatives), 0, -1):
+            stack.append((node.alternatives[k - 1], path + (("alt", k),), True))
+        for i in range(len(node.premises) - 1, -1, -1):
+            stack.append((node.premises[i], path + (i,), in_alternative))
+
+
+def _premise_steps(order: list) -> Iterator[tuple[int, list[list[PlanStep]]]]:
+    """For each visit of ``order``, a whole :func:`preorder`, from the
+    last to the first: its index, and the plan steps of each premise's
+    subtree outside alternatives, in pre-order.  Each subtree's list is
+    made once, from its premises' lists, which are then dropped."""
+    finished: list[list[PlanStep]] = []  # the latest-finished subtree's on top
+    for index in range(len(order) - 1, -1, -1):
+        node = order[index][0]
+        children = [finished.pop() for _ in range(len(node.premises) + len(node.alternatives))]
+        premises = children[:len(node.premises)]
+        yield index, premises
+        steps = list(node.plan)
+        for below in premises:
+            steps += below
+        finished.append(steps)
 
 
 # --- committed solutions ----------------------------------------------------------
@@ -705,111 +745,76 @@ class CheckDiagnostic(Record):
         return f"{self.path}: {self.kind}: {self.message}"
 
 
-def _subtree_steps(node: DerivationNode) -> list[PlanStep]:
-    steps = list(node.plan)
-    for child in node.premises:
-        steps.extend(_subtree_steps(child))
-    return steps
+def _stage_findings(node: DerivationNode, first_steps: list[PlanStep],
+                    second_steps: list[PlanStep]) -> list[tuple[str, str]]:
+    """The ``(kind, message)`` findings of a Sequence or Parallel node
+    whose premises' subtrees hold these plan steps."""
+    first, second = {s.id for s in first_steps}, {s.id for s in second_steps}
+    if not (first and second):
+        return []
+    crossing = [
+        (s.id, ref)
+        for s in (*node.plan, *first_steps, *second_steps)
+        for ref in s.parallel_ok
+        if (s.id in first and ref in second) or (s.id in second and ref in first)
+    ]
+    if node.rule is RuleId.PARALLEL:
+        return [] if crossing else [
+            ("MissingConstraint", "parallel branches must mark cross-branch steps parallel_ok")]
+    found = []
+    if not any(ref in first for s in second_steps for ref in s.after):
+        found.append(("MissingConstraint", "sequenced stages must carry an 'after' constraint "
+                                           "from the second stage onto the first"))
+    if crossing:
+        a, b = crossing[0]
+        found.append(("ConflictingConstraint", f"steps {a!r} and {b!r} are in different stages "
+                                               "and cannot be marked parallel_ok"))
+    return found
 
 
 def lint(root: DerivationNode) -> list[CheckDiagnostic]:
-    """Justification-profile and plan-fragment checks, without replay."""
+    """Justification-profile and plan-fragment checks, without replay.
+
+    Duplicate step ids come first, then each node's findings in
+    :func:`preorder`; a node's path is rendered only when it has one."""
+    order = list(preorder(root))
     diagnostics: list[CheckDiagnostic] = []
-    all_steps: dict[str, str] = {}
-
-    def collect(node: DerivationNode, path: NodePath):
+    first_use: dict[str, NodePath] = {}
+    for node, path, _ in order:
         for step in node.plan:
-            if step.id in all_steps:
-                diagnostics.append(
-                    CheckDiagnostic(
-                        path_str(path), "DuplicateStep",
-                        f"step id {step.id!r} already used at {all_steps[step.id]}",
-                    )
-                )
+            if step.id in first_use:
+                diagnostics.append(CheckDiagnostic(
+                    path_str(path), "DuplicateStep",
+                    f"step id {step.id!r} already used at {path_str(first_use[step.id])}",
+                ))
             else:
-                all_steps[step.id] = path_str(path)
-        for i, child in enumerate(node.premises):
-            collect(child, path + (i,))
-        for k, alt in enumerate(node.alternatives):
-            collect(alt, path + (("alt", k + 1),))
+                first_use[step.id] = path
 
-    collect(root, ())
+    staged = {}  # each Sequence and Parallel node's index -> its findings
+    for index, premises in _premise_steps(order):
+        node = order[index][0]
+        if node.rule in (RuleId.SEQUENCE, RuleId.PARALLEL):
+            staged[index] = _stage_findings(node, *premises)
 
-    def walk(node: DerivationNode, path: NodePath):
-        where = path_str(path)
+    for index, (node, path, _) in enumerate(order):
+        found = []
         if node.rule is not None:
             if not node.justification.rule_rationale:
-                diagnostics.append(
-                    CheckDiagnostic(where, "MissingJustification", "ruleRationale is required")
-                )
+                found.append(("MissingJustification", "ruleRationale is required"))
             for fld in _REQUIRED_J.get(node.rule, ()):
                 if not getattr(node.justification, fld):
-                    diagnostics.append(
-                        CheckDiagnostic(
-                            where, "MissingJustification",
-                            f"{fld} is required for {node.rule.value}",
-                        )
-                    )
+                    found.append(("MissingJustification", f"{fld} is required for {node.rule.value}"))
         if len(node.plan) >= 2 and not node.justification.risk_register:
-            diagnostics.append(
-                CheckDiagnostic(
-                    where, "MissingJustification",
-                    "a risk register is required for plan fragments of two or more steps",
-                )
-            )
+            found.append(("MissingJustification",
+                          "a risk register is required for plan fragments of two or more steps"))
         for step in node.plan:
             for ref in step.after + step.parallel_ok:
-                if ref not in all_steps:
-                    diagnostics.append(
-                        CheckDiagnostic(
-                            where, "UnknownStep",
-                            f"step {step.id!r} references unknown step {ref!r}",
-                        )
-                    )
-        if node.rule in (RuleId.SEQUENCE, RuleId.PARALLEL):
-            first_steps = _subtree_steps(node.premises[0])
-            second_steps = _subtree_steps(node.premises[1])
-            first = {s.id for s in first_steps}
-            second = {s.id for s in second_steps}
-            crossing = [
-                (s.id, ref)
-                for s in (*node.plan, *first_steps, *second_steps)
-                for ref in s.parallel_ok
-                if (s.id in first and ref in second) or (s.id in second and ref in first)
-            ]
-            if node.rule is RuleId.PARALLEL:
-                if first and second and not crossing:
-                    diagnostics.append(
-                        CheckDiagnostic(
-                            where, "MissingConstraint",
-                            "parallel branches must mark cross-branch steps parallel_ok",
-                        )
-                    )
-            else:
-                ordered = any(ref in first for s in second_steps for ref in s.after)
-                if first and second and not ordered:
-                    diagnostics.append(
-                        CheckDiagnostic(
-                            where, "MissingConstraint",
-                            "sequenced stages must carry an 'after' constraint "
-                            "from the second stage onto the first",
-                        )
-                    )
-                if crossing:
-                    a, b = crossing[0]
-                    diagnostics.append(
-                        CheckDiagnostic(
-                            where, "ConflictingConstraint",
-                            f"steps {a!r} and {b!r} are in different stages and cannot "
-                            "be marked parallel_ok",
-                        )
-                    )
-        for i, child in enumerate(node.premises):
-            walk(child, path + (i,))
-        for k, alt in enumerate(node.alternatives):
-            walk(alt, path + (("alt", k + 1),))
-
-    walk(root, ())
+                if ref not in first_use:
+                    found.append(("UnknownStep", f"step {step.id!r} references unknown step {ref!r}"))
+        found += staged.get(index, ())
+        if found:
+            where = path_str(path)
+            diagnostics += (CheckDiagnostic(where, kind, message) for kind, message in found)
     return diagnostics
 
 
@@ -955,31 +960,38 @@ class ImplementationPlan(Record):
 
 
 def _plan_fragments(root: DerivationNode) -> tuple[list[PlanEntry], set[tuple[str, str, str]]]:
-    """Every plan step of the tree as an entry, in depth-first pre-order,
-    and the constraints its steps declare and its Sequence nodes impose:
-    each step of a second stage comes after each step of its first."""
+    """Every plan step of the tree outside its alternatives as an entry,
+    in depth-first pre-order, and the constraints its steps declare and
+    its Sequence nodes impose: each step of a second stage comes after
+    each step of its first."""
+    order = list(preorder(root))
     entries: list[PlanEntry] = []
     constraints: set[tuple[str, str, str]] = set()
-    stack: list[tuple[DerivationNode, int, NodePath]] = [(root, 0, ())]
-    while stack:
-        node, stage, path = stack.pop()
-        for step in node.plan:
-            entries.append(PlanEntry(step, stage, path_str(path)))
-            for ref in step.after:
-                constraints.add(("after", step.id, ref))
-            for ref in step.parallel_ok:
-                constraints.add(("parallel_ok", step.id, ref))
-        if node.rule is RuleId.SEQUENCE:
-            first, second = node.premises[0], node.premises[1]
-            first_steps = [s.id for s in _subtree_steps(first)]
-            for later in _subtree_steps(second):
-                for earlier in first_steps:
+    branch: list[tuple[int, bool]] = []  # stage and Sequence-ness of each node above
+    for node, path, in_alternative in order:
+        if in_alternative:
+            continue
+        del branch[len(path):]
+        stage = 0
+        if path:
+            above, sequenced = branch[-1]
+            stage = above + 1 if sequenced and path[-1] == 1 else above
+        branch.append((stage, node.rule is RuleId.SEQUENCE))
+        if node.plan:
+            where = path_str(path)
+            for step in node.plan:
+                entries.append(PlanEntry(step, stage, where))
+                for ref in step.after:
+                    constraints.add(("after", step.id, ref))
+                for ref in step.parallel_ok:
+                    constraints.add(("parallel_ok", step.id, ref))
+    for index, premises in _premise_steps(order):
+        node, _, in_alternative = order[index]
+        if node.rule is RuleId.SEQUENCE and not in_alternative:
+            first = [s.id for s in premises[0]]
+            for later in premises[1]:
+                for earlier in first:
                     constraints.add(("after", later.id, earlier))
-            stack.append((second, stage + 1, path + (1,)))
-            stack.append((first, stage, path + (0,)))
-        else:
-            for i in range(len(node.premises) - 1, -1, -1):
-                stack.append((node.premises[i], stage, path + (i,)))
     return entries, constraints
 
 
@@ -1085,17 +1097,12 @@ def tangles(problems: list[m.Problem]) -> tuple[TanglePair, ...]:
 # --- helpers used by acceptance and the CLI -------------------------------------------
 
 def discharge_environments(root: DerivationNode) -> tuple[m.Environment, ...]:
-    """Environments of the greenfield obligations, in derivation order."""
-    out: list[m.Environment] = []
-
-    def walk(node: DerivationNode):
-        if node.greenfield and node.rule is None:
-            out.append(node.conclusion.env)
-        for child in node.premises:
-            walk(child)
-
-    walk(root)
-    return tuple(out)
+    """Environments of the greenfield obligations outside alternatives,
+    in derivation order."""
+    return tuple(
+        node.conclusion.env for node, _, in_alternative in preorder(root)
+        if node.greenfield and node.rule is None and not in_alternative
+    )
 
 
 def seq_refine_equiv(

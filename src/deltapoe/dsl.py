@@ -16,8 +16,9 @@ The lexer is one ``findall`` of one compiled pattern: it returns the
 token texts, and nothing else.  A token's kind is read off its first
 character, and a string keeps its quotes until the parser consumes it,
 so a symbol test is a plain string comparison.  Where a token is,
-``line:column``, is worked out only when a diagnostic or a statement
-asks for it, by scanning the source once more.  The parser is a plain
+``line:column``, is worked out only for a diagnostic, by scanning the
+source once more; a statement keeps the index of its first token.
+The parser is a plain
 recursive descent that reads the texts by index; it is reentrant and
 keeps no global state.
 """
@@ -199,8 +200,11 @@ class ValidationMark(Record):
 
 
 class ApplyStatement(Record):
+    """A rule application; ``token`` is the index of its first token in
+    the file's token list, which :func:`_locator` turns into a position."""
+
     __slots__ = ("rule", "path", "args", "marker", "justification", "plan", "validations",
-                 "line", "column")
+                 "token")
 
     def __init__(
         self,
@@ -211,8 +215,7 @@ class ApplyStatement(Record):
         justification: Justification | None = None,
         plan: tuple[PlanStep, ...] = (),
         validations: tuple[ValidationMark, ...] = (),
-        line: int = 0,
-        column: int = 0,
+        token: int = 0,
     ):
         self.rule = rule
         self.path = path
@@ -221,26 +224,25 @@ class ApplyStatement(Record):
         self.justification = justification
         self.plan = plan
         self.validations = validations
-        self.line = line
-        self.column = column
+        self.token = token
 
 
 class DischargeStatement(Record):
-    __slots__ = ("path", "justification", "validations", "line", "column")
+    """A discharge; ``token`` is as in :class:`ApplyStatement`."""
+
+    __slots__ = ("path", "justification", "validations", "token")
 
     def __init__(
         self,
         path: NodePath,
         justification: Justification | None = None,
         validations: tuple[ValidationMark, ...] = (),
-        line: int = 0,
-        column: int = 0,
+        token: int = 0,
     ):
         self.path = path
         self.justification = justification
         self.validations = validations
-        self.line = line
-        self.column = column
+        self.token = token
 
 
 Statement = ApplyStatement | DischargeStatement
@@ -296,19 +298,12 @@ class _Parser:
         self.pos = 0
         self.model = model
         self.depth = 0  # parentheses open around the expression being parsed
-        self._locate = None
 
     # token plumbing
 
-    def position(self, index: int) -> tuple[int, int]:
-        """The ``(line, column)`` of the token at ``index``."""
-        if self._locate is None:
-            self._locate = _locator(_normalized(self.src))
-        return self._locate(index)
-
     def fail(self, message: str, index: int | None = None):
-        line, column = self.position(self.pos if index is None else index)
-        raise DslError([ParseDiagnostic(line, column, message)])
+        locate = _locator(_normalized(self.src))
+        raise DslError([ParseDiagnostic(*locate(self.pos if index is None else index), message)])
 
     def advance(self) -> str:
         text = self.tokens[self.pos]
@@ -688,7 +683,7 @@ class _Parser:
             statements[-1] = _amended(last, validations=last.validations + (validation,))
 
     def apply_statement(self) -> ApplyStatement:
-        line, column = self.position(self.pos)
+        start = self.pos
         self.expect("apply")
         at = self.pos
         rule_name = self.ident("rule name")
@@ -705,14 +700,13 @@ class _Parser:
         marker = None
         if self.at("alternative") or self.at("chosen"):
             marker = self.advance()
-        return ApplyStatement(rule, path, args, marker, line=line, column=column)
+        return ApplyStatement(rule, path, args, marker, token=start)
 
     def discharge_statement(self) -> DischargeStatement:
-        line, column = self.position(self.pos)
+        start = self.pos
         self.expect("discharge")
         self.expect("at")
-        path = self.node_path()
-        return DischargeStatement(path, line=line, column=column)
+        return DischargeStatement(self.node_path(), token=start)
 
     def node_path(self) -> NodePath:
         self.expect("root")

@@ -146,15 +146,26 @@ def _dot_escape(text: str) -> str:
 
 
 def derivation_dot(root: DerivationNode, name: str = "derivation") -> str:
-    """Graph description of a derivation tree, one node per step."""
+    """Graph description of a derivation tree, one node per step.  A
+    node's edge to its parent follows the last line of its subtree."""
+    from .calculus import preorder
+
     lines = [f'digraph "{_dot_escape(name)}" {{', "  rankdir=BT;", "  node [shape=box];"]
-
-    def ident(path):
-        return "n_" + "_".join(
-            str(seg) if isinstance(seg, int) else f"a{seg[1]}" for seg in path
-        ) if path else "n_root"
-
-    def walk(node: DerivationNode, path):
+    branch: list[tuple[str, str]] = []  # ident and edge of each node down to the last one
+    for node, path, _ in preorder(root):
+        while len(branch) > len(path):
+            lines.append(branch.pop()[1])
+        if not path:
+            ident, edge = "n_root", ""
+        else:
+            parent, seg = branch[-1][0], path[-1]
+            stem = parent if len(path) > 1 else "n"
+            if isinstance(seg, int):
+                ident = f"{stem}_{seg}"
+                edge = f"  {ident} -> {parent};"
+            else:
+                ident = f"{stem}_a{seg[1]}"
+                edge = f'  {ident} -> {parent} [style=dotted, label="alt"];'
         rule = node.rule.value if node.rule else ("discharged" if node.discharged else "open")
         label = f"{rule}\\n{_dot_escape(problem_str(node.conclusion))}"
         attrs = f'label="{label}"'
@@ -162,16 +173,9 @@ def derivation_dot(root: DerivationNode, name: str = "derivation") -> str:
             attrs += ', style=filled, fillcolor="lightyellow"'
         elif node.rule is None:
             attrs += ', style=dashed'
-        lines.append(f"  {ident(path)} [{attrs}];")
-        for i, child in enumerate(node.premises):
-            walk(child, path + (i,))
-            lines.append(f"  {ident(path + (i,))} -> {ident(path)};")
-        for k, alt in enumerate(node.alternatives):
-            apath = path + (("alt", k + 1),)
-            walk(alt, apath)
-            lines.append(f'  {ident(apath)} -> {ident(path)} [style=dotted, label="alt"];')
-
-    walk(root, ())
+        lines.append(f"  {ident} [{attrs}];")
+        branch.append((ident, edge))
+    lines.extend(edge for _, edge in reversed(branch[1:]))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -81,9 +81,8 @@ class ImpactReport(Record):
     ``hits`` maps each behaviourally impacted domain to the affected
     phenomenon it observes on a shortest path, in report order: by path
     length, then by name.  ``walk`` and ``paths`` render every path from
-    these, extending each cause's path by one hop, one depth at a time;
-    ``path_to`` renders a single path from the parent map.  ``buffers``
-    holds the declared buffers that were actually reached.
+    these, extending each cause's path by one hop, one depth at a time.
+    ``buffers`` holds the declared buffers that were actually reached.
     """
 
     __slots__ = ("edit", "structural", "behavioural", "buffers", "declared_buffers",
@@ -143,19 +142,6 @@ class ImpactReport(Record):
             domain, at = hit
             yield domain, newer[at] + (domain,)
             hit = next(hits, None)
-
-    def path_to(self, domain: str) -> Path | None:
-        phen = self.hits.get(domain)
-        return None if phen is None else self._path(domain, phen)
-
-    def _path(self, domain: str, phen: str) -> Path:
-        out = [domain, phen]
-        step = self.parent[phen]
-        while step is not None:
-            cause, via = step
-            out += (via, cause)
-            step = self.parent[cause]
-        return tuple(reversed(out))
 
 
 class BoundReport(Record):

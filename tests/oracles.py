@@ -18,7 +18,7 @@ from deltapoe.artifacts import (
     ValidationStatus,
     ValidationTarget,
 )
-from deltapoe.calculus import PlanEntry, _first_stage, _subtree_steps, evidence
+from deltapoe.calculus import _REQUIRED_J, CheckDiagnostic, PlanEntry, _first_stage, evidence
 from deltapoe.dsl import (
     ARG_KEYS,
     EMPTY_MODEL,
@@ -54,7 +54,9 @@ from deltapoe.macro import (
     WrongStakeholder,
     _apply_event,
 )
-from deltapoe.printer import _PAR, _SEQ, _change_level, _need_level, change_str, env_str
+from deltapoe.printer import (
+    _PAR, _SEQ, _change_level, _need_level, change_str, env_str, problem_str,
+)
 
 
 # --- the lexer that built a tuple per token ---------------------------------------------
@@ -572,7 +574,8 @@ class PeekParser:
             statements[-1] = _amended(last, validations=last.validations + (validation,))
 
     def apply_statement(self) -> ApplyStatement:
-        kw = self.expect_word("apply")
+        start = self.pos
+        self.expect_word("apply")
         rule_tok = self.ident("rule name")
         try:
             rule = RuleId(rule_tok.value)
@@ -587,15 +590,13 @@ class PeekParser:
         marker = None
         if self.at_word("alternative") or self.at_word("chosen"):
             marker = self.advance().value
-        return ApplyStatement(
-            rule, path, args, marker, line=kw.line, column=kw.column
-        )
+        return ApplyStatement(rule, path, args, marker, token=start)
 
     def discharge_statement(self) -> DischargeStatement:
-        kw = self.expect_word("discharge")
+        start = self.pos
+        self.expect_word("discharge")
         self.expect_word("at")
-        path = self.node_path()
-        return DischargeStatement(path, line=kw.line, column=kw.column)
+        return DischargeStatement(self.node_path(), token=start)
 
     def node_path(self) -> NodePath:
         self.expect_word("root")
@@ -1120,6 +1121,27 @@ def fold_reference(events):
     return workflows, reports
 
 
+# --- impact paths, one at a time ------------------------------------------------------
+
+def path_from_parent(report, domain, phen):
+    """The path to ``domain`` through its hit ``phen``, read back from
+    ``report.parent`` for that hit alone: the reference for
+    ``ImpactReport.walk``."""
+    out = [domain, phen]
+    step = report.parent[phen]
+    while step is not None:
+        cause, via = step
+        out += (via, cause)
+        step = report.parent[cause]
+    return tuple(reversed(out))
+
+
+def path_to(report, domain):
+    """The path to ``domain``, or None if the edit does not reach it."""
+    phen = report.hits.get(domain)
+    return None if phen is None else path_from_parent(report, domain, phen)
+
+
 # --- impact propagation with every path stored ---------------------------------------
 
 @dataclass(frozen=True)
@@ -1473,7 +1495,142 @@ def assert_evidence_as_eager(node) -> None:
         assert_evidence_as_eager(child)
 
 
-# --- plan fragments collected by recursion --------------------------------------------
+# --- read-only tree passes that recursed once per tree level --------------------------
+
+def subtree_steps_recursive(node):
+    """The plan steps of ``node``'s subtree outside alternatives, in
+    pre-order."""
+    steps = list(node.plan)
+    for child in node.premises:
+        steps.extend(subtree_steps_recursive(child))
+    return steps
+
+
+def lint_recursive(root):
+    """``calculus.lint`` as two recursive walks that render every node's
+    path and gather a subtree's steps again at each Sequence and
+    Parallel node."""
+    diagnostics = []
+    all_steps = {}
+
+    def collect(node, path):
+        for step in node.plan:
+            if step.id in all_steps:
+                diagnostics.append(CheckDiagnostic(
+                    path_str(path), "DuplicateStep",
+                    f"step id {step.id!r} already used at {all_steps[step.id]}",
+                ))
+            else:
+                all_steps[step.id] = path_str(path)
+        for i, child in enumerate(node.premises):
+            collect(child, path + (i,))
+        for k, alt in enumerate(node.alternatives):
+            collect(alt, path + (("alt", k + 1),))
+
+    collect(root, ())
+
+    def walk(node, path):
+        where = path_str(path)
+        if node.rule is not None:
+            if not node.justification.rule_rationale:
+                diagnostics.append(CheckDiagnostic(where, "MissingJustification", "ruleRationale is required"))
+            for fld in _REQUIRED_J.get(node.rule, ()):
+                if not getattr(node.justification, fld):
+                    diagnostics.append(CheckDiagnostic(
+                        where, "MissingJustification", f"{fld} is required for {node.rule.value}"))
+        if len(node.plan) >= 2 and not node.justification.risk_register:
+            diagnostics.append(CheckDiagnostic(
+                where, "MissingJustification",
+                "a risk register is required for plan fragments of two or more steps"))
+        for step in node.plan:
+            for ref in step.after + step.parallel_ok:
+                if ref not in all_steps:
+                    diagnostics.append(CheckDiagnostic(
+                        where, "UnknownStep", f"step {step.id!r} references unknown step {ref!r}"))
+        if node.rule in (RuleId.SEQUENCE, RuleId.PARALLEL):
+            first_steps = subtree_steps_recursive(node.premises[0])
+            second_steps = subtree_steps_recursive(node.premises[1])
+            first = {s.id for s in first_steps}
+            second = {s.id for s in second_steps}
+            crossing = [
+                (s.id, ref)
+                for s in (*node.plan, *first_steps, *second_steps)
+                for ref in s.parallel_ok
+                if (s.id in first and ref in second) or (s.id in second and ref in first)
+            ]
+            if node.rule is RuleId.PARALLEL:
+                if first and second and not crossing:
+                    diagnostics.append(CheckDiagnostic(
+                        where, "MissingConstraint",
+                        "parallel branches must mark cross-branch steps parallel_ok"))
+            else:
+                ordered = any(ref in first for s in second_steps for ref in s.after)
+                if first and second and not ordered:
+                    diagnostics.append(CheckDiagnostic(
+                        where, "MissingConstraint",
+                        "sequenced stages must carry an 'after' constraint "
+                        "from the second stage onto the first"))
+                if crossing:
+                    a, b = crossing[0]
+                    diagnostics.append(CheckDiagnostic(
+                        where, "ConflictingConstraint",
+                        f"steps {a!r} and {b!r} are in different stages and cannot "
+                        "be marked parallel_ok"))
+        for i, child in enumerate(node.premises):
+            walk(child, path + (i,))
+        for k, alt in enumerate(node.alternatives):
+            walk(alt, path + (("alt", k + 1),))
+
+    walk(root, ())
+    return diagnostics
+
+
+def discharge_environments_recursive(root):
+    """The environments of the greenfield obligations outside
+    alternatives, in derivation order."""
+    out = []
+
+    def walk(node):
+        if node.greenfield and node.rule is None:
+            out.append(node.conclusion.env)
+        for child in node.premises:
+            walk(child)
+
+    walk(root)
+    return tuple(out)
+
+
+def derivation_dot_recursive(root, name="derivation"):
+    """``export.derivation_dot`` as one recursive walk that renders each
+    node's identifier from its whole path."""
+    lines = [f'digraph "{_dot_escape(name)}" {{', "  rankdir=BT;", "  node [shape=box];"]
+
+    def ident(path):
+        return "n_" + "_".join(
+            str(seg) if isinstance(seg, int) else f"a{seg[1]}" for seg in path
+        ) if path else "n_root"
+
+    def walk(node, path):
+        rule = node.rule.value if node.rule else ("discharged" if node.discharged else "open")
+        label = f"{rule}\\n{_dot_escape(problem_str(node.conclusion))}"
+        attrs = f'label="{label}"'
+        if node.greenfield:
+            attrs += ', style=filled, fillcolor="lightyellow"'
+        elif node.rule is None:
+            attrs += ', style=dashed'
+        lines.append(f"  {ident(path)} [{attrs}];")
+        for i, child in enumerate(node.premises):
+            walk(child, path + (i,))
+            lines.append(f"  {ident(path + (i,))} -> {ident(path)};")
+        for k, alt in enumerate(node.alternatives):
+            apath = path + (("alt", k + 1),)
+            walk(alt, apath)
+            lines.append(f'  {ident(apath)} -> {ident(path)} [style=dotted, label="alt"];')
+
+    walk(root, ())
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
 
 def plan_fragments_recursive(root):
     """The plan entries and constraints of a tree, as ``extract_plan``
@@ -1488,8 +1645,8 @@ def plan_fragments_recursive(root):
             for ref in step.parallel_ok:
                 constraints.add(("parallel_ok", step.id, ref))
         if node.rule is RuleId.SEQUENCE:
-            first_steps = [s.id for s in _subtree_steps(node.premises[0])]
-            second_steps = [s.id for s in _subtree_steps(node.premises[1])]
+            first_steps = [s.id for s in subtree_steps_recursive(node.premises[0])]
+            second_steps = [s.id for s in subtree_steps_recursive(node.premises[1])]
             for later in second_steps:
                 for earlier in first_steps:
                     constraints.add(("after", later, earlier))

@@ -783,29 +783,55 @@ def test_mirror_walk_handles_a_long_need():
     assert change == model.Unknown(f"F{steps}")
 
 
-# --- plan fragments collected with an explicit stack -------------------------------------
+# --- read-only passes over one stack-based walk ------------------------------------------
 
-from deltapoe.artifacts import PlanStep  # noqa: E402
-from deltapoe.calculus import _plan_fragments  # noqa: E402
+from deltapoe import export  # noqa: E402
+from deltapoe.artifacts import PlanStep, RiskItem  # noqa: E402
+from deltapoe.calculus import _plan_fragments, preorder  # noqa: E402
 
-from .oracles import plan_fragments_recursive  # noqa: E402
+from .oracles import (  # noqa: E402
+    derivation_dot_recursive,
+    discharge_environments_recursive,
+    lint_recursive,
+    plan_fragments_recursive,
+)
 
 PLAN_PROBLEM = model.Problem(model.Environment(()), model.Unknown("F"), "G", model.AtomicNeed("N"))
+OTHER_PROBLEM = model.Problem(model.Environment((model.Domain("X"),)), model.Unknown("H"), "V",
+                              model.AtomicNeed("M"))
 STEP_IDS = ("s0", "s1", "s2", "s3", "s4")
+JUSTIFICATIONS = (
+    Justification(),
+    Justification(rule_rationale="r"),
+    Justification(rule_rationale="r", dependency_argument="d", timeline_rationale="t",
+                  coordination_rationale="c", validation_criteria="v",
+                  risk_register=(RiskItem("risk", "mitigation"),)),
+)
 
 
 @st.composite
 def plan_trees(draw, depth=4):
-    """Trees of Sequence, Parallel, one-premise and leaf nodes whose plan
-    steps share ids and refer to each other; the walk reads no more."""
-    rule = draw(st.sampled_from([None, RuleId.SEQUENCE, RuleId.PARALLEL, RuleId.SOLN_REFINE]
-                                if depth else [None]))
-    arity = {None: 0, RuleId.SOLN_REFINE: 1}.get(rule, 2)
-    premises = tuple(draw(plan_trees(depth - 1)) for _ in range(arity))
-    refs = st.lists(st.sampled_from(STEP_IDS), max_size=2).map(tuple)
+    """Trees of Sequence, Parallel, one-premise and leaf nodes, with
+    nested alternatives and subtrees that sit at two places, whose plan
+    steps share ids and refer to each other and to unknown ids; the
+    read-only passes read no more."""
+    rule = draw(st.sampled_from([None, RuleId.SEQUENCE, RuleId.PARALLEL, RuleId.SOLN_REFINE,
+                                 RuleId.DELEGATION] if depth else [None]))
+    arity = {None: 0, RuleId.SOLN_REFINE: 1, RuleId.DELEGATION: 1}.get(rule, 2)
+    premises = []
+    for _ in range(arity):
+        fresh = plan_trees(depth - 1)
+        premises.append(draw(st.one_of(fresh, st.sampled_from(premises)) if premises else fresh))
+    alternatives = tuple(draw(st.lists(plan_trees(depth - 1), max_size=1 if depth > 1 else 0)))
+    refs = st.lists(st.sampled_from(STEP_IDS + ("ghost",)), max_size=2).map(tuple)
     steps = draw(st.lists(st.builds(PlanStep, st.sampled_from(STEP_IDS), st.just("act"),
                                     st.just(model.Unknown("F")), refs, refs), max_size=2))
-    return DerivationNode(PLAN_PROBLEM, rule, premises, plan=tuple(steps))
+    return DerivationNode(
+        draw(st.sampled_from([PLAN_PROBLEM, OTHER_PROBLEM])), rule, tuple(premises),
+        justification=draw(st.sampled_from(JUSTIFICATIONS)), plan=tuple(steps),
+        greenfield=rule is None and draw(st.booleans()), discharged=draw(st.booleans()),
+        alternatives=alternatives,
+    )
 
 
 @given(plan_trees())
@@ -817,13 +843,82 @@ def test_plan_walk_matches_the_recursive_one(root):
     assert constraints == expected_constraints
 
 
-def test_plan_walk_handles_a_deep_tree():
-    depth = 3000
-    step = PlanStep("s", "act", model.Unknown("F"))
-    root = DerivationNode(PLAN_PROBLEM, plan=(step,))
+@given(plan_trees())
+@settings(max_examples=150, deadline=None)
+def test_read_only_passes_match_the_recursive_ones(root):
+    assert [str(d) for d in lint(root)] == [str(d) for d in lint_recursive(root)]
+    assert discharge_environments(root) == discharge_environments_recursive(root)
+    assert export.derivation_dot(root, "t") == derivation_dot_recursive(root, "t")
+
+
+def test_preorder_visits_premises_before_alternatives_and_shared_nodes_twice():
+    leaf = DerivationNode(PLAN_PROBLEM)
+    alt = DerivationNode(PLAN_PROBLEM, RuleId.SOLN_REFINE, (leaf,))
+    root = DerivationNode(PLAN_PROBLEM, RuleId.SEQUENCE, (leaf, leaf), alternatives=(alt,))
+    assert [(node is leaf, path, in_alt) for node, path, in_alt in preorder(root)] == [
+        (False, (), False),
+        (True, (0,), False),
+        (True, (1,), False),
+        (False, (("alt", 1),), True),
+        (True, (("alt", 1), 0), True),
+    ]
+
+
+def test_shared_subtrees_give_the_recursive_results():
+    first = DerivationNode(PLAN_PROBLEM, plan=(PlanStep("a", "act", model.Unknown("F")),))
+    second = DerivationNode(PLAN_PROBLEM, plan=(PlanStep("b", "act", model.Unknown("F"),
+                                                         parallel_ok=("a",)),),
+                            greenfield=True)
+    inner = DerivationNode(PLAN_PROBLEM, RuleId.SEQUENCE, (first, second),
+                           justification=JUSTIFICATIONS[1])
+    root = DerivationNode(PLAN_PROBLEM, RuleId.PARALLEL, (inner, inner), alternatives=(inner,))
+    findings = lint(root)
+    assert [str(d) for d in findings] == [str(d) for d in lint_recursive(root)]
+    assert {d.kind for d in findings} >= {"DuplicateStep", "MissingConstraint", "ConflictingConstraint"}
+    assert _plan_fragments(root) == plan_fragments_recursive(root)
+    assert discharge_environments(root) == discharge_environments_recursive(root)
+    assert export.derivation_dot(root) == derivation_dot_recursive(root)
+
+
+DEEP = 3000
+DEEP_RULES = (RuleId.SEQUENCE, RuleId.PARALLEL, RuleId.SOLN_REFINE)
+
+
+def deep_chain(rule, depth=DEEP):
+    """``depth`` nodes of ``rule``, each Sequence or Parallel node's first
+    premise one shared greenfield leaf, above a leaf whose step names an
+    unknown step."""
+    step = PlanStep("s", "act", model.Unknown("F"), after=("ghost",))
+    side = DerivationNode(PLAN_PROBLEM, greenfield=True)
+    root = DerivationNode(PLAN_PROBLEM, plan=(step,), greenfield=True)
     for _ in range(depth):
-        root = DerivationNode(PLAN_PROBLEM, RuleId.SOLN_REFINE, (root,))
-    entries, constraints = _plan_fragments(root)
-    assert [(e.step, e.stage) for e in entries] == [(step, 0)]
-    assert entries[0].node == dsl.path_str((0,) * depth)
-    assert constraints == set()
+        premises = (root,) if rule is RuleId.SOLN_REFINE else (side, root)
+        root = DerivationNode(PLAN_PROBLEM, rule, premises, justification=JUSTIFICATIONS[2])
+    bottom = (0,) * depth if rule is RuleId.SOLN_REFINE else (1,) * depth
+    return root, step, bottom
+
+
+def test_plan_walk_handles_a_deep_tree():
+    for rule in DEEP_RULES:
+        root, step, bottom = deep_chain(rule)
+        entries, constraints = _plan_fragments(root)
+        stage = DEEP if rule is RuleId.SEQUENCE else 0
+        assert [(e.step, e.stage) for e in entries] == [(step, stage)], rule
+        assert entries[0].node == dsl.path_str(bottom)
+        assert constraints == {("after", "s", "ghost")}
+
+
+@pytest.mark.parametrize("rule", DEEP_RULES, ids=lambda rule: rule.value)
+def test_read_only_passes_handle_a_deep_tree(rule):
+    root, _, bottom = deep_chain(rule)
+    assert [str(d) for d in lint(root)] == [f"{dsl.path_str(bottom)}: UnknownStep: "
+                                            "step 's' references unknown step 'ghost'"]
+    greenfield = 1 if rule is RuleId.SOLN_REFINE else DEEP + 1
+    assert discharge_environments(root) == (PLAN_PROBLEM.env,) * greenfield
+    text = export.derivation_dot(root)
+    nodes = 1 + DEEP * (1 if rule is RuleId.SOLN_REFINE else 2)
+    assert text.count("[label=") == nodes and text.count(" -> ") == nodes - 1
+    ident = "n_" + "_".join(map(str, bottom))
+    assert f"  {ident} [label=" in text
+    assert f"  {ident} -> {ident[:-2]};" in text
+    assert text.endswith(f"  n_{bottom[0]} -> n_root;\n}}\n")

@@ -230,9 +230,9 @@ def token_kind(text):
 def derived_tokens(src):
     """``dsl.tokenize``'s texts as ``Token`` tuples, with each kind, value
     and position derived from the text on demand."""
-    parser = dsl._Parser(src, dsl.EMPTY_MODEL)
-    return [Token(token_kind(text), dsl.token_value(text), *parser.position(i))
-            for i, text in enumerate(parser.tokens)]
+    locate = dsl._locator(dsl._normalized(src))
+    return [Token(token_kind(text), dsl.token_value(text), *locate(i))
+            for i, text in enumerate(dsl.tokenize(src))]
 
 
 def error_offset(src, error):
@@ -461,6 +461,8 @@ def test_statement_positions_match_the_peek_parser(fixtures_dir, monkeypatch, tm
     for src in sources:
         new, old = dsl.parse_file(src), parse_file_by_peek(src)
         assert new == old
-        assert [(s.line, s.column) for d in new.derivations for s in d.statements] \
-            == [(s.line, s.column) for d in old.derivations for s in d.statements]
+        locate, tokens = dsl._locator(dsl._normalized(src)), tokenize_tuples(src)
+        assert [locate(s.token) for d in new.derivations for s in d.statements] \
+            == [(tokens[s.token].line, tokens[s.token].column)
+                for d in old.derivations for s in d.statements]
     assert sum(len(d.statements) for d in dsl.parse_file(sources[-1]).derivations) > 100

@@ -6,7 +6,7 @@ from deltapoe import dsl, impact, model
 from deltapoe.impact import NewLink, UnknownDomain, UnknownPhenomenon, bound_check, propagate
 
 from .conftest import FIXTURES
-from .oracles import bound_check_stored_paths, propagate_stored_paths
+from .oracles import bound_check_stored_paths, path_from_parent, path_to, propagate_stored_paths
 from .strategies import environments, layered_org_text
 
 
@@ -43,8 +43,7 @@ def test_chain_propagates_through_both_hops(chain_model):
     report = propagate(env, NewLink("C", "y", "c"))
     assert report.structural == {"C"}
     assert report.behavioural == {"D", "E"}
-    assert report.path_to("D") == ("c", "D")
-    assert report.path_to("E") == ("c", "D", "d", "E")
+    assert dict(report.walk()) == {"D": ("c", "D"), "E": ("c", "D", "d", "E")}
 
 
 def test_chain_buffer_absorbs(chain_model):
@@ -230,7 +229,7 @@ def assert_same_report(env, edit, buffers, permitted):
         assert getattr(new, field) == getattr(old, field), field
     assert new.paths == old.paths
     for name in set(env.names()) | new.structural | {"Ghost"}:
-        assert new.path_to(name) == old.path_to(name), name
+        assert path_to(new, name) == old.path_to(name), name
     assert bound_check(new, permitted) == bound_check_stored_paths(env, edit, permitted, buffers)
 
 
@@ -263,7 +262,7 @@ def test_long_chain_path_is_rendered_on_demand():
     report = propagate(model.Environment(tuple(domains)), model.Cancel("D0"))
     assert len(report.behavioural) == n - 1
     assert list(report.hits)[-1] == f"D{n - 1}"
-    path = report.path_to(f"D{n - 1}")
+    path = path_to(report, f"D{n - 1}")
     assert len(path) == 2 * (n - 1)
     assert path[:4] == ("p0", "D1", "p1", "D2") and path[-2:] == (f"p{n - 2}", f"D{n - 1}")
 
@@ -272,11 +271,12 @@ def test_long_chain_path_is_rendered_on_demand():
 
 def assert_walk_matches(env, edit, buffers):
     """``walk`` yields each hit once, in report order, with the path that
-    ``_path`` renders from the parent map for that hit alone, and
+    ``path_from_parent`` reads back for that hit alone, and
     ``paths`` is the stored-paths propagation's tuple."""
     report = propagate(env, edit, buffers)
     walked = list(report.walk())
-    assert walked == [(name, report._path(name, phen)) for name, phen in report.hits.items()]
+    assert walked == [(name, path_from_parent(report, name, phen))
+                      for name, phen in report.hits.items()]
     assert report.paths == tuple(path for _, path in walked)
     assert report.paths == propagate_stored_paths(env, edit, buffers).paths
     return walked
