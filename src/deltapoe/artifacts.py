@@ -22,10 +22,13 @@ class Record:
     name starts with an underscore holds data derived from the fields,
     such as an index, and is not a field.
 
-    Records are immutable by convention, not by a guard: no code assigns
-    a field after ``__init__`` returns, so records can be shared and used
-    as set members and dict keys.  ``macro.Workflow``, the fold's working
-    state, is the one mutable record, and it is unhashable.
+    Records are immutable by convention, not by a guard, so they can be
+    shared and used as set members and dict keys.  Two kinds of record
+    are assigned after ``__init__`` returns, and both are unhashable:
+    ``macro.Workflow``, the fold's working state, and
+    ``calculus.DerivationNode``, whose premises and alternatives
+    ``calculus.build`` sets, only in nodes it has made and not yet
+    returned.
     """
 
     __slots__ = ()

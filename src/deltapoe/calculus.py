@@ -3,10 +3,11 @@
 A derivation is a tree of rule applications over change problems.  Rule
 applications are constructed through :func:`apply`, which enforces each
 rule's side conditions and creates the premise problems; scripts drive
-the same machinery through :func:`build`.  :func:`check` replays a whole
-tree from its root conclusion, recomputing every premise and side
-condition rather than trusting what the tree (or file) claims, then
-verifies justification profiles, plan-fragment constraints and
+the same machinery through :func:`build`, which assembles its tree in
+place and changes no tree once it has returned it.  :func:`check`
+replays a whole tree from its root conclusion, recomputing every premise
+and side condition rather than trusting what the tree (or file) claims,
+then verifies justification profiles, plan-fragment constraints and
 validation gates.  Solved trees yield an implementation plan
 (:func:`extract_plan`) and a fully determined change expression
 (:func:`solution_of`).
@@ -109,11 +110,15 @@ class DerivationNode(Record):
     it is resolved, and the premise rethreaded, once that stage commits.
     Nothing derived is stored: :func:`evidence` renders what a rule
     application establishes from the node when it is asked for.
+
+    :func:`build` puts premises and alternatives into the nodes it has
+    made and not yet returned, so nodes are unhashable.
     """
 
     __slots__ = ("conclusion", "rule", "premises", "args", "justification", "plan",
                  "validations", "greenfield", "discharged", "env_provisional", "marker",
                  "alternatives")
+    __hash__ = None
 
     def __init__(
         self,
@@ -180,14 +185,15 @@ def _copy(node: DerivationNode, **fields) -> DerivationNode:
     return DerivationNode(*values)
 
 
-def _with_child(node: DerivationNode, seg, child: DerivationNode) -> DerivationNode:
-    """``node`` with ``child`` in place of the premise or alternative that
-    the path segment ``seg`` names."""
+def _put(node: DerivationNode, seg, child: DerivationNode) -> None:
+    """Set ``child`` in ``node`` as the premise or alternative that the
+    path segment ``seg`` names."""
     if isinstance(seg, int):
-        return _copy(node, premises=node.premises[:seg] + (child,) + node.premises[seg + 1:])
-    alts = list(node.alternatives)
-    alts[seg[1] - 1] = child
-    return _copy(node, alternatives=tuple(alts))
+        node.premises = node.premises[:seg] + (child,) + node.premises[seg + 1:]
+    else:
+        alts = list(node.alternatives)
+        alts[seg[1] - 1] = child
+        node.alternatives = tuple(alts)
 
 
 def set_node(root: DerivationNode, path: NodePath, new: DerivationNode) -> DerivationNode:
@@ -195,7 +201,9 @@ def set_node(root: DerivationNode, path: NodePath, new: DerivationNode) -> Deriv
     nodes along the path; raises :class:`BadPath` if it names no node."""
     spine = _spine(root, path)
     for node, seg in zip(reversed(spine[:-1]), reversed(path)):
-        new = _with_child(node, seg, new)
+        node = _copy(node)
+        _put(node, seg, new)
+        new = node
     return new
 
 
@@ -586,9 +594,8 @@ def rethread(node: DerivationNode, mdl: Model) -> DerivationNode:
     environments, which :func:`committed` does not read, so a first stage
     commits the same solution after it is rethreaded as before.
 
-    :func:`build` calls it only on a second stage whose environment has
-    just been resolved, and otherwise rebuilds just the path each
-    statement names (see :func:`_graft`)."""
+    :func:`build` calls it only on a second stage whose environment a
+    statement has just resolved."""
     alts = tuple(
         rethread(_copy(alt, conclusion=node.conclusion, env_provisional=node.env_provisional), mdl)
         for alt in node.alternatives
@@ -611,71 +618,46 @@ def _awaits_first_stage(node: DerivationNode, seg) -> bool:
     return seg == 0 and node.rule is RuleId.SEQUENCE and node.premises[1].env_provisional
 
 
-def _graft(spine: list[DerivationNode], path: NodePath, new: DerivationNode, mdl: Model) -> DerivationNode:
-    """``rethread(set_node(spine[0], path, new))``, rebuilding only the
-    ``spine`` of nodes along ``path`` with :func:`_with_child`, for a root
-    that is already rethreaded and the ``new`` node a statement made from
-    the one at ``path``.
-
-    A premise's conclusion depends only on its parent's conclusion, rule
-    and arguments, and, in a Sequence, on the first stage's committed
-    solution.  A statement changes none of these for the nodes on its
-    path, so they keep their conclusions, and every subtree
-    off the path is reused as it is.  What a statement can change is the
-    commitment of a first stage it lies in: when that resolves the second
-    stage's provisional environment, the second stage takes the leaf
-    :func:`_expected` now computes for it and is rethreaded in full.
-    """
-    target = new
-    for depth in reversed(range(len(path))):
-        node, seg = spine[depth], path[depth]
-        new = _with_child(node, seg, new)
-        if _awaits_first_stage(node, seg) and _first_stage(new) is not None:
-            try:
-                leaf = _expected(new, mdl)[1]
-                second = _copy(new.premises[1], conclusion=leaf.conclusion,
-                               greenfield=leaf.greenfield, env_provisional=leaf.env_provisional)
-                new = _with_child(new, 1, rethread(second, mdl))
-            except RuleError:
-                _check_enclosing(spine[:depth], path, target, mdl)
-                raise
-    return new
-
-
-def _check_enclosing(spine: list[DerivationNode], path: NodePath, new: DerivationNode, mdl: Model) -> None:
-    """Raise the error of the outermost Sequence in ``spine`` whose first
-    stage, with ``new`` set at ``path``, has just committed to a solution
-    that does not apply: rethread checks a Sequence before any node in
-    its first stage, so that error comes before one found below."""
-    for depth, node in enumerate(spine):
-        if _awaits_first_stage(node, path[depth]):
-            first = set_node(node.premises[0], path[depth + 1:], new)
-            _expected(_with_child(node, 0, first), mdl)
-
-
 def build(script: DerivationScript, mdl: Model, problems: dict) -> DerivationNode:
     """Execute a derivation script statement by statement.
 
-    Each statement's rule application, alternative or discharge is made at
-    the node its path names and grafted back in by :func:`_graft`, which
-    rebuilds that path and nothing else unless the statement commits a
-    first stage.  The tree equals the one rethreading the whole derivation
-    after every statement would give, and so does the first error, which
-    names the statement's path.
+    Each statement's rule application, alternative or discharge is made
+    at the node its path names and put into that node's parent in place:
+    the tree is ``build``'s own until it returns, so no node above the
+    target is copied.  A premise's conclusion depends only on its
+    parent's conclusion, rule and arguments, and, in a Sequence, on the
+    first stage's committed solution, so the statement changes nothing
+    else unless it commits the first stage of Sequences on its path whose
+    second stage waits for it.  Those are settled as rethreading the whole
+    derivation would meet them: each one's threading is checked from the
+    outermost inwards, then each second stage takes the leaf
+    :func:`_expected` computes for it and is rethreaded, from the innermost
+    outwards.  So the tree, and the first error, which names the
+    statement's path, are those of a full rethread after every statement.
     """
     if script.problem_name not in problems:
         raise RuleError(f"derivation {script.name!r} names unknown problem {script.problem_name!r}")
     root = open_node(problems[script.problem_name])
     for index, stmt in enumerate(script.statements):
+        path = stmt.path
         try:
-            spine = _spine(root, stmt.path)
+            spine = _spine(root, path)
             if isinstance(stmt, ApplyStatement):
-                updated = _run_apply(stmt, spine[-1], mdl, index)
+                new = _run_apply(stmt, spine[-1], mdl, index)
             else:
-                updated = _run_discharge(stmt, spine[-1], index)
-            root = _graft(spine, stmt.path, updated, mdl)
+                new = _run_discharge(stmt, spine[-1], index)
+            if path:
+                _put(spine[-2], path[-1], new)
+            else:
+                root = new
+            settled = [(seq, _expected(seq, mdl)[1]) for seq, seg in zip(spine, path)
+                       if _awaits_first_stage(seq, seg) and _first_stage(seq) is not None]
+            for seq, leaf in reversed(settled):
+                second = _copy(seq.premises[1], conclusion=leaf.conclusion,
+                               greenfield=leaf.greenfield, env_provisional=leaf.env_provisional)
+                seq.premises = (seq.premises[0], rethread(second, mdl))
         except RuleError as err:
-            raise err.at(stmt.path)
+            raise err.at(path)
     return root
 
 

@@ -4,8 +4,10 @@ Everything downstream (parser, calculus, impact analysis, workflows) is
 built on the values defined here: phenomena, domains, environments,
 needs, change expressions, stakeholders, problems and the organisation
 pair.  All values are immutable after construction (see
-:class:`~deltapoe.artifacts.Record`); the operations are pure functions,
-so sharing across threads is safe.
+:class:`~deltapoe.artifacts.Record`): no code assigns their fields, and
+the derivation nodes over them are written only by ``calculus.build``,
+in nodes it has made and not yet returned.  The operations are pure
+functions, so sharing across threads is safe.
 """
 
 from __future__ import annotations
