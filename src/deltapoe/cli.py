@@ -5,8 +5,11 @@ standard output, diagnostics to standard error.  Exit codes: 0 for
 success (solved, pass), 1 for incomplete or fail-with-report, 2 for
 invalid input or parse errors, 3 for usage errors, and 70 for an internal
 error: an unexpected exception, reported on one line as ``internal: ...``
-so that no crash reads as a verdict.  No command mutates
-model or derivation files; only workflow logs are appended.
+so that no crash reads as a verdict.  Stdout that cannot be written is
+not a fault of the program: a reader that has gone away ends the command
+quietly with 141, and any other error writing stdout is named on one
+line with 74.  No command mutates model or derivation files; only
+workflow logs are appended.
 
 Each command imports only the modules it uses, so that a process loads
 no more than its command needs: ``impact`` and ``workflow`` never load
@@ -17,7 +20,9 @@ parser, model, printer) only for ``--model``.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
+import io
 import json
 import os
 import sys
@@ -30,6 +35,8 @@ if TYPE_CHECKING:
 
 OK, INCOMPLETE, INVALID, USAGE = 0, 1, 2, 3
 INTERNAL = 70  # EX_SOFTWARE of sysexits.h; outside the verdict codes
+IO_ERROR = 74  # EX_IOERR of sysexits.h
+BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell shows a writer whose reader went away
 
 
 def _err(message: str):
@@ -344,10 +351,7 @@ def _workflow_problem_refs(args, workspace: Workspace | None) -> macro.ProblemRe
     return macro.ProblemRefs(args.problem or "", frozenset(), frozenset(), frozenset())
 
 
-def _print_status(events: list[macro.Event]) -> None:
-    from . import macro
-
-    workflows = macro.fold(events)
+def _print_status(workflows: dict[str, macro.Workflow]) -> None:
     if not workflows:
         print("no workflows")
         return
@@ -381,7 +385,7 @@ def cmd_workflow(args) -> int:
     while True:
         created = not Path(args.log).exists()
         if reading and created:
-            return _run_workflow(args, [], None)
+            return _run_workflow(args, macro.Folded({}, 0), None)
         try:
             handle = open(args.log, "r" if reading else "a+", encoding="utf-8")
         except OSError as err:
@@ -394,7 +398,7 @@ def cmd_workflow(args) -> int:
     with handle:
         handle.seek(0)
         try:
-            events = _read_log(handle, appending=not reading)
+            log = _read_log(handle, appending=not reading)
         except macro.BadLog as err:
             _err(f"{args.log}: {err}")
             return INVALID
@@ -402,33 +406,50 @@ def cmd_workflow(args) -> int:
             _err(_not_utf8(args.log, err))
             return INVALID
         try:
-            return _run_workflow(args, events, handle)
+            return _run_workflow(args, log, handle)
         finally:
             if created and not os.fstat(handle.fileno()).st_size:
                 os.unlink(args.log)
 
 
-def _read_log(handle, appending: bool) -> list[macro.Event]:
-    """The events of an open log.  A log whose last line has no final
-    newline is refused for an append, which would run onto that line.
-    The log's text is dropped on return, before the command runs."""
+def _read_log(handle, appending: bool) -> macro.Folded | macro.MacroError:
+    """The state of an open log, folded in one pass over its text that
+    decodes each line and applies it at once, so that no list of the
+    log's events or lines is built; or the error of the first event the
+    fold refuses, which the command raises where it reads the state.
+
+    The text is read whole, and a line that is not an event is raised
+    before any refused event, wherever it is, as is a last line with no
+    final newline when appending, which would run onto that line.  The
+    text is dropped on return, before the command runs."""
     from . import macro
 
-    text = handle.read()
-    events = macro.parse_log(text)
-    if appending and text and not text.endswith("\n"):
-        raise macro.BadLog(f"line {len(text.splitlines())}: no final newline; "
+    log = macro.Log(handle.read())
+    if appending and log.text and not log.text.endswith("\n"):
+        log.check()
+        raise macro.BadLog(f"line {log.lines()}: no final newline; "
                            "the last write may be torn, so nothing is appended")
-    return events
+    try:
+        return macro.Folded(macro.fold(log), log.last)
+    except macro.MacroError as err:
+        log.check()
+        return err
 
 
-def _run_workflow(args, events: list[macro.Event], handle) -> int:
+def _state(log: macro.Folded | macro.MacroError) -> macro.Folded:
+    """The state ``_read_log`` folded, or the error its fold raised."""
+    if isinstance(log, Exception):
+        raise log
+    return log
+
+
+def _run_workflow(args, log: macro.Folded | macro.MacroError, handle) -> int:
     from . import macro
 
     log_path = args.log
     if args.subcommand == "status":
         try:
-            _print_status(events)
+            _print_status(_state(log).workflows)
         except macro.MacroError as err:
             _err(f"{log_path}: {err}")
             return INVALID
@@ -436,13 +457,12 @@ def _run_workflow(args, events: list[macro.Event], handle) -> int:
 
     try:
         if args.subcommand == "advance":
-            new_events = []
-            if not events and args.owner and args.delegate:
+            log, new_events = _state(log), []
+            if not log.last and args.owner and args.delegate:
                 workspace = _load_workspace([args.model])[0] if args.model and args.problem else None
                 refs = _workflow_problem_refs(args, workspace)
-                new_events.append(
-                    macro.create_workflow(events, args.workflow, args.owner, args.delegate, refs)
-                )
+                created = macro.create_workflow(log, args.workflow, args.owner, args.delegate, refs)
+                log, new_events = [created], [created]
             payload = {}
             if args.event == "record-validation":
                 payload = {"by": args.by, "status": args.status}
@@ -450,7 +470,7 @@ def _run_workflow(args, events: list[macro.Event], handle) -> int:
                 payload = {"mode": args.mode}
             elif args.event == "submit-solution":
                 payload = {"solution": args.solution or "", "refs": sorted(_names_flag(args.refs))}
-            event, wf = macro.advance(events + new_events, args.workflow, args.event, payload)
+            event, wf = macro.advance(log, args.workflow, args.event, payload)
             new_events.append(event)
             _append_events(handle, new_events)
             print(f"workflow {wf.id}: {wf.state.value}")
@@ -461,14 +481,14 @@ def _run_workflow(args, events: list[macro.Event], handle) -> int:
             if args.model and workspace is None:
                 return status
             event, child = macro.delegate(
-                events, args.workflow, args.to, args.child, refs, workspace.model if workspace else {}
+                _state(log), args.workflow, args.to, args.child, refs, workspace.model if workspace else {}
             )
             _append_events(handle, [event])
             print(f"workflow {child.id}: {child.state.value} (owner {child.owner}, delegate {child.delegate})")
             return OK
         if args.subcommand == "drift":
             touched = _names_flag(args.touch)
-            event, report = macro.drift(events, touched, args.description, args.origin)
+            event, report = macro.drift(_state(log), touched, args.description, args.origin)
             _append_events(handle, [event])
             if report.empty:
                 print("drift: nothing invalidated")
@@ -628,19 +648,70 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     # One process runs one command, and what the command builds (tokens,
-    # model, log events, workflows) holds no reference cycles and lives until
-    # the command ends, so cyclic collections during it free nothing and only
-    # cost time. The few cycles a command does leave (argparse's parsers, the
+    # model, a log's text and workflows) holds no reference cycles: reference
+    # counting frees it, or it lives until the command ends. So cyclic
+    # collections during the command free nothing and only cost time. The few cycles a command does leave (argparse's parsers, the
     # cells of recursive tree walkers) are freed when the caller's collector
     # runs again. Pause the collector for the command and restore the
     # caller's state after it, whatever the exit.
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _run(argv)
+        status = _run(argv)
+        sys.stdout.flush()  # so that an error writing stdout shows here, not at exit
+        return status
+    except Exception as err:  # last resort: a crash must not exit with a verdict code
+        return _crashed(err)
     finally:
         if was_enabled:
             gc.enable()
+
+
+def _crashed(err: Exception) -> int:
+    """The exit code for an exception that no command handled.  An error
+    writing stdout is not a fault of the program: a broken pipe means the
+    reader has gone away (no command writes any other pipe), and the
+    command ends quietly, as one that SIGPIPE stops; any other ``OSError``
+    is stdout's when stdout cannot be written now either, and is named on
+    one line.  Anything else is an internal error."""
+    if isinstance(err, OSError) and (err.errno == errno.EPIPE or _unwritable_stdout()):
+        _silence_stdout()
+        if err.errno == errno.EPIPE:
+            return BROKEN_PIPE
+        _err(f"stdout: cannot write: {err.strerror}")
+        return IO_ERROR
+    detail = " ".join(str(err).split())
+    _err(f"internal: {type(err).__name__}" + (f": {detail}" if detail else ""))
+    return INTERNAL
+
+
+def _unwritable_stdout() -> bool:
+    """Whether stdout's buffered text cannot be flushed, or its descriptor
+    refuses an empty write, as a full device does."""
+    try:
+        sys.stdout.flush()
+        fd = sys.stdout.fileno()
+    except io.UnsupportedOperation:  # a stream with no descriptor, flushed
+        return False
+    except OSError:
+        return True
+    try:
+        os.write(fd, b"")
+    except OSError:
+        return True
+    return False
+
+
+def _silence_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that the flush at
+    exit does not fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:  # a stream with no descriptor of its own
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _actions(parser: argparse.ArgumentParser):
@@ -688,16 +759,12 @@ def _run(argv) -> int:
         extra = [f"--{key}={value}" for key, value in defaults.items()
                  if hasattr(args, key) and key not in given]
         if extra:
+            cut = argv.index("--") if "--" in argv else len(argv)  # after it, all are files
             try:
-                args = make_parser().parse_args([*argv, *extra])
+                args = make_parser().parse_args([*argv[:cut], *extra, *argv[cut:]])
             except SystemExit as exit_:
                 return USAGE if exit_.code not in (0, None) else 0
-    try:
-        return COMMANDS[args.command](args)
-    except Exception as err:  # last resort: a crash must not exit with a verdict code
-        detail = " ".join(str(err).split())
-        _err(f"internal: {type(err).__name__}" + (f": {detail}" if detail else ""))
-        return INTERNAL
+    return COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

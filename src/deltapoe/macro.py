@@ -4,6 +4,8 @@ validation, solution exploration, solution validation, implementation.
 State is a pure fold over an append-only event log, one log per
 workflow tree.  The fold is the gatekeeper: replaying a log either
 reconstructs the identical state or fails at the first illegal event.
+Over a ``Log`` the fold decodes each line of the log's text as it reads
+it, so that it holds the text and the state, never a list of events.
 Validation verdicts are records that may later go stale when the
 environment or need drifts; stale validations regress the workflow to
 the step that must be redone, and are never deleted.
@@ -94,35 +96,89 @@ _FIELDS = (("sequence", int, "an integer"), ("workflow", str, "a string"),
            ("event", str, "a string"), ("payload", dict, "an object"))
 
 
+_BOUNDARIES = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines cuts at these and \n
+
+
+def _lines(text: str):
+    """The lines of ``text``, one at a time, as ``text.splitlines()`` gives
+    them.  The text is cut at each ``\\n``.  When it holds another line
+    boundary, a piece that is not printable (as every boundary is not) is
+    split by ``str.splitlines`` together with the ``\\n`` that ends it, so
+    that a ``\\r\\n`` pair stays one boundary."""
+    find, pos, end = text.find, 0, len(text)
+    plain = not any(boundary in text for boundary in _BOUNDARIES)
+    while pos < end:
+        stop = find("\n", pos)
+        if stop < 0:
+            stop = end
+        line = text[pos:stop]
+        if plain or line.isprintable():
+            yield line
+        else:
+            yield from text[pos:stop + 1].splitlines()
+        pos = stop + 1
+
+
 def parse_log(text: str) -> list[Event]:
-    """The events of a log's text; blank lines are skipped.  A line that
-    is one JSON value with no blanks around it, as ``to_line`` writes it,
-    is decoded in place; any other line goes through ``json.loads``, whose
-    error a ``BadLog`` names with the line's number, as it names a field
-    of the wrong type."""
-    events = []
-    append, new = events.append, tuple.__new__
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        try:
+    """The events of a log's text, as a list."""
+    return list(iter(Log(text)))  # a bare Log would be counted first, for a length hint
+
+
+class Log:
+    """The events of a log's text, decoded as they are read, so that a fold
+    over a log holds one decoded event at a time and no list of events or
+    lines.  ``len`` counts the lines that are not blank, which are the
+    events of a log whose lines all decode, without decoding them;
+    ``last`` is the sequence number of the last event, once all are read."""
+
+    __slots__ = ("text", "last")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.last = 0
+
+    def __iter__(self):
+        """The events, one line at a time; blank lines are skipped.  A line
+        that is one JSON value with no blanks around it, as ``to_line``
+        writes it, is decoded in place; any other line goes through
+        ``json.loads``, whose error a ``BadLog`` names with the line's
+        number, as it names a field of the wrong type."""
+        new, event = tuple.__new__, None
+        for lineno, line in enumerate(_lines(self.text), start=1):
             try:
-                raw, end = _raw_decode(line)
-            except json.JSONDecodeError:
-                end = -1
-            if end != len(line):
-                if not line.strip():
-                    continue
-                raw = json.loads(line)
-            fields = raw["sequence"], raw["workflow"], raw["event"], raw["payload"]
-        except (json.JSONDecodeError, KeyError, TypeError) as err:
-            raise BadLog(f"line {lineno}: {err}")
-        except RecursionError:  # the decoder recurses once per nesting level
-            raise BadLog(f"line {lineno}: JSON nested too deeply") from None
-        if (type(fields[0]) is not int or type(fields[1]) is not str
-                or type(fields[2]) is not str or type(fields[3]) is not dict):
-            key, _, what = next(f for f, value in zip(_FIELDS, fields) if type(value) is not f[1])
-            raise BadLog(f"line {lineno}: field {key!r} is not {what}")
-        append(new(Event, fields))
-    return events
+                try:
+                    raw, end = _raw_decode(line)
+                except json.JSONDecodeError:
+                    end = -1
+                if end != len(line):
+                    if not line or line.isspace():
+                        continue
+                    raw = json.loads(line)
+                fields = raw["sequence"], raw["workflow"], raw["event"], raw["payload"]
+            except (json.JSONDecodeError, KeyError, TypeError) as err:
+                raise BadLog(f"line {lineno}: {err}")
+            except RecursionError:  # the decoder recurses once per nesting level
+                raise BadLog(f"line {lineno}: JSON nested too deeply") from None
+            if (type(fields[0]) is not int or type(fields[1]) is not str
+                    or type(fields[2]) is not str or type(fields[3]) is not dict):
+                key, _, what = next(f for f, value in zip(_FIELDS, fields) if type(value) is not f[1])
+                raise BadLog(f"line {lineno}: field {key!r} is not {what}")
+            event = new(Event, fields)
+            yield event
+        self.last = event.sequence if event else 0
+
+    def __len__(self) -> int:
+        return sum(1 for line in _lines(self.text) if line and not line.isspace())
+
+    def check(self) -> None:
+        """Decode every line, raising ``BadLog`` for the first that is not
+        an event."""
+        for _ in self:
+            pass
+
+    def lines(self) -> int:
+        """The number of lines, as ``str.splitlines`` counts them."""
+        return sum(1 for _ in _lines(self.text))
 
 
 class ProblemRefs(Record):
@@ -463,8 +519,10 @@ def _apply_next(workflows: dict[str, Workflow], event: Event, last: int) -> None
         raise BadLog(f"event {event.sequence}: {err}") from None
 
 
-def fold(events: list[Event]) -> dict[str, Workflow]:
-    """Replay a log into workflow states, validating every event."""
+def fold(events: list[Event] | Log) -> dict[str, Workflow]:
+    """Replay a log into workflow states, validating every event.  Over a
+    ``Log`` it stops at the first event it refuses, before the lines
+    after that one are decoded."""
     workflows: dict[str, Workflow] = {}
     last = 0
     for event in events:
@@ -474,21 +532,40 @@ def fold(events: list[Event]) -> dict[str, Workflow]:
 
 
 # --- appending --------------------------------------------------------------------
+#
+# Each appending function takes a log as a list of its events or as its
+# ``Folded`` state.  Given a list, it folds it once; given the state, it
+# folds nothing, and the new event updates the state in place.
 
-def next_sequence(events: list[Event]) -> int:
+class Folded(NamedTuple):
+    """A log's workflow states and the sequence number of its last event
+    (0 for a log with none), taken from one fold: all that appending to
+    the log needs."""
+
+    workflows: dict[str, Workflow]
+    last: int
+
+
+def next_sequence(events: list[Event] | Folded) -> int:
+    if isinstance(events, Folded):
+        return events.last + 1
     return events[-1].sequence + 1 if events else 1
 
 
-def _validated_append(events: list[Event], event: Event, workflows=None):
-    """The workflow states after ``event`` is appended to ``events``;
-    ``workflows`` is the fold of ``events`` when the caller has it."""
-    workflows = fold(events) if workflows is None else workflows
-    _apply_next(workflows, event, events[-1].sequence if events else 0)
+def _folded(events: list[Event] | Folded) -> Folded:
+    """The state of ``events``, folded once unless it is given."""
+    return events if isinstance(events, Folded) else Folded(fold(events), next_sequence(events) - 1)
+
+
+def _validated_append(events: list[Event] | Folded, event: Event) -> dict[str, Workflow]:
+    """The workflow states after ``event`` is appended to ``events``."""
+    workflows, last = _folded(events)
+    _apply_next(workflows, event, last)
     return workflows
 
 
 def create_workflow(
-    events: list[Event],
+    events: list[Event] | Folded,
     workflow_id: str,
     owner: str,
     delegate: str,
@@ -501,7 +578,7 @@ def create_workflow(
 
 
 def advance(
-    events: list[Event],
+    events: list[Event] | Folded,
     workflow_id: str,
     kind: str,
     payload: dict | None = None,
@@ -514,7 +591,7 @@ def advance(
 
 
 def delegate(
-    events: list[Event],
+    events: list[Event] | Folded,
     workflow_id: str,
     to: str,
     child_id: str,
@@ -523,7 +600,8 @@ def delegate(
 ) -> tuple[Event, Workflow]:
     """Create a sub-delegation; the delegating party must trust the new
     delegate."""
-    workflows = fold(events)
+    folded = _folded(events)
+    workflows = folded.workflows
     if workflow_id not in workflows:
         raise UnknownWorkflow(workflow_id)
     wf = workflows[workflow_id]
@@ -532,8 +610,8 @@ def delegate(
     if to not in trusts:
         raise TrustMissing(f"no trust edge {delegating} -> {to}")
     payload = {"to": to, "child": child_id, "problem": problem.to_payload()}
-    event = Event(next_sequence(events), workflow_id, "delegate", payload)
-    return event, _validated_append(events, event, workflows)[child_id]
+    event = Event(next_sequence(folded), workflow_id, "delegate", payload)
+    return event, _validated_append(folded, event)[child_id]
 
 
 def _trusts_of(stakeholders, name: str) -> frozenset[str]:
@@ -546,7 +624,7 @@ def _trusts_of(stakeholders, name: str) -> frozenset[str]:
 
 
 def drift(
-    events: list[Event],
+    events: list[Event] | Folded,
     touched: frozenset[str],
     description: str = "",
     origin: str = "environment",
@@ -556,6 +634,5 @@ def drift(
         raise MacroError(f"drift origin must be environment or need, not {origin!r}")
     payload = {"touched": sorted(touched), "description": description, "origin": origin}
     event = Event(next_sequence(events), ORG, "drift", payload)
-    workflows = fold(events)
-    report = _apply_drift(workflows, event)
+    report = _apply_drift(_folded(events).workflows, event)
     return event, report

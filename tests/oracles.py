@@ -1,11 +1,13 @@
 """Test-only oracles: simple or earlier implementations that the tests
 compare the library against.  None of this is used by the library."""
 
+import json
 import re
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from deltapoe import cli, macro
 from deltapoe import model as m
 from deltapoe.artifacts import (
     JUSTIFICATION_FIELDS,
@@ -1119,6 +1121,132 @@ def fold_reference(events):
             reports.append(report)
         last = event.sequence
     return workflows, reports
+
+
+# --- the workflow commands as they decoded the whole log before folding it ------------
+#
+# ``macro.parse_log``, ``cli._read_log`` and ``cli._run_workflow`` as they were while
+# the log was read into a list of events: ``str.splitlines`` cuts the text, every line
+# is decoded, then the torn last line is checked, then the appending functions fold
+# the list.
+
+def parse_log_eager(text: str) -> list:
+    events = []
+    append, new = events.append, tuple.__new__
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        try:
+            try:
+                raw, end = macro._raw_decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(line):
+                if not line.strip():
+                    continue
+                raw = json.loads(line)
+            fields = raw["sequence"], raw["workflow"], raw["event"], raw["payload"]
+        except (json.JSONDecodeError, KeyError, TypeError) as err:
+            raise macro.BadLog(f"line {lineno}: {err}")
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise macro.BadLog(f"line {lineno}: JSON nested too deeply") from None
+        if (type(fields[0]) is not int or type(fields[1]) is not str
+                or type(fields[2]) is not str or type(fields[3]) is not dict):
+            key, _, what = next(f for f, value in zip(macro._FIELDS, fields) if type(value) is not f[1])
+            raise macro.BadLog(f"line {lineno}: field {key!r} is not {what}")
+        append(new(macro.Event, fields))
+    return events
+
+
+def read_log_eager(handle, appending: bool) -> list:
+    text = handle.read()
+    events = parse_log_eager(text)
+    if appending and text and not text.endswith("\n"):
+        raise macro.BadLog(f"line {len(text.splitlines())}: no final newline; "
+                           "the last write may be torn, so nothing is appended")
+    return events
+
+
+def _print_status_eager(events) -> None:
+    workflows = macro.fold(events)
+    if not workflows:
+        print("no workflows")
+        return
+    for wf in workflows.values():
+        print(f"workflow {wf.id}: {wf.state.value}  (owner {wf.owner}, delegate {wf.delegate})")
+        for record in wf.validations:
+            print(
+                f"  validation {record.id}: {record.target.value} "
+                f"{record.status.value} (by {record.stakeholder}, seq {record.sequence})"
+            )
+        if wf.solution_text:
+            print(f"  solution: {wf.solution_text}")
+        if wf.implementation_mode:
+            print(f"  implementation: {wf.implementation_mode}")
+        for child in wf.children:
+            print(f"  child: {child}")
+
+
+def run_workflow_eager(args, events, handle) -> int:
+    log_path = args.log
+    if args.subcommand == "status":
+        try:
+            _print_status_eager(events)
+        except macro.MacroError as err:
+            cli._err(f"{log_path}: {err}")
+            return cli.INVALID
+        return cli.OK
+
+    try:
+        if args.subcommand == "advance":
+            new_events = []
+            if not events and args.owner and args.delegate:
+                workspace = cli._load_workspace([args.model])[0] if args.model and args.problem else None
+                refs = cli._workflow_problem_refs(args, workspace)
+                new_events.append(
+                    macro.create_workflow(events, args.workflow, args.owner, args.delegate, refs)
+                )
+            payload = {}
+            if args.event == "record-validation":
+                payload = {"by": args.by, "status": args.status}
+            elif args.event == "begin-implementation":
+                payload = {"mode": args.mode}
+            elif args.event == "submit-solution":
+                payload = {"solution": args.solution or "", "refs": sorted(cli._names_flag(args.refs))}
+            event, wf = macro.advance(events + new_events, args.workflow, args.event, payload)
+            new_events.append(event)
+            cli._append_events(handle, new_events)
+            print(f"workflow {wf.id}: {wf.state.value}")
+            return cli.OK
+        if args.subcommand == "delegate":
+            workspace, status = cli._load_workspace([args.model]) if args.model else (None, cli.OK)
+            refs = cli._workflow_problem_refs(args, workspace)
+            if args.model and workspace is None:
+                return status
+            event, child = macro.delegate(
+                events, args.workflow, args.to, args.child, refs, workspace.model if workspace else {}
+            )
+            cli._append_events(handle, [event])
+            print(f"workflow {child.id}: {child.state.value} (owner {child.owner}, delegate {child.delegate})")
+            return cli.OK
+        if args.subcommand == "drift":
+            touched = cli._names_flag(args.touch)
+            event, report = macro.drift(events, touched, args.description, args.origin)
+            cli._append_events(handle, [event])
+            if report.empty:
+                print("drift: nothing invalidated")
+            else:
+                for workflow_id, record_id, target in report.stale:
+                    print(f"stale: {workflow_id} {record_id} ({target})")
+                for workflow_id, before, after in report.regressions:
+                    print(f"regressed: {workflow_id} {before} -> {after}")
+            return cli.OK
+    except macro.IllegalTransition as err:
+        cli._err(f"{log_path}: {err}")
+        return cli.INCOMPLETE
+    except (macro.MacroError, ValueError) as err:
+        cli._err(f"{log_path}: {err}")
+        return cli.INVALID
+    cli._err(f"unknown workflow subcommand {args.subcommand!r}")
+    return cli.USAGE
 
 
 # --- impact paths, one at a time ------------------------------------------------------

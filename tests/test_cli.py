@@ -717,6 +717,16 @@ def test_config_value_does_not_override_the_command_line(tmp_path, capsys, monke
     assert events[-1]["payload"]["description"] == ""
 
 
+def test_config_values_go_before_a_double_dash(tmp_path, capsys):
+    """A config value fills an option even when the command line ends with
+    ``-- FILE``: it is not taken for a file name."""
+    config = tmp_path / "deltapoe.conf"
+    config.write_text("derivation=api_upgrade\n")
+    expected = run(capsys, "plan", GOLDEN, "--derivation", "api_upgrade")
+    assert expected[0] == 0, expected
+    assert run(capsys, "--config", config, "plan", "--", GOLDEN) == expected
+
+
 def test_config_key_of_no_option_is_a_usage_error(tmp_path, capsys, monkeypatch):
     """A misspelt key is refused before anything is logged; a key that
     only another command takes is left unused."""
@@ -973,3 +983,39 @@ def test_commands_build_no_cycles_that_grow_with_the_input(command, tmp_path, ca
     small, large = argv(4), argv(16)
     unreachable_after(small)  # first use: imports and caches
     assert unreachable_after(small) == unreachable_after(large)
+
+
+# --- errors writing stdout -------------------------------------------------------------
+
+def run_with_stdout(argv, stdout):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-m", "deltapoe.cli", *map(str, argv)], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("command", ["status", "check"])
+def test_stdout_closed_by_its_reader_ends_quietly(tmp_path, command):
+    """A reader that goes away (``| head -1``) ends the command with 141
+    and nothing on stderr, whether the write fails during the command
+    (a long ``status``) or at the flush before exit (a short ``check``)."""
+    log = tmp_path / "wf.jsonl"
+    log.write_text(workflow_log_text(2000))
+    argv = ["workflow", log, "status"] if command == "status" else ["check", GOLDEN]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_with_stdout(argv, write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("command", ["status", "check"])
+def test_stdout_that_cannot_be_written_is_named(tmp_path, command):
+    log = tmp_path / "wf.jsonl"
+    log.write_text(workflow_log_text(2000))
+    argv = ["workflow", log, "status"] if command == "status" else ["check", GOLDEN]
+    with open("/dev/full", "w") as full:
+        proc = run_with_stdout(argv, full)
+    assert (proc.returncode, proc.stderr) == (74, "stdout: cannot write: No space left on device\n")
