@@ -351,23 +351,38 @@ def _workflow_problem_refs(args, workspace: Workspace | None) -> macro.ProblemRe
     return macro.ProblemRefs(args.problem or "", frozenset(), frozenset(), frozenset())
 
 
-def _print_status(workflows: dict[str, macro.Workflow]) -> None:
+_CHUNK = 1 << 16  # characters per write of a long report
+
+
+def _write_lines(lines) -> None:
+    """Write ``lines``, each ending in a newline, to stdout in a few
+    writes of at most ``_CHUNK`` characters each (a longer line is one
+    write), so that unbuffered stdout makes a few system calls, not two
+    per line as ``print`` would."""
+    write, chunk, size = sys.stdout.write, [], 0
+    for line in lines:
+        if size + len(line) > _CHUNK and chunk:
+            write("".join(chunk))
+            chunk, size = [], 0
+        chunk.append(line)
+        size += len(line)
+    write("".join(chunk))
+
+
+def _status_lines(workflows: dict[str, macro.Workflow]):
     if not workflows:
-        print("no workflows")
-        return
+        yield "no workflows\n"
     for wf in workflows.values():
-        print(f"workflow {wf.id}: {wf.state.value}  (owner {wf.owner}, delegate {wf.delegate})")
+        yield f"workflow {wf.id}: {wf.state.value}  (owner {wf.owner}, delegate {wf.delegate})\n"
         for record in wf.validations:
-            print(
-                f"  validation {record.id}: {record.target.value} "
-                f"{record.status.value} (by {record.stakeholder}, seq {record.sequence})"
-            )
+            yield (f"  validation {record.id}: {record.target.value} "
+                   f"{record.status.value} (by {record.stakeholder}, seq {record.sequence})\n")
         if wf.solution_text:
-            print(f"  solution: {wf.solution_text}")
+            yield f"  solution: {wf.solution_text}\n"
         if wf.implementation_mode:
-            print(f"  implementation: {wf.implementation_mode}")
+            yield f"  implementation: {wf.implementation_mode}\n"
         for child in wf.children:
-            print(f"  child: {child}")
+            yield f"  child: {child}\n"
 
 
 def cmd_workflow(args) -> int:
@@ -413,19 +428,35 @@ def cmd_workflow(args) -> int:
 
 
 def _read_log(handle, appending: bool) -> macro.Folded | macro.MacroError:
-    """The state of an open log, folded in one pass over its text that
-    decodes each line and applies it at once, so that no list of the
-    log's events or lines is built; or the error of the first event the
-    fold refuses, which the command raises where it reads the state.
+    """The state of an open log, folded as its lines are read from the
+    file, one at a time, so that the command holds the folded state and
+    one line, never the log's text or a list of its events or lines; or
+    the error of the first event the fold refuses, which the command
+    raises where it reads the state.
 
-    The text is read whole, and a line that is not an event is raised
-    before any refused event, wherever it is, as is a last line with no
-    final newline when appending, which would run onto that line.  The
-    text is dropped on return, before the command runs."""
+    On any failure (a byte that is not UTF-8, a line that is not an
+    event, an event the fold refuses, or a last line with no final
+    newline when appending, which would run onto that line) the file is
+    read again whole, and the errors are raised in the order of that
+    text: undecodable text, then the first line that is not an event,
+    then the torn last line, then the fold's error.  A byte that is not
+    UTF-8 is named by its offset in the whole file, which the decoding of
+    the file in chunks would not give.  The text is dropped on return,
+    before the command runs."""
     from . import macro
 
-    log = macro.Log(handle.read())
-    if appending and log.text and not log.text.endswith("\n"):
+    log = macro.Log(handle)
+    try:
+        workflows = macro.fold(log)  # called through the module, where a tracer may wrap it
+    except (UnicodeDecodeError, macro.MacroError):
+        pass
+    else:
+        if not (appending and log.torn):
+            return macro.Folded(workflows, log.last)
+    handle.seek(0)
+    text = handle.read()
+    log = macro.Log(text)
+    if appending and text and not text.endswith("\n"):
         log.check()
         raise macro.BadLog(f"line {log.lines()}: no final newline; "
                            "the last write may be torn, so nothing is appended")
@@ -449,7 +480,7 @@ def _run_workflow(args, log: macro.Folded | macro.MacroError, handle) -> int:
     log_path = args.log
     if args.subcommand == "status":
         try:
-            _print_status(_state(log).workflows)
+            _write_lines(_status_lines(_state(log).workflows))
         except macro.MacroError as err:
             _err(f"{log_path}: {err}")
             return INVALID

@@ -346,6 +346,15 @@ class _Parser:
         self.pos += 1
         return text
 
+    def index(self) -> int:
+        """Consume a number token of a node path; its value."""
+        at = self.pos
+        text = self.number()
+        try:
+            return int(text)
+        except ValueError:  # more digits than ``int`` converts from a string
+            self.fail(f"path index of {len(text)} digits is too long", at)
+
     # name lists
 
     def name_list(self) -> range:
@@ -714,10 +723,10 @@ class _Parser:
         while True:
             if self.at("."):
                 self.advance()
-                segs.append(int(self.number()))
+                segs.append(self.index())
             elif self.at("@"):
                 self.advance()
-                segs.append(("alt", int(self.number())))
+                segs.append(("alt", self.index()))
             else:
                 break
         return tuple(segs)

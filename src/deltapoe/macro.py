@@ -4,8 +4,10 @@ validation, solution exploration, solution validation, implementation.
 State is a pure fold over an append-only event log, one log per
 workflow tree.  The fold is the gatekeeper: replaying a log either
 reconstructs the identical state or fails at the first illegal event.
-Over a ``Log`` the fold decodes each line of the log's text as it reads
-it, so that it holds the text and the state, never a list of events.
+Over a ``Log`` of an open file the fold reads and decodes one line at a
+time, so that it holds the state and one line, never the log's text or a
+list of its events; equal name sets and stakeholder names in the state
+are one object each.
 Validation verdicts are records that may later go stale when the
 environment or need drifts; stale validations regress the workflow to
 the step that must be redone, and are never deleted.
@@ -16,7 +18,7 @@ from __future__ import annotations
 import enum
 import json
 from collections.abc import Mapping
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, TextIO
 
 from .artifacts import Record, ValidationRecord, ValidationStatus, ValidationTarget
 
@@ -65,6 +67,7 @@ class CpsState(str, enum.Enum):
 
 
 ORG = "*"  # workflow field of org-level (drift) events
+_NO_NAMES: frozenset[str] = frozenset()  # the one empty name set of a folded state
 
 
 class Event(NamedTuple):
@@ -96,27 +99,33 @@ _FIELDS = (("sequence", int, "an integer"), ("workflow", str, "a string"),
            ("event", str, "a string"), ("payload", dict, "an object"))
 
 
-_BOUNDARIES = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines cuts at these and \n
+def _pieces(source: str | TextIO):
+    """A log's text, or the open file that holds it from its start, cut
+    after each ``\\n``, as the lines of a file iterate.  A ``\\r\\n`` pair
+    is never cut, so the lines that ``str.splitlines`` finds in the pieces,
+    in C, are the lines of the text.  (A file read in text mode has its
+    ``\\r`` and ``\\r\\n`` turned into ``\\n`` already.)  The file is
+    returned itself: a generator delegating to it would close it when
+    closed early."""
+    if isinstance(source, str):
+        return _cut(source)
+    source.seek(0)
+    return source
 
 
-def _lines(text: str):
-    """The lines of ``text``, one at a time, as ``text.splitlines()`` gives
-    them.  The text is cut at each ``\\n``.  When it holds another line
-    boundary, a piece that is not printable (as every boundary is not) is
-    split by ``str.splitlines`` together with the ``\\n`` that ends it, so
-    that a ``\\r\\n`` pair stays one boundary."""
+def _cut(text: str):
     find, pos, end = text.find, 0, len(text)
-    plain = not any(boundary in text for boundary in _BOUNDARIES)
     while pos < end:
-        stop = find("\n", pos)
-        if stop < 0:
-            stop = end
-        line = text[pos:stop]
-        if plain or line.isprintable():
-            yield line
-        else:
-            yield from text[pos:stop + 1].splitlines()
-        pos = stop + 1
+        stop = find("\n", pos) + 1 or end
+        yield text[pos:stop]
+        pos = stop
+
+
+def _lines(source: str | TextIO):
+    """The lines of a log's text, or of the open file that holds it, one
+    at a time, as ``str.splitlines`` gives them."""
+    for piece in _pieces(source):
+        yield from piece.splitlines()
 
 
 def parse_log(text: str) -> list[Event]:
@@ -125,50 +134,58 @@ def parse_log(text: str) -> list[Event]:
 
 
 class Log:
-    """The events of a log's text, decoded as they are read, so that a fold
-    over a log holds one decoded event at a time and no list of events or
-    lines.  ``len`` counts the lines that are not blank, which are the
-    events of a log whose lines all decode, without decoding them;
-    ``last`` is the sequence number of the last event, once all are read."""
+    """The events of a log, from its text or from the open file that holds
+    it, decoded line by line as they are read: a fold over a log holds one
+    line and one decoded event at a time, and over a file no more of the
+    text than that line.  ``len`` counts the lines that are not blank,
+    which are the events of a log whose lines all decode, without decoding
+    them.  Once all events are read, ``last`` is the sequence number of
+    the last one and ``torn`` whether the last line has no final newline.
+    Each pass over a file, ``len`` among them, reads it from its start."""
 
-    __slots__ = ("text", "last")
+    __slots__ = ("source", "last", "torn")
 
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, source: str | TextIO):
+        self.source = source
         self.last = 0
+        self.torn = False
 
     def __iter__(self):
         """The events, one line at a time; blank lines are skipped.  A line
         that is one JSON value with no blanks around it, as ``to_line``
         writes it, is decoded in place; any other line goes through
-        ``json.loads``, whose error a ``BadLog`` names with the line's
-        number, as it names a field of the wrong type."""
-        new, event = tuple.__new__, None
-        for lineno, line in enumerate(_lines(self.text), start=1):
-            try:
+        ``json.loads``, whose error (a number too long to convert among
+        them) a ``BadLog`` names with the line's number, as it names a
+        field of the wrong type."""
+        new, event, lineno, piece = tuple.__new__, None, 0, ""
+        for piece in _pieces(self.source):
+            for line in piece.splitlines():
+                lineno += 1
                 try:
-                    raw, end = _raw_decode(line)
-                except json.JSONDecodeError:
-                    end = -1
-                if end != len(line):
-                    if not line or line.isspace():
-                        continue
-                    raw = json.loads(line)
-                fields = raw["sequence"], raw["workflow"], raw["event"], raw["payload"]
-            except (json.JSONDecodeError, KeyError, TypeError) as err:
-                raise BadLog(f"line {lineno}: {err}")
-            except RecursionError:  # the decoder recurses once per nesting level
-                raise BadLog(f"line {lineno}: JSON nested too deeply") from None
-            if (type(fields[0]) is not int or type(fields[1]) is not str
-                    or type(fields[2]) is not str or type(fields[3]) is not dict):
-                key, _, what = next(f for f, value in zip(_FIELDS, fields) if type(value) is not f[1])
-                raise BadLog(f"line {lineno}: field {key!r} is not {what}")
-            event = new(Event, fields)
-            yield event
+                    try:
+                        raw, end = _raw_decode(line)
+                    except json.JSONDecodeError:
+                        end = -1
+                    if end != len(line):
+                        if not line or line.isspace():
+                            continue
+                        raw = json.loads(line)
+                    fields = raw["sequence"], raw["workflow"], raw["event"], raw["payload"]
+                except (ValueError, KeyError, TypeError) as err:
+                    raise BadLog(f"line {lineno}: {err}")
+                except RecursionError:  # the decoder recurses once per nesting level
+                    raise BadLog(f"line {lineno}: JSON nested too deeply") from None
+                if (type(fields[0]) is not int or type(fields[1]) is not str
+                        or type(fields[2]) is not str or type(fields[3]) is not dict):
+                    key, _, what = next(f for f, value in zip(_FIELDS, fields) if type(value) is not f[1])
+                    raise BadLog(f"line {lineno}: field {key!r} is not {what}")
+                event = new(Event, fields)
+                yield event
         self.last = event.sequence if event else 0
+        self.torn = bool(piece) and not piece.endswith("\n")
 
     def __len__(self) -> int:
-        return sum(1 for line in _lines(self.text) if line and not line.isspace())
+        return sum(1 for line in _lines(self.source) if line and not line.isspace())
 
     def check(self) -> None:
         """Decode every line, raising ``BadLog`` for the first that is not
@@ -178,7 +195,7 @@ class Log:
 
     def lines(self) -> int:
         """The number of lines, as ``str.splitlines`` counts them."""
-        return sum(1 for _ in _lines(self.text))
+        return sum(1 for _ in _lines(self.source))
 
 
 class ProblemRefs(Record):
@@ -202,13 +219,17 @@ class ProblemRefs(Record):
         }
 
     @classmethod
-    def from_payload(cls, raw: dict) -> "ProblemRefs":
+    def from_payload(cls, raw: dict, shared: dict | None = None) -> "ProblemRefs":
+        """The names of a logged problem, each set taken from ``shared``
+        (see ``fold``) when an equal one is there."""
+        shared = {} if shared is None else shared
         if type(raw) is not dict:
             raise BadLog("payload field 'problem' is not an object")
         text = raw.get("text", "")
         if type(text) is not str:
             raise BadLog("payload field 'text' is not a string")
-        return cls(text, _names(raw, "domains"), _names(raw, "phenomena"), _names(raw, "needs"))
+        return cls(text, _names(raw, "domains", shared), _names(raw, "phenomena", shared),
+                   _names(raw, "needs", shared))
 
 
 def problem_refs(problem: m.Problem, text: str = "") -> ProblemRefs:
@@ -239,7 +260,7 @@ class Workflow(Record):
         state: CpsState = CpsState.CPS1,
         children: tuple[str, ...] = (),
         validations: tuple[ValidationRecord, ...] = (),
-        solution_refs: frozenset[str] = frozenset(),
+        solution_refs: frozenset[str] = _NO_NAMES,
         solution_text: str = "",
         implementation_mode: str | None = None,
     ):
@@ -295,18 +316,24 @@ _GATE_TARGET = {
 }
 
 
-def _apply_event(workflows: dict[str, Workflow], event: Event) -> StalenessReport | None:
+def _apply_event(workflows: dict[str, Workflow], event: Event,
+                 shared: dict | None = None) -> StalenessReport | None:
+    """Apply ``event``; the name sets and stakeholder names it adds to the
+    state are taken from ``shared`` (see ``fold``) when an equal one is
+    there."""
+    shared = {} if shared is None else shared
     kind, payload = event.kind, event.payload
     if kind == "drift":
         return _apply_drift(workflows, event)
     if kind == "create":
         if event.workflow in workflows:
             raise IllegalTransition("-", kind, f"workflow {event.workflow!r} already exists")
+        owner, delegate = _text(payload, "owner"), _text(payload, "delegate")
         workflows[event.workflow] = Workflow(
             id=event.workflow,
-            owner=_text(payload, "owner"),
-            delegate=_text(payload, "delegate"),
-            problem=ProblemRefs.from_payload(payload.get("problem", {})),
+            owner=shared.setdefault(owner, owner),
+            delegate=shared.setdefault(delegate, delegate),
+            problem=ProblemRefs.from_payload(payload.get("problem", {}), shared),
         )
         return None
     if event.workflow not in workflows:
@@ -376,7 +403,7 @@ def _apply_event(workflows: dict[str, Workflow], event: Event) -> StalenessRepor
         if wf.state is not CpsState.CPS3:
             raise IllegalTransition(wf.state.value, kind)
         wf.solution_text = _text(payload, "solution", "")
-        wf.solution_refs = _names(payload, "refs")
+        wf.solution_refs = _names(payload, "refs", shared)
         wf.state = CpsState.CPS4
         return None
 
@@ -398,11 +425,12 @@ def _apply_event(workflows: dict[str, Workflow], event: Event) -> StalenessRepor
         if child_id in workflows:
             raise IllegalTransition(wf.state.value, kind, f"workflow {child_id!r} already exists")
         delegating = wf.delegate if wf.state is CpsState.CPS3 else wf.owner
+        to = _text(payload, "to")
         workflows[child_id] = Workflow(
             id=child_id,
             owner=delegating,
-            delegate=_text(payload, "to"),
-            problem=ProblemRefs.from_payload(payload.get("problem", {})),
+            delegate=shared.setdefault(to, to),
+            problem=ProblemRefs.from_payload(payload.get("problem", {}), shared),
         )
         wf.children += (child_id,)
         return None
@@ -434,14 +462,18 @@ def _text(payload: dict, key: str, default: str | None = None) -> str:
     return value
 
 
-def _names(raw: dict, key: str) -> frozenset[str]:
+def _names(raw: dict, key: str, shared: dict) -> frozenset[str]:
     """The names listed at ``key`` of a logged event's payload, or of a
-    part of it; none if the key is absent."""
+    part of it; none if the key is absent.  The set is the one in
+    ``shared`` equal to it, if there is one, and is put there if not."""
     value = raw.get(key, [])
     try:
         if type(value) is list:
             "".join(value)  # refuses, faster than a loop, any item but a string
-            return frozenset(value)
+            if not value:
+                return _NO_NAMES
+            names = frozenset(value)
+            return shared.setdefault(names, names)
     except TypeError:
         pass
     raise BadLog(f"payload field {key!r} is not a list of names")
@@ -465,7 +497,7 @@ def _apply_drift(workflows: dict[str, Workflow], event: Event) -> StalenessRepor
     request a new problem-view validation and CPS3 is reached only through
     a live one (the gate invariant of ``tests/oracles.py::verify_gates``).
     """
-    touched = _names(event.payload, "touched")
+    touched = _names(event.payload, "touched", {})
     if not touched:
         raise IllegalTransition("-", "drift", "a drift event must touch something")
     stale: list[tuple[str, str, str]] = []
@@ -509,12 +541,13 @@ def _apply_drift(workflows: dict[str, Workflow], event: Event) -> StalenessRepor
     return StalenessReport(event.sequence, touched, tuple(stale), tuple(regressions))
 
 
-def _apply_next(workflows: dict[str, Workflow], event: Event, last: int) -> None:
+def _apply_next(workflows: dict[str, Workflow], event: Event, last: int,
+                shared: dict | None = None) -> None:
     """Apply ``event`` after the one numbered ``last``."""
     if event.sequence <= last:
         raise BadLog(f"sequence {event.sequence} does not increase (after {last})")
     try:
-        _apply_event(workflows, event)
+        _apply_event(workflows, event, shared)
     except BadLog as err:  # a payload field at fault
         raise BadLog(f"event {event.sequence}: {err}") from None
 
@@ -522,11 +555,16 @@ def _apply_next(workflows: dict[str, Workflow], event: Event, last: int) -> None
 def fold(events: list[Event] | Log) -> dict[str, Workflow]:
     """Replay a log into workflow states, validating every event.  Over a
     ``Log`` it stops at the first event it refuses, before the lines
-    after that one are decoded."""
+    after that one are decoded.
+
+    Equal name sets in the state are one object, and so are equal
+    stakeholder names: ``shared`` maps each to the first one made, and
+    lives for this fold only (hash-consing, as in Filliatre and Conchon,
+    *Type-Safe Modular Hash-Consing*, 2006)."""
     workflows: dict[str, Workflow] = {}
-    last = 0
+    last, shared = 0, {}
     for event in events:
-        _apply_next(workflows, event, last)
+        _apply_next(workflows, event, last, shared)
         last = event.sequence
     return workflows
 

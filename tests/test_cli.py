@@ -71,6 +71,26 @@ def test_check_non_ascii_digit_in_a_path_is_invalid(tmp_path, capsys):
     assert err == f"{bad}:38:28: error: unexpected character '²'\n"
 
 
+def int_digit_limit() -> int:
+    """The most digits ``int`` converts from a string; skips where no
+    such limit is set."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    return limit
+
+
+@pytest.mark.parametrize("path, column", [("root.{}", 28), ("root.0@{}", 30)], ids=["child", "alternative"])
+def test_check_path_index_too_long_to_convert_is_invalid(tmp_path, capsys, path, column):
+    digits = "9" * (int_digit_limit() + 700)
+    bad = tmp_path / "bad.poed"
+    bad.write_text(GOLDEN.read_text().replace("apply NeedRefine at root.0 ",
+                                              f"apply NeedRefine at {path.format(digits)} "))
+    code, out, err = run(capsys, "check", bad)
+    assert (code, out) == (2, "")
+    assert err == f"{bad}:38:{column}: error: path index of {len(digits)} digits is too long\n"
+
+
 # (tail, exit code, the diagnostic's line:col and message, or None)
 HOSTILE_TAILS = {
     "trailing spaces": (" " * 200_000, 0, None),
@@ -452,6 +472,23 @@ def test_malformed_events_are_named(tmp_path, capsys, text, message):
     log.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, "workflow", log, "status")
     assert (code, out, err) == (2, "", f"{log}: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["status"],
+    ["advance", "--workflow", "w1", "--event", "submit-view"],
+    ["drift", "--touch", "OldAPI"],
+])
+def test_log_number_too_long_to_convert_is_a_bad_line(tmp_path, capsys, argv):
+    digits = "9" * (int_digit_limit() + 700)
+    with pytest.raises(ValueError) as refused:
+        int(digits)
+    log = tmp_path / "wf.jsonl"
+    text = CREATED + SUBMITTED.replace('"sequence": 2', f'"sequence": {digits}') + "\n"
+    log.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "workflow", log, *argv)
+    assert (code, out, err) == (2, "", f"{log}: line 2: {refused.value}\n")
+    assert log.read_text(encoding="utf-8") == text
 
 
 DEEP_JSON = "[" * 100_000 + "]" * 100_000

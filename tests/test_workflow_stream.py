@@ -1,7 +1,9 @@
-"""The workflow commands fold a log while they decode it.  They must give
-the bytes, exit codes and log contents of the path that decodes the whole
-log into a list first (``tests/oracles.py``), and hold the log's text and
-the folded state rather than its events."""
+"""The workflow commands fold a log while they read it from the file, one
+line at a time.  They must give the bytes, exit codes and log contents of
+the path that decodes the whole log into a list first
+(``tests/oracles.py``), hold the folded state and one line rather than the
+log's text or its events, share equal name sets, and write a long report
+in a few writes."""
 
 import contextlib
 import io
@@ -12,6 +14,7 @@ import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -182,6 +185,70 @@ def test_a_delegate_reads_its_model_before_the_fold_is_refused(tmp_path):
                                         "quotes: line 1 column 17 (char 16)\n")
 
 
+def events_text(count: int, start: int = 1) -> str:
+    """``count`` legal drifts from sequence ``start`` on, about 100 bytes
+    a line, after a log's ``create``."""
+    return "".join(macro.Event(sequence, macro.ORG, "drift",
+                               {"touched": ["Unrelated"], "description": "", "origin": "environment"}).to_line()
+                   + "\n" for sequence in range(start, start + count))
+
+
+CREATED = ('{"sequence": 1, "workflow": "w1", "event": "create", '
+           '"payload": {"owner": "G", "delegate": "D"}}\n')
+ADVANCE = ["advance", "--workflow", "w1", "--event", "submit-view"]
+PINNED_ARGVS = [["status"], ADVANCE, ["drift", "--touch", "Other"]]
+
+
+def run_pinned(log: Path, data: bytes, argv: list[str]):
+    """The command's exit code, stdout, stderr and log bytes, which must
+    be the eager path's."""
+    result = run_on(log, data, argv)
+    assert result == run_eager(log, data, argv)
+    return result
+
+
+@pytest.mark.parametrize("argv", PINNED_ARGVS, ids=["status", "advance", "drift"])
+def test_a_byte_past_the_first_chunk_is_named_by_its_offset_in_the_file(tmp_path, argv):
+    """The file is decoded in chunks of 8 KiB as it is read; the offset is
+    still the byte's offset in the whole file."""
+    log, data = tmp_path / "wf.jsonl", (CREATED + events_text(150, start=2)).encode()
+    offset = data.index(b"\n", 12_000) + 1
+    data = data[:offset] + b"\xff" + data[offset:]
+    assert run_pinned(log, data, argv) == (
+        2, "", f"{log}: not valid UTF-8: byte 0xff at offset {offset}\n", data)
+
+
+@pytest.mark.parametrize("argv", PINNED_ARGVS, ids=["status", "advance", "drift"])
+def test_crlf_line_endings_are_read(tmp_path, argv):
+    log, text = tmp_path / "wf.jsonl", CREATED + events_text(150, start=2)
+    data = text.replace("\n", "\r\n").encode()
+    code, out, err, after = run_pinned(log, data, argv)
+    assert (code, err) == (0, "") and after.startswith(data)
+    assert out == ("workflow w1: CPS1  (owner G, delegate D)\n", "workflow w1: CPS2\n",
+                   "drift: nothing invalidated\n")[PINNED_ARGVS.index(argv)]
+
+
+def test_advance_refuses_a_torn_last_line(tmp_path):
+    log, data = tmp_path / "wf.jsonl", (CREATED + events_text(150, start=2)).encode()[:-1]
+    assert run_pinned(log, data, ADVANCE) == (
+        2, "", f"{log}: line 151: no final newline; the last write may be torn, so nothing is "
+               "appended\n", data)
+
+
+@pytest.mark.parametrize("argv", PINNED_ARGVS, ids=["status", "advance", "drift"])
+def test_a_bad_line_far_after_a_refused_event_is_reported(tmp_path, argv):
+    """The fold stops at the refused event on line 2, more than 8 KiB
+    before the bad line; the bad line is reported, as the whole text
+    orders them."""
+    refused = '{"sequence": 2, "workflow": "w1", "event": "complete", "payload": {}}\n'
+    text = CREATED + refused + events_text(100, start=3) + '{"sequence": 103, oops}\n'
+    assert len(text.encode()) - len((CREATED + refused).encode()) > 8192
+    log, data = tmp_path / "wf.jsonl", text.encode()
+    assert run_pinned(log, data, argv) == (
+        2, "", f"{log}: line 103: Expecting property name enclosed in double quotes: line 1 column "
+               "19 (char 18)\n", data)
+
+
 # --- memory --------------------------------------------------------------------------
 
 def status_peak(log: Path) -> tuple[int, str]:
@@ -196,11 +263,10 @@ def status_peak(log: Path) -> tuple[int, str]:
     return peak, out.getvalue()
 
 
-def test_status_holds_the_text_and_the_state_not_the_events(tmp_path):
+def status_peak_growth(tmp_path) -> tuple[int, int]:
     """Two logs fold to the same workflows; the second has 3,000 more
-    drifts, on a name no workflow uses.  Folding it may cost more memory
-    by about its extra text, not by the events decoded from that text (six
-    times as much while each stays alive)."""
+    drifts, on a name no workflow uses.  How much more the traced peak of
+    ``workflow status`` is on the second, and how much longer its text."""
     events, sequence = [], 0
     for index in range(100):  # large folded state, so that the fold holds the peak
         sequence += 1
@@ -222,5 +288,83 @@ def test_status_holds_the_text_and_the_state_not_the_events(tmp_path):
     finally:
         tracemalloc.stop()
     assert small_out == large_out
-    extra_text = large.stat().st_size - small.stat().st_size
-    assert large_peak - small_peak < 1.5 * extra_text, (large_peak - small_peak) / extra_text
+    return large_peak - small_peak, large.stat().st_size - small.stat().st_size
+
+
+def test_status_holds_the_text_and_the_state_not_the_events(tmp_path):
+    """Folding the longer log may cost more memory by about its extra
+    text, not by the events decoded from that text (six times as much
+    while each stays alive)."""
+    growth, extra_text = status_peak_growth(tmp_path)
+    assert growth < 1.5 * extra_text, growth / extra_text
+
+
+def test_status_holds_the_state_and_one_line_not_the_text(tmp_path):
+    """Read from the file a line at a time, the longer log costs next to
+    no more memory than the shorter: much less than its extra text."""
+    growth, extra_text = status_peak_growth(tmp_path)
+    assert growth < 0.2 * extra_text, growth / extra_text
+
+
+def test_a_fold_shares_equal_name_sets_and_stakeholder_names():
+    """1,000 workflows over a few names: each name set value, the empty
+    one among them, is one object in the folded state, and so is each
+    stakeholder name."""
+    pool = [f"Name{k}" for k in range(6)]
+    people = [f"Person{k}" for k in range(4)]
+    events, sequence = [], 0
+    for index in range(1000):
+        picked = [pool[(index + k) % 6] for k in range(index % 3)]  # none, one or two names
+        problem = {"text": "", "domains": picked, "phenomena": picked[::-1], "needs": []}
+        payload = {"owner": people[index % 4], "delegate": people[index % 3], "problem": problem}
+        wid = f"w{index}"
+        steps = [("create", payload), ("submit-view", {}), ("request-validation", {}),
+                 ("record-validation", {"by": payload["owner"], "status": "granted"}),
+                 ("submit-solution", {"solution": "s", "refs": picked[:1]})][:2 + index % 4 * 2]
+        for kind, step in steps:
+            sequence += 1
+            events.append(macro.Event(sequence, wid, kind, step))
+    workflows = macro.fold(macro.Log(macro.render_log(events)))
+    sets = [names for wf in workflows.values() for names in
+            (wf.problem.domains, wf.problem.phenomena, wf.problem.needs, wf.solution_refs)]
+    assert any(wf.solution_refs for wf in workflows.values())
+    assert len({id(names) for names in sets}) == len(set(sets))
+    assert len({id(names) for names in sets if not names}) == 1
+    names = [name for wf in workflows.values() for name in (wf.owner, wf.delegate)]
+    assert len({id(name) for name in names}) == len(set(names)) == 4
+
+
+# --- writing the report ----------------------------------------------------------------
+
+class CountingRaw(io.RawIOBase):
+    """A raw stream that keeps what is written and the size of each write."""
+
+    def __init__(self):
+        self.data, self.sizes = bytearray(), []
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        self.data += data
+        self.sizes.append(len(data))
+        return len(data)
+
+
+def test_status_is_written_in_a_few_writes(tmp_path):
+    """Through an unbuffered stdout (as under ``PYTHONUNBUFFERED=1``), a
+    report of 6,000 lines is a few writes of at most 64 KiB, with the
+    bytes of one ``print`` per line."""
+    events, sequence = [], 0
+    for index in range(3000):
+        for kind, payload in (("create", {"owner": "G", "delegate": "D"}), ("submit-view", {}),
+                              ("request-validation", {})):
+            sequence += 1
+            events.append(macro.Event(sequence, f"w{index}", kind, payload))
+    log, data = tmp_path / "wf.jsonl", macro.render_log(events).encode()
+    log.write_bytes(data)
+    raw = CountingRaw()
+    with contextlib.redirect_stdout(io.TextIOWrapper(raw, encoding="utf-8", write_through=True)):
+        assert cli.main(["workflow", str(log), "status"]) == 0
+    assert raw.data.decode() == run_eager(log, data, ["status"])[1]
+    assert max(raw.sizes) <= 1 << 16 and len(raw.sizes) <= len(raw.data) // (1 << 16) + 1, raw.sizes
