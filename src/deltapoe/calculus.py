@@ -249,27 +249,29 @@ def committed(node: DerivationNode) -> m.ChangeExpr | None:
 
     Greenfield obligations commit the identity change: their environment
     already contains the artefact whose internal design is out of scope.
+    The walk keeps its own stack of nodes still to read and of Sequence
+    and Parallel combinators whose two premises' solutions are found, so
+    a tree of any depth commits.
     """
-    if node.rule is None:
-        return m.Nil() if node.greenfield else None
-    if node.rule is RuleId.KNOWN_SOLUTION:
-        return node.args.get("solution", node.conclusion.change)
-    if node.rule in (RuleId.DOMAIN_ADD, RuleId.DOMAIN_REMOVE, RuleId.DOMAIN_REFINE):
-        return node.conclusion.change
-    if node.rule is RuleId.SEQUENCE:
-        first = committed(node.premises[0])
-        second = committed(node.premises[1])
-        if first is None or second is None:
-            return None
-        return m.ChangeSeq(first, second)
-    if node.rule is RuleId.PARALLEL:
-        left = committed(node.premises[0])
-        right = committed(node.premises[1])
-        if left is None or right is None:
-            return None
-        return m.ChangePar(left, right)
-    # single-premise rules pass their premise's solution through
-    return committed(node.premises[0])
+    found: list[m.ChangeExpr | None] = []
+    todo: list = [node]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, type):
+            second, first = found.pop(), found.pop()
+            found.append(None if first is None or second is None else item(first, second))
+        elif item.rule is None:
+            found.append(m.Nil() if item.greenfield else None)
+        elif item.rule is RuleId.KNOWN_SOLUTION:
+            found.append(item.args.get("solution", item.conclusion.change))
+        elif item.rule in (RuleId.DOMAIN_ADD, RuleId.DOMAIN_REMOVE, RuleId.DOMAIN_REFINE):
+            found.append(item.conclusion.change)
+        elif item.rule in (RuleId.SEQUENCE, RuleId.PARALLEL):
+            combine = m.ChangeSeq if item.rule is RuleId.SEQUENCE else m.ChangePar
+            todo += (combine, item.premises[1], item.premises[0])
+        else:  # single-premise rules pass their premise's solution through
+            todo.append(item.premises[0])
+    return found[0]
 
 
 def solution_of(root: DerivationNode) -> m.ChangeExpr:

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from . import dsl, macro
+    from . import dsl, impact, macro
     from . import model as m
 
 OK, INCOMPLETE, INVALID, USAGE = 0, 1, 2, 3
@@ -276,20 +276,25 @@ def cmd_impact(args) -> int:
     if args.format == "structured":
         export.to_json(export.impact_doc(report, env, bound), sys.stdout)
     else:
-        print(f"edit: {report.edit}")
-        print("structural: " + (", ".join(sorted(report.structural)) or "-"))
-        print("behavioural: " + (", ".join(sorted(report.behavioural)) or "-"))
-        print("buffers: " + (", ".join(sorted(report.buffers)) or "-"))
-        write = sys.stdout.write  # one call per line; print makes two
-        if report.hits:
-            print("paths:")
-            for _, path in report.walk():
-                write("  " + impact.path_text(path) + "\n")
-        if bound is not None:
-            print("bound: pass" if bound.passed else "bound: fail")
-            for name, path in bound.violations:
-                write(f"  {name}: {impact.path_text(path)}\n")
+        _write_lines(_impact_lines(report, bound))
     return OK if bound is None or bound.passed else INCOMPLETE
+
+
+def _impact_lines(report: impact.ImpactReport, bound: impact.BoundReport | None):
+    from . import impact
+
+    yield f"edit: {report.edit}\n"
+    yield "structural: " + (", ".join(sorted(report.structural)) or "-") + "\n"
+    yield "behavioural: " + (", ".join(sorted(report.behavioural)) or "-") + "\n"
+    yield "buffers: " + (", ".join(sorted(report.buffers)) or "-") + "\n"
+    if report.hits:
+        yield "paths:\n"
+        for _, path in report.walk():
+            yield "  " + impact.path_text(path) + "\n"
+    if bound is not None:
+        yield "bound: pass\n" if bound.passed else "bound: fail\n"
+        for name, path in bound.violations:
+            yield f"  {name}: {impact.path_text(path)}\n"
 
 
 # --- lint -------------------------------------------------------------------------
@@ -428,43 +433,25 @@ def cmd_workflow(args) -> int:
 
 
 def _read_log(handle, appending: bool) -> macro.Folded | macro.MacroError:
-    """The state of an open log, folded as its lines are read from the
-    file, one at a time, so that the command holds the folded state and
-    one line, never the log's text or a list of its events or lines; or
-    the error of the first event the fold refuses, which the command
-    raises where it reads the state.
-
-    On any failure (a byte that is not UTF-8, a line that is not an
-    event, an event the fold refuses, or a last line with no final
-    newline when appending, which would run onto that line) the file is
-    read again whole, and the errors are raised in the order of that
-    text: undecodable text, then the first line that is not an event,
-    then the torn last line, then the fold's error.  A byte that is not
-    UTF-8 is named by its offset in the whole file, which the decoding of
-    the file in chunks would not give.  The text is dropped on return,
-    before the command runs."""
+    """The state of an open log, folded as its bytes are read from the
+    file and decoded one line at a time, so that the command holds the
+    folded state and one line, on every path; or the error of the first
+    event the fold refuses, which the command raises where it reads the
+    state.  Errors are raised in the order of the text: a byte that is not
+    UTF-8, then the first line that is not an event, then a last line with
+    no final newline when appending (it would run onto that line)."""
     from . import macro
 
-    log = macro.Log(handle)
+    log = macro.Log(handle.buffer)
     try:
-        workflows = macro.fold(log)  # called through the module, where a tracer may wrap it
-    except (UnicodeDecodeError, macro.MacroError):
-        pass
-    else:
-        if not (appending and log.torn):
-            return macro.Folded(workflows, log.last)
-    handle.seek(0)
-    text = handle.read()
-    log = macro.Log(text)
-    if appending and text and not text.endswith("\n"):
-        log.check()
-        raise macro.BadLog(f"line {log.lines()}: no final newline; "
-                           "the last write may be torn, so nothing is appended")
-    try:
-        return macro.Folded(macro.fold(log), log.last)
+        result = macro.Folded(macro.fold(log), log.last)  # through the module, where a tracer may wrap it
     except macro.MacroError as err:
         log.check()
-        return err
+        result = err
+    if appending and log.torn:
+        raise macro.BadLog(f"line {log.lines}: no final newline; "
+                           "the last write may be torn, so nothing is appended")
+    return result
 
 
 def _state(log: macro.Folded | macro.MacroError) -> macro.Folded:

@@ -4,10 +4,10 @@ validation, solution exploration, solution validation, implementation.
 State is a pure fold over an append-only event log, one log per
 workflow tree.  The fold is the gatekeeper: replaying a log either
 reconstructs the identical state or fails at the first illegal event.
-Over a ``Log`` of an open file the fold reads and decodes one line at a
-time, so that it holds the state and one line, never the log's text or a
-list of its events; equal name sets and stakeholder names in the state
-are one object each.
+Over a ``Log`` of an open binary file the fold, and ``Log.check`` after
+it, read and decode one line at a time, so that they hold the state and
+one line, never the log's text or a list of its events; equal name sets
+and stakeholder names in the state are one object each.
 Validation verdicts are records that may later go stale when the
 environment or need drifts; stale validations regress the workflow to
 the step that must be redone, and are never deleted.
@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import json
 from collections.abc import Mapping
-from typing import TYPE_CHECKING, NamedTuple, TextIO
+from typing import TYPE_CHECKING, BinaryIO, NamedTuple
 
 from .artifacts import Record, ValidationRecord, ValidationStatus, ValidationTarget
 
@@ -99,33 +99,28 @@ _FIELDS = (("sequence", int, "an integer"), ("workflow", str, "a string"),
            ("event", str, "a string"), ("payload", dict, "an object"))
 
 
-def _pieces(source: str | TextIO):
-    """A log's text, or the open file that holds it from its start, cut
-    after each ``\\n``, as the lines of a file iterate.  A ``\\r\\n`` pair
-    is never cut, so the lines that ``str.splitlines`` finds in the pieces,
-    in C, are the lines of the text.  (A file read in text mode has its
-    ``\\r`` and ``\\r\\n`` turned into ``\\n`` already.)  The file is
-    returned itself: a generator delegating to it would close it when
-    closed early."""
+def _pieces(source: str | BinaryIO):
+    """A log's text, or the binary file that holds it read from its start
+    and decoded as UTF-8, in pieces that each end at a line boundary, so
+    that the lines ``str.splitlines`` finds in the pieces are the lines of
+    the text.  The file is cut after each ``\\n``, which never falls inside
+    a UTF-8 sequence or a ``\\r\\n`` pair; a byte that is not UTF-8 is a
+    ``BadLog`` named by its offset in the file.  The file is read with a
+    plain loop: a generator delegating to it would close it when closed
+    early."""
     if isinstance(source, str):
-        return _cut(source)
+        yield from source.splitlines(True)
+        return
     source.seek(0)
-    return source
-
-
-def _cut(text: str):
-    find, pos, end = text.find, 0, len(text)
-    while pos < end:
-        stop = find("\n", pos) + 1 or end
-        yield text[pos:stop]
-        pos = stop
-
-
-def _lines(source: str | TextIO):
-    """The lines of a log's text, or of the open file that holds it, one
-    at a time, as ``str.splitlines`` gives them."""
-    for piece in _pieces(source):
-        yield from piece.splitlines()
+    offset = 0
+    for piece in source:
+        try:
+            text = piece.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise BadLog(f"not valid UTF-8: byte 0x{piece[err.start]:02x} "
+                         f"at offset {offset + err.start}") from None
+        yield text
+        offset += len(piece)
 
 
 def parse_log(text: str) -> list[Event]:
@@ -134,20 +129,23 @@ def parse_log(text: str) -> list[Event]:
 
 
 class Log:
-    """The events of a log, from its text or from the open file that holds
-    it, decoded line by line as they are read: a fold over a log holds one
-    line and one decoded event at a time, and over a file no more of the
-    text than that line.  ``len`` counts the lines that are not blank,
-    which are the events of a log whose lines all decode, without decoding
-    them.  Once all events are read, ``last`` is the sequence number of
-    the last one and ``torn`` whether the last line has no final newline.
-    Each pass over a file, ``len`` among them, reads it from its start."""
+    """The events of a log, from its text or from the binary file that
+    holds it, decoded line by line as they are read: a fold over a log
+    holds one line and one decoded event at a time, and over a file no
+    more of the text than that line.  ``len`` counts the lines that are
+    not blank, which are the events of a log whose lines all decode,
+    without decoding them.  Once all events are read, ``last`` is the
+    sequence number of the last one, ``lines`` the number of lines, and
+    ``torn`` whether the last line has no final newline (a final ``\\r``
+    is one, as a file read in text mode gives it).  Each pass over a file,
+    ``len`` among them, reads it from its start."""
 
-    __slots__ = ("source", "last", "torn")
+    __slots__ = ("source", "last", "lines", "torn")
 
-    def __init__(self, source: str | TextIO):
+    def __init__(self, source: str | BinaryIO):
         self.source = source
         self.last = 0
+        self.lines = 0
         self.torn = False
 
     def __iter__(self):
@@ -156,46 +154,50 @@ class Log:
         writes it, is decoded in place; any other line goes through
         ``json.loads``, whose error (a number too long to convert among
         them) a ``BadLog`` names with the line's number, as it names a
-        field of the wrong type."""
+        field of the wrong type, once the rest of the log has decoded."""
         new, event, lineno, piece = tuple.__new__, None, 0, ""
-        for piece in _pieces(self.source):
-            for line in piece.splitlines():
-                lineno += 1
-                try:
+        pieces = _pieces(self.source)
+        try:
+            for piece in pieces:
+                for line in piece.splitlines():
+                    lineno += 1
                     try:
-                        raw, end = _raw_decode(line)
-                    except json.JSONDecodeError:
-                        end = -1
-                    if end != len(line):
-                        if not line or line.isspace():
-                            continue
-                        raw = json.loads(line)
-                    fields = raw["sequence"], raw["workflow"], raw["event"], raw["payload"]
-                except (ValueError, KeyError, TypeError) as err:
-                    raise BadLog(f"line {lineno}: {err}")
-                except RecursionError:  # the decoder recurses once per nesting level
-                    raise BadLog(f"line {lineno}: JSON nested too deeply") from None
-                if (type(fields[0]) is not int or type(fields[1]) is not str
-                        or type(fields[2]) is not str or type(fields[3]) is not dict):
-                    key, _, what = next(f for f, value in zip(_FIELDS, fields) if type(value) is not f[1])
-                    raise BadLog(f"line {lineno}: field {key!r} is not {what}")
-                event = new(Event, fields)
-                yield event
+                        try:
+                            raw, end = _raw_decode(line)
+                        except json.JSONDecodeError:
+                            end = -1
+                        if end != len(line):
+                            if not line or line.isspace():
+                                continue
+                            raw = json.loads(line)
+                        fields = raw["sequence"], raw["workflow"], raw["event"], raw["payload"]
+                    except (ValueError, KeyError, TypeError) as err:
+                        raise BadLog(f"line {lineno}: {err}")
+                    except RecursionError:  # the decoder recurses once per nesting level
+                        raise BadLog(f"line {lineno}: JSON nested too deeply") from None
+                    if (type(fields[0]) is not int or type(fields[1]) is not str
+                            or type(fields[2]) is not str or type(fields[3]) is not dict):
+                        key, _, what = next(f for f, value in zip(_FIELDS, fields) if type(value) is not f[1])
+                        raise BadLog(f"line {lineno}: field {key!r} is not {what}")
+                    event = new(Event, fields)
+                    yield event
+        except BadLog:
+            for _ in pieces:  # the rest must decode: a byte that is not UTF-8 is raised first
+                pass
+            raise
         self.last = event.sequence if event else 0
-        self.torn = bool(piece) and not piece.endswith("\n")
+        self.lines = lineno
+        self.torn = bool(piece) and not piece.endswith(("\n", "\r"))
 
     def __len__(self) -> int:
-        return sum(1 for line in _lines(self.source) if line and not line.isspace())
+        return sum(1 for piece in _pieces(self.source) for line in piece.splitlines()
+                   if line and not line.isspace())
 
     def check(self) -> None:
-        """Decode every line, raising ``BadLog`` for the first that is not
-        an event."""
+        """Read the whole log, raising ``BadLog`` for a byte that is not
+        UTF-8, or else for the first line that is not an event."""
         for _ in self:
             pass
-
-    def lines(self) -> int:
-        """The number of lines, as ``str.splitlines`` counts them."""
-        return sum(1 for _ in _lines(self.source))
 
 
 class ProblemRefs(Record):

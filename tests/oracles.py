@@ -43,7 +43,7 @@ from deltapoe.dsl import (
     path_str,
 )
 from deltapoe.export import _dot_escape
-from deltapoe.impact import BoundReport, UnknownDomain, _seed, edit_str
+from deltapoe.impact import BoundReport, UnknownDomain, _seed, edit_str, path_text
 from deltapoe.macro import (
     _GATE_TARGET,
     BadLog,
@@ -1625,6 +1625,30 @@ def assert_evidence_as_eager(node) -> None:
 
 # --- read-only tree passes that recursed once per tree level --------------------------
 
+def committed_recursive(node):
+    """``calculus.committed`` as it recursed once per tree level."""
+    if node.rule is None:
+        return m.Nil() if node.greenfield else None
+    if node.rule is RuleId.KNOWN_SOLUTION:
+        return node.args.get("solution", node.conclusion.change)
+    if node.rule in (RuleId.DOMAIN_ADD, RuleId.DOMAIN_REMOVE, RuleId.DOMAIN_REFINE):
+        return node.conclusion.change
+    if node.rule is RuleId.SEQUENCE:
+        first = committed_recursive(node.premises[0])
+        second = committed_recursive(node.premises[1])
+        if first is None or second is None:
+            return None
+        return m.ChangeSeq(first, second)
+    if node.rule is RuleId.PARALLEL:
+        left = committed_recursive(node.premises[0])
+        right = committed_recursive(node.premises[1])
+        if left is None or right is None:
+            return None
+        return m.ChangePar(left, right)
+    # single-premise rules pass their premise's solution through
+    return committed_recursive(node.premises[0])
+
+
 def subtree_steps_recursive(node):
     """The plan steps of ``node``'s subtree outside alternatives, in
     pre-order."""
@@ -1786,3 +1810,21 @@ def plan_fragments_recursive(root):
 
     walk(root, 0, ())
     return entries, constraints
+
+
+# --- the impact text report as it was printed a line at a time ------------------------
+
+def print_impact_text(report, bound) -> None:
+    """``cli.cmd_impact``'s text report, one ``print`` per line."""
+    print(f"edit: {report.edit}")
+    print("structural: " + (", ".join(sorted(report.structural)) or "-"))
+    print("behavioural: " + (", ".join(sorted(report.behavioural)) or "-"))
+    print("buffers: " + (", ".join(sorted(report.buffers)) or "-"))
+    if report.hits:
+        print("paths:")
+        for _, path in report.walk():
+            print("  " + path_text(path))
+    if bound is not None:
+        print("bound: pass" if bound.passed else "bound: fail")
+        for name, path in bound.violations:
+            print(f"  {name}: {path_text(path)}")

@@ -786,10 +786,11 @@ def test_mirror_walk_handles_a_long_need():
 # --- read-only passes over one stack-based walk ------------------------------------------
 
 from deltapoe import export  # noqa: E402
-from deltapoe.artifacts import PlanStep, RiskItem  # noqa: E402
+from deltapoe.artifacts import RULE_ARITY, PlanStep, RiskItem  # noqa: E402
 from deltapoe.calculus import _plan_fragments, preorder  # noqa: E402
 
 from .oracles import (  # noqa: E402
+    committed_recursive,
     derivation_dot_recursive,
     discharge_environments_recursive,
     lint_recursive,
@@ -922,3 +923,43 @@ def test_read_only_passes_handle_a_deep_tree(rule):
     assert f"  {ident} [label=" in text
     assert f"  {ident} -> {ident[:-2]};" in text
     assert text.endswith(f"  n_{bottom[0]} -> n_root;\n}}\n")
+
+
+# --- committed solutions over one stack-based walk -------------------------------------
+
+CHANGES = (model.Unknown("F"), model.Nil(), model.ChangeSeq(model.Unknown("F"), model.Nil()))
+
+
+@st.composite
+def solution_trees(draw, depth=4):
+    """Trees of every rule, each node with its rule's number of premises,
+    whose conclusions and known solutions are a few changes;
+    ``committed`` reads no more."""
+    rule = draw(st.sampled_from([None] + [rule for rule in RuleId if depth or not RULE_ARITY[rule]]))
+    premises = tuple(draw(solution_trees(depth - 1)) for _ in range(RULE_ARITY.get(rule, 0)))
+    problem = model.Problem(model.Environment(()), draw(st.sampled_from(CHANGES)), "G",
+                            model.AtomicNeed("N"))
+    args = {"solution": draw(st.sampled_from(CHANGES))} if draw(st.booleans()) else {}
+    return DerivationNode(problem, rule, premises, args=args,
+                          greenfield=rule is None and draw(st.booleans()))
+
+
+@given(solution_trees())
+@settings(deadline=None)
+def test_committed_matches_the_recursive_one(root):
+    assert committed(root) == committed_recursive(root)
+
+
+@pytest.mark.parametrize("rule", DEEP_RULES, ids=lambda rule: rule.value)
+def test_committed_handles_a_deep_tree(rule):
+    """Each of the chain's greenfield leaves commits the identity change,
+    and the chain combines them, deeper than the recursion limit."""
+    root, _, _ = deep_chain(rule)
+    change = solution_of(root)
+    if rule is not RuleId.SOLN_REFINE:
+        combine = model.ChangeSeq if rule is RuleId.SEQUENCE else model.ChangePar
+        side, below = combine.__slots__
+        for _ in range(DEEP):
+            assert type(change) is combine and getattr(change, side) == model.Nil()
+            change = getattr(change, below)
+    assert change == model.Nil()

@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
@@ -11,7 +13,9 @@ import pytest
 from deltapoe import cli, dsl, export, impact, macro, model
 
 from .conftest import FIXTURES
+from .oracles import print_impact_text
 from .strategies import layered_org_text
+from .test_workflow_stream import CountingRaw
 
 
 def run(capsys, *argv):
@@ -242,6 +246,25 @@ def test_impact_permitted_output_extends_plain_output(tmp_path, capsys):
         assert code == 1
         assert bounded.startswith(plain)
         assert bounded[len(plain):].startswith("bound: fail\n")
+
+
+def test_impact_text_is_written_in_a_few_writes(tmp_path):
+    """Through an unbuffered stdout (as under ``PYTHONUNBUFFERED=1``), a
+    long text report is a few writes of at most 64 KiB, with the bytes of
+    one ``print`` per line."""
+    org = tmp_path / "org.poed"
+    org.write_text(layered_org_text(40, 10, 3, seed=2))
+    raw = CountingRaw()
+    with contextlib.redirect_stdout(io.TextIOWrapper(raw, encoding="utf-8", write_through=True)):
+        assert cli.main(["impact", str(org), "--edit", "!O0_4", "--permitted", "O0_4"]) == 1
+    mdl = dsl.parse_model(org.read_text())
+    report = impact.propagate(mdl.environment, impact.parse_edit("!O0_4", mdl))
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        print_impact_text(report, impact.bound_check(report, frozenset({"O0_4"})))
+    assert raw.data.decode() == printed.getvalue()
+    assert len(raw.data) > 4 << 16
+    assert max(raw.sizes) <= 1 << 16 and len(raw.sizes) <= len(raw.data) // (1 << 16) + 1, raw.sizes
 
 
 def test_lint_golden_clean(capsys):

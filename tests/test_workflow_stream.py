@@ -30,8 +30,11 @@ SEPARATORS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85"
 @given(st.lists(st.sampled_from(SEPARATORS + ("a", "é", " ", "\t", "{}", ""))).map("".join))
 @settings(max_examples=500)
 def test_lines_split_as_splitlines(text):
-    assert list(macro._lines(text)) == text.splitlines()
-    assert len(macro.Log(text)) == sum(1 for line in text.splitlines() if line.strip())
+    """The pieces a log is read in, of its text or of the bytes of a file,
+    hold the lines of the text; ``len`` counts those that are not blank."""
+    for source in (text, io.BytesIO(text.encode())):
+        assert [line for piece in macro._pieces(source) for line in piece.splitlines()] == text.splitlines()
+        assert len(macro.Log(source)) == sum(1 for line in text.splitlines() if line.strip())
 
 
 def test_parse_log_is_the_list_of_the_stream():
@@ -249,18 +252,63 @@ def test_a_bad_line_far_after_a_refused_event_is_reported(tmp_path, argv):
                "19 (char 18)\n", data)
 
 
+@pytest.mark.parametrize("argv", PINNED_ARGVS, ids=["status", "advance", "drift"])
+def test_a_byte_far_after_a_bad_line_is_reported_first(tmp_path, argv):
+    """Line 2 is not an event, and a byte that is not UTF-8 lies more than
+    8 KiB later: the byte is reported, as the whole text orders them."""
+    data = (CREATED + '{"sequence": 2, oops}\n' + events_text(100, start=3)).encode()
+    offset = data.index(b"\n", 10_000) + 1
+    data = data[:offset] + b"\xff" + data[offset:]
+    log = tmp_path / "wf.jsonl"
+    assert run_pinned(log, data, argv) == (
+        2, "", f"{log}: not valid UTF-8: byte 0xff at offset {offset}\n", data)
+
+
+EDGE_LOGS = {
+    "final-cr": CREATED[:-1] + "\r",
+    "crlf-then-final-cr": CREATED.replace("\n", "\r\n") + events_text(1, start=2)[:-1] + "\r",
+    "final-form-feed": CREATED + "\x0c",
+    "empty": "",
+    "blank-lines-only": "\n \n\t\r\n",
+    "bom": "\ufeff" + CREATED,
+    "cr-inside-a-line": CREATED[:40] + "\r" + CREATED[40:],
+    "trailing-blank": CREATED + " ",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_ARGVS, ids=["status", "advance", "drift"])
+@pytest.mark.parametrize("text", EDGE_LOGS.values(), ids=EDGE_LOGS.keys())
+def test_line_ends_and_blanks_at_the_edges_read_as_the_eager_path(tmp_path, text, argv):
+    """The file is read as bytes; each line still ends where the text
+    read in text mode ends it, and a final ``\\r`` is a final newline."""
+    run_pinned(tmp_path / "wf.jsonl", text.encode(), argv)
+
+
 # --- memory --------------------------------------------------------------------------
 
-def status_peak(log: Path) -> tuple[int, str]:
-    """The traced peak of ``workflow status`` on ``log``, and its output."""
-    out = io.StringIO()
-    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+def command_peak(log: Path, data: bytes, argv: list[str]):
+    """The traced peak of ``workflow LOG ARGV`` on a log of ``data``, and
+    the exit code, stdout and stderr of the command, from a second run."""
+    log.write_bytes(data)
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         tracemalloc.reset_peak()
-        assert cli.main(["workflow", str(log), "status"]) == 0
+        cli.main(["workflow", str(log), *argv])
         peak = tracemalloc.get_traced_memory()[1]
-    with contextlib.redirect_stdout(out):
-        cli.main(["workflow", str(log), "status"])
-    return peak, out.getvalue()
+    return peak, run_on(log, data, argv)[:3]
+
+
+def peak_growth(log: Path, small: bytes, large: bytes, argv: list[str]):
+    """How much more the traced peak of ``workflow LOG ARGV`` is on a log
+    of ``large`` than on one of ``small``, how much longer ``large`` is,
+    and the command's exit code, stdout and stderr on each."""
+    tracemalloc.start()
+    try:
+        command_peak(log, small, argv)  # first use: imports and caches
+        small_peak, small_result = command_peak(log, small, argv)
+        large_peak, large_result = command_peak(log, large, argv)
+    finally:
+        tracemalloc.stop()
+    return large_peak - small_peak, len(large) - len(small), small_result, large_result
 
 
 def status_peak_growth(tmp_path) -> tuple[int, int]:
@@ -277,18 +325,11 @@ def status_peak_growth(tmp_path) -> tuple[int, int]:
     drifts = [macro.Event(sequence + k, macro.ORG, "drift",
                           {"touched": ["Unrelated"], "description": "", "origin": "environment"})
               for k in range(1, 3001)]
-    small, large = tmp_path / "small.jsonl", tmp_path / "large.jsonl"
-    small.write_text(macro.render_log(events))
-    large.write_text(macro.render_log(events + drifts))
-    tracemalloc.start()
-    try:
-        status_peak(small)  # first use: imports and caches
-        small_peak, small_out = status_peak(small)
-        large_peak, large_out = status_peak(large)
-    finally:
-        tracemalloc.stop()
-    assert small_out == large_out
-    return large_peak - small_peak, large.stat().st_size - small.stat().st_size
+    small, large = macro.render_log(events).encode(), macro.render_log(events + drifts).encode()
+    growth, extra_text, small_result, large_result = peak_growth(tmp_path / "wf.jsonl", small, large,
+                                                                 ["status"])
+    assert small_result == large_result and small_result[0] == 0
+    return growth, extra_text
 
 
 def test_status_holds_the_text_and_the_state_not_the_events(tmp_path):
@@ -303,6 +344,39 @@ def test_status_holds_the_state_and_one_line_not_the_text(tmp_path):
     """Read from the file a line at a time, the longer log costs next to
     no more memory than the shorter: much less than its extra text."""
     growth, extra_text = status_peak_growth(tmp_path)
+    assert growth < 0.2 * extra_text, growth / extra_text
+
+
+REFUSED = '{"sequence": 2, "workflow": "w1", "event": "complete", "payload": {}}\n'
+
+
+def refused_then(count: int) -> bytes:
+    return (CREATED + REFUSED + events_text(count, start=3)).encode()
+
+
+def torn_after(count: int) -> bytes:
+    return (CREATED + events_text(count, start=2)).encode()[:-1]
+
+
+def not_utf8_near_the_end(count: int) -> bytes:
+    data = (CREATED + events_text(count, start=2)).encode()
+    cut = data.rindex(b"\n", 0, -1) + 1
+    return data[:cut] + b"\xff" + data[cut:]
+
+
+@pytest.mark.parametrize("log_of, argv", [(refused_then, ["status"]),
+                                          (refused_then, ["drift", "--touch", "Other"]),
+                                          (torn_after, ADVANCE),
+                                          (not_utf8_near_the_end, ["status"])],
+                         ids=["refused-status", "refused-drift", "torn-advance", "not-utf8-status"])
+def test_a_failing_command_holds_the_state_and_one_line_not_the_text(tmp_path, log_of, argv):
+    """A log that the command refuses, for an event the fold refuses on
+    line 2, a torn last line or a byte that is not UTF-8 near the end,
+    costs next to no more memory with 30,000 more lines after that: the
+    command reads it a line at a time on its error paths too."""
+    growth, extra_text, small_result, large_result = peak_growth(
+        tmp_path / "wf.jsonl", log_of(10), log_of(30_000), argv)
+    assert small_result[0] == large_result[0] != 0 and small_result[1] == large_result[1] == ""
     assert growth < 0.2 * extra_text, growth / extra_text
 
 
