@@ -422,9 +422,6 @@ def cmd_workflow(args) -> int:
         except macro.BadLog as err:
             _err(f"{args.log}: {err}")
             return INVALID
-        except UnicodeDecodeError as err:
-            _err(_not_utf8(args.log, err))
-            return INVALID
         try:
             return _run_workflow(args, log, handle)
         finally:
@@ -434,8 +431,9 @@ def cmd_workflow(args) -> int:
 
 def _read_log(handle, appending: bool) -> macro.Folded | macro.MacroError:
     """The state of an open log, folded as its bytes are read from the
-    file and decoded one line at a time, so that the command holds the
-    folded state and one line, on every path; or the error of the first
+    file in blocks and decoded a line at a time, so that the command holds
+    the folded state and one block, or one line if a line is longer, on
+    every path; or the error of the first
     event the fold refuses, which the command raises where it reads the
     state.  Errors are raised in the order of the text: a byte that is not
     UTF-8, then the first line that is not an event, then a last line with

@@ -90,20 +90,36 @@ _json_str = json.encoder.encode_basestring_ascii
 _json_scalar = json.JSONEncoder().encode
 
 
+_CHUNK = 1 << 16  # characters per write of a document, as ``cli._write_lines`` writes a report
+
+
 def to_json(doc, out: TextIO) -> None:
     """Write ``doc`` to ``out`` as the text of ``json.dumps(doc, indent=2)``
     with a final newline.
 
-    The text is written as it is made, one container opening, member or
-    list of strings at a time, so the whole text is never held at once.
-    A list or tuple of strings is written as one join of the stdlib's
-    ASCII string escaper (in C where the interpreter has it); other
-    scalars go to the stdlib encoder.  A key that is not a string raises
-    ``TypeError``, as does a value the stdlib cannot encode; a container
-    that holds itself raises ``RecursionError``.
+    The text is made one container opening, member or list of strings at
+    a time, and written in writes of at most ``_CHUNK`` characters (a
+    longer fragment is one write), so the whole text is never held at
+    once and an unbuffered ``out`` makes a few system calls, not one per
+    fragment.  A list or tuple of strings is made as one join of the
+    stdlib's ASCII string escaper (in C where the interpreter has it);
+    other scalars go to the stdlib encoder.  A key that is not a string
+    raises ``TypeError``, as does a value the stdlib cannot encode; a
+    container that holds itself raises ``RecursionError``.
     """
-    _write_json(doc, out.write, "\n")
-    out.write("\n")
+    chunk, size = [], 0
+
+    def write(text: str) -> None:
+        nonlocal chunk, size
+        if size + len(text) > _CHUNK and chunk:
+            out.write("".join(chunk))
+            chunk, size = [], 0
+        chunk.append(text)
+        size += len(text)
+
+    _write_json(doc, write, "\n")
+    write("\n")
+    out.write("".join(chunk))
 
 
 def _write_json(value, write, pad: str) -> None:

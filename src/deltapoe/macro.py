@@ -5,9 +5,11 @@ State is a pure fold over an append-only event log, one log per
 workflow tree.  The fold is the gatekeeper: replaying a log either
 reconstructs the identical state or fails at the first illegal event.
 Over a ``Log`` of an open binary file the fold, and ``Log.check`` after
-it, read and decode one line at a time, so that they hold the state and
-one line, never the log's text or a list of its events; equal name sets
-and stakeholder names in the state are one object each.
+it, read the file in blocks of 8 KiB and decode the whole lines of each,
+so that they hold the state and one block, or one line if a line is
+longer, never the log's text or a list of its events.  Each event kind
+has one handler, which the fold and the appending functions share;
+equal name sets and stakeholder names in the state are one object each.
 Validation verdicts are records that may later go stale when the
 environment or need drifts; stale validations regress the workflow to
 the step that must be redone, and are never deleted.
@@ -99,28 +101,44 @@ _FIELDS = (("sequence", int, "an integer"), ("workflow", str, "a string"),
            ("event", str, "a string"), ("payload", dict, "an object"))
 
 
+_BLOCK = 1 << 13  # bytes per read of a log file
+
+
 def _pieces(source: str | BinaryIO):
     """A log's text, or the binary file that holds it read from its start
     and decoded as UTF-8, in pieces that each end at a line boundary, so
     that the lines ``str.splitlines`` finds in the pieces are the lines of
-    the text.  The file is cut after each ``\\n``, which never falls inside
-    a UTF-8 sequence or a ``\\r\\n`` pair; a byte that is not UTF-8 is a
-    ``BadLog`` named by its offset in the file.  The file is read with a
-    plain loop: a generator delegating to it would close it when closed
-    early."""
+    the text.  The file is read in blocks of ``_BLOCK`` bytes, each cut
+    after its last ``\\n``, which never falls inside a UTF-8 sequence or a
+    ``\\r\\n`` pair; the bytes after the cut begin the next piece.  So a
+    piece holds at most a block and the start of a line, or one line
+    when a line is longer.  A byte that is not UTF-8 is a ``BadLog``
+    named by its offset in the file."""
     if isinstance(source, str):
         yield from source.splitlines(True)
         return
     source.seek(0)
-    offset = 0
-    for piece in source:
-        try:
-            text = piece.decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise BadLog(f"not valid UTF-8: byte 0x{piece[err.start]:02x} "
-                         f"at offset {offset + err.start}") from None
-        yield text
+    offset, piece = 0, bytearray()
+    while block := source.read(_BLOCK):
+        cut = block.rfind(b"\n") + 1
+        if not cut:  # within a line longer than a block
+            piece += block
+            continue
+        piece += block[:cut]
+        yield _decoded(piece, offset)
         offset += len(piece)
+        piece = bytearray(block[cut:])
+    if piece:
+        yield _decoded(piece, offset)
+
+
+def _decoded(piece: bytearray, offset: int) -> str:
+    """``piece`` of a log file, which starts at byte ``offset``, decoded."""
+    try:
+        return piece.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise BadLog(f"not valid UTF-8: byte 0x{piece[err.start]:02x} "
+                     f"at offset {offset + err.start}") from None
 
 
 def parse_log(text: str) -> list[Event]:
@@ -131,8 +149,9 @@ def parse_log(text: str) -> list[Event]:
 class Log:
     """The events of a log, from its text or from the binary file that
     holds it, decoded line by line as they are read: a fold over a log
-    holds one line and one decoded event at a time, and over a file no
-    more of the text than that line.  ``len`` counts the lines that are
+    holds one decoded event at a time, and over a file no more of the
+    text than the piece ``_pieces`` read last, one 8 KiB block or one
+    line if a line is longer.  ``len`` counts the lines that are
     not blank, which are the events of a log whose lines all decode,
     without decoding them.  Once all events are read, ``last`` is the
     sequence number of the last one, ``lines`` the number of lines, and
@@ -311,6 +330,18 @@ class StalenessReport(Record):
 
 
 # --- the fold -------------------------------------------------------------------
+#
+# Each event kind has one handler in ``_HANDLERS``, which the fold, the
+# appending functions and ``_apply_event`` share.  A handler checks the
+# event against the workflows in the order of the errors it raises, then
+# updates them in place; it takes the name sets and stakeholder names it
+# adds to the state from ``shared`` (see ``fold``) when an equal one is
+# there.  The enum members the handlers test are read as module names,
+# which is faster than reading them as attributes of their enum classes.
+
+_CPS1, _CPS2, _CPS3, _CPS4, _CPS5, _DONE = CpsState
+_PENDING, _GRANTED, _REJECTED, _STALE = ValidationStatus
+_SOLUTION_PLAN = ValidationTarget.SOLUTION_PLAN
 
 _GATE_TARGET = {
     CpsState.CPS2: ValidationTarget.PROBLEM_VIEW,
@@ -318,141 +349,135 @@ _GATE_TARGET = {
 }
 
 
-def _apply_event(workflows: dict[str, Workflow], event: Event,
-                 shared: dict | None = None) -> StalenessReport | None:
-    """Apply ``event``; the name sets and stakeholder names it adds to the
-    state are taken from ``shared`` (see ``fold``) when an equal one is
-    there."""
-    shared = {} if shared is None else shared
-    kind, payload = event.kind, event.payload
-    if kind == "drift":
-        return _apply_drift(workflows, event)
-    if kind == "create":
-        if event.workflow in workflows:
-            raise IllegalTransition("-", kind, f"workflow {event.workflow!r} already exists")
-        owner, delegate = _text(payload, "owner"), _text(payload, "delegate")
-        workflows[event.workflow] = Workflow(
-            id=event.workflow,
-            owner=shared.setdefault(owner, owner),
-            delegate=shared.setdefault(delegate, delegate),
-            problem=ProblemRefs.from_payload(payload.get("problem", {}), shared),
-        )
-        return None
-    if event.workflow not in workflows:
+def _workflow(workflows: dict[str, Workflow], event: Event) -> Workflow:
+    """The workflow ``event`` steps."""
+    wf = workflows.get(event.workflow)
+    if wf is None:
         raise UnknownWorkflow(event.workflow)
-    wf = workflows[event.workflow]
+    return wf
 
-    if kind == "submit-view":
-        if wf.state is not CpsState.CPS1:
-            raise IllegalTransition(wf.state.value, kind)
-        wf.state = CpsState.CPS2
-        return None
 
-    if kind == "request-validation":
-        if wf.state not in _GATE_TARGET:
-            raise IllegalTransition(wf.state.value, kind)
-        if wf.pending() is not None:
-            raise IllegalTransition(wf.state.value, kind, "a validation is already pending")
-        wf.validations += (
-            ValidationRecord(
-                id=f"v{event.sequence}",
-                stakeholder=wf.owner,
-                target=_GATE_TARGET[wf.state],
-                subject=wf.id,
-                status=ValidationStatus.PENDING,
-                sequence=event.sequence,
-            ),
+def _on_create(workflows: dict[str, Workflow], event: Event, shared: dict) -> None:
+    if event.workflow in workflows:
+        raise IllegalTransition("-", "create", f"workflow {event.workflow!r} already exists")
+    payload = event.payload
+    owner, delegate = _text(payload, "owner"), _text(payload, "delegate")
+    workflows[event.workflow] = Workflow(
+        event.workflow, shared.setdefault(owner, owner), shared.setdefault(delegate, delegate),
+        ProblemRefs.from_payload(payload.get("problem", {}), shared))
+
+
+def _on_submit_view(workflows: dict[str, Workflow], event: Event, shared: dict) -> None:
+    wf = _workflow(workflows, event)
+    if wf.state is not _CPS1:
+        raise IllegalTransition(wf.state.value, "submit-view")
+    wf.state = _CPS2
+
+
+def _on_request_validation(workflows: dict[str, Workflow], event: Event, shared: dict) -> None:
+    wf = _workflow(workflows, event)
+    state, validations = wf.state, wf.validations
+    target = _GATE_TARGET.get(state)
+    if target is None:
+        raise IllegalTransition(state.value, "request-validation")
+    if validations and validations[-1].status is _PENDING:
+        raise IllegalTransition(state.value, "request-validation", "a validation is already pending")
+    sequence = event.sequence
+    wf.validations = validations + (
+        ValidationRecord(f"v{sequence}", wf.owner, target, wf.id, _PENDING, sequence),)
+
+
+def _on_record_validation(workflows: dict[str, Workflow], event: Event, shared: dict) -> None:
+    wf = _workflow(workflows, event)
+    state, validations = wf.state, wf.validations
+    if state is not _CPS2 and state is not _CPS4:
+        raise IllegalTransition(state.value, "record-validation")
+    if not validations or validations[-1].status is not _PENDING:
+        raise IllegalTransition(state.value, "record-validation", "no validation is pending")
+    payload = event.payload
+    by = payload.get("by")
+    if by != wf.owner:
+        raise WrongStakeholder(
+            f"only the owner {wf.owner!r} may validate workflow {wf.id!r}, not {by!r}"
         )
-        return None
-
-    if kind == "record-validation":
-        if wf.state not in _GATE_TARGET:
-            raise IllegalTransition(wf.state.value, kind)
-        pending = wf.pending()
-        if pending is None:
-            raise IllegalTransition(wf.state.value, kind, "no validation is pending")
-        by = payload.get("by")
-        if by != wf.owner:
-            raise WrongStakeholder(
-                f"only the owner {wf.owner!r} may validate workflow {wf.id!r}, not {by!r}"
-            )
-        status = payload.get("status")
-        if status not in ("granted", "rejected"):
-            raise IllegalTransition(wf.state.value, kind, "status must be granted or rejected")
-        granted = status == "granted"
-        if granted and wf.state is CpsState.CPS4:
-            for child_id in wf.children:
-                child = workflows[child_id]
-                solution = child.effective(ValidationTarget.SOLUTION_PLAN)
-                if child.state not in (CpsState.CPS5, CpsState.DONE) or solution is None:
-                    raise IllegalTransition(
-                        wf.state.value,
-                        kind,
-                        f"sub-delegation {child_id!r} has no validated solution yet",
-                    )
-        wf.validations = wf.validations[:-1] + (
-            _with_status(pending, ValidationStatus.GRANTED if granted else ValidationStatus.REJECTED,
-                         event.sequence),
-        )
-        if wf.state is CpsState.CPS2:
-            wf.state = CpsState.CPS3 if granted else CpsState.CPS1
-        else:
-            wf.state = CpsState.CPS5 if granted else CpsState.CPS3
-            wf.implementation_mode = None
-        return None
-
-    if kind == "submit-solution":
-        if wf.state is not CpsState.CPS3:
-            raise IllegalTransition(wf.state.value, kind)
-        wf.solution_text = _text(payload, "solution", "")
-        wf.solution_refs = _names(payload, "refs", shared)
-        wf.state = CpsState.CPS4
-        return None
-
-    if kind == "begin-implementation":
-        if wf.state is not CpsState.CPS5:
-            raise IllegalTransition(wf.state.value, kind)
-        if wf.implementation_mode is not None:
-            raise IllegalTransition(wf.state.value, kind, "implementation already begun")
-        mode = payload.get("mode")
-        if mode not in ("self", "delegate"):
-            raise IllegalTransition(wf.state.value, kind, "mode must be self or delegate")
-        wf.implementation_mode = mode
-        return None
-
-    if kind == "delegate":
-        if wf.state not in (CpsState.CPS3, CpsState.CPS5):
-            raise IllegalTransition(wf.state.value, kind)
-        child_id = _text(payload, "child")
-        if child_id in workflows:
-            raise IllegalTransition(wf.state.value, kind, f"workflow {child_id!r} already exists")
-        delegating = wf.delegate if wf.state is CpsState.CPS3 else wf.owner
-        to = _text(payload, "to")
-        workflows[child_id] = Workflow(
-            id=child_id,
-            owner=delegating,
-            delegate=shared.setdefault(to, to),
-            problem=ProblemRefs.from_payload(payload.get("problem", {}), shared),
-        )
-        wf.children += (child_id,)
-        return None
-
-    if kind == "complete":
-        if wf.state is not CpsState.CPS5:
-            raise IllegalTransition(wf.state.value, kind)
-        if wf.implementation_mode is None:
-            raise IllegalTransition(
-                wf.state.value, kind, "choose self- or delegated implementation first"
-            )
+    status = payload.get("status")
+    granted = status == "granted"
+    if not granted and status != "rejected":
+        raise IllegalTransition(state.value, "record-validation", "status must be granted or rejected")
+    if granted and state is _CPS4:
         for child_id in wf.children:
-            if workflows[child_id].state is not CpsState.DONE:
+            child = workflows[child_id]
+            if (child.state is not _CPS5 and child.state is not _DONE
+                    or child.effective(_SOLUTION_PLAN) is None):
                 raise IllegalTransition(
-                    wf.state.value, kind, f"sub-delegation {child_id!r} is not done"
+                    state.value, "record-validation",
+                    f"sub-delegation {child_id!r} has no validated solution yet",
                 )
-        wf.state = CpsState.DONE
-        return None
+    wf.validations = validations[:-1] + (
+        _with_status(validations[-1], _GRANTED if granted else _REJECTED, event.sequence),)
+    if state is _CPS2:
+        wf.state = _CPS3 if granted else _CPS1
+    else:
+        wf.state = _CPS5 if granted else _CPS3
+        wf.implementation_mode = None
 
-    raise IllegalTransition(wf.state.value, kind, "unknown event kind")
+
+def _on_submit_solution(workflows: dict[str, Workflow], event: Event, shared: dict) -> None:
+    wf = _workflow(workflows, event)
+    if wf.state is not _CPS3:
+        raise IllegalTransition(wf.state.value, "submit-solution")
+    payload = event.payload
+    wf.solution_text = _text(payload, "solution", "")
+    wf.solution_refs = _names(payload, "refs", shared)
+    wf.state = _CPS4
+
+
+def _on_begin_implementation(workflows: dict[str, Workflow], event: Event, shared: dict) -> None:
+    wf = _workflow(workflows, event)
+    if wf.state is not _CPS5:
+        raise IllegalTransition(wf.state.value, "begin-implementation")
+    if wf.implementation_mode is not None:
+        raise IllegalTransition(wf.state.value, "begin-implementation", "implementation already begun")
+    mode = event.payload.get("mode")
+    if mode not in ("self", "delegate"):
+        raise IllegalTransition(wf.state.value, "begin-implementation", "mode must be self or delegate")
+    wf.implementation_mode = mode
+
+
+def _on_delegate(workflows: dict[str, Workflow], event: Event, shared: dict) -> None:
+    wf = _workflow(workflows, event)
+    state = wf.state
+    if state is not _CPS3 and state is not _CPS5:
+        raise IllegalTransition(state.value, "delegate")
+    payload = event.payload
+    child_id = _text(payload, "child")
+    if child_id in workflows:
+        raise IllegalTransition(state.value, "delegate", f"workflow {child_id!r} already exists")
+    to = _text(payload, "to")
+    workflows[child_id] = Workflow(
+        child_id, wf.delegate if state is _CPS3 else wf.owner, shared.setdefault(to, to),
+        ProblemRefs.from_payload(payload.get("problem", {}), shared))
+    wf.children += (child_id,)
+
+
+def _on_complete(workflows: dict[str, Workflow], event: Event, shared: dict) -> None:
+    wf = _workflow(workflows, event)
+    if wf.state is not _CPS5:
+        raise IllegalTransition(wf.state.value, "complete")
+    if wf.implementation_mode is None:
+        raise IllegalTransition(
+            wf.state.value, "complete", "choose self- or delegated implementation first"
+        )
+    for child_id in wf.children:
+        if workflows[child_id].state is not _DONE:
+            raise IllegalTransition(
+                wf.state.value, "complete", f"sub-delegation {child_id!r} is not done"
+            )
+    wf.state = _DONE
+
+
+def _on_unknown(workflows: dict[str, Workflow], event: Event, shared: dict) -> None:
+    raise IllegalTransition(_workflow(workflows, event).state.value, event.kind, "unknown event kind")
 
 
 def _text(payload: dict, key: str, default: str | None = None) -> str:
@@ -485,7 +510,7 @@ def _with_status(record: ValidationRecord, status: ValidationStatus, sequence: i
     return ValidationRecord(record.id, record.stakeholder, record.target, record.subject, status, sequence)
 
 
-def _apply_drift(workflows: dict[str, Workflow], event: Event) -> StalenessReport:
+def _on_drift(workflows: dict[str, Workflow], event: Event, shared: dict) -> StalenessReport:
     """Stale every granted validation recorded before the drift whose
     references meet the touched names, then regress each workflow that
     lost a gate.  A problem-view record refers to the problem's domains,
@@ -517,41 +542,65 @@ def _apply_drift(workflows: dict[str, Workflow], event: Event) -> StalenessRepor
         records = list(wf.validations)
         for index, record in enumerate(records):
             if (
-                record.status is ValidationStatus.GRANTED
+                record.status is _GRANTED
                 and record.sequence < sequence
-                and (problem_hit or record.target is ValidationTarget.SOLUTION_PLAN)
+                and (problem_hit or record.target is _SOLUTION_PLAN)
             ):
-                records[index] = _with_status(record, ValidationStatus.STALE, record.sequence)
+                records[index] = _with_status(record, _STALE, record.sequence)
                 stale.append((wf.id, record.id, record.target.value))
         wf.validations = tuple(records)
         before = wf.state
-        if before not in (CpsState.CPS3, CpsState.CPS4, CpsState.CPS5):
+        if before not in (_CPS3, _CPS4, _CPS5):
             continue
         if wf.effective(ValidationTarget.PROBLEM_VIEW) is None:
-            wf.state = CpsState.CPS2
-        elif before is CpsState.CPS5 and wf.effective(ValidationTarget.SOLUTION_PLAN) is None:
-            wf.state = CpsState.CPS4
+            wf.state = _CPS2
+        elif before is _CPS5 and wf.effective(_SOLUTION_PLAN) is None:
+            wf.state = _CPS4
         if wf.state is not before:
             wf.implementation_mode = None
             regressions.append((wf.id, before.value, wf.state.value))
             pending = wf.pending()
-            if wf.state is CpsState.CPS2 and pending is not None:
+            if wf.state is _CPS2 and pending is not None:
                 wf.validations = wf.validations[:-1] + (
-                    _with_status(pending, ValidationStatus.STALE, pending.sequence),
+                    _with_status(pending, _STALE, pending.sequence),
                 )
                 stale.append((wf.id, pending.id, pending.target.value))
     return StalenessReport(event.sequence, touched, tuple(stale), tuple(regressions))
 
 
-def _apply_next(workflows: dict[str, Workflow], event: Event, last: int,
-                shared: dict | None = None) -> None:
-    """Apply ``event`` after the one numbered ``last``."""
-    if event.sequence <= last:
-        raise BadLog(f"sequence {event.sequence} does not increase (after {last})")
-    try:
-        _apply_event(workflows, event, shared)
-    except BadLog as err:  # a payload field at fault
-        raise BadLog(f"event {event.sequence}: {err}") from None
+_HANDLERS = {
+    "create": _on_create,
+    "submit-view": _on_submit_view,
+    "request-validation": _on_request_validation,
+    "record-validation": _on_record_validation,
+    "submit-solution": _on_submit_solution,
+    "begin-implementation": _on_begin_implementation,
+    "delegate": _on_delegate,
+    "complete": _on_complete,
+    "drift": _on_drift,
+}
+
+
+def _apply_event(workflows: dict[str, Workflow], event: Event,
+                 shared: dict | None = None) -> StalenessReport | None:
+    """Apply ``event`` through its handler; a drift returns its report."""
+    return _HANDLERS.get(event.kind, _on_unknown)(workflows, event, {} if shared is None else shared)
+
+
+def _replay(workflows: dict[str, Workflow], events, last: int, shared: dict) -> None:
+    """Apply ``events`` in order after the one numbered ``last``, each
+    through its handler; a payload field at fault is named with the
+    event's number."""
+    handlers = _HANDLERS
+    for event in events:
+        sequence = event.sequence
+        if sequence <= last:
+            raise BadLog(f"sequence {sequence} does not increase (after {last})")
+        try:
+            handlers.get(event.kind, _on_unknown)(workflows, event, shared)
+        except BadLog as err:
+            raise BadLog(f"event {sequence}: {err}") from None
+        last = sequence
 
 
 def fold(events: list[Event] | Log) -> dict[str, Workflow]:
@@ -564,10 +613,7 @@ def fold(events: list[Event] | Log) -> dict[str, Workflow]:
     lives for this fold only (hash-consing, as in Filliatre and Conchon,
     *Type-Safe Modular Hash-Consing*, 2006)."""
     workflows: dict[str, Workflow] = {}
-    last, shared = 0, {}
-    for event in events:
-        _apply_next(workflows, event, last, shared)
-        last = event.sequence
+    _replay(workflows, events, 0, {})
     return workflows
 
 
@@ -600,7 +646,7 @@ def _folded(events: list[Event] | Folded) -> Folded:
 def _validated_append(events: list[Event] | Folded, event: Event) -> dict[str, Workflow]:
     """The workflow states after ``event`` is appended to ``events``."""
     workflows, last = _folded(events)
-    _apply_next(workflows, event, last)
+    _replay(workflows, (event,), last, {})
     return workflows
 
 
@@ -674,5 +720,5 @@ def drift(
         raise MacroError(f"drift origin must be environment or need, not {origin!r}")
     payload = {"touched": sorted(touched), "description": description, "origin": origin}
     event = Event(next_sequence(events), ORG, "drift", payload)
-    report = _apply_drift(_folded(events).workflows, event)
+    report = _apply_event(_folded(events).workflows, event)
     return event, report

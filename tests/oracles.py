@@ -1157,7 +1157,11 @@ def parse_log_eager(text: str) -> list:
 
 
 def read_log_eager(handle, appending: bool) -> list:
-    text = handle.read()
+    try:
+        text = handle.read()
+    except UnicodeDecodeError as err:  # the whole file is decoded at once: the offset is the file's
+        raise macro.BadLog(f"not valid UTF-8: byte 0x{err.object[err.start]:02x} "
+                           f"at offset {err.start}") from None
     events = parse_log_eager(text)
     if appending and text and not text.endswith("\n"):
         raise macro.BadLog(f"line {len(text.splitlines())}: no final newline; "

@@ -267,6 +267,24 @@ def test_impact_text_is_written_in_a_few_writes(tmp_path):
     assert max(raw.sizes) <= 1 << 16 and len(raw.sizes) <= len(raw.data) // (1 << 16) + 1, raw.sizes
 
 
+def test_impact_structured_is_written_in_a_few_writes(tmp_path):
+    """Through an unbuffered stdout, a long structured report is a few
+    writes of at most 64 KiB, with the bytes of ``json.dumps(doc,
+    indent=2)`` and a final newline."""
+    org = tmp_path / "org.poed"
+    org.write_text(layered_org_text(40, 10, 3, seed=2))
+    raw = CountingRaw()
+    with contextlib.redirect_stdout(io.TextIOWrapper(raw, encoding="utf-8", write_through=True)):
+        assert cli.main(["impact", str(org), "--edit", "!O0_4", "--permitted", "O0_4",
+                         "--format", "structured"]) == 1
+    mdl = dsl.parse_model(org.read_text())
+    report = impact.propagate(mdl.environment, impact.parse_edit("!O0_4", mdl))
+    doc = export.impact_doc(report, mdl.environment, impact.bound_check(report, frozenset({"O0_4"})))
+    assert raw.data.decode() == json.dumps(doc, indent=2) + "\n"
+    assert len(raw.data) > 4 << 16
+    assert max(raw.sizes) <= 1 << 16 and len(raw.sizes) <= len(raw.data) // (1 << 16) + 1, raw.sizes
+
+
 def test_lint_golden_clean(capsys):
     code, out, _ = run(capsys, "lint", GOLDEN)
     assert code == 0
@@ -475,6 +493,11 @@ def event_line(sequence=1, workflow="w1", event="create", payload=None):
                        "payload": payload}) + "\n"
 
 
+IN_CPS3 = (CREATED + event_line(2, event="submit-view", payload={})
+           + event_line(3, event="request-validation", payload={})
+           + event_line(4, event="record-validation", payload={"by": "G", "status": "granted"}))
+
+
 @pytest.mark.parametrize("text, message", [
     (event_line(payload=5), "line 1: field 'payload' is not an object"),
     (event_line(payload={"delegate": "D"}), "event 1: payload field 'owner' is missing"),
@@ -489,7 +512,38 @@ def event_line(sequence=1, workflow="w1", event="create", payload=None):
      + event_line(4, event="record-validation", payload={"by": "G", "status": "granted"})
      + event_line(5, event="submit-solution", payload={"solution": 5}),
      "event 5: payload field 'solution' is not a string"),
-], ids=["payload", "no-owner", "sequence", "workflow", "problem", "touched", "solution"])
+    (IN_CPS3 + event_line(5, event="delegate", payload={"to": "D"}),
+     "event 5: payload field 'child' is missing"),
+    (IN_CPS3 + event_line(5, event="delegate", payload={"child": "c1", "to": 5}),
+     "event 5: payload field 'to' is not a string"),
+    (IN_CPS3 + event_line(5, event="delegate", payload={"child": "c1", "to": "D",
+                                                         "problem": {"domains": "R1"}}),
+     "event 5: payload field 'domains' is not a list of names"),
+    (IN_CPS3 + event_line(5, event="delegate", payload={"child": "c1", "to": "D",
+                                                         "problem": {"domains": ["R1", 2]}}),
+     "event 5: payload field 'domains' is not a list of names"),
+    (IN_CPS3 + event_line(5, event="submit-solution", payload={"solution": "s", "refs": "S0"}),
+     "event 5: payload field 'refs' is not a list of names"),
+    (CREATED + event_line(2, event="submit-view", payload={})
+     + event_line(3, event="request-validation", payload={})
+     + event_line(4, event="record-validation", payload={"by": "G", "status": "maybe"}),
+     "event 'record-validation' is not legal in state CPS2 (status must be granted or rejected)"),
+    (CREATED + event_line(2, event="delegate", payload={"to": "D"}),
+     "event 'delegate' is not legal in state CPS1"),
+    (IN_CPS3 + event_line(5, event="delegate", payload={"child": "w1"}),
+     "event 'delegate' is not legal in state CPS3 (workflow 'w1' already exists)"),
+    (CREATED + event_line(2, event="submit-solution", payload={"solution": 5}),
+     "event 'submit-solution' is not legal in state CPS1"),
+    (CREATED + event_line(2, payload={"delegate": "D"}),
+     "event 'create' is not legal in state - (workflow 'w1' already exists)"),
+    (CREATED + event_line(2, event="submit-view", payload={})
+     + event_line(3, event="request-validation", payload={})
+     + event_line(4, event="record-validation", payload={"by": "D", "status": "maybe"}),
+     "only the owner 'G' may validate workflow 'w1', not 'D'"),
+], ids=["payload", "no-owner", "sequence", "workflow", "problem", "touched", "solution",
+        "delegate-no-child", "delegate-to", "delegate-domains", "delegate-domain-item", "refs",
+        "record-status", "delegate-state-first", "delegate-child-exists-first",
+        "solution-state-first", "create-exists-first", "record-by-first"])
 def test_malformed_events_are_named(tmp_path, capsys, text, message):
     log = tmp_path / "wf.jsonl"
     log.write_text(text, encoding="utf-8")

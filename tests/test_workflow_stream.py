@@ -212,8 +212,8 @@ def run_pinned(log: Path, data: bytes, argv: list[str]):
 
 @pytest.mark.parametrize("argv", PINNED_ARGVS, ids=["status", "advance", "drift"])
 def test_a_byte_past_the_first_chunk_is_named_by_its_offset_in_the_file(tmp_path, argv):
-    """The file is decoded in chunks of 8 KiB as it is read; the offset is
-    still the byte's offset in the whole file."""
+    """The file is decoded in blocks of ``macro._BLOCK`` bytes as it is
+    read; the offset is still the byte's offset in the whole file."""
     log, data = tmp_path / "wf.jsonl", (CREATED + events_text(150, start=2)).encode()
     offset = data.index(b"\n", 12_000) + 1
     data = data[:offset] + b"\xff" + data[offset:]
@@ -240,12 +240,12 @@ def test_advance_refuses_a_torn_last_line(tmp_path):
 
 @pytest.mark.parametrize("argv", PINNED_ARGVS, ids=["status", "advance", "drift"])
 def test_a_bad_line_far_after_a_refused_event_is_reported(tmp_path, argv):
-    """The fold stops at the refused event on line 2, more than 8 KiB
-    before the bad line; the bad line is reported, as the whole text
-    orders them."""
+    """The fold stops at the refused event on line 2, more than a block
+    (``macro._BLOCK`` bytes) before the bad line; the bad line is
+    reported, as the whole text orders them."""
     refused = '{"sequence": 2, "workflow": "w1", "event": "complete", "payload": {}}\n'
     text = CREATED + refused + events_text(100, start=3) + '{"sequence": 103, oops}\n'
-    assert len(text.encode()) - len((CREATED + refused).encode()) > 8192
+    assert len(text.encode()) - len((CREATED + refused).encode()) > macro._BLOCK
     log, data = tmp_path / "wf.jsonl", text.encode()
     assert run_pinned(log, data, argv) == (
         2, "", f"{log}: line 103: Expecting property name enclosed in double quotes: line 1 column "
@@ -255,7 +255,8 @@ def test_a_bad_line_far_after_a_refused_event_is_reported(tmp_path, argv):
 @pytest.mark.parametrize("argv", PINNED_ARGVS, ids=["status", "advance", "drift"])
 def test_a_byte_far_after_a_bad_line_is_reported_first(tmp_path, argv):
     """Line 2 is not an event, and a byte that is not UTF-8 lies more than
-    8 KiB later: the byte is reported, as the whole text orders them."""
+    a block (``macro._BLOCK`` bytes) later: the byte is reported, as the
+    whole text orders them."""
     data = (CREATED + '{"sequence": 2, oops}\n' + events_text(100, start=3)).encode()
     offset = data.index(b"\n", 10_000) + 1
     data = data[:offset] + b"\xff" + data[offset:]
@@ -282,6 +283,102 @@ def test_line_ends_and_blanks_at_the_edges_read_as_the_eager_path(tmp_path, text
     """The file is read as bytes; each line still ends where the text
     read in text mode ends it, and a final ``\\r`` is a final newline."""
     run_pinned(tmp_path / "wf.jsonl", text.encode(), argv)
+
+
+# --- the edges of the blocks a file is read in -----------------------------------------
+
+def owner_log(owner: str, ending: str = "\n") -> bytes:
+    """A log of w1's create, 50 drifts, w2's create, owned by ``owner``
+    and written unescaped, and one more drift; its lines end in
+    ``ending``."""
+    line = json.dumps({"sequence": 52, "workflow": "w2", "event": "create",
+                       "payload": {"owner": owner, "delegate": "D"}}, ensure_ascii=False)
+    text = CREATED + events_text(50, start=2) + line + "\n" + events_text(1, start=53)
+    return text.replace("\n", ending).encode()
+
+
+def shifted_to(at: int, mark: bytes, tail: str = "", ending: str = "\n") -> tuple[str, bytes]:
+    """An owner of padding and ``tail``, and its ``owner_log``, padded so
+    that the first ``mark`` from the owner on starts at byte ``at``."""
+    base = owner_log(tail, ending)
+    start = base.rindex(b'"owner": "') + len(b'"owner": "')
+    pad = at - base.index(mark, start)
+    assert pad >= 0
+    owner = "O" * pad + tail
+    return owner, owner_log(owner, ending)
+
+
+def read_as_the_eager_path(log: Path, data: bytes, argv: list[str], owner: str):
+    """The command succeeds as on the eager path, and ``status`` shows
+    w2's owner."""
+    code, out, err, _ = run_pinned(log, data, argv)
+    assert (code, err) == (0, "")
+    assert f"(owner {owner}, " in out or argv != ["status"]
+
+
+@pytest.mark.parametrize("argv", PINNED_ARGVS, ids=["status", "advance", "drift"])
+@pytest.mark.parametrize("char", ["\u00e9", "\u20ac", "\U0001f600"], ids=["2-byte", "3-byte", "4-byte"])
+def test_a_character_cut_by_a_block_read_is_decoded_whole(tmp_path, char, argv):
+    """A character of several bytes that the end of a block cuts, after
+    each of its bytes but the last, is decoded whole."""
+    encoded = char.encode()
+    for cut in range(1, len(encoded)):
+        owner, data = shifted_to(macro._BLOCK - cut, encoded, char)
+        assert data[macro._BLOCK - cut:macro._BLOCK - cut + len(encoded)] == encoded
+        read_as_the_eager_path(tmp_path / "wf.jsonl", data, argv, owner)
+
+
+@pytest.mark.parametrize("argv", PINNED_ARGVS, ids=["status", "advance", "drift"])
+def test_a_crlf_cut_by_a_block_read_is_one_line_end(tmp_path, argv):
+    """The ``\\r\\n`` after w2's create is cut by the end of the first
+    block: it ends one line, so the bad line after the next is line 54."""
+    _, data = shifted_to(macro._BLOCK - 1, b"\r", ending="\r\n")
+    assert data[macro._BLOCK - 1:macro._BLOCK + 1] == b"\r\n"
+    data += b'{"sequence": 54, oops}\r\n'
+    log = tmp_path / "wf.jsonl"
+    assert run_pinned(log, data, argv) == (
+        2, "", f"{log}: line 54: Expecting property name enclosed in double quotes: line 1 column "
+               "18 (char 17)\n", data)
+
+
+@pytest.mark.parametrize("argv", PINNED_ARGVS, ids=["status", "advance", "drift"])
+def test_a_line_longer_than_three_blocks_is_read(tmp_path, argv):
+    owner = "O" * (3 * macro._BLOCK + 100)
+    read_as_the_eager_path(tmp_path / "wf.jsonl", owner_log(owner), argv, owner)
+
+
+@pytest.mark.parametrize("argv", PINNED_ARGVS, ids=["status", "advance", "drift"])
+def test_a_torn_last_line_longer_than_a_block(tmp_path, argv):
+    """w2's create, more than a block long, is the last line and has no
+    final newline: ``status`` reads it, and the appending commands
+    refuse the log."""
+    owner = "O" * (macro._BLOCK + 100)
+    data = owner_log(owner).rsplit(b"\n", 2)[0]
+    log = tmp_path / "wf.jsonl"
+    if argv == ["status"]:
+        read_as_the_eager_path(log, data, argv, owner)
+    else:
+        assert run_pinned(log, data, argv) == (
+            2, "", f"{log}: line 52: no final newline; the last write may be torn, so nothing is "
+                   "appended\n", data)
+
+
+@pytest.mark.parametrize("argv", PINNED_ARGVS, ids=["status", "advance", "drift"])
+@pytest.mark.parametrize("where", ["last-of-first", "first-of-second", "second-of-second", "third"])
+def test_a_byte_around_the_end_of_a_block_is_named_by_its_offset(tmp_path, where, argv):
+    """A byte that is not UTF-8 in w2's create, which the end of the first
+    block cuts, at or next to the start of the second block; or at the
+    start of a line in the third block, after two pieces that each began
+    with bytes carried from the block before: it is named by its offset
+    in the file."""
+    data = owner_log("O" * 2000) + events_text(150, start=54).encode()
+    at = {"last-of-first": macro._BLOCK - 1, "first-of-second": macro._BLOCK,
+          "second-of-second": macro._BLOCK + 1, "third": data.index(b"\n", 2 * macro._BLOCK) + 1}[where]
+    assert data[macro._BLOCK - 100:macro._BLOCK + 100] == b"O" * 200
+    data = data[:at] + b"\xff" + data[at + 1:]
+    log = tmp_path / "wf.jsonl"
+    assert run_pinned(log, data, argv) == (
+        2, "", f"{log}: not valid UTF-8: byte 0xff at offset {at}\n", data)
 
 
 # --- memory --------------------------------------------------------------------------
