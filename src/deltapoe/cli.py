@@ -186,7 +186,7 @@ def _pick_derivation(workspace: Workspace, name: str | None):
 
 
 def cmd_plan(args) -> int:
-    from . import calculus, export, printer
+    from . import calculus, printer
 
     workspace, status = _load_workspace(args.files)
     if workspace is None:
@@ -211,6 +211,8 @@ def cmd_plan(args) -> int:
         return INCOMPLETE
     plan = calculus.extract_plan(root)
     if args.format == "structured":
+        from . import export
+
         doc = {
             "derivation": script.name,
             "steps": [
@@ -251,7 +253,7 @@ def _names_flag(values) -> frozenset[str]:
 
 
 def cmd_impact(args) -> int:
-    from . import dsl, export, impact
+    from . import dsl, impact
 
     workspace, status = _load_workspace(args.files)
     if workspace is None:
@@ -274,6 +276,8 @@ def cmd_impact(args) -> int:
         return INVALID
     bound = None if permitted is None else impact.bound_check(report, permitted)
     if args.format == "structured":
+        from . import export
+
         export.to_json(export.impact_doc(report, env, bound), sys.stdout)
     else:
         _write_lines(_impact_lines(report, bound))
@@ -293,7 +297,7 @@ def _impact_lines(report: impact.ImpactReport, bound: impact.BoundReport | None)
             yield "  " + impact.path_text(path) + "\n"
     if bound is not None:
         yield "bound: pass\n" if bound.passed else "bound: fail\n"
-        for name, path in bound.violations:
+        for name, path in bound.walk():
             yield f"  {name}: {impact.path_text(path)}\n"
 
 

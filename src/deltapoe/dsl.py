@@ -12,13 +12,14 @@ domain, ``!X`` cancels one, ``X ~> d[A](B)`` refines, ``;`` sequences,
 the identity change.  A problem can also be written in sequent form:
 ``[X] (+) ?F |= G : N``.  Comments run from ``#`` to end of line.
 
-The lexer is one ``findall`` of one compiled pattern: it returns the
-token texts, and nothing else.  A token's kind is read off its first
-character, and a string keeps its quotes until the parser consumes it,
-so a symbol test is a plain string comparison.  Where a token is,
-``line:column``, is worked out only for a diagnostic, by scanning the
-source once more; a statement keeps the index of its first token.
-The parser is a plain
+The lexer is a ``findall`` of one compiled pattern over each slice of
+about 64 KiB, cut just after a newline: it returns the token texts, and
+nothing else, each equal text one shared object.  A token's kind is read
+off its first character, and a string keeps its quotes until the parser
+consumes it, so a symbol test is a plain string comparison.  Where a
+token is, ``line:column``, is worked out only for a diagnostic, by
+scanning the source once more; a statement keeps the index of its first
+token.  The parser is a plain
 recursive descent that reads the texts by index; it is reentrant and
 keeps no global state.
 """
@@ -116,23 +117,43 @@ def _normalized(src: str) -> str:
     return src.replace("\r\n", "\n").replace("\r", "\n")
 
 
+_SLICE = 1 << 16  # characters ``tokenize`` lexes at a time, up to the next newline
+
+
 def tokenize(src: str) -> list[str]:
     """The token texts of ``src``, ending with the eof token ``""``.
+
+    The source is lexed in slices of ``_SLICE`` characters and the rest of
+    their last line.  No token, string or comment runs past a newline, so
+    a cut there splits none, and each slice's texts are those the whole
+    source would give.  Each text goes through a table of the texts met so
+    far, so equal texts are one object, and the fresh strings of at most
+    one slice exist at a time.
 
     Raises DslError at the first character that starts no token, or at
     the quote of a string that does not end on its line."""
     src = _normalized(src)
-    texts = _TOKEN.findall(src, _LEADING_GAP.match(src).end())
-    bad = {text for text in set(texts) if len(text) == 1} - _ONE_CHAR_TOKENS
-    tail = texts[-2] if len(texts) > 1 else ""
-    if tail[:1] == '"' and not _WHOLE_STRING.fullmatch(tail):
-        bad.add(tail)
-    if bad:
-        index = min(map(texts.index, bad))
-        text = texts[index]
-        message = "unterminated string" if text[0] == '"' else f"unexpected character {text!r}"
-        raise DslError([ParseDiagnostic(*_locator(src)(index), message)])
-    return texts
+    texts: list[str] = []
+    shared: dict[str, str] = {}
+    start, size = 0, len(src)
+    while True:
+        end = src.find("\n", start + _SLICE) + 1 or size
+        part = _TOKEN.findall(src, _LEADING_GAP.match(src, start, end).end(), end)
+        bad = {text for text in set(part) if len(text) == 1} - _ONE_CHAR_TOKENS
+        tail = part[-2] if len(part) > 1 else ""  # a quote that opens no string takes the rest
+        if tail[:1] == '"' and not _WHOLE_STRING.fullmatch(tail):
+            bad.add(tail)
+        if bad:
+            index = min(map(part.index, bad))
+            text = part[index]
+            message = "unterminated string" if text[0] == '"' else f"unexpected character {text!r}"
+            raise DslError([ParseDiagnostic(*_locator(src)(len(texts) + index), message)])
+        if end < size:
+            del part[-1]  # the empty text at a slice's end is no eof
+        texts += map(shared.setdefault, part, part)
+        if end == size:
+            return texts
+        start = end
 
 
 def _locator(src: str):

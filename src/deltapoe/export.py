@@ -11,6 +11,7 @@ output.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterable, Iterator
 from typing import TYPE_CHECKING, TextIO
 
 from . import model as m
@@ -93,19 +94,35 @@ _json_scalar = json.JSONEncoder().encode
 _CHUNK = 1 << 16  # characters per write of a document, as ``cli._write_lines`` writes a report
 
 
+class Rows:
+    """A list member of a document that is made anew, by calling ``make``,
+    each time it is read.  ``to_json`` writes its items as they are made,
+    so no list of them is ever held."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[], Iterable]):
+        self.make = make
+
+    def __iter__(self) -> Iterator:
+        return iter(self.make())
+
+
 def to_json(doc, out: TextIO) -> None:
     """Write ``doc`` to ``out`` as the text of ``json.dumps(doc, indent=2)``
-    with a final newline.
+    with a final newline, a ``Rows`` member written as the list of its
+    items.
 
     The text is made one container opening, member or list of strings at
     a time, and written in writes of at most ``_CHUNK`` characters (a
     longer fragment is one write), so the whole text is never held at
     once and an unbuffered ``out`` makes a few system calls, not one per
-    fragment.  A list or tuple of strings is made as one join of the
-    stdlib's ASCII string escaper (in C where the interpreter has it);
-    other scalars go to the stdlib encoder.  A key that is not a string
-    raises ``TypeError``, as does a value the stdlib cannot encode; a
-    container that holds itself raises ``RecursionError``.
+    fragment.  A ``Rows`` member is written an item at a time as it is
+    made.  A list or tuple of strings is made as one join of the stdlib's
+    ASCII string escaper (in C where the interpreter has it); other
+    scalars go to the stdlib encoder.  A key that is not a string raises
+    ``TypeError``, as does a value the stdlib cannot encode; a container
+    that holds itself raises ``RecursionError``.
     """
     chunk, size = [], 0
 
@@ -134,14 +151,11 @@ def _write_json(value, write, pad: str) -> None:
         try:
             text = ("," + inner).join(map(_json_str, value))
         except TypeError:  # not all strings
-            sep = "[" + inner
-            for item in value:
-                write(sep)
-                _write_json(item, write, inner)
-                sep = "," + inner
-            write(pad + "]")
+            _write_items(value, write, pad)
         else:
             write("[" + inner + text + pad + "]")
+    elif isinstance(value, Rows):
+        _write_items(value, write, pad)
     elif isinstance(value, dict):
         if not value:
             write("{}")
@@ -155,6 +169,17 @@ def _write_json(value, write, pad: str) -> None:
         write(pad + "}")
     else:
         write(_json_scalar(value))
+
+
+def _write_items(items: Iterable, write, pad: str) -> None:
+    """Write a list, one item at a time."""
+    inner = pad + "  "
+    sep = "[" + inner
+    for item in items:
+        write(sep)
+        _write_json(item, write, inner)
+        sep = "," + inner
+    write(pad + "]" if sep[0] == "," else "[]")
 
 
 def _dot_escape(text: str) -> str:
@@ -214,7 +239,7 @@ def model_dot(mdl: Model, name: str = "model") -> str:
                         f'  "{_dot_escape(dom.name)}" -> "{_dot_escape(other)}"'
                         f' [label="{_dot_escape(phen)}"];'
                     )
-        for link in sorted(dom.links):
+        for link in sorted(dom.links, key=m.LINK_ORDER):
             lines.append(
                 f'  "{_dot_escape(dom.name)}" -> "{_dot_escape(dom.name)}"'
                 f' [label="{_dot_escape(link.cause)} -> {_dot_escape(link.effect)}", style=dashed];'
@@ -224,7 +249,12 @@ def model_dot(mdl: Model, name: str = "model") -> str:
 
 
 def impact_doc(report: ImpactReport, env: m.Environment, bound: BoundReport | None = None) -> dict:
-    """The structured impact report; with ``bound``, its bound check last."""
+    """The structured impact report; with ``bound``, its bound check last.
+
+    The paths and the violations are ``Rows``, walked from the reports
+    each time they are read, so ``to_json`` writes them without holding
+    them.  ``impact_dot`` reads the document as it is; ``json.dumps``
+    encodes it given ``default=list``."""
     doc = {
         "edit": report.edit,
         "structural": sorted(report.structural),
@@ -232,13 +262,13 @@ def impact_doc(report: ImpactReport, env: m.Environment, bound: BoundReport | No
         "buffers": sorted(report.buffers),
         "declared_buffers": sorted(report.declared_buffers),
         "seed_phenomena": sorted(report.seed_phenomena),
-        "paths": [list(path) for _, path in report.walk()],
+        "paths": Rows(lambda: (path for _, path in report.walk())),
         "domains": list(env.names()),
     }
     if bound is not None:
         doc["bound"] = {
             "passed": bound.passed,
-            "violations": [{"domain": name, "path": list(path)} for name, path in bound.violations],
+            "violations": Rows(lambda: ({"domain": name, "path": path} for name, path in bound.walk())),
         }
     return doc
 
@@ -249,13 +279,18 @@ def _is_names(value) -> bool:
 
 def impact_dot(doc: dict, name: str = "impact") -> str:
     """Domains colored by impact class; path hops as edges, buffers marked.
-    Raises ValueError if a field it reads is not as ``impact_doc`` writes it."""
+
+    ``doc`` is what ``impact_doc`` returns or what ``json.load`` reads back
+    from ``to_json``'s text.  Raises ValueError if a field it reads is not
+    as ``impact_doc`` writes it."""
     if type(doc) is not dict:
         raise ValueError("not an impact report: not a JSON object")
     for key in ("structural", "behavioural", "buffers", "domains"):
         if not _is_names(doc.get(key, [])):
             raise ValueError(f"not an impact report: {key!r} is not a list of names")
     paths = doc.get("paths", [])
+    if type(paths) is Rows:  # as impact_doc made it: tuples of names
+        paths = [list(path) for path in paths]
     if type(paths) is not list or not all(map(_is_names, paths)):
         raise ValueError("not an impact report: 'paths' is not a list of paths")
     structural = set(doc.get("structural", ()))

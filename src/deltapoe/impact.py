@@ -15,7 +15,9 @@ domains and links of the environment.  The report keeps the search's
 parent map rather than one path per reached domain; paths are rendered
 from it only when they are read.  ``ImpactReport.walk`` renders them all
 one depth at a time, each phenomenon's path its cause's path extended by
-one hop, so a full report takes time linear in its output.
+one hop, so a full report takes time linear in its output, and holds
+only one depth's paths at a time.  A bound check stores no paths either:
+``BoundReport.walk`` renders its violations from the report's walk.
 """
 
 from __future__ import annotations
@@ -145,11 +147,46 @@ class ImpactReport(Record):
 
 
 class BoundReport(Record):
-    __slots__ = ("passed", "violations")
+    """The bound check of an impact ``report`` against the domains
+    ``permitted`` to change.
 
-    def __init__(self, passed: bool, violations: tuple[tuple[str, Path], ...]):
-        self.passed = passed
-        self.violations = violations
+    Violations are not stored.  ``walk`` renders them from the report, as
+    ``ImpactReport.walk`` renders its paths, and ``violations`` renders
+    them all again on each read.  As a record it compares, hashes and
+    prints by its fields, the report and the permitted set, not by its
+    outcome: two checks with the same violations but different permitted
+    sets are unequal, and hashing one raises ``TypeError``, as hashing its
+    ``ImpactReport`` does.  Compare ``passed`` and ``violations`` to
+    compare outcomes.
+    """
+
+    __slots__ = ("report", "permitted")
+
+    def __init__(self, report: ImpactReport, permitted: frozenset[str]):
+        self.report = report
+        self.permitted = permitted
+
+    @property
+    def passed(self) -> bool:
+        """Whether every domain the report finds impacted is permitted."""
+        report, permitted = self.report, self.permitted
+        return permitted.issuperset(report.structural) and permitted.issuperset(report.behavioural)
+
+    @property
+    def violations(self) -> tuple[tuple[str, Path], ...]:
+        """Each impacted domain that is not permitted, and its path,
+        rendered anew by ``walk``."""
+        return tuple(self.walk())
+
+    def walk(self) -> Iterator[tuple[str, Path]]:
+        """The violations by path length, then name: first the structural
+        domains, whose path is their name alone, then the hits in report
+        order, which is already by length, then name."""
+        for name in sorted(self.report.structural - self.permitted):
+            yield name, (name,)
+        for name, path in self.report.walk():
+            if name not in self.permitted:
+                yield name, path
 
 
 def _seed(env: m.Environment, edit: EditSpec) -> tuple[frozenset[str], frozenset[str]]:
@@ -210,7 +247,7 @@ def propagate(
     for dom in env:
         if dom.name in buffers:
             continue
-        for link in sorted(dom.links):
+        for link in sorted(dom.links, key=m.LINK_ORDER):
             if link.cause in dom.observed:
                 edges.setdefault(link.cause, []).append((link.effect, dom.name))
 
@@ -256,13 +293,8 @@ def propagate(
 
 def bound_check(report: ImpactReport, permitted: frozenset[str]) -> BoundReport:
     """Pass iff every domain the ``report`` finds impacted is permitted to
-    change.  Violations are ordered by path length, then name; a
-    structural domain's path is its name alone.
-    """
-    # structural domains sort first (length 1); hits are already in order
-    violations = [(name, (name,)) for name in sorted(report.structural - permitted)]
-    violations += [(name, path) for name, path in report.walk() if name not in permitted]
-    return BoundReport(not violations, tuple(violations))
+    change.  The violations are rendered when they are read."""
+    return BoundReport(report, frozenset(permitted))
 
 
 def parse_edit(text: str, mdl: dsl.Model) -> EditSpec:

@@ -13,6 +13,7 @@ functions, so sharing across threads is safe.
 from __future__ import annotations
 
 import enum
+from operator import attrgetter
 
 from .artifacts import Record
 
@@ -125,6 +126,11 @@ class CausalLink(Record):
         if other.__class__ is self.__class__:
             return self._values(self) >= self._values(other)
         return NotImplemented
+
+
+# The order of one domain's links, which all share its owner: that of
+# ``CausalLink.__lt__``, with no Python call per comparison.
+LINK_ORDER = attrgetter("cause", "effect")
 
 
 class Domain(Record):

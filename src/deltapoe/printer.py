@@ -113,7 +113,7 @@ def domain_str(dom: m.Domain) -> str:
         clauses.append("observes " + ", ".join(sorted(dom.observed)))
     if dom.controlled:
         clauses.append("controls " + ", ".join(sorted(dom.controlled)))
-    for link in sorted(dom.links):
+    for link in sorted(dom.links, key=m.LINK_ORDER):
         clauses.append(f"causes {link.cause} -> {link.effect}")
     if dom.description:
         clauses.append(f"description {_quoted(dom.description)}")

@@ -43,7 +43,7 @@ from deltapoe.dsl import (
     path_str,
 )
 from deltapoe.export import _dot_escape
-from deltapoe.impact import BoundReport, UnknownDomain, _seed, edit_str, path_text
+from deltapoe.impact import UnknownDomain, _seed, edit_str, path_text
 from deltapoe.macro import (
     _GATE_TARGET,
     BadLog,
@@ -1354,9 +1354,16 @@ def propagate_stored_paths(env, edit, buffers=frozenset()) -> StoredPathsReport:
     )
 
 
-def bound_check_stored_paths(env, edit, permitted, buffers=frozenset()) -> BoundReport:
+@dataclass(frozen=True)
+class StoredBoundReport:
+    passed: bool
+    violations: tuple  # (domain, path) pairs, by path length, then name
+
+
+def bound_check_stored_paths(env, edit, permitted, buffers=frozenset()) -> StoredBoundReport:
     """Bound check over ``propagate_stored_paths``: one linear path search
-    per violation, then a sort by path length and name."""
+    per violation, then a sort by path length and name.  The bound report
+    as it was before it rendered its violations when they are read."""
     report = propagate_stored_paths(env, edit, buffers)
     impacted = report.structural | report.behavioural
     violations = []
@@ -1364,7 +1371,29 @@ def bound_check_stored_paths(env, edit, permitted, buffers=frozenset()) -> Bound
         path = report.path_to(name) or (name,)
         violations.append((name, path))
     violations.sort(key=lambda v: (len(v[1]), v[0]))
-    return BoundReport(not violations, tuple(violations))
+    return StoredBoundReport(not violations, tuple(violations))
+
+
+def impact_doc_lists(report, env, bound=None) -> dict:
+    """``export.impact_doc`` as it was before its paths and violations
+    were walked as they are written: every one held in a list, the
+    document ``json.dumps`` writes as the structured report."""
+    doc = {
+        "edit": report.edit,
+        "structural": sorted(report.structural),
+        "behavioural": sorted(report.behavioural),
+        "buffers": sorted(report.buffers),
+        "declared_buffers": sorted(report.declared_buffers),
+        "seed_phenomena": sorted(report.seed_phenomena),
+        "paths": [list(path) for path in report.paths],
+        "domains": list(env.names()),
+    }
+    if bound is not None:
+        doc["bound"] = {
+            "passed": bound.passed,
+            "violations": [{"domain": name, "path": list(path)} for name, path in bound.violations],
+        }
+    return doc
 
 
 # --- model graph ----------------------------------------------------------------------

@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from deltapoe import cli, dsl, export, impact, macro, model
+from deltapoe import cli, dsl, impact, macro, model
 
 from .conftest import FIXTURES
-from .oracles import print_impact_text
+from .oracles import bound_check_stored_paths, impact_doc_lists, print_impact_text
 from .strategies import layered_org_text
 from .test_workflow_stream import CountingRaw
 
@@ -222,7 +222,7 @@ def test_impact_structured_is_the_report_document(capsys, edit):
     mdl = dsl.parse_model(CHAIN.read_text())
     report = impact.propagate(mdl.environment, impact.parse_edit(edit, mdl))
     assert code == 0
-    assert out == json.dumps(export.impact_doc(report, mdl.environment), indent=2) + "\n"
+    assert out == json.dumps(impact_doc_lists(report, mdl.environment), indent=2) + "\n"
 
 
 def test_impact_structured_large_report_is_the_report_document(tmp_path, capsys):
@@ -234,7 +234,7 @@ def test_impact_structured_large_report_is_the_report_document(tmp_path, capsys)
     report = impact.propagate(mdl.environment, impact.parse_edit("!O0_4", mdl),
                               frozenset({"O3_1", "O3_2"}))
     assert code == 0
-    assert out == json.dumps(export.impact_doc(report, mdl.environment), indent=2) + "\n"
+    assert out == json.dumps(impact_doc_lists(report, mdl.environment), indent=2) + "\n"
 
 
 def test_impact_permitted_output_extends_plain_output(tmp_path, capsys):
@@ -278,8 +278,10 @@ def test_impact_structured_is_written_in_a_few_writes(tmp_path):
         assert cli.main(["impact", str(org), "--edit", "!O0_4", "--permitted", "O0_4",
                          "--format", "structured"]) == 1
     mdl = dsl.parse_model(org.read_text())
-    report = impact.propagate(mdl.environment, impact.parse_edit("!O0_4", mdl))
-    doc = export.impact_doc(report, mdl.environment, impact.bound_check(report, frozenset({"O0_4"})))
+    edit = impact.parse_edit("!O0_4", mdl)
+    report = impact.propagate(mdl.environment, edit)
+    bound = bound_check_stored_paths(mdl.environment, edit, frozenset({"O0_4"}))
+    doc = impact_doc_lists(report, mdl.environment, bound)
     assert raw.data.decode() == json.dumps(doc, indent=2) + "\n"
     assert len(raw.data) > 4 << 16
     assert max(raw.sizes) <= 1 << 16 and len(raw.sizes) <= len(raw.data) // (1 << 16) + 1, raw.sizes
@@ -424,16 +426,22 @@ sys.exit(code)
 
 def test_impact_and_workflow_do_not_load_the_calculus(tmp_path):
     """Each command imports what it uses: neither ``impact`` (in every
-    format) nor the workflow commands load the calculus."""
+    format) nor the workflow commands load the calculus, and only a
+    structured ``plan`` or ``impact`` loads the exports."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     log = tmp_path / "wf.jsonl"
-    for expected, argv, front_end in (
-        (1, ["impact", CHAIN, "--edit", "C causes y -> c", "--permitted", "C", "--format", "structured"], True),
-        (0, ["workflow", log, "advance", "--event", "submit-view", "--owner", "G", "--delegate", "D"], False),
-        (0, ["workflow", log, "status"], False),
+    for expected, argv, loads in (
+        (1, ["impact", CHAIN, "--edit", "C causes y -> c", "--permitted", "C", "--format", "structured"],
+         {"dsl", "export"}),
+        (1, ["impact", CHAIN, "--edit", "C causes y -> c", "--permitted", "C"], {"dsl"}),
+        (0, ["plan", GOLDEN], {"dsl", "calculus"}),
+        (0, ["plan", GOLDEN, "--format", "structured"], {"dsl", "calculus", "export"}),
+        (0, ["workflow", log, "advance", "--event", "submit-view", "--owner", "G", "--delegate", "D"], set()),
+        (0, ["workflow", log, "status"], set()),
     ):
         loaded = loaded_modules(env, expected, argv)
-        assert ("deltapoe.dsl" in loaded) is front_end and "deltapoe.calculus" not in loaded, argv
+        for name in ("dsl", "calculus", "export"):
+            assert (f"deltapoe.{name}" in loaded) is (name in loads), (argv, name)
 
 
 def loaded_modules(env, expected: int, argv) -> list[str]:

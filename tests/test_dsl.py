@@ -1,5 +1,6 @@
 import importlib
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -306,10 +307,31 @@ BLANK_RUNS = [" " * 60, "\t" * 30, "\n" * 40, " \t\n" * 20, "# note\n" * 15, "# 
 @example('skip "a\n² "b')
 @example('skip ² "a\n|')
 @example("x" + " " * 60 + "|")
+@example("skip\n  skip  # a\n\nskip ²\n|")  # an unexpected character in a later slice
+@example('skip\nskip\n  need "a\nb" ²\n')  # an unterminated string in a later slice
 def test_lexer_matches_the_tuple_lexer(src):
     """Kinds, values, positions and the first error are those of the
-    lexer that built a tuple for each token."""
-    assert lexed(derived_tokens, src) == lexed(tokenize_tuples, src)
+    lexer that built a tuple for each token, whether the source is lexed
+    in one slice or cut into slices of a few characters and the rest of
+    their line."""
+    expected = lexed(tokenize_tuples, src)
+    assert lexed(derived_tokens, src) == expected
+    for size in (1, 2, 5):
+        with mock.patch.object(dsl, "_SLICE", size):
+            assert lexed(derived_tokens, src) == expected, size
+
+
+def test_equal_token_texts_are_one_object():
+    """Across slices too; and so the model's names are shared."""
+    src = gen.layered_org_text(12, 8, 3, seed=1)
+    for size in (dsl._SLICE, 40):
+        with mock.patch.object(dsl, "_SLICE", size):
+            texts = dsl.tokenize(src)
+        assert len({id(t) for t in texts}) == len(set(texts)) < len(texts) // 4
+    env = dsl.parse_model(src).environment
+    names = [name for dom in env for name in (dom.name, *dom.observed, *dom.controlled)]
+    names += [name for dom in env for link in dom.links for name in (link.cause, link.effect)]
+    assert len({id(name) for name in names}) == len(set(names))
 
 
 @pytest.mark.parametrize("digit", ["²", "٣", "٠"])

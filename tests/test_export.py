@@ -9,7 +9,7 @@ from deltapoe import calculus, dsl, export, impact, model
 from deltapoe.impact import NewLink
 
 from .conftest import FIXTURES
-from .oracles import model_dot_scan
+from .oracles import bound_check_stored_paths, impact_doc_lists, model_dot_scan
 from .strategies import layered_org_text
 
 
@@ -70,6 +70,27 @@ def test_impact_doc_round_trips_to_dot():
     assert '"D" [fillcolor="lightblue", peripheries=2];' in text
     assert '"C" [fillcolor="lightcoral"];' in text
     assert '"E" [fillcolor="white"];' in text
+    # the same graph from the document as written and read back, as
+    # ``export --graph`` reads a report file, and from the eager document
+    out = io.StringIO()
+    export.to_json(doc, out)
+    assert export.impact_dot(json.loads(out.getvalue())) == text
+    assert export.impact_dot(impact_doc_lists(report, chain.environment)) == text
+
+
+def test_impact_doc_is_the_eager_document():
+    """``impact_doc``'s lazy members read as the eager document's lists,
+    directly and through ``json.dumps`` with ``default=list``, as often
+    as they are read."""
+    mdl = dsl.parse_model(layered_org_text(12, 4, 3, seed=2))
+    report = impact.propagate(mdl.environment, model.Cancel("O0_0"))
+    bound = impact.bound_check(report, frozenset({"O0_0", "O1_1"}))
+    doc = export.impact_doc(report, mdl.environment, bound)
+    eager = impact_doc_lists(report, mdl.environment, bound_check_stored_paths(
+        mdl.environment, model.Cancel("O0_0"), frozenset({"O0_0", "O1_1"})))
+    for _ in range(2):
+        assert json.dumps(doc, indent=2, default=list) == json.dumps(eager, indent=2)
+        assert [list(path) for path in doc["paths"]] == eager["paths"]
 
 
 @pytest.mark.parametrize(
@@ -103,11 +124,10 @@ class WriteLog(io.StringIO):
 def test_to_json_stream_writes_the_same_text():
     mdl = dsl.parse_model(layered_org_text(30, 10, 3, seed=1))
     report = impact.propagate(mdl.environment, model.Cancel("O0_0"))
-    doc = export.impact_doc(report, mdl.environment)
     out = WriteLog()
-    export.to_json(doc, out)
+    export.to_json(export.impact_doc(report, mdl.environment), out)
     text = out.getvalue()
-    assert text == json.dumps(doc, indent=2) + "\n"
+    assert text == json.dumps(impact_doc_lists(report, mdl.environment), indent=2) + "\n"
     # streamed in writes of at most 64 KiB, as few as the text allows
     assert max(out.sizes) <= 1 << 16
     assert 1 < len(out.sizes) <= len(text) // (1 << 16) + 1, out.sizes
@@ -130,6 +150,19 @@ def test_to_json_matches_the_stdlib_indent_encoder(value):
     out = io.StringIO()
     export.to_json(value, out)
     assert out.getvalue() == json.JSONEncoder(indent=2).encode(value) + "\n"
+
+
+@given(st.lists(json_values, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_to_json_writes_rows_as_the_list_of_their_items_each_time(items):
+    """A ``Rows`` member is made anew each time it is read, so a document
+    holding one is written again with the same text."""
+    doc = {"rows": export.Rows(lambda: iter(items)), "nested": [export.Rows(lambda: ())]}
+    expected = json.JSONEncoder(indent=2).encode({"rows": items, "nested": [[]]}) + "\n"
+    for _ in range(2):
+        out = io.StringIO()
+        export.to_json(doc, out)
+        assert out.getvalue() == expected
 
 
 @pytest.mark.parametrize("doc", [{1: "a"}, {"a": [{None: 1}]}, {"a": {1.5: 1}}, {True: []}])

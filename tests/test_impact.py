@@ -1,8 +1,12 @@
+import contextlib
+import os
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltapoe import dsl, impact, model
+from deltapoe import cli, dsl, impact, model
 from deltapoe.impact import NewLink, UnknownDomain, UnknownPhenomenon, bound_check, propagate
 
 from .conftest import FIXTURES
@@ -230,7 +234,10 @@ def assert_same_report(env, edit, buffers, permitted):
     assert new.paths == old.paths
     for name in set(env.names()) | new.structural | {"Ghost"}:
         assert path_to(new, name) == old.path_to(name), name
-    assert bound_check(new, permitted) == bound_check_stored_paths(env, edit, permitted, buffers)
+    bound, stored = bound_check(new, permitted), bound_check_stored_paths(env, edit, permitted, buffers)
+    assert bound.passed == stored.passed
+    assert bound.violations == stored.violations
+    assert tuple(bound.walk()) == stored.violations
 
 
 @given(differential_cases())
@@ -312,3 +319,34 @@ def test_walk_of_a_report_with_no_hits_is_empty():
     lonely = propagate(model.Environment((model.Domain("A", controlled=frozenset({"a"})),)),
                        model.Cancel("A"))
     assert list(lonely.walk()) == [] and lonely.paths == ()
+
+
+# --- memory --------------------------------------------------------------------------
+
+def impact_peak(org, argv: list[str]) -> tuple[int, int]:
+    """The traced peak of ``impact ORG --edit !O0_0 ARGV``, its output
+    discarded, and its exit code."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.reset_peak()
+        code = cli.main(["impact", str(org), "--edit", "!O0_0", *argv])
+        return tracemalloc.get_traced_memory()[1], code
+
+
+def test_bound_and_structured_reports_hold_no_more_than_the_plain_one(tmp_path):
+    """On a chain of 2,000 domains the paths hold about 4,000,000 names in
+    all, against at most 4,000 on one path.  The text report writes them as
+    they are walked; the bound check and the structured report must too,
+    so that neither costs much more memory than the plain text report."""
+    org = tmp_path / "chain.poed"
+    org.write_text(layered_org_text(2000, 1, 1))
+    tracemalloc.start()
+    try:
+        impact_peak(org, [])  # first use: imports and caches
+        plain, plain_code = impact_peak(org, [])
+        bound, bound_code = impact_peak(org, ["--permitted", "O0_0"])
+        structured, structured_code = impact_peak(org, ["--format", "structured"])
+    finally:
+        tracemalloc.stop()
+    assert (plain_code, bound_code, structured_code) == (0, 1, 0)
+    assert bound < 1.5 * plain, bound / plain
+    assert structured < 1.5 * plain, structured / plain
