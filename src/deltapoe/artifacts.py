@@ -73,22 +73,6 @@ class RuleId(str, enum.Enum):
     SOLUTION_REFLECT = "SolutionReflect"
 
 
-RULE_ARITY = {
-    RuleId.DELEGATION: 1,
-    RuleId.KNOWN_SOLUTION: 0,
-    RuleId.ENV_REFINE: 1,
-    RuleId.NEED_REFINE: 1,
-    RuleId.SOLN_REFINE: 1,
-    RuleId.DOMAIN_ADD: 1,
-    RuleId.DOMAIN_REMOVE: 1,
-    RuleId.DOMAIN_REFINE: 1,
-    RuleId.PARALLEL: 2,
-    RuleId.SEQUENCE: 2,
-    RuleId.SEQ_DOMAIN_REFINE_EQUIV: 1,
-    RuleId.SOLUTION_REFLECT: 1,
-}
-
-
 class RiskItem(Record):
     __slots__ = ("risk", "mitigation")
 

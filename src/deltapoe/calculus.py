@@ -10,7 +10,9 @@ and side condition rather than trusting what the tree (or file) claims,
 then verifies justification profiles, plan-fragment constraints and
 validation gates.  Solved trees yield an implementation plan
 (:func:`extract_plan`) and a fully determined change expression
-(:func:`solution_of`).
+(:func:`solution_of`).  What a rule means, its arity, premises and side
+conditions, evidence and required justification fields, is its one entry
+of :data:`RULES`, which each of these passes reads.
 
 The passes that only read a tree (:func:`lint`, plan extraction,
 :func:`discharge_environments`, the DOT export) share one stack-based
@@ -32,7 +34,6 @@ from .artifacts import (
     EMPTY_JUSTIFICATION,
     Justification,
     PlanStep,
-    RULE_ARITY,
     Record,
     RuleId,
     ValidationRecord,
@@ -305,17 +306,6 @@ def _mirror_need_shape(need: m.Need, base: str) -> m.ChangeExpr:
     return built[0]
 
 
-def _refine_pair(change: m.ChangeExpr):
-    if (
-        isinstance(change, m.ChangeSeq)
-        and isinstance(change.first, m.Refine)
-        and isinstance(change.second, m.Refine)
-        and change.first.target == change.second.target
-    ):
-        return change.first, change.second
-    return None
-
-
 def _first_stage(node: DerivationNode) -> m.ChangeExpr | None:
     """The solution a Sequence's second stage is threaded through: its
     first stage's, once committed and fully determined.  None while the
@@ -326,248 +316,270 @@ def _first_stage(node: DerivationNode) -> m.ChangeExpr | None:
     return first if first is not None and m.is_unknown_free(first) else None
 
 
-def _expected(node: DerivationNode, mdl: Model) -> list[DerivationNode]:
-    """The premises a rule application must have, as open leaves, which
-    :func:`apply` installs, :func:`rethread` copies onto the existing
-    premises and :func:`check` compares them with: always
-    ``RULE_ARITY[node.rule]`` of them.
-
-    Raises RuleError when the rule's side conditions do not hold for the
-    node's conclusion and arguments.
-    """
+def _leaf(node: DerivationNode, env=None, change=None, validator=None, need=None,
+          greenfield=False, provisional=None) -> DerivationNode:
+    """An open leaf whose problem is ``node``'s conclusion with the given
+    parts in place of its own, and whose environment is provisional as
+    ``node``'s is unless ``provisional`` says otherwise."""
     problem = node.conclusion
-    env, change, validator, need = (
-        problem.env,
-        problem.change,
-        problem.validator,
-        problem.need,
+    return DerivationNode(
+        m.Problem(
+            problem.env if env is None else env,
+            problem.change if change is None else change,
+            problem.validator if validator is None else validator,
+            problem.need if need is None else need,
+        ),
+        greenfield=greenfield,
+        env_provisional=node.env_provisional if provisional is None else provisional,
     )
-    rule = node.rule
-    args = node.args
-    prov = node.env_provisional
 
-    def same(change_=None, need_=None, env_=None, validator_=None, greenfield=False,
-             provisional=None):
-        return DerivationNode(
-            m.Problem(
-                env if env_ is None else env_,
-                change if change_ is None else change_,
-                validator if validator_ is None else validator_,
-                need if need_ is None else need_,
-            ),
-            greenfield=greenfield,
-            env_provisional=prov if provisional is None else provisional,
+
+# --- the rules ----------------------------------------------------------------------
+#
+# Each rule's premises function returns the premises an application at the
+# node must have, as open leaves, and raises RuleError when a side condition
+# does not hold for the node's conclusion and arguments.
+
+def _delegation(node: DerivationNode, mdl: Model) -> list[DerivationNode]:
+    delegate, validator = node.args.get("delegate"), node.conclusion.validator
+    if not delegate:
+        raise RuleError("Delegation needs a 'delegate' argument")
+    try:
+        owner = mdl.stakeholder(validator)
+    except KeyError:
+        raise RuleError(f"validator {validator!r} is not a declared stakeholder")
+    if delegate not in owner.trusts:
+        raise TrustMissing(f"no trust edge {validator} -> {delegate}")
+    return [_leaf(node, validator=delegate)]
+
+
+def _known_solution(node: DerivationNode, mdl: Model) -> list[DerivationNode]:
+    solution = node.args.get("solution", node.conclusion.change)
+    if not m.is_unknown_free(solution):
+        missing = ", ".join(sorted(m.placeholders(solution)))
+        raise SideConditionViolated(f"known solution still contains placeholders: {missing}")
+    return []
+
+
+def _env_refine(node: DerivationNode, mdl: Model) -> list[DerivationNode]:
+    new_env = node.args.get("env")
+    if not isinstance(new_env, m.Environment):
+        raise RuleError("EnvRefine needs an 'env' argument")
+    return [_leaf(node, env=new_env, provisional=False)]
+
+
+def _need_refine(node: DerivationNode, mdl: Model) -> list[DerivationNode]:
+    new_need = node.args.get("need")
+    if new_need is None:
+        raise RuleError("NeedRefine needs a 'need' argument")
+    return [_leaf(node, need=new_need)]
+
+
+def _soln_refine(node: DerivationNode, mdl: Model) -> list[DerivationNode]:
+    new_change = node.args.get("change")
+    if new_change is None:
+        raise RuleError("SolnRefine needs a 'change' argument")
+    return [_leaf(node, change=new_change)]
+
+
+def _solution_reflect(node: DerivationNode, mdl: Model) -> list[DerivationNode]:
+    change, need = node.conclusion.change, node.conclusion.need
+    if not isinstance(change, m.Unknown):
+        raise SideConditionViolated(
+            f"SolutionReflect introduces structure into an unsolved change; found {change_str(change)}"
         )
+    if isinstance(need, m.AtomicNeed):
+        raise SideConditionViolated("SolutionReflect needs a composite need to mirror")
+    shape = node.args.get("shape")
+    top = "seq" if isinstance(need, m.NeedSeq) else "par"
+    if shape is not None and shape != top:
+        raise SideConditionViolated(f"need composes by {top!r}, not {shape!r}")
+    return [_leaf(node, change=_mirror_need_shape(need, change.placeholder))]
 
-    if rule is RuleId.DELEGATION:
-        delegate = args.get("delegate")
-        if not delegate:
-            raise RuleError("Delegation needs a 'delegate' argument")
+
+def _sequence(node: DerivationNode, mdl: Model) -> list[DerivationNode]:
+    env, change, need = node.conclusion.env, node.conclusion.change, node.conclusion.need
+    if not isinstance(change, m.ChangeSeq):
+        raise SideConditionViolated(f"Sequence expects a sequenced change, found {change_str(change)}")
+    if not isinstance(need, m.NeedSeq):
+        raise SideConditionViolated(f"Sequence expects a sequenced need, found {need_str(need)}")
+    # thread the second stage through the first stage's solution once known
+    first = _first_stage(node)
+    if first is not None:
         try:
-            owner = mdl.stakeholder(validator)
-        except KeyError:
-            raise RuleError(f"validator {validator!r} is not a declared stakeholder")
-        if delegate not in owner.trusts:
-            raise TrustMissing(f"no trust edge {validator} -> {delegate}")
-        return [same(validator_=delegate)]
+            env = m.apply_change(env, first)
+        except (m.ChangeError, m.ModelError) as err:
+            raise SideConditionViolated(
+                f"stage one's solution does not apply: {err}",
+                cause_kind=type(err).__name__,
+            )
+    return [
+        _leaf(node, change=change.first, need=need.left),
+        _leaf(node, env=env, change=change.second, need=need.right, provisional=first is None),
+    ]
 
-    if rule is RuleId.KNOWN_SOLUTION:
-        solution = args.get("solution", change)
-        if not m.is_unknown_free(solution):
-            missing = ", ".join(sorted(m.placeholders(solution)))
-            raise SideConditionViolated(
-                f"known solution still contains placeholders: {missing}"
-            )
-        return []
 
-    if rule is RuleId.ENV_REFINE:
-        new_env = args.get("env")
-        if not isinstance(new_env, m.Environment):
-            raise RuleError("EnvRefine needs an 'env' argument")
-        return [same(env_=new_env, provisional=False)]
+def _parallel(node: DerivationNode, mdl: Model) -> list[DerivationNode]:
+    env, change, need = node.conclusion.env, node.conclusion.change, node.conclusion.need
+    if not isinstance(need, m.NeedPar):
+        raise SideConditionViolated(f"Parallel expects a parallel need, found {need_str(need)}")
+    left, right = node.args.get("left"), node.args.get("right")
+    if left is None or right is None:
+        raise RuleError("Parallel needs 'left' and 'right' domain lists")
+    left, right, names = set(left), set(right), set(env.names())
+    if left & right:
+        raise SideConditionViolated("environment split overlaps: " + ", ".join(sorted(left & right)))
+    if left | right != names:
+        raise SideConditionViolated("environment split must cover the environment exactly; "
+                                    "mismatched: " + ", ".join(sorted((left | right) ^ names)))
+    env1 = m.Environment(tuple(d for d in env if d.name in left))
+    env2 = m.Environment(tuple(d for d in env if d.name in right))
+    shared = m.shared_phenomena(env1, env2)
+    if shared:
+        raise SideConditionViolated(
+            "the split contexts are not phenomenally disjoint; shared: " + ", ".join(sorted(shared)),
+            shared=shared,
+        )
+    if isinstance(change, m.ChangePar):
+        c1, c2 = change.left, change.right
+    elif isinstance(change, m.Unknown):
+        c1, c2 = m.Unknown(f"{change.placeholder}1"), m.Unknown(f"{change.placeholder}2")
+    else:
+        raise SideConditionViolated(
+            f"Parallel expects a parallel or unsolved change, found {change_str(change)}"
+        )
+    return [
+        _leaf(node, env=env1, change=c1, need=need.left),
+        _leaf(node, env=env2, change=c2, need=need.right),
+    ]
 
-    if rule is RuleId.NEED_REFINE:
-        new_need = args.get("need")
-        if new_need is None:
-            raise RuleError("NeedRefine needs a 'need' argument")
-        return [same(need_=new_need)]
 
-    if rule is RuleId.SOLN_REFINE:
-        new_change = args.get("change")
-        if new_change is None:
-            raise RuleError("SolnRefine needs a 'change' argument")
-        return [same(change_=new_change)]
-
-    if rule is RuleId.SOLUTION_REFLECT:
-        if not isinstance(change, m.Unknown):
+def _bridging(atom: type):
+    """The premises function of the domain rule whose change is one
+    ``atom``: a greenfield obligation in the environment the atom
+    installs, or in the node's own while that is provisional."""
+    def premises(node: DerivationNode, mdl: Model) -> list[DerivationNode]:
+        env, change = node.conclusion.env, node.conclusion.change
+        if not isinstance(change, atom):
             raise SideConditionViolated(
-                "SolutionReflect introduces structure into an unsolved change; "
-                f"found {change_str(change)}"
+                f"{node.rule.value} expects a {atom.__name__.lower()} atom, found {change_str(change)}"
             )
-        if isinstance(need, m.AtomicNeed):
-            raise SideConditionViolated(
-                "SolutionReflect needs a composite need to mirror"
-            )
-        shape = args.get("shape")
-        top = "seq" if isinstance(need, m.NeedSeq) else "par"
-        if shape is not None and shape != top:
-            raise SideConditionViolated(
-                f"need composes by {top!r}, not {shape!r}"
-            )
-        return [same(change_=_mirror_need_shape(need, change.placeholder))]
-
-    if rule is RuleId.SEQUENCE:
-        if not isinstance(change, m.ChangeSeq):
-            raise SideConditionViolated(
-                f"Sequence expects a sequenced change, found {change_str(change)}"
-            )
-        if not isinstance(need, m.NeedSeq):
-            raise SideConditionViolated(
-                f"Sequence expects a sequenced need, found {need_str(need)}"
-            )
-        first = same(change_=change.first, need_=need.left)
-        # thread the second stage through the first stage's solution once known
-        env2, first_commit = env, _first_stage(node)
-        if first_commit is not None:
-            try:
-                env2 = m.apply_change(env, first_commit)
-            except (m.ChangeError, m.ModelError) as err:
-                raise SideConditionViolated(
-                    f"stage one's solution does not apply: {err}",
-                    cause_kind=type(err).__name__,
-                )
-        second = same(env_=env2, change_=change.second, need_=need.right,
-                      provisional=first_commit is None)
-        return [first, second]
-
-    if rule is RuleId.PARALLEL:
-        if not isinstance(need, m.NeedPar):
-            raise SideConditionViolated(
-                f"Parallel expects a parallel need, found {need_str(need)}"
-            )
-        left_names = args.get("left")
-        right_names = args.get("right")
-        if left_names is None or right_names is None:
-            raise RuleError("Parallel needs 'left' and 'right' domain lists")
-        names = set(env.names())
-        left_set, right_set = set(left_names), set(right_names)
-        if left_set & right_set:
-            raise SideConditionViolated(
-                "environment split overlaps: " + ", ".join(sorted(left_set & right_set))
-            )
-        if left_set | right_set != names:
-            stray = (left_set | right_set) ^ names
-            raise SideConditionViolated(
-                "environment split must cover the environment exactly; "
-                "mismatched: " + ", ".join(sorted(stray))
-            )
-        env1 = m.Environment(tuple(d for d in env if d.name in left_set))
-        env2 = m.Environment(tuple(d for d in env if d.name in right_set))
-        shared = m.shared_phenomena(env1, env2)
-        if shared:
-            raise SideConditionViolated(
-                "the split contexts are not phenomenally disjoint; shared: "
-                + ", ".join(sorted(shared)),
-                shared=shared,
-            )
-        if isinstance(change, m.ChangePar):
-            c1, c2 = change.left, change.right
-        elif isinstance(change, m.Unknown):
-            c1 = m.Unknown(f"{change.placeholder}1")
-            c2 = m.Unknown(f"{change.placeholder}2")
-        else:
-            raise SideConditionViolated(
-                f"Parallel expects a parallel or unsolved change, found {change_str(change)}"
-            )
-        return [
-            same(env_=env1, change_=c1, need_=need.left),
-            same(env_=env2, change_=c2, need_=need.right),
-        ]
-
-    if rule in (RuleId.DOMAIN_ADD, RuleId.DOMAIN_REMOVE, RuleId.DOMAIN_REFINE):
-        wanted = {
-            RuleId.DOMAIN_ADD: m.Add,
-            RuleId.DOMAIN_REMOVE: m.Cancel,
-            RuleId.DOMAIN_REFINE: m.Refine,
-        }[rule]
-        if not isinstance(change, wanted):
-            raise SideConditionViolated(
-                f"{rule.value} expects a {wanted.__name__.lower()} atom, "
-                f"found {change_str(change)}"
-            )
-        if prov:
-            return [same(change_=m.Nil(), greenfield=True)]
+        if node.env_provisional:
+            return [_leaf(node, change=m.Nil(), greenfield=True)]
         try:
             new_env = m.apply_change(env, change)
         except (m.ChangeError, m.ModelError) as err:
             raise SideConditionViolated(str(err), cause_kind=type(err).__name__)
-        return [same(env_=new_env, change_=m.Nil(), greenfield=True)]
+        return [_leaf(node, env=new_env, change=m.Nil(), greenfield=True)]
 
-    if rule is RuleId.SEQ_DOMAIN_REFINE_EQUIV:
-        direction = args.get("direction")
-        if direction == "fuse":
-            pair = _refine_pair(change)
-            if pair is None:
-                raise SideConditionViolated(
-                    "fusing needs two sequenced refinements of one domain; "
-                    f"found {change_str(change)}"
-                )
-            rewritten: m.ChangeExpr = pair[1]
-        elif direction == "split":
-            if not isinstance(change, m.Refine):
-                raise SideConditionViolated(
-                    f"splitting needs a single refinement, found {change_str(change)}"
-                )
-            retained = args.get("retained")
-            added = args.get("added")
-            if retained is None or added is None:
-                raise RuleError("splitting needs 'retained' and 'added' for the intermediate stage")
-            rewritten = m.ChangeSeq(
-                m.Refine(change.target, tuple(retained), tuple(added)), change
-            )
-        else:
-            raise RuleError("SeqDomainRefineEquiv needs direction: fuse or split")
-        if prov:
-            raise SideConditionViolated(
-                "cannot verify the rewrite: environment not yet determined"
-            )
-        try:
-            before = m.apply_change(env, change)
-            after = m.apply_change(env, rewritten)
-        except (m.ChangeError, m.ModelError) as err:
-            raise SideConditionViolated(str(err), cause_kind=type(err).__name__)
-        if before != after:
-            raise SideConditionViolated(
-                "rewrite is not a semantic no-op here: "
-                f"{env_str(before)} vs {env_str(after)}"
-            )
-        return [same(change_=rewritten)]
+    return premises
 
-    raise RuleError(f"unknown rule {rule!r}")
+
+def _seq_domain_refine_equiv(node: DerivationNode, mdl: Model) -> list[DerivationNode]:
+    env, change = node.conclusion.env, node.conclusion.change
+    direction = node.args.get("direction")
+    if direction == "fuse":
+        if not (isinstance(change, m.ChangeSeq) and isinstance(change.first, m.Refine)
+                and isinstance(change.second, m.Refine) and change.first.target == change.second.target):
+            raise SideConditionViolated(
+                f"fusing needs two sequenced refinements of one domain; found {change_str(change)}"
+            )
+        rewritten: m.ChangeExpr = change.second
+    elif direction == "split":
+        if not isinstance(change, m.Refine):
+            raise SideConditionViolated(f"splitting needs a single refinement, found {change_str(change)}")
+        retained, added = node.args.get("retained"), node.args.get("added")
+        if retained is None or added is None:
+            raise RuleError("splitting needs 'retained' and 'added' for the intermediate stage")
+        rewritten = m.ChangeSeq(m.Refine(change.target, tuple(retained), tuple(added)), change)
+    else:
+        raise RuleError("SeqDomainRefineEquiv needs direction: fuse or split")
+    if node.env_provisional:
+        raise SideConditionViolated("cannot verify the rewrite: environment not yet determined")
+    try:
+        before = m.apply_change(env, change)
+        after = m.apply_change(env, rewritten)
+    except (m.ChangeError, m.ModelError) as err:
+        raise SideConditionViolated(str(err), cause_kind=type(err).__name__)
+    if before != after:
+        raise SideConditionViolated(
+            f"rewrite is not a semantic no-op here: {env_str(before)} vs {env_str(after)}"
+        )
+    return [_leaf(node, change=rewritten)]
+
+
+class Rule(Record):
+    """What one rule of the calculus means: the number of premises it
+    makes; its premises function; its evidence function, which renders
+    what an application establishes from the node (nothing there is
+    checked, :func:`check` recomputes every premise instead); and the
+    justification fields it requires besides the rule rationale."""
+
+    __slots__ = ("arity", "premises", "evidence", "required")
+
+    def __init__(self, arity: int, premises, evidence, required: tuple[str, ...] = ()):
+        self.arity = arity
+        self.premises = premises
+        self.evidence = evidence
+        self.required = required
+
+
+def _no_evidence(node: DerivationNode) -> dict:
+    return {}
+
+
+def _installed(node: DerivationNode) -> dict:
+    return {} if node.env_provisional else {"installed_env": env_str(node.premises[0].conclusion.env)}
+
+
+RULES: dict[RuleId, Rule] = {
+    RuleId.DELEGATION: Rule(
+        1, _delegation, lambda node: {"trust": f"{node.conclusion.validator}->{node.args['delegate']}"},
+        ("coordination_rationale", "validation_criteria")),
+    RuleId.KNOWN_SOLUTION: Rule(
+        0, _known_solution,
+        lambda node: {"solution": change_str(node.args.get("solution", node.conclusion.change))}),
+    RuleId.ENV_REFINE: Rule(1, _env_refine, _no_evidence),
+    RuleId.NEED_REFINE: Rule(1, _need_refine, _no_evidence),
+    RuleId.SOLN_REFINE: Rule(1, _soln_refine, _no_evidence),
+    RuleId.DOMAIN_ADD: Rule(1, _bridging(m.Add), _installed),
+    RuleId.DOMAIN_REMOVE: Rule(1, _bridging(m.Cancel), _installed),
+    RuleId.DOMAIN_REFINE: Rule(1, _bridging(m.Refine), _installed),
+    RuleId.PARALLEL: Rule(
+        2, _parallel,
+        lambda node: {"shared": [], "left": sorted(set(node.args["left"])),
+                      "right": sorted(set(node.args["right"]))},
+        ("dependency_argument",)),
+    RuleId.SEQUENCE: Rule(
+        2, _sequence, lambda node: {"intermediate_env": env_str(node.premises[1].conclusion.env)},
+        ("dependency_argument", "timeline_rationale")),
+    RuleId.SEQ_DOMAIN_REFINE_EQUIV: Rule(
+        1, _seq_domain_refine_equiv,
+        lambda node: {"before": change_str(node.conclusion.change),
+                      "after": change_str(node.premises[0].conclusion.change)}),
+    RuleId.SOLUTION_REFLECT: Rule(
+        1, _solution_reflect,
+        lambda node: {"shape": "seq" if isinstance(node.conclusion.need, m.NeedSeq) else "par"}),
+}
+
+
+def _expected(node: DerivationNode, mdl: Model) -> list[DerivationNode]:
+    """The premises the node's rule application must have, as open
+    leaves, which :func:`apply` installs, :func:`rethread` copies onto
+    the existing premises and :func:`check` compares them with: always
+    ``RULES[node.rule].arity`` of them.  Raises RuleError when the rule's
+    side conditions do not hold for the node's conclusion and arguments.
+    """
+    rule = RULES.get(node.rule)
+    if rule is None:
+        raise RuleError(f"unknown rule {node.rule!r}")
+    return rule.premises(node, mdl)
 
 
 def evidence(node: DerivationNode) -> dict:
-    """What a rule application establishes, rendered from the node: its
-    rule, arguments, conclusion and premise conclusions.  Nothing here is
-    checked; :func:`check` recomputes every premise instead."""
-    problem, args, rule = node.conclusion, node.args, node.rule
-    if rule is RuleId.DELEGATION:
-        return {"trust": f"{problem.validator}->{args['delegate']}"}
-    if rule is RuleId.KNOWN_SOLUTION:
-        return {"solution": change_str(args.get("solution", problem.change))}
-    if rule is RuleId.SOLUTION_REFLECT:
-        return {"shape": "seq" if isinstance(problem.need, m.NeedSeq) else "par"}
-    if rule is RuleId.SEQUENCE:
-        return {"intermediate_env": env_str(node.premises[1].conclusion.env)}
-    if rule is RuleId.PARALLEL:
-        return {"shared": [], "left": sorted(set(args["left"])), "right": sorted(set(args["right"]))}
-    if rule in (RuleId.DOMAIN_ADD, RuleId.DOMAIN_REMOVE, RuleId.DOMAIN_REFINE):
-        if node.env_provisional:
-            return {}
-        return {"installed_env": env_str(node.premises[0].conclusion.env)}
-    if rule is RuleId.SEQ_DOMAIN_REFINE_EQUIV:
-        return {"before": change_str(problem.change), "after": change_str(node.premises[0].conclusion.change)}
-    return {}
+    """What a rule application establishes, rendered from the node by its
+    rule's evidence function; nothing for an open node."""
+    return {} if node.rule is None else RULES[node.rule].evidence(node)
 
 
 # --- applying rules -------------------------------------------------------------
@@ -710,13 +722,6 @@ def _run_discharge(stmt: DischargeStatement, target: DerivationNode, index: int)
 
 # --- lint: justification profiles and plan fragments ----------------------------------
 
-_REQUIRED_J: dict[RuleId, tuple[str, ...]] = {
-    RuleId.DELEGATION: ("coordination_rationale", "validation_criteria"),
-    RuleId.SEQUENCE: ("dependency_argument", "timeline_rationale"),
-    RuleId.PARALLEL: ("dependency_argument",),
-}
-
-
 class CheckDiagnostic(Record):
     __slots__ = ("path", "kind", "message")
 
@@ -785,7 +790,7 @@ def lint(root: DerivationNode) -> list[CheckDiagnostic]:
         if node.rule is not None:
             if not node.justification.rule_rationale:
                 found.append(("MissingJustification", "ruleRationale is required"))
-            for fld in _REQUIRED_J.get(node.rule, ()):
+            for fld in RULES[node.rule].required:
                 if not getattr(node.justification, fld):
                     found.append(("MissingJustification", f"{fld} is required for {node.rule.value}"))
         if len(node.plan) >= 2 and not node.justification.risk_register:
@@ -832,7 +837,6 @@ def check(root: DerivationNode, mdl: Model) -> Verdict:
         diagnostics.append(CheckDiagnostic(path_str(path), kind, message))
 
     def walk(node: DerivationNode, path: NodePath, in_alternative: bool):
-        where = path_str(path)
         for k, alt in enumerate(node.alternatives):
             if alt.conclusion != node.conclusion:
                 note(path + (("alt", k + 1),), "PremiseMismatch",
@@ -840,9 +844,7 @@ def check(root: DerivationNode, mdl: Model) -> Verdict:
             walk(alt, path + (("alt", k + 1),), True)
         if node.alternatives and not in_alternative:
             if node.rule is not None and node.marker != "chosen":
-                open_items.append(
-                    f"{where}: alternatives exist but none is marked chosen"
-                )
+                open_items.append(f"{path_str(path)}: alternatives exist but none is marked chosen")
             if any(a.marker == "chosen" for a in node.alternatives):
                 note(path, "AmbiguousChoice",
                      "a chosen application must occupy the node itself, "
@@ -851,17 +853,17 @@ def check(root: DerivationNode, mdl: Model) -> Verdict:
             if node.greenfield:
                 if not node.discharged:
                     if not in_alternative:
-                        open_items.append(f"{where}: greenfield obligation awaiting discharge")
+                        open_items.append(f"{path_str(path)}: greenfield obligation awaiting discharge")
                 else:
                     _check_validation(node, path, ValidationTarget.GREENFIELD_DISCHARGE)
             else:
                 if not in_alternative:
-                    open_items.append(f"{where}: open leaf")
+                    open_items.append(f"{path_str(path)}: open leaf")
             return
-        if len(node.premises) != RULE_ARITY[node.rule]:
+        arity = RULES[node.rule].arity
+        if len(node.premises) != arity:
             note(path, "ArityMismatch",
-                 f"{node.rule.value} carries {len(node.premises)} premises, "
-                 f"needs {RULE_ARITY[node.rule]}")
+                 f"{node.rule.value} carries {len(node.premises)} premises, needs {arity}")
             return
         try:
             leaves = _expected(node, mdl)
@@ -869,21 +871,14 @@ def check(root: DerivationNode, mdl: Model) -> Verdict:
             note(path, err.cause_kind or err.kind, str(err))
             return
         for i, (child, leaf) in enumerate(zip(node.premises, leaves)):
-            expected = leaf.conclusion
-            if leaf.env_provisional or child.env_provisional:
-                # environment pending an earlier stage; compare the rest
-                stored = child.conclusion
-                if m.Problem(expected.env, stored.change, stored.validator, stored.need) != expected:
-                    note(path + (i,), "PremiseMismatch",
-                         "stored premise disagrees with the rule application")
-            elif child.conclusion != expected:
-                if child.conclusion.env != expected.env:
-                    note(path + (i,), "ThreadingMismatch",
-                         "environment threading mismatch: expected "
-                         f"{env_str(expected.env)}, stored {env_str(child.conclusion.env)}")
-                else:
-                    note(path + (i,), "PremiseMismatch",
-                         "stored premise disagrees with the rule application")
+            expected, stored = leaf.conclusion, child.conclusion
+            # an environment pending an earlier stage is not compared
+            if not (leaf.env_provisional or child.env_provisional) and stored.env != expected.env:
+                note(path + (i,), "ThreadingMismatch",
+                     "environment threading mismatch: expected "
+                     f"{env_str(expected.env)}, stored {env_str(stored.env)}")
+            elif m.Problem(expected.env, stored.change, stored.validator, stored.need) != expected:
+                note(path + (i,), "PremiseMismatch", "stored premise disagrees with the rule application")
             if child.greenfield != leaf.greenfield:
                 note(path + (i,), "PremiseMismatch",
                      "greenfield marking disagrees with the rule")

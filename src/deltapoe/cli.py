@@ -23,7 +23,6 @@ import argparse
 import errno
 import gc
 import io
-import json
 import os
 import sys
 from pathlib import Path
@@ -405,6 +404,9 @@ def cmd_workflow(args) -> int:
 
     from . import macro
 
+    if getattr(args, "model", None):
+        # loaded before the fold fills the heap, so reading the model after it adds less
+        from . import dsl  # noqa: F401
     reading = args.subcommand == "status"
     while True:
         created = not Path(args.log).exists()
@@ -531,6 +533,8 @@ def _run_workflow(args, log: macro.Folded | macro.MacroError, handle) -> int:
 # --- export -----------------------------------------------------------------------
 
 def cmd_export(args) -> int:
+    import json
+
     from . import export
 
     source = Path(args.input)

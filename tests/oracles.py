@@ -20,7 +20,7 @@ from deltapoe.artifacts import (
     ValidationStatus,
     ValidationTarget,
 )
-from deltapoe.calculus import _REQUIRED_J, CheckDiagnostic, PlanEntry, _first_stage, evidence
+from deltapoe.calculus import RULES, CheckDiagnostic, PlanEntry, _first_stage, evidence
 from deltapoe.dsl import (
     ARG_KEYS,
     EMPTY_MODEL,
@@ -1719,7 +1719,7 @@ def lint_recursive(root):
         if node.rule is not None:
             if not node.justification.rule_rationale:
                 diagnostics.append(CheckDiagnostic(where, "MissingJustification", "ruleRationale is required"))
-            for fld in _REQUIRED_J.get(node.rule, ()):
+            for fld in RULES[node.rule].required:
                 if not getattr(node.justification, fld):
                     diagnostics.append(CheckDiagnostic(
                         where, "MissingJustification", f"{fld} is required for {node.rule.value}"))

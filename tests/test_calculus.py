@@ -786,8 +786,8 @@ def test_mirror_walk_handles_a_long_need():
 # --- read-only passes over one stack-based walk ------------------------------------------
 
 from deltapoe import export  # noqa: E402
-from deltapoe.artifacts import RULE_ARITY, PlanStep, RiskItem  # noqa: E402
-from deltapoe.calculus import _plan_fragments, preorder  # noqa: E402
+from deltapoe.artifacts import PlanStep, RiskItem  # noqa: E402
+from deltapoe.calculus import RULES, _plan_fragments, preorder  # noqa: E402
 
 from .oracles import (  # noqa: E402
     committed_recursive,
@@ -935,8 +935,8 @@ def solution_trees(draw, depth=4):
     """Trees of every rule, each node with its rule's number of premises,
     whose conclusions and known solutions are a few changes;
     ``committed`` reads no more."""
-    rule = draw(st.sampled_from([None] + [rule for rule in RuleId if depth or not RULE_ARITY[rule]]))
-    premises = tuple(draw(solution_trees(depth - 1)) for _ in range(RULE_ARITY.get(rule, 0)))
+    rule = draw(st.sampled_from([None] + [rule for rule in RuleId if depth or not RULES[rule].arity]))
+    premises = tuple(draw(solution_trees(depth - 1)) for _ in range(RULES[rule].arity if rule else 0))
     problem = model.Problem(model.Environment(()), draw(st.sampled_from(CHANGES)), "G",
                             model.AtomicNeed("N"))
     args = {"solution": draw(st.sampled_from(CHANGES))} if draw(st.booleans()) else {}
@@ -963,3 +963,38 @@ def test_committed_handles_a_deep_tree(rule):
             assert type(change) is combine and getattr(change, side) == model.Nil()
             change = getattr(change, below)
     assert change == model.Nil()
+
+
+# --- the rule table ---------------------------------------------------------------------
+
+import importlib  # noqa: E402
+import re  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from deltapoe import calculus  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_grammar_names_exactly_the_rules_of_the_table():
+    grammar = (ROOT / "docs" / "poed-grammar.md").read_text()
+    production = re.search(r"^rule +=(.*?)\n(?!\s+\|)", grammar, re.M | re.S).group(1)
+    assert sorted(re.findall(r'"(\w+)"', production)) == sorted(rule.value for rule in RULES)
+    assert set(RULES) == set(RuleId)
+
+
+def test_check_renders_a_path_only_for_a_finding_or_an_open_item(golden, monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    staged = importlib.import_module("families").StagedDerivation(1, 40, tmp_path)
+    parsed = dsl.parse_file(Path(staged.path).read_text(), staged.path)
+    trees = [golden, (parsed, build(parsed.derivations[0], parsed.model, parsed.problems))]
+    mdl, root = golden[0].model, golden[1]
+    second_stage = (0, 0, 0, 1)
+    opened = set_node(root, second_stage, open_node(get_node(root, second_stage).conclusion))
+    rendered = []
+    monkeypatch.setattr(calculus, "path_str", lambda path: rendered.append(path) or dsl.path_str(path))
+    for parsed_file, tree in trees:
+        assert check(tree, parsed_file.model).solved
+    assert rendered == []
+    assert check(opened, mdl).open_items == ("root.0.0.0.1: open leaf",)
+    assert rendered == [second_stage]

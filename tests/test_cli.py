@@ -474,6 +474,35 @@ def test_workflow_commands_load_no_poed_code(tmp_path):
         assert unused.isdisjoint(loaded), (argv, loaded)
 
 
+DSL_AT_FOLD = """
+import sys
+from deltapoe import cli, macro
+fold = macro.fold
+def probe(log):
+    print("deltapoe.dsl" in sys.modules)
+    return fold(log)
+macro.fold = probe
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("subcommand", [
+    ["delegate", "--to", "D", "--child", "c1"],
+    ["advance", "--event", "request-validation"],
+], ids=["delegate", "advance"])
+def test_workflow_with_a_model_loads_the_front_end_before_the_fold(tmp_path, capsys, subcommand):
+    """Given ``--model``, the workflow commands import the ``.poed`` front
+    end before they fold the log, where reading the model after the fold
+    would load it on top of the folded state."""
+    log = tmp_path / "wf.jsonl"
+    run(capsys, "workflow", log, "advance", "--event", "submit-view", "--owner", "G", "--delegate", "D")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for model, loaded in (([], "False"), (["--model", DEVENV], "True")):
+        proc = subprocess.run([sys.executable, "-c", DSL_AT_FOLD, "workflow", str(log), *subcommand, *map(str, model)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.stdout.splitlines()[0] == loaded, (model, proc.stdout, proc.stderr)
+
+
 CREATED = ('{"sequence": 1, "workflow": "w1", "event": "create", '
            '"payload": {"owner": "G", "delegate": "D"}}\n')
 SUBMITTED = '{"sequence": 2, "workflow": "w1", "event": "submit-view", "payload": {}}'

@@ -70,6 +70,7 @@ def _fixture_records():
         dsl.parse_file((FIXTURES / "api_upgrade_with_docs.poed").read_text(), "docs"),
         dsl.parse_file((FIXTURES / "chain.poed").read_text(), "chain"),
         calculus.CheckDiagnostic("root", "Kind", "m"), impact.NewLink("A", "a", "b"),
+        calculus.RULES,
         model.ChangePar(model.Add(model.Domain("A")), model.Cancel("B")),
         model.NeedPar(model.AtomicNeed("n1"), model.AtomicNeed("n2")),
     )
