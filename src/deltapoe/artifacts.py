@@ -3,7 +3,6 @@ validation records, and the closed set of rule identifiers."""
 
 from __future__ import annotations
 
-import datetime
 import enum
 from operator import attrgetter
 from typing import TYPE_CHECKING
@@ -139,6 +138,8 @@ class Deadline(Record):
         if kind not in ("absolute", "relative"):
             raise ValueError(f"bad deadline kind {kind!r}")
         if kind == "absolute":
+            import datetime  # here, not at the top: a process that parses no date skips it
+
             datetime.date.fromisoformat(value)
         self.kind = kind  # "absolute" | "relative"
         self.value = value

@@ -26,7 +26,6 @@ validation from the problem's validator.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Iterator
 
 from . import model as m
@@ -458,12 +457,13 @@ def _bridging(atom: type):
     """The premises function of the domain rule whose change is one
     ``atom``: a greenfield obligation in the environment the atom
     installs, or in the node's own while that is provisional."""
+    name = atom.__name__.lower()
+    expected = f"{'an' if name[0] in 'aeiou' else 'a'} {name} atom"
+
     def premises(node: DerivationNode, mdl: Model) -> list[DerivationNode]:
         env, change = node.conclusion.env, node.conclusion.change
         if not isinstance(change, atom):
-            raise SideConditionViolated(
-                f"{node.rule.value} expects a {atom.__name__.lower()} atom, found {change_str(change)}"
-            )
+            raise SideConditionViolated(f"{node.rule.value} expects {expected}, found {change_str(change)}")
         if node.env_provisional:
             return [_leaf(node, change=m.Nil(), greenfield=True)]
         try:
@@ -981,6 +981,8 @@ def extract_plan(root: DerivationNode) -> ImplementationPlan:
     (design work may overlap; delivery may not).  The result is a
     deterministic topological order, ties broken by stage then step id.
     """
+    import heapq  # here, not at the top: a process that extracts no plan skips it
+
     solution = committed(root)
     if solution is None or not m.is_unknown_free(solution):
         raise UnsolvedTree("cannot extract a plan from an unsolved derivation")

@@ -7,7 +7,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from deltapoe import cli, macro
+from deltapoe import cmd_common, cmd_workflow, macro
 from deltapoe import model as m
 from deltapoe.artifacts import (
     JUSTIFICATION_FIELDS,
@@ -1125,10 +1125,10 @@ def fold_reference(events):
 
 # --- the workflow commands as they decoded the whole log before folding it ------------
 #
-# ``macro.parse_log``, ``cli._read_log`` and ``cli._run_workflow`` as they were while
-# the log was read into a list of events: ``str.splitlines`` cuts the text, every line
-# is decoded, then the torn last line is checked, then the appending functions fold
-# the list.
+# ``macro.parse_log``, ``cmd_workflow._read_log`` and ``cmd_workflow._run_workflow`` as
+# they were while the log was read into a list of events: ``str.splitlines`` cuts the
+# text, every line is decoded, then the torn last line is checked, then the appending
+# functions fold the list.
 
 def parse_log_eager(text: str) -> list:
     events = []
@@ -1195,16 +1195,16 @@ def run_workflow_eager(args, events, handle) -> int:
         try:
             _print_status_eager(events)
         except macro.MacroError as err:
-            cli._err(f"{log_path}: {err}")
-            return cli.INVALID
-        return cli.OK
+            cmd_common._err(f"{log_path}: {err}")
+            return cmd_common.INVALID
+        return cmd_common.OK
 
     try:
         if args.subcommand == "advance":
             new_events = []
             if not events and args.owner and args.delegate:
-                workspace = cli._load_workspace([args.model])[0] if args.model and args.problem else None
-                refs = cli._workflow_problem_refs(args, workspace)
+                workspace = cmd_common._load_workspace([args.model])[0] if args.model and args.problem else None
+                refs = cmd_workflow._workflow_problem_refs(args, workspace)
                 new_events.append(
                     macro.create_workflow(events, args.workflow, args.owner, args.delegate, refs)
                 )
@@ -1214,27 +1214,27 @@ def run_workflow_eager(args, events, handle) -> int:
             elif args.event == "begin-implementation":
                 payload = {"mode": args.mode}
             elif args.event == "submit-solution":
-                payload = {"solution": args.solution or "", "refs": sorted(cli._names_flag(args.refs))}
+                payload = {"solution": args.solution or "", "refs": sorted(cmd_common._names_flag(args.refs))}
             event, wf = macro.advance(events + new_events, args.workflow, args.event, payload)
             new_events.append(event)
-            cli._append_events(handle, new_events)
+            cmd_workflow._append_events(handle, new_events)
             print(f"workflow {wf.id}: {wf.state.value}")
-            return cli.OK
+            return cmd_common.OK
         if args.subcommand == "delegate":
-            workspace, status = cli._load_workspace([args.model]) if args.model else (None, cli.OK)
-            refs = cli._workflow_problem_refs(args, workspace)
+            workspace, status = cmd_common._load_workspace([args.model]) if args.model else (None, cmd_common.OK)
+            refs = cmd_workflow._workflow_problem_refs(args, workspace)
             if args.model and workspace is None:
                 return status
             event, child = macro.delegate(
                 events, args.workflow, args.to, args.child, refs, workspace.model if workspace else {}
             )
-            cli._append_events(handle, [event])
+            cmd_workflow._append_events(handle, [event])
             print(f"workflow {child.id}: {child.state.value} (owner {child.owner}, delegate {child.delegate})")
-            return cli.OK
+            return cmd_common.OK
         if args.subcommand == "drift":
-            touched = cli._names_flag(args.touch)
+            touched = cmd_common._names_flag(args.touch)
             event, report = macro.drift(events, touched, args.description, args.origin)
-            cli._append_events(handle, [event])
+            cmd_workflow._append_events(handle, [event])
             if report.empty:
                 print("drift: nothing invalidated")
             else:
@@ -1242,15 +1242,15 @@ def run_workflow_eager(args, events, handle) -> int:
                     print(f"stale: {workflow_id} {record_id} ({target})")
                 for workflow_id, before, after in report.regressions:
                     print(f"regressed: {workflow_id} {before} -> {after}")
-            return cli.OK
+            return cmd_common.OK
     except macro.IllegalTransition as err:
-        cli._err(f"{log_path}: {err}")
-        return cli.INCOMPLETE
+        cmd_common._err(f"{log_path}: {err}")
+        return cmd_common.INCOMPLETE
     except (macro.MacroError, ValueError) as err:
-        cli._err(f"{log_path}: {err}")
-        return cli.INVALID
-    cli._err(f"unknown workflow subcommand {args.subcommand!r}")
-    return cli.USAGE
+        cmd_common._err(f"{log_path}: {err}")
+        return cmd_common.INVALID
+    cmd_common._err(f"unknown workflow subcommand {args.subcommand!r}")
+    return cmd_common.USAGE
 
 
 # --- impact paths, one at a time ------------------------------------------------------
@@ -1848,7 +1848,7 @@ def plan_fragments_recursive(root):
 # --- the impact text report as it was printed a line at a time ------------------------
 
 def print_impact_text(report, bound) -> None:
-    """``cli.cmd_impact``'s text report, one ``print`` per line."""
+    """``cmd_impact.cmd_impact``'s text report, one ``print`` per line."""
     print(f"edit: {report.edit}")
     print("structural: " + (", ".join(sorted(report.structural)) or "-"))
     print("behavioural: " + (", ".join(sorted(report.behavioural)) or "-"))

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import importlib
 import io
 import json
 import os
@@ -416,10 +417,17 @@ def test_concurrent_drifts_append_one_after_another(tmp_path, capsys):
 
 
 LOADED_MODULES = """
-import sys
-from deltapoe import cli
-code = cli.main(sys.argv[1:])
-print(" ".join(sorted(name for name in sys.modules if name.startswith("deltapoe."))))
+import importlib.util, runpy, sys
+from pathlib import Path
+code = None
+try:
+    runpy.run_module("deltapoe.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exit_:
+    code = exit_.code
+files = {name: module.__file__ for name, module in sys.modules.items() if name.partition(".")[0] == "deltapoe"}
+files["__main__"] = importlib.util.find_spec("deltapoe.cli").origin
+lines = {name: len(Path(path).read_text(encoding="utf-8").splitlines()) for name, path in files.items()}
+print(" ".join(f"{name}={lines.get(name, 0)}" for name in sorted({*sys.modules, *lines})))
 sys.exit(code)
 """
 
@@ -444,14 +452,16 @@ def test_impact_and_workflow_do_not_load_the_calculus(tmp_path):
             assert (f"deltapoe.{name}" in loaded) is (name in loads), (argv, name)
 
 
-def loaded_modules(env, expected: int, argv) -> list[str]:
-    """The deltapoe modules a process running ``cli.main(argv)`` loads."""
+def loaded_modules(env, expected: int, argv) -> dict[str, int]:
+    """The modules a process running ``python -m deltapoe.cli argv``
+    loads, each with the number of its source lines if it is deltapoe's
+    (the entry point as ``__main__``), else 0."""
     proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *map(str, argv)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == expected, proc.stderr
-    loaded = proc.stdout.splitlines()[-1].split()
-    assert "deltapoe.cli" in loaded
-    return loaded
+    loaded = dict(item.split("=") for item in proc.stdout.splitlines()[-1].split())
+    assert "deltapoe.cli" not in loaded and "__main__" in loaded  # the entry point runs once
+    return {name: int(lines) for name, lines in loaded.items()}
 
 
 def test_workflow_commands_load_no_poed_code(tmp_path):
@@ -472,6 +482,60 @@ def test_workflow_commands_load_no_poed_code(tmp_path):
         loaded = loaded_modules(env, expected, argv)
         unused = {f"deltapoe.{name}" for name in ("dsl", "model", "printer", "calculus", "impact", "export")}
         assert unused.isdisjoint(loaded), (argv, loaded)
+
+
+def staged_input(monkeypatch, tmp_path):
+    """The bench's staged derivation, seed 1, at four stages."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+    return importlib.import_module("families").StagedDerivation(1, 4, tmp_path).path
+
+
+def test_each_process_loads_the_entry_point_and_its_own_command(tmp_path, monkeypatch):
+    """A process loads the entry point, the helpers the commands share and
+    the module of its own command's family, and no other command module.
+    The exact count of the deltapoe source lines it loads, ``__main__``
+    included, gates what it compiles; before the commands were split out
+    of ``cli.py`` the counts were 804, 3,891, 3,110, 3,438 and 1,726."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    staged = staged_input(monkeypatch, tmp_path)
+    log = tmp_path / "wf.jsonl"
+    log.write_text(CREATED)
+    for expected, argv, family, lines in (
+        (3, [], None, 350),
+        (0, ["check", staged], "derivation", 3684),
+        (0, ["plan", staged], "derivation", 3684),
+        (0, ["lint", staged], "derivation", 3684),
+        (0, ["impact", CHAIN, "--edit", "!C"], "impact", 2710),
+        (0, ["impact", CHAIN, "--edit", "!C", "--format", "structured"], "impact", 3038),
+        (0, ["workflow", log, "status"], "workflow", 1460),
+    ):
+        loaded = loaded_modules(env, expected, argv)
+        commands = {name for name in loaded if name.startswith("deltapoe.cmd_")}
+        assert commands == {"deltapoe.cmd_common", *([f"deltapoe.cmd_{family}"] if family else [])}, argv
+        assert sum(loaded.values()) == lines, (argv, {name: n for name, n in loaded.items() if n})
+
+
+def test_only_a_process_that_needs_them_loads_datetime_and_heapq(tmp_path, monkeypatch, capsys):
+    """``datetime`` is loaded to read an absolute deadline and ``heapq`` to
+    order a plan, and by no process that does neither; a deadline that is
+    no date is still refused."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    staged = staged_input(monkeypatch, tmp_path)
+    log = tmp_path / "wf.jsonl"
+    log.write_text(CREATED)
+    for argv, loads in (
+        (["check", staged], set()),
+        (["workflow", log, "status"], set()),
+        (["plan", staged], {"heapq"}),
+        (["check", GOLDEN], {"datetime"}),  # step s2 has deadline 2024-11-01
+    ):
+        loaded = loaded_modules(env, 0, argv)
+        assert {"datetime", "heapq"} & loaded.keys() == loads, argv
+    bad = tmp_path / "bad.poed"
+    bad.write_text(GOLDEN.read_text().replace("after s1 deadline 2024-11-01", "after s1 deadline 2024-11-31"))
+    code, out, err = run(capsys, "check", bad)
+    assert (code, out) == (2, "")
+    assert err == f"{bad}:81:86: error: bad date '2024-11-31'\n"
 
 
 DSL_AT_FOLD = """

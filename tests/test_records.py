@@ -1,8 +1,10 @@
 """The record classes: equality, hashing, ordering and repr as the
 field tuple defines them, the environment's name index, and an import
-path that loads neither ``dataclasses`` nor ``inspect``."""
+path that loads neither ``dataclasses`` nor ``inspect`` nor, from any
+module but itself, the entry point."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +29,19 @@ def test_importing_every_module_loads_neither_dataclasses_nor_inspect():
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stdout + done.stderr
     assert str(ROOT / "src" / "deltapoe") in done.stdout
+
+
+def test_the_import_guard_refuses_a_module_that_imports_the_entry_point(tmp_path):
+    """Under ``python -m deltapoe.cli`` the entry point is ``__main__``, so
+    a command module that imported ``deltapoe.cli`` would compile it twice."""
+    package = tmp_path / "deltapoe"
+    shutil.copytree(ROOT / "src" / "deltapoe", package, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(package / "cmd_impact.py", "a", encoding="utf-8") as module:
+        module.write("from . import cli  # noqa: E402,F401\n")
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "import_guard.py")],
+                          env=dict(os.environ, PYTHONPATH=str(tmp_path)), capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout) == (1, f"importing deltapoe.cmd_impact ({package}) loads deltapoe.cli\n")
 
 
 def fields(record):

@@ -113,7 +113,7 @@ CLI_CASES = {
         "root", "SideConditionViolated", "Parallel expects a parallel or unsolved change, found +E"),
     "domain-add-the-wrong-atom": Case(
         "[A]", "?F", "N", "apply DomainAdd at root",
-        "root", "SideConditionViolated", "DomainAdd expects a add atom, found ?F"),
+        "root", "SideConditionViolated", "DomainAdd expects an add atom, found ?F"),
     "domain-remove-the-wrong-atom": Case(
         "[A]", "?F", "N", "apply DomainRemove at root",
         "root", "SideConditionViolated", "DomainRemove expects a cancel atom, found ?F"),

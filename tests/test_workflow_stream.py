@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltapoe import cli, macro
+from deltapoe import cli, cmd_workflow, macro
 
 from .oracles import fold_reference, read_log_eager, run_workflow_eager
 from .test_macro import NAMES, draw_event
@@ -132,8 +132,8 @@ def run_on(log: Path, data: bytes, argv: list[str]):
 
 
 def run_eager(log: Path, data: bytes, argv: list[str]):
-    with mock.patch.object(cli, "_read_log", read_log_eager), \
-            mock.patch.object(cli, "_run_workflow", run_workflow_eager):
+    with mock.patch.object(cmd_workflow, "_read_log", read_log_eager), \
+            mock.patch.object(cmd_workflow, "_run_workflow", run_workflow_eager):
         return run_on(log, data, argv)
 
 
