@@ -5,21 +5,21 @@ from __future__ import annotations
 
 import enum
 from operator import attrgetter
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .model import ChangeExpr
 
 
 class Record:
     """Base of the package's value classes.
 
-    A subclass lists its fields, in order, in ``__slots__`` and assigns
-    each of them in ``__init__``.  Instances compare equal when they are
-    of the same class and their field tuples are equal; the hash is the
-    hash of the field tuple, and the repr names each field.  A slot whose
-    name starts with an underscore holds data derived from the fields,
-    such as an index, and is not a field.
+    A subclass lists its fields, in order, in ``__slots__``.  Unless its
+    body defines ``__init__``, the class gets one that takes the fields in
+    slot order and assigns each of them, with the defaults of its trailing
+    fields given by the class keyword ``defaults``, as in
+    ``class PlanStep(Record, defaults={"deadline": None})``.  A class
+    that validates or derives in ``__init__`` defines its own.  Instances
+    compare equal when they are of the same class and their field tuples
+    are equal; the hash is the hash of the field tuple, and the repr names
+    each field.  A slot whose name starts with an underscore holds data
+    derived from the fields, such as an index, and is not a field.
 
     Records are immutable by convention, not by a guard, so they can be
     shared and used as set members and dict keys.  Two kinds of record
@@ -32,10 +32,11 @@ class Record:
 
     __slots__ = ()
 
-    def __init_subclass__(cls):
+    def __init_subclass__(cls, defaults={}):
         super().__init_subclass__()
         names = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         cls._names = names
+        cls._index = {name: i for i, name in enumerate(names)}
         if len(names) > 1:
             cls._values = attrgetter(*names)
         elif names:  # attrgetter of one name gives the bare value, not a 1-tuple
@@ -43,6 +44,22 @@ class Record:
             cls._values = staticmethod(lambda obj: (get(obj),))
         else:
             cls._values = staticmethod(lambda obj: ())
+        if names and "__init__" not in cls.__dict__:
+            params = ", ".join(f"{name}=_defaults[{name!r}]" if name in defaults else name
+                               for name in names)
+            body = "".join(f"\n    self.{name} = {name}" for name in names)
+            space = {}
+            exec(f"def __init__(self, {params}):{body}",
+                 {"__name__": cls.__module__, "_defaults": defaults}, space)
+            space["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+            cls.__init__ = space["__init__"]
+
+    def _replace(self, **fields):
+        """A copy of this record with ``fields`` in place of its own."""
+        values = list(self._values(self))
+        for name, value in fields.items():
+            values[self._index[name]] = value
+        return type(self)(*values)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -75,12 +92,11 @@ class RuleId(str, enum.Enum):
 class RiskItem(Record):
     __slots__ = ("risk", "mitigation")
 
-    def __init__(self, risk: str, mitigation: str):
-        self.risk = risk
-        self.mitigation = mitigation
 
-
-class Justification(Record):
+class Justification(Record, defaults={
+        "rule_rationale": None, "coordination_rationale": None, "integration_argument": None,
+        "dependency_argument": None, "risk_register": (), "feedback_cadence": None,
+        "timeline_rationale": None, "validation_criteria": None, "resource_rationale": None}):
     """The rationale a rule application must carry.
 
     Which optional fields are required depends on the rule; the checker
@@ -90,28 +106,6 @@ class Justification(Record):
     __slots__ = ("rule_rationale", "coordination_rationale", "integration_argument",
                  "dependency_argument", "risk_register", "feedback_cadence",
                  "timeline_rationale", "validation_criteria", "resource_rationale")
-
-    def __init__(
-        self,
-        rule_rationale: str | None = None,
-        coordination_rationale: str | None = None,
-        integration_argument: str | None = None,
-        dependency_argument: str | None = None,
-        risk_register: tuple[RiskItem, ...] = (),
-        feedback_cadence: str | None = None,
-        timeline_rationale: str | None = None,
-        validation_criteria: str | None = None,
-        resource_rationale: str | None = None,
-    ):
-        self.rule_rationale = rule_rationale
-        self.coordination_rationale = coordination_rationale
-        self.integration_argument = integration_argument
-        self.dependency_argument = dependency_argument
-        self.risk_register = risk_register
-        self.feedback_cadence = feedback_cadence
-        self.timeline_rationale = timeline_rationale
-        self.validation_criteria = validation_criteria
-        self.resource_rationale = resource_rationale
 
 
 EMPTY_JUSTIFICATION = Justification()
@@ -145,26 +139,10 @@ class Deadline(Record):
         self.value = value
 
 
-class PlanStep(Record):
+class PlanStep(Record, defaults={"after": (), "parallel_ok": (), "deadline": None}):
     """One schedulable action of an implementation plan."""
 
     __slots__ = ("id", "action", "installs", "after", "parallel_ok", "deadline")
-
-    def __init__(
-        self,
-        id: str,
-        action: str,
-        installs: ChangeExpr,
-        after: tuple[str, ...] = (),
-        parallel_ok: tuple[str, ...] = (),
-        deadline: Deadline | None = None,
-    ):
-        self.id = id
-        self.action = action
-        self.installs = installs
-        self.after = after
-        self.parallel_ok = parallel_ok
-        self.deadline = deadline
 
 
 class ValidationStatus(str, enum.Enum):
@@ -188,12 +166,3 @@ class ValidationRecord(Record):
     """
 
     __slots__ = ("id", "stakeholder", "target", "subject", "status", "sequence")
-
-    def __init__(self, id: str, stakeholder: str, target: ValidationTarget, subject: str,
-                 status: ValidationStatus, sequence: int):
-        self.id = id
-        self.stakeholder = stakeholder
-        self.target = target
-        self.subject = subject
-        self.status = status
-        self.sequence = sequence

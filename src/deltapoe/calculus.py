@@ -174,17 +174,6 @@ def _spine(root: DerivationNode, path: NodePath) -> list[DerivationNode]:
     return spine
 
 
-_FIELD_INDEX = {name: i for i, name in enumerate(DerivationNode.__slots__)}
-
-
-def _copy(node: DerivationNode, **fields) -> DerivationNode:
-    """A copy of ``node`` with ``fields`` in place of its own."""
-    values = list(DerivationNode._values(node))
-    for name, value in fields.items():
-        values[_FIELD_INDEX[name]] = value
-    return DerivationNode(*values)
-
-
 def _put(node: DerivationNode, seg, child: DerivationNode) -> None:
     """Set ``child`` in ``node`` as the premise or alternative that the
     path segment ``seg`` names."""
@@ -201,7 +190,7 @@ def set_node(root: DerivationNode, path: NodePath, new: DerivationNode) -> Deriv
     nodes along the path; raises :class:`BadPath` if it names no node."""
     spine = _spine(root, path)
     for node, seg in zip(reversed(spine[:-1]), reversed(path)):
-        node = _copy(node)
+        node = node._replace()
         _put(node, seg, new)
         new = node
     return new
@@ -508,7 +497,7 @@ def _seq_domain_refine_equiv(node: DerivationNode, mdl: Model) -> list[Derivatio
     return [_leaf(node, change=rewritten)]
 
 
-class Rule(Record):
+class Rule(Record, defaults={"required": ()}):
     """What one rule of the calculus means: the number of premises it
     makes; its premises function; its evidence function, which renders
     what an application establishes from the node (nothing there is
@@ -516,12 +505,6 @@ class Rule(Record):
     justification fields it requires besides the rule rationale."""
 
     __slots__ = ("arity", "premises", "evidence", "required")
-
-    def __init__(self, arity: int, premises, evidence, required: tuple[str, ...] = ()):
-        self.arity = arity
-        self.premises = premises
-        self.evidence = evidence
-        self.required = required
 
 
 def _no_evidence(node: DerivationNode) -> dict:
@@ -594,8 +577,8 @@ def apply(rule: RuleId, node: DerivationNode, args: dict, mdl: Model) -> Derivat
         raise NotOpen(f"rule already applied here: {node.rule.value}")
     if node.greenfield:
         raise NotOpen("greenfield obligations are discharged, not derived")
-    candidate = _copy(node, rule=rule, args=dict(args))
-    return _copy(candidate, premises=tuple(_expected(candidate, mdl)))
+    candidate = node._replace(rule=rule, args=dict(args))
+    return candidate._replace(premises=tuple(_expected(candidate, mdl)))
 
 
 def rethread(node: DerivationNode, mdl: Model) -> DerivationNode:
@@ -611,17 +594,17 @@ def rethread(node: DerivationNode, mdl: Model) -> DerivationNode:
     :func:`build` calls it only on a second stage whose environment a
     statement has just resolved."""
     alts = tuple(
-        rethread(_copy(alt, conclusion=node.conclusion, env_provisional=node.env_provisional), mdl)
+        rethread(alt._replace(conclusion=node.conclusion, env_provisional=node.env_provisional), mdl)
         for alt in node.alternatives
     )
     if node.rule is None:
-        return _copy(node, alternatives=alts) if alts else node
+        return node._replace(alternatives=alts) if alts else node
     premises = tuple(
-        rethread(_copy(child, conclusion=leaf.conclusion, greenfield=leaf.greenfield,
-                       env_provisional=leaf.env_provisional), mdl)
+        rethread(child._replace(conclusion=leaf.conclusion, greenfield=leaf.greenfield,
+                                env_provisional=leaf.env_provisional), mdl)
         for child, leaf in zip(node.premises, _expected(node, mdl))
     )
-    return _copy(node, premises=premises, alternatives=alts)
+    return node._replace(premises=premises, alternatives=alts)
 
 
 # --- building trees from scripts ----------------------------------------------------
@@ -667,8 +650,9 @@ def build(script: DerivationScript, mdl: Model, problems: dict) -> DerivationNod
             settled = [(seq, _expected(seq, mdl)[1]) for seq, seg in zip(spine, path)
                        if _awaits_first_stage(seq, seg) and _first_stage(seq) is not None]
             for seq, leaf in reversed(settled):
-                second = _copy(seq.premises[1], conclusion=leaf.conclusion,
-                               greenfield=leaf.greenfield, env_provisional=leaf.env_provisional)
+                second = seq.premises[1]._replace(
+                    conclusion=leaf.conclusion, greenfield=leaf.greenfield,
+                    env_provisional=leaf.env_provisional)
                 seq.premises = (seq.premises[0], rethread(second, mdl))
         except RuleError as err:
             raise err.at(path)
@@ -688,8 +672,7 @@ def _attach_marks(node: DerivationNode, stmt, index: int, target: ValidationTarg
                 sequence=index,
             )
         )
-    return _copy(
-        node,
+    return node._replace(
         justification=stmt.justification or node.justification,
         plan=node.plan + getattr(stmt, "plan", ()),
         validations=node.validations + tuple(records),
@@ -704,9 +687,9 @@ def _run_apply(stmt: ApplyStatement, target: DerivationNode, mdl: Model, index: 
         applied = apply(stmt.rule, base, stmt.args, mdl)
     except RuleError as err:
         raise err.at(stmt.path)
-    applied = _copy(applied, marker=stmt.marker)
+    applied = applied._replace(marker=stmt.marker)
     applied = _attach_marks(applied, stmt, index, ValidationTarget.SOLUTION_PLAN)
-    return _copy(target, alternatives=target.alternatives + (applied,)) if alternative else applied
+    return target._replace(alternatives=target.alternatives + (applied,)) if alternative else applied
 
 
 def _run_discharge(stmt: DischargeStatement, target: DerivationNode, index: int) -> DerivationNode:
@@ -716,7 +699,7 @@ def _run_discharge(stmt: DischargeStatement, target: DerivationNode, index: int)
         )
     if target.discharged:
         raise NotOpen("obligation already discharged", stmt.path)
-    updated = _copy(target, discharged=True)
+    updated = target._replace(discharged=True)
     return _attach_marks(updated, stmt, index, ValidationTarget.GREENFIELD_DISCHARGE)
 
 
@@ -724,11 +707,6 @@ def _run_discharge(stmt: DischargeStatement, target: DerivationNode, index: int)
 
 class CheckDiagnostic(Record):
     __slots__ = ("path", "kind", "message")
-
-    def __init__(self, path: str, kind: str, message: str):
-        self.path = path
-        self.kind = kind
-        self.message = message
 
     def __str__(self):
         return f"{self.path}: {self.kind}: {self.message}"
@@ -809,14 +787,8 @@ def lint(root: DerivationNode) -> list[CheckDiagnostic]:
 
 # --- checking --------------------------------------------------------------------
 
-class Verdict(Record):
-    __slots__ = ("kind", "diagnostics", "open_items")
-
-    def __init__(self, kind: str, diagnostics: tuple[CheckDiagnostic, ...] = (),
-                 open_items: tuple[str, ...] = ()):
-        self.kind = kind  # Solved | Incomplete | Invalid
-        self.diagnostics = diagnostics
-        self.open_items = open_items
+class Verdict(Record, defaults={"diagnostics": (), "open_items": ()}):
+    __slots__ = ("kind", "diagnostics", "open_items")  # kind: Solved | Incomplete | Invalid
 
     @property
     def solved(self) -> bool:
@@ -921,18 +893,9 @@ def check(root: DerivationNode, mdl: Model) -> Verdict:
 class PlanEntry(Record):
     __slots__ = ("step", "stage", "node")
 
-    def __init__(self, step: PlanStep, stage: int, node: str):
-        self.step = step
-        self.stage = stage
-        self.node = node
-
 
 class ImplementationPlan(Record):
-    __slots__ = ("entries", "constraints")
-
-    def __init__(self, entries: tuple[PlanEntry, ...], constraints: frozenset):
-        self.entries = entries
-        self.constraints = constraints  # ("after" | "parallel_ok", step, other)
+    __slots__ = ("entries", "constraints")  # a constraint: ("after" | "parallel_ok", step, other)
 
     def step_ids(self) -> tuple[str, ...]:
         return tuple(e.step.id for e in self.entries)
@@ -1024,16 +987,6 @@ def extract_plan(root: DerivationNode) -> ImplementationPlan:
 
 class TanglePair(Record):
     __slots__ = ("first", "second", "domains", "placeholders", "validators", "phenomena")
-
-    def __init__(self, first: int, second: int, domains: frozenset[str],
-                 placeholders: frozenset[str], validators: frozenset[str],
-                 phenomena: frozenset[str]):
-        self.first = first
-        self.second = second
-        self.domains = domains
-        self.placeholders = placeholders
-        self.validators = validators
-        self.phenomena = phenomena
 
     @property
     def tangled(self) -> bool:

@@ -238,7 +238,7 @@ def _run(argv) -> int:
         if extra:
             cut = argv.index("--") if "--" in argv else len(argv)  # after it, all are files
             try:
-                args = make_parser().parse_args([*argv[:cut], *extra, *argv[cut:]])
+                args = parser.parse_args([*argv[:cut], *extra, *argv[cut:]])
             except SystemExit as exit_:
                 return USAGE if exit_.code not in (0, None) else 0
     return COMMANDS[args.command](args)

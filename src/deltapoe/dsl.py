@@ -49,11 +49,6 @@ MAX_NESTING = 100
 class ParseDiagnostic(Record):
     __slots__ = ("line", "column", "message")
 
-    def __init__(self, line: int, column: int, message: str):
-        self.line = line
-        self.column = column
-        self.message = message
-
     def __str__(self):
         return f"{self.line}:{self.column}: error: {self.message}"
 
@@ -215,55 +210,20 @@ NodePath = tuple[PathSeg, ...]
 class ValidationMark(Record):
     __slots__ = ("stakeholder", "granted")
 
-    def __init__(self, stakeholder: str, granted: bool):
-        self.stakeholder = stakeholder
-        self.granted = granted
 
-
-class ApplyStatement(Record):
+class ApplyStatement(Record, defaults={"marker": None, "justification": None, "plan": (),
+                                       "validations": (), "token": 0}):
     """A rule application; ``token`` is the index of its first token in
     the file's token list, which :func:`_locator` turns into a position."""
 
     __slots__ = ("rule", "path", "args", "marker", "justification", "plan", "validations",
-                 "token")
-
-    def __init__(
-        self,
-        rule: RuleId,
-        path: NodePath,
-        args: dict,
-        marker: str | None = None,  # None | "alternative" | "chosen"
-        justification: Justification | None = None,
-        plan: tuple[PlanStep, ...] = (),
-        validations: tuple[ValidationMark, ...] = (),
-        token: int = 0,
-    ):
-        self.rule = rule
-        self.path = path
-        self.args = args
-        self.marker = marker
-        self.justification = justification
-        self.plan = plan
-        self.validations = validations
-        self.token = token
+                 "token")  # marker: None | "alternative" | "chosen"
 
 
-class DischargeStatement(Record):
+class DischargeStatement(Record, defaults={"justification": None, "validations": (), "token": 0}):
     """A discharge; ``token`` is as in :class:`ApplyStatement`."""
 
     __slots__ = ("path", "justification", "validations", "token")
-
-    def __init__(
-        self,
-        path: NodePath,
-        justification: Justification | None = None,
-        validations: tuple[ValidationMark, ...] = (),
-        token: int = 0,
-    ):
-        self.path = path
-        self.justification = justification
-        self.validations = validations
-        self.token = token
 
 
 Statement = ApplyStatement | DischargeStatement
@@ -272,26 +232,9 @@ Statement = ApplyStatement | DischargeStatement
 class DerivationScript(Record):
     __slots__ = ("name", "problem_name", "statements")
 
-    def __init__(self, name: str, problem_name: str, statements: tuple[Statement, ...]):
-        self.name = name
-        self.problem_name = problem_name
-        self.statements = statements
-
 
 class ParsedFile(Record):
     __slots__ = ("kind", "model", "problems", "derivations")
-
-    def __init__(self, kind: str, model: Model, problems: dict,
-                 derivations: tuple[DerivationScript, ...]):
-        self.kind = kind
-        self.model = model
-        self.problems = problems
-        self.derivations = derivations
-
-
-def _amended(stmt: Statement, **fields) -> Statement:
-    """A copy of ``stmt`` with ``fields`` in place of its own."""
-    return type(stmt)(**dict(zip(stmt._names, stmt._values(stmt)), **fields))
 
 
 def path_str(path: NodePath) -> str:
@@ -704,13 +647,13 @@ class _Parser:
         if justification is not None:
             if last.justification is not None:
                 self.fail("statement already has a justify block")
-            statements[-1] = _amended(last, justification=justification)
+            statements[-1] = last._replace(justification=justification)
         if plan is not None:
             if isinstance(last, DischargeStatement):
                 self.fail("discharge statements carry no plan")
-            statements[-1] = _amended(last, plan=last.plan + plan)
+            statements[-1] = last._replace(plan=last.plan + plan)
         if validation is not None:
-            statements[-1] = _amended(last, validations=last.validations + (validation,))
+            statements[-1] = last._replace(validations=last.validations + (validation,))
 
     def apply_statement(self) -> ApplyStatement:
         start = self.pos

@@ -51,11 +51,6 @@ class NewLink(Record):
 
     __slots__ = ("domain", "cause", "effect")
 
-    def __init__(self, domain: str, cause: str, effect: str):
-        self.domain = domain
-        self.cause = cause
-        self.effect = effect
-
 
 EditSpec = m.Add | m.Cancel | m.Refine | NewLink
 
@@ -89,26 +84,6 @@ class ImpactReport(Record):
 
     __slots__ = ("edit", "structural", "behavioural", "buffers", "declared_buffers",
                  "seed_phenomena", "parent", "hits")
-
-    def __init__(
-        self,
-        edit: str,
-        structural: frozenset[str],
-        behavioural: frozenset[str],
-        buffers: frozenset[str],
-        declared_buffers: frozenset[str],
-        seed_phenomena: frozenset[str],
-        parent: dict[str, tuple[str, str] | None],
-        hits: dict[str, str],
-    ):
-        self.edit = edit
-        self.structural = structural
-        self.behavioural = behavioural
-        self.buffers = buffers
-        self.declared_buffers = declared_buffers
-        self.seed_phenomena = seed_phenomena
-        self.parent = parent
-        self.hits = hits
 
     @property
     def paths(self) -> tuple[Path, ...]:
@@ -161,10 +136,6 @@ class BoundReport(Record):
     """
 
     __slots__ = ("report", "permitted")
-
-    def __init__(self, report: ImpactReport, permitted: frozenset[str]):
-        self.report = report
-        self.permitted = permitted
 
     @property
     def passed(self) -> bool:

@@ -224,13 +224,6 @@ class ProblemRefs(Record):
 
     __slots__ = ("text", "domains", "phenomena", "needs")
 
-    def __init__(self, text: str, domains: frozenset[str], phenomena: frozenset[str],
-                 needs: frozenset[str]):
-        self.text = text
-        self.domains = domains
-        self.phenomena = phenomena
-        self.needs = needs
-
     def to_payload(self) -> dict:
         return {
             "text": self.text,
@@ -264,37 +257,15 @@ def problem_refs(problem: m.Problem, text: str = "") -> ProblemRefs:
     )
 
 
-class Workflow(Record):
+class Workflow(Record, defaults={"state": CpsState.CPS1, "children": (), "validations": (),
+                                 "solution_refs": _NO_NAMES, "solution_text": "",
+                                 "implementation_mode": None}):
     """Folded state of one delegation.  The fold updates it in place, so
     unlike other records it is mutable and unhashable."""
 
     __slots__ = ("id", "owner", "delegate", "problem", "state", "children", "validations",
                  "solution_refs", "solution_text", "implementation_mode")
     __hash__ = None
-
-    def __init__(
-        self,
-        id: str,
-        owner: str,
-        delegate: str,
-        problem: ProblemRefs,
-        state: CpsState = CpsState.CPS1,
-        children: tuple[str, ...] = (),
-        validations: tuple[ValidationRecord, ...] = (),
-        solution_refs: frozenset[str] = _NO_NAMES,
-        solution_text: str = "",
-        implementation_mode: str | None = None,
-    ):
-        self.id = id
-        self.owner = owner
-        self.delegate = delegate
-        self.problem = problem
-        self.state = state
-        self.children = children
-        self.validations = validations
-        self.solution_refs = solution_refs
-        self.solution_text = solution_text
-        self.implementation_mode = implementation_mode
 
     def pending(self) -> ValidationRecord | None:
         """The pending validation, if any.  It can only be the last
@@ -314,15 +285,8 @@ class Workflow(Record):
 
 
 class StalenessReport(Record):
+    # stale: (workflow, record id, target); regressions: (workflow, from, to)
     __slots__ = ("sequence", "touched", "stale", "regressions")
-
-    def __init__(self, sequence: int, touched: frozenset[str],
-                 stale: tuple[tuple[str, str, str], ...],
-                 regressions: tuple[tuple[str, str, str], ...]):
-        self.sequence = sequence
-        self.touched = touched
-        self.stale = stale  # (workflow, record id, target)
-        self.regressions = regressions  # (workflow, from, to)
 
     @property
     def empty(self) -> bool:

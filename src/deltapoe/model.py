@@ -13,6 +13,7 @@ functions, so sharing across threads is safe.
 from __future__ import annotations
 
 import enum
+from functools import total_ordering
 from operator import attrgetter
 
 from .artifacts import Record
@@ -94,6 +95,7 @@ class Phenomenon(Record):
         self.kind = kind
 
 
+@total_ordering
 class CausalLink(Record):
     """A causal edge cause -> effect asserted by the owning domain.
     Links order by (cause, effect, owner)."""
@@ -110,21 +112,6 @@ class CausalLink(Record):
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return self._values(self) < self._values(other)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values(self) <= self._values(other)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values(self) > self._values(other)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values(self) >= self._values(other)
         return NotImplemented
 
 
@@ -230,28 +217,16 @@ class Environment(Record):
 
 # --- needs ------------------------------------------------------------------
 
-class AtomicNeed(Record):
+class AtomicNeed(Record, defaults={"description": ""}):
     __slots__ = ("name", "description")
-
-    def __init__(self, name: str, description: str = ""):
-        self.name = name
-        self.description = description
 
 
 class NeedSeq(Record):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Need, right: Need):
-        self.left = left
-        self.right = right
-
 
 class NeedPar(Record):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Need, right: Need):
-        self.left = left
-        self.right = right
 
 
 Need = AtomicNeed | NeedSeq | NeedPar
@@ -319,47 +294,25 @@ class Unknown(Record):
 
     __slots__ = ("placeholder",)
 
-    def __init__(self, placeholder: str):
-        self.placeholder = placeholder
-
 
 class Add(Record):
     __slots__ = ("domain",)
-
-    def __init__(self, domain: Domain):
-        self.domain = domain
 
 
 class Cancel(Record):
     __slots__ = ("domain_name",)
 
-    def __init__(self, domain_name: str):
-        self.domain_name = domain_name
-
 
 class Refine(Record):
     __slots__ = ("target", "retained", "added")
-
-    def __init__(self, target: str, retained: tuple[Domain, ...], added: tuple[Domain, ...]):
-        self.target = target
-        self.retained = retained
-        self.added = added
 
 
 class ChangeSeq(Record):
     __slots__ = ("first", "second")
 
-    def __init__(self, first: ChangeExpr, second: ChangeExpr):
-        self.first = first
-        self.second = second
-
 
 class ChangePar(Record):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: ChangeExpr, right: ChangeExpr):
-        self.left = left
-        self.right = right
 
 
 class Nil(Record):
@@ -419,13 +372,8 @@ class Role(str, enum.Enum):
     IMPLEMENTATION_DELEGATE = "implementation-delegate"
 
 
-class Stakeholder(Record):
+class Stakeholder(Record, defaults={"trusts": frozenset()}):
     __slots__ = ("name", "role", "trusts")
-
-    def __init__(self, name: str, role: Role, trusts: frozenset[str] = frozenset()):
-        self.name = name
-        self.role = role
-        self.trusts = trusts
 
 
 class Problem(Record):
@@ -434,19 +382,9 @@ class Problem(Record):
 
     __slots__ = ("env", "change", "validator", "need")
 
-    def __init__(self, env: Environment, change: ChangeExpr, validator: str, need: Need):
-        self.env = env
-        self.change = change
-        self.validator = validator
-        self.need = need
 
-
-class Organisation(Record):
+class Organisation(Record, defaults={"current_problems": frozenset()}):
     __slots__ = ("state", "current_problems")
-
-    def __init__(self, state: Environment, current_problems: frozenset[Need] = frozenset()):
-        self.state = state
-        self.current_problems = current_problems
 
 
 # --- operations ---------------------------------------------------------------

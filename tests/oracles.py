@@ -39,7 +39,6 @@ from deltapoe.dsl import (
     PathSeg,
     Statement,
     ValidationMark,
-    _amended,
     path_str,
 )
 from deltapoe.export import _dot_escape
@@ -567,13 +566,13 @@ class PeekParser:
         if justification is not None:
             if last.justification is not None:
                 self.fail("statement already has a justify block")
-            statements[-1] = _amended(last, justification=justification)
+            statements[-1] = last._replace(justification=justification)
         if plan is not None:
             if isinstance(last, DischargeStatement):
                 self.fail("discharge statements carry no plan")
-            statements[-1] = _amended(last, plan=last.plan + plan)
+            statements[-1] = last._replace(plan=last.plan + plan)
         if validation is not None:
-            statements[-1] = _amended(last, validations=last.validations + (validation,))
+            statements[-1] = last._replace(validations=last.validations + (validation,))
 
     def apply_statement(self) -> ApplyStatement:
         start = self.pos

@@ -495,19 +495,21 @@ def test_each_process_loads_the_entry_point_and_its_own_command(tmp_path, monkey
     the module of its own command's family, and no other command module.
     The exact count of the deltapoe source lines it loads, ``__main__``
     included, gates what it compiles; before the commands were split out
-    of ``cli.py`` the counts were 804, 3,891, 3,110, 3,438 and 1,726."""
+    of ``cli.py`` the counts were 804, 3,891, 3,110, 3,438 and 1,726, and
+    before the records' constructors were generated 350, 3,684, 2,710,
+    3,038 and 1,460."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     staged = staged_input(monkeypatch, tmp_path)
     log = tmp_path / "wf.jsonl"
     log.write_text(CREATED)
     for expected, argv, family, lines in (
         (3, [], None, 350),
-        (0, ["check", staged], "derivation", 3684),
-        (0, ["plan", staged], "derivation", 3684),
-        (0, ["lint", staged], "derivation", 3684),
-        (0, ["impact", CHAIN, "--edit", "!C"], "impact", 2710),
-        (0, ["impact", CHAIN, "--edit", "!C", "--format", "structured"], "impact", 3038),
-        (0, ["workflow", log, "status"], "workflow", 1460),
+        (0, ["check", staged], "derivation", 3487),
+        (0, ["plan", staged], "derivation", 3487),
+        (0, ["lint", staged], "derivation", 3487),
+        (0, ["impact", CHAIN, "--edit", "!C"], "impact", 2531),
+        (0, ["impact", CHAIN, "--edit", "!C", "--format", "structured"], "impact", 2859),
+        (0, ["workflow", log, "status"], "workflow", 1393),
     ):
         loaded = loaded_modules(env, expected, argv)
         commands = {name for name in loaded if name.startswith("deltapoe.cmd_")}
@@ -940,6 +942,19 @@ def test_config_values_go_before_a_double_dash(tmp_path, capsys):
     expected = run(capsys, "plan", GOLDEN, "--derivation", "api_upgrade")
     assert expected[0] == 0, expected
     assert run(capsys, "--config", config, "plan", "--", GOLDEN) == expected
+
+
+def test_a_config_call_builds_the_parser_twice(tmp_path, capsys, monkeypatch):
+    """A ``--config`` call parses and re-parses with one parser, and builds
+    a second, with its defaults suppressed, to tell which options the
+    command line gives."""
+    config = tmp_path / "deltapoe.conf"
+    config.write_text("derivation=api_upgrade\nformat=structured\n")
+    built, make_parser = [], cli.make_parser
+    monkeypatch.setattr(cli, "make_parser", lambda: built.append(1) or make_parser())
+    code, out, _ = run(capsys, "--config", config, "plan", GOLDEN)
+    assert (code, len(built)) == (0, 2)
+    json.loads(out)
 
 
 def test_config_key_of_no_option_is_a_usage_error(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,11 @@
-"""The record classes: equality, hashing, ordering and repr as the
-field tuple defines them, the environment's name index, and an import
-path that loads neither ``dataclasses`` nor ``inspect`` nor, from any
-module but itself, the entry point."""
+"""The record classes: constructors generated from the fields, equality,
+hashing, ordering and repr as the field tuple defines them, the
+environment's name index, and an import path that loads neither
+``dataclasses`` nor ``inspect`` nor, from any module but itself, the
+entry point."""
 
+import ast
+import inspect
 import os
 import shutil
 import subprocess
@@ -14,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltapoe import calculus, dsl, impact, macro, model
-from deltapoe.artifacts import Deadline, Record
+from deltapoe.artifacts import EMPTY_JUSTIFICATION, Deadline, Record
 from deltapoe.calculus import DerivationNode
 
 from .conftest import FIXTURES
@@ -183,6 +186,103 @@ def test_defaults_and_keywords_construct_as_before():
         model.Phenomenon("", model.PhenomenonKind.EVENT)
     with pytest.raises(ValueError, match="bad deadline kind 'soon'"):
         Deadline("soon", "x")
+
+
+# Each record's constructor parameters, as the hand-written ``__init__``s
+# took them: a name, or a (name, default) pair.  All are positional-or-keyword.
+SIGNATURES = {
+    "Add": ("domain",),
+    "ApplyStatement": ("rule", "path", "args", ("marker", None), ("justification", None),
+                       ("plan", ()), ("validations", ()), ("token", 0)),
+    "AtomicNeed": ("name", ("description", "")),
+    "BoundReport": ("report", "permitted"),
+    "Cancel": ("domain_name",),
+    "CausalLink": ("cause", "effect", "owner"),
+    "ChangePar": ("left", "right"),
+    "ChangeSeq": ("first", "second"),
+    "CheckDiagnostic": ("path", "kind", "message"),
+    "Deadline": ("kind", "value"),
+    "DerivationNode": ("conclusion", ("rule", None), ("premises", ()), ("args", None),
+                       ("justification", EMPTY_JUSTIFICATION), ("plan", ()), ("validations", ()),
+                       ("greenfield", False), ("discharged", False), ("env_provisional", False),
+                       ("marker", None), ("alternatives", ())),
+    "DerivationScript": ("name", "problem_name", "statements"),
+    "DischargeStatement": ("path", ("justification", None), ("validations", ()), ("token", 0)),
+    "Domain": ("name", ("description", ""), ("observed", frozenset()), ("controlled", frozenset()),
+               ("links", frozenset()), ("structure", None)),
+    "Environment": (("domains", ()),),
+    "ImpactReport": ("edit", "structural", "behavioural", "buffers", "declared_buffers",
+                     "seed_phenomena", "parent", "hits"),
+    "ImplementationPlan": ("entries", "constraints"),
+    "Justification": (("rule_rationale", None), ("coordination_rationale", None),
+                      ("integration_argument", None), ("dependency_argument", None),
+                      ("risk_register", ()), ("feedback_cadence", None), ("timeline_rationale", None),
+                      ("validation_criteria", None), ("resource_rationale", None)),
+    "Model": (("phenomena", ()), ("environment", model.Environment()), ("stakeholders", ()),
+              ("needs", ())),
+    "NeedPar": ("left", "right"),
+    "NeedSeq": ("left", "right"),
+    "NewLink": ("domain", "cause", "effect"),
+    "Nil": (),
+    "Organisation": ("state", ("current_problems", frozenset())),
+    "ParseDiagnostic": ("line", "column", "message"),
+    "ParsedFile": ("kind", "model", "problems", "derivations"),
+    "Phenomenon": ("name", "kind"),
+    "PlanEntry": ("step", "stage", "node"),
+    "PlanStep": ("id", "action", "installs", ("after", ()), ("parallel_ok", ()), ("deadline", None)),
+    "Problem": ("env", "change", "validator", "need"),
+    "ProblemRefs": ("text", "domains", "phenomena", "needs"),
+    "Refine": ("target", "retained", "added"),
+    "RiskItem": ("risk", "mitigation"),
+    "Rule": ("arity", "premises", "evidence", ("required", ())),
+    "StalenessReport": ("sequence", "touched", "stale", "regressions"),
+    "Stakeholder": ("name", "role", ("trusts", frozenset())),
+    "TanglePair": ("first", "second", "domains", "placeholders", "validators", "phenomena"),
+    "Unknown": ("placeholder",),
+    "ValidationMark": ("stakeholder", "granted"),
+    "ValidationRecord": ("id", "stakeholder", "target", "subject", "status", "sequence"),
+    "Verdict": ("kind", ("diagnostics", ()), ("open_items", ())),
+    "Workflow": ("id", "owner", "delegate", "problem", ("state", macro.CpsState.CPS1),
+                 ("children", ()), ("validations", ()), ("solution_refs", frozenset()),
+                 ("solution_text", ""), ("implementation_mode", None)),
+}
+
+
+def test_every_record_takes_the_parameters_it_took_by_hand():
+    records = {cls.__name__: cls for cls in Record.__subclasses__()}
+    assert records.keys() == SIGNATURES.keys()
+    for name, cls in records.items():
+        parameters = inspect.signature(cls).parameters.values()
+        assert {p.kind for p in parameters} <= {inspect.Parameter.POSITIONAL_OR_KEYWORD}, name
+        got = tuple(p.name if p.default is p.empty else (p.name, type(p.default), p.default)
+                    for p in parameters)
+        assert got == tuple(p if isinstance(p, str) else (p[0], type(p[1]), p[1])
+                            for p in SIGNATURES[name]), name
+    with pytest.raises(TypeError) as raised:
+        model.Cancel()
+    assert str(raised.value) == "Cancel.__init__() missing 1 required positional argument: 'domain_name'"
+
+
+def _assigns_its_parameter(statement):
+    return (isinstance(statement, ast.Assign) and len(statement.targets) == 1
+            and isinstance(statement.targets[0], ast.Attribute)
+            and isinstance(statement.targets[0].value, ast.Name)
+            and statement.targets[0].value.id == "self"
+            and isinstance(statement.value, ast.Name) and statement.value.id == statement.targets[0].attr)
+
+
+def test_only_a_record_that_validates_or_derives_writes_its_own_init():
+    records = {cls.__name__ for cls in Record.__subclasses__()}
+    own = {}
+    for path in sorted((ROOT / "src" / "deltapoe").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and node.name in records:
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and method.name == "__init__":
+                        own[node.name] = all(map(_assigns_its_parameter, method.body))
+    assert not [name for name, assigns_only in own.items() if assigns_only]
+    assert own.keys() == {"Phenomenon", "CausalLink", "Domain", "Environment", "Deadline", "Model",
+                          "DerivationNode"}
 
 
 def _linear_domain(env, name):
