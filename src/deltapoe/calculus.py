@@ -548,15 +548,43 @@ RULES: dict[RuleId, Rule] = {
 
 def _expected(node: DerivationNode, mdl: Model) -> list[DerivationNode]:
     """The premises the node's rule application must have, as open
-    leaves, which :func:`apply` installs, :func:`rethread` copies onto
-    the existing premises and :func:`check` compares them with: always
-    ``RULES[node.rule].arity`` of them.  Raises RuleError when the rule's
-    side conditions do not hold for the node's conclusion and arguments.
+    leaves, which :func:`apply` installs and :func:`_replay` hands to
+    :func:`rethread` and :func:`check`: always ``RULES[node.rule].arity``
+    of them.  Raises RuleError when the rule's side conditions do not
+    hold for the node's conclusion and arguments.
     """
     rule = RULES.get(node.rule)
     if rule is None:
         raise RuleError(f"unknown rule {node.rule!r}")
     return rule.premises(node, mdl)
+
+
+def _replay(root: DerivationNode, mdl: Model) -> Iterator[tuple]:
+    """Each node of the tree twice, with its path and whether it lies in an
+    alternative: first with the node whose conclusion it must carry, itself
+    or an alternative's node; then, after its alternatives' subtrees, with
+    what :func:`_expected` makes of it: its premise leaves, which alone lead
+    into its premises' subtrees, the RuleError raised, its rule's arity when
+    it carries another number of premises, or None for an open leaf.  A caller
+    may set the fields a later visit reads; the walk keeps its own stack."""
+    stack = [(root, (), False, root)]
+    while stack:
+        node, path, in_alternative, found = stack.pop()
+        if found is None and node.rule is not None:
+            found = RULES[node.rule].arity
+            if found == len(node.premises):
+                try:
+                    found = _expected(node, mdl)
+                except RuleError as err:
+                    found = err
+        yield node, path, in_alternative, found
+        if isinstance(found, DerivationNode):
+            stack.append((node, path, in_alternative, None))
+            stack += [(alt, path + (("alt", k),), True, node)
+                      for k, alt in enumerate(node.alternatives, 1)][::-1]
+        elif isinstance(found, list):
+            stack += [(child, path + (i,), in_alternative, child)
+                      for i, child in enumerate(node.premises)][::-1]
 
 
 def evidence(node: DerivationNode) -> dict:
@@ -582,29 +610,27 @@ def apply(rule: RuleId, node: DerivationNode, args: dict, mdl: Model) -> Derivat
 
 
 def rethread(node: DerivationNode, mdl: Model) -> DerivationNode:
-    """Recompute premise conclusions top-down over the whole subtree:
-    each premise takes the conclusion, greenfield marking and provisional
-    environment of its leaf from :func:`_expected`, and each alternative
-    its node's conclusion and provisional environment, before it is
-    rethreaded in turn.  One pass resolves provisional environments once
+    """Recompute premise conclusions top-down over the whole subtree, in
+    place, and return ``node``: each premise takes the conclusion,
+    greenfield marking and provisional environment of its leaf, and each
+    alternative its node's conclusion and provisional environment, from
+    :func:`_replay`.  One pass resolves provisional environments once
     earlier stages have committed their solutions: rethreading recomputes
     environments, which :func:`committed` does not read, so a first stage
     commits the same solution after it is rethreaded as before.
 
     :func:`build` calls it only on a second stage whose environment a
-    statement has just resolved."""
-    alts = tuple(
-        rethread(alt._replace(conclusion=node.conclusion, env_provisional=node.env_provisional), mdl)
-        for alt in node.alternatives
-    )
-    if node.rule is None:
-        return node._replace(alternatives=alts) if alts else node
-    premises = tuple(
-        rethread(child._replace(conclusion=leaf.conclusion, greenfield=leaf.greenfield,
-                                env_provisional=leaf.env_provisional), mdl)
-        for child, leaf in zip(node.premises, _expected(node, mdl))
-    )
-    return node._replace(premises=premises, alternatives=alts)
+    statement has just resolved, in nodes it has made and not returned."""
+    for below, _, _, found in _replay(node, mdl):
+        if isinstance(found, DerivationNode):
+            below.conclusion, below.env_provisional = found.conclusion, found.env_provisional
+        elif isinstance(found, RuleError):
+            raise found
+        elif isinstance(found, list):
+            for child, leaf in zip(below.premises, found):
+                child.conclusion, child.greenfield, child.env_provisional = (
+                    leaf.conclusion, leaf.greenfield, leaf.env_provisional)
+    return node
 
 
 # --- building trees from scripts ----------------------------------------------------
@@ -650,10 +676,10 @@ def build(script: DerivationScript, mdl: Model, problems: dict) -> DerivationNod
             settled = [(seq, _expected(seq, mdl)[1]) for seq, seg in zip(spine, path)
                        if _awaits_first_stage(seq, seg) and _first_stage(seq) is not None]
             for seq, leaf in reversed(settled):
-                second = seq.premises[1]._replace(
-                    conclusion=leaf.conclusion, greenfield=leaf.greenfield,
-                    env_provisional=leaf.env_provisional)
-                seq.premises = (seq.premises[0], rethread(second, mdl))
+                second = seq.premises[1]
+                second.conclusion, second.greenfield, second.env_provisional = (
+                    leaf.conclusion, leaf.greenfield, leaf.env_provisional)
+                rethread(second, mdl)
         except RuleError as err:
             raise err.at(path)
     return root
@@ -808,63 +834,6 @@ def check(root: DerivationNode, mdl: Model) -> Verdict:
     def note(path, kind, message):
         diagnostics.append(CheckDiagnostic(path_str(path), kind, message))
 
-    def walk(node: DerivationNode, path: NodePath, in_alternative: bool):
-        for k, alt in enumerate(node.alternatives):
-            if alt.conclusion != node.conclusion:
-                note(path + (("alt", k + 1),), "PremiseMismatch",
-                     "alternative does not share the node's conclusion")
-            walk(alt, path + (("alt", k + 1),), True)
-        if node.alternatives and not in_alternative:
-            if node.rule is not None and node.marker != "chosen":
-                open_items.append(f"{path_str(path)}: alternatives exist but none is marked chosen")
-            if any(a.marker == "chosen" for a in node.alternatives):
-                note(path, "AmbiguousChoice",
-                     "a chosen application must occupy the node itself, "
-                     "not sit among the alternatives")
-        if node.rule is None:
-            if node.greenfield:
-                if not node.discharged:
-                    if not in_alternative:
-                        open_items.append(f"{path_str(path)}: greenfield obligation awaiting discharge")
-                else:
-                    _check_validation(node, path, ValidationTarget.GREENFIELD_DISCHARGE)
-            else:
-                if not in_alternative:
-                    open_items.append(f"{path_str(path)}: open leaf")
-            return
-        arity = RULES[node.rule].arity
-        if len(node.premises) != arity:
-            note(path, "ArityMismatch",
-                 f"{node.rule.value} carries {len(node.premises)} premises, needs {arity}")
-            return
-        try:
-            leaves = _expected(node, mdl)
-        except RuleError as err:
-            note(path, err.cause_kind or err.kind, str(err))
-            return
-        for i, (child, leaf) in enumerate(zip(node.premises, leaves)):
-            expected, stored = leaf.conclusion, child.conclusion
-            # an environment pending an earlier stage is not compared
-            if not (leaf.env_provisional or child.env_provisional) and stored.env != expected.env:
-                note(path + (i,), "ThreadingMismatch",
-                     "environment threading mismatch: expected "
-                     f"{env_str(expected.env)}, stored {env_str(stored.env)}")
-            elif m.Problem(expected.env, stored.change, stored.validator, stored.need) != expected:
-                note(path + (i,), "PremiseMismatch", "stored premise disagrees with the rule application")
-            if child.greenfield != leaf.greenfield:
-                note(path + (i,), "PremiseMismatch",
-                     "greenfield marking disagrees with the rule")
-        if node.rule is RuleId.KNOWN_SOLUTION:
-            _check_validation(node, path, ValidationTarget.SOLUTION_PLAN)
-            if not node.env_provisional:
-                solution = node.args.get("solution", node.conclusion.change)
-                try:
-                    m.apply_change(node.conclusion.env, solution)
-                except (m.ChangeError, m.ModelError) as err:
-                    note(path, type(err).__name__, str(err))
-        for i, child in enumerate(node.premises):
-            walk(child, path + (i,), in_alternative)
-
     def _check_validation(node, path, target):
         validator = node.conclusion.validator
         granted = [v for v in node.validations if v.status is ValidationStatus.GRANTED]
@@ -876,10 +845,51 @@ def check(root: DerivationNode, mdl: Model) -> Verdict:
         if not any(v.stakeholder == validator and v.target is target for v in granted):
             what = ("greenfield discharge" if target is ValidationTarget.GREENFIELD_DISCHARGE
                     else "solution")
-            note(path, "MissingValidation",
-                 f"{what} lacks a granted validation by {validator!r}")
+            note(path, "MissingValidation", f"{what} lacks a granted validation by {validator!r}")
 
-    walk(root, (), False)
+    for node, path, in_alternative, found in _replay(root, mdl):
+        if isinstance(found, DerivationNode):
+            if node.conclusion != found.conclusion:
+                note(path, "PremiseMismatch", "alternative does not share the node's conclusion")
+            continue
+        if node.alternatives and not in_alternative:
+            if node.rule is not None and node.marker != "chosen":
+                open_items.append(f"{path_str(path)}: alternatives exist but none is marked chosen")
+            if any(a.marker == "chosen" for a in node.alternatives):
+                note(path, "AmbiguousChoice", "a chosen application must occupy the node itself, "
+                                              "not sit among the alternatives")
+        if node.rule is None:
+            if node.greenfield and node.discharged:
+                _check_validation(node, path, ValidationTarget.GREENFIELD_DISCHARGE)
+            elif not in_alternative:
+                waits = "greenfield obligation awaiting discharge" if node.greenfield else "open leaf"
+                open_items.append(f"{path_str(path)}: {waits}")
+        elif isinstance(found, int):
+            note(path, "ArityMismatch",
+                 f"{node.rule.value} carries {len(node.premises)} premises, needs {found}")
+        elif isinstance(found, RuleError):
+            note(path, found.cause_kind or found.kind, str(found))
+        else:
+            for i, (child, leaf) in enumerate(zip(node.premises, found)):
+                expected, stored = leaf.conclusion, child.conclusion
+                # an environment pending an earlier stage is not compared
+                if not (leaf.env_provisional or child.env_provisional) and stored.env != expected.env:
+                    note(path + (i,), "ThreadingMismatch",
+                         "environment threading mismatch: expected "
+                         f"{env_str(expected.env)}, stored {env_str(stored.env)}")
+                elif m.Problem(expected.env, stored.change, stored.validator, stored.need) != expected:
+                    note(path + (i,), "PremiseMismatch", "stored premise disagrees with the rule application")
+                if child.greenfield != leaf.greenfield:
+                    note(path + (i,), "PremiseMismatch", "greenfield marking disagrees with the rule")
+            if node.rule is RuleId.KNOWN_SOLUTION:
+                _check_validation(node, path, ValidationTarget.SOLUTION_PLAN)
+                if not node.env_provisional:
+                    solution = node.args.get("solution", node.conclusion.change)
+                    try:
+                        m.apply_change(node.conclusion.env, solution)
+                    except (m.ChangeError, m.ModelError) as err:
+                        note(path, type(err).__name__, str(err))
+
     diagnostics.extend(lint(root))
     if diagnostics:
         return Verdict("Invalid", tuple(diagnostics), tuple(open_items))

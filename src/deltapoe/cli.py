@@ -129,8 +129,8 @@ def main(argv=None) -> int:
     # a log's text and workflows) holds no reference cycles: reference counting
     # frees it, or it lives until the command ends. So cyclic collections during
     # the command free nothing and only cost time. The few cycles a command does
-    # leave (argparse's parsers, the cells of recursive tree walkers) are freed
-    # when the caller's collector runs again. Pause the collector for the
+    # leave (argparse's parsers; no tree walker recurses through a closure cell)
+    # are freed when the caller's collector runs again. Pause the collector for the
     # command and restore the caller's state after it, whatever the exit.
     was_enabled = gc.isenabled()
     gc.disable()

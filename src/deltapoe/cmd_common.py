@@ -20,8 +20,12 @@ def _err(message: str):
     print(message, file=sys.stderr)
 
 
-def _not_utf8(path: str, err: UnicodeDecodeError) -> str:
-    return f"{path}: not valid UTF-8: byte 0x{err.object[err.start]:02x} at offset {err.start}"
+def _unreadable(path: str, err: OSError | UnicodeDecodeError) -> int:
+    if isinstance(err, OSError):
+        _err(f"{path}: cannot read: {err.strerror}")
+        return USAGE
+    _err(f"{path}: not valid UTF-8: byte 0x{err.object[err.start]:02x} at offset {err.start}")
+    return INVALID
 
 
 class Workspace:
@@ -63,9 +67,8 @@ def _load_workspace(paths: list[str]) -> tuple[Workspace | None, int]:
             for diag in errs.diagnostics:
                 _err(f"{path}:{diag}")
             return None, INVALID
-        except UnicodeDecodeError as err:
-            _err(_not_utf8(path, err))
-            return None, INVALID
+        except (OSError, UnicodeDecodeError) as err:
+            return None, _unreadable(path, err)
     return workspace, OK
 
 

@@ -15,7 +15,7 @@ from .cmd_common import (
     Workspace,
     _err,
     _load_workspace,
-    _not_utf8,
+    _unreadable,
 )
 
 if TYPE_CHECKING:
@@ -203,9 +203,8 @@ def cmd_export(args) -> int:
     if source.suffix == ".json":
         try:
             doc = json.loads(source.read_text(encoding="utf-8"))
-        except UnicodeDecodeError as err:
-            _err(_not_utf8(args.input, err))
-            return INVALID
+        except (OSError, UnicodeDecodeError) as err:
+            return _unreadable(args.input, err)
         except json.JSONDecodeError as err:
             _err(f"{args.input}: {err}")
             return INVALID

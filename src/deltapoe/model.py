@@ -221,12 +221,27 @@ class AtomicNeed(Record, defaults={"description": ""}):
     __slots__ = ("name", "description")
 
 
+def _chain_eq(self, other):
+    """``Record`` equality for the ``;`` and ``||`` compositions, walked
+    along a chain's right-nested spine in a loop, so chains of any length
+    compare: each pair of left operands with ``==``, then the right ones."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    while self is not other and self.__class__ in _CHAINS and other.__class__ is self.__class__:
+        (left, self), (other_left, other) = self._values(self), other._values(other)
+        if not (left is other_left or left == other_left):
+            return False
+    return self is other or self == other
+
+
 class NeedSeq(Record):
     __slots__ = ("left", "right")
+    __eq__, __hash__ = _chain_eq, Record.__hash__
 
 
 class NeedPar(Record):
     __slots__ = ("left", "right")
+    __eq__, __hash__ = _chain_eq, Record.__hash__
 
 
 Need = AtomicNeed | NeedSeq | NeedPar
@@ -309,10 +324,15 @@ class Refine(Record):
 
 class ChangeSeq(Record):
     __slots__ = ("first", "second")
+    __eq__, __hash__ = _chain_eq, Record.__hash__
 
 
 class ChangePar(Record):
     __slots__ = ("left", "right")
+    __eq__, __hash__ = _chain_eq, Record.__hash__
+
+
+_CHAINS = frozenset({NeedSeq, NeedPar, ChangeSeq, ChangePar})
 
 
 class Nil(Record):

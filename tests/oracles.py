@@ -20,7 +20,18 @@ from deltapoe.artifacts import (
     ValidationStatus,
     ValidationTarget,
 )
-from deltapoe.calculus import RULES, CheckDiagnostic, PlanEntry, _first_stage, evidence
+from deltapoe.calculus import (
+    RULES,
+    CheckDiagnostic,
+    DerivationNode,
+    PlanEntry,
+    RuleError,
+    Verdict,
+    _expected,
+    _first_stage,
+    evidence,
+    lint,
+)
 from deltapoe.dsl import (
     ARG_KEYS,
     EMPTY_MODEL,
@@ -1842,6 +1853,127 @@ def plan_fragments_recursive(root):
 
     walk(root, 0, ())
     return entries, constraints
+
+
+# --- the replay that recursed once per tree level, in check and in rethread ---------------
+
+def rethread_recursive(node: DerivationNode, mdl: Model) -> DerivationNode:
+    """``calculus.rethread`` as it copied the subtree and recursed once per
+    tree level, leaving ``node`` as it was.
+
+    Recompute premise conclusions top-down over the whole subtree:
+    each premise takes the conclusion, greenfield marking and provisional
+    environment of its leaf from :func:`_expected`, and each alternative
+    its node's conclusion and provisional environment, before it is
+    rethreaded in turn."""
+    alts = tuple(
+        rethread_recursive(alt._replace(conclusion=node.conclusion, env_provisional=node.env_provisional), mdl)
+        for alt in node.alternatives
+    )
+    if node.rule is None:
+        return node._replace(alternatives=alts) if alts else node
+    premises = tuple(
+        rethread_recursive(child._replace(conclusion=leaf.conclusion, greenfield=leaf.greenfield,
+                                          env_provisional=leaf.env_provisional), mdl)
+        for child, leaf in zip(node.premises, _expected(node, mdl))
+    )
+    return node._replace(premises=premises, alternatives=alts)
+
+
+def check_walk_recursive(root: DerivationNode, mdl: Model) -> Verdict:
+    """``calculus.check`` as its nested ``walk`` recursed once per tree
+    level.
+
+    Replay a derivation bottom-up against the model.
+
+    Every side condition is recomputed and every stored premise compared
+    with the one the rule would create; sequencing environments are
+    rethreaded through apply_change, never trusted from the tree.
+    """
+    diagnostics: list[CheckDiagnostic] = []
+    open_items: list[str] = []
+
+    def note(path, kind, message):
+        diagnostics.append(CheckDiagnostic(path_str(path), kind, message))
+
+    def walk(node: DerivationNode, path: NodePath, in_alternative: bool):
+        for k, alt in enumerate(node.alternatives):
+            if alt.conclusion != node.conclusion:
+                note(path + (("alt", k + 1),), "PremiseMismatch",
+                     "alternative does not share the node's conclusion")
+            walk(alt, path + (("alt", k + 1),), True)
+        if node.alternatives and not in_alternative:
+            if node.rule is not None and node.marker != "chosen":
+                open_items.append(f"{path_str(path)}: alternatives exist but none is marked chosen")
+            if any(a.marker == "chosen" for a in node.alternatives):
+                note(path, "AmbiguousChoice",
+                     "a chosen application must occupy the node itself, "
+                     "not sit among the alternatives")
+        if node.rule is None:
+            if node.greenfield:
+                if not node.discharged:
+                    if not in_alternative:
+                        open_items.append(f"{path_str(path)}: greenfield obligation awaiting discharge")
+                else:
+                    _check_validation(node, path, ValidationTarget.GREENFIELD_DISCHARGE)
+            else:
+                if not in_alternative:
+                    open_items.append(f"{path_str(path)}: open leaf")
+            return
+        arity = RULES[node.rule].arity
+        if len(node.premises) != arity:
+            note(path, "ArityMismatch",
+                 f"{node.rule.value} carries {len(node.premises)} premises, needs {arity}")
+            return
+        try:
+            leaves = _expected(node, mdl)
+        except RuleError as err:
+            note(path, err.cause_kind or err.kind, str(err))
+            return
+        for i, (child, leaf) in enumerate(zip(node.premises, leaves)):
+            expected, stored = leaf.conclusion, child.conclusion
+            # an environment pending an earlier stage is not compared
+            if not (leaf.env_provisional or child.env_provisional) and stored.env != expected.env:
+                note(path + (i,), "ThreadingMismatch",
+                     "environment threading mismatch: expected "
+                     f"{env_str(expected.env)}, stored {env_str(stored.env)}")
+            elif m.Problem(expected.env, stored.change, stored.validator, stored.need) != expected:
+                note(path + (i,), "PremiseMismatch", "stored premise disagrees with the rule application")
+            if child.greenfield != leaf.greenfield:
+                note(path + (i,), "PremiseMismatch",
+                     "greenfield marking disagrees with the rule")
+        if node.rule is RuleId.KNOWN_SOLUTION:
+            _check_validation(node, path, ValidationTarget.SOLUTION_PLAN)
+            if not node.env_provisional:
+                solution = node.args.get("solution", node.conclusion.change)
+                try:
+                    m.apply_change(node.conclusion.env, solution)
+                except (m.ChangeError, m.ModelError) as err:
+                    note(path, type(err).__name__, str(err))
+        for i, child in enumerate(node.premises):
+            walk(child, path + (i,), in_alternative)
+
+    def _check_validation(node, path, target):
+        validator = node.conclusion.validator
+        granted = [v for v in node.validations if v.status is ValidationStatus.GRANTED]
+        wrong = [v for v in granted if v.stakeholder != validator]
+        if wrong:
+            note(path, "WrongValidator",
+                 f"validation granted by {wrong[0].stakeholder!r}; "
+                 f"only {validator!r} may validate this problem")
+        if not any(v.stakeholder == validator and v.target is target for v in granted):
+            what = ("greenfield discharge" if target is ValidationTarget.GREENFIELD_DISCHARGE
+                    else "solution")
+            note(path, "MissingValidation",
+                 f"{what} lacks a granted validation by {validator!r}")
+
+    walk(root, (), False)
+    diagnostics.extend(lint(root))
+    if diagnostics:
+        return Verdict("Invalid", tuple(diagnostics), tuple(open_items))
+    if open_items:
+        return Verdict("Incomplete", (), tuple(open_items))
+    return Verdict("Solved")
 
 
 # --- the impact text report as it was printed a line at a time ------------------------

@@ -8,6 +8,7 @@ beside its premises.
 """
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +39,7 @@ from deltapoe.dsl import (
 )
 
 from .conftest import FIXTURES
-from .oracles import assert_evidence_as_eager
+from .oracles import assert_evidence_as_eager, rethread_recursive
 
 
 def set_statement(root, index, stmt, mdl):
@@ -56,12 +57,12 @@ def set_statement(root, index, stmt, mdl):
 
 def rethread_every_statement(script, mdl, problems):
     """The reference: make each statement's node, set it into the tree and
-    rethread the whole tree."""
+    rethread the whole tree by the recursive copying rethread."""
     root = open_node(problems[script.problem_name])
     for index, stmt in enumerate(script.statements):
         root = set_statement(root, index, stmt, mdl)
         try:
-            root = rethread(root, mdl)
+            root = rethread_recursive(root, mdl)
         except RuleError as err:
             if not err.path:
                 err.at(stmt.path)
@@ -318,14 +319,24 @@ def commitments(root):
 @given(staged_scripts())
 def test_rethread_keeps_what_every_node_commits(generated):
     """Rethreading recomputes environments only, so one top-down pass
-    resolves every second stage its first stage's solution determines."""
+    resolves every second stage its first stage's solution determines.
+    ``rethread`` works in place, so what the tree committed is taken
+    before it runs; it leaves the tree the recursive copying rethread
+    makes."""
     script, problems = generated
     root = open_node(problems[script.problem_name])
     for index, stmt in enumerate(script.statements):
         try:
             root = set_statement(root, index, stmt, Model())
-            rethreaded = rethread(root, Model())
         except RuleError:
             return
-        assert commitments(rethreaded) == commitments(root)
-        root = rethreaded
+        try:
+            expected = rethread_recursive(root, Model())
+        except RuleError as err:
+            with pytest.raises(type(err), match=re.escape(str(err))):
+                rethread(root, Model())
+            return
+        before = commitments(root)
+        assert rethread(root, Model()) is root
+        assert commitments(root) == before
+        assert root == expected

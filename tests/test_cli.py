@@ -495,21 +495,23 @@ def test_each_process_loads_the_entry_point_and_its_own_command(tmp_path, monkey
     the module of its own command's family, and no other command module.
     The exact count of the deltapoe source lines it loads, ``__main__``
     included, gates what it compiles; before the commands were split out
-    of ``cli.py`` the counts were 804, 3,891, 3,110, 3,438 and 1,726, and
+    of ``cli.py`` the counts were 804, 3,891, 3,110, 3,438 and 1,726,
     before the records' constructors were generated 350, 3,684, 2,710,
-    3,038 and 1,460."""
+    3,038 and 1,460, and before ``check`` and ``rethread`` shared one
+    replay, with chains compared along their spine and an unreadable input
+    reported, 350, 3,487, 2,531, 2,859 and 1,393."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     staged = staged_input(monkeypatch, tmp_path)
     log = tmp_path / "wf.jsonl"
     log.write_text(CREATED)
     for expected, argv, family, lines in (
-        (3, [], None, 350),
-        (0, ["check", staged], "derivation", 3487),
-        (0, ["plan", staged], "derivation", 3487),
-        (0, ["lint", staged], "derivation", 3487),
-        (0, ["impact", CHAIN, "--edit", "!C"], "impact", 2531),
-        (0, ["impact", CHAIN, "--edit", "!C", "--format", "structured"], "impact", 2859),
-        (0, ["workflow", log, "status"], "workflow", 1393),
+        (3, [], None, 353),
+        (0, ["check", staged], "derivation", 3519),
+        (0, ["plan", staged], "derivation", 3519),
+        (0, ["lint", staged], "derivation", 3519),
+        (0, ["impact", CHAIN, "--edit", "!C"], "impact", 2554),
+        (0, ["impact", CHAIN, "--edit", "!C", "--format", "structured"], "impact", 2882),
+        (0, ["workflow", log, "status"], "workflow", 1396),
     ):
         loaded = loaded_modules(env, expected, argv)
         commands = {name for name in loaded if name.startswith("deltapoe.cmd_")}
@@ -810,6 +812,38 @@ def test_export_non_utf8_report_is_invalid(tmp_path, capsys):
     assert code == 2
     assert err.startswith(f"{report}: not valid UTF-8")
     assert not (tmp_path / "impact.dot").exists()
+
+
+def commands_reading(source, graph):
+    return (["check", source], ["plan", source], ["lint", source], ["impact", source, "--edit", "!C"],
+            ["export", source, "--graph", graph])
+
+
+@pytest.mark.parametrize("suffix", [".poed", ".json"])
+def test_an_input_that_cannot_be_read_is_a_usage_error(tmp_path, monkeypatch, capsys, suffix):
+    """A file that exists but cannot be read, here one its reader may not
+    open, is named with the reason on one stderr line, and exits 3."""
+    source = tmp_path / f"locked{suffix}"
+    source.write_text("{}")
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    for argv in commands_reading(source, tmp_path / "out.dot"):
+        if suffix == ".json" and argv[0] != "export":
+            continue
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", f"{source}: cannot read: Permission denied\n"), argv
+    assert not (tmp_path / "out.dot").exists()
+
+
+@pytest.mark.skipif(not Path("/proc/self/mem").is_file(), reason="no /proc/self/mem here")
+def test_an_input_whose_read_fails_is_a_usage_error(tmp_path, capsys):
+    """Reading ``/proc/self/mem`` from its start fails with EIO."""
+    for argv in commands_reading("/proc/self/mem", tmp_path / "out.dot"):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", "/proc/self/mem: cannot read: Input/output error\n"), argv
 
 
 @pytest.mark.parametrize("text, message", [

@@ -5,6 +5,7 @@ environment's name index, and an import path that loads neither
 entry point."""
 
 import ast
+import copy
 import inspect
 import os
 import shutil
@@ -145,6 +146,66 @@ def test_sibling_classes_with_equal_fields_are_unequal(env, need):
         assert a != b and b != a
         assert hash(a) == hash(fields(a))
     assert len({model.NeedSeq(need, need), model.NeedPar(need, need)}) == 2
+
+
+def field_equal(a, b):
+    """Record equality as the field tuples define it, recursing into each
+    field that is a record."""
+    if isinstance(a, Record) or isinstance(b, Record):
+        return type(a) is type(b) and all(map(field_equal, fields(a), fields(b)))
+    return a == b
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_chain_equality_agrees_with_comparing_field_tuples(data):
+    mdl = data.draw(models())
+    draw_value = st.one_of(needs(), changes(mdl))
+    a = data.draw(draw_value)
+    b = data.draw(st.one_of(draw_value, st.just(copy.deepcopy(a)), st.just(a)))
+    for x, y in ((a, b), (b, a)):
+        assert (x == y) is field_equal(x, y), (x, y)
+        assert (x != y) is not field_equal(x, y), (x, y)
+        if field_equal(x, y):
+            assert hash(x) == hash(y)
+
+
+LONG = 5000
+
+
+def long_chain(combine, atom, last):
+    """``LONG`` operands combined by ``combine``, nested to the right, the
+    last one ``atom(last)``, each a new object."""
+    chain = atom(last)
+    for k in range(LONG - 1):
+        chain = combine(atom(f"a{k % 7}"), chain)
+    return chain
+
+
+@pytest.mark.parametrize("combine,atom", [
+    (model.NeedSeq, model.AtomicNeed), (model.NeedPar, model.AtomicNeed),
+    (model.ChangeSeq, model.Unknown), (model.ChangePar, model.Unknown),
+], ids=["NeedSeq", "NeedPar", "ChangeSeq", "ChangePar"])
+def test_long_chains_built_apart_compare_along_their_spine(combine, atom):
+    """Far longer than the recursion limit: the spine is walked in a loop."""
+    assert sys.getrecursionlimit() < LONG
+    first, second = long_chain(combine, atom, "z"), long_chain(combine, atom, "z")
+    other = long_chain(combine, atom, "y")
+    assert first is not second
+    assert first == second and not first != second
+    assert first != other and not first == other and other != first
+
+
+def test_a_mixed_spine_compares_in_a_loop():
+    """A change chain whose spine alternates ``;`` and ``||``."""
+    def chain(last):
+        out = model.Unknown(last)
+        for k in range(LONG):
+            out = (model.ChangeSeq if k % 2 else model.ChangePar)(model.Nil(), out)
+        return out
+    assert chain("z") == chain("z") and chain("z") != chain("y")
+    swapped = model.ChangePar(model.Nil(), chain("z").second)
+    assert swapped != chain("z") and chain("z") != swapped
 
 
 links = st.tuples(st.sampled_from("abc"), st.sampled_from("abcd"), st.sampled_from("XY")).filter(
