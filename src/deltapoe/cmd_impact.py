@@ -38,6 +38,9 @@ def cmd_impact(args) -> int:
     return OK if bound is None or bound.passed else INCOMPLETE
 
 
+_ARROWS = impact.joined(" -> ")  # a path as the text report prints it
+
+
 def _impact_lines(report: impact.ImpactReport, bound: impact.BoundReport | None):
     yield f"edit: {report.edit}\n"
     yield "structural: " + (", ".join(sorted(report.structural)) or "-") + "\n"
@@ -45,9 +48,9 @@ def _impact_lines(report: impact.ImpactReport, bound: impact.BoundReport | None)
     yield "buffers: " + (", ".join(sorted(report.buffers)) or "-") + "\n"
     if report.hits:
         yield "paths:\n"
-        for _, path in report.walk():
-            yield "  " + impact.path_text(path) + "\n"
+        for _, text in report.walk(_ARROWS):
+            yield f"  {text}\n"
     if bound is not None:
         yield "bound: pass\n" if bound.passed else "bound: fail\n"
-        for name, path in bound.walk():
-            yield f"  {name}: {impact.path_text(path)}\n"
+        for name, text in bound.walk(_ARROWS):
+            yield f"  {name}: {text}\n"

@@ -15,6 +15,7 @@ from .cmd_common import (
     _err,
     _load_workspace,
     _names_flag,
+    _unreadable,
     _write_lines,
 )
 
@@ -89,6 +90,8 @@ def cmd_workflow(args) -> int:
         except macro.BadLog as err:
             _err(f"{args.log}: {err}")
             return INVALID
+        except OSError as err:
+            return _unreadable(args.log, err)
         try:
             return _run_workflow(args, log, handle)
         finally:

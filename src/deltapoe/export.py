@@ -63,28 +63,38 @@ def _validation_doc(v: ValidationRecord) -> dict:
 
 
 def derivation_doc(node: DerivationNode) -> dict:
-    """Structured-tree document for a derivation node."""
+    """Structured-tree document for a derivation node.  The walk keeps its
+    own stack, so it takes a tree of any depth: each node's document is
+    made with its premise and alternative lists empty, and the documents
+    of those nodes are appended to them in order as they are made."""
     from .calculus import evidence
 
-    doc = {
-        "conclusion": problem_str(node.conclusion),
-        "rule": node.rule.value if node.rule else ("discharged" if node.discharged else "open"),
-        "premises": [derivation_doc(p) for p in node.premises],
-        "evidence": dict(sorted(evidence(node).items())),
-        "plan": [_step_doc(s) for s in node.plan],
-    }
-    justification = _justification_doc(node.justification)
-    if justification:
-        doc["justification"] = justification
-    if node.validations:
-        doc["validations"] = [_validation_doc(v) for v in node.validations]
-    if node.greenfield:
-        doc["greenfield"] = True
-    if node.marker:
-        doc["marker"] = node.marker
-    if node.alternatives:
-        doc["alternatives"] = [derivation_doc(a) for a in node.alternatives]
-    return doc
+    made: list[dict] = []
+    stack = [(node, made)]
+    while stack:
+        node, siblings = stack.pop()
+        doc = {
+            "conclusion": problem_str(node.conclusion),
+            "rule": node.rule.value if node.rule else ("discharged" if node.discharged else "open"),
+            "premises": [],
+            "evidence": dict(sorted(evidence(node).items())),
+            "plan": [_step_doc(s) for s in node.plan],
+        }
+        justification = _justification_doc(node.justification)
+        if justification:
+            doc["justification"] = justification
+        if node.validations:
+            doc["validations"] = [_validation_doc(v) for v in node.validations]
+        if node.greenfield:
+            doc["greenfield"] = True
+        if node.marker:
+            doc["marker"] = node.marker
+        if node.alternatives:
+            doc["alternatives"] = []
+            stack += [(alt, doc["alternatives"]) for alt in reversed(node.alternatives)]
+        stack += [(premise, doc["premises"]) for premise in reversed(node.premises)]
+        siblings.append(doc)
+    return made[0]
 
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -97,12 +107,16 @@ _CHUNK = 1 << 16  # characters per write of a document, as ``cli._write_lines`` 
 class Rows:
     """A list member of a document that is made anew, by calling ``make``,
     each time it is read.  ``to_json`` writes its items as they are made,
-    so no list of them is ever held."""
+    so no list of them is ever held.  Given ``encode``, ``to_json`` writes
+    the texts ``encode(pad)`` makes instead: each the JSON text of one
+    item, as ``to_json`` would write it on a line indented by ``pad``."""
 
-    __slots__ = ("make",)
+    __slots__ = ("make", "encode")
 
-    def __init__(self, make: Callable[[], Iterable]):
+    def __init__(self, make: Callable[[], Iterable],
+                 encode: Callable[[str], Iterable[str]] | None = None):
         self.make = make
+        self.encode = encode
 
     def __iter__(self) -> Iterator:
         return iter(self.make())
@@ -118,9 +132,9 @@ def to_json(doc, out: TextIO) -> None:
     longer fragment is one write), so the whole text is never held at
     once and an unbuffered ``out`` makes a few system calls, not one per
     fragment.  A ``Rows`` member is written an item at a time as it is
-    made.  A list or tuple of strings is made as one join of the stdlib's
-    ASCII string escaper (in C where the interpreter has it); other
-    scalars go to the stdlib encoder.  A key that is not a string raises
+    made, or as its ``encode`` renders it.  A list or tuple of strings is
+    made as one join of the stdlib's ASCII string escaper (in C where the
+    interpreter has it); other scalars go to the stdlib encoder.  A key that is not a string raises
     ``TypeError``, as does a value the stdlib cannot encode; a container
     that holds itself raises ``RecursionError``.
     """
@@ -155,7 +169,10 @@ def _write_json(value, write, pad: str) -> None:
         else:
             write("[" + inner + text + pad + "]")
     elif isinstance(value, Rows):
-        _write_items(value, write, pad)
+        if value.encode is None:
+            _write_items(value, write, pad)
+        else:
+            _write_items(value.encode(pad + "  "), write, pad, encoded=True)
     elif isinstance(value, dict):
         if not value:
             write("{}")
@@ -171,13 +188,17 @@ def _write_json(value, write, pad: str) -> None:
         write(_json_scalar(value))
 
 
-def _write_items(items: Iterable, write, pad: str) -> None:
-    """Write a list, one item at a time."""
+def _write_items(items: Iterable, write, pad: str, encoded: bool = False) -> None:
+    """Write a list, one item at a time; ``encoded`` items are their JSON
+    text already, and are written as they are."""
     inner = pad + "  "
     sep = "[" + inner
     for item in items:
         write(sep)
-        _write_json(item, write, inner)
+        if encoded:
+            write(item)
+        else:
+            _write_json(item, write, inner)
         sep = "," + inner
     write(pad + "]" if sep[0] == "," else "[]")
 
@@ -253,8 +274,18 @@ def impact_doc(report: ImpactReport, env: m.Environment, bound: BoundReport | No
 
     The paths and the violations are ``Rows``, walked from the reports
     each time they are read, so ``to_json`` writes them without holding
-    them.  ``impact_dot`` reads the document as it is; ``json.dumps``
-    encodes it given ``default=list``."""
+    them.  Read, their paths are tuples of names; ``to_json`` has each path
+    rendered as JSON text by the walk, from its cause's text, so that each
+    name is escaped once, where it enters a path.  ``impact_dot`` reads
+    the document as it is; ``json.dumps`` encodes it given
+    ``default=list``."""
+    from .impact import joined
+
+    def path_texts(pad: str) -> Iterator[str]:
+        inner = pad + "  "
+        for _, text in report.walk(joined("," + inner, _json_str)):
+            yield f"[{inner}{text}{pad}]"
+
     doc = {
         "edit": report.edit,
         "structural": sorted(report.structural),
@@ -262,13 +293,22 @@ def impact_doc(report: ImpactReport, env: m.Environment, bound: BoundReport | No
         "buffers": sorted(report.buffers),
         "declared_buffers": sorted(report.declared_buffers),
         "seed_phenomena": sorted(report.seed_phenomena),
-        "paths": Rows(lambda: (path for _, path in report.walk())),
+        "paths": Rows(lambda: (path for _, path in report.walk()), path_texts),
         "domains": list(env.names()),
     }
     if bound is not None:
+
+        def violation_texts(pad: str) -> Iterator[str]:
+            inner = pad + "  "
+            names = inner + "  "
+            for name, text in bound.walk(joined("," + names, _json_str)):
+                yield (f'{{{inner}"domain": {_json_str(name)},{inner}"path": '
+                       f'[{names}{text}{inner}]{pad}}}')
+
         doc["bound"] = {
             "passed": bound.passed,
-            "violations": Rows(lambda: ({"domain": name, "path": path} for name, path in bound.walk())),
+            "violations": Rows(lambda: ({"domain": name, "path": path} for name, path in bound.walk()),
+                               violation_texts),
         }
     return doc
 

@@ -14,16 +14,21 @@ Propagation is one breadth-first search, linear in the phenomena,
 domains and links of the environment.  The report keeps the search's
 parent map rather than one path per reached domain; paths are rendered
 from it only when they are read.  ``ImpactReport.walk`` renders them all
-one depth at a time, each phenomenon's path its cause's path extended by
-one hop, so a full report takes time linear in its output, and holds
-only one depth's paths at a time.  A bound check stores no paths either:
-``BoundReport.walk`` renders its violations from the report's walk.
+one depth at a time, through one step function: each phenomenon's path
+is its cause's rendered path extended by one hop, as a tuple of names
+for the library or as the text a report writes (``joined``).  So a path
+is rendered once, from its cause's rendered text, each name is rendered
+once where it enters a path, and a full report takes time linear in its
+bytes, holding only two depths' paths at a time.  A bound check stores
+no paths either: ``BoundReport.walk`` renders its violations from the
+report's walk.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from typing import TypeVar
 
 from . import dsl, model as m
 from .artifacts import Record
@@ -65,9 +70,29 @@ def edit_str(edit: EditSpec) -> str:
 # ("c", "D", "d", "E") reads "c -> D -> d -> E".
 Path = tuple[str, ...]
 
+# A path as a walk renders it, a ``Path`` or its text.
+P = TypeVar("P")
+# ``step(path, names)`` is ``path`` extended by ``names``, or the path of
+# ``names`` alone when ``path`` is None.
+Step = Callable[[P | None, Path], P]
 
-def path_text(path: Path) -> str:
-    return " -> ".join(path)
+
+def extend(path: Path | None, names: Path) -> Path:
+    """The step that renders a path as the tuple of its names."""
+    return names if path is None else path + names
+
+
+def joined(sep: str, escape: Callable[[str], str] | None = None) -> Step[str]:
+    """The step that renders a path as the text of its names, each passed
+    through ``escape`` if given, joined by ``sep``: with ``" -> "``,
+    ``"c -> D"``.  Extending a path copies its text once and renders only
+    the new names."""
+
+    def step(text: str | None, names: Path) -> str:
+        hop = sep.join(names if escape is None else map(escape, names))
+        return hop if text is None else f"{text}{sep}{hop}"
+
+    return step
 
 
 class ImpactReport(Record):
@@ -90,34 +115,37 @@ class ImpactReport(Record):
         """One shortest path per reached domain, in report order."""
         return tuple(path for _, path in self.walk())
 
-    def walk(self) -> Iterator[tuple[str, Path]]:
-        """Each reached domain and its path, in report order.
+    def walk(self, step: Step[P] = extend) -> Iterator[tuple[str, P]]:
+        """Each reached domain and its path, in report order, as ``step``
+        renders it: a seed's path is ``step(None, (seed,))``, a
+        phenomenon's ``step(cause_path, (via, phenomenon))`` and a domain's
+        ``step(hit_path, (domain,))``.
 
         ``parent`` is in breadth-first order, so depth never decreases
-        along it, and a phenomenon's path is its cause's path, one depth
-        less, plus ``(via, phenomenon)``.  Hits are ordered by depth too:
-        those of a depth are yielded once its paths are all built, and
-        then only that depth's paths are kept as prefixes for the next.
+        along it, and a phenomenon's cause is one depth less.  Hits are
+        ordered by depth too: those of a depth are yielded once its paths
+        are all rendered, and then only that depth's paths are kept as
+        the causes of the next.
         """
         hits = iter(self.hits.items())
         hit = next(hits, None)
-        older: dict[str, Path] = {}  # the paths of the depth before ``newer``'s
-        newer: dict[str, Path] = {}
-        for phen, step in self.parent.items():
-            if step is None:
-                newer[phen] = (phen,)
+        older: dict[str, P] = {}  # the paths of the depth before ``newer``'s
+        newer: dict[str, P] = {}
+        for phen, link in self.parent.items():
+            if link is None:
+                newer[phen] = step(None, (phen,))
                 continue
-            cause, via = step
+            cause, via = link
             if cause in newer:  # the first phenomenon one depth further
                 while hit is not None and hit[1] in newer:
                     domain, at = hit
-                    yield domain, newer[at] + (domain,)
+                    yield domain, step(newer[at], (domain,))
                     hit = next(hits, None)
                 older, newer = newer, {}
-            newer[phen] = older[cause] + (via, phen)
+            newer[phen] = step(older[cause], (via, phen))
         while hit is not None:  # the deepest hits
             domain, at = hit
-            yield domain, newer[at] + (domain,)
+            yield domain, step(newer[at], (domain,))
             hit = next(hits, None)
 
 
@@ -149,13 +177,14 @@ class BoundReport(Record):
         rendered anew by ``walk``."""
         return tuple(self.walk())
 
-    def walk(self) -> Iterator[tuple[str, Path]]:
-        """The violations by path length, then name: first the structural
-        domains, whose path is their name alone, then the hits in report
-        order, which is already by length, then name."""
+    def walk(self, step: Step[P] = extend) -> Iterator[tuple[str, P]]:
+        """The violations by path length, then name, each path as ``step``
+        renders it: first the structural domains, whose path is their name
+        alone, then the hits in report order, which is already by length,
+        then name."""
         for name in sorted(self.report.structural - self.permitted):
-            yield name, (name,)
-        for name, path in self.report.walk():
+            yield name, step(None, (name,))
+        for name, path in self.report.walk(step):
             if name not in self.permitted:
                 yield name, path
 

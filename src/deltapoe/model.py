@@ -234,14 +234,43 @@ def _chain_eq(self, other):
     return self is other or self == other
 
 
+class _Hashed:
+    """A stand-in that hashes to the hash it holds, so a tuple holding it
+    hashes as a tuple holding the value whose hash that is."""
+
+    __slots__ = ("hash",)
+
+    def __init__(self, value: int):
+        self.hash = value
+
+    def __hash__(self):
+        return self.hash
+
+
+def _chain_hash(self):
+    """``Record`` hashing for the ``;`` and ``||`` compositions, the hash
+    of the field tuple ``(left, right)``, computed along a chain's
+    right-nested spine in a loop, so chains of any length hash: from the
+    last operand back, each level hashes its left operand paired with a
+    stand-in for the hash of the level to its right."""
+    lefts = []
+    while self.__class__ in _CHAINS:
+        left, self = self._values(self)
+        lefts.append(left)
+    value = hash(self)
+    for left in reversed(lefts):
+        value = hash((left, _Hashed(value)))
+    return value
+
+
 class NeedSeq(Record):
     __slots__ = ("left", "right")
-    __eq__, __hash__ = _chain_eq, Record.__hash__
+    __eq__, __hash__ = _chain_eq, _chain_hash
 
 
 class NeedPar(Record):
     __slots__ = ("left", "right")
-    __eq__, __hash__ = _chain_eq, Record.__hash__
+    __eq__, __hash__ = _chain_eq, _chain_hash
 
 
 Need = AtomicNeed | NeedSeq | NeedPar
@@ -324,12 +353,12 @@ class Refine(Record):
 
 class ChangeSeq(Record):
     __slots__ = ("first", "second")
-    __eq__, __hash__ = _chain_eq, Record.__hash__
+    __eq__, __hash__ = _chain_eq, _chain_hash
 
 
 class ChangePar(Record):
     __slots__ = ("left", "right")
-    __eq__, __hash__ = _chain_eq, Record.__hash__
+    __eq__, __hash__ = _chain_eq, _chain_hash
 
 
 _CHAINS = frozenset({NeedSeq, NeedPar, ChangeSeq, ChangePar})

@@ -52,8 +52,8 @@ from deltapoe.dsl import (
     ValidationMark,
     path_str,
 )
-from deltapoe.export import _dot_escape
-from deltapoe.impact import UnknownDomain, _seed, edit_str, path_text
+from deltapoe.export import _dot_escape, _justification_doc, _step_doc, _validation_doc
+from deltapoe.impact import UnknownDomain, _seed, edit_str
 from deltapoe.macro import (
     _GATE_TARGET,
     BadLog,
@@ -1387,7 +1387,9 @@ def bound_check_stored_paths(env, edit, permitted, buffers=frozenset()) -> Store
 def impact_doc_lists(report, env, bound=None) -> dict:
     """``export.impact_doc`` as it was before its paths and violations
     were walked as they are written: every one held in a list, the
-    document ``json.dumps`` writes as the structured report."""
+    document ``json.dumps`` writes as the structured report.  Given a
+    ``propagate_stored_paths`` report and a ``bound_check_stored_paths``
+    bound, no path in it is rendered by ``ImpactReport.walk``."""
     doc = {
         "edit": report.edit,
         "structural": sorted(report.structural),
@@ -1403,6 +1405,32 @@ def impact_doc_lists(report, env, bound=None) -> dict:
             "passed": bound.passed,
             "violations": [{"domain": name, "path": list(path)} for name, path in bound.violations],
         }
+    return doc
+
+
+# --- the derivation document, one call per tree level ---------------------------------
+
+def derivation_doc_recursive(node: DerivationNode) -> dict:
+    """Structured-tree document for a derivation node, one call per tree
+    level: the reference for ``export.derivation_doc``."""
+    doc = {
+        "conclusion": problem_str(node.conclusion),
+        "rule": node.rule.value if node.rule else ("discharged" if node.discharged else "open"),
+        "premises": [derivation_doc_recursive(p) for p in node.premises],
+        "evidence": dict(sorted(evidence(node).items())),
+        "plan": [_step_doc(s) for s in node.plan],
+    }
+    justification = _justification_doc(node.justification)
+    if justification:
+        doc["justification"] = justification
+    if node.validations:
+        doc["validations"] = [_validation_doc(v) for v in node.validations]
+    if node.greenfield:
+        doc["greenfield"] = True
+    if node.marker:
+        doc["marker"] = node.marker
+    if node.alternatives:
+        doc["alternatives"] = [derivation_doc_recursive(a) for a in node.alternatives]
     return doc
 
 
@@ -1978,15 +2006,23 @@ def check_walk_recursive(root: DerivationNode, mdl: Model) -> Verdict:
 
 # --- the impact text report as it was printed a line at a time ------------------------
 
+def path_text(path) -> str:
+    """A path as the text report prints it: its names joined one at a time."""
+    return " -> ".join(path)
+
+
 def print_impact_text(report, bound) -> None:
-    """``cmd_impact.cmd_impact``'s text report, one ``print`` per line."""
+    """``cmd_impact.cmd_impact``'s text report, one ``print`` per line, of
+    a ``propagate_stored_paths`` report and, or None, its
+    ``bound_check_stored_paths`` bound: each path joined from its stored
+    tuple, not rendered by ``ImpactReport.walk``."""
     print(f"edit: {report.edit}")
     print("structural: " + (", ".join(sorted(report.structural)) or "-"))
     print("behavioural: " + (", ".join(sorted(report.behavioural)) or "-"))
     print("buffers: " + (", ".join(sorted(report.buffers)) or "-"))
-    if report.hits:
+    if report.paths:
         print("paths:")
-        for _, path in report.walk():
+        for path in report.paths:
             print("  " + path_text(path))
     if bound is not None:
         print("bound: pass" if bound.passed else "bound: fail")

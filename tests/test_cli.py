@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import gc
 import importlib
 import io
@@ -6,15 +7,18 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltapoe import cli, dsl, impact, macro, model
 
 from .conftest import FIXTURES
-from .oracles import bound_check_stored_paths, impact_doc_lists, print_impact_text
+from .oracles import bound_check_stored_paths, impact_doc_lists, print_impact_text, propagate_stored_paths
 from .strategies import layered_org_text
 from .test_workflow_stream import CountingRaw
 
@@ -221,7 +225,7 @@ def test_impact_devenv_bound_pass(capsys):
 def test_impact_structured_is_the_report_document(capsys, edit):
     code, out, _ = run(capsys, "impact", CHAIN, "--edit", edit, "--format", "structured")
     mdl = dsl.parse_model(CHAIN.read_text())
-    report = impact.propagate(mdl.environment, impact.parse_edit(edit, mdl))
+    report = propagate_stored_paths(mdl.environment, impact.parse_edit(edit, mdl))
     assert code == 0
     assert out == json.dumps(impact_doc_lists(report, mdl.environment), indent=2) + "\n"
 
@@ -232,8 +236,8 @@ def test_impact_structured_large_report_is_the_report_document(tmp_path, capsys)
     code, out, _ = run(capsys, "impact", org, "--edit", "!O0_4", "--format", "structured",
                        "--buffers", "O3_1,O3_2")
     mdl = dsl.parse_model(org.read_text())
-    report = impact.propagate(mdl.environment, impact.parse_edit("!O0_4", mdl),
-                              frozenset({"O3_1", "O3_2"}))
+    report = propagate_stored_paths(mdl.environment, impact.parse_edit("!O0_4", mdl),
+                                    frozenset({"O3_1", "O3_2"}))
     assert code == 0
     assert out == json.dumps(impact_doc_lists(report, mdl.environment), indent=2) + "\n"
 
@@ -259,10 +263,11 @@ def test_impact_text_is_written_in_a_few_writes(tmp_path):
     with contextlib.redirect_stdout(io.TextIOWrapper(raw, encoding="utf-8", write_through=True)):
         assert cli.main(["impact", str(org), "--edit", "!O0_4", "--permitted", "O0_4"]) == 1
     mdl = dsl.parse_model(org.read_text())
-    report = impact.propagate(mdl.environment, impact.parse_edit("!O0_4", mdl))
+    edit = impact.parse_edit("!O0_4", mdl)
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
-        print_impact_text(report, impact.bound_check(report, frozenset({"O0_4"})))
+        print_impact_text(propagate_stored_paths(mdl.environment, edit),
+                          bound_check_stored_paths(mdl.environment, edit, frozenset({"O0_4"})))
     assert raw.data.decode() == printed.getvalue()
     assert len(raw.data) > 4 << 16
     assert max(raw.sizes) <= 1 << 16 and len(raw.sizes) <= len(raw.data) // (1 << 16) + 1, raw.sizes
@@ -280,12 +285,66 @@ def test_impact_structured_is_written_in_a_few_writes(tmp_path):
                          "--format", "structured"]) == 1
     mdl = dsl.parse_model(org.read_text())
     edit = impact.parse_edit("!O0_4", mdl)
-    report = impact.propagate(mdl.environment, edit)
+    report = propagate_stored_paths(mdl.environment, edit)
     bound = bound_check_stored_paths(mdl.environment, edit, frozenset({"O0_4"}))
     doc = impact_doc_lists(report, mdl.environment, bound)
     assert raw.data.decode() == json.dumps(doc, indent=2) + "\n"
     assert len(raw.data) > 4 << 16
     assert max(raw.sizes) <= 1 << 16 and len(raw.sizes) <= len(raw.data) // (1 << 16) + 1, raw.sizes
+
+
+@st.composite
+def impact_calls(draw):
+    """A model text, an edit, and non-empty sets of buffers and of permitted
+    domains, over the chain fixture or a small layered organisation."""
+    if draw(st.booleans()):
+        text = CHAIN.read_text()
+        edit = draw(st.sampled_from(["C causes y -> c", "D causes c -> d", "!C", "!D", "!E"]))
+    else:
+        width = draw(st.integers(min_value=1, max_value=5))
+        text = layered_org_text(draw(st.integers(min_value=1, max_value=7)), width,
+                                draw(st.integers(min_value=1, max_value=width)),
+                                seed=draw(st.integers(min_value=0, max_value=99)))
+        edit = "!O0_" + str(draw(st.integers(min_value=0, max_value=width - 1)))
+    names = dsl.parse_model(text).environment.names()
+    buffers = draw(st.sets(st.sampled_from(names), min_size=1, max_size=3))
+    permitted = draw(st.sets(st.sampled_from(names), min_size=1, max_size=3))
+    return text, edit, frozenset(buffers), frozenset(permitted)
+
+
+@given(impact_calls())
+@settings(max_examples=60, deadline=None)
+def test_impact_reports_are_the_bytes_of_the_eager_references(call):
+    """The plain, ``--buffers``, ``--permitted``, structured and structured
+    ``--permitted`` reports are, byte for byte, the text printed a line at
+    a time and the document ``json.dumps`` writes with every path in a
+    list, both from the propagation and bound check over stored paths."""
+    text, edit_text, buffers, permitted = call
+    mdl = dsl.parse_model(text)
+    env, edit = mdl.environment, impact.parse_edit(edit_text, mdl)
+    with tempfile.TemporaryDirectory() as scratch:
+        model_path = Path(scratch) / "model.poed"
+        model_path.write_text(text)
+        for flags, kept, bounded in (
+            ([], frozenset(), False),
+            (["--buffers", ",".join(sorted(buffers))], buffers, False),
+            (["--permitted", ",".join(sorted(permitted))], frozenset(), True),
+            (["--format", "structured"], frozenset(), False),
+            (["--permitted", ",".join(sorted(permitted)), "--format", "structured"], frozenset(), True),
+        ):
+            report = propagate_stored_paths(env, edit, kept)
+            bound = bound_check_stored_paths(env, edit, permitted, kept) if bounded else None
+            expected = io.StringIO()
+            with contextlib.redirect_stdout(expected):
+                if "structured" in flags:
+                    print(json.dumps(impact_doc_lists(report, env, bound), indent=2))
+                else:
+                    print_impact_text(report, bound)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["impact", str(model_path), "--edit", edit_text, *flags])
+            assert code == (0 if bound is None or bound.passed else 1), flags
+            assert out.getvalue() == expected.getvalue(), flags
 
 
 def test_lint_golden_clean(capsys):
@@ -499,19 +558,21 @@ def test_each_process_loads_the_entry_point_and_its_own_command(tmp_path, monkey
     before the records' constructors were generated 350, 3,684, 2,710,
     3,038 and 1,460, and before ``check`` and ``rethread`` shared one
     replay, with chains compared along their spine and an unreadable input
-    reported, 350, 3,487, 2,531, 2,859 and 1,393."""
+    reported, 350, 3,487, 2,531, 2,859 and 1,393, and before impact paths
+    were rendered from their cause's text, chains hashed along their spine
+    and an unreadable log reported, 353, 3,519, 2,554, 2,882 and 1,396."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     staged = staged_input(monkeypatch, tmp_path)
     log = tmp_path / "wf.jsonl"
     log.write_text(CREATED)
     for expected, argv, family, lines in (
         (3, [], None, 353),
-        (0, ["check", staged], "derivation", 3519),
-        (0, ["plan", staged], "derivation", 3519),
-        (0, ["lint", staged], "derivation", 3519),
-        (0, ["impact", CHAIN, "--edit", "!C"], "impact", 2554),
-        (0, ["impact", CHAIN, "--edit", "!C", "--format", "structured"], "impact", 2882),
-        (0, ["workflow", log, "status"], "workflow", 1396),
+        (0, ["check", staged], "derivation", 3548),
+        (0, ["plan", staged], "derivation", 3548),
+        (0, ["lint", staged], "derivation", 3548),
+        (0, ["impact", CHAIN, "--edit", "!C"], "impact", 2615),
+        (0, ["impact", CHAIN, "--edit", "!C", "--format", "structured"], "impact", 2983),
+        (0, ["workflow", log, "status"], "workflow", 1399),
     ):
         loaded = loaded_modules(env, expected, argv)
         commands = {name for name in loaded if name.startswith("deltapoe.cmd_")}
@@ -844,6 +905,30 @@ def test_an_input_whose_read_fails_is_a_usage_error(tmp_path, capsys):
     for argv in commands_reading("/proc/self/mem", tmp_path / "out.dot"):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (3, "", "/proc/self/mem: cannot read: Input/output error\n"), argv
+
+
+def test_a_workflow_log_whose_read_fails_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """A log that opens but cannot be read, here a disk that fails the
+    read, is named with the reason on one stderr line and exits 3, for
+    every subcommand, and is left as it was."""
+    log = tmp_path / "wf.jsonl"
+    log.write_text(CREATED)
+
+    def fail(source):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(macro, "_pieces", fail)
+    for argv in (["status"], ["advance", "--event", "request-validation"], ["drift", "--touch", "X"],
+                 ["delegate", "--to", "Impl", "--child", "c1"]):
+        code, out, err = run(capsys, "workflow", log, *argv)
+        assert (code, out, err) == (3, "", f"{log}: cannot read: Input/output error\n"), argv
+    assert log.read_text() == CREATED
+
+
+@pytest.mark.skipif(not Path("/proc/self/mem").is_file(), reason="no /proc/self/mem here")
+def test_a_workflow_log_whose_read_fails_from_its_start_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "workflow", "/proc/self/mem", "status")
+    assert (code, out, err) == (3, "", "/proc/self/mem: cannot read: Input/output error\n")
 
 
 @pytest.mark.parametrize("text, message", [

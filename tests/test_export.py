@@ -1,5 +1,9 @@
+import importlib
 import io
 import json
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +13,16 @@ from deltapoe import calculus, dsl, export, impact, model
 from deltapoe.impact import NewLink
 
 from .conftest import FIXTURES
-from .oracles import bound_check_stored_paths, impact_doc_lists, model_dot_scan
+from .oracles import (
+    bound_check_stored_paths,
+    derivation_doc_recursive,
+    impact_doc_lists,
+    model_dot_scan,
+    propagate_stored_paths,
+)
 from .strategies import layered_org_text
+from .test_build_incremental import FIXTURE_DERIVATIONS
+from .test_replay import built_prefix, generated_trees
 
 
 def golden_root():
@@ -39,6 +51,53 @@ def test_structured_tree_is_json_and_deterministic():
     export.to_json(export.derivation_doc(root), second)
     assert first.getvalue() == second.getvalue()
     json.loads(first.getvalue())
+
+
+def assert_doc_as_recursive(root):
+    """``derivation_doc`` is the recursive document, key order included."""
+    doc = export.derivation_doc(root)
+    assert json.dumps(doc) == json.dumps(derivation_doc_recursive(root))
+
+
+@pytest.mark.parametrize(
+    "path,which", FIXTURE_DERIVATIONS,
+    ids=[f"{p.relative_to(FIXTURES)}#{k}" for p, k in FIXTURE_DERIVATIONS],
+)
+def test_derivation_doc_is_the_recursive_document_on_fixtures(path, which):
+    """Every fixture derivation, built up to its first refused statement,
+    alternatives, validations, markers and open leaves included."""
+    parsed = dsl.parse_file(path.read_text(), str(path))
+    assert_doc_as_recursive(built_prefix(parsed.derivations[which], parsed.model, parsed.problems))
+
+
+def in_deep_thread(call):
+    """``call()`` in a thread with a 64 MiB stack and a recursion
+    limit of 50,000, for a recursive reference on a deep tree."""
+    result, limit, size = [], sys.getrecursionlimit(), threading.stack_size(64 << 20)
+    try:
+        sys.setrecursionlimit(50_000)
+        worker = threading.Thread(target=lambda: result.append(call()))
+        worker.start()
+        worker.join()
+    finally:
+        sys.setrecursionlimit(limit)
+        threading.stack_size(size)
+    return result[0]
+
+
+def test_derivation_doc_takes_a_600_stage_derivation(tmp_path, monkeypatch):
+    """600 stages, about 2,400 tree levels: the recursive document
+    overflows the default recursion limit there.  The documents are
+    compared in a deep thread, since encoding them recurses too."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    staged = importlib.import_module("families").StagedDerivation(1, 600, tmp_path)
+    parsed = dsl.parse_file(Path(staged.path).read_text(), staged.path)
+    root = calculus.build(parsed.derivations[0], parsed.model, parsed.problems)
+    assert sys.getrecursionlimit() <= 1000
+    with pytest.raises(RecursionError):
+        derivation_doc_recursive(root)
+    doc = export.derivation_doc(root)
+    assert in_deep_thread(lambda: json.dumps(doc) == json.dumps(derivation_doc_recursive(root)))
 
 
 def test_derivation_dot_one_node_per_step():
@@ -86,8 +145,9 @@ def test_impact_doc_is_the_eager_document():
     report = impact.propagate(mdl.environment, model.Cancel("O0_0"))
     bound = impact.bound_check(report, frozenset({"O0_0", "O1_1"}))
     doc = export.impact_doc(report, mdl.environment, bound)
-    eager = impact_doc_lists(report, mdl.environment, bound_check_stored_paths(
-        mdl.environment, model.Cancel("O0_0"), frozenset({"O0_0", "O1_1"})))
+    eager = impact_doc_lists(propagate_stored_paths(mdl.environment, model.Cancel("O0_0")), mdl.environment,
+                             bound_check_stored_paths(mdl.environment, model.Cancel("O0_0"),
+                                                      frozenset({"O0_0", "O1_1"})))
     for _ in range(2):
         assert json.dumps(doc, indent=2, default=list) == json.dumps(eager, indent=2)
         assert [list(path) for path in doc["paths"]] == eager["paths"]
@@ -127,7 +187,8 @@ def test_to_json_stream_writes_the_same_text():
     out = WriteLog()
     export.to_json(export.impact_doc(report, mdl.environment), out)
     text = out.getvalue()
-    assert text == json.dumps(impact_doc_lists(report, mdl.environment), indent=2) + "\n"
+    eager = impact_doc_lists(propagate_stored_paths(mdl.environment, model.Cancel("O0_0")), mdl.environment)
+    assert text == json.dumps(eager, indent=2) + "\n"
     # streamed in writes of at most 64 KiB, as few as the text allows
     assert max(out.sizes) <= 1 << 16
     assert 1 < len(out.sizes) <= len(text) // (1 << 16) + 1, out.sizes
@@ -180,3 +241,48 @@ def test_to_json_refuses_what_the_stdlib_refuses(doc):
         json.dumps(doc)
     with pytest.raises(TypeError, match="is not JSON serializable"):
         export.to_json(doc, io.StringIO())
+
+
+def doc_text(make, root):
+    """The JSON text of ``make(root)``, or None where it raises."""
+    try:
+        return json.dumps(make(root))
+    except (KeyError, IndexError, AttributeError, TypeError, ValueError):
+        return None
+
+
+@given(generated_trees)
+@settings(max_examples=150, deadline=None)
+def test_derivation_doc_is_the_recursive_document_on_generated_trees(case):
+    """Tampered built trees, plan trees and solution trees: alternatives,
+    chosen markers and rule-less nodes among them.  A tampered node's
+    evidence may not render; then both documents raise, though the two
+    walks may meet a different such node first."""
+    root = case[0]
+    assert doc_text(export.derivation_doc, root) == doc_text(derivation_doc_recursive, root)
+
+
+def test_structured_paths_escape_each_name_once_where_it_enters_a_path(tmp_path, monkeypatch):
+    """On the seed-1 bench organisation (120 layers of 30 domains) the
+    paths hold 428,314 names, each escaped on its own before paths were
+    rendered from their cause's text.  Now a seed costs one escape, any
+    other reached phenomenon two (the domain whose link reached it, then
+    itself) and a path one (its domain): 10,612 in all."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    org = importlib.import_module("families").ImpactOrg(1, 120, tmp_path)
+    mdl = dsl.parse_model(Path(org.path).read_text())
+    report = impact.propagate(mdl.environment, model.Cancel(org.target))
+    assert sum(map(len, report.paths)) == 428_314
+    escaped = []
+
+    def escape(name):
+        escaped.append(name)
+        return json.encoder.encode_basestring_ascii(name)
+
+    monkeypatch.setattr(export, "_json_str", escape)
+    out = io.StringIO()
+    export.to_json({"paths": export.impact_doc(report, mdl.environment)["paths"]}, out)
+    assert escaped[0] == "paths"  # the key
+    seeds = sum(step is None for step in report.parent.values())
+    assert len(escaped) - 1 == seeds + 2 * (len(report.parent) - seeds) + len(report.hits) == 10_612
+    assert out.getvalue() == json.dumps({"paths": [list(path) for path in report.paths]}, indent=2) + "\n"

@@ -268,6 +268,21 @@ def test_execute_solution_clears_need():
     assert out.state == Environment((new_api,))
 
 
+def test_execute_solution_retires_a_5000_operand_need_chain():
+    """Retiring the need hashes it, and the chain is far longer than the
+    recursion limit."""
+    def chain():
+        need = AtomicNeed("n4999")
+        for k in range(4998, -1, -1):
+            need = NeedSeq(AtomicNeed(f"n{k}"), need)
+        return need
+    other = AtomicNeed("other")
+    org = Organisation(Environment((Domain("A"),)), frozenset({chain(), other}))
+    out = execute_solution(org, chain(), Cancel("A"))
+    assert out.current_problems == frozenset({other})
+    assert out.state == Environment(())
+
+
 def test_execute_solution_requires_current_need(devenv):
     org = Organisation(devenv, frozenset())
     with pytest.raises(NeedNotCurrent):

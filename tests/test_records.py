@@ -196,6 +196,46 @@ def test_long_chains_built_apart_compare_along_their_spine(combine, atom):
     assert first != other and not first == other and other != first
 
 
+@pytest.mark.parametrize("combine,atom", [
+    (model.NeedSeq, model.AtomicNeed), (model.NeedPar, model.AtomicNeed),
+    (model.ChangeSeq, model.Unknown), (model.ChangePar, model.Unknown),
+], ids=["NeedSeq", "NeedPar", "ChangeSeq", "ChangePar"])
+def test_long_chains_hash_along_their_spine(combine, atom):
+    """Equal chains built apart hash equal, and as their field tuples do,
+    far beyond the recursion limit; so they are set members and dict keys."""
+    first, second = long_chain(combine, atom, "z"), long_chain(combine, atom, "z")
+    other = long_chain(combine, atom, "y")
+    assert hash(first) == hash(second)
+    assert hash(first) == hash(fields(first)) and hash(other) == hash(fields(other))
+    assert hash(first) != hash(other)  # not promised, but a collision here would be a bug
+    assert {first: 1}[second] == 1 and len({first, second, other}) == 2
+
+
+def test_a_mixed_spine_hashes_in_a_loop():
+    """A change chain whose spine alternates ``;`` and ``||`` hashes as its
+    field tuple, each level of the spine by its own class's fields."""
+    out = model.Unknown("z")
+    for k in range(LONG):
+        out = (model.ChangeSeq if k % 2 else model.ChangePar)(model.Nil(), out)
+    assert hash(out) == hash(fields(out))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_equal_chains_hash_equal(data):
+    """``a == b`` implies ``hash(a) == hash(b)``, for values drawn apart,
+    deep copies and the value itself; and each hashes as its field tuple."""
+    mdl = data.draw(models())
+    draw_value = st.one_of(needs(), changes(mdl))
+    a = data.draw(draw_value)
+    b = data.draw(st.one_of(draw_value, st.just(copy.deepcopy(a)), st.just(a)))
+    if a == b:
+        assert hash(a) == hash(b), (a, b)
+    for x in (a, b):
+        if isinstance(x, Record):
+            assert hash(x) == hash(fields(x)), x
+
+
 def test_a_mixed_spine_compares_in_a_loop():
     """A change chain whose spine alternates ``;`` and ``||``."""
     def chain(last):
