@@ -153,10 +153,6 @@ def open_node(problem: m.Problem) -> DerivationNode:
     return DerivationNode(conclusion=problem)
 
 
-def get_node(root: DerivationNode, path: NodePath) -> DerivationNode:
-    return _spine(root, path)[-1]
-
-
 def _spine(root: DerivationNode, path: NodePath) -> list[DerivationNode]:
     """The nodes along ``path``, from ``root`` to the one it names."""
     spine = [root]
@@ -183,17 +179,6 @@ def _put(node: DerivationNode, seg, child: DerivationNode) -> None:
         alts = list(node.alternatives)
         alts[seg[1] - 1] = child
         node.alternatives = tuple(alts)
-
-
-def set_node(root: DerivationNode, path: NodePath, new: DerivationNode) -> DerivationNode:
-    """``root`` with ``new`` in place of the node at ``path``, copying the
-    nodes along the path; raises :class:`BadPath` if it names no node."""
-    spine = _spine(root, path)
-    for node, seg in zip(reversed(spine[:-1]), reversed(path)):
-        node = node._replace()
-        _put(node, seg, new)
-        new = node
-    return new
 
 
 # --- walking a tree -----------------------------------------------------------------
@@ -234,7 +219,8 @@ def _premise_steps(order: list) -> Iterator[tuple[int, list[list[PlanStep]]]]:
 # --- committed solutions ----------------------------------------------------------
 
 def committed(node: DerivationNode) -> m.ChangeExpr | None:
-    """The change expression this subtree commits to, or None while open.
+    """The change expression this subtree commits to, or None while open
+    or while a node carries another number of premises than its rule makes.
 
     Greenfield obligations commit the identity change: their environment
     already contains the artefact whose internal design is out of scope.
@@ -251,6 +237,8 @@ def committed(node: DerivationNode) -> m.ChangeExpr | None:
             found.append(None if first is None or second is None else item(first, second))
         elif item.rule is None:
             found.append(m.Nil() if item.greenfield else None)
+        elif len(item.premises) != RULES[item.rule].arity:
+            found.append(None)
         elif item.rule is RuleId.KNOWN_SOLUTION:
             found.append(item.args.get("solution", item.conclusion.change))
         elif item.rule in (RuleId.DOMAIN_ADD, RuleId.DOMAIN_REMOVE, RuleId.DOMAIN_REFINE):
@@ -786,7 +774,7 @@ def lint(root: DerivationNode) -> list[CheckDiagnostic]:
     staged = {}  # each Sequence and Parallel node's index -> its findings
     for index, premises in _premise_steps(order):
         node = order[index][0]
-        if node.rule in (RuleId.SEQUENCE, RuleId.PARALLEL):
+        if node.rule in (RuleId.SEQUENCE, RuleId.PARALLEL) and len(premises) == 2:
             staged[index] = _stage_findings(node, *premises)
 
     for index, (node, path, _) in enumerate(order):

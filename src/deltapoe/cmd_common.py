@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TextIO
 
 if TYPE_CHECKING:
     from . import dsl
@@ -79,18 +79,18 @@ def _names_flag(values) -> frozenset[str]:
     return frozenset(out)
 
 
-_CHUNK = 1 << 16  # characters per write of a long report
+_CHUNK = 1 << 16  # characters per write of a long report or document
 
 
-def _write_lines(lines) -> None:
-    """Write ``lines``, each ending in a newline, to stdout in writes of at
-    most ``_CHUNK`` characters (a longer line is one write), so that
-    unbuffered stdout makes a few system calls, not two per line as ``print``."""
-    write, chunk, size = sys.stdout.write, [], 0
-    for line in lines:
-        if size + len(line) > _CHUNK and chunk:
+def _write_lines(texts, out: TextIO | None = None) -> None:
+    """Write ``texts`` to ``out`` (stdout if None) in writes of at most
+    ``_CHUNK`` characters (a longer text is one write), so that an
+    unbuffered ``out`` makes a few system calls, not one or more per text."""
+    write, chunk, size = (sys.stdout if out is None else out).write, [], 0
+    for text in texts:
+        if size + len(text) > _CHUNK and chunk:
             write("".join(chunk))
             chunk, size = [], 0
-        chunk.append(line)
-        size += len(line)
+        chunk.append(text)
+        size += len(text)
     write("".join(chunk))

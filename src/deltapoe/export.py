@@ -1,10 +1,9 @@
 """Structured documents and graph-description exports.
 
-Documents are JSON with a stable field layout (conclusion, rule,
-premises, evidence, plan, plus justification and validation details);
-a derivation document renders each node's evidence as it is built, since
-nodes store none.  Graphs are DOT text, one node per derivation step or
-per domain.  Both are deterministic: equal inputs yield byte-identical
+Documents are JSON with a stable field layout, which :func:`to_json`
+writes in a few large writes; :func:`impact_doc` makes the impact
+report's.  Graphs are DOT text, one node per derivation step or per
+domain.  Both are deterministic: equal inputs yield byte-identical
 output.
 """
 
@@ -12,28 +11,18 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterable, Iterator
+from itertools import chain
 from typing import TYPE_CHECKING, TextIO
 
 from . import model as m
-from .artifacts import JUSTIFICATION_FIELDS, Justification, PlanStep, ValidationRecord
+from .artifacts import PlanStep
+from .cmd_common import _write_lines
 from .dsl import Model
 from .printer import change_str, problem_str
 
-if TYPE_CHECKING:  # names for annotations; the calculus is imported in derivation_doc
+if TYPE_CHECKING:  # names for annotations; each module is imported in the function that calls it
     from .calculus import DerivationNode
     from .impact import BoundReport, ImpactReport
-
-
-def _justification_doc(j: Justification) -> dict:
-    out = {}
-    for key, attr in JUSTIFICATION_FIELDS.items():
-        if value := getattr(j, attr):
-            out[key] = value
-    if j.risk_register:
-        out["risks"] = [
-            {"risk": r.risk, "mitigation": r.mitigation} for r in j.risk_register
-        ]
-    return out
 
 
 def _step_doc(step: PlanStep) -> dict:
@@ -51,57 +40,8 @@ def _step_doc(step: PlanStep) -> dict:
     return out
 
 
-def _validation_doc(v: ValidationRecord) -> dict:
-    return {
-        "id": v.id,
-        "stakeholder": v.stakeholder,
-        "target": v.target.value,
-        "subject": v.subject,
-        "status": v.status.value,
-        "sequence": v.sequence,
-    }
-
-
-def derivation_doc(node: DerivationNode) -> dict:
-    """Structured-tree document for a derivation node.  The walk keeps its
-    own stack, so it takes a tree of any depth: each node's document is
-    made with its premise and alternative lists empty, and the documents
-    of those nodes are appended to them in order as they are made."""
-    from .calculus import evidence
-
-    made: list[dict] = []
-    stack = [(node, made)]
-    while stack:
-        node, siblings = stack.pop()
-        doc = {
-            "conclusion": problem_str(node.conclusion),
-            "rule": node.rule.value if node.rule else ("discharged" if node.discharged else "open"),
-            "premises": [],
-            "evidence": dict(sorted(evidence(node).items())),
-            "plan": [_step_doc(s) for s in node.plan],
-        }
-        justification = _justification_doc(node.justification)
-        if justification:
-            doc["justification"] = justification
-        if node.validations:
-            doc["validations"] = [_validation_doc(v) for v in node.validations]
-        if node.greenfield:
-            doc["greenfield"] = True
-        if node.marker:
-            doc["marker"] = node.marker
-        if node.alternatives:
-            doc["alternatives"] = []
-            stack += [(alt, doc["alternatives"]) for alt in reversed(node.alternatives)]
-        stack += [(premise, doc["premises"]) for premise in reversed(node.premises)]
-        siblings.append(doc)
-    return made[0]
-
-
 _json_str = json.encoder.encode_basestring_ascii
 _json_scalar = json.JSONEncoder().encode
-
-
-_CHUNK = 1 << 16  # characters per write of a document, as ``cli._write_lines`` writes a report
 
 
 class Rows:
@@ -128,79 +68,63 @@ def to_json(doc, out: TextIO) -> None:
     items.
 
     The text is made one container opening, member or list of strings at
-    a time, and written in writes of at most ``_CHUNK`` characters (a
-    longer fragment is one write), so the whole text is never held at
-    once and an unbuffered ``out`` makes a few system calls, not one per
-    fragment.  A ``Rows`` member is written an item at a time as it is
-    made, or as its ``encode`` renders it.  A list or tuple of strings is
-    made as one join of the stdlib's ASCII string escaper (in C where the
-    interpreter has it); other scalars go to the stdlib encoder.  A key that is not a string raises
+    a time, and written through ``cmd_common._write_lines``, so the whole
+    text is never held at once and an unbuffered ``out`` makes a few
+    system calls, not one per fragment.  A ``Rows`` member is written an
+    item at a time as it is made, or as its ``encode`` renders it.  A list
+    or tuple of strings is made as one join of the stdlib's ASCII string
+    escaper (in C where the interpreter has it); other scalars go to the
+    stdlib encoder.  The writer recurses once per nesting level of
+    ``doc``, as ``json.dumps`` does.  A key that is not a string raises
     ``TypeError``, as does a value the stdlib cannot encode; a container
     that holds itself raises ``RecursionError``.
     """
-    chunk, size = [], 0
-
-    def write(text: str) -> None:
-        nonlocal chunk, size
-        if size + len(text) > _CHUNK and chunk:
-            out.write("".join(chunk))
-            chunk, size = [], 0
-        chunk.append(text)
-        size += len(text)
-
-    _write_json(doc, write, "\n")
-    write("\n")
-    out.write("".join(chunk))
+    _write_lines(chain(_json_texts(doc, "\n"), ["\n"]), out)
 
 
-def _write_json(value, write, pad: str) -> None:
-    """Write one value; ``pad`` is the newline and indent of its line."""
+def _json_texts(value, pad: str) -> Iterator[str]:
+    """The text of one value, in fragments; ``pad`` is the newline and
+    indent of its line."""
     if isinstance(value, str):
-        write(_json_str(value))
+        yield _json_str(value)
     elif isinstance(value, (list, tuple)):
-        if not value:
-            write("[]")
-            return
         inner = pad + "  "
         try:
             text = ("," + inner).join(map(_json_str, value))
         except TypeError:  # not all strings
-            _write_items(value, write, pad)
+            yield from _item_texts(value, pad)
         else:
-            write("[" + inner + text + pad + "]")
+            yield "[" + inner + text + pad + "]" if value else "[]"
     elif isinstance(value, Rows):
         if value.encode is None:
-            _write_items(value, write, pad)
+            yield from _item_texts(value, pad)
         else:
-            _write_items(value.encode(pad + "  "), write, pad, encoded=True)
+            yield from _item_texts(value.encode(pad + "  "), pad, encoded=True)
     elif isinstance(value, dict):
-        if not value:
-            write("{}")
-            return
         inner = pad + "  "
         sep = "{" + inner
         for key, item in value.items():
-            write(sep + _json_str(key) + ": ")  # TypeError if key is not a str
-            _write_json(item, write, inner)
+            yield sep + _json_str(key) + ": "  # TypeError if key is not a str
+            yield from _json_texts(item, inner)
             sep = "," + inner
-        write(pad + "}")
+        yield pad + "}" if value else "{}"
     else:
-        write(_json_scalar(value))
+        yield _json_scalar(value)
 
 
-def _write_items(items: Iterable, write, pad: str, encoded: bool = False) -> None:
-    """Write a list, one item at a time; ``encoded`` items are their JSON
-    text already, and are written as they are."""
+def _item_texts(items: Iterable, pad: str, encoded: bool = False) -> Iterator[str]:
+    """The text of a list, one item at a time; ``encoded`` items are their
+    JSON text already, and are given as they are."""
     inner = pad + "  "
     sep = "[" + inner
     for item in items:
-        write(sep)
+        yield sep
         if encoded:
-            write(item)
+            yield item
         else:
-            _write_json(item, write, inner)
+            yield from _json_texts(item, inner)
         sep = "," + inner
-    write(pad + "]" if sep[0] == "," else "[]")
+    yield pad + "]" if sep[0] == "," else "[]"
 
 
 def _dot_escape(text: str) -> str:

@@ -371,7 +371,6 @@ class Nil(Record):
 
 
 ChangeExpr = Unknown | Add | Cancel | Refine | ChangeSeq | ChangePar | Nil
-ChangeAtom = Add | Cancel | Refine
 
 
 def _change_atoms(change: ChangeExpr) -> list[ChangeExpr]:

@@ -22,6 +22,7 @@ from deltapoe.artifacts import (
 )
 from deltapoe.calculus import (
     RULES,
+    BadPath,
     CheckDiagnostic,
     DerivationNode,
     PlanEntry,
@@ -52,7 +53,7 @@ from deltapoe.dsl import (
     ValidationMark,
     path_str,
 )
-from deltapoe.export import _dot_escape, _justification_doc, _step_doc, _validation_doc
+from deltapoe.export import _dot_escape
 from deltapoe.impact import UnknownDomain, _seed, edit_str
 from deltapoe.macro import (
     _GATE_TARGET,
@@ -1408,30 +1409,38 @@ def impact_doc_lists(report, env, bound=None) -> dict:
     return doc
 
 
-# --- the derivation document, one call per tree level ---------------------------------
+# --- nodes named by their tree path ---------------------------------------------------
 
-def derivation_doc_recursive(node: DerivationNode) -> dict:
-    """Structured-tree document for a derivation node, one call per tree
-    level: the reference for ``export.derivation_doc``."""
-    doc = {
-        "conclusion": problem_str(node.conclusion),
-        "rule": node.rule.value if node.rule else ("discharged" if node.discharged else "open"),
-        "premises": [derivation_doc_recursive(p) for p in node.premises],
-        "evidence": dict(sorted(evidence(node).items())),
-        "plan": [_step_doc(s) for s in node.plan],
-    }
-    justification = _justification_doc(node.justification)
-    if justification:
-        doc["justification"] = justification
-    if node.validations:
-        doc["validations"] = [_validation_doc(v) for v in node.validations]
-    if node.greenfield:
-        doc["greenfield"] = True
-    if node.marker:
-        doc["marker"] = node.marker
-    if node.alternatives:
-        doc["alternatives"] = [derivation_doc_recursive(a) for a in node.alternatives]
-    return doc
+def spine(root: DerivationNode, path: NodePath) -> list[DerivationNode]:
+    """The nodes along ``path``, from ``root`` to the one it names; raises
+    ``BadPath`` as ``calculus.build`` does for a path that names no node."""
+    nodes = [root]
+    for seg in path:
+        node = nodes[-1]
+        if isinstance(seg, int):
+            if seg >= len(node.premises):
+                raise BadPath(f"no premise {seg} at {path_str(path)}", path)
+            nodes.append(node.premises[seg])
+        else:
+            if not 0 < seg[1] <= len(node.alternatives):
+                raise BadPath(f"no alternative {seg[1]} at {path_str(path)}", path)
+            nodes.append(node.alternatives[seg[1] - 1])
+    return nodes
+
+
+def get_node(root: DerivationNode, path: NodePath) -> DerivationNode:
+    return spine(root, path)[-1]
+
+
+def set_node(root: DerivationNode, path: NodePath, new: DerivationNode) -> DerivationNode:
+    """``root`` with ``new`` in place of the node at ``path``, copying the
+    nodes along the path."""
+    for node, seg in zip(reversed(spine(root, path)[:-1]), reversed(path)):
+        if isinstance(seg, int):
+            new = node._replace(premises=node.premises[:seg] + (new,) + node.premises[seg + 1:])
+        else:
+            new = node._replace(alternatives=node.alternatives[:seg[1] - 1] + (new,) + node.alternatives[seg[1]:])
+    return new
 
 
 # --- model graph ----------------------------------------------------------------------

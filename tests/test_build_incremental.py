@@ -25,10 +25,8 @@ from deltapoe.calculus import (
     build,
     check,
     committed,
-    get_node,
     open_node,
     rethread,
-    set_node,
 )
 from deltapoe.dsl import (
     ApplyStatement,
@@ -39,7 +37,7 @@ from deltapoe.dsl import (
 )
 
 from .conftest import FIXTURES
-from .oracles import assert_evidence_as_eager, rethread_recursive
+from .oracles import assert_evidence_as_eager, get_node, rethread_recursive, set_node
 
 
 def set_statement(root, index, stmt, mdl):

@@ -20,16 +20,15 @@ from deltapoe.calculus import (
     discharge_environments,
     evidence,
     extract_plan,
-    get_node,
     lint,
     open_node,
     seq_refine_equiv,
-    set_node,
     solution_of,
     tangles,
 )
 
 from .conftest import FIXTURES
+from .oracles import get_node, set_node
 
 
 def load(name):

@@ -1,28 +1,26 @@
 import importlib
 import io
 import json
-import sys
-import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltapoe import calculus, dsl, export, impact, model
+from deltapoe import calculus, cli, cmd_common, dsl, export, impact, model
 from deltapoe.impact import NewLink
 
 from .conftest import FIXTURES
 from .oracles import (
     bound_check_stored_paths,
-    derivation_doc_recursive,
+    derivation_dot_recursive,
     impact_doc_lists,
     model_dot_scan,
     propagate_stored_paths,
 )
 from .strategies import layered_org_text
 from .test_build_incremental import FIXTURE_DERIVATIONS
-from .test_replay import built_prefix, generated_trees
+from .test_replay import built_prefix
 
 
 def golden_root():
@@ -30,74 +28,26 @@ def golden_root():
     return parsed, calculus.build(parsed.derivations[0], parsed.model, parsed.problems)
 
 
-def test_structured_tree_has_stable_field_names():
-    _, root = golden_root()
-    doc = export.derivation_doc(root)
-    for field in ("conclusion", "rule", "premises", "evidence", "plan"):
-        assert field in doc
-    assert doc["rule"] == "Delegation"
-    assert doc["evidence"] == {"trust": "G->D"}
-    node = doc
-    while node["premises"]:
-        node = node["premises"][0]
-        for field in ("conclusion", "rule", "premises", "evidence", "plan"):
-            assert field in node
+def plan_document(capsys) -> str:
+    """The structured ``plan`` document of the golden fixture, as written."""
+    assert cli.main(["plan", str(FIXTURES / "api_upgrade.poed"), "--format", "structured"]) == 0
+    return capsys.readouterr().out
 
 
-def test_structured_tree_is_json_and_deterministic():
-    _, root = golden_root()
-    first, second = io.StringIO(), io.StringIO()
-    export.to_json(export.derivation_doc(root), first)
-    export.to_json(export.derivation_doc(root), second)
-    assert first.getvalue() == second.getvalue()
-    json.loads(first.getvalue())
+def test_structured_plan_has_stable_field_names(capsys):
+    doc = json.loads(plan_document(capsys))
+    assert list(doc) == ["derivation", "steps", "constraints"]
+    assert doc["derivation"] == "api_upgrade"
+    for step in doc["steps"]:
+        for field in ("id", "action", "installs", "stage"):
+            assert field in step
+    for constraint in doc["constraints"]:
+        assert list(constraint) == ["kind", "step", "other"]
 
 
-def assert_doc_as_recursive(root):
-    """``derivation_doc`` is the recursive document, key order included."""
-    doc = export.derivation_doc(root)
-    assert json.dumps(doc) == json.dumps(derivation_doc_recursive(root))
-
-
-@pytest.mark.parametrize(
-    "path,which", FIXTURE_DERIVATIONS,
-    ids=[f"{p.relative_to(FIXTURES)}#{k}" for p, k in FIXTURE_DERIVATIONS],
-)
-def test_derivation_doc_is_the_recursive_document_on_fixtures(path, which):
-    """Every fixture derivation, built up to its first refused statement,
-    alternatives, validations, markers and open leaves included."""
-    parsed = dsl.parse_file(path.read_text(), str(path))
-    assert_doc_as_recursive(built_prefix(parsed.derivations[which], parsed.model, parsed.problems))
-
-
-def in_deep_thread(call):
-    """``call()`` in a thread with a 64 MiB stack and a recursion
-    limit of 50,000, for a recursive reference on a deep tree."""
-    result, limit, size = [], sys.getrecursionlimit(), threading.stack_size(64 << 20)
-    try:
-        sys.setrecursionlimit(50_000)
-        worker = threading.Thread(target=lambda: result.append(call()))
-        worker.start()
-        worker.join()
-    finally:
-        sys.setrecursionlimit(limit)
-        threading.stack_size(size)
-    return result[0]
-
-
-def test_derivation_doc_takes_a_600_stage_derivation(tmp_path, monkeypatch):
-    """600 stages, about 2,400 tree levels: the recursive document
-    overflows the default recursion limit there.  The documents are
-    compared in a deep thread, since encoding them recurses too."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-    staged = importlib.import_module("families").StagedDerivation(1, 600, tmp_path)
-    parsed = dsl.parse_file(Path(staged.path).read_text(), staged.path)
-    root = calculus.build(parsed.derivations[0], parsed.model, parsed.problems)
-    assert sys.getrecursionlimit() <= 1000
-    with pytest.raises(RecursionError):
-        derivation_doc_recursive(root)
-    doc = export.derivation_doc(root)
-    assert in_deep_thread(lambda: json.dumps(doc) == json.dumps(derivation_doc_recursive(root)))
+def test_structured_plan_is_the_stdlib_text_and_deterministic(capsys):
+    first, second = plan_document(capsys), plan_document(capsys)
+    assert first == second == json.dumps(json.loads(first), indent=2) + "\n"
 
 
 def test_derivation_dot_one_node_per_step():
@@ -111,6 +61,18 @@ def test_derivation_dot_one_node_per_step():
 
     assert text.count("[label=") == count(root)
     assert text.count(" -> ") == count(root) - 1
+
+
+@pytest.mark.parametrize(
+    "path,which", FIXTURE_DERIVATIONS,
+    ids=[f"{p.relative_to(FIXTURES)}#{k}" for p, k in FIXTURE_DERIVATIONS],
+)
+def test_derivation_dot_is_the_recursive_graph_on_fixtures(path, which):
+    """Every fixture derivation, built up to its first refused statement,
+    alternatives, markers and open leaves included."""
+    parsed = dsl.parse_file(path.read_text(), str(path))
+    root = built_prefix(parsed.derivations[which], parsed.model, parsed.problems)
+    assert export.derivation_dot(root, path.stem) == derivation_dot_recursive(root, path.stem)
 
 
 def test_empty_derivation_exports_single_open_node():
@@ -194,6 +156,38 @@ def test_to_json_stream_writes_the_same_text():
     assert 1 < len(out.sizes) <= len(text) // (1 << 16) + 1, out.sizes
 
 
+def greedy_chunks(texts, limit):
+    """The writes ``cmd_common._write_lines`` makes of ``texts``: each
+    the join of the next texts while it stays within ``limit``, and at
+    least one text."""
+    chunks, chunk = [], []
+    for text in texts:
+        if chunk and len("".join(chunk)) + len(text) > limit:
+            chunks.append("".join(chunk))
+            chunk = []
+        chunk.append(text)
+    return chunks + ["".join(chunk)]
+
+
+@given(st.lists(st.text(max_size=12), max_size=20), st.integers(1, 16))
+@settings(max_examples=200, deadline=None)
+def test_write_lines_writes_the_texts_in_as_few_chunks_as_fit(texts, limit):
+    """A text longer than a chunk is one write of its own, never split."""
+    out = WriteLog()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cmd_common, "_CHUNK", limit)
+        cmd_common._write_lines(iter(texts), out)
+    assert out.getvalue() == "".join(texts)
+    expected = greedy_chunks(texts, limit)
+    assert out.sizes == [len(chunk) for chunk in expected]
+    assert all(size <= limit or chunk in texts for size, chunk in zip(out.sizes, expected))
+
+
+def test_write_lines_writes_to_stdout_by_default(capsys):
+    cmd_common._write_lines(["a\n", "b" * (cmd_common._CHUNK + 1), "\n"])
+    assert capsys.readouterr().out == "a\n" + "b" * (cmd_common._CHUNK + 1) + "\n"
+
+
 # any JSON value, with strings of any code point (control characters and
 # lone surrogates included) and tuples, which JSON writes as arrays
 json_text = st.text(st.characters(exclude_categories=()), max_size=12)
@@ -241,25 +235,6 @@ def test_to_json_refuses_what_the_stdlib_refuses(doc):
         json.dumps(doc)
     with pytest.raises(TypeError, match="is not JSON serializable"):
         export.to_json(doc, io.StringIO())
-
-
-def doc_text(make, root):
-    """The JSON text of ``make(root)``, or None where it raises."""
-    try:
-        return json.dumps(make(root))
-    except (KeyError, IndexError, AttributeError, TypeError, ValueError):
-        return None
-
-
-@given(generated_trees)
-@settings(max_examples=150, deadline=None)
-def test_derivation_doc_is_the_recursive_document_on_generated_trees(case):
-    """Tampered built trees, plan trees and solution trees: alternatives,
-    chosen markers and rule-less nodes among them.  A tampered node's
-    evidence may not render; then both documents raise, though the two
-    walks may meet a different such node first."""
-    root = case[0]
-    assert doc_text(export.derivation_doc, root) == doc_text(derivation_doc_recursive, root)
 
 
 def test_structured_paths_escape_each_name_once_where_it_enters_a_path(tmp_path, monkeypatch):

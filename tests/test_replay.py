@@ -116,23 +116,11 @@ generated_trees = st.one_of(
 )
 
 
-def outcome(checker, root, mdl):
-    """The verdict, or the error as its type and message.  Under either
-    walk, a Sequence or Parallel node that carries another number of
-    premises than two makes ``lint`` raise TypeError, and a node short of
-    premises in a Sequence's first stage makes ``committed`` raise
-    IndexError."""
-    try:
-        return checker(root, mdl)
-    except (TypeError, IndexError) as err:
-        return type(err), str(err)
-
-
 @settings(max_examples=300, deadline=None)
 @given(generated_trees)
 def test_check_gives_the_verdict_of_the_recursive_walk(case):
     root, mdl = case
-    assert outcome(check, root, mdl) == outcome(check_walk_recursive, root, mdl)
+    assert check(root, mdl) == check_walk_recursive(root, mdl)
 
 
 @pytest.mark.parametrize(
@@ -192,6 +180,30 @@ def test_a_refused_rule_or_a_wrong_arity_stops_the_replay_below_it():
         verdict = check(root, Model())
         assert verdict == check_walk_recursive(root, Model())
         assert [d.kind for d in verdict.diagnostics] == [kind]
+
+
+def test_a_hand_built_tree_of_a_wrong_arity_is_reported_not_raised():
+    """A Sequence with one premise, and a Sequence whose first stage is a
+    SolnRefine with none: ``lint`` finds only what the nodes lack,
+    ``check`` gives Invalid with ArityMismatch, as the recursive walk
+    does, and there is no solution or plan to extract."""
+    problem = model.Problem(model.Environment(()), model.ChangeSeq(model.Unknown("F"), model.Unknown("H")),
+                            "G", model.NeedSeq(model.AtomicNeed("N"), model.AtomicNeed("M")))
+    first = open_node(problem._replace(change=model.Unknown("F"), need=model.AtomicNeed("N")))
+    second = open_node(problem._replace(change=model.Unknown("H"), need=model.AtomicNeed("M")))
+    lone = DerivationNode(problem, RuleId.SEQUENCE, (first,), justification=RATIONALE)
+    bare = DerivationNode(problem, RuleId.SEQUENCE,
+                          (refined(first.conclusion, model.Nil(), premises=()), second),
+                          justification=RATIONALE)
+    for root, where in ((lone, "root"), (bare, "root.0")):
+        assert {d.kind for d in calculus.lint(root)} == {"MissingJustification"}
+        verdict = check(root, Model())
+        assert verdict == check_walk_recursive(root, Model())
+        assert verdict.kind == "Invalid"
+        assert (where, "ArityMismatch") in [(d.path, d.kind) for d in verdict.diagnostics]
+        for extract in (calculus.solution_of, calculus.extract_plan):
+            with pytest.raises(calculus.UnsolvedTree):
+                extract(root)
 
 
 def test_the_replay_visits_each_node_twice_in_the_order_check_reports():
