@@ -237,7 +237,7 @@ def committed(node: DerivationNode) -> m.ChangeExpr | None:
             found.append(None if first is None or second is None else item(first, second))
         elif item.rule is None:
             found.append(m.Nil() if item.greenfield else None)
-        elif len(item.premises) != RULES[item.rule].arity:
+        elif item.rule not in RULES or len(item.premises) != RULES[item.rule].arity:
             found.append(None)
         elif item.rule is RuleId.KNOWN_SOLUTION:
             found.append(item.args.get("solution", item.conclusion.change))
@@ -559,7 +559,8 @@ def _replay(root: DerivationNode, mdl: Model) -> Iterator[tuple]:
     while stack:
         node, path, in_alternative, found = stack.pop()
         if found is None and node.rule is not None:
-            found = RULES[node.rule].arity
+            # an unknown rule goes on to _expected, which refuses it
+            found = RULES[node.rule].arity if node.rule in RULES else len(node.premises)
             if found == len(node.premises):
                 try:
                     found = _expected(node, mdl)
@@ -578,7 +579,8 @@ def _replay(root: DerivationNode, mdl: Model) -> Iterator[tuple]:
 def evidence(node: DerivationNode) -> dict:
     """What a rule application establishes, rendered from the node by its
     rule's evidence function; nothing for an open node."""
-    return {} if node.rule is None else RULES[node.rule].evidence(node)
+    rule = RULES.get(node.rule)
+    return {} if rule is None else rule.evidence(node)
 
 
 # --- applying rules -------------------------------------------------------------
@@ -782,7 +784,7 @@ def lint(root: DerivationNode) -> list[CheckDiagnostic]:
         if node.rule is not None:
             if not node.justification.rule_rationale:
                 found.append(("MissingJustification", "ruleRationale is required"))
-            for fld in RULES[node.rule].required:
+            for fld in getattr(RULES.get(node.rule), "required", ()):
                 if not getattr(node.justification, fld):
                     found.append(("MissingJustification", f"{fld} is required for {node.rule.value}"))
         if len(node.plan) >= 2 and not node.justification.risk_register:

@@ -32,8 +32,6 @@ def _workflow_problem_refs(args, workspace: Workspace | None) -> macro.ProblemRe
     if args.model and args.problem:
         from . import printer
 
-        if workspace is None:
-            raise ValueError("cannot parse the model file")
         if args.problem not in workspace.problems:
             raise ValueError(f"no problem named {args.problem!r} in {args.model}")
         problem = workspace.problems[args.problem]
@@ -141,7 +139,9 @@ def _run_workflow(args, log: macro.Folded | macro.MacroError, handle) -> int:
         if args.subcommand == "advance":
             log, new_events = _state(log), []
             if not log.last and args.owner and args.delegate:
-                workspace = _load_workspace([args.model])[0] if args.model and args.problem else None
+                workspace, status = _load_workspace([args.model]) if args.model and args.problem else (None, OK)
+                if status != OK:
+                    return status
                 refs = _workflow_problem_refs(args, workspace)
                 created = macro.create_workflow(log, args.workflow, args.owner, args.delegate, refs)
                 log, new_events = [created], [created]
@@ -159,9 +159,9 @@ def _run_workflow(args, log: macro.Folded | macro.MacroError, handle) -> int:
             return OK
         if args.subcommand == "delegate":
             workspace, status = _load_workspace([args.model]) if args.model else (None, OK)
-            refs = _workflow_problem_refs(args, workspace)
-            if args.model and workspace is None:
+            if status != OK:
                 return status
+            refs = _workflow_problem_refs(args, workspace)
             event, child = macro.delegate(
                 _state(log), args.workflow, args.to, args.child, refs, workspace.model if workspace else {}
             )

@@ -89,7 +89,7 @@ DIGITS = frozenset("0123456789")  # str.isdigit would take "²" too
 _ONE_CHAR_TOKENS = IDENT_START | DIGITS | {s for s in SYMBOLS if len(s) == 1}
 
 _ESCAPE = re.compile(r"\\(.)")
-_ESCAPED = {"n": "\n", "t": "\t"}
+_ESCAPED = {"n": "\n", "t": "\t", "r": "\r"}
 
 
 def _unescape(escape: re.Match) -> str:
@@ -499,10 +499,7 @@ class _Parser:
         while self.at(symbol):
             self.advance()
             items.append(operand())
-        out = items.pop()
-        while items:
-            out = node(items.pop(), out)
-        return out
+        return m._rebuild(items, node)
 
     def group(self, expr):
         """``( expr )``, refusing nesting deeper than MAX_NESTING."""

@@ -288,14 +288,17 @@ def need_atoms(need: Need) -> frozenset[str]:
     return frozenset(atom.name for atom in _flatten(need, (NeedSeq, NeedPar)))
 
 
-def _flatten(need: Need, node: type | tuple[type, ...]) -> list[Need]:
-    """The operands of a chain of ``node`` compositions, left to right,
-    found without recursion so a long chain cannot exhaust the stack."""
-    parts, stack = [], [need]
+def _flatten(expr, node: type | tuple[type, ...]) -> list:
+    """The operands of a need's or a change's chain of ``node``
+    compositions, left to right, found without recursion so a long chain
+    cannot exhaust the stack.  Each composition's two operands are its
+    fields, in order."""
+    parts, stack = [], [expr]
     while stack:
         part = stack.pop()
         if isinstance(part, node):
-            stack += (part.right, part.left)
+            left, right = part._values(part)
+            stack += (right, left)
         else:
             parts.append(part)
     return parts
@@ -305,12 +308,13 @@ def _need_key(need: Need) -> str:
     # Stable sort key for parallel branches; mirrors the printed form.
     if isinstance(need, AtomicNeed):
         return need.name
-    if isinstance(need, NeedSeq):
-        return "(" + " ; ".join(_need_key(p) for p in _flatten(need, NeedSeq)) + ")"
-    return "(" + " || ".join(_need_key(p) for p in _flatten(need, NeedPar)) + ")"
+    node = type(need)
+    op = " ; " if node is NeedSeq else " || "
+    return "(" + op.join(_need_key(p) for p in _flatten(need, node)) + ")"
 
 
-def _rebuild(parts: list[Need], ctor) -> Need:
+def _rebuild(parts: list, ctor):
+    """``parts`` joined by ``ctor`` compositions, grouped to the right."""
     out = parts[-1]
     for part in reversed(parts[:-1]):
         out = ctor(part, out)
@@ -323,12 +327,11 @@ def normalize_need(need: Need) -> Need:
     commutative, sequencing is not)."""
     if isinstance(need, AtomicNeed):
         return need
-    if isinstance(need, NeedSeq):
-        parts = [normalize_need(p) for p in _flatten(need, NeedSeq)]
-        return _rebuild(parts, NeedSeq)
-    parts = [normalize_need(p) for p in _flatten(need, NeedPar)]
-    parts.sort(key=_need_key)
-    return _rebuild(parts, NeedPar)
+    node = type(need)
+    parts = [normalize_need(p) for p in _flatten(need, node)]
+    if node is NeedPar:
+        parts.sort(key=_need_key)
+    return _rebuild(parts, node)
 
 
 # --- change expressions -----------------------------------------------------
@@ -373,34 +376,19 @@ class Nil(Record):
 ChangeExpr = Unknown | Add | Cancel | Refine | ChangeSeq | ChangePar | Nil
 
 
-def _change_atoms(change: ChangeExpr) -> list[ChangeExpr]:
-    """The operands of a change's ``;`` and ``||`` compositions, left to
-    right, found without recursion so a long chain cannot exhaust the
-    stack."""
-    parts, stack = [], [change]
-    while stack:
-        part = stack.pop()
-        if isinstance(part, ChangeSeq):
-            stack += (part.second, part.first)
-        elif isinstance(part, ChangePar):
-            stack += (part.right, part.left)
-        else:
-            parts.append(part)
-    return parts
-
-
 def is_unknown_free(change: ChangeExpr) -> bool:
-    return not any(isinstance(atom, Unknown) for atom in _change_atoms(change))
+    return not any(isinstance(atom, Unknown) for atom in _flatten(change, (ChangeSeq, ChangePar)))
 
 
 def placeholders(change: ChangeExpr) -> frozenset[str]:
-    return frozenset(atom.placeholder for atom in _change_atoms(change) if isinstance(atom, Unknown))
+    atoms = _flatten(change, (ChangeSeq, ChangePar))
+    return frozenset(atom.placeholder for atom in atoms if isinstance(atom, Unknown))
 
 
 def referenced_domains(change: ChangeExpr) -> frozenset[str]:
     """All domain names a change expression mentions."""
     names = set()
-    for atom in _change_atoms(change):
+    for atom in _flatten(change, (ChangeSeq, ChangePar)):
         if isinstance(atom, Add):
             names.add(atom.domain.name)
         elif isinstance(atom, Cancel):

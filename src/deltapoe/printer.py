@@ -1,9 +1,10 @@
 """Canonical text rendering for models, problems, changes and needs.
 
 ``pretty`` is a pure function: equal values yield byte-identical text,
-and the text reparses to an equal value.  Needs are printed in their
-normalized form; domain sets are printed sorted; domains themselves keep
-declaration order.
+and the text reparses to an equal value.  One printer, :func:`change_str`,
+serves the ``;``/``||`` compositions of both changes and needs; needs are
+printed in their normalized form.  Domain sets are printed sorted;
+domains themselves keep declaration order.
 """
 
 from __future__ import annotations
@@ -17,28 +18,27 @@ _PAR, _SEQ, _ATOM = 1, 2, 3
 
 def _escape(text: str) -> str:
     out = text.replace("\\", "\\\\").replace('"', '\\"')
-    return out.replace("\n", "\\n").replace("\t", "\\t")
+    return out.replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r")
 
 
 def _quoted(text: str) -> str:
     return f'"{_escape(text)}"'
 
 
-def _change_level(change: m.ChangeExpr) -> int:
-    if isinstance(change, m.ChangePar):
-        return _PAR
-    if isinstance(change, m.ChangeSeq):
-        return _SEQ
-    return _ATOM
+# the binding level of each composition: ``||`` binds loosest, atoms tightest
+_level = {m.ChangePar: _PAR, m.NeedPar: _PAR, m.ChangeSeq: _SEQ, m.NeedSeq: _SEQ}
 
 
-def change_str(change: m.ChangeExpr, require: int = _PAR) -> str:
-    """``change`` in surface syntax.  A chain that nests to the right under
-    one operator is walked without recursion, so a long chain cannot
-    exhaust the stack.  Changes are not normalised: an operand nested to
-    the left keeps its parentheses."""
-    level = _change_level(change)
-    if isinstance(change, m.Unknown):
+def change_str(change: m.ChangeExpr | m.Need, require: int = _PAR) -> str:
+    """``change``, a change or a need, in surface syntax.  A chain that
+    nests to the right under one operator is walked without recursion, so
+    a long chain cannot exhaust the stack.  Nothing is normalised here: an
+    operand nested to the left keeps its parentheses, so a need is printed
+    by :func:`need_str`, which normalises it first."""
+    level = _level.get(type(change), _ATOM)
+    if isinstance(change, m.AtomicNeed):
+        text = change.name
+    elif isinstance(change, m.Unknown):
         text = f"?{change.placeholder}"
     elif isinstance(change, m.Add):
         text = f"+{change.domain.name}"
@@ -53,41 +53,19 @@ def change_str(change: m.ChangeExpr, require: int = _PAR) -> str:
     elif level != _ATOM:
         node, parts = type(change), []
         while isinstance(change, node):
-            head, change = (change.first, change.second) if level == _SEQ else (change.left, change.right)
+            head, change = change._values(change)
             parts.append(change_str(head, level + 1))
         parts.append(change_str(change, level))
         text = (" ; " if level == _SEQ else " || ").join(parts)
     else:
-        raise TypeError(f"not a change expression: {change!r}")
-    if level < require:
-        return f"({text})"
-    return text
-
-
-def _need_level(need: m.Need) -> int:
-    if isinstance(need, m.NeedPar):
-        return _PAR
-    if isinstance(need, m.NeedSeq):
-        return _SEQ
-    return _ATOM
-
-
-def _need_str(need: m.Need, require: int = _PAR) -> str:
-    """``need`` in surface syntax; it is normalised, so every chain nests
-    to the right and is printed from its flattened operands."""
-    level = _need_level(need)
-    if isinstance(need, m.AtomicNeed):
-        text = need.name
-    else:
-        op = " ; " if level == _SEQ else " || "
-        text = op.join(_need_str(part, level + 1) for part in m._flatten(need, type(need)))
+        raise TypeError(f"not a change expression or need: {change!r}")
     if level < require:
         return f"({text})"
     return text
 
 
 def need_str(need: m.Need) -> str:
-    return _need_str(m.normalize_need(need))
+    return change_str(m.normalize_need(need))
 
 
 def env_str(env: m.Environment) -> str:

@@ -68,7 +68,7 @@ from deltapoe.macro import (
     _apply_event,
 )
 from deltapoe.printer import (
-    _PAR, _SEQ, _change_level, _need_level, change_str, env_str, problem_str,
+    _ATOM, _PAR, _SEQ, _level, change_str, env_str, problem_str,
 )
 
 
@@ -100,7 +100,7 @@ _TOKEN = re.compile(r"[ \t]*(?:" + "|".join((
 )) + ")")
 
 _ESCAPE = re.compile(r"\\(.)")
-_ESCAPED = {"n": "\n", "t": "\t"}
+_ESCAPED = {"n": "\n", "t": "\t", "r": "\r"}
 
 
 def _unescape(escape: re.Match) -> str:
@@ -193,7 +193,7 @@ def tokenize_scan(src: str) -> list[Token]:
             while j < n and src[j] != '"':
                 if src[j] == "\\" and j + 1 < n:
                     esc = src[j + 1]
-                    out.append({"n": "\n", "t": "\t"}.get(esc, esc))
+                    out.append(_ESCAPED.get(esc, esc))
                     j += 2
                 elif src[j] == "\n":
                     raise DslError([ParseDiagnostic(start_line, start_col, "unterminated string")])
@@ -813,7 +813,7 @@ def need_atoms_recursive(need) -> frozenset[str]:
 
 def need_str_recursive(need, require: int = _PAR) -> str:
     """The surface form of any need, normalised or not."""
-    level = _need_level(need)
+    level = _level.get(type(need), _ATOM)
     if isinstance(need, m.AtomicNeed):
         text = need.name
     elif isinstance(need, m.NeedSeq):
@@ -828,7 +828,7 @@ def need_str_recursive(need, require: int = _PAR) -> str:
 # --- change walkers that recurse once per chain step -----------------------------------
 
 def change_str_recursive(change, require: int = _PAR) -> str:
-    level = _change_level(change)
+    level = _level.get(type(change), _ATOM)
     if isinstance(change, m.ChangeSeq):
         text = f"{change_str_recursive(change.first, _SEQ + 1)} ; {change_str_recursive(change.second, _SEQ)}"
     elif isinstance(change, m.ChangePar):

@@ -9,7 +9,7 @@ from deltapoe.dsl import Model
 
 DESC_ALPHABET = (
     "abcdefghijklmnopqrstuvwxyz ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
-    ".,:;!?()[]{}'\"\\/\n\t+-~>|=#@"
+    ".,:;!?()[]{}'\"\\/\n\t\r+-~>|=#@"
 )
 
 descriptions = st.text(alphabet=DESC_ALPHABET, max_size=40)

@@ -211,7 +211,7 @@ def test_criterion_5_impact_oracle():
 # --- criterion 6: parser round trip ------------------------------------------------------------
 
 _KINDS = list(model.PhenomenonKind)
-_DESC_CHARS = 'abcdefghijklmnop "\\\n\t.;!?~>|'
+_DESC_CHARS = 'abcdefghijklmnop "\\\n\t\r.;!?~>|'
 
 
 def _random_name(rng, base):

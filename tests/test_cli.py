@@ -561,11 +561,11 @@ def test_each_process_loads_the_entry_point_and_its_own_command(tmp_path, monkey
     log.write_text(CREATED)
     for expected, argv, family, lines in (
         (3, [], None, 353),
-        (0, ["check", staged], "derivation", 3535),
-        (0, ["plan", staged], "derivation", 3535),
-        (0, ["lint", staged], "derivation", 3535),
-        (0, ["impact", CHAIN, "--edit", "!C"], "impact", 2614),
-        (0, ["impact", CHAIN, "--edit", "!C", "--format", "structured"], "impact", 2906),
+        (0, ["check", staged], "derivation", 3500),
+        (0, ["plan", staged], "derivation", 3500),
+        (0, ["lint", staged], "derivation", 3500),
+        (0, ["impact", CHAIN, "--edit", "!C"], "impact", 2577),
+        (0, ["impact", CHAIN, "--edit", "!C", "--format", "structured"], "impact", 2869),
         (0, ["workflow", log, "status"], "workflow", 1399),
     ):
         loaded = loaded_modules(env, expected, argv)
@@ -802,6 +802,25 @@ def test_refused_call_leaves_no_new_log(tmp_path, capsys, argv):
     code, out, err = run(capsys, "workflow", log, *argv)
     assert (code, out) == (2, ""), err
     assert log.read_bytes() == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["advance", "--workflow", "root", "--event", "submit-view", "--owner", "G", "--delegate", "D"],
+    ["delegate", "--workflow", "root", "--to", "D", "--child", "c1"],
+], ids=["advance", "delegate"])
+def test_a_model_that_fails_to_load_exits_with_the_loads_code(tmp_path, capsys, argv):
+    """A ``--model`` that is missing exits 3 and one that does not parse
+    exits 2, with what ``check`` of the file prints and nothing more, and
+    the new log is removed."""
+    unparsable = tmp_path / "bad.poed"
+    unparsable.write_text("model {\n  domain\n}\n")
+    for model, expected in ((tmp_path / "missing.poed", 3), (unparsable, 2)):
+        log = tmp_path / "new.jsonl"
+        loaded = run(capsys, "check", model)
+        assert loaded[0] == expected and loaded[2]
+        code, out, err = run(capsys, "workflow", log, *argv, "--model", model, "--problem", "P")
+        assert (code, out, err) == loaded
+        assert not log.exists()
 
 
 def test_concurrent_calls_on_a_new_log_keep_every_accepted_event(tmp_path):

@@ -166,6 +166,16 @@ def test_model_round_trip(mdl):
     assert dsl.parse_model(printer.pretty(mdl)) == mdl
 
 
+@pytest.mark.parametrize("text", ["a\rb", "\r\n", "\n\r"])
+def test_a_description_with_a_carriage_return_round_trips(text):
+    """A carriage return in a domain's or a need's description is printed
+    as its escape, so that the lexer, which reads a carriage return as a
+    line ending, does not see one when the text reparses."""
+    mdl = dsl.Model(environment=model.Environment((model.Domain("A", text),)),
+                    needs=(model.AtomicNeed("N", text),))
+    assert dsl.parse_model(printer.pretty(mdl)) == mdl
+
+
 @given(gen.models().flatmap(lambda mdl: gen.changes(mdl).map(lambda c: (mdl, c))))
 @settings(max_examples=200, deadline=None)
 def test_change_round_trip(case):

@@ -206,6 +206,26 @@ def test_a_hand_built_tree_of_a_wrong_arity_is_reported_not_raised():
                 extract(root)
 
 
+@pytest.mark.parametrize("premises", [(), (open_node(PLAN_PROBLEM),)])
+def test_a_hand_built_node_of_an_unknown_rule_is_refused_not_raised(premises):
+    """A rule that is not in ``RULES``, with or without premises: ``check``
+    gives Invalid with the refusal ``apply`` raises; ``lint`` finds nothing
+    the node lacks, there is no solution or plan to extract, and the node
+    establishes no evidence."""
+    root = DerivationNode(PLAN_PROBLEM, "Bogus", premises, justification=RATIONALE)
+    verdict = check(root, Model())
+    assert verdict.kind == "Invalid"
+    assert [(d.path, d.kind, d.message) for d in verdict.diagnostics] == [
+        ("root", "RuleError", "unknown rule 'Bogus'")]
+    assert calculus.lint(root) == []
+    for extract in (calculus.solution_of, calculus.extract_plan):
+        with pytest.raises(calculus.UnsolvedTree):
+            extract(root)
+    assert calculus.evidence(root) == {}
+    with pytest.raises(RuleError, match="unknown rule 'Bogus'"):
+        calculus.apply("Bogus", open_node(PLAN_PROBLEM), {}, Model())
+
+
 def test_the_replay_visits_each_node_twice_in_the_order_check_reports():
     leaf = open_node(PLAN_PROBLEM._replace(change=model.Nil()))
     alt = refined(PLAN_PROBLEM, model.Nil())
