@@ -165,4 +165,4 @@ class ValidationRecord(Record):
     Granted records may later go stale, but are never deleted.
     """
 
-    __slots__ = ("id", "stakeholder", "target", "subject", "status", "sequence")
+    __slots__ = ("id", "stakeholder", "target", "status", "sequence")

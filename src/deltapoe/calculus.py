@@ -373,6 +373,15 @@ def _solution_reflect(node: DerivationNode, mdl: Model) -> list[DerivationNode]:
     return [_leaf(node, change=_mirror_need_shape(need, change.placeholder))]
 
 
+def _applied(env: m.Environment, change: m.ChangeExpr, context: str = "") -> m.Environment:
+    """``change`` applied to ``env``; a change that does not apply is a
+    violated side condition, its message led by ``context``."""
+    try:
+        return m.apply_change(env, change)
+    except (m.ChangeError, m.ModelError) as err:
+        raise SideConditionViolated(f"{context}{err}", cause_kind=type(err).__name__)
+
+
 def _sequence(node: DerivationNode, mdl: Model) -> list[DerivationNode]:
     env, change, need = node.conclusion.env, node.conclusion.change, node.conclusion.need
     if not isinstance(change, m.ChangeSeq):
@@ -382,13 +391,7 @@ def _sequence(node: DerivationNode, mdl: Model) -> list[DerivationNode]:
     # thread the second stage through the first stage's solution once known
     first = _first_stage(node)
     if first is not None:
-        try:
-            env = m.apply_change(env, first)
-        except (m.ChangeError, m.ModelError) as err:
-            raise SideConditionViolated(
-                f"stage one's solution does not apply: {err}",
-                cause_kind=type(err).__name__,
-            )
+        env = _applied(env, first, "stage one's solution does not apply: ")
     return [
         _leaf(node, change=change.first, need=need.left),
         _leaf(node, env=env, change=change.second, need=need.right, provisional=first is None),
@@ -443,11 +446,7 @@ def _bridging(atom: type):
             raise SideConditionViolated(f"{node.rule.value} expects {expected}, found {change_str(change)}")
         if node.env_provisional:
             return [_leaf(node, change=m.Nil(), greenfield=True)]
-        try:
-            new_env = m.apply_change(env, change)
-        except (m.ChangeError, m.ModelError) as err:
-            raise SideConditionViolated(str(err), cause_kind=type(err).__name__)
-        return [_leaf(node, env=new_env, change=m.Nil(), greenfield=True)]
+        return [_leaf(node, env=_applied(env, change), change=m.Nil(), greenfield=True)]
 
     return premises
 
@@ -473,11 +472,7 @@ def _seq_domain_refine_equiv(node: DerivationNode, mdl: Model) -> list[Derivatio
         raise RuleError("SeqDomainRefineEquiv needs direction: fuse or split")
     if node.env_provisional:
         raise SideConditionViolated("cannot verify the rewrite: environment not yet determined")
-    try:
-        before = m.apply_change(env, change)
-        after = m.apply_change(env, rewritten)
-    except (m.ChangeError, m.ModelError) as err:
-        raise SideConditionViolated(str(err), cause_kind=type(err).__name__)
+    before, after = _applied(env, change), _applied(env, rewritten)
     if before != after:
         raise SideConditionViolated(
             f"rewrite is not a semantic no-op here: {env_str(before)} vs {env_str(after)}"
@@ -592,7 +587,7 @@ def apply(rule: RuleId, node: DerivationNode, args: dict, mdl: Model) -> Derivat
     the open leaves :func:`_expected` computes become the premises.
     """
     if node.rule is not None:
-        raise NotOpen(f"rule already applied here: {node.rule.value}")
+        raise NotOpen(f"rule already applied here: {getattr(node.rule, 'value', node.rule)}")
     if node.greenfield:
         raise NotOpen("greenfield obligations are discharged, not derived")
     candidate = node._replace(rule=rule, args=dict(args))
@@ -676,22 +671,16 @@ def build(script: DerivationScript, mdl: Model, problems: dict) -> DerivationNod
 
 
 def _attach_marks(node: DerivationNode, stmt, index: int, target: ValidationTarget) -> DerivationNode:
-    records = []
-    for k, mark in enumerate(stmt.validations):
-        records.append(
-            ValidationRecord(
-                id=f"s{index}v{k}",
-                stakeholder=mark.stakeholder,
-                target=target,
-                subject=path_str(stmt.path),
-                status=ValidationStatus.GRANTED if mark.granted else ValidationStatus.REJECTED,
-                sequence=index,
-            )
-        )
+    records = tuple(
+        ValidationRecord(id=f"s{index}v{k}", stakeholder=mark.stakeholder, target=target,
+                         status=ValidationStatus.GRANTED if mark.granted else ValidationStatus.REJECTED,
+                         sequence=index)
+        for k, mark in enumerate(stmt.validations)
+    )
     return node._replace(
         justification=stmt.justification or node.justification,
         plan=node.plan + getattr(stmt, "plan", ()),
-        validations=node.validations + tuple(records),
+        validations=node.validations + records,
     )
 
 
@@ -891,7 +880,7 @@ def check(root: DerivationNode, mdl: Model) -> Verdict:
 # --- plan extraction ----------------------------------------------------------------
 
 class PlanEntry(Record):
-    __slots__ = ("step", "stage", "node")
+    __slots__ = ("step", "stage")
 
 
 class ImplementationPlan(Record):
@@ -919,14 +908,12 @@ def _plan_fragments(root: DerivationNode) -> tuple[list[PlanEntry], set[tuple[st
             above, sequenced = branch[-1]
             stage = above + 1 if sequenced and path[-1] == 1 else above
         branch.append((stage, node.rule is RuleId.SEQUENCE))
-        if node.plan:
-            where = path_str(path)
-            for step in node.plan:
-                entries.append(PlanEntry(step, stage, where))
-                for ref in step.after:
-                    constraints.add(("after", step.id, ref))
-                for ref in step.parallel_ok:
-                    constraints.add(("parallel_ok", step.id, ref))
+        for step in node.plan:
+            entries.append(PlanEntry(step, stage))
+            for ref in step.after:
+                constraints.add(("after", step.id, ref))
+            for ref in step.parallel_ok:
+                constraints.add(("parallel_ok", step.id, ref))
     for index, premises in _premise_steps(order):
         node, _, in_alternative = order[index]
         if node.rule is RuleId.SEQUENCE and not in_alternative:

@@ -22,6 +22,7 @@ and ``workflow`` loads the ``.poed`` front end only for ``--model``.
 from __future__ import annotations
 
 import argparse
+import codecs
 import errno
 import gc
 import io
@@ -35,7 +36,7 @@ from .cmd_common import BROKEN_PIPE, INTERNAL, IO_ERROR, USAGE, _err
 
 def _read_config(path: str | None) -> dict:
     out = {}
-    for line in Path(path).read_text().splitlines() if path else ():
+    for line in Path(path).read_text(encoding="utf-8").splitlines() if path else ():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -134,6 +135,12 @@ def main(argv=None) -> int:
     # command and restore the caller's state after it, whatever the exit.
     was_enabled = gc.isenabled()
     gc.disable()
+    # stdout writes UTF-8, as every input is read, whatever the locale
+    out = sys.stdout
+    encoding, errors = getattr(out, "encoding", None), getattr(out, "errors", None)
+    recode = encoding is not None and codecs.lookup(encoding).name != "utf-8"  # a StringIO has None
+    if recode:
+        out.reconfigure(encoding="utf-8", errors=errors)
     try:
         status = _run(argv)
         sys.stdout.flush()  # so that an error writing stdout shows here, not at exit
@@ -141,6 +148,8 @@ def main(argv=None) -> int:
     except Exception as err:  # last resort: a crash must not exit with a verdict code
         return _crashed(err)
     finally:
+        if recode:
+            out.reconfigure(encoding=encoding, errors=errors)
         if was_enabled:
             gc.enable()
 

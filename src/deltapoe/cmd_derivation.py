@@ -22,12 +22,8 @@ if TYPE_CHECKING:
     from . import dsl
 
 
-def _color_enabled() -> bool:
-    return os.environ.get("DELTAPOE_COLOR", "") == "always"
-
-
 def _verdict_word(word: str) -> str:
-    if _color_enabled():
+    if os.environ.get("DELTAPOE_COLOR", "") == "always":
         color = {"Solved": "32", "Incomplete": "33", "Invalid": "31"}.get(word, "0")
         return f"\x1b[{color}m{word}\x1b[0m"
     return word
@@ -84,19 +80,10 @@ def cmd_check(args) -> int:
 # --- plan -------------------------------------------------------------------------
 
 def _pick_derivation(workspace: Workspace, name: str | None):
-    scripts = [
-        (path, script)
-        for path, parsed in workspace.files
-        for script in parsed.derivations
-    ]
-    if not scripts:
-        return None, None
-    if name is None:
-        return scripts[0]
-    for path, script in scripts:
-        if script.name == name:
-            return path, script
-    return None, None
+    """The file and script of the first derivation named ``name``, or of
+    the first one if ``name`` is None; ``(None, None)`` if there is none."""
+    return next(((path, script) for path, parsed in workspace.files for script in parsed.derivations
+                 if name is None or script.name == name), (None, None))
 
 
 def cmd_plan(args) -> int:

@@ -254,6 +254,8 @@ ARG_KEYS = {
     "shape", "direction", "retained", "added",
 }
 
+_CHOICES = {"shape": ("seq", "par"), "direction": ("fuse", "split")}  # an argument's two words
+
 
 class _Parser:
     def __init__(self, src: str, model: Model):
@@ -345,14 +347,10 @@ class _Parser:
     def parse_model_block(self, base: Model) -> Model:
         self.expect("model")
         self.expect("{")
-        phenomena = list(base.phenomena)
-        domains = list(base.environment.domains)
-        stakeholders = list(base.stakeholders)
-        needs = list(base.needs)
-        phen_names = {p.name for p in phenomena}
-        dom_names = {d.name for d in domains}
-        sk_names = {s.name for s in stakeholders}
-        need_names = {n.name for n in needs}
+        phenomena = {p.name: p for p in base.phenomena}
+        domains = {d.name: d for d in base.environment.domains}
+        stakeholders = {s.name: s for s in base.stakeholders}
+        needs = {n.name: n for n in base.needs}
         trust_refs: list[tuple[int, str]] = []  # (index of the trusted name, truster)
         tokens = self.tokens
         while True:
@@ -369,23 +367,20 @@ class _Parser:
                         + ", ".join(sorted(PHENOMENON_KINDS)),
                         at + 2,
                     )
-                if name in phen_names:
+                if name in phenomena:
                     self.fail(f"duplicate phenomenon name {name!r}", at)
-                phen_names.add(name)
-                phenomena.append(m.Phenomenon(name, PHENOMENON_KINDS[kind]))
+                phenomena[name] = m.Phenomenon(name, PHENOMENON_KINDS[kind])
             elif word == "domain":
                 self.pos = at
                 name = self.ident("domain name")
-                if name in dom_names:
+                if name in domains:
                     self.fail(f"duplicate domain name {name!r}", at)
-                dom_names.add(name)
-                domains.append(self.domain_body(at, phen_names))
+                domains[name] = self.domain_body(at, phenomena)
             elif word == "stakeholder":
                 self.pos = at
                 name = self.ident("stakeholder name")
-                if name in sk_names:
+                if name in stakeholders:
                     self.fail(f"duplicate stakeholder name {name!r}", at)
-                sk_names.add(name)
                 self.expect(":")
                 role = self.role()
                 trusts: list[str] = []
@@ -396,14 +391,13 @@ class _Parser:
                         trust_refs.append((i, name))
                         trusts.append(tokens[i])
                     self.expect("}")
-                stakeholders.append(m.Stakeholder(name, role, frozenset(trusts)))
+                stakeholders[name] = m.Stakeholder(name, role, frozenset(trusts))
             elif word == "need":
                 self.pos = at
                 name = self.ident("need name")
-                if name in need_names:
+                if name in needs:
                     self.fail(f"duplicate need name {name!r}", at)
-                need_names.add(name)
-                needs.append(m.AtomicNeed(name, self.string()))
+                needs[name] = m.AtomicNeed(name, self.string())
             elif word == "}":
                 self.pos += 1
                 break
@@ -412,15 +406,15 @@ class _Parser:
                     "expected 'phenomenon', 'domain', 'stakeholder', 'need' or '}'"
                 )
         for i, owner in trust_refs:
-            if tokens[i] not in sk_names:
+            if tokens[i] not in stakeholders:
                 self.fail(f"stakeholder {owner!r} trusts undeclared {tokens[i]!r}", i)
         try:
-            env = m.Environment(tuple(domains))
+            env = m.Environment(tuple(domains.values()))
         except m.ModelError as err:
             self.fail(str(err))
-        return Model(tuple(phenomena), env, tuple(stakeholders), tuple(needs))
+        return Model(tuple(phenomena.values()), env, tuple(stakeholders.values()), tuple(needs.values()))
 
-    def domain_body(self, at: int, phen_names: set) -> m.Domain:
+    def domain_body(self, at: int, phenomena: dict) -> m.Domain:
         """The body of the domain whose name is the token at ``at``."""
         self.expect("{")
         name = self.tokens[at]
@@ -435,15 +429,15 @@ class _Parser:
                 self.pos += 1
                 names = observed if word == "observes" else controlled
                 for i in self.name_list():
-                    if tokens[i] not in phen_names:
+                    if tokens[i] not in phenomena:
                         self.fail(f"undeclared phenomenon {tokens[i]!r}", i)
                     names.append(tokens[i])
             elif word == "causes":
                 self.pos += 1
                 at_cause = self.pos
-                cause = self.phenomenon(phen_names)
+                cause = self.phenomenon(phenomena)
                 self.expect("->")
-                effect = self.phenomenon(phen_names)
+                effect = self.phenomenon(phenomena)
                 try:
                     links.append(m.CausalLink(cause, effect, name))
                 except m.ModelError as err:
@@ -467,10 +461,10 @@ class _Parser:
         except m.ModelError as err:
             self.fail(str(err), at)
 
-    def phenomenon(self, phen_names: set) -> str:
+    def phenomenon(self, phenomena: dict) -> str:
         """The name of a declared phenomenon."""
         text = self.tokens[self.pos]
-        if text not in phen_names:
+        if text not in phenomena:
             self.ident("phenomenon name")
             self.fail(f"undeclared phenomenon {text!r}", self.pos - 1)
         self.pos += 1
@@ -571,25 +565,18 @@ class _Parser:
     # problems
 
     def parse_problem_body(self) -> m.Problem:
+        """The keyword form, or the sequent form when the body opens with ``[``."""
         if self.at("["):
-            return self.sequent_body()
-        self.expect("env")
+            to_change, to_validator, to_need = "(+)", "|=", ":"
+        else:
+            self.expect("env")
+            to_change, to_validator, to_need = "change", "validator", "need"
         env = self.env_ref()
-        self.expect("change")
+        self.expect(to_change)
         change = self.change_expr()
-        self.expect("validator")
+        self.expect(to_validator)
         validator = self.validator_ref()
-        self.expect("need")
-        need = m.normalize_need(self.need_expr())
-        return m.Problem(env, change, validator, need)
-
-    def sequent_body(self) -> m.Problem:
-        env = self.env_ref()
-        self.expect("(+)")
-        change = self.change_expr()
-        self.expect("|=")
-        validator = self.validator_ref()
-        self.expect(":")
+        self.expect(to_need)
         need = m.normalize_need(self.need_expr())
         return m.Problem(env, change, validator, need)
 
@@ -722,18 +709,12 @@ class _Parser:
             return tuple(self.tokens[i] for i in self.bracketed_names())
         if key in ("retained", "added"):
             return tuple(map(self.resolve_domain, self.bracketed_names()))
-        if key == "shape":
-            at = self.pos
-            shape = self.ident("shape")
-            if shape not in ("seq", "par"):
-                self.fail("shape must be 'seq' or 'par'", at)
-            return shape
-        if key == "direction":
-            at = self.pos
-            direction = self.ident("direction")
-            if direction not in ("fuse", "split"):
-                self.fail("direction must be 'fuse' or 'split'", at)
-            return direction
+        if key in _CHOICES:
+            at, (a, b) = self.pos, _CHOICES[key]
+            word = self.ident(key)
+            if word not in (a, b):
+                self.fail(f"{key} must be {a!r} or {b!r}", at)
+            return word
         raise AssertionError(key)
 
     def justify_block(self) -> Justification:
@@ -765,15 +746,13 @@ class _Parser:
     def plan_block(self) -> tuple[PlanStep, ...]:
         self.expect("plan")
         self.expect("{")
-        steps: list[PlanStep] = []
-        seen: set[str] = set()
+        steps: dict[str, PlanStep] = {}
         while not self.at("}"):
             self.expect("step")
             at = self.pos
             step_id = self.ident("step id")
-            if step_id in seen:
+            if step_id in steps:
                 self.fail(f"duplicate step id {step_id!r}", at)
-            seen.add(step_id)
             action = self.string()
             self.expect("installs")
             installs = self.change_atom()
@@ -796,18 +775,10 @@ class _Parser:
                     deadline = self.deadline_value()
                 else:
                     break
-            steps.append(
-                PlanStep(
-                    step_id,
-                    action,
-                    installs,
-                    tuple(after),
-                    tuple(parallel_ok),
-                    deadline,
-                )
-            )
+            steps[step_id] = PlanStep(step_id, action, installs, tuple(after), tuple(parallel_ok),
+                                      deadline)
         self.expect("}")
-        return tuple(steps)
+        return tuple(steps.values())
 
     def deadline_value(self) -> Deadline:
         if self.tokens[self.pos][:1] == '"':

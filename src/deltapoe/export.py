@@ -152,8 +152,8 @@ def derivation_dot(root: DerivationNode, name: str = "derivation") -> str:
             else:
                 ident = f"{stem}_a{seg[1]}"
                 edge = f'  {ident} -> {parent} [style=dotted, label="alt"];'
-        rule = node.rule.value if node.rule else ("discharged" if node.discharged else "open")
-        label = f"{rule}\\n{_dot_escape(problem_str(node.conclusion))}"
+        rule = node.rule or ("discharged" if node.discharged else "open")
+        label = f"{getattr(rule, 'value', rule)}\\n{_dot_escape(problem_str(node.conclusion))}"
         attrs = f'label="{label}"'
         if node.greenfield:
             attrs += ', style=filled, fillcolor="lightyellow"'

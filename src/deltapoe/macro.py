@@ -348,7 +348,7 @@ def _on_request_validation(workflows: dict[str, Workflow], event: Event, shared:
         raise IllegalTransition(state.value, "request-validation", "a validation is already pending")
     sequence = event.sequence
     wf.validations = validations + (
-        ValidationRecord(f"v{sequence}", wf.owner, target, wf.id, _PENDING, sequence),)
+        ValidationRecord(f"v{sequence}", wf.owner, target, _PENDING, sequence),)
 
 
 def _on_record_validation(workflows: dict[str, Workflow], event: Event, shared: dict) -> None:
@@ -378,7 +378,7 @@ def _on_record_validation(workflows: dict[str, Workflow], event: Event, shared: 
                     f"sub-delegation {child_id!r} has no validated solution yet",
                 )
     wf.validations = validations[:-1] + (
-        _with_status(validations[-1], _GRANTED if granted else _REJECTED, event.sequence),)
+        validations[-1]._replace(status=_GRANTED if granted else _REJECTED, sequence=event.sequence),)
     if state is _CPS2:
         wf.state = _CPS3 if granted else _CPS1
     else:
@@ -470,10 +470,6 @@ def _names(raw: dict, key: str, shared: dict) -> frozenset[str]:
     raise BadLog(f"payload field {key!r} is not a list of names")
 
 
-def _with_status(record: ValidationRecord, status: ValidationStatus, sequence: int):
-    return ValidationRecord(record.id, record.stakeholder, record.target, record.subject, status, sequence)
-
-
 def _on_drift(workflows: dict[str, Workflow], event: Event, shared: dict) -> StalenessReport:
     """Stale every granted validation recorded before the drift whose
     references meet the touched names, then regress each workflow that
@@ -510,7 +506,7 @@ def _on_drift(workflows: dict[str, Workflow], event: Event, shared: dict) -> Sta
                 and record.sequence < sequence
                 and (problem_hit or record.target is _SOLUTION_PLAN)
             ):
-                records[index] = _with_status(record, _STALE, record.sequence)
+                records[index] = record._replace(status=_STALE)
                 stale.append((wf.id, record.id, record.target.value))
         wf.validations = tuple(records)
         before = wf.state
@@ -525,9 +521,7 @@ def _on_drift(workflows: dict[str, Workflow], event: Event, shared: dict) -> Sta
             regressions.append((wf.id, before.value, wf.state.value))
             pending = wf.pending()
             if wf.state is _CPS2 and pending is not None:
-                wf.validations = wf.validations[:-1] + (
-                    _with_status(pending, _STALE, pending.sequence),
-                )
+                wf.validations = wf.validations[:-1] + (pending._replace(status=_STALE),)
                 stale.append((wf.id, pending.id, pending.target.value))
     return StalenessReport(event.sequence, touched, tuple(stale), tuple(regressions))
 

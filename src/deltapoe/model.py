@@ -548,12 +548,13 @@ def _apply_atoms(entries: _Entries, change: ChangeExpr) -> None:
     raise TypeError(f"unsupported change expression: {change!r}")
 
 
-def _rekey_additions(entries: _Entries) -> None:
-    # Fresh additions in parallel branches have no order between them;
-    # give them name-derived keys so the merge is commutative.
+def _rekey_additions(entries: _Entries, before: int) -> None:
+    # Fresh additions in parallel branches (counter above ``before``, the one
+    # at the ``||``) have no order between them; name-derived keys after every
+    # earlier addition make the merge commutative and keep the earlier order.
     for name, (key, dom) in entries.domains.items():
-        if key[0][0] >= _ADDED:
-            entries.domains[name] = ((((_ADDED, name),) + key[1:]), dom)
+        if key[0][0] > _ADDED + before:
+            entries.domains[name] = ((((_ADDED + before + 1, name),) + key[1:]), dom)
 
 
 def _apply_par(entries: _Entries, change: ChangePar) -> None:
@@ -576,8 +577,8 @@ def _apply_par(entries: _Entries, change: ChangePar) -> None:
         shared = left.touched & right.touched
         if shared:
             raise ParConflict(frozenset(shared))
-        _rekey_additions(left)
-        _rekey_additions(right)
+        _rekey_additions(left, entries.counter)
+        _rekey_additions(right, entries.counter)
         merged: dict[str, tuple[_Key, Domain]] = {}
         for side, other in ((left, right), (right, left)):
             for name, pair in side.domains.items():

@@ -939,7 +939,7 @@ def _effective_scan(wf, target):
 
 def _replace_record_by_id(wf, record, status, sequence=None):
     wf.validations = tuple(
-        ValidationRecord(v.id, v.stakeholder, v.target, v.subject, status,
+        ValidationRecord(v.id, v.stakeholder, v.target, status,
                          v.sequence if sequence is None else sequence)
         if v.id == record.id else v
         for v in wf.validations
@@ -980,7 +980,6 @@ def _apply_event_reference(workflows, event):
                 id=f"v{event.sequence}",
                 stakeholder=wf.owner,
                 target=_GATE_TARGET[wf.state],
-                subject=wf.id,
                 status=ValidationStatus.PENDING,
                 sequence=event.sequence,
             ),
@@ -1578,10 +1577,10 @@ def _list_apply_atoms(entries, change):
     raise TypeError(f"unsupported change expression: {change!r}")
 
 
-def _list_rekey_additions(entries):
+def _list_rekey_additions(entries, before):
     for i, (key, dom) in enumerate(entries.pairs):
-        if key[0][0] >= _ADDED:
-            entries.pairs[i] = ((((_ADDED, dom.name),) + key[1:]), dom)
+        if key[0][0] > _ADDED + before:
+            entries.pairs[i] = ((((_ADDED + before + 1, dom.name),) + key[1:]), dom)
 
 
 def _list_apply_par(entries, change):
@@ -1593,8 +1592,8 @@ def _list_apply_par(entries, change):
     shared = left.touched & right.touched
     if shared:
         raise m.ParConflict(frozenset(shared))
-    _list_rekey_additions(left)
-    _list_rekey_additions(right)
+    _list_rekey_additions(left, entries.counter)
+    _list_rekey_additions(right, entries.counter)
     base_names = {d.name for _, d in base_pairs}
     merged = {}
     for side, other in ((left, right), (right, left)):
@@ -1641,8 +1640,8 @@ def apply_atoms_recursive(entries, change):
     shared = left.touched & right.touched
     if shared:
         raise m.ParConflict(frozenset(shared))
-    m._rekey_additions(left)
-    m._rekey_additions(right)
+    m._rekey_additions(left, entries.counter)
+    m._rekey_additions(right, entries.counter)
     merged = {}
     for side, other in ((left, right), (right, left)):
         for name, pair in side.domains.items():
@@ -1871,7 +1870,7 @@ def plan_fragments_recursive(root):
 
     def walk(node, stage, path):
         for step in node.plan:
-            entries.append(PlanEntry(step, stage, path_str(path)))
+            entries.append(PlanEntry(step, stage))
             for ref in step.after:
                 constraints.add(("after", step.id, ref))
             for ref in step.parallel_ok:

@@ -560,13 +560,13 @@ def test_each_process_loads_the_entry_point_and_its_own_command(tmp_path, monkey
     log = tmp_path / "wf.jsonl"
     log.write_text(CREATED)
     for expected, argv, family, lines in (
-        (3, [], None, 353),
-        (0, ["check", staged], "derivation", 3500),
-        (0, ["plan", staged], "derivation", 3500),
-        (0, ["lint", staged], "derivation", 3500),
-        (0, ["impact", CHAIN, "--edit", "!C"], "impact", 2577),
-        (0, ["impact", CHAIN, "--edit", "!C", "--format", "structured"], "impact", 2869),
-        (0, ["workflow", log, "status"], "workflow", 1399),
+        (3, [], None, 362),
+        (0, ["check", staged], "derivation", 3455),
+        (0, ["plan", staged], "derivation", 3455),
+        (0, ["lint", staged], "derivation", 3455),
+        (0, ["impact", CHAIN, "--edit", "!C"], "impact", 2558),
+        (0, ["impact", CHAIN, "--edit", "!C", "--format", "structured"], "impact", 2850),
+        (0, ["workflow", log, "status"], "workflow", 1402),
     ):
         loaded = loaded_modules(env, expected, argv)
         commands = {name for name in loaded if name.startswith("deltapoe.cmd_")}
@@ -1381,3 +1381,54 @@ def test_stdout_that_cannot_be_written_is_named(tmp_path, command):
     with open("/dev/full", "w") as full:
         proc = run_with_stdout(argv, full)
     assert (proc.returncode, proc.stderr) == (74, "stdout: cannot write: No space left on device\n")
+
+
+RETIRE_CAFE = """model {
+  phenomenon a.x : event
+  domain X { controls a.x }
+  domain Y { observes a.x }
+  stakeholder G : problem-owner
+  need N "retire"
+}
+problem p { env [X, Y] change ?F validator G need N }
+derivation d {
+  problem p
+  apply KnownSolution at root with { solution: !Y }
+  justify { rule "retire" }
+  validated by G granted
+  plan { step s1 "retire café" installs !Y }
+}
+"""
+
+
+@pytest.mark.parametrize("command", ["plan", "status", "config"])
+def test_output_is_utf8_whatever_the_locale(tmp_path, command):
+    """A plan step, a logged solution and a ``--config`` value that are
+    not ASCII are read and written as UTF-8 under the C locale with UTF-8
+    mode off: the exit code, the output and the log are those of a run in
+    UTF-8 mode."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONIOENCODING"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    runs = []
+    for locale in ({"PYTHONUTF8": "1"}, {"LC_ALL": "C", "PYTHONUTF8": "0"}):
+        work = tmp_path / locale["PYTHONUTF8"]
+        work.mkdir()
+        if command == "plan":
+            (work / "cafe.poed").write_text(RETIRE_CAFE, encoding="utf-8")
+            argv = ["plan", "cafe.poed"]
+        elif command == "status":
+            (work / "wf.jsonl").write_text(
+                IN_CPS3 + event_line(5, event="submit-solution", payload={"solution": "café"}), encoding="utf-8")
+            argv = ["workflow", "wf.jsonl", "status"]
+        else:
+            (work / "config").write_text("description=café\n", encoding="utf-8")
+            argv = ["--config", "config", "workflow", "wf.jsonl", "drift", "--touch", "X"]
+        proc = subprocess.run([sys.executable, "-m", "deltapoe.cli", *argv], cwd=work, env={**env, **locale},
+                              capture_output=True, timeout=120)
+        log = work / "wf.jsonl"
+        runs.append((proc.returncode, proc.stdout, proc.stderr, log.read_bytes() if log.exists() else None))
+    assert runs[0][0] == 0 and runs[1] == runs[0]
+    if command != "config":
+        assert "café".encode() in runs[0][1]
+    else:
+        assert b'"description": "caf\\u00e9"' in runs[0][3]

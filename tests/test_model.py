@@ -473,6 +473,51 @@ def test_apply_walk_matches_the_recursive_one_on_long_chains(case):
     assert walk_outcome(model._apply_atoms, env, change) == walk_outcome(apply_atoms_recursive, env, change)
 
 
+@st.composite
+def prefixed_edit_cases(draw):
+    """An ``edit_cases()`` change led by two or three additions in drawn
+    (not name) order: the environment, the additions and the change."""
+    env, change = draw(edit_cases())
+    names = draw(st.lists(st.sampled_from(["f0", "f5", "f6", "f7"]), min_size=2, max_size=3, unique=True))
+    return env, [Add(Domain(n)) for n in names], change
+
+
+def chained(changes):
+    change = changes[-1]
+    for first in reversed(changes[:-1]):
+        change = ChangeSeq(first, change)
+    return change
+
+
+@given(prefixed_edit_cases())
+@settings(max_examples=400, deadline=None)
+def test_apply_change_is_compositional_over_sequence(case):
+    """``a ; c`` applied whole, ``c`` applied to ``a``'s result, and each
+    step of ``a`` then ``c`` applied in turn give one environment, when
+    all three apply: a ``||`` in ``c`` leaves earlier additions in place."""
+    env, additions, change = case
+    results = []
+    for stages in ([chained(additions + [change])], [chained(additions), change], additions + [change]):
+        try:
+            staged = env
+            for stage in stages:
+                staged = apply_change(staged, stage)
+        except (model.ChangeError, model.ModelError):
+            return
+        results.append(staged)
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("env,first,second,names", [
+    (named("A"), ChangeSeq(Add(Domain("Z")), Add(Domain("B"))), ChangePar(Nil(), Nil()), ("A", "Z", "B")),
+    (named("d0"), ChangeSeq(Add(Domain("f5")), ChangeSeq(Add(Domain("f6")), Cancel("d0"))),
+     ChangePar(Add(Domain("f0")), Nil()), ("f5", "f6", "f0")),
+], ids=["skips-in-parallel", "addition-in-parallel"])
+def test_parallel_stage_keeps_earlier_additions_in_place(env, first, second, names):
+    assert apply_change(env, ChangeSeq(first, second)).names() == names
+    assert apply_change(apply_change(env, first), second).names() == names
+
+
 @pytest.mark.parametrize("node", [ChangeSeq, ChangePar])
 def test_apply_change_takes_long_chains(node):
     env = named("X")

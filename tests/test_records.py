@@ -329,7 +329,7 @@ SIGNATURES = {
     "ParseDiagnostic": ("line", "column", "message"),
     "ParsedFile": ("kind", "model", "problems", "derivations"),
     "Phenomenon": ("name", "kind"),
-    "PlanEntry": ("step", "stage", "node"),
+    "PlanEntry": ("step", "stage"),
     "PlanStep": ("id", "action", "installs", ("after", ()), ("parallel_ok", ()), ("deadline", None)),
     "Problem": ("env", "change", "validator", "need"),
     "ProblemRefs": ("text", "domains", "phenomena", "needs"),
@@ -341,7 +341,7 @@ SIGNATURES = {
     "TanglePair": ("first", "second", "domains", "placeholders", "validators", "phenomena"),
     "Unknown": ("placeholder",),
     "ValidationMark": ("stakeholder", "granted"),
-    "ValidationRecord": ("id", "stakeholder", "target", "subject", "status", "sequence"),
+    "ValidationRecord": ("id", "stakeholder", "target", "status", "sequence"),
     "Verdict": ("kind", ("diagnostics", ()), ("open_items", ())),
     "Workflow": ("id", "owner", "delegate", "problem", ("state", macro.CpsState.CPS1),
                  ("children", ()), ("validations", ()), ("solution_refs", frozenset()),

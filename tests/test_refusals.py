@@ -197,9 +197,10 @@ def test_library_refuses(name, mdl):
 
 def rule_functions():
     """The functions that hold the rules' refusals: each rule's premises
-    function, and the dispatch that refuses a rule with none."""
+    function, the dispatch that refuses a rule with none, and the helper
+    that refuses a change that does not apply."""
     premises = {rule.premises.__code__: rule.premises for rule in calculus.RULES.values()}
-    return [calculus._expected, *premises.values()]
+    return [calculus._expected, calculus._applied, *premises.values()]
 
 
 def raise_sites() -> dict[int, int]:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltapoe import calculus, cli, dsl, model
+from deltapoe import calculus, cli, dsl, export, model
 from deltapoe.artifacts import Justification, RuleId
 from deltapoe.calculus import (
     DerivationNode,
@@ -224,6 +224,16 @@ def test_a_hand_built_node_of_an_unknown_rule_is_refused_not_raised(premises):
     assert calculus.evidence(root) == {}
     with pytest.raises(RuleError, match="unknown rule 'Bogus'"):
         calculus.apply("Bogus", open_node(PLAN_PROBLEM), {}, Model())
+
+
+def test_a_hand_built_node_of_an_unknown_rule_is_named_by_its_rule():
+    """The DOT export labels the node with its rule as given, and ``apply``
+    at it refuses it as a node whose rule is applied already."""
+    root = DerivationNode(PLAN_PROBLEM, "Bogus", justification=RATIONALE)
+    assert '  n_root [label="Bogus\\n' in export.derivation_dot(root, "d")
+    with pytest.raises(calculus.NotOpen) as err:
+        calculus.apply(RuleId.KNOWN_SOLUTION, root, {}, Model())
+    assert f"{type(err.value).__name__}: {err.value}" == "NotOpen: rule already applied here: Bogus"
 
 
 def test_the_replay_visits_each_node_twice_in_the_order_check_reports():
