@@ -22,12 +22,12 @@ class Record:
     derived from the fields, such as an index, and is not a field.
 
     Records are immutable by convention, not by a guard, so they can be
-    shared and used as set members and dict keys.  Two kinds of record
-    are assigned after ``__init__`` returns, and both are unhashable:
-    ``macro.Workflow``, the fold's working state, and
-    ``calculus.DerivationNode``, whose premises and alternatives
-    ``calculus.build`` sets, only in nodes it has made and not yet
-    returned.
+    shared and used as set members and dict keys.  Three kinds of record
+    are assigned after ``__init__`` returns, and all are unhashable:
+    ``macro.Workflow``, the fold's working state, ``macro.Folded``, which
+    each append updates, and ``calculus.DerivationNode``, whose premises
+    and alternatives ``calculus.build`` sets, only in nodes it has made
+    and not yet returned.
     """
 
     __slots__ = ()

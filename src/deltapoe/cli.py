@@ -135,12 +135,13 @@ def main(argv=None) -> int:
     # command and restore the caller's state after it, whatever the exit.
     was_enabled = gc.isenabled()
     gc.disable()
-    # stdout writes UTF-8, as every input is read, whatever the locale
-    out = sys.stdout
-    encoding, errors = getattr(out, "encoding", None), getattr(out, "errors", None)
-    recode = encoding is not None and codecs.lookup(encoding).name != "utf-8"  # a StringIO has None
-    if recode:
-        out.reconfigure(encoding="utf-8", errors=errors)
+    # stdout and stderr write UTF-8, as every input is read, whatever the locale
+    recoded = []
+    for out in (sys.stdout, sys.stderr):
+        encoding, errors = getattr(out, "encoding", None), getattr(out, "errors", None)
+        if encoding is not None and codecs.lookup(encoding).name != "utf-8":  # a StringIO has None
+            out.reconfigure(encoding="utf-8", errors=errors)
+            recoded.append((out, encoding, errors))
     try:
         status = _run(argv)
         sys.stdout.flush()  # so that an error writing stdout shows here, not at exit
@@ -148,7 +149,7 @@ def main(argv=None) -> int:
     except Exception as err:  # last resort: a crash must not exit with a verdict code
         return _crashed(err)
     finally:
-        if recode:
+        for out, encoding, errors in recoded:
             out.reconfigure(encoding=encoding, errors=errors)
         if was_enabled:
             gc.enable()

@@ -143,8 +143,7 @@ def _run_workflow(args, log: macro.Folded | macro.MacroError, handle) -> int:
                 if status != OK:
                     return status
                 refs = _workflow_problem_refs(args, workspace)
-                created = macro.create_workflow(log, args.workflow, args.owner, args.delegate, refs)
-                log, new_events = [created], [created]
+                new_events.append(macro.create_workflow(log, args.workflow, args.owner, args.delegate, refs))
             payload = {}
             if args.event == "record-validation":
                 payload = {"by": args.by, "status": args.status}
@@ -162,9 +161,8 @@ def _run_workflow(args, log: macro.Folded | macro.MacroError, handle) -> int:
             if status != OK:
                 return status
             refs = _workflow_problem_refs(args, workspace)
-            event, child = macro.delegate(
-                _state(log), args.workflow, args.to, args.child, refs, workspace.model if workspace else {}
-            )
+            trusts = {s.name: s.trusts for s in workspace.model.stakeholders} if workspace else {}
+            event, child = macro.delegate(_state(log), args.workflow, args.to, args.child, refs, trusts)
             _append_events(handle, [event])
             print(f"workflow {child.id}: {child.state.value} (owner {child.owner}, delegate {child.delegate})")
             return OK

@@ -653,7 +653,7 @@ class _Parser:
         args: dict = {}
         if self.at("with"):
             self.advance()
-            args = self.arg_block(rule)
+            args = self.arg_block()
         marker = None
         if self.at("alternative") or self.at("chosen"):
             marker = self.advance()
@@ -679,7 +679,7 @@ class _Parser:
                 break
         return tuple(segs)
 
-    def arg_block(self, rule: RuleId) -> dict:
+    def arg_block(self) -> dict:
         self.expect("{")
         args: dict = {}
         while not self.at("}"):

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import enum
 import json
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from typing import TYPE_CHECKING, BinaryIO, NamedTuple
 
 from .artifacts import Record, ValidationRecord, ValidationStatus, ValidationTarget
 
 if TYPE_CHECKING:
     from . import model as m
-    from .dsl import Model
 
 
 class MacroError(Exception):
@@ -295,13 +294,13 @@ class StalenessReport(Record):
 
 # --- the fold -------------------------------------------------------------------
 #
-# Each event kind has one handler in ``_HANDLERS``, which the fold, the
-# appending functions and ``_apply_event`` share.  A handler checks the
-# event against the workflows in the order of the errors it raises, then
-# updates them in place; it takes the name sets and stakeholder names it
-# adds to the state from ``shared`` (see ``fold``) when an equal one is
-# there.  The enum members the handlers test are read as module names,
-# which is faster than reading them as attributes of their enum classes.
+# Each event kind has one handler in ``_HANDLERS``, which the fold and
+# ``_append`` share.  A handler checks the event against the workflows in
+# the order of the errors it raises, then updates them in place; it takes
+# the name sets and stakeholder names it adds to the state from ``shared``
+# (see ``fold``) when an equal one is there.  The enum members the
+# handlers test are read as module names, which is faster than reading
+# them as attributes of their enum classes.
 
 _CPS1, _CPS2, _CPS3, _CPS4, _CPS5, _DONE = CpsState
 _PENDING, _GRANTED, _REJECTED, _STALE = ValidationStatus
@@ -487,6 +486,9 @@ def _on_drift(workflows: dict[str, Workflow], event: Event, shared: dict) -> Sta
     touched = _names(event.payload, "touched", {})
     if not touched:
         raise IllegalTransition("-", "drift", "a drift event must touch something")
+    if event.payload.get("origin", "environment") not in ("environment", "need"):
+        raise BadLog("payload field 'origin' is not environment or need")
+    _text(event.payload, "description", "")
     stale: list[tuple[str, str, str]] = []
     regressions: list[tuple[str, str, str]] = []
     sequence = event.sequence
@@ -539,12 +541,6 @@ _HANDLERS = {
 }
 
 
-def _apply_event(workflows: dict[str, Workflow], event: Event,
-                 shared: dict | None = None) -> StalenessReport | None:
-    """Apply ``event`` through its handler; a drift returns its report."""
-    return _HANDLERS.get(event.kind, _on_unknown)(workflows, event, {} if shared is None else shared)
-
-
 def _replay(workflows: dict[str, Workflow], events, last: int, shared: dict) -> None:
     """Apply ``events`` in order after the one numbered ``last``, each
     through its handler; a payload field at fault is named with the
@@ -577,106 +573,84 @@ def fold(events: list[Event] | Log) -> dict[str, Workflow]:
 
 # --- appending --------------------------------------------------------------------
 #
-# Each appending function takes a log as a list of its events or as its
-# ``Folded`` state.  Given a list, it folds it once; given the state, it
-# folds nothing, and the new event updates the state in place.
+# Each appending function takes a log's ``Folded`` state and appends one
+# event to it through ``_append``: the state is then the fold of the log
+# with that event, and nothing is folded again.
 
-class Folded(NamedTuple):
+class Folded(Record):
     """A log's workflow states and the sequence number of its last event
     (0 for a log with none), taken from one fold: all that appending to
-    the log needs."""
+    the log needs.  Each append updates it in place, so like ``Workflow``
+    it is mutable and unhashable."""
 
-    workflows: dict[str, Workflow]
-    last: int
-
-
-def next_sequence(events: list[Event] | Folded) -> int:
-    if isinstance(events, Folded):
-        return events.last + 1
-    return events[-1].sequence + 1 if events else 1
+    __slots__ = ("workflows", "last")
+    __hash__ = None
 
 
-def _folded(events: list[Event] | Folded) -> Folded:
-    """The state of ``events``, folded once unless it is given."""
-    return events if isinstance(events, Folded) else Folded(fold(events), next_sequence(events) - 1)
-
-
-def _validated_append(events: list[Event] | Folded, event: Event) -> dict[str, Workflow]:
-    """The workflow states after ``event`` is appended to ``events``."""
-    workflows, last = _folded(events)
-    _replay(workflows, (event,), last, {})
-    return workflows
+def _append(folded: Folded, workflow_id: str, kind: str,
+            payload: dict) -> tuple[Event, StalenessReport | None]:
+    """The event of ``kind`` numbered after ``folded``'s last, applied to
+    ``folded`` through its handler as ``_replay`` applies it, and what the
+    handler returned: a drift's report, or ``None``."""
+    event = Event(folded.last + 1, workflow_id, kind, payload)
+    try:
+        result = _HANDLERS.get(kind, _on_unknown)(folded.workflows, event, {})
+    except BadLog as err:
+        raise BadLog(f"event {event.sequence}: {err}") from None
+    folded.last = event.sequence
+    return event, result
 
 
 def create_workflow(
-    events: list[Event] | Folded,
+    folded: Folded,
     workflow_id: str,
     owner: str,
     delegate: str,
     problem: ProblemRefs,
 ) -> Event:
     payload = {"owner": owner, "delegate": delegate, "problem": problem.to_payload()}
-    event = Event(next_sequence(events), workflow_id, "create", payload)
-    _validated_append(events, event)
-    return event
+    return _append(folded, workflow_id, "create", payload)[0]
 
 
 def advance(
-    events: list[Event] | Folded,
+    folded: Folded,
     workflow_id: str,
     kind: str,
     payload: dict | None = None,
 ) -> tuple[Event, Workflow]:
     """Validate and produce the next event; returns it with the workflow
     state after application."""
-    event = Event(next_sequence(events), workflow_id, kind, payload or {})
-    state = _validated_append(events, event)
-    return event, state[workflow_id]
+    event, _ = _append(folded, workflow_id, kind, payload or {})
+    return event, folded.workflows[workflow_id]
 
 
 def delegate(
-    events: list[Event] | Folded,
+    folded: Folded,
     workflow_id: str,
     to: str,
     child_id: str,
     problem: ProblemRefs,
-    stakeholders: Model | dict,
+    trusts: Mapping[str, Collection[str]],
 ) -> tuple[Event, Workflow]:
     """Create a sub-delegation; the delegating party must trust the new
-    delegate."""
-    folded = _folded(events)
-    workflows = folded.workflows
-    if workflow_id not in workflows:
+    delegate.  ``trusts`` maps a stakeholder to the ones it trusts."""
+    wf = folded.workflows.get(workflow_id)
+    if wf is None:
         raise UnknownWorkflow(workflow_id)
-    wf = workflows[workflow_id]
     delegating = wf.delegate if wf.state is CpsState.CPS3 else wf.owner
-    trusts = _trusts_of(stakeholders, delegating)
-    if to not in trusts:
+    if to not in trusts.get(delegating, ()):
         raise TrustMissing(f"no trust edge {delegating} -> {to}")
     payload = {"to": to, "child": child_id, "problem": problem.to_payload()}
-    event = Event(next_sequence(folded), workflow_id, "delegate", payload)
-    return event, _validated_append(folded, event)[child_id]
-
-
-def _trusts_of(stakeholders, name: str) -> frozenset[str]:
-    if isinstance(stakeholders, Mapping):
-        return frozenset(stakeholders.get(name, ()))
-    try:
-        return stakeholders.stakeholder(name).trusts
-    except KeyError:
-        return frozenset()
+    event, _ = _append(folded, workflow_id, "delegate", payload)
+    return event, folded.workflows[child_id]
 
 
 def drift(
-    events: list[Event] | Folded,
+    folded: Folded,
     touched: frozenset[str],
     description: str = "",
     origin: str = "environment",
 ) -> tuple[Event, StalenessReport]:
     """Record an external change of context and mark what it invalidates."""
-    if origin not in ("environment", "need"):
-        raise MacroError(f"drift origin must be environment or need, not {origin!r}")
     payload = {"touched": sorted(touched), "description": description, "origin": origin}
-    event = Event(next_sequence(events), ORG, "drift", payload)
-    report = _apply_event(_folded(events).workflows, event)
-    return event, report
+    return _append(folded, ORG, "drift", payload)

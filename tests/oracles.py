@@ -65,7 +65,6 @@ from deltapoe.macro import (
     UnknownWorkflow,
     Workflow,
     WrongStakeholder,
-    _apply_event,
 )
 from deltapoe.printer import (
     _ATOM, _PAR, _SEQ, _level, change_str, env_str, problem_str,
@@ -890,16 +889,23 @@ def referenced_domains_recursive(change) -> frozenset[str]:
 
 # --- workflow gates -------------------------------------------------------------------
 
+def folded(events) -> macro.Folded:
+    """The state the appending functions take, of a log given as the list
+    of its events."""
+    return macro.Folded(macro.fold(events), events[-1].sequence if events else 0)
+
+
 def verify_gates(events) -> None:
-    """Assert the validation gates over every prefix of a log: CPS3 and
-    beyond require a live problem-view validation, CPS5 and beyond a live
-    solution validation.  DONE is checked at the event that enters it
-    only: a drift stales a finished workflow's records but, by design,
-    does not reopen it."""
-    workflows = {}
+    """Assert the validation gates over every prefix of a log, whose
+    events are numbered from 1 in turn: CPS3 and beyond require a live
+    problem-view validation, CPS5 and beyond a live solution validation.
+    DONE is checked at the event that enters it only: a drift stales a
+    finished workflow's records but, by design, does not reopen it."""
+    state = macro.Folded({}, 0)
+    workflows = state.workflows
     for event in events:
         done = {wf.id for wf in workflows.values() if wf.state is CpsState.DONE}
-        _apply_event(workflows, event)
+        assert macro._append(state, event.workflow, event.kind, event.payload)[0] == event
         for wf in workflows.values():
             for v in wf.validations:
                 if v.status is ValidationStatus.GRANTED:
@@ -1088,6 +1094,10 @@ def _apply_drift_reference(workflows, event):
     touched = frozenset(event.payload.get("touched", ()))
     if not touched:
         raise IllegalTransition("-", "drift", "a drift event must touch something")
+    if event.payload.get("origin", "environment") not in ("environment", "need"):
+        raise BadLog(f"event {event.sequence}: payload field 'origin' is not environment or need")
+    if type(event.payload.get("description", "")) is not str:
+        raise BadLog(f"event {event.sequence}: payload field 'description' is not a string")
     stale = []
     regressions = []
     for wf in workflows.values():
@@ -1137,8 +1147,8 @@ def fold_reference(events):
 #
 # ``macro.parse_log``, ``cmd_workflow._read_log`` and ``cmd_workflow._run_workflow`` as
 # they were while the log was read into a list of events: ``str.splitlines`` cuts the
-# text, every line is decoded, then the torn last line is checked, then the appending
-# functions fold the list.
+# text, every line is decoded, then the torn last line is checked, then the list is
+# folded into the state the appending functions take.
 
 def parse_log_eager(text: str) -> list:
     events = []
@@ -1211,12 +1221,12 @@ def run_workflow_eager(args, events, handle) -> int:
 
     try:
         if args.subcommand == "advance":
-            new_events = []
+            state, new_events = folded(events), []
             if not events and args.owner and args.delegate:
                 workspace = cmd_common._load_workspace([args.model])[0] if args.model and args.problem else None
                 refs = cmd_workflow._workflow_problem_refs(args, workspace)
                 new_events.append(
-                    macro.create_workflow(events, args.workflow, args.owner, args.delegate, refs)
+                    macro.create_workflow(state, args.workflow, args.owner, args.delegate, refs)
                 )
             payload = {}
             if args.event == "record-validation":
@@ -1225,7 +1235,7 @@ def run_workflow_eager(args, events, handle) -> int:
                 payload = {"mode": args.mode}
             elif args.event == "submit-solution":
                 payload = {"solution": args.solution or "", "refs": sorted(cmd_common._names_flag(args.refs))}
-            event, wf = macro.advance(events + new_events, args.workflow, args.event, payload)
+            event, wf = macro.advance(state, args.workflow, args.event, payload)
             new_events.append(event)
             cmd_workflow._append_events(handle, new_events)
             print(f"workflow {wf.id}: {wf.state.value}")
@@ -1235,15 +1245,14 @@ def run_workflow_eager(args, events, handle) -> int:
             refs = cmd_workflow._workflow_problem_refs(args, workspace)
             if args.model and workspace is None:
                 return status
-            event, child = macro.delegate(
-                events, args.workflow, args.to, args.child, refs, workspace.model if workspace else {}
-            )
+            trusts = {s.name: s.trusts for s in workspace.model.stakeholders} if workspace else {}
+            event, child = macro.delegate(folded(events), args.workflow, args.to, args.child, refs, trusts)
             cmd_workflow._append_events(handle, [event])
             print(f"workflow {child.id}: {child.state.value} (owner {child.owner}, delegate {child.delegate})")
             return cmd_common.OK
         if args.subcommand == "drift":
             touched = cmd_common._names_flag(args.touch)
-            event, report = macro.drift(events, touched, args.description, args.origin)
+            event, report = macro.drift(folded(events), touched, args.description, args.origin)
             cmd_workflow._append_events(handle, [event])
             if report.empty:
                 print("drift: nothing invalidated")

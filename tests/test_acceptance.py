@@ -15,7 +15,7 @@ from deltapoe.artifacts import ValidationTarget
 from deltapoe.calculus import RuleError, SideConditionViolated, TrustMissing
 
 from .conftest import FIXTURES
-from .oracles import verify_gates
+from .oracles import folded, verify_gates
 
 SEED = 20240601
 
@@ -413,14 +413,14 @@ def legal_moves(wf):
 
 
 def random_walk(rng, max_steps):
-    events = [macro.create_workflow([], "w1", "G", "D", REFS)]
+    events = [macro.create_workflow(macro.Folded({}, 0), "w1", "G", "D", REFS)]
     for _ in range(rng.randint(0, max_steps)):
         wf = macro.fold(events)["w1"]
         moves = legal_moves(wf)
         if not moves:
             break
         kind, payload = rng.choice(moves)
-        event, _ = macro.advance(events, "w1", kind, payload)
+        event, _ = macro.advance(folded(events), "w1", kind, payload)
         events.append(event)
     return events
 
@@ -445,13 +445,13 @@ def test_criterion_8_workflow_gate_integrity():
             "begin-implementation": {"mode": "self"},
         }.get(kind, {})
         with pytest.raises(macro.MacroError):
-            macro.advance(events, "w1", kind, payload)
+            macro.advance(folded(events), "w1", kind, payload)
         injected_failures += 1
     assert injected_failures >= 450  # nearly every walk admits an illegal event
 
     # drift scenario: a granted solution validation referencing OldAPI goes
     # stale after drift touching OldAPI; the workflow regresses
-    events = [macro.create_workflow([], "w1", "G", "D", REFS)]
+    events = [macro.create_workflow(macro.Folded({}, 0), "w1", "G", "D", REFS)]
     for kind, payload in (
         ("submit-view", {}),
         ("request-validation", {}),
@@ -460,9 +460,9 @@ def test_criterion_8_workflow_gate_integrity():
         ("request-validation", {}),
         ("record-validation", {"by": "G", "status": "granted"}),
     ):
-        event, _ = macro.advance(events, "w1", kind, payload)
+        event, _ = macro.advance(folded(events), "w1", kind, payload)
         events.append(event)
-    drift_event, report = macro.drift(events, frozenset({"OldAPI"}), "upstream change")
+    drift_event, report = macro.drift(folded(events), frozenset({"OldAPI"}), "upstream change")
     assert any(target == "solution+plan" for _, _, target in report.stale)
     assert report.regressions and report.regressions[0][0] == "w1"
     workflows = macro.fold(events + [drift_event])

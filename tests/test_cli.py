@@ -560,13 +560,13 @@ def test_each_process_loads_the_entry_point_and_its_own_command(tmp_path, monkey
     log = tmp_path / "wf.jsonl"
     log.write_text(CREATED)
     for expected, argv, family, lines in (
-        (3, [], None, 362),
-        (0, ["check", staged], "derivation", 3455),
-        (0, ["plan", staged], "derivation", 3455),
-        (0, ["lint", staged], "derivation", 3455),
-        (0, ["impact", CHAIN, "--edit", "!C"], "impact", 2558),
-        (0, ["impact", CHAIN, "--edit", "!C", "--format", "structured"], "impact", 2850),
-        (0, ["workflow", log, "status"], "workflow", 1402),
+        (3, [], None, 363),
+        (0, ["check", staged], "derivation", 3456),
+        (0, ["plan", staged], "derivation", 3456),
+        (0, ["lint", staged], "derivation", 3456),
+        (0, ["impact", CHAIN, "--edit", "!C"], "impact", 2559),
+        (0, ["impact", CHAIN, "--edit", "!C", "--format", "structured"], "impact", 2851),
+        (0, ["workflow", log, "status"], "workflow", 1375),
     ):
         loaded = loaded_modules(env, expected, argv)
         commands = {name for name in loaded if name.startswith("deltapoe.cmd_")}
@@ -667,6 +667,10 @@ IN_CPS3 = (CREATED + event_line(2, event="submit-view", payload={})
      "event 1: payload field 'problem' is not an object"),
     (CREATED + event_line(2, macro.ORG, "drift", {"touched": 7}),
      "event 2: payload field 'touched' is not a list of names"),
+    (event_line(1, macro.ORG, "drift", {"touched": ["X"], "description": 5, "origin": "bogus"}),
+     "event 1: payload field 'origin' is not environment or need"),
+    (event_line(1, macro.ORG, "drift", {"touched": ["X"], "description": 5, "origin": "need"}),
+     "event 1: payload field 'description' is not a string"),
     (CREATED + event_line(2, event="submit-view", payload={})
      + event_line(3, event="request-validation", payload={})
      + event_line(4, event="record-validation", payload={"by": "G", "status": "granted"})
@@ -700,7 +704,8 @@ IN_CPS3 = (CREATED + event_line(2, event="submit-view", payload={})
      + event_line(3, event="request-validation", payload={})
      + event_line(4, event="record-validation", payload={"by": "D", "status": "maybe"}),
      "only the owner 'G' may validate workflow 'w1', not 'D'"),
-], ids=["payload", "no-owner", "sequence", "workflow", "problem", "touched", "solution",
+], ids=["payload", "no-owner", "sequence", "workflow", "problem", "touched", "drift-origin",
+        "drift-description", "solution",
         "delegate-no-child", "delegate-to", "delegate-domains", "delegate-domain-item", "refs",
         "record-status", "delegate-state-first", "delegate-child-exists-first",
         "solution-state-first", "create-exists-first", "record-by-first"])
@@ -709,6 +714,13 @@ def test_malformed_events_are_named(tmp_path, capsys, text, message):
     log.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, "workflow", log, "status")
     assert (code, out, err) == (2, "", f"{log}: {message}\n")
+
+
+def test_a_drift_without_origin_or_description_folds(tmp_path, capsys):
+    log = tmp_path / "wf.jsonl"
+    log.write_text(CREATED + event_line(2, macro.ORG, "drift", {"touched": ["X"]}), encoding="utf-8")
+    code, out, err = run(capsys, "workflow", log, "status")
+    assert (code, out, err) == (0, "workflow w1: CPS1  (owner G, delegate D)\n", "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -1401,12 +1413,12 @@ derivation d {
 """
 
 
-@pytest.mark.parametrize("command", ["plan", "status", "config"])
+@pytest.mark.parametrize("command", ["plan", "status", "config", "diagnostic"])
 def test_output_is_utf8_whatever_the_locale(tmp_path, command):
-    """A plan step, a logged solution and a ``--config`` value that are
-    not ASCII are read and written as UTF-8 under the C locale with UTF-8
-    mode off: the exit code, the output and the log are those of a run in
-    UTF-8 mode."""
+    """A plan step, a logged solution, a ``--config`` value and a bad
+    character that are not ASCII are read and written as UTF-8, to stdout
+    and stderr, under the C locale with UTF-8 mode off: the exit code, the
+    output and the log are those of a run in UTF-8 mode."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONIOENCODING"}
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
     runs = []
@@ -1420,15 +1432,20 @@ def test_output_is_utf8_whatever_the_locale(tmp_path, command):
             (work / "wf.jsonl").write_text(
                 IN_CPS3 + event_line(5, event="submit-solution", payload={"solution": "café"}), encoding="utf-8")
             argv = ["workflow", "wf.jsonl", "status"]
-        else:
+        elif command == "config":
             (work / "config").write_text("description=café\n", encoding="utf-8")
             argv = ["--config", "config", "workflow", "wf.jsonl", "drift", "--touch", "X"]
+        else:
+            (work / "bad.poed").write_text("model {\n  phenomenon a.x : event é\n}\n", encoding="utf-8")
+            argv = ["check", "bad.poed"]
         proc = subprocess.run([sys.executable, "-m", "deltapoe.cli", *argv], cwd=work, env={**env, **locale},
                               capture_output=True, timeout=120)
         log = work / "wf.jsonl"
         runs.append((proc.returncode, proc.stdout, proc.stderr, log.read_bytes() if log.exists() else None))
-    assert runs[0][0] == 0 and runs[1] == runs[0]
-    if command != "config":
-        assert "café".encode() in runs[0][1]
+    assert runs[1] == runs[0]
+    if command == "diagnostic":
+        assert runs[0][:3] == (2, b"", "bad.poed:2:26: error: unexpected character 'é'\n".encode())
+    elif command != "config":
+        assert runs[0][0] == 0 and "café".encode() in runs[0][1]
     else:
-        assert b'"description": "caf\\u00e9"' in runs[0][3]
+        assert runs[0][0] == 0 and b'"description": "caf\\u00e9"' in runs[0][3]

@@ -20,7 +20,7 @@ from deltapoe.macro import (
     render_log,
 )
 
-from .oracles import fold_reference, verify_gates
+from .oracles import fold_reference, folded, verify_gates
 
 REFS = ProblemRefs(
     "[OldAPI] (+) ?F |= G : UpdateAPI",
@@ -35,16 +35,15 @@ TRUSTS = {"G": {"D"}, "D": {"Impl"}}
 def log_with(*steps, start=None):
     """Build a log by applying (workflow, kind, payload) steps in order."""
     events = list(start or [])
+    state = folded(events)
     for workflow_id, kind, payload in steps:
-        event = Event(macro.next_sequence(events), workflow_id, kind, payload)
-        fold(events + [event])
-        events.append(event)
+        events.append(macro._append(state, workflow_id, kind, payload)[0])
     return events
 
 
 @pytest.fixture
 def created():
-    return [create_workflow([], "w1", "G", "D", REFS)]
+    return [create_workflow(macro.Folded({}, 0), "w1", "G", "D", REFS)]
 
 
 def granted_to_cps3(events):
@@ -108,13 +107,13 @@ def test_rejection_at_cps4_returns_to_cps3(created):
 def test_complete_requires_cps5(created):
     events = granted_to_cps3(created)
     with pytest.raises(IllegalTransition):
-        advance(events, "w1", "complete")
+        advance(folded(events), "w1", "complete")
 
 
 def test_complete_requires_mode_choice(created):
     events = granted_to_cps5(created)
     with pytest.raises(IllegalTransition):
-        advance(events, "w1", "complete")
+        advance(folded(events), "w1", "complete")
     events = log_with(("w1", "begin-implementation", {"mode": "self"}), start=events)
     events = log_with(("w1", "complete", {}), start=events)
     assert state_of(events) is CpsState.DONE
@@ -127,20 +126,20 @@ def test_validation_by_non_owner_rejected(created):
         start=created,
     )
     with pytest.raises(WrongStakeholder):
-        advance(events, "w1", "record-validation", {"by": "D", "status": "granted"})
+        advance(folded(events), "w1", "record-validation", {"by": "D", "status": "granted"})
 
 
 def test_record_without_pending_rejected(created):
     events = log_with(("w1", "submit-view", {}), start=created)
     with pytest.raises(IllegalTransition):
-        advance(events, "w1", "record-validation", {"by": "G", "status": "granted"})
+        advance(folded(events), "w1", "record-validation", {"by": "G", "status": "granted"})
 
 
 # --- delegation --------------------------------------------------------------------
 
 def test_delegation_creates_child_owned_by_delegating_party(created):
     events = granted_to_cps3(created)
-    event, child = delegate(events, "w1", "Impl", "w1/1", REFS, TRUSTS)
+    event, child = delegate(folded(events), "w1", "Impl", "w1/1", REFS, TRUSTS)
     assert child.state is CpsState.CPS1
     assert child.owner == "D"  # the CPS3 delegating party is the delegate
     assert child.delegate == "Impl"
@@ -149,7 +148,7 @@ def test_delegation_creates_child_owned_by_delegating_party(created):
 def test_delegation_without_trust_rejected(created):
     events = granted_to_cps3(created)
     with pytest.raises(TrustMissing):
-        delegate(events, "w1", "Nobody", "w1/1", REFS, TRUSTS)
+        delegate(folded(events), "w1", "Nobody", "w1/1", REFS, TRUSTS)
 
 
 def test_delegation_only_during_solving_or_implementation(created):
@@ -166,7 +165,7 @@ def test_parent_cps4_grant_blocked_by_unsolved_child(created):
         start=events,
     )
     with pytest.raises(IllegalTransition) as err:
-        advance(events, "w1", "record-validation", {"by": "G", "status": "granted"})
+        advance(folded(events), "w1", "record-validation", {"by": "G", "status": "granted"})
     assert "w1/1" in str(err.value)
 
 
@@ -183,7 +182,7 @@ def test_three_level_implementation_chain(created):
         start=events,
     )
     with pytest.raises(IllegalTransition):
-        advance(events, "w1", "complete")
+        advance(folded(events), "w1", "complete")
     events = child_through(
         events, "w1/i", "G",
         ("submit-view", {}),
@@ -205,13 +204,13 @@ def test_three_level_implementation_chain(created):
 
 def test_drift_untouched_model_is_empty(created):
     events = granted_to_cps5(created)
-    _, report = drift(events, frozenset({"Unrelated"}))
+    _, report = drift(folded(events), frozenset({"Unrelated"}))
     assert report.empty
 
 
 def test_drift_on_solution_only_reference_regresses_to_cps4(created):
     events = granted_to_cps5(created)
-    event, report = drift(events, frozenset({"OldAPI'"}))
+    event, report = drift(folded(events), frozenset({"OldAPI'"}))
     # OldAPI' appears only in the submitted solution, not the problem view
     assert ("w1", "CPS5", "CPS4") in report.regressions
     events = events + [event]
@@ -222,7 +221,7 @@ def test_drift_on_solution_only_reference_regresses_to_cps4(created):
 
 def test_drift_on_problem_reference_regresses_to_cps2(created):
     events = granted_to_cps5(created)
-    event, report = drift(events, frozenset({"OldAPI"}))
+    event, report = drift(folded(events), frozenset({"OldAPI"}))
     assert ("w1", "CPS5", "CPS2") in report.regressions
     stale_targets = {target for _, _, target in report.stale}
     assert stale_targets == {"problem-view", "solution+plan"}
@@ -231,9 +230,9 @@ def test_drift_on_problem_reference_regresses_to_cps2(created):
 
 def test_two_drifts_accumulate_and_regrant_has_later_sequence(created):
     events = granted_to_cps5(created)
-    e1, _ = drift(events, frozenset({"OldAPI"}))
+    e1, _ = drift(folded(events), frozenset({"OldAPI"}))
     events = events + [e1]
-    e2, second = drift(events, frozenset({"api.call"}))
+    e2, second = drift(folded(events), frozenset({"api.call"}))
     events = events + [e2]
     workflows = fold(events)
     stale = [v for v in workflows["w1"].validations if v.status is ValidationStatus.STALE]
@@ -250,7 +249,7 @@ def test_two_drifts_accumulate_and_regrant_has_later_sequence(created):
 
 def test_stale_records_are_kept(created):
     events = granted_to_cps5(created)
-    event, _ = drift(events, frozenset({"OldAPI"}))
+    event, _ = drift(folded(events), frozenset({"OldAPI"}))
     workflows = fold(events + [event])
     assert len(workflows["w1"].validations) == 2
     assert all(v.status is ValidationStatus.STALE for v in workflows["w1"].validations)
@@ -266,13 +265,13 @@ def test_drift_checks_workflows_it_stales_nothing_of(created):
         start=granted_to_cps3(created),
     )
     pending = fold(events)["w1"].pending()
-    event, report = drift(events, frozenset({"OldAPI"}))
+    event, report = drift(folded(events), frozenset({"OldAPI"}))
     assert report.regressions == (("w1", "CPS4", "CPS2"),)
     assert ("w1", pending.id, "solution+plan") in report.stale
     events = events + [event]
     assert fold(events)["w1"].pending() is None
     with pytest.raises(IllegalTransition, match="no validation is pending"):
-        advance(events, "w1", "record-validation", {"by": "G", "status": "granted"})
+        advance(folded(events), "w1", "record-validation", {"by": "G", "status": "granted"})
     events = log_with(
         ("w1", "request-validation", {}),
         ("w1", "record-validation", {"by": "G", "status": "granted"}),
@@ -303,33 +302,32 @@ def test_sequence_must_increase(created):
         fold(bad)
 
 
-def test_appending_folds_the_log_once(created, monkeypatch):
-    events = granted_to_cps3(created)
-    calls = []
+def test_appending_folds_nothing(created, monkeypatch):
+    """An append applies its one event to the state it is given."""
+    state = folded(granted_to_cps3(created))
 
-    def counting_fold(log):
-        calls.append(len(log))
-        return fold(log)
+    def refuse(*args):
+        raise AssertionError("an append folded")
 
-    monkeypatch.setattr(macro, "fold", counting_fold)
-    event, child = delegate(events, "w1", "Impl", "w1/1", REFS, TRUSTS)
-    assert calls == [len(events)] and child.owner == "D"
-    events = events + [event]
-    calls.clear()
-    event, wf = advance(events, "w1", "submit-solution", {"solution": "!OldAPI", "refs": []})
-    assert calls == [len(events)] and wf.state is CpsState.CPS4
-    events = events + [event]
-    calls.clear()
-    event, report = drift(events, frozenset({"OldAPI"}))
-    assert calls == [len(events)] and report.regressions == (("w1", "CPS4", "CPS2"),)
+    monkeypatch.setattr(macro, "fold", refuse)
+    monkeypatch.setattr(macro, "_replay", refuse)
+    event, child = delegate(state, "w1", "Impl", "w1/1", REFS, TRUSTS)
+    assert child.owner == "D" and state.last == event.sequence
+    event, wf = advance(state, "w1", "submit-solution", {"solution": "!OldAPI", "refs": []})
+    assert wf.state is CpsState.CPS4 and state.last == event.sequence
+    event, report = drift(state, frozenset({"OldAPI"}))
+    assert report.regressions == (("w1", "CPS4", "CPS2"),) and state.last == event.sequence
 
 
-def test_appending_keeps_the_sequence_check(created):
-    """The event a caller appends is checked against the log's last
-    sequence number, as a fold of the whole log would."""
-    events = granted_to_cps3(created)
-    with pytest.raises(macro.BadLog):
-        macro._validated_append(events, Event(1, "w1", "submit-solution", {}))
+def test_appends_on_one_state_number_their_events_in_turn():
+    """Each append moves the state's last sequence number on, so the
+    events it gives make a log that folds back to that state."""
+    state = macro.Folded({}, 0)
+    created = create_workflow(state, "w1", "G", "D", REFS)
+    event, wf = advance(state, "w1", "submit-view")
+    assert (created.sequence, event.sequence, state.last) == (1, 2, 2)
+    log = macro.Log(render_log([created, event]))
+    assert macro.Folded(fold(log), log.last) == state and wf.state is CpsState.CPS2
 
 
 # --- randomized gate integrity -----------------------------------------------------------
@@ -381,14 +379,14 @@ def test_random_legal_walks_keep_gates(data):
     solution's refs or names the workflow does not use.  Once the
     workflow is done only drifts are drawn: they stale its records but do
     not reopen a finished delegation."""
-    events = [create_workflow([], "w1", "G", "D", REFS)]
+    events = [create_workflow(macro.Folded({}, 0), "w1", "G", "D", REFS)]
     for _ in range(data.draw(st.integers(min_value=0, max_value=25))):
         wf = fold(events)["w1"]
         kind, payload = data.draw(st.sampled_from(legal_moves(wf) + DRIFT_MOVES))
         if kind == "drift":
-            event, _ = drift(events, payload)
+            event, _ = drift(folded(events), payload)
         else:
-            event, _ = advance(events, "w1", kind, payload)
+            event, _ = advance(folded(events), "w1", kind, payload)
         events.append(event)
     verify_gates(events)
 
@@ -396,14 +394,14 @@ def test_random_legal_walks_keep_gates(data):
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_random_illegal_event_always_fails(data):
-    events = [create_workflow([], "w1", "G", "D", REFS)]
+    events = [create_workflow(macro.Folded({}, 0), "w1", "G", "D", REFS)]
     for _ in range(data.draw(st.integers(min_value=0, max_value=12))):
         wf = fold(events)["w1"]
         moves = legal_moves(wf)
         if not moves:
             break
         kind, payload = data.draw(st.sampled_from(moves))
-        event, _ = advance(events, "w1", kind, payload)
+        event, _ = advance(folded(events), "w1", kind, payload)
         events.append(event)
     wf = fold(events)["w1"]
     legal_now = {m[0] for m in legal_moves(wf)}
@@ -420,7 +418,7 @@ def test_random_illegal_event_always_fails(data):
         "begin-implementation": {"mode": "self"},
     }.get(kind, {})
     with pytest.raises(macro.MacroError):
-        advance(events, "w1", kind, payload)
+        advance(folded(events), "w1", kind, payload)
 
 
 # --- the fold against the reference fold ----------------------------------------------
@@ -447,8 +445,8 @@ def draw_event(draw, workflows, sequence):
         return Event(sequence, wid, "create", payload)
     if roll == 1:
         touched = draw(st.lists(st.sampled_from(NAMES), max_size=2, unique=True))
-        return Event(sequence, macro.ORG, "drift", {"touched": touched, "description": "",
-                                                    "origin": "environment"})
+        origin = draw(st.sampled_from(("environment", "environment", "need", "bogus")))
+        return Event(sequence, macro.ORG, "drift", {"touched": touched, "description": "", "origin": origin})
     wf = workflows[draw(st.sampled_from(sorted(workflows)))]
     kind = draw(st.sampled_from(ALL_KINDS)) if roll == 2 else None
     if kind is None:
@@ -474,15 +472,17 @@ def draw_event(draw, workflows, sequence):
 
 
 def fold_with_reports(events):
-    """The library's fold, and the report of every drift event, from the
-    same event function the fold uses."""
-    folded = fold(events)
-    workflows, reports = {}, []
+    """The library's fold, and the report of every drift event, from
+    appending the events in turn to one state through the handlers the
+    fold uses."""
+    workflows = fold(events)
+    state, reports = macro.Folded({}, 0), []
     for event in events:
-        report = macro._apply_event(workflows, event)
+        appended, report = macro._append(state, event.workflow, event.kind, event.payload)
+        assert appended == event
         if report is not None:
             reports.append(report)
-    assert workflows == folded
+    assert state.workflows == workflows
     return workflows, reports
 
 
@@ -504,7 +504,7 @@ def test_fold_matches_the_reference_fold(data):
     events: list[Event] = []
     workflows: dict = {}
     for _ in range(data.draw(st.integers(min_value=1, max_value=60))):
-        sequence = macro.next_sequence(events)
+        sequence = len(events) + 1
         if data.draw(st.sampled_from([False] * 30 + [True])):
             sequence = data.draw(st.integers(min_value=0, max_value=sequence - 1))
         event = draw_event(data.draw, workflows, sequence)
@@ -513,3 +513,38 @@ def test_fold_matches_the_reference_fold(data):
         if isinstance(expected[0], dict):  # accepted, not (exception type, message)
             events.append(event)
             workflows = expected[0]
+
+
+EVERYONE_TRUSTED = {person: {"G", "D", "Impl"} for person in ("G", "D", "Impl")}
+
+
+def append_as_drawn(state, event):
+    """``event``'s kind and payload appended to ``state`` by the appending
+    function that makes events of its kind."""
+    payload = event.payload
+    if event.kind == "create":
+        return create_workflow(state, event.workflow, payload["owner"], payload["delegate"],
+                               ProblemRefs.from_payload(payload["problem"]))
+    if event.kind == "delegate":
+        return delegate(state, event.workflow, payload["to"], payload["child"],
+                        ProblemRefs.from_payload(payload["problem"]), EVERYONE_TRUSTED)[0]
+    if event.kind == "drift":
+        return drift(state, frozenset(payload["touched"]), payload["description"], payload["origin"])[0]
+    return advance(state, event.workflow, event.kind, payload)[0]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_appending_to_one_state_is_folding_the_log(data):
+    """A drawn legal log appended event by event through the appending
+    functions, all to one state: after every step the state is the fold
+    of the events appended so far and their last sequence number."""
+    state, events, workflows = macro.Folded({}, 0), [], {}
+    for _ in range(data.draw(st.integers(min_value=1, max_value=40))):
+        event = draw_event(data.draw, workflows, len(events) + 1)
+        try:
+            workflows = fold_reference(events + [event])[0]
+        except macro.MacroError:
+            continue
+        events.append(append_as_drawn(state, event))
+        assert state == macro.Folded(fold(events), events[-1].sequence)

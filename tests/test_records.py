@@ -75,15 +75,16 @@ def _fixture_records():
     root = calculus.build(parsed.derivations[0], parsed.model, parsed.problems)
     problem = next(iter(parsed.problems.values()))
     report = impact.propagate(parsed.model.environment, model.Cancel("OldAPI"))
-    events = [macro.create_workflow([], "w1", "G", "D", macro.ProblemRefs(
+    state = macro.Folded({}, 0)
+    events = [macro.create_workflow(state, "w1", "G", "D", macro.ProblemRefs(
         "p", frozenset({"OldAPI"}), frozenset({"api.call"}), frozenset({"UpdateAPI"})))]
-    events.append(macro.advance(events, "w1", "submit-view", {})[0])
-    events.append(macro.drift(events, frozenset({"OldAPI"}))[0])
+    events.append(macro.advance(state, "w1", "submit-view", {})[0])
+    events.append(macro.drift(state, frozenset({"OldAPI"}))[0])
     return records_in(
         parsed, root, calculus.check(root, parsed.model), calculus.extract_plan(root),
         calculus.tangles([problem, problem]), report,
         impact.bound_check(report, frozenset()), macro.fold(events),
-        macro.drift(events, frozenset({"OldAPI"}))[1],
+        macro.drift(state, frozenset({"OldAPI"}))[1], state,
         dsl.ParseDiagnostic(1, 2, "m"), Deadline("relative", "R1"), model.Nil(),
         model.Organisation(parsed.model.environment, frozenset(parsed.model.needs)),
         dsl.parse_file((FIXTURES / "api_upgrade_with_docs.poed").read_text(), "docs"),
@@ -309,6 +310,7 @@ SIGNATURES = {
                        ("marker", None), ("alternatives", ())),
     "DerivationScript": ("name", "problem_name", "statements"),
     "DischargeStatement": ("path", ("justification", None), ("validations", ()), ("token", 0)),
+    "Folded": ("workflows", "last"),
     "Domain": ("name", ("description", ""), ("observed", frozenset()), ("controlled", frozenset()),
                ("links", frozenset()), ("structure", None)),
     "Environment": (("domains", ()),),

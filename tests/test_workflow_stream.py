@@ -59,7 +59,7 @@ def draw_lines(draw) -> list[list[str]]:
     then, so that later lines follow an illegal event."""
     events, workflows = [], {}
     for _ in range(draw(st.integers(min_value=0, max_value=20))):
-        event = draw_event(draw, workflows, macro.next_sequence(events))
+        event = draw_event(draw, workflows, len(events) + 1)
         try:
             workflows = fold_reference(events + [event])[0]
         except macro.MacroError:
