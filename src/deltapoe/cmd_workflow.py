@@ -85,7 +85,7 @@ def cmd_workflow(args) -> int:
         handle.seek(0)
         try:
             log = _read_log(handle, appending=not reading)
-        except macro.BadLog as err:
+        except macro.MacroError as err:
             _err(f"{args.log}: {err}")
             return INVALID
         except OSError as err:
@@ -97,47 +97,31 @@ def cmd_workflow(args) -> int:
                 os.unlink(args.log)
 
 
-def _read_log(handle, appending: bool) -> macro.Folded | macro.MacroError:
+def _read_log(handle, appending: bool) -> macro.Folded:
     """The state of an open log, folded as its bytes are read from the
     file in blocks and decoded a line at a time, so that the command holds
     the folded state and one block, or one line if a line is longer, on
-    every path; or the error of the first
-    event the fold refuses, which the command raises where it reads the
-    state.  Errors are raised in the order of the text: a byte that is not
-    UTF-8, then the first line that is not an event, then a last line with
-    no final newline when appending (it would run onto that line)."""
+    every path.  Reading stops at the first fault in the text, which is
+    raised: a line that holds a byte that is not UTF-8, a line that is not
+    an event, or an event the fold refuses; then, when appending, a last
+    line with no final newline (the append would run onto that line)."""
     log = macro.Log(handle.buffer)
-    try:
-        result = macro.Folded(macro.fold(log), log.last)  # through the module, where a tracer may wrap it
-    except macro.MacroError as err:
-        log.check()
-        result = err
+    folded = macro.Folded(macro.fold(log), log.last)  # through the module, where a tracer may wrap it
     if appending and log.torn:
         raise macro.BadLog(f"line {log.lines}: no final newline; "
                            "the last write may be torn, so nothing is appended")
-    return result
+    return folded
 
 
-def _state(log: macro.Folded | macro.MacroError) -> macro.Folded:
-    """The state ``_read_log`` folded, or the error its fold raised."""
-    if isinstance(log, Exception):
-        raise log
-    return log
-
-
-def _run_workflow(args, log: macro.Folded | macro.MacroError, handle) -> int:
+def _run_workflow(args, log: macro.Folded, handle) -> int:
     log_path = args.log
     if args.subcommand == "status":
-        try:
-            _write_lines(_status_lines(_state(log).workflows))
-        except macro.MacroError as err:
-            _err(f"{log_path}: {err}")
-            return INVALID
+        _write_lines(_status_lines(log.workflows))
         return OK
 
     try:
         if args.subcommand == "advance":
-            log, new_events = _state(log), []
+            new_events = []
             if not log.last and args.owner and args.delegate:
                 workspace, status = _load_workspace([args.model]) if args.model and args.problem else (None, OK)
                 if status != OK:
@@ -162,27 +146,25 @@ def _run_workflow(args, log: macro.Folded | macro.MacroError, handle) -> int:
                 return status
             refs = _workflow_problem_refs(args, workspace)
             trusts = {s.name: s.trusts for s in workspace.model.stakeholders} if workspace else {}
-            event, child = macro.delegate(_state(log), args.workflow, args.to, args.child, refs, trusts)
+            event, child = macro.delegate(log, args.workflow, args.to, args.child, refs, trusts)
             _append_events(handle, [event])
             print(f"workflow {child.id}: {child.state.value} (owner {child.owner}, delegate {child.delegate})")
             return OK
-        if args.subcommand == "drift":
-            touched = _names_flag(args.touch)
-            event, report = macro.drift(_state(log), touched, args.description, args.origin)
-            _append_events(handle, [event])
-            if report.empty:
-                print("drift: nothing invalidated")
-            else:
-                for workflow_id, record_id, target in report.stale:
-                    print(f"stale: {workflow_id} {record_id} ({target})")
-                for workflow_id, before, after in report.regressions:
-                    print(f"regressed: {workflow_id} {before} -> {after}")
-            return OK
+        # drift, the last of the four subcommands the parser takes
+        touched = _names_flag(args.touch)
+        event, report = macro.drift(log, touched, args.description, args.origin)
+        _append_events(handle, [event])
+        if report.empty:
+            print("drift: nothing invalidated")
+        else:
+            for workflow_id, record_id, target in report.stale:
+                print(f"stale: {workflow_id} {record_id} ({target})")
+            for workflow_id, before, after in report.regressions:
+                print(f"regressed: {workflow_id} {before} -> {after}")
+        return OK
     except macro.IllegalTransition as err:
         _err(f"{log_path}: {err}")
         return INCOMPLETE
     except (macro.MacroError, ValueError) as err:
         _err(f"{log_path}: {err}")
         return INVALID
-    _err(f"unknown workflow subcommand {args.subcommand!r}")
-    return USAGE

@@ -215,6 +215,10 @@ def _seed(env: m.Environment, edit: EditSpec) -> tuple[frozenset[str], frozenset
         for phen in (edit.cause, edit.effect):
             if phen not in universe:
                 raise UnknownPhenomenon(phen)
+        try:
+            m.CausalLink(edit.cause, edit.effect, edit.domain)
+        except m.ModelError as err:
+            raise ImpactError(str(err)) from None
         return frozenset({edit.domain}), frozenset({edit.effect})
     raise TypeError(f"not an edit: {edit!r}")
 

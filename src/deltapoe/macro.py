@@ -4,10 +4,10 @@ validation, solution exploration, solution validation, implementation.
 State is a pure fold over an append-only event log, one log per
 workflow tree.  The fold is the gatekeeper: replaying a log either
 reconstructs the identical state or fails at the first illegal event.
-Over a ``Log`` of an open binary file the fold, and ``Log.check`` after
-it, read the file in blocks of 8 KiB and decode the whole lines of each,
-so that they hold the state and one block, or one line if a line is
-longer, never the log's text or a list of its events.  Each event kind
+Over a ``Log`` of an open binary file the fold reads the file in blocks
+of 8 KiB and decodes the whole lines of each, so that it holds the state
+and one block, or one line if a line is longer, never the log's text or
+a list of its events; it stops at the log's first fault.  Each event kind
 has one handler, which the fold and the appending functions share;
 equal name sets and stakeholder names in the state are one object each.
 Validation verdicts are records that may later go stale when the
@@ -112,7 +112,8 @@ def _pieces(source: str | BinaryIO):
     ``\\r\\n`` pair; the bytes after the cut begin the next piece.  So a
     piece holds at most a block and the start of a line, or one line
     when a line is longer.  A byte that is not UTF-8 is a ``BadLog``
-    named by its offset in the file."""
+    named by its offset in the file, raised once the whole lines before
+    it are yielded."""
     if isinstance(source, str):
         yield from source.splitlines(True)
         return
@@ -124,20 +125,24 @@ def _pieces(source: str | BinaryIO):
             piece += block
             continue
         piece += block[:cut]
-        yield _decoded(piece, offset)
+        yield from _decoded(piece, offset)
         offset += len(piece)
         piece = bytearray(block[cut:])
     if piece:
-        yield _decoded(piece, offset)
+        yield from _decoded(piece, offset)
 
 
-def _decoded(piece: bytearray, offset: int) -> str:
-    """``piece`` of a log file, which starts at byte ``offset``, decoded."""
+def _decoded(piece: bytearray, offset: int):
+    """``piece`` of a log file, which starts at byte ``offset``, decoded;
+    or, if it holds a byte that is not UTF-8, its text up to the last
+    ``\\n`` before that byte, and then the ``BadLog`` that names it."""
     try:
-        return piece.decode("utf-8")
+        text = piece.decode("utf-8")
     except UnicodeDecodeError as err:
+        yield piece[:piece.rfind(b"\n", 0, err.start) + 1].decode("utf-8")
         raise BadLog(f"not valid UTF-8: byte 0x{piece[err.start]:02x} "
                      f"at offset {offset + err.start}") from None
+    yield text
 
 
 def parse_log(text: str) -> list[Event]:
@@ -172,37 +177,31 @@ class Log:
         writes it, is decoded in place; any other line goes through
         ``json.loads``, whose error (a number too long to convert among
         them) a ``BadLog`` names with the line's number, as it names a
-        field of the wrong type, once the rest of the log has decoded."""
+        field of the wrong type."""
         new, event, lineno, piece = tuple.__new__, None, 0, ""
-        pieces = _pieces(self.source)
-        try:
-            for piece in pieces:
-                for line in piece.splitlines():
-                    lineno += 1
+        for piece in _pieces(self.source):
+            for line in piece.splitlines():
+                lineno += 1
+                try:
                     try:
-                        try:
-                            raw, end = _raw_decode(line)
-                        except json.JSONDecodeError:
-                            end = -1
-                        if end != len(line):
-                            if not line or line.isspace():
-                                continue
-                            raw = json.loads(line)
-                        fields = raw["sequence"], raw["workflow"], raw["event"], raw["payload"]
-                    except (ValueError, KeyError, TypeError) as err:
-                        raise BadLog(f"line {lineno}: {err}")
-                    except RecursionError:  # the decoder recurses once per nesting level
-                        raise BadLog(f"line {lineno}: JSON nested too deeply") from None
-                    if (type(fields[0]) is not int or type(fields[1]) is not str
-                            or type(fields[2]) is not str or type(fields[3]) is not dict):
-                        key, _, what = next(f for f, value in zip(_FIELDS, fields) if type(value) is not f[1])
-                        raise BadLog(f"line {lineno}: field {key!r} is not {what}")
-                    event = new(Event, fields)
-                    yield event
-        except BadLog:
-            for _ in pieces:  # the rest must decode: a byte that is not UTF-8 is raised first
-                pass
-            raise
+                        raw, end = _raw_decode(line)
+                    except json.JSONDecodeError:
+                        end = -1
+                    if end != len(line):
+                        if not line or line.isspace():
+                            continue
+                        raw = json.loads(line)
+                    fields = raw["sequence"], raw["workflow"], raw["event"], raw["payload"]
+                except (ValueError, KeyError, TypeError) as err:
+                    raise BadLog(f"line {lineno}: {err}")
+                except RecursionError:  # the decoder recurses once per nesting level
+                    raise BadLog(f"line {lineno}: JSON nested too deeply") from None
+                if (type(fields[0]) is not int or type(fields[1]) is not str
+                        or type(fields[2]) is not str or type(fields[3]) is not dict):
+                    key, _, what = next(f for f, value in zip(_FIELDS, fields) if type(value) is not f[1])
+                    raise BadLog(f"line {lineno}: field {key!r} is not {what}")
+                event = new(Event, fields)
+                yield event
         self.last = event.sequence if event else 0
         self.lines = lineno
         self.torn = bool(piece) and not piece.endswith(("\n", "\r"))
@@ -210,12 +209,6 @@ class Log:
     def __len__(self) -> int:
         return sum(1 for piece in _pieces(self.source) for line in piece.splitlines()
                    if line and not line.isspace())
-
-    def check(self) -> None:
-        """Read the whole log, raising ``BadLog`` for a byte that is not
-        UTF-8, or else for the first line that is not an event."""
-        for _ in self:
-            pass
 
 
 class ProblemRefs(Record):
@@ -541,11 +534,18 @@ _HANDLERS = {
 }
 
 
-def _replay(workflows: dict[str, Workflow], events, last: int, shared: dict) -> None:
-    """Apply ``events`` in order after the one numbered ``last``, each
+def fold(events: list[Event] | Log) -> dict[str, Workflow]:
+    """Replay a log into workflow states, applying each event in order
     through its handler; a payload field at fault is named with the
-    event's number."""
-    handlers = _HANDLERS
+    event's number.  Over a ``Log`` it stops at the first event it
+    refuses, before the lines after that one are decoded.
+
+    Equal name sets in the state are one object, and so are equal
+    stakeholder names: ``shared`` maps each to the first one made, and
+    lives for this fold only (hash-consing, as in Filliatre and Conchon,
+    *Type-Safe Modular Hash-Consing*, 2006)."""
+    workflows: dict[str, Workflow] = {}
+    handlers, last, shared = _HANDLERS, 0, {}
     for event in events:
         sequence = event.sequence
         if sequence <= last:
@@ -555,19 +555,6 @@ def _replay(workflows: dict[str, Workflow], events, last: int, shared: dict) -> 
         except BadLog as err:
             raise BadLog(f"event {sequence}: {err}") from None
         last = sequence
-
-
-def fold(events: list[Event] | Log) -> dict[str, Workflow]:
-    """Replay a log into workflow states, validating every event.  Over a
-    ``Log`` it stops at the first event it refuses, before the lines
-    after that one are decoded.
-
-    Equal name sets in the state are one object, and so are equal
-    stakeholder names: ``shared`` maps each to the first one made, and
-    lives for this fold only (hash-consing, as in Filliatre and Conchon,
-    *Type-Safe Modular Hash-Consing*, 2006)."""
-    workflows: dict[str, Workflow] = {}
-    _replay(workflows, events, 0, {})
     return workflows
 
 
@@ -590,7 +577,7 @@ class Folded(Record):
 def _append(folded: Folded, workflow_id: str, kind: str,
             payload: dict) -> tuple[Event, StalenessReport | None]:
     """The event of ``kind`` numbered after ``folded``'s last, applied to
-    ``folded`` through its handler as ``_replay`` applies it, and what the
+    ``folded`` through its handler as ``fold`` applies it, and what the
     handler returned: a drift's report, or ``None``."""
     event = Event(folded.last + 1, workflow_id, kind, payload)
     try:

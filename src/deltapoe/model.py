@@ -455,7 +455,7 @@ def observed_phenomena(env: Environment) -> frozenset[str]:
 # that parallel branches merge into one deterministic, order-independent
 # result.  A key is a tuple of (int, str) pairs; base entries carry their
 # original index, refinement products hang off the target's key, and fresh
-# additions sort after everything else.
+# additions sort after everything else, each keyed by its counter and name.
 _Key = tuple[tuple[int, str], ...]
 _ADDED = 10**9
 
@@ -514,7 +514,7 @@ def _apply_atoms(entries: _Entries, change: ChangeExpr) -> None:
             raise AddExisting(change.domain.name)
         entries.counter += 1
         entries.touched.add(change.domain.name)
-        entries.domains[change.domain.name] = (((_ADDED + entries.counter, ""),), change.domain)
+        entries.domains[change.domain.name] = (((_ADDED + entries.counter, change.domain.name),), change.domain)
         return
     if isinstance(change, Cancel):
         if change.domain_name not in entries.domains:
@@ -550,11 +550,12 @@ def _apply_atoms(entries: _Entries, change: ChangeExpr) -> None:
 
 def _rekey_additions(entries: _Entries, before: int) -> None:
     # Fresh additions in parallel branches (counter above ``before``, the one
-    # at the ``||``) have no order between them; name-derived keys after every
-    # earlier addition make the merge commutative and keep the earlier order.
+    # at the ``||``) have no order between them; keys from the added root's
+    # name, after every earlier addition, make the merge commutative, keep the
+    # earlier order, and keep each refinement product after its root.
     for name, (key, dom) in entries.domains.items():
         if key[0][0] > _ADDED + before:
-            entries.domains[name] = ((((_ADDED + before + 1, name),) + key[1:]), dom)
+            entries.domains[name] = (((_ADDED + before + 1, key[0][1]),) + key[1:], dom)
 
 
 def _apply_par(entries: _Entries, change: ChangePar) -> None:

@@ -1143,15 +1143,20 @@ def fold_reference(events):
     return workflows, reports
 
 
-# --- the workflow commands as they decoded the whole log before folding it ------------
+# --- the workflow commands over a log read whole before it is folded -----------------
 #
-# ``macro.parse_log``, ``cmd_workflow._read_log`` and ``cmd_workflow._run_workflow`` as
-# they were while the log was read into a list of events: ``str.splitlines`` cuts the
-# text, every line is decoded, then the torn last line is checked, then the list is
-# folded into the state the appending functions take.
+# ``macro.parse_log``, ``cmd_workflow._read_log`` and ``cmd_workflow._run_workflow`` with
+# the log's bytes read at once: the text is decoded up to the last ``\n`` before a byte
+# that is not UTF-8, ``str.splitlines`` cuts it, its lines are decoded up to the first
+# that is not an event, and ``fold_reference`` folds the events before that line.  The
+# first fault in the text is then raised: the fold's, the bad line, the bad byte, and
+# last, when appending, a last line with no final newline.
 
-def parse_log_eager(text: str) -> list:
-    events = []
+def parse_log_eager(text: str, events: list | None = None) -> list:
+    """The events of a log's text, appended to ``events`` if it is
+    given, so that it holds the events before a line that is not one
+    when that line is raised."""
+    events = [] if events is None else events
     append, new = events.append, tuple.__new__
     for lineno, line in enumerate(text.splitlines(), start=1):
         try:
@@ -1177,15 +1182,26 @@ def parse_log_eager(text: str) -> list:
 
 
 def read_log_eager(handle, appending: bool) -> list:
+    """The events of an open log, read whole, which the fold accepts; or
+    the first fault in the log's text, raised."""
+    data = handle.buffer.read()
+    faults = []
     try:
-        text = handle.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as err:  # the whole file is decoded at once: the offset is the file's
-        raise macro.BadLog(f"not valid UTF-8: byte 0x{err.object[err.start]:02x} "
-                           f"at offset {err.start}") from None
-    events = parse_log_eager(text)
-    if appending and text and not text.endswith("\n"):
-        raise macro.BadLog(f"line {len(text.splitlines())}: no final newline; "
-                           "the last write may be torn, so nothing is appended")
+        faults.append(macro.BadLog(f"not valid UTF-8: byte 0x{data[err.start]:02x} at offset {err.start}"))
+        text = data[:data.rfind(b"\n", 0, err.start) + 1].decode("utf-8")
+    events = []
+    try:
+        parse_log_eager(text, events)
+    except macro.BadLog as err:
+        faults.insert(0, err)
+    fold_reference(events)
+    if appending and data and not data.endswith((b"\n", b"\r")):
+        faults.append(macro.BadLog(f"line {len(text.splitlines())}: no final newline; "
+                                   "the last write may be torn, so nothing is appended"))
+    if faults:
+        raise faults[0]
     return events
 
 
@@ -1212,11 +1228,7 @@ def _print_status_eager(events) -> None:
 def run_workflow_eager(args, events, handle) -> int:
     log_path = args.log
     if args.subcommand == "status":
-        try:
-            _print_status_eager(events)
-        except macro.MacroError as err:
-            cmd_common._err(f"{log_path}: {err}")
-            return cmd_common.INVALID
+        _print_status_eager(events)
         return cmd_common.OK
 
     try:
@@ -1268,8 +1280,6 @@ def run_workflow_eager(args, events, handle) -> int:
     except (macro.MacroError, ValueError) as err:
         cmd_common._err(f"{log_path}: {err}")
         return cmd_common.INVALID
-    cmd_common._err(f"unknown workflow subcommand {args.subcommand!r}")
-    return cmd_common.USAGE
 
 
 # --- impact paths, one at a time ------------------------------------------------------
@@ -1542,7 +1552,7 @@ def _list_apply_atoms(entries, change):
             raise m.AddExisting(change.domain.name)
         entries.counter += 1
         entries.touched.add(change.domain.name)
-        entries.pairs.append((((_ADDED + entries.counter, ""),), change.domain))
+        entries.pairs.append((((_ADDED + entries.counter, change.domain.name),), change.domain))
         return
     if isinstance(change, m.Cancel):
         index = entries.find(change.domain_name)
@@ -1589,7 +1599,7 @@ def _list_apply_atoms(entries, change):
 def _list_rekey_additions(entries, before):
     for i, (key, dom) in enumerate(entries.pairs):
         if key[0][0] > _ADDED + before:
-            entries.pairs[i] = ((((_ADDED + before + 1, dom.name),) + key[1:]), dom)
+            entries.pairs[i] = (((_ADDED + before + 1, key[0][1]),) + key[1:], dom)
 
 
 def _list_apply_par(entries, change):

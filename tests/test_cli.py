@@ -176,6 +176,20 @@ def test_plan_unsolved_exit_one(tmp_path, capsys):
     assert "not solved" in err
 
 
+@pytest.mark.parametrize("form", ["text", "structured"])
+def test_plan_of_a_cyclic_plan_is_invalid(tmp_path, capsys, form):
+    """Steps w1 and w2 each wait on the other: ``check`` still solves the
+    derivation, and ``plan`` refuses it as invalid input, not as a crash."""
+    from .test_calculus import CYCLE_SCRIPT
+
+    cyclic = tmp_path / "cyclic.poed"
+    cyclic.write_text(CYCLE_SCRIPT)
+    assert run(capsys, "check", cyclic)[0] == 0
+    assert run(capsys, "plan", cyclic, "--format", form) == (
+        2, "", f"{cyclic}: derivation tangled_plan: CycleDetected: plan constraints form a cycle over: "
+               "w1, w2\n")
+
+
 def test_impact_chain_report(capsys):
     code, out, _ = run(capsys, "impact", CHAIN, "--edit", "C causes y -> c")
     assert code == 0
@@ -204,6 +218,12 @@ def test_impact_unknown_domain_invalid(capsys):
     code, _, err = run(capsys, "impact", CHAIN, "--edit", "!Ghost")
     assert code == 2
     assert "Ghost" in err
+
+
+def test_impact_of_a_self_link_is_invalid(capsys):
+    """A link from a phenomenon to itself is refused as a model refuses it."""
+    assert run(capsys, "impact", CHAIN, "--edit", "C causes c -> c") == (
+        2, "", "causal link of 'C' relates 'c' to itself\n")
 
 
 @pytest.mark.parametrize("flag", ["--buffers", "--permitted"])
@@ -561,12 +581,12 @@ def test_each_process_loads_the_entry_point_and_its_own_command(tmp_path, monkey
     log.write_text(CREATED)
     for expected, argv, family, lines in (
         (3, [], None, 363),
-        (0, ["check", staged], "derivation", 3456),
-        (0, ["plan", staged], "derivation", 3456),
-        (0, ["lint", staged], "derivation", 3456),
-        (0, ["impact", CHAIN, "--edit", "!C"], "impact", 2559),
-        (0, ["impact", CHAIN, "--edit", "!C", "--format", "structured"], "impact", 2851),
-        (0, ["workflow", log, "status"], "workflow", 1375),
+        (0, ["check", staged], "derivation", 3461),
+        (0, ["plan", staged], "derivation", 3461),
+        (0, ["lint", staged], "derivation", 3461),
+        (0, ["impact", CHAIN, "--edit", "!C"], "impact", 2564),
+        (0, ["impact", CHAIN, "--edit", "!C", "--format", "structured"], "impact", 2856),
+        (0, ["workflow", log, "status"], "workflow", 1344),
     ):
         loaded = loaded_modules(env, expected, argv)
         commands = {name for name in loaded if name.startswith("deltapoe.cmd_")}

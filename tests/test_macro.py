@@ -310,7 +310,6 @@ def test_appending_folds_nothing(created, monkeypatch):
         raise AssertionError("an append folded")
 
     monkeypatch.setattr(macro, "fold", refuse)
-    monkeypatch.setattr(macro, "_replay", refuse)
     event, child = delegate(state, "w1", "Impl", "w1/1", REFS, TRUSTS)
     assert child.owner == "D" and state.last == event.sequence
     event, wf = advance(state, "w1", "submit-solution", {"solution": "!OldAPI", "refs": []})

@@ -518,6 +518,69 @@ def test_parallel_stage_keeps_earlier_additions_in_place(env, first, second, nam
     assert apply_change(apply_change(env, first), second).names() == names
 
 
+REFINED_ADDITION = ChangeSeq(Add(Domain("Z")), Refine("Z", (), (Domain("B1"), Domain("A1"))))
+
+
+@pytest.mark.parametrize("change", [ChangePar(REFINED_ADDITION, Nil()), ChangePar(Nil(), REFINED_ADDITION),
+                                    REFINED_ADDITION], ids=["c-par-skip", "skip-par-c", "c"])
+def test_a_refined_addition_keeps_its_parts_after_it_under_par(change):
+    """The parts of a refined new domain follow it in the order the
+    refinement lists them, whether or not the change sits under ``||``."""
+    applied = apply_change(named("A"), change)
+    assert printer.env_str(applied) == "[A, Z:AStruct[B1, A1], B1, A1]"
+
+
+@st.composite
+def one_addition_changes(draw):
+    """An environment and a change over it that adds at most one domain,
+    ``new``, often first, and may refine it, its parts or a domain of the
+    environment, in sequence and in parallel."""
+    env = draw(environments(max_domains=4, max_links=2, max_phenomena=3))
+    names, parts = list(env.names()) + ["new"], ["f0", "f1", "f2", "f3"]
+    added = first = draw(st.booleans())
+
+    def atom():
+        nonlocal added
+        kind = draw(st.sampled_from(["refine", "refine", "cancel", "nil"] + ([] if added else ["add"])))
+        if kind == "add":
+            added = True
+            return Add(Domain("new"))
+        if kind == "cancel":
+            return Cancel(draw(st.sampled_from(names)))
+        if kind == "nil":
+            return Nil()
+        members = draw(st.lists(st.sampled_from(parts), max_size=3, unique=True))
+        split = draw(st.integers(min_value=0, max_value=len(members)))
+        return Refine(draw(st.sampled_from(["new"] + names + parts)), tuple(Domain(n) for n in members[:split]),
+                      tuple(Domain(n) for n in members[split:]))
+
+    def build(leaves):
+        if leaves == 1:
+            return atom()
+        split = draw(st.integers(min_value=1, max_value=leaves - 1))
+        left, right = build(split), build(leaves - split)
+        return draw(st.sampled_from([ChangeSeq, ChangePar]))(left, right)
+
+    change = build(draw(st.integers(min_value=1, max_value=5)))
+    return env, ChangeSeq(Add(Domain("new")), change) if first else change
+
+
+@given(one_addition_changes())
+@settings(max_examples=300, deadline=None)
+def test_a_change_with_one_addition_is_unmoved_by_par_skip(case):
+    """With at most one ``+``, putting a change in parallel with ``skip``
+    changes neither its result, in order, nor its error."""
+    env, change = case
+
+    def ordered(change):
+        result = outcome(apply_change, env, change)
+        return result.domains if isinstance(result, Environment) else result
+
+    alone = ordered(change)
+    assert ordered(ChangePar(change, Nil())) == alone
+    assert ordered(ChangePar(Nil(), change)) == alone
+
+
 @pytest.mark.parametrize("node", [ChangeSeq, ChangePar])
 def test_apply_change_takes_long_chains(node):
     env = named("X")

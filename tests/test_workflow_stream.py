@@ -163,29 +163,46 @@ ILLEGAL_THEN_BAD = (
 )
 
 
-def test_a_bad_line_after_an_illegal_event_is_reported(tmp_path):
-    """Line 2 is illegal in CPS1 and line 4 is not JSON: the bad line is
-    reported, with exit 2, as when every line is decoded before the fold."""
+def test_an_illegal_event_before_a_bad_line_is_reported(tmp_path):
+    """Line 2 is illegal in CPS1 and line 4 is not JSON: the illegal event,
+    the first fault in the text, is reported with exit 2."""
     log = tmp_path / "wf.jsonl"
     data = ILLEGAL_THEN_BAD.encode()
     argv = ["advance", "--workflow", "w1", "--event", "submit-view"]
-    message = f"{log}: line 4: Expecting property name enclosed in double quotes: line 1 column 17 (char 16)\n"
+    message = f"{log}: event 'submit-solution' is not legal in state CPS1\n"
     assert run_on(log, data, argv) == (2, "", message, data) == run_eager(log, data, argv)
 
 
-def test_a_delegate_reads_its_model_before_the_fold_is_refused(tmp_path):
-    """``delegate`` reports a model it cannot read before an event of the
-    log that the fold refuses, and a bad line of the log before both."""
+def test_a_delegate_reports_the_logs_fault_before_it_reads_its_model(tmp_path):
+    """``delegate`` reports an event of the log that the fold refuses, and
+    a bad line of the log, before a model it cannot read."""
     log, broken = tmp_path / "wf.jsonl", tmp_path / "broken.poed"
     broken.write_text(BROKEN_MODEL)
     argv = ["delegate", "--workflow", "w1", "--to", "D", "--child", "c1", "--model", str(broken)]
     illegal = ILLEGAL_THEN_BAD.rsplit("{", 1)[0].encode()
-    code, out, err, _ = run_on(log, illegal, argv)
-    assert (code, out) == (2, "") and err.startswith(f"{broken}:") and "submit-solution" not in err
-    assert run_on(log, illegal, argv) == run_eager(log, illegal, argv)
-    code, out, err, _ = run_on(log, ILLEGAL_THEN_BAD.encode(), argv)
-    assert (code, out, err) == (2, "", f"{log}: line 4: Expecting property name enclosed in double "
-                                        "quotes: line 1 column 17 (char 16)\n")
+    message = f"{log}: event 'submit-solution' is not legal in state CPS1\n"
+    assert run_on(log, illegal, argv) == (2, "", message, illegal) == run_eager(log, illegal, argv)
+    bad_line = (CREATED + '{"sequence": 2, oops}\n').encode()
+    assert run_on(log, bad_line, argv) == (
+        2, "", f"{log}: line 2: Expecting property name enclosed in double quotes: line 1 column 17 "
+               "(char 16)\n", bad_line)
+
+
+TWO_LINES = ('{"sequence": 1, "workflow": "root", "event": "create", '
+             '"payload": {"owner": "G", "delegate": "D"}}\n'
+             '{"sequence": 2, "workflow": "root", "event": "complete", "payload": {}}\n')
+
+
+@pytest.mark.parametrize("argv", [["status"], ["advance", "--workflow", "root", "--event", "submit-view"],
+                                  ["delegate", "--workflow", "root", "--to", "E", "--child", "c"],
+                                  ["drift", "--touch", "X"]],
+                         ids=["status", "advance", "delegate", "drift"])
+def test_a_stored_event_the_fold_refuses_is_invalid_input_to_every_subcommand(tmp_path, argv):
+    """An illegal event already in the log is the log's fault, not the new
+    event's: every subcommand exits 2, not 1, and leaves the log as it is."""
+    log, data = tmp_path / "wf.jsonl", TWO_LINES.encode()
+    assert run_pinned(log, data, argv) == (
+        2, "", f"{log}: event 'complete' is not legal in state CPS1\n", data)
 
 
 def events_text(count: int, start: int = 1) -> str:
@@ -239,30 +256,49 @@ def test_advance_refuses_a_torn_last_line(tmp_path):
 
 
 @pytest.mark.parametrize("argv", PINNED_ARGVS, ids=["status", "advance", "drift"])
-def test_a_bad_line_far_after_a_refused_event_is_reported(tmp_path, argv):
+def test_a_refused_event_far_before_a_bad_line_is_reported(tmp_path, argv):
     """The fold stops at the refused event on line 2, more than a block
-    (``macro._BLOCK`` bytes) before the bad line; the bad line is
-    reported, as the whole text orders them."""
+    (``macro._BLOCK`` bytes) before the bad line; the refused event, the
+    first fault in the text, is reported."""
     refused = '{"sequence": 2, "workflow": "w1", "event": "complete", "payload": {}}\n'
     text = CREATED + refused + events_text(100, start=3) + '{"sequence": 103, oops}\n'
     assert len(text.encode()) - len((CREATED + refused).encode()) > macro._BLOCK
     log, data = tmp_path / "wf.jsonl", text.encode()
     assert run_pinned(log, data, argv) == (
-        2, "", f"{log}: line 103: Expecting property name enclosed in double quotes: line 1 column "
-               "19 (char 18)\n", data)
+        2, "", f"{log}: event 'complete' is not legal in state CPS1\n", data)
 
 
 @pytest.mark.parametrize("argv", PINNED_ARGVS, ids=["status", "advance", "drift"])
-def test_a_byte_far_after_a_bad_line_is_reported_first(tmp_path, argv):
+def test_a_bad_line_far_before_a_bad_byte_is_reported(tmp_path, argv):
     """Line 2 is not an event, and a byte that is not UTF-8 lies more than
-    a block (``macro._BLOCK`` bytes) later: the byte is reported, as the
-    whole text orders them."""
+    a block (``macro._BLOCK`` bytes) later: the bad line, the first fault
+    in the text, is reported."""
     data = (CREATED + '{"sequence": 2, oops}\n' + events_text(100, start=3)).encode()
     offset = data.index(b"\n", 10_000) + 1
     data = data[:offset] + b"\xff" + data[offset:]
     log = tmp_path / "wf.jsonl"
     assert run_pinned(log, data, argv) == (
-        2, "", f"{log}: not valid UTF-8: byte 0xff at offset {offset}\n", data)
+        2, "", f"{log}: line 2: Expecting property name enclosed in double quotes: line 1 column 17 "
+               "(char 16)\n", data)
+
+
+@pytest.mark.parametrize("argv", PINNED_ARGVS, ids=["status", "advance", "drift"])
+@pytest.mark.parametrize("fault, message", [
+    ('{"sequence": 3, "workflow": "w1", "event": "complete", "payload": {}}\n',
+     "event 'complete' is not legal in state CPS1"),
+    ('{"sequence": 3, oops}\n',
+     "line 3: Expecting property name enclosed in double quotes: line 1 column 17 (char 16)"),
+    ("", "not valid UTF-8: byte 0xff at offset {offset}"),
+], ids=["refused", "bad-line", "none"])
+def test_the_lines_before_a_bad_byte_in_their_block_are_read_first(tmp_path, fault, message, argv):
+    """A byte that is not UTF-8 on the line after ``fault``, in the same
+    block: the whole lines before the byte are read and folded first, so a
+    fault among them is reported, and else the byte."""
+    head = (CREATED + events_text(1, start=2) + fault).encode()
+    data = head + b'{"sequence": 4, "workflow": "w1", "event": "\xff"}\n' + events_text(5, start=5).encode()
+    offset = data.index(b"\xff")
+    log = tmp_path / "wf.jsonl"
+    assert run_pinned(log, data, argv) == (2, "", f"{log}: {message.format(offset=offset)}\n", data)
 
 
 EDGE_LOGS = {
