@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import json
 from collections.abc import Collection, Mapping
-from typing import TYPE_CHECKING, BinaryIO, NamedTuple
+from typing import TYPE_CHECKING, BinaryIO, NamedTuple, NoReturn
 
 from .artifacts import Record, ValidationRecord, ValidationStatus, ValidationTarget
 
@@ -93,7 +93,7 @@ def render_log(events: list[Event]) -> str:
     return "".join(e.to_line() + "\n" for e in events)
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+_scan = json.JSONDecoder().scan_once  # the C scanner under ``raw_decode``, without its wrapper
 
 
 _FIELDS = (("sequence", int, "an integer"), ("workflow", str, "a string"),
@@ -155,13 +155,18 @@ class Log:
     holds it, decoded line by line as they are read: a fold over a log
     holds one decoded event at a time, and over a file no more of the
     text than the piece ``_pieces`` read last, one 8 KiB block or one
-    line if a line is longer.  ``len`` counts the lines that are
-    not blank, which are the events of a log whose lines all decode,
-    without decoding them.  Once all events are read, ``last`` is the
-    sequence number of the last one, ``lines`` the number of lines, and
-    ``torn`` whether the last line has no final newline (a final ``\\r``
-    is one, as a file read in text mode gives it).  Each pass over a file,
-    ``len`` among them, reads it from its start."""
+    line if a line is longer.  A line is decoded by one call of the C
+    JSON scanner; only a line that it does not decode whole, such as one
+    with blanks around its value, goes through ``json.loads``.  An error
+    of either (a number too long to convert among them) is a ``BadLog``
+    named with the line's number, as is a field of the wrong type.
+    Blank lines are skipped, and ``len`` counts the others, which are the
+    events of a log whose lines all decode, without decoding them.  Once
+    all events are read, ``last`` is the sequence number of the last one,
+    ``lines`` the number of lines, and ``torn`` whether the last line has
+    no final newline (a final ``\\r`` is one, as a file read in text mode
+    gives it).  Each pass over a file, ``len`` among them, reads it from
+    its start."""
 
     __slots__ = ("source", "last", "lines", "torn")
 
@@ -172,20 +177,14 @@ class Log:
         self.torn = False
 
     def __iter__(self):
-        """The events, one line at a time; blank lines are skipped.  A line
-        that is one JSON value with no blanks around it, as ``to_line``
-        writes it, is decoded in place; any other line goes through
-        ``json.loads``, whose error (a number too long to convert among
-        them) a ``BadLog`` names with the line's number, as it names a
-        field of the wrong type."""
         new, event, lineno, piece = tuple.__new__, None, 0, ""
         for piece in _pieces(self.source):
             for line in piece.splitlines():
                 lineno += 1
                 try:
                     try:
-                        raw, end = _raw_decode(line)
-                    except json.JSONDecodeError:
+                        raw, end = _scan(line, 0)
+                    except (StopIteration, json.JSONDecodeError):
                         end = -1
                     if end != len(line):
                         if not line or line.isspace():
@@ -293,7 +292,9 @@ class StalenessReport(Record):
 # the name sets and stakeholder names it adds to the state from ``shared``
 # (see ``fold``) when an equal one is there.  The enum members the
 # handlers test are read as module names, which is faster than reading
-# them as attributes of their enum classes.
+# them as attributes of their enum classes; for speed too, a handler finds
+# its workflow and builds its records itself, not through a call that
+# only forwards or copies.
 
 _CPS1, _CPS2, _CPS3, _CPS4, _CPS5, _DONE = CpsState
 _PENDING, _GRANTED, _REJECTED, _STALE = ValidationStatus
@@ -305,12 +306,8 @@ _GATE_TARGET = {
 }
 
 
-def _workflow(workflows: dict[str, Workflow], event: Event) -> Workflow:
-    """The workflow ``event`` steps."""
-    wf = workflows.get(event.workflow)
-    if wf is None:
-        raise UnknownWorkflow(event.workflow)
-    return wf
+def _unknown(event: Event) -> NoReturn:
+    raise UnknownWorkflow(event.workflow)
 
 
 def _on_create(workflows: dict[str, Workflow], event: Event, shared: dict) -> None:
@@ -324,14 +321,14 @@ def _on_create(workflows: dict[str, Workflow], event: Event, shared: dict) -> No
 
 
 def _on_submit_view(workflows: dict[str, Workflow], event: Event, shared: dict) -> None:
-    wf = _workflow(workflows, event)
+    wf = workflows.get(event.workflow) or _unknown(event)
     if wf.state is not _CPS1:
         raise IllegalTransition(wf.state.value, "submit-view")
     wf.state = _CPS2
 
 
 def _on_request_validation(workflows: dict[str, Workflow], event: Event, shared: dict) -> None:
-    wf = _workflow(workflows, event)
+    wf = workflows.get(event.workflow) or _unknown(event)
     state, validations = wf.state, wf.validations
     target = _GATE_TARGET.get(state)
     if target is None:
@@ -344,11 +341,11 @@ def _on_request_validation(workflows: dict[str, Workflow], event: Event, shared:
 
 
 def _on_record_validation(workflows: dict[str, Workflow], event: Event, shared: dict) -> None:
-    wf = _workflow(workflows, event)
+    wf = workflows.get(event.workflow) or _unknown(event)
     state, validations = wf.state, wf.validations
     if state is not _CPS2 and state is not _CPS4:
         raise IllegalTransition(state.value, "record-validation")
-    if not validations or validations[-1].status is not _PENDING:
+    if not validations or (pending := validations[-1]).status is not _PENDING:
         raise IllegalTransition(state.value, "record-validation", "no validation is pending")
     payload = event.payload
     by = payload.get("by")
@@ -369,8 +366,8 @@ def _on_record_validation(workflows: dict[str, Workflow], event: Event, shared: 
                     state.value, "record-validation",
                     f"sub-delegation {child_id!r} has no validated solution yet",
                 )
-    wf.validations = validations[:-1] + (
-        validations[-1]._replace(status=_GRANTED if granted else _REJECTED, sequence=event.sequence),)
+    wf.validations = validations[:-1] + (ValidationRecord(
+        pending.id, pending.stakeholder, pending.target, _GRANTED if granted else _REJECTED, event.sequence),)
     if state is _CPS2:
         wf.state = _CPS3 if granted else _CPS1
     else:
@@ -379,7 +376,7 @@ def _on_record_validation(workflows: dict[str, Workflow], event: Event, shared: 
 
 
 def _on_submit_solution(workflows: dict[str, Workflow], event: Event, shared: dict) -> None:
-    wf = _workflow(workflows, event)
+    wf = workflows.get(event.workflow) or _unknown(event)
     if wf.state is not _CPS3:
         raise IllegalTransition(wf.state.value, "submit-solution")
     payload = event.payload
@@ -389,7 +386,7 @@ def _on_submit_solution(workflows: dict[str, Workflow], event: Event, shared: di
 
 
 def _on_begin_implementation(workflows: dict[str, Workflow], event: Event, shared: dict) -> None:
-    wf = _workflow(workflows, event)
+    wf = workflows.get(event.workflow) or _unknown(event)
     if wf.state is not _CPS5:
         raise IllegalTransition(wf.state.value, "begin-implementation")
     if wf.implementation_mode is not None:
@@ -401,7 +398,7 @@ def _on_begin_implementation(workflows: dict[str, Workflow], event: Event, share
 
 
 def _on_delegate(workflows: dict[str, Workflow], event: Event, shared: dict) -> None:
-    wf = _workflow(workflows, event)
+    wf = workflows.get(event.workflow) or _unknown(event)
     state = wf.state
     if state is not _CPS3 and state is not _CPS5:
         raise IllegalTransition(state.value, "delegate")
@@ -417,7 +414,7 @@ def _on_delegate(workflows: dict[str, Workflow], event: Event, shared: dict) -> 
 
 
 def _on_complete(workflows: dict[str, Workflow], event: Event, shared: dict) -> None:
-    wf = _workflow(workflows, event)
+    wf = workflows.get(event.workflow) or _unknown(event)
     if wf.state is not _CPS5:
         raise IllegalTransition(wf.state.value, "complete")
     if wf.implementation_mode is None:
@@ -433,7 +430,8 @@ def _on_complete(workflows: dict[str, Workflow], event: Event, shared: dict) -> 
 
 
 def _on_unknown(workflows: dict[str, Workflow], event: Event, shared: dict) -> None:
-    raise IllegalTransition(_workflow(workflows, event).state.value, event.kind, "unknown event kind")
+    wf = workflows.get(event.workflow) or _unknown(event)
+    raise IllegalTransition(wf.state.value, event.kind, "unknown event kind")
 
 
 def _text(payload: dict, key: str, default: str | None = None) -> str:
@@ -475,7 +473,10 @@ def _on_drift(workflows: dict[str, Workflow], event: Event, shared: dict) -> Sta
     a solution request made at CPS4: it goes stale, so that the owner must
     request a new problem-view validation and CPS3 is reached only through
     a live one (the gate invariant of ``tests/oracles.py::verify_gates``).
+    A drift is of the whole organisation: its workflow field is ``ORG``.
     """
+    if event.workflow != ORG:
+        raise BadLog(f"field 'workflow' of a drift is not {ORG!r}")
     touched = _names(event.payload, "touched", {})
     if not touched:
         raise IllegalTransition("-", "drift", "a drift event must touch something")
@@ -495,14 +496,11 @@ def _on_drift(workflows: dict[str, Workflow], event: Event, shared: dict) -> Sta
         if not problem_hit and touched.isdisjoint(wf.solution_refs):
             continue
         records = list(wf.validations)
-        for index, record in enumerate(records):
-            if (
-                record.status is _GRANTED
-                and record.sequence < sequence
-                and (problem_hit or record.target is _SOLUTION_PLAN)
-            ):
-                records[index] = record._replace(status=_STALE)
-                stale.append((wf.id, record.id, record.target.value))
+        for index, rec in enumerate(records):
+            if (rec.status is _GRANTED and rec.sequence < sequence
+                    and (problem_hit or rec.target is _SOLUTION_PLAN)):
+                records[index] = ValidationRecord(rec.id, rec.stakeholder, rec.target, _STALE, rec.sequence)
+                stale.append((wf.id, rec.id, rec.target.value))
         wf.validations = tuple(records)
         before = wf.state
         if before not in (_CPS3, _CPS4, _CPS5):
@@ -516,7 +514,8 @@ def _on_drift(workflows: dict[str, Workflow], event: Event, shared: dict) -> Sta
             regressions.append((wf.id, before.value, wf.state.value))
             pending = wf.pending()
             if wf.state is _CPS2 and pending is not None:
-                wf.validations = wf.validations[:-1] + (pending._replace(status=_STALE),)
+                wf.validations = wf.validations[:-1] + (ValidationRecord(
+                    pending.id, pending.stakeholder, pending.target, _STALE, pending.sequence),)
                 stale.append((wf.id, pending.id, pending.target.value))
     return StalenessReport(event.sequence, touched, tuple(stale), tuple(regressions))
 
@@ -545,13 +544,13 @@ def fold(events: list[Event] | Log) -> dict[str, Workflow]:
     lives for this fold only (hash-consing, as in Filliatre and Conchon,
     *Type-Safe Modular Hash-Consing*, 2006)."""
     workflows: dict[str, Workflow] = {}
-    handlers, last, shared = _HANDLERS, 0, {}
+    handler, last, shared = _HANDLERS.get, 0, {}
     for event in events:
-        sequence = event.sequence
+        sequence = event[0]
         if sequence <= last:
             raise BadLog(f"sequence {sequence} does not increase (after {last})")
         try:
-            handlers.get(event.kind, _on_unknown)(workflows, event, shared)
+            handler(event[2], _on_unknown)(workflows, event, shared)
         except BadLog as err:
             raise BadLog(f"event {sequence}: {err}") from None
         last = sequence

@@ -952,6 +952,34 @@ def _replace_record_by_id(wf, record, status, sequence=None):
     )
 
 
+# The payload fields the reference fold reads, refused as the library's handlers refuse
+# them, with the same messages, so that the eager path stops where the fold stops.
+
+def _text_reference(event, key, default=None):
+    value = event.payload.get(key, default)
+    if type(value) is not str:
+        state = "not a string" if key in event.payload else "missing"
+        raise BadLog(f"event {event.sequence}: payload field {key!r} is {state}")
+    return value
+
+
+def _names_reference(event, raw, key):
+    value = raw.get(key, [])
+    if type(value) is not list or any(type(name) is not str for name in value):
+        raise BadLog(f"event {event.sequence}: payload field {key!r} is not a list of names")
+    return frozenset(value)
+
+
+def _problem_reference(event):
+    raw = event.payload.get("problem", {})
+    if type(raw) is not dict:
+        raise BadLog(f"event {event.sequence}: payload field 'problem' is not an object")
+    text = raw.get("text", "")
+    if type(text) is not str:
+        raise BadLog(f"event {event.sequence}: payload field 'text' is not a string")
+    return ProblemRefs(text, *(_names_reference(event, raw, key) for key in ("domains", "phenomena", "needs")))
+
+
 def _apply_event_reference(workflows, event):
     kind, payload = event.kind, event.payload
     if kind == "drift":
@@ -961,9 +989,9 @@ def _apply_event_reference(workflows, event):
             raise IllegalTransition("-", kind, f"workflow {event.workflow!r} already exists")
         workflows[event.workflow] = Workflow(
             id=event.workflow,
-            owner=payload["owner"],
-            delegate=payload["delegate"],
-            problem=ProblemRefs.from_payload(payload.get("problem", {})),
+            owner=_text_reference(event, "owner"),
+            delegate=_text_reference(event, "delegate"),
+            problem=_problem_reference(event),
         )
         return None
     if event.workflow not in workflows:
@@ -1033,8 +1061,8 @@ def _apply_event_reference(workflows, event):
     if kind == "submit-solution":
         if wf.state is not CpsState.CPS3:
             raise IllegalTransition(wf.state.value, kind)
-        wf.solution_text = payload.get("solution", "")
-        wf.solution_refs = frozenset(payload.get("refs", ()))
+        wf.solution_text = _text_reference(event, "solution", "")
+        wf.solution_refs = _names_reference(event, payload, "refs")
         wf.state = CpsState.CPS4
         return None
 
@@ -1052,15 +1080,15 @@ def _apply_event_reference(workflows, event):
     if kind == "delegate":
         if wf.state not in (CpsState.CPS3, CpsState.CPS5):
             raise IllegalTransition(wf.state.value, kind)
-        child_id = payload["child"]
+        child_id = _text_reference(event, "child")
         if child_id in workflows:
             raise IllegalTransition(wf.state.value, kind, f"workflow {child_id!r} already exists")
         delegating = wf.delegate if wf.state is CpsState.CPS3 else wf.owner
         workflows[child_id] = Workflow(
             id=child_id,
             owner=delegating,
-            delegate=payload["to"],
-            problem=ProblemRefs.from_payload(payload.get("problem", {})),
+            delegate=_text_reference(event, "to"),
+            problem=_problem_reference(event),
         )
         wf.children += (child_id,)
         return None
@@ -1091,7 +1119,9 @@ def _refs_for(wf, target):
 
 
 def _apply_drift_reference(workflows, event):
-    touched = frozenset(event.payload.get("touched", ()))
+    if event.workflow != "*":
+        raise BadLog(f"event {event.sequence}: field 'workflow' of a drift is not '*'")
+    touched = _names_reference(event, event.payload, "touched")
     if not touched:
         raise IllegalTransition("-", "drift", "a drift event must touch something")
     if event.payload.get("origin", "environment") not in ("environment", "need"):
@@ -1150,7 +1180,14 @@ def fold_reference(events):
 # that is not UTF-8, ``str.splitlines`` cuts it, its lines are decoded up to the first
 # that is not an event, and ``fold_reference`` folds the events before that line.  The
 # first fault in the text is then raised: the fold's, the bad line, the bad byte, and
-# last, when appending, a last line with no final newline.
+# last, when appending, a last line with no final newline.  The lines are decoded with
+# ``json``'s ``raw_decode`` and checked against a field table of their own, not with the
+# scanner and the table of ``macro.Log``.
+
+_raw_decode = json.JSONDecoder().raw_decode
+_LOG_FIELDS = (("sequence", int, "an integer"), ("workflow", str, "a string"),
+               ("event", str, "a string"), ("payload", dict, "an object"))
+
 
 def parse_log_eager(text: str, events: list | None = None) -> list:
     """The events of a log's text, appended to ``events`` if it is
@@ -1161,7 +1198,7 @@ def parse_log_eager(text: str, events: list | None = None) -> list:
     for lineno, line in enumerate(text.splitlines(), start=1):
         try:
             try:
-                raw, end = macro._raw_decode(line)
+                raw, end = _raw_decode(line)
             except json.JSONDecodeError:
                 end = -1
             if end != len(line):
@@ -1169,13 +1206,13 @@ def parse_log_eager(text: str, events: list | None = None) -> list:
                     continue
                 raw = json.loads(line)
             fields = raw["sequence"], raw["workflow"], raw["event"], raw["payload"]
-        except (json.JSONDecodeError, KeyError, TypeError) as err:
+        except (ValueError, KeyError, TypeError) as err:  # a number too long to convert among them
             raise macro.BadLog(f"line {lineno}: {err}")
         except RecursionError:  # the decoder recurses once per nesting level
             raise macro.BadLog(f"line {lineno}: JSON nested too deeply") from None
         if (type(fields[0]) is not int or type(fields[1]) is not str
                 or type(fields[2]) is not str or type(fields[3]) is not dict):
-            key, _, what = next(f for f, value in zip(macro._FIELDS, fields) if type(value) is not f[1])
+            key, _, what = next(f for f, value in zip(_LOG_FIELDS, fields) if type(value) is not f[1])
             raise macro.BadLog(f"line {lineno}: field {key!r} is not {what}")
         append(new(macro.Event, fields))
     return events

@@ -586,7 +586,7 @@ def test_each_process_loads_the_entry_point_and_its_own_command(tmp_path, monkey
         (0, ["lint", staged], "derivation", 3461),
         (0, ["impact", CHAIN, "--edit", "!C"], "impact", 2564),
         (0, ["impact", CHAIN, "--edit", "!C", "--format", "structured"], "impact", 2856),
-        (0, ["workflow", log, "status"], "workflow", 1344),
+        (0, ["workflow", log, "status"], "workflow", 1343),
     ):
         loaded = loaded_modules(env, expected, argv)
         commands = {name for name in loaded if name.startswith("deltapoe.cmd_")}
@@ -691,6 +691,7 @@ IN_CPS3 = (CREATED + event_line(2, event="submit-view", payload={})
      "event 1: payload field 'origin' is not environment or need"),
     (event_line(1, macro.ORG, "drift", {"touched": ["X"], "description": 5, "origin": "need"}),
      "event 1: payload field 'description' is not a string"),
+    (event_line(1, "ghost", "drift", {"touched": ["x"]}), "event 1: field 'workflow' of a drift is not '*'"),
     (CREATED + event_line(2, event="submit-view", payload={})
      + event_line(3, event="request-validation", payload={})
      + event_line(4, event="record-validation", payload={"by": "G", "status": "granted"})
@@ -725,7 +726,7 @@ IN_CPS3 = (CREATED + event_line(2, event="submit-view", payload={})
      + event_line(4, event="record-validation", payload={"by": "D", "status": "maybe"}),
      "only the owner 'G' may validate workflow 'w1', not 'D'"),
 ], ids=["payload", "no-owner", "sequence", "workflow", "problem", "touched", "drift-origin",
-        "drift-description", "solution",
+        "drift-description", "drift-workflow", "solution",
         "delegate-no-child", "delegate-to", "delegate-domains", "delegate-domain-item", "refs",
         "record-status", "delegate-state-first", "delegate-child-exists-first",
         "solution-state-first", "create-exists-first", "record-by-first"])

@@ -445,7 +445,8 @@ def draw_event(draw, workflows, sequence):
     if roll == 1:
         touched = draw(st.lists(st.sampled_from(NAMES), max_size=2, unique=True))
         origin = draw(st.sampled_from(("environment", "environment", "need", "bogus")))
-        return Event(sequence, macro.ORG, "drift", {"touched": touched, "description": "", "origin": origin})
+        workflow = draw(st.sampled_from((macro.ORG,) * 7 + ("w0",)))  # a drift is the organisation's
+        return Event(sequence, workflow, "drift", {"touched": touched, "description": "", "origin": origin})
     wf = workflows[draw(st.sampled_from(sorted(workflows)))]
     kind = draw(st.sampled_from(ALL_KINDS)) if roll == 2 else None
     if kind is None:

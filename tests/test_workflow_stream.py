@@ -6,9 +6,12 @@ log's text or its events, share equal name sets, and write a long report
 in a few writes."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
+import re
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -69,31 +72,45 @@ def draw_lines(draw) -> list[list[str]]:
     return [[event.to_line(), "\n"] for event in events]
 
 
+# where one scan of a line and ``json.loads`` of it could part ways: blanks around the
+# value, a key given twice, a raw U+2028 (a line boundary) inside a string, and values
+# that decode to no event field or do not decode at all
+PARTINGS = ("blanks-around", "non-finite", "duplicate-key", "u2028-in-string", "long-integer", "deep")
+DEEP = 100_000  # lists nested past any recursion limit
+
+
 def mutate(draw, lines: list[list[str]]) -> bytes:
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        kind = draw(st.sampled_from(("bad-json", "wrong-type", "blank", "inside", "between")))
+        kind = draw(st.sampled_from(("bad-json", "wrong-type", "blank", "inside", "between") + PARTINGS))
         at = draw(st.integers(min_value=0, max_value=len(lines)))
         if kind == "blank" or at == len(lines):
             lines.insert(at, [draw(st.sampled_from(BLANKS)), "\n"])
         elif kind == "bad-json":
             lines[at][0] = draw(st.sampled_from(
                 [f'{{"sequence": {at + 1}, oops}}', lines[at][0][:-1], lines[at][0] + " x"]))
-        elif kind == "wrong-type":
+        elif kind in ("wrong-type", "non-finite"):
             try:
                 raw = json.loads(lines[at][0])
-            except ValueError:  # a line already mutated
+            except (ValueError, RecursionError):  # a line already mutated
                 continue
             if type(raw) is not dict or not raw:
                 continue
-            key = draw(st.sampled_from(sorted(raw)))
-            raw[key] = draw(st.sampled_from([str(raw[key]), [raw[key]], None, 7]))
+            fields = raw
+            if kind == "non-finite" and type(raw.get("payload")) is dict and raw["payload"]:
+                fields = draw(st.sampled_from((raw, raw["payload"])))  # a payload field is read by a handler
+            key = draw(st.sampled_from(sorted(fields)))
+            value = fields[key]
+            fields[key] = draw(st.sampled_from([str(value), [value], None, 7] if kind == "wrong-type"
+                                               else [float("nan"), float("inf"), [float("-inf")]]))
             lines[at][0] = json.dumps(raw)
         elif kind == "inside":
             text = lines[at][0]
             cut = draw(st.integers(min_value=0, max_value=len(text)))
             lines[at][0] = text[:cut] + draw(st.sampled_from(INSERTED)) + text[cut:]
-        else:
+        elif kind == "between":
             lines[at][1] = draw(st.sampled_from(SEPARATORS))
+        else:
+            lines[at][0] = parted(draw, kind, lines[at][0])
     text = "".join(line + ending for line, ending in lines)
     if text and draw(st.sampled_from([False] * 5 + [True])):
         text = text[:-1]  # a torn last line
@@ -102,6 +119,25 @@ def mutate(draw, lines: list[list[str]]) -> bytes:
         cut = draw(st.integers(min_value=0, max_value=len(data)))
         data = data[:cut] + draw(st.sampled_from([b"\xff", b"\xc3"])) + data[cut:]
     return data
+
+
+def parted(draw, kind: str, text: str) -> str:
+    """``text``, a line of a log, changed by one of ``PARTINGS``."""
+    if kind == "blanks-around":
+        return draw(st.sampled_from(("", " ", "\t"))) + text + draw(st.sampled_from((" ", "\t ", "")))
+    if kind == "duplicate-key":
+        if not (text.startswith("{") and text.endswith("}")):
+            return text
+        key = draw(st.sampled_from(("sequence", "workflow", "event", "payload")))
+        pair = f'"{key}": ' + draw(st.sampled_from(('7', '"w0"', '"*"', '"complete"', '{}')))
+        return draw(st.sampled_from(("{" + pair + ", " + text[1:], text[:-1] + ", " + pair + "}")))
+    if kind == "u2028-in-string":
+        start = text.find('": "')
+        cut = start + 4 + draw(st.integers(min_value=0, max_value=1))
+        return text if start < 0 else text[:cut] + "\u2028" + text[cut:]
+    if kind == "long-integer":  # the limit of ``int`` conversion is 4,300 digits
+        return re.sub(r"\d+", "1" * draw(st.sampled_from((4300, 4301))), text, count=1)
+    return "[" * DEEP + text + "]" * DEEP
 
 
 def draw_argv(draw, model: Path, broken: Path) -> list[str]:
@@ -141,9 +177,10 @@ def run_eager(log: Path, data: bytes, argv: list[str]):
 @settings(max_examples=400, deadline=None)
 def test_commands_match_the_eager_path(data):
     """Logs of legal and illegal events, with bad JSON, fields of the
-    wrong type, blank lines, line boundaries inside and between values, a
-    torn last line or a byte that is not UTF-8: each command prints,
-    exits and leaves the log as the eager path does."""
+    wrong type, blank lines, line boundaries inside and between values,
+    the lines of ``PARTINGS``, a torn last line or a byte that is not
+    UTF-8: each command prints, exits and leaves the log as the eager path
+    does."""
     with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
         model, broken = scratch / "model.poed", scratch / "broken.poed"
@@ -199,10 +236,15 @@ TWO_LINES = ('{"sequence": 1, "workflow": "root", "event": "create", '
                          ids=["status", "advance", "delegate", "drift"])
 def test_a_stored_event_the_fold_refuses_is_invalid_input_to_every_subcommand(tmp_path, argv):
     """An illegal event already in the log is the log's fault, not the new
-    event's: every subcommand exits 2, not 1, and leaves the log as it is."""
-    log, data = tmp_path / "wf.jsonl", TWO_LINES.encode()
-    assert run_pinned(log, data, argv) == (
-        2, "", f"{log}: event 'complete' is not legal in state CPS1\n", data)
+    event's: every subcommand exits 2, not 1, and leaves the log as it is.
+    So is a drift of one workflow, where ``drift`` writes only the whole
+    organisation's, ``*``."""
+    log = tmp_path / "wf.jsonl"
+    ghost = '{"sequence": 1, "workflow": "ghost", "event": "drift", "payload": {"touched": ["x"]}}\n'
+    for text, message in ((TWO_LINES, "event 'complete' is not legal in state CPS1"),
+                          (ghost, "event 1: field 'workflow' of a drift is not '*'")):
+        data = text.encode()
+        assert run_pinned(log, data, argv) == (2, "", f"{log}: {message}\n", data)
 
 
 def events_text(count: int, start: int = 1) -> str:
@@ -539,6 +581,30 @@ def test_a_fold_shares_equal_name_sets_and_stakeholder_names():
     assert len({id(names) for names in sets if not names}) == 1
     names = [name for wf in workflows.values() for name in (wf.owner, wf.delegate)]
     assert len({id(name) for name in names}) == len(set(names)) == 4
+
+
+def test_a_fold_makes_few_python_calls_a_line(tmp_path, monkeypatch):
+    """Folding the bench's workflow log makes at most 4.7 Python calls a
+    line: a line is one resumption of ``Log``'s generator, which calls the
+    C scanner itself, and one handler call, which finds its workflow in
+    the dict and builds its records itself; the rest are the payload reads
+    and constructors of the events that add to the state."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+    path = importlib.import_module("families").WorkflowLog(1, 500, tmp_path).path
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    with open(path, "rb") as handle:
+        log = macro.Log(handle)
+        sys.setprofile(count)
+        try:
+            macro.fold(log)
+        finally:
+            sys.setprofile(None)
+    assert log.lines > 2000 and calls <= 4.7 * log.lines, calls / log.lines
 
 
 # --- writing the report ----------------------------------------------------------------
