@@ -199,23 +199,6 @@ def preorder(root: DerivationNode) -> Iterator[tuple[DerivationNode, NodePath, b
             stack.append((node.premises[i], path + (i,), in_alternative))
 
 
-def _premise_steps(order: list) -> Iterator[tuple[int, list[list[PlanStep]]]]:
-    """For each visit of ``order``, a whole :func:`preorder`, from the
-    last to the first: its index, and the plan steps of each premise's
-    subtree outside alternatives, in pre-order.  Each subtree's list is
-    made once, from its premises' lists, which are then dropped."""
-    finished: list[list[PlanStep]] = []  # the latest-finished subtree's on top
-    for index in range(len(order) - 1, -1, -1):
-        node = order[index][0]
-        children = [finished.pop() for _ in range(len(node.premises) + len(node.alternatives))]
-        premises = children[:len(node.premises)]
-        yield index, premises
-        steps = list(node.plan)
-        for below in premises:
-            steps += below
-        finished.append(steps)
-
-
 # --- committed solutions ----------------------------------------------------------
 
 def committed(node: DerivationNode) -> m.ChangeExpr | None:
@@ -708,7 +691,92 @@ def _run_discharge(stmt: DischargeStatement, target: DerivationNode, index: int)
     return _attach_marks(updated, stmt, index, ValidationTarget.GREENFIELD_DISCHARGE)
 
 
-# --- lint: justification profiles and plan fragments ----------------------------------
+# --- lint: justification profiles and the plan graph -----------------------------------
+
+def _plan_graph(root: DerivationNode, pairs: list | None = None) -> tuple:
+    """One walk over a tree's plan, for :func:`lint` and :func:`extract_plan`:
+    the :func:`preorder` visits; the entries, the steps outside alternatives,
+    and ``home``, each id's first entry's visit; ``(later, earlier)`` edges,
+    each entry's ``after`` and each head of a Sequence's second stage after
+    each tail of its first, outside alternatives, whose closure holds every
+    pair of stages (a transitive reduction: Aho, Garey and Ullman, 1972);
+    the ids of entries used twice; DuplicateStep over the whole tree; and
+    each visit's UnknownStep, where an entry names only entries, and
+    :func:`_stage_findings`.  A subtree's heads are its steps and its
+    premises' heads, a Sequence's first stage's, or its second's if that
+    has none; tails likewise.  ``pairs``, when given, takes every pair of
+    stages as an ``("after", later, earlier)`` constraint."""
+    order = list(preorder(root))
+    entries, edges, duplicated, reused, branch = [], [], [], [], []
+    home, first_use = {}, {}
+    for index, (node, path, in_alternative) in enumerate(order):
+        for step in node.plan:
+            if step.id in first_use:
+                reused.append(CheckDiagnostic(path_str(path), "DuplicateStep", f"step id {step.id!r} "
+                                              f"already used at {path_str(first_use[step.id])}"))
+            else:
+                first_use[step.id] = path
+        if in_alternative:
+            continue
+        del branch[len(path):]
+        above, sequenced = branch[-1] if path else (0, False)
+        stage = above + 1 if sequenced and path[-1] == 1 else above
+        branch.append((stage, node.rule is RuleId.SEQUENCE))
+        for step in node.plan:
+            if step.id in home:
+                duplicated.append(step.id)
+            home.setdefault(step.id, index)
+            entries.append(PlanEntry(step, stage))
+            edges += ((step.id, ref) for ref in step.after)
+    findings = [None] * len(order)
+    finished = []  # the steps, heads and tails of the latest-finished subtree on top
+    for index in range(len(order) - 1, -1, -1):
+        node, _, in_alternative = order[index]
+        found = [("UnknownStep", f"step {step.id!r} references unknown step {ref!r}") for step in node.plan
+                 for ref in step.after + step.parallel_ok if ref not in (first_use if in_alternative else home)]
+        below = [finished.pop() for _ in node.premises + node.alternatives][:len(node.premises)]
+        if len(below) == 2 and node.rule in (RuleId.SEQUENCE, RuleId.PARALLEL):
+            (first, heads, tails), (second, later_heads, later_tails) = below
+            found += _stage_findings(node, first, second)
+            if node.rule is RuleId.SEQUENCE:
+                below = [(first + second, heads or later_heads, later_tails or tails)]
+                if not in_alternative:
+                    edges += ((later.id, earlier.id) for later in later_heads for earlier in tails)
+                    if pairs is not None:
+                        pairs += (("after", later.id, earlier.id) for later in second for earlier in first)
+        findings[index] = found
+        steps = heads = tails = list(node.plan)
+        for more in below:
+            steps, heads, tails = steps + more[0], heads + more[1], tails + more[2]
+        finished.append((steps, heads, tails))
+    return order, entries, home, edges, duplicated, reused, findings
+
+
+def _plan_order(entries: list[PlanEntry], edges: list, push, pop) -> list[PlanEntry]:
+    """``entries``, each edge's earlier step first (Kahn, CACM 1962): a step
+    whose earlier steps are placed waits, keyed ``(stage, id)``, in the queue
+    ``push`` fills and ``pop`` empties; raises CycleDetected over the rest."""
+    by_id = {e.step.id: e for e in entries}
+    successors, waits = {}, dict.fromkeys(by_id, 0)
+    for later, earlier in edges:
+        if earlier in by_id:
+            successors.setdefault(earlier, []).append(later)
+            waits[later] += 1
+    ready, ordered = [], []
+    for sid, count in waits.items():
+        if not count:
+            push(ready, (by_id[sid].stage, sid))
+    while ready:
+        sid = pop(ready)[1]
+        ordered.append(by_id[sid])
+        for later in successors.get(sid, ()):
+            waits[later] -= 1
+            if not waits[later]:
+                push(ready, (by_id[later].stage, later))
+    if len(ordered) != len(by_id):
+        raise CycleDetected([sid for sid, count in waits.items() if count])
+    return ordered
+
 
 class CheckDiagnostic(Record):
     __slots__ = ("path", "kind", "message")
@@ -745,28 +813,15 @@ def _stage_findings(node: DerivationNode, first_steps: list[PlanStep],
 
 
 def lint(root: DerivationNode) -> list[CheckDiagnostic]:
-    """Justification-profile and plan-fragment checks, without replay.
+    """Justification-profile and plan checks, without replay.
 
     Duplicate step ids come first, then each node's findings in
     :func:`preorder`; a node's path is rendered only when it has one."""
-    order = list(preorder(root))
-    diagnostics: list[CheckDiagnostic] = []
-    first_use: dict[str, NodePath] = {}
-    for node, path, _ in order:
-        for step in node.plan:
-            if step.id in first_use:
-                diagnostics.append(CheckDiagnostic(
-                    path_str(path), "DuplicateStep",
-                    f"step id {step.id!r} already used at {path_str(first_use[step.id])}",
-                ))
-            else:
-                first_use[step.id] = path
-
-    staged = {}  # each Sequence and Parallel node's index -> its findings
-    for index, premises in _premise_steps(order):
-        node = order[index][0]
-        if node.rule in (RuleId.SEQUENCE, RuleId.PARALLEL) and len(premises) == 2:
-            staged[index] = _stage_findings(node, *premises)
+    order, entries, home, edges, _, diagnostics, findings = _plan_graph(root)
+    try:
+        _plan_order(entries, edges, list.append, list.pop)
+    except CycleDetected as err:  # found at the node of its first step
+        findings[min(home[sid] for sid in err.stuck)].append(("CyclicPlan", str(err)))
 
     for index, (node, path, _) in enumerate(order):
         found = []
@@ -779,11 +834,7 @@ def lint(root: DerivationNode) -> list[CheckDiagnostic]:
         if len(node.plan) >= 2 and not node.justification.risk_register:
             found.append(("MissingJustification",
                           "a risk register is required for plan fragments of two or more steps"))
-        for step in node.plan:
-            for ref in step.after + step.parallel_ok:
-                if ref not in first_use:
-                    found.append(("UnknownStep", f"step {step.id!r} references unknown step {ref!r}"))
-        found += staged.get(index, ())
+        found += findings[index]
         if found:
             where = path_str(path)
             diagnostics += (CheckDiagnostic(where, kind, message) for kind, message in found)
@@ -890,40 +941,6 @@ class ImplementationPlan(Record):
         return tuple(e.step.id for e in self.entries)
 
 
-def _plan_fragments(root: DerivationNode) -> tuple[list[PlanEntry], set[tuple[str, str, str]]]:
-    """Every plan step of the tree outside its alternatives as an entry,
-    in depth-first pre-order, and the constraints its steps declare and
-    its Sequence nodes impose: each step of a second stage comes after
-    each step of its first."""
-    order = list(preorder(root))
-    entries: list[PlanEntry] = []
-    constraints: set[tuple[str, str, str]] = set()
-    branch: list[tuple[int, bool]] = []  # stage and Sequence-ness of each node above
-    for node, path, in_alternative in order:
-        if in_alternative:
-            continue
-        del branch[len(path):]
-        stage = 0
-        if path:
-            above, sequenced = branch[-1]
-            stage = above + 1 if sequenced and path[-1] == 1 else above
-        branch.append((stage, node.rule is RuleId.SEQUENCE))
-        for step in node.plan:
-            entries.append(PlanEntry(step, stage))
-            for ref in step.after:
-                constraints.add(("after", step.id, ref))
-            for ref in step.parallel_ok:
-                constraints.add(("parallel_ok", step.id, ref))
-    for index, premises in _premise_steps(order):
-        node, _, in_alternative = order[index]
-        if node.rule is RuleId.SEQUENCE and not in_alternative:
-            first = [s.id for s in premises[0]]
-            for later in premises[1]:
-                for earlier in first:
-                    constraints.add(("after", later.id, earlier))
-    return entries, constraints
-
-
 def extract_plan(root: DerivationNode) -> ImplementationPlan:
     """Collect plan fragments depth-first and order them.
 
@@ -936,38 +953,18 @@ def extract_plan(root: DerivationNode) -> ImplementationPlan:
     solution = committed(root)
     if solution is None or not m.is_unknown_free(solution):
         raise UnsolvedTree("cannot extract a plan from an unsolved derivation")
-
-    entries, constraints = _plan_fragments(root)
-    by_id = {e.step.id: e for e in entries}
-    unknown = [c for c in constraints if c[1] not in by_id or c[2] not in by_id]
-    if unknown:
-        kind, a, b = unknown[0]
-        raise UnsolvedTree(f"constraint references unknown step: {a!r} {kind} {b!r}")
-
-    successors: dict[str, list[str]] = {e.step.id: [] for e in entries}
-    indegree = {e.step.id: 0 for e in entries}
-    for kind, later, earlier in constraints:
-        if kind != "after":
-            continue
-        successors[earlier].append(later)
-        indegree[later] += 1
-    ready = [
-        ((by_id[sid].stage, sid), sid) for sid in indegree if indegree[sid] == 0
-    ]
-    heapq.heapify(ready)
-    ordered: list[str] = []
-    while ready:
-        _, sid = heapq.heappop(ready)
-        ordered.append(sid)
-        for nxt in successors[sid]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                heapq.heappush(ready, ((by_id[nxt].stage, nxt), nxt))
-    if len(ordered) != len(entries):
-        raise CycleDetected(set(indegree) - set(ordered))
-    return ImplementationPlan(
-        tuple(by_id[sid] for sid in ordered), frozenset(constraints)
-    )
+    constraints = []
+    _, entries, home, edges, duplicated, _, findings = _plan_graph(root, constraints)
+    if duplicated:
+        raise UnsolvedTree(f"plan step id {duplicated[0]!r} is used twice")
+    stray = next((message for index in home.values() for kind, message in findings[index]
+                  if kind == "UnknownStep"), None)
+    if stray:
+        raise UnsolvedTree(stray)
+    constraints += ((kind, e.step.id, ref) for e in entries for kind in ("after", "parallel_ok")
+                    for ref in getattr(e.step, kind))
+    ordered = _plan_order(entries, edges, heapq.heappush, heapq.heappop)
+    return ImplementationPlan(tuple(ordered), frozenset(constraints))
 
 
 # --- tangles -----------------------------------------------------------------------

@@ -110,11 +110,7 @@ def cmd_plan(args) -> int:
             _err(f"{path}: open: {item}")
         _err(f"derivation {script.name} is not solved; no plan to extract")
         return INCOMPLETE
-    try:
-        plan = calculus.extract_plan(root)
-    except calculus.CycleDetected as err:
-        _err(f"{path}: derivation {script.name}: CycleDetected: {err}")
-        return INVALID
+    plan = calculus.extract_plan(root)
     if args.format == "structured":
         from . import export
 

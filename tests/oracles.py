@@ -1,6 +1,7 @@
 """Test-only oracles: simple or earlier implementations that the tests
 compare the library against.  None of this is used by the library."""
 
+import heapq
 import json
 import re
 from collections import deque
@@ -24,9 +25,12 @@ from deltapoe.calculus import (
     RULES,
     BadPath,
     CheckDiagnostic,
+    CycleDetected,
     DerivationNode,
+    ImplementationPlan,
     PlanEntry,
     RuleError,
+    UnsolvedTree,
     Verdict,
     _expected,
     _first_stage,
@@ -1796,11 +1800,13 @@ def subtree_steps_recursive(node):
 def lint_recursive(root):
     """``calculus.lint`` as two recursive walks that render every node's
     path and gather a subtree's steps again at each Sequence and
-    Parallel node."""
+    Parallel node, and find a cycle by ordering every pair of stages.  A
+    step outside alternatives may name only a step outside them."""
     diagnostics = []
     all_steps = {}
+    outside = []  # the path and step of each plan step outside alternatives
 
-    def collect(node, path):
+    def collect(node, path, in_alternative):
         for step in node.plan:
             if step.id in all_steps:
                 diagnostics.append(CheckDiagnostic(
@@ -1809,14 +1815,22 @@ def lint_recursive(root):
                 ))
             else:
                 all_steps[step.id] = path_str(path)
+            if not in_alternative:
+                outside.append((path, step))
         for i, child in enumerate(node.premises):
-            collect(child, path + (i,))
+            collect(child, path + (i,), in_alternative)
         for k, alt in enumerate(node.alternatives):
-            collect(alt, path + (("alt", k + 1),))
+            collect(alt, path + (("alt", k + 1),), True)
 
-    collect(root, ())
+    collect(root, (), False)
+    outside_ids = {step.id for _, step in outside}
+    cycle = None
+    try:
+        plan_order_reference(*plan_fragments_recursive(root))
+    except CycleDetected as err:
+        cycle = next(path for path, step in outside if step.id in err.stuck), str(err)
 
-    def walk(node, path):
+    def walk(node, path, in_alternative):
         where = path_str(path)
         if node.rule is not None:
             if not node.justification.rule_rationale:
@@ -1831,7 +1845,7 @@ def lint_recursive(root):
                 "a risk register is required for plan fragments of two or more steps"))
         for step in node.plan:
             for ref in step.after + step.parallel_ok:
-                if ref not in all_steps:
+                if ref not in (all_steps if in_alternative else outside_ids):
                     diagnostics.append(CheckDiagnostic(
                         where, "UnknownStep", f"step {step.id!r} references unknown step {ref!r}"))
         if node.rule in (RuleId.SEQUENCE, RuleId.PARALLEL):
@@ -1863,12 +1877,14 @@ def lint_recursive(root):
                         where, "ConflictingConstraint",
                         f"steps {a!r} and {b!r} are in different stages and cannot "
                         "be marked parallel_ok"))
+        if cycle and cycle[0] == path:
+            diagnostics.append(CheckDiagnostic(where, "CyclicPlan", cycle[1]))
         for i, child in enumerate(node.premises):
-            walk(child, path + (i,))
+            walk(child, path + (i,), in_alternative)
         for k, alt in enumerate(node.alternatives):
-            walk(alt, path + (("alt", k + 1),))
+            walk(alt, path + (("alt", k + 1),), True)
 
-    walk(root, ())
+    walk(root, (), False)
     return diagnostics
 
 
@@ -1945,6 +1961,54 @@ def plan_fragments_recursive(root):
 
     walk(root, 0, ())
     return entries, constraints
+
+
+def plan_order_reference(entries, constraints):
+    """The ids of ``entries`` in the order ``extract_plan`` gave them when
+    it took every ``after`` pair of ``plan_fragments_recursive``, each step
+    of a Sequence's second stage after each of its first included, and
+    placed them with one heap keyed by stage and id.  A constraint on no
+    entry orders nothing; raises CycleDetected over the ids it cannot
+    place."""
+    by_id = {e.step.id: e for e in entries}
+    successors = {sid: [] for sid in by_id}
+    indegree = dict.fromkeys(by_id, 0)
+    for kind, later, earlier in constraints:
+        if kind == "after" and earlier in by_id:
+            successors[earlier].append(later)
+            indegree[later] += 1
+    ready = [((by_id[sid].stage, sid), sid) for sid in indegree if indegree[sid] == 0]
+    heapq.heapify(ready)
+    ordered = []
+    while ready:
+        _, sid = heapq.heappop(ready)
+        ordered.append(sid)
+        for nxt in successors[sid]:
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                heapq.heappush(ready, ((by_id[nxt].stage, nxt), nxt))
+    if len(ordered) != len(by_id):
+        raise CycleDetected(set(indegree) - set(ordered))
+    return ordered
+
+
+def extract_plan_reference(root):
+    """``calculus.extract_plan`` as it collected every pair of stages and
+    ordered them: a duplicated step id is placed once, so its plan was
+    refused as a cycle over no step."""
+    solution = committed_recursive(root)
+    if solution is None or not m.is_unknown_free(solution):
+        raise UnsolvedTree("cannot extract a plan from an unsolved derivation")
+    entries, constraints = plan_fragments_recursive(root)
+    by_id = {e.step.id: e for e in entries}
+    unknown = sorted(c for c in constraints if c[1] not in by_id or c[2] not in by_id)
+    if unknown:
+        kind, a, b = unknown[0]
+        raise UnsolvedTree(f"constraint references unknown step: {a!r} {kind} {b!r}")
+    ordered = plan_order_reference(entries, constraints)
+    if len(ordered) != len(entries):
+        raise CycleDetected(())
+    return ImplementationPlan(tuple(by_id[sid] for sid in ordered), frozenset(constraints))
 
 
 # --- the replay that recursed once per tree level, in check and in rethread ---------------

@@ -7,6 +7,7 @@ from deltapoe.artifacts import Justification, RuleId
 from deltapoe.calculus import (
     CycleDetected,
     DerivationNode,
+    ImplementationPlan,
     NotOpen,
     RuleError,
     SideConditionViolated,
@@ -784,16 +785,21 @@ def test_mirror_walk_handles_a_long_need():
 
 # --- read-only passes over one stack-based walk ------------------------------------------
 
+import heapq  # noqa: E402
+import itertools  # noqa: E402
+
 from deltapoe import export  # noqa: E402
 from deltapoe.artifacts import PlanStep, RiskItem  # noqa: E402
-from deltapoe.calculus import RULES, _plan_fragments, preorder  # noqa: E402
+from deltapoe.calculus import RULES, _plan_graph, _plan_order, preorder  # noqa: E402
 
 from .oracles import (  # noqa: E402
     committed_recursive,
     derivation_dot_recursive,
     discharge_environments_recursive,
+    extract_plan_reference,
     lint_recursive,
     plan_fragments_recursive,
+    plan_order_reference,
 )
 
 PLAN_PROBLEM = model.Problem(model.Environment(()), model.Unknown("F"), "G", model.AtomicNeed("N"))
@@ -834,13 +840,121 @@ def plan_trees(draw, depth=4):
     )
 
 
-@given(plan_trees())
-@settings(deadline=None)
-def test_plan_walk_matches_the_recursive_one(root):
-    entries, constraints = _plan_fragments(root)
-    expected_entries, expected_constraints = plan_fragments_recursive(root)
+def plan_order_outcome(order):
+    """What ``order()`` gives: what it places, or the ids of the cycle it raises."""
+    try:
+        return order()
+    except CycleDetected as err:
+        return err.stuck
+
+
+def assert_graph_orders_as_every_pair(root):
+    """The plan graph holds the entries of the recursive walk, and its
+    edges place them in the order, or leave the same steps in a cycle, as
+    every pair of stages does."""
+    _, entries, _, edges, _, _, _ = _plan_graph(root)
+    expected_entries, constraints = plan_fragments_recursive(root)
     assert entries == expected_entries
-    assert constraints == expected_constraints
+    placed = plan_order_outcome(lambda: _plan_order(entries, edges, heapq.heappush, heapq.heappop))
+    expected = plan_order_outcome(lambda: plan_order_reference(expected_entries, constraints))
+    assert (placed if isinstance(placed, tuple) else [e.step.id for e in placed]) == expected
+
+
+@st.composite
+def solved_plan_trees(draw):
+    """``plan_trees`` with each premise a subtree of its own, each open leaf
+    a greenfield obligation, so that the tree commits a solution, and each
+    plan step an id of its own, which the references name: plans that are
+    extracted or that wait on each other in a cycle."""
+    number = itertools.count()
+
+    def fresh(node):
+        steps = tuple(step._replace(id=f"t{next(number)}") for step in node.plan)
+        return node._replace(premises=tuple(map(fresh, node.premises)), plan=steps,
+                             alternatives=tuple(map(fresh, node.alternatives)),
+                             greenfield=node.rule is None)
+
+    root = fresh(draw(plan_trees()))
+    ids = [f"t{k}" for k in range(next(number))]  # the next number is how many were made
+    names = st.lists(st.sampled_from(ids * 8 + ["ghost"]), max_size=2).map(tuple)
+
+    def refer(node):
+        steps = tuple(step._replace(after=draw(names), parallel_ok=draw(names)) for step in node.plan)
+        return node._replace(premises=tuple(map(refer, node.premises)), plan=steps,
+                             alternatives=tuple(map(refer, node.alternatives)))
+
+    return refer(root)
+
+
+@given(st.one_of(plan_trees(), solved_plan_trees()))
+@settings(deadline=None)
+def test_plan_graph_orders_as_the_recursive_walk(root):
+    assert_graph_orders_as_every_pair(root)
+
+
+def plan_outcome(root):
+    """``extract_plan``'s plan, or the kind and message of its refusal."""
+    try:
+        return extract_plan(root)
+    except (UnsolvedTree, CycleDetected) as err:
+        return type(err).__name__, str(err)
+
+
+STEP_FINDINGS = {"DuplicateStep", "UnknownStep", "CyclicPlan"}
+
+
+@given(st.one_of(plan_trees(), solved_plan_trees()))
+@settings(max_examples=150, deadline=None)
+def test_lint_finds_a_cycle_exactly_when_the_plan_cannot_be_ordered(root):
+    """``lint`` reports CyclicPlan exactly when ordering every pair of
+    stages leaves steps in a cycle; with no finding on its steps, a tree's
+    plan is extracted or refused as unsolved, and a plan the reference
+    extracts is the same entries, order and constraints."""
+    kinds = {d.kind for d in lint(root)}
+    every_pair = plan_order_outcome(lambda: plan_order_reference(*plan_fragments_recursive(root)))
+    assert ("CyclicPlan" in kinds) == isinstance(every_pair, tuple)
+    got = plan_outcome(root)
+    if not kinds & STEP_FINDINGS:
+        assert isinstance(got, ImplementationPlan) or got == (
+            "UnsolvedTree", "cannot extract a plan from an unsolved derivation")
+    try:
+        expected = extract_plan_reference(root)
+    except (UnsolvedTree, CycleDetected):
+        return
+    assert got == expected
+
+
+def test_extract_plan_matches_the_reference_on_the_fixtures(golden, monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    staged = importlib.import_module("families").StagedDerivation(1, 40, tmp_path)
+    parsed = dsl.parse_file(Path(staged.path).read_text(), staged.path)
+    for root in (golden[1], build(parsed.derivations[0], parsed.model, parsed.problems)):
+        plan = extract_plan(root)
+        assert plan == extract_plan_reference(root)
+        assert plan.entries
+
+
+def test_a_plan_step_id_used_twice_is_refused_by_name():
+    steps = (PlanStep("a", "act", model.Unknown("F")), PlanStep("a", "again", model.Unknown("F")))
+    root = DerivationNode(PLAN_PROBLEM, greenfield=True, plan=steps)
+    with pytest.raises(UnsolvedTree, match="plan step id 'a' is used twice"):
+        extract_plan(root)
+    with pytest.raises(CycleDetected, match="cycle over: $"):
+        extract_plan_reference(root)
+
+
+@pytest.mark.parametrize("stages", [20, 80])
+def test_the_plan_graph_of_a_staged_derivation_is_linear(stages, monkeypatch, tmp_path):
+    """Each stage's step waits on the one before, as declared and as the
+    Sequence above it orders them: at most two edges a stage, where every
+    pair of stages made stages * (stages - 1) / 2."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    staged = importlib.import_module("families").StagedDerivation(1, stages, tmp_path)
+    parsed = dsl.parse_file(Path(staged.path).read_text(), staged.path)
+    root = build(parsed.derivations[0], parsed.model, parsed.problems)
+    _, entries, _, edges, _, _, _ = _plan_graph(root)
+    assert len(entries) == stages
+    assert len(edges) <= 2 * stages
 
 
 @given(plan_trees())
@@ -875,9 +989,34 @@ def test_shared_subtrees_give_the_recursive_results():
     findings = lint(root)
     assert [str(d) for d in findings] == [str(d) for d in lint_recursive(root)]
     assert {d.kind for d in findings} >= {"DuplicateStep", "MissingConstraint", "ConflictingConstraint"}
-    assert _plan_fragments(root) == plan_fragments_recursive(root)
+    assert_graph_orders_as_every_pair(root)
     assert discharge_environments(root) == discharge_environments_recursive(root)
     assert export.derivation_dot(root) == derivation_dot_recursive(root)
+
+
+def test_a_stage_with_no_step_passes_its_sibling_s_ends_on():
+    """A Sequence one of whose stages has no step begins and ends where
+    the other one does, so a Sequence above it still orders that stage's
+    steps: ``a`` comes before ``c`` by the stages, and waits on it."""
+    def leaf(*steps):
+        return DerivationNode(PLAN_PROBLEM, greenfield=True, plan=steps)
+
+    def sequence(first, second):
+        return DerivationNode(PLAN_PROBLEM, RuleId.SEQUENCE, (first, second))
+
+    a = leaf(PlanStep("a", "act", model.Unknown("F"), after=("c",)))
+    c = leaf(PlanStep("c", "act", model.Unknown("F")))
+    for root in (sequence(sequence(a, leaf()), c), sequence(sequence(leaf(), sequence(a, leaf())), c)):
+        assert "CyclicPlan" in {d.kind for d in lint(root)}
+        for extract in (extract_plan, extract_plan_reference):
+            with pytest.raises(CycleDetected, match="cycle over: a, c$"):
+                extract(root)
+    a = leaf(PlanStep("a", "act", model.Unknown("F")))
+    c = leaf(PlanStep("c", "act", model.Unknown("F"), after=("a",)))
+    root = sequence(c, sequence(leaf(), a))
+    assert "CyclicPlan" in {d.kind for d in lint(root)}
+    with pytest.raises(CycleDetected, match="cycle over: a, c$"):
+        extract_plan(root)
 
 
 DEEP = 3000
@@ -898,13 +1037,16 @@ def deep_chain(rule, depth=DEEP):
     return root, step, bottom
 
 
-def test_plan_walk_handles_a_deep_tree():
+def test_plan_graph_handles_a_deep_tree():
     for rule in DEEP_RULES:
-        root, step, _ = deep_chain(rule)
-        entries, constraints = _plan_fragments(root)
+        root, step, bottom = deep_chain(rule)
+        order, entries, _, edges, _, _, findings = _plan_graph(root)
         stage = DEEP if rule is RuleId.SEQUENCE else 0
         assert [(e.step, e.stage) for e in entries] == [(step, stage)], rule
-        assert constraints == {("after", "s", "ghost")}
+        assert edges == [("s", "ghost")]
+        (index, found), = ((index, found) for index, found in enumerate(findings) if found)
+        assert order[index][1] == bottom
+        assert found == [("UnknownStep", "step 's' references unknown step 'ghost'")]
 
 
 @pytest.mark.parametrize("rule", DEEP_RULES, ids=lambda rule: rule.value)

@@ -178,16 +178,51 @@ def test_plan_unsolved_exit_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("form", ["text", "structured"])
 def test_plan_of_a_cyclic_plan_is_invalid(tmp_path, capsys, form):
-    """Steps w1 and w2 each wait on the other: ``check`` still solves the
-    derivation, and ``plan`` refuses it as invalid input, not as a crash."""
+    """Steps w1 and w2 each wait on the other: ``check`` finds the
+    derivation invalid, ``lint`` reports the cycle, and ``plan`` refuses it
+    as invalid input, not as a crash."""
     from .test_calculus import CYCLE_SCRIPT
 
     cyclic = tmp_path / "cyclic.poed"
     cyclic.write_text(CYCLE_SCRIPT)
-    assert run(capsys, "check", cyclic)[0] == 0
-    assert run(capsys, "plan", cyclic, "--format", form) == (
-        2, "", f"{cyclic}: derivation tangled_plan: CycleDetected: plan constraints form a cycle over: "
-               "w1, w2\n")
+    finding = "root: CyclicPlan: plan constraints form a cycle over: w1, w2"
+    code, out, err = run(capsys, "check", cyclic)
+    assert (code, err) == (2, f"{cyclic}: derivation tangled_plan: {finding}\n")
+    assert out.endswith("derivation tangled_plan: Invalid\n")
+    assert run(capsys, "lint", cyclic) == (1, f"{cyclic}: derivation tangled_plan: {finding}\n", "")
+    assert run(capsys, "plan", cyclic, "--format", form) == (2, "", f"{cyclic}: {finding}\n")
+
+
+STRAY_SCRIPT_TAIL = """
+derivation stray_ref {
+  problem p
+  apply KnownSolution at root with { solution: +Lid } chosen
+  justify { rule "adding the lid is enough" }
+  plan { step a "add the lid" installs +Lid after b }
+  validated by G granted
+  apply KnownSolution at root with { solution: +Lid } alternative
+  justify { rule "the same, by another step" }
+  plan { step b "add the lid another way" installs +Lid }
+  validated by G granted
+}
+"""
+
+
+@pytest.mark.parametrize("form", ["text", "structured"])
+def test_a_step_that_waits_on_an_alternative_s_step_is_invalid(tmp_path, capsys, form):
+    """The chosen application's step ``a`` waits on ``b``, a step of an
+    alternative that is not in the plan: every command refuses it as
+    invalid input, and none crashes."""
+    from .test_calculus import SMALL
+
+    stray = tmp_path / "stray.poed"
+    stray.write_text(SMALL + STRAY_SCRIPT_TAIL)
+    finding = "root: UnknownStep: step 'a' references unknown step 'b'"
+    code, out, err = run(capsys, "check", stray)
+    assert (code, err) == (2, f"{stray}: derivation stray_ref: {finding}\n")
+    assert out.endswith("derivation stray_ref: Invalid\n")
+    assert run(capsys, "lint", stray) == (1, f"{stray}: derivation stray_ref: {finding}\n", "")
+    assert run(capsys, "plan", stray, "--format", form) == (2, "", f"{stray}: {finding}\n")
 
 
 def test_impact_chain_report(capsys):
@@ -581,9 +616,9 @@ def test_each_process_loads_the_entry_point_and_its_own_command(tmp_path, monkey
     log.write_text(CREATED)
     for expected, argv, family, lines in (
         (3, [], None, 363),
-        (0, ["check", staged], "derivation", 3461),
-        (0, ["plan", staged], "derivation", 3461),
-        (0, ["lint", staged], "derivation", 3461),
+        (0, ["check", staged], "derivation", 3454),
+        (0, ["plan", staged], "derivation", 3454),
+        (0, ["lint", staged], "derivation", 3454),
         (0, ["impact", CHAIN, "--edit", "!C"], "impact", 2564),
         (0, ["impact", CHAIN, "--edit", "!C", "--format", "structured"], "impact", 2856),
         (0, ["workflow", log, "status"], "workflow", 1343),
